@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     InvariantViolation,
+    LeadingCoefficientError,
     NoConvergence,
     NonRealSpectrum,
     ProblemFormatError,
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except InvariantViolation as exc:
+    except (InvariantViolation, LeadingCoefficientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except NonRealSpectrum as exc:

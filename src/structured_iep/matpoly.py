@@ -9,7 +9,8 @@ is reported as an error, not a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,25 +47,52 @@ class MatrixPolynomial:
         return sum(np.linalg.norm(c) * abs(z) ** s for s, c in enumerate(self.coeffs))
 
 
+# cap on the entries of the stacked P(z_q) matrices held at once (1 MiB of
+# doubles); batched evaluation and solves run over row blocks of this size
+_BLOCK_DOUBLES = 1 << 17
+
+
+def _row_blocks(count: int, n: int):
+    step = max(1, _BLOCK_DOUBLES // (n * n))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Matched (value, unit vector) pairs, values strictly ascending."""
+    """Matched (value, unit vector) pairs, values strictly ascending.
+
+    Only the values are computed up front.  ``vectors`` (row q is the unit
+    proper vector for values[q]) is selected from the companion eigenvectors
+    and refined on first access, then cached, so callers that need only the
+    values never pay for refinement.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray  # row q is the unit proper vector for values[q]
+    polynomial: MatrixPolynomial = field(repr=False)
+    companion_rows: np.ndarray = field(repr=False)  # top n rows of the eigenvectors, row q for values[q]
 
     def __len__(self):
         return len(self.values)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _proper_vectors(self.polynomial, self.values, self.companion_rows)
 
     def pairs(self):
         return list(zip(self.values, self.vectors))
 
 
-def evaluate(P: MatrixPolynomial, z: float) -> np.ndarray:
-    """Horner evaluation of P at z."""
-    out = np.array(P.coeffs[-1], dtype=float, copy=True)
+def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
+    """Horner evaluation of P at z; a 1-D array of m points gives the
+    stacked (m, n, n) values."""
+    z = np.asarray(z)
+    out = np.empty(z.shape + (P.n, P.n), dtype=np.result_type(z, float))
+    out[...] = P.coeffs[-1]
+    zz = z[..., None, None]
     for c in reversed(P.coeffs[:-1]):
-        out = out * z + c
+        out *= zz
+        out += c
     return out
 
 
@@ -105,18 +133,44 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     return C
 
 
-def _refine_vector(P: MatrixPolynomial, lam: float, v: np.ndarray) -> np.ndarray:
-    """One inverse-iteration step on P(lam); companion vectors lose accuracy
-    for large |lam|, and Jacobian entries depend quadratically on v."""
-    A = evaluate(P, lam)
-    try:
-        w = np.linalg.solve(A, v)
-    except np.linalg.LinAlgError:
-        return v
-    norm = np.linalg.norm(w)
-    if not np.isfinite(norm) or norm == 0.0:
-        return v
-    return w / norm
+def _refine_vectors(P: MatrixPolynomial, values: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """One inverse-iteration step per row, v_q <- P(values[q])^{-1} v_q
+    normalised; companion vectors lose accuracy for large |lambda|, and
+    Jacobian entries depend quadratically on v.  A row whose solve is
+    singular or gives a zero or non-finite result keeps its input."""
+    out = V.copy()
+    for blk in _row_blocks(len(values), P.n):
+        A = evaluate(P, values[blk])
+        try:
+            W = np.linalg.solve(A, V[blk, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            W = np.full_like(V[blk], np.nan)
+            for i, (a, v) in enumerate(zip(A, V[blk])):
+                try:
+                    W[i] = np.linalg.solve(a, v)
+                except np.linalg.LinAlgError:
+                    pass
+        norms = np.linalg.norm(W, axis=1)
+        ok = np.isfinite(norms) & (norms != 0.0)
+        out[blk][ok] = W[ok] / norms[ok, None]
+    return out
+
+
+def _proper_vectors(P: MatrixPolynomial, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Unit proper vectors from the top n rows of the companion eigenvectors:
+    the larger of the real and imaginary parts, normalised, refined, with the
+    largest-magnitude component made positive."""
+    use_imag = np.linalg.norm(rows.imag, axis=1) > np.linalg.norm(rows.real, axis=1)
+    V = np.where(use_imag[:, None], rows.imag, rows.real)
+    norms = np.linalg.norm(V, axis=1)
+    zero = norms == 0.0
+    V[zero] = 1.0
+    norms[zero] = np.sqrt(P.n)
+    V = _refine_vectors(P, values, V / norms[:, None])
+    # deterministic sign: largest-magnitude component positive
+    lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
+    V[lead < 0] *= -1.0
+    return V
 
 
 def proper_values(
@@ -124,7 +178,10 @@ def proper_values(
     real_tol: float = REAL_TOL_DEFAULT,
     sep_tol: float | None = None,
 ) -> SpectralDecomposition:
-    """All nk proper values of P, ascending, with refined unit proper vectors.
+    """All nk proper values of P, ascending.
+
+    The unit proper vectors are selected and refined only when the returned
+    decomposition's ``vectors`` is first read (see SpectralDecomposition).
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
     imaginary part above ``real_tol``, and NearDegenerate if two returned
@@ -153,21 +210,4 @@ def proper_values(
         raise NearDegenerate(
             f"proper values {vals[q]:.12g} and {vals[q + 1]:.12g} closer than sep_tol {sep_tol:.3g}"
         )
-    n = P.n
-    vectors = np.empty((len(vals), n))
-    for q, idx in enumerate(order):
-        v = V[:n, idx]
-        if np.max(np.abs(v.imag)) > 0:
-            v = v.real if np.linalg.norm(v.real) >= np.linalg.norm(v.imag) else v.imag
-        else:
-            v = v.real
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            v = np.ones(n)
-            nv = np.linalg.norm(v)
-        v = _refine_vector(P, vals[q], v / nv)
-        # deterministic sign: largest-magnitude component positive
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        vectors[q] = v
-    return SpectralDecomposition(values=vals, vectors=vectors)
+    return SpectralDecomposition(values=vals, polynomial=P, companion_rows=V[:P.n, order].T)

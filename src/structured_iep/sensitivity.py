@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .matpoly import MatrixPolynomial, SpectralDecomposition, derivative, evaluate, proper_values
+from .matpoly import (
+    MatrixPolynomial,
+    SpectralDecomposition,
+    _row_blocks,
+    derivative,
+    evaluate,
+    proper_values,
+)
 from .seed import TargetSpectrum, block_assignment
 
 DENOM_TOL = 1e-10
@@ -41,6 +48,26 @@ class PerturbationDirection:
             raise ValueError("specify exactly one of diag or edge")
 
 
+def _denominators(P: MatrixPolynomial, lams: np.ndarray, V: np.ndarray, denom_tol: float) -> np.ndarray:
+    """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q].
+
+    Raises DegenerateDenominator when one is below ``denom_tol`` times the
+    coefficient scale of P' at lambda_q (numerically non-simple value).
+    """
+    Pd = derivative(P)
+    den = np.empty(len(lams))
+    for blk in _row_blocks(len(lams), P.n):
+        den[blk] = (V[blk, None, :] @ evaluate(Pd, lams[blk]) @ V[blk, :, None])[:, 0, 0]
+    small = np.abs(den) < denom_tol * Pd.coefficient_scale(lams)
+    if np.any(small):
+        q = int(np.argmax(small))
+        raise DegenerateDenominator(
+            f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
+            "value numerically non-simple"
+        )
+    return den
+
+
 def eigderivative(
     P: MatrixPolynomial,
     pair: tuple[float, np.ndarray],
@@ -51,12 +78,7 @@ def eigderivative(
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
     lam, v = pair
-    Pd = derivative(P)
-    den = float(v @ evaluate(Pd, lam) @ v)
-    if abs(den) < denom_tol * Pd.coefficient_scale(lam):
-        raise DegenerateDenominator(
-            f"|v^T P'(lambda) v| = {abs(den):.3g} at lambda = {lam:.12g}: value numerically non-simple"
-        )
+    den = float(_denominators(P, np.array([lam], dtype=float), np.asarray(v)[None, :], denom_tol)[0])
     zs = lam ** direction.s
     if direction.diag is not None:
         num = zs * v[direction.diag - 1] ** 2
@@ -76,7 +98,8 @@ def jacobian_x(
 
     Row q is the (matched) q-th pair; column s*n + r is diagonal entry r of
     coefficient s.  ``matching`` maps row index to position in ``decomp``
-    (identity when omitted).
+    (identity when omitted).  Reads ``decomp.vectors``, so this is where a
+    decomposition's proper vectors get refined.
     """
     n, k = P.n, P.degree
     nk = n * k
@@ -84,20 +107,11 @@ def jacobian_x(
         raise ValueError(f"decomposition has {len(decomp)} pairs, expected {nk}")
     if matching is None:
         matching = np.arange(nk)
-    Pd = derivative(P)
-    J = np.empty((nk, nk))
-    for row in range(nk):
-        lam = decomp.values[matching[row]]
-        v = decomp.vectors[matching[row]]
-        den = float(v @ evaluate(Pd, lam) @ v)
-        if abs(den) < DENOM_TOL * Pd.coefficient_scale(lam):
-            raise DegenerateDenominator(
-                f"row {row}: |v^T P'(lambda) v| = {abs(den):.3g} at lambda = {lam:.12g}"
-            )
-        vsq = v ** 2
-        for s in range(k):
-            J[row, s * n:(s + 1) * n] = -(lam ** s) * vsq / den
-    return J
+    lam = decomp.values[matching]
+    V = decomp.vectors[matching]
+    den = _denominators(P, lam, V, DENOM_TOL)
+    powers = lam[:, None] ** np.arange(k)
+    return (-powers[:, :, None] * (V ** 2)[:, None, :] / den[:, None, None]).reshape(nk, nk)
 
 
 def jacobian_fd(

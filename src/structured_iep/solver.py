@@ -139,8 +139,8 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0):
-    """Ascending proper values of the assembled polynomial (and the full
-    decomposition, which the Jacobian reuses)."""
+    """Ascending proper values of the assembled polynomial, as a
+    decomposition whose vectors are refined only if the Jacobian reads them."""
     diam = max(spec.spectrum.diameter, 1.0)
     decomp = proper_values(assemble(x, spec, tau), sep_tol=SEP_TOL_REL * diam)
     return decomp
@@ -208,7 +208,9 @@ def newton_solve(spec: ProblemSpec, x0: np.ndarray | None = None, tau: float = 1
     """Damped Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
     Accepts a step only when the residual infinity-norm strictly decreases
-    (backtracking halving); raises NoConvergence / SingularJacobian /
+    (backtracking halving).  Backtracking trials and the converged iterate
+    use proper values only; proper vectors are refined just for the iterates
+    that build a Jacobian.  Raises NoConvergence / SingularJacobian /
     NonRealSpectrum with the partial report attached where applicable.
     """
     ctl = spec.controls

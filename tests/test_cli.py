@@ -213,6 +213,17 @@ class TestErrorPaths:
         code, _, _ = run(capsys, ["--quiet", "solve", str(prob)])
         assert code == cli.EXIT_PARSE
 
+    def test_nondiagonal_leading_coefficient_exits_three(self, capsys, tmp_path):
+        poly = tmp_path / "poly.json"
+        run(capsys, ["--quiet", "seed", PATH4, "--out", str(poly)])
+        doc = json.loads(poly.read_text())
+        doc["coefficients"][2][0][1] = doc["coefficients"][2][1][0] = 0.1
+        poly.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["--quiet", "verify", str(poly), PATH4])
+        assert code == cli.EXIT_INVARIANT
+        assert err.startswith("error:") and "leading coefficient" in err
+        assert "Traceback" not in err
+
     def test_unknown_control_exits_two(self, capsys, tmp_path):
         doc = path4_doc(controls={"jacobian_mode": "fd"})
         prob = tmp_path / "p.json"

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from structured_iep import (
+    Graph,
     LeadingCoefficientError,
     LeadingDiagonal,
     MatrixPolynomial,
     NearDegenerate,
     NonRealSpectrum,
+    ProblemSpec,
     TargetSpectrum,
+    assemble,
     derivative,
     evaluate,
     linearize,
     proper_values,
     seed_coefficients,
+    seed_diagonals,
 )
+from structured_iep import matpoly
 
 from conftest import TARGETS, random_targets
 
@@ -40,6 +45,18 @@ class TestEvaluate:
     def test_identity_coefficients(self):
         P = MatrixPolynomial((np.eye(3), np.eye(3), np.eye(3)))
         assert np.allclose(evaluate(P, 1.0), 3 * np.eye(3))
+
+    def test_array_of_points_stacks_scalar_evaluations(self, quad_seed):
+        z = np.array([-3.0, 0.0, 1.7, 12.5])
+        A = evaluate(quad_seed, z)
+        assert A.shape == (4, 4, 4)
+        for Aq, zq in zip(A, z):
+            assert np.array_equal(Aq, evaluate(quad_seed, zq))
+
+    def test_degree_zero_ignores_point(self):
+        P = MatrixPolynomial((np.diag([1.0, 2.0]),))
+        assert np.array_equal(evaluate(P, 5.0), np.diag([1.0, 2.0]))
+        assert np.array_equal(evaluate(P, np.array([5.0, -1.0])), np.stack([np.diag([1.0, 2.0])] * 2))
 
 
 class TestDerivative:
@@ -174,3 +191,64 @@ class TestDeterminantOracles:
             lhs = np.linalg.det(evaluate(P, z))
             rhs = det_lead * np.linalg.det(z * np.eye(n * k) - C)
             assert lhs == pytest.approx(rhs, rel=1e-8)
+
+
+def reference_vectors(P):
+    """Proper vectors one value at a time: companion top block, the larger of
+    its real and imaginary parts, normalised, one inverse-iteration step (kept
+    unrefined when P(lambda) is singular), largest component positive."""
+    w, V = np.linalg.eig(linearize(P))
+    out = []
+    for idx in np.argsort(w.real, kind="stable"):
+        v = V[:P.n, idx]
+        v = v.real if np.linalg.norm(v.real) >= np.linalg.norm(v.imag) else v.imag
+        v = v / np.linalg.norm(v)
+        try:
+            x = np.linalg.solve(evaluate(P, w.real[idx]), v)
+            if np.isfinite(np.linalg.norm(x)) and np.linalg.norm(x) > 0:
+                v = x / np.linalg.norm(x)
+        except np.linalg.LinAlgError:
+            pass
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
+        out.append(v)
+    return np.array(out)
+
+
+def sparse_graph(rng, n, mean_degree=2.0):
+    i, j = np.triu_indices(n, 1)
+    keep = rng.random(len(i)) < mean_degree / (n - 1)
+    return Graph(n=n, edges=tuple(zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())))
+
+
+class TestBatchedRefinement:
+    def test_matches_per_vector_reference_over_several_row_blocks(self):
+        rng = np.random.default_rng(0)
+        n, k = 80, 2
+        m = n * k
+        vals = np.arange(m) - (m - 1) / 2 + rng.uniform(-0.35, 0.35, size=m)
+        g = sparse_graph(rng, n)
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=vals, n=n, k=k),
+            lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, size=n)),
+            graphs=(g, g),
+            epsilon=0.05,
+        )
+        P = assemble(seed_diagonals(spec.seed()), spec)
+        assert len(list(matpoly._row_blocks(m, n))) > 1
+        decomp = proper_values(P)
+        assert np.max(np.abs(decomp.vectors - reference_vectors(P))) <= 1e-12
+
+    @pytest.mark.parametrize("n,k,vals", [
+        (4, 2, TARGETS),
+        (2, 3, np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])),
+    ])
+    def test_singular_rows_keep_companion_vector(self, n, k, vals):
+        # integer targets on a diagonal seed: eig returns them exactly, so
+        # P(lambda) has an exactly zero row and the batched solve raises
+        spec = TargetSpectrum(values=vals, n=n, k=k)
+        P = seed_coefficients(spec, LeadingDiagonal(alpha_k=np.ones(n)))
+        decomp = proper_values(P)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(evaluate(P, decomp.values), np.ones((n * k, n, 1)))
+        assert np.max(np.abs(decomp.vectors - reference_vectors(P))) <= 1e-12

@@ -260,3 +260,27 @@ class TestProblemSpecInvariants:
                 lead=LeadingDiagonal(alpha_k=np.ones(4)),
                 graphs=(Graph(3), Graph(4)),
             )
+
+
+def test_vectors_refined_only_for_iterates_that_build_a_jacobian(path4_spec, monkeypatch):
+    from structured_iep import matpoly, solver
+
+    refined, jacobians = [], []
+    refine, jacobian = matpoly._refine_vectors, solver.jacobian_x
+
+    def counting_refine(P, values, V):
+        refined.append(len(values))
+        return refine(P, values, V)
+
+    def counting_jacobian(*args, **kwargs):
+        jacobians.append(1)
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(matpoly, "_refine_vectors", counting_refine)
+    monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
+    report = continuation_solve(path4_spec)
+    assert report.converged
+    assert jacobians and sum(refined) == path4_spec.n * path4_spec.k * len(jacobians)
+    refined.clear()
+    assert verify(report.polynomial, path4_spec).passed
+    assert refined == []
