@@ -11,7 +11,6 @@ solve leaves the real-spectrum regime.
 """
 
 from .errors import (
-    AmbiguousMatching,
     DegenerateDenominator,
     GraphFormatError,
     InvariantViolation,
@@ -46,6 +45,7 @@ from .sensitivity import (
     jacobian_fd,
     jacobian_x,
     seed_vandermonde_check,
+    tau_derivative,
 )
 from .solver import (
     IterationRecord,
@@ -62,7 +62,7 @@ from .solver import (
 )
 
 __all__ = [
-    "AmbiguousMatching", "DegenerateDenominator", "GraphFormatError",
+    "DegenerateDenominator", "GraphFormatError",
     "InvariantViolation", "LeadingCoefficientError", "NearDegenerate",
     "NoConvergence", "NonRealSpectrum", "ProblemFormatError",
     "SingularJacobian", "StructuredIEPError",
@@ -72,7 +72,7 @@ __all__ = [
     "LeadingDiagonal", "TargetSpectrum", "block_assignment",
     "elementary_symmetric", "seed_coefficients", "seed_diagonals",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
-    "seed_vandermonde_check",
+    "seed_vandermonde_check", "tau_derivative",
     "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",
     "VerifyReport", "assemble", "continuation_solve", "match_targets",
     "newton_solve", "spectral_map", "verify",

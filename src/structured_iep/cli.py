@@ -86,7 +86,6 @@ def cmd_solve(args) -> int:
         "structure_ok": report.structure_ok,
         "structure_detail": list(report.structure_detail),
         "leading_ok": report.leading_ok,
-        "matching_fallback": report.matching_fallback,
         "continuation_path": list(report.continuation_path),
         "iterations": [
             {"iteration": t.iteration, "residual": t.residual, "step_norm": t.step_norm}
@@ -136,11 +135,7 @@ def cmd_jacobian(args) -> int:
         x = seed_diagonals(spec.seed())
         tau = 0.0
     else:
-        try:
-            with open(args.at) as fh:
-                x = np.asarray(json.load(fh), dtype=float)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ProblemFormatError(f"{args.at}: {exc}") from exc
+        x = _load_unknowns(args.at, spec.n * spec.k)
         tau = 1.0
     P = assemble(x, spec, tau=tau)
     decomp = proper_values(P)
@@ -164,6 +159,20 @@ def cmd_jacobian(args) -> int:
         if at_seed:
             print(f"vandermonde check passed: {doc['vandermonde']['passed']}")
     return 0
+
+
+def _load_unknowns(path: str, nk: int) -> np.ndarray:
+    """The kn diagonal unknowns from a JSON file holding a list of nk finite numbers."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        numbers = isinstance(doc, list) and len(doc) == nk and all(type(v) in (int, float) for v in doc)
+        x = np.asarray(doc, dtype=float) if numbers else None
+    except (OSError, json.JSONDecodeError, OverflowError) as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc
+    if x is None or not np.all(np.isfinite(x)):
+        raise ProblemFormatError(f"{path}: expected a list of {nk} finite numbers (the diagonal unknowns)")
+    return x
 
 
 def _control_overrides(args) -> dict:
@@ -195,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--fd-jacobian", action="store_true",
                     help="use the finite-difference Jacobian (cross-validation mode)")
     pv.add_argument("--continuation", type=int, default=None, metavar="STEPS",
-                    help="initial number of continuation steps")
+                    help="first continuation step is 1/STEPS of the off-diagonal scale "
+                         "(default 1: try the full problem first)")
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_solve)
 

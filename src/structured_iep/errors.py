@@ -48,6 +48,3 @@ class NoConvergence(StructuredIEPError):
         super().__init__(msg)
         self.report = report
 
-
-class AmbiguousMatching(StructuredIEPError):
-    """Two value-to-target assignments tie within the separation tolerance."""

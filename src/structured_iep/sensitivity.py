@@ -9,6 +9,8 @@ tracked proper value is the Rayleigh-quotient formula
 
 At a diagonal seed with v = e_r this reduces to -lambda^s / P'(lambda)_rr
 for the (r,r) diagonal slot and to exactly 0 for every off-diagonal slot.
+jacobian_x applies it to every diagonal slot, and tau_derivative to a
+whole polynomial direction (the continuation's off-diagonal ramp).
 Away from the seed the formula is the standard simple-eigenvalue one and is
 cross-validated against finite differences (jacobian_fd) rather than taken
 on faith.
@@ -48,6 +50,14 @@ class PerturbationDirection:
             raise ValueError("specify exactly one of diag or edge")
 
 
+def _quadratic_forms(Q: MatrixPolynomial, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """v_q^T Q(lambda_q) v_q for each value lams[q] and row V[q]."""
+    out = np.empty(len(lams))
+    for blk in _row_blocks(len(lams), Q.n):
+        out[blk] = (V[blk, None, :] @ evaluate(Q, lams[blk]) @ V[blk, :, None])[:, 0, 0]
+    return out
+
+
 def _denominators(P: MatrixPolynomial, lams: np.ndarray, V: np.ndarray, denom_tol: float) -> np.ndarray:
     """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q].
 
@@ -55,9 +65,7 @@ def _denominators(P: MatrixPolynomial, lams: np.ndarray, V: np.ndarray, denom_to
     coefficient scale of P' at lambda_q (numerically non-simple value).
     """
     Pd = derivative(P)
-    den = np.empty(len(lams))
-    for blk in _row_blocks(len(lams), P.n):
-        den[blk] = (V[blk, None, :] @ evaluate(Pd, lams[blk]) @ V[blk, :, None])[:, 0, 0]
+    den = _quadratic_forms(Pd, lams, V)
     small = np.abs(den) < denom_tol * Pd.coefficient_scale(lams)
     if np.any(small):
         q = int(np.argmax(small))
@@ -112,6 +120,25 @@ def jacobian_x(
     den = _denominators(P, lam, V, DENOM_TOL)
     powers = lam[:, None] ** np.arange(k)
     return (-powers[:, :, None] * (V ** 2)[:, None, :] / den[:, None, None]).reshape(nk, nk)
+
+
+def tau_derivative(
+    P: MatrixPolynomial,
+    decomp: SpectralDecomposition,
+    D: MatrixPolynomial,
+) -> np.ndarray:
+    """Derivative at tau = 0 of the ascending proper values of P + tau * D,
+    the Rayleigh-quotient formula with B = D:
+
+        d lambda_q / d tau = -(v_q^T D(lambda_q) v_q) / (v_q^T P'(lambda_q) v_q).
+
+    With D(z) = sum_s z^s Y_s, Y_s the prescribed off-diagonals of
+    coefficient s, this is the rate at which the continuation in the
+    off-diagonal scale moves the values.  It vanishes wherever every v_q is
+    a unit vector (a diagonal seed), because D has a zero diagonal.
+    """
+    lam, V = decomp.values, decomp.vectors
+    return -_quadratic_forms(D, lam, V) / _denominators(P, lam, V, DENOM_TOL)
 
 
 def jacobian_fd(

@@ -4,8 +4,10 @@ The unknowns are exactly the kn diagonal entries of the non-leading
 coefficients; the prescribed off-diagonal values are held fixed (they are
 the perturbation the Newton step must compensate).  A direct solve at full
 off-diagonal strength can leave the real-spectrum regime, in which case the
-off-diagonals are ramped in over a continuation schedule tau = j/steps with
-warm starts, doubling the number of steps on failure up to a cap.
+off-diagonals are ramped in by predictor-corrector continuation in their
+scale tau: each step predicts along the tangent of the solution curve and
+corrects with a capped Newton solve, keeping every converged step; the step
+halves on failure and doubles on success (continuation_solve).
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
-    AmbiguousMatching,
+    DegenerateDenominator,
     InvariantViolation,
     NearDegenerate,
     NoConvergence,
@@ -26,10 +27,11 @@ from .errors import (
 from .graphs import Graph, graph_of_matrix, matrix_of_graph
 from .matpoly import MatrixPolynomial, SEP_TOL_REL, proper_values
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_diagonals
-from .sensitivity import jacobian_fd, jacobian_x
+from .sensitivity import jacobian_fd, jacobian_x, tau_derivative
 
-MAX_CONTINUATION_STEPS = 64
+MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 MAX_BACKTRACKS = 30
+MAX_CORRECTOR_ITER = 8  # Newton iteration cap for correctors at tau < 1
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,6 @@ class SolveReport:
     continuation_path: tuple[float, ...]
     converged: bool
     failure: str | None = None
-    matching_fallback: bool = False
 
 
 def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolynomial:
@@ -146,36 +147,19 @@ def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0):
     return decomp
 
 
-MATCH_CAUTION_FACTOR = 1e3  # assignment fallback band above sep_tol
-
-
-def match_targets(current: np.ndarray, targets: np.ndarray, sep_tol: float) -> tuple[np.ndarray, bool]:
+def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, bool]:
     """Match ascending current values to sorted targets.
 
-    With well-separated values this is the identity on sorted order.  A
-    near-crossing pair (gap below MATCH_CAUTION_FACTOR * sep_tol) switches to
-    a minimum-total-distance assignment, flagged in the report.  Values
-    within sep_tol of each other are numerically indistinguishable, so any
-    two assignments tie: AmbiguousMatching.
+    On the real line sorted order is a minimum-total-distance matching, so
+    this is the identity on sorted order.  Returns (perm, False): row q is
+    matched to decomposition position perm[q], and no other assignment was
+    used.
     """
     current = np.asarray(current, dtype=float)
-    targets = np.sort(np.asarray(targets, dtype=float))
+    targets = np.asarray(targets, dtype=float)
     if current.shape != targets.shape:
         raise ValueError("length mismatch")
-    gaps = np.diff(current)
-    if len(gaps) == 0 or np.min(gaps) >= MATCH_CAUTION_FACTOR * sep_tol:
-        return np.arange(len(current)), False
-    if np.min(gaps) < sep_tol:
-        i = int(np.argmin(gaps))
-        raise AmbiguousMatching(
-            f"values {current[i]:.12g} and {current[i + 1]:.12g} are within sep_tol "
-            f"{sep_tol:.3g}: assignments tie"
-        )
-    cost = np.abs(current[:, None] - targets[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(current), dtype=int)
-    perm[cols] = rows
-    return perm, True
+    return np.arange(len(current)), False
 
 
 def _structure_verdict(P: MatrixPolynomial, spec: ProblemSpec) -> tuple[tuple[bool, ...], bool]:
@@ -186,7 +170,7 @@ def _structure_verdict(P: MatrixPolynomial, spec: ProblemSpec) -> tuple[tuple[bo
     return tuple(per_coeff), leading_ok
 
 
-def _report(spec, x, tau_path, trace, residual, converged, failure=None, fallback=False, tau=1.0):
+def _report(spec, x, tau_path, trace, residual, converged, failure=None, tau=1.0):
     P = assemble(x, spec, tau)
     detail, leading_ok = _structure_verdict(P, spec)
     return SolveReport(
@@ -200,13 +184,18 @@ def _report(spec, x, tau_path, trace, residual, converged, failure=None, fallbac
         continuation_path=tuple(tau_path),
         converged=converged,
         failure=failure,
-        matching_fallback=fallback,
     )
 
 
-def newton_solve(spec: ProblemSpec, x0: np.ndarray | None = None, tau: float = 1.0) -> SolveReport:
+def newton_solve(
+    spec: ProblemSpec,
+    x0: np.ndarray | None = None,
+    tau: float = 1.0,
+    max_iter: int | None = None,
+) -> SolveReport:
     """Damped Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
+    Runs at most ``max_iter`` iterations (default controls.max_iter).
     Accepts a step only when the residual infinity-norm strictly decreases
     (backtracking halving).  Backtracking trials and the converged iterate
     use proper values only; proper vectors are refined just for the iterates
@@ -214,23 +203,21 @@ def newton_solve(spec: ProblemSpec, x0: np.ndarray | None = None, tau: float = 1
     NonRealSpectrum with the partial report attached where applicable.
     """
     ctl = spec.controls
+    max_iter = ctl.max_iter if max_iter is None else max_iter
     tol = ctl.resolved_tol(spec.spectrum)
     targets = spec.spectrum.sorted_values()
-    sep_tol = SEP_TOL_REL * max(spec.spectrum.diameter, 1.0)
     x = seed_diagonals(spec.seed()) if x0 is None else np.array(x0, dtype=float, copy=True)
     trace = []
-    fallback_used = False
 
     decomp = spectral_map(x, spec, tau)  # NonRealSpectrum propagates: continuation trigger
-    perm, fb = match_targets(decomp.values, targets, sep_tol)
-    fallback_used |= fb
+    perm, _ = match_targets(decomp.values, targets)
     res = decomp.values[perm] - targets
     rnorm = float(np.max(np.abs(res)))
     trace.append(IterationRecord(0, rnorm, 0.0))
 
-    for it in range(1, ctl.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if rnorm <= tol:
-            return _report(spec, x, [tau], trace, rnorm, True, fallback=fallback_used, tau=tau)
+            return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
         P = assemble(x, spec, tau)
         if ctl.fd_jacobian:
             J = jacobian_fd(P, matching=perm, h=ctl.fd_step)
@@ -251,75 +238,98 @@ def newton_solve(spec: ProblemSpec, x0: np.ndarray | None = None, tau: float = 1
             except (NonRealSpectrum, NearDegenerate):
                 damp *= 0.5
                 continue
-            p_try, fb = match_targets(d_try.values, targets, sep_tol)
+            p_try, _ = match_targets(d_try.values, targets)
             r_try = d_try.values[p_try] - targets
             rn_try = float(np.max(np.abs(r_try)))
             if rn_try < rnorm:
                 x, decomp, perm, res, rnorm = x_try, d_try, p_try, r_try, rn_try
-                fallback_used |= fb
                 trace.append(IterationRecord(it, rnorm, float(np.linalg.norm(damp * dx))))
                 accepted = True
                 break
             damp *= 0.5
         if not accepted:
-            report = _report(spec, x, [tau], trace, rnorm, False,
-                             failure="backtracking stalled", fallback=fallback_used, tau=tau)
+            report = _report(spec, x, [tau], trace, rnorm, False, failure="backtracking stalled", tau=tau)
             raise NoConvergence(
                 f"backtracking stalled at residual {rnorm:.3g} (iteration {it})", report=report
             )
     if rnorm <= tol:
-        return _report(spec, x, [tau], trace, rnorm, True, fallback=fallback_used, tau=tau)
+        return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
     report = _report(spec, x, [tau], trace, rnorm, False,
-                     failure=f"no convergence in {ctl.max_iter} iterations",
-                     fallback=fallback_used, tau=tau)
-    raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {ctl.max_iter} iterations",
+                     failure=f"no convergence in {max_iter} iterations", tau=tau)
+    raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {max_iter} iterations",
                         report=report)
 
 
-def continuation_solve(spec: ProblemSpec) -> SolveReport:
-    """Ramp the off-diagonals in over tau = j/steps with warm starts.
+def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
+    """dx/dtau of the solution curve at a converged (tau, x): -J^{-1} dlambda/dtau,
+    or zero when the tangent cannot be formed (the predictor then is x)."""
+    decomp = spectral_map(x, spec, tau)
+    ramp = MatrixPolynomial(tuple(
+        matrix_of_graph(g, np.zeros(spec.n), y) for g, y in zip(spec.graphs, spec.offdiag_values)
+    ))
+    try:
+        J = jacobian_x(decomp.polynomial, decomp)
+        xdot = -np.linalg.solve(J, tau_derivative(decomp.polynomial, decomp, ramp))
+    except (np.linalg.LinAlgError, DegenerateDenominator):
+        return np.zeros_like(x)
+    return xdot if np.all(np.isfinite(xdot)) else np.zeros_like(x)
 
-    Starts from controls.continuation_steps and doubles the step count on
-    failure, up to MAX_CONTINUATION_STEPS.  On total failure returns a
-    flagged partial report at the largest tau reached.
+
+def continuation_solve(spec: ProblemSpec) -> SolveReport:
+    """Adaptive predictor-corrector continuation in the off-diagonal scale tau.
+
+    Keeps the last converged (tau, x), starting from the diagonal seed at
+    tau = 0 with a first step of 1/controls.continuation_steps.  Each step
+    predicts x + dtau * dx/dtau along the tangent of the solution curve
+    (zero at the seed, where every proper vector is a unit vector) and
+    corrects with newton_solve: at most min(max_iter, MAX_CORRECTOR_ITER)
+    iterations below tau = 1, controls.max_iter at tau = 1.  A failed
+    corrector halves the step and retries from the last converged point; a
+    converged one doubles it, clipped to 1 - tau.  The solve gives up once
+    the step falls below 1/MAX_CONTINUATION_STEPS.
+
+    Every step but the last advances tau by at least 1/M (M =
+    MAX_CONTINUATION_STEPS) and every failure halves the step, so for
+    continuation_steps = s <= M a solve costs at most 2M - 1 + log2(M/s)
+    Newton solves (133 by default), and a problem on which no step
+    converges costs log2(M/s) + 1 (7 by default).
+
+    On success continuation_path holds the accepted tau values, ascending to
+    1.  On failure returns a flagged partial report at the largest tau
+    reached, or, when no tau converged, the failing corrector's partial
+    report (or the seed when it has none).
     """
     ctl = spec.controls
-    steps = ctl.continuation_steps
-    best_partial = None
+    x = seed_diagonals(spec.seed())
+    xdot = np.zeros_like(x)
+    tau, dtau = 0.0, 1.0 / ctl.continuation_steps
+    path, trace = [], []
     while True:
-        x = seed_diagonals(spec.seed())
-        path = []
-        trace = []
-        ok = True
-        for j in range(1, steps + 1):
-            tau = j / steps
-            try:
-                rep = newton_solve(spec, x0=x, tau=tau)
-            except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian) as exc:
-                partial = getattr(exc, "report", None)
-                if path:
-                    # largest tau that did converge, with its polynomial
-                    best_partial = _report(
-                        spec, x, path, trace, trace[-1].residual if trace else np.inf,
-                        False, failure=f"{type(exc).__name__} at tau={tau:.6g}: {exc}",
-                        tau=path[-1],
-                    )
-                elif partial is not None:
-                    best_partial = partial
-                ok = False
-                break
-            x = rep.x
-            path.append(tau)
-            trace.extend(rep.iterations)
-            last = rep
-        if ok:
-            return replace(last, continuation_path=tuple(path), iterations=tuple(trace))
-        if steps >= MAX_CONTINUATION_STEPS:
-            if best_partial is not None:
-                return best_partial
-            return _report(spec, seed_diagonals(spec.seed()), [], [], np.inf, False,
-                           failure="continuation failed at every step count", tau=0.0)
-        steps = min(2 * steps, MAX_CONTINUATION_STEPS)
+        # absorb rounding in tau + dtau so the last step lands exactly on 1
+        tau_next = 1.0 if tau + dtau > 1.0 - 1e-12 else tau + dtau
+        max_iter = None if tau_next == 1.0 else min(ctl.max_iter, MAX_CORRECTOR_ITER)
+        try:
+            rep = newton_solve(spec, x0=x + (tau_next - tau) * xdot, tau=tau_next, max_iter=max_iter)
+        except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian,
+                DegenerateDenominator) as exc:
+            dtau *= 0.5
+            if dtau >= 1.0 / MAX_CONTINUATION_STEPS:
+                continue
+            failure = f"{type(exc).__name__} at tau={tau_next:.6g}: {exc}"
+            if path:
+                # largest tau that did converge, with its polynomial
+                return _report(spec, x, path, trace, trace[-1].residual, False, failure=failure, tau=tau)
+            partial = getattr(exc, "report", None)
+            if partial is not None:
+                return partial
+            return _report(spec, x, [], [], np.inf, False, failure=failure, tau=0.0)
+        x, tau = rep.x, tau_next
+        path.append(tau)
+        trace.extend(rep.iterations)
+        if tau == 1.0:
+            return replace(rep, continuation_path=tuple(path), iterations=tuple(trace))
+        xdot = _tangent(spec, x, tau)
+        dtau = min(2.0 * dtau, 1.0 - tau)
 
 
 @dataclass(frozen=True)

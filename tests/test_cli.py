@@ -175,6 +175,14 @@ class TestJacobian:
         assert code == 0
         assert "vandermonde" not in json.loads(out)
 
+    @pytest.mark.parametrize("point", [[1, 2, 3], {"a": 1}, [1.0] * 7 + [float("nan")]])
+    def test_malformed_point_exits_two(self, capsys, tmp_path, point):
+        xfile = tmp_path / "x.json"
+        xfile.write_text(json.dumps(point))
+        code, _, err = run(capsys, ["--quiet", "jacobian", PATH4, "--at", str(xfile)])
+        assert code == cli.EXIT_PARSE
+        assert "error:" in err and "8 finite numbers" in err
+
 
 class TestErrorPaths:
     def test_bad_json_exits_two(self, capsys, tmp_path):

@@ -7,15 +7,18 @@ from structured_iep import (
     MatrixPolynomial,
     PerturbationDirection,
     TargetSpectrum,
+    assemble,
     eigderivative,
     jacobian_fd,
     jacobian_x,
     proper_values,
     seed_coefficients,
+    matrix_of_graph,
     seed_vandermonde_check,
+    tau_derivative,
 )
 
-from conftest import TARGETS, random_targets
+from conftest import TARGETS, golden_path4_polynomial, random_targets
 
 
 @pytest.fixture
@@ -142,6 +145,31 @@ class TestJacobianX:
         Jfd = jacobian_fd(P, h=1e-4)
         tol = 1e-5 * np.maximum(np.abs(J), np.abs(Jfd)) + 1e-7
         assert np.all(np.abs(J - Jfd) <= tol)
+
+
+class TestTauDerivative:
+    @staticmethod
+    def ramp(spec):
+        """d/dtau of the assembled polynomial: the prescribed off-diagonals."""
+        return MatrixPolynomial(tuple(
+            matrix_of_graph(g, np.zeros(spec.n), y) for g, y in zip(spec.graphs, spec.offdiag_values)
+        ))
+
+    def test_matches_central_difference_in_tau(self, path4_spec):
+        gold = golden_path4_polynomial()
+        x = np.concatenate([np.diag(gold.coeffs[0]), np.diag(gold.coeffs[1])])
+        P = assemble(x, path4_spec, tau=1.0)
+        d = tau_derivative(P, proper_values(P), self.ramp(path4_spec))
+        h = 1e-5
+        fd = (proper_values(assemble(x, path4_spec, tau=1.0 + h)).values
+              - proper_values(assemble(x, path4_spec, tau=1.0 - h)).values) / (2 * h)
+        assert np.all(np.abs(d) > 1e-3)  # a non-trivial comparison
+        assert np.all(np.abs(d - fd) <= 1e-6 * np.abs(fd))
+
+    def test_exactly_zero_at_diagonal_seed(self, path4_spec):
+        P = path4_spec.seed()
+        d = tau_derivative(P, proper_values(P), self.ramp(path4_spec))
+        assert np.array_equal(d, np.zeros(8))
 
 
 class TestJacobianFD:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from structured_iep import (
-    AmbiguousMatching,
+    DegenerateDenominator,
     Graph,
     InvariantViolation,
     LeadingDiagonal,
+    NoConvergence,
     NonRealSpectrum,
     ProblemSpec,
     SolverControls,
@@ -17,6 +18,7 @@ from structured_iep import (
     proper_values,
     seed_diagonals,
     spectral_map,
+    solver,
     verify,
 )
 
@@ -31,6 +33,18 @@ from conftest import (
     random_graph,
     random_targets,
 )
+
+
+def complex_pair_spec():
+    """2x2 quadratic whose spectrum turns complex under any coupling strong
+    enough: with a huge epsilon even tau = 1/64 fails."""
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=np.array([-1.0, -2.0, -3.0, -4.0]), n=2, k=2),
+        lead=LeadingDiagonal(alpha_k=np.ones(2)),
+        graphs=(Graph(2, ((1, 2),)), Graph(2, ((1, 2),))),
+        epsilon=500.0,
+        controls=SolverControls(max_iter=10),
+    )
 
 
 def make_spec(rng, n, k, epsilon, **controls):
@@ -89,35 +103,19 @@ class TestSpectralMap:
 
 class TestMatchTargets:
     def test_identical_lists(self):
-        perm, fallback = match_targets(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), 1e-10)
+        perm, fallback = match_targets(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(perm, [0, 1, 2])
         assert not fallback
 
     def test_uniform_shift_keeps_identity(self):
         cur = np.array([1.01, 2.01, 3.01])
-        perm, fallback = match_targets(cur, np.array([1.0, 2.0, 3.0]), 1e-10)
+        perm, fallback = match_targets(cur, np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(perm, [0, 1, 2])
         assert not fallback
 
-    def test_near_crossing_uses_assignment_and_flags(self):
-        # pair gap 1e-8 is resolvable but close enough to warrant assignment
-        cur = np.array([1.0, 2.0, 2.0 + 1e-8, 5.0])
-        targets = np.array([1.0, 1.9, 2.4, 5.0])
-        perm, fallback = match_targets(cur, targets, sep_tol=1e-10)
-        assert fallback
-        assert sorted(perm) == [0, 1, 2, 3]
-
-    def test_tied_assignment_raises(self):
-        # values within sep_tol are indistinguishable: either assignment
-        # produces the same cost, a genuine tie
-        cur = np.array([2.0, 2.0 + 1e-12])
-        targets = np.array([1.0, 3.0])
-        with pytest.raises(AmbiguousMatching):
-            match_targets(cur, targets, sep_tol=1e-10)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            match_targets(np.array([1.0]), np.array([1.0, 2.0]), 1e-10)
+            match_targets(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestNewtonSolve:
@@ -199,18 +197,65 @@ class TestContinuationSolve:
             assert all(t <= 1.0 for t in rep.continuation_path)
 
     def test_structurally_complex_pair_reported(self):
-        # 2x2 quadratic whose spectrum turns complex under any nonzero coupling
-        # strong enough: with a huge epsilon even tau=1/64 fails at once
-        spec = ProblemSpec(
-            spectrum=TargetSpectrum(values=np.array([-1.0, -2.0, -3.0, -4.0]), n=2, k=2),
-            lead=LeadingDiagonal(alpha_k=np.ones(2)),
-            graphs=(Graph(2, ((1, 2),)), Graph(2, ((1, 2),))),
-            epsilon=500.0,
-            controls=SolverControls(max_iter=10),
-        )
-        rep = continuation_solve(spec)
+        rep = continuation_solve(complex_pair_spec())
         assert not rep.converged
         assert rep.failure is not None
+
+    @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
+    def test_bundled_problems_take_at_most_five_newton_solves(self, name, request, monkeypatch):
+        spec = request.getfixturevalue(name)
+        taus = []
+        newton = solver.newton_solve
+
+        def counting(*args, **kwargs):
+            taus.append(kwargs["tau"])
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", counting)
+        rep = continuation_solve(spec)
+        assert rep.converged and rep.continuation_path[-1] == 1.0
+        assert len(taus) <= 5
+
+    def test_failing_problem_stays_within_the_documented_budget(self, monkeypatch):
+        taus, corrector_iterations = [], []
+        newton = solver.newton_solve
+
+        def recording(*args, **kwargs):
+            taus.append(kwargs["tau"])
+            try:
+                return newton(*args, **kwargs)
+            except NoConvergence as exc:
+                corrector_iterations.append((kwargs["tau"], len(exc.report.iterations) - 1))
+                raise
+
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        rep = continuation_solve(complex_pair_spec())
+        assert not rep.converged
+        M = solver.MAX_CONTINUATION_STEPS
+        log2_m = int(np.log2(M))
+        # continuation_solve's docstring: at most 2M - 1 + log2(M) solves,
+        # log2(M) + 1 when no step converges
+        assert len(taus) <= 2 * M - 1 + log2_m
+        assert len(taus) == log2_m + 1
+        assert min(taus) == 1.0 / M
+        assert corrector_iterations
+        assert all(n <= solver.MAX_CORRECTOR_ITER for tau, n in corrector_iterations if tau < 1.0)
+
+    def test_degenerate_denominator_in_a_corrector_halves_the_step(self, monkeypatch):
+        jacobian = solver.jacobian_x
+        raised = []
+
+        def degenerate_once(*args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise DegenerateDenominator("injected")
+            return jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "jacobian_x", degenerate_once)
+        rng = np.random.default_rng(41)
+        rep = continuation_solve(make_spec(rng, 4, 2, epsilon=0.1))
+        assert raised and rep.converged
+        assert rep.continuation_path == (0.5, 1.0)
 
 
 class TestVerify:
