@@ -24,6 +24,7 @@ from .errors import (
 )
 from .graphs import Graph, graph_of_matrix, matrix_of_graph, parse_graph
 from .matpoly import (
+    CompanionTemplate,
     MatrixPolynomial,
     SpectralDecomposition,
     derivative,
@@ -54,6 +55,7 @@ from .solver import (
     SolverControls,
     VerifyReport,
     assemble,
+    companion_template,
     continuation_solve,
     match_targets,
     newton_solve,
@@ -67,14 +69,14 @@ __all__ = [
     "NoConvergence", "NonRealSpectrum", "ProblemFormatError",
     "SingularJacobian", "StructuredIEPError",
     "Graph", "graph_of_matrix", "matrix_of_graph", "parse_graph",
-    "MatrixPolynomial", "SpectralDecomposition", "derivative", "evaluate",
+    "CompanionTemplate", "MatrixPolynomial", "SpectralDecomposition", "derivative", "evaluate",
     "linearize", "proper_values",
     "LeadingDiagonal", "TargetSpectrum", "block_assignment",
     "elementary_symmetric", "seed_coefficients", "seed_diagonals",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
     "seed_vandermonde_check", "tau_derivative",
     "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",
-    "VerifyReport", "assemble", "continuation_solve", "match_targets",
+    "VerifyReport", "assemble", "companion_template", "continuation_solve", "match_targets",
     "newton_solve", "spectral_map", "verify",
 ]
 

@@ -69,7 +69,7 @@ class SpectralDecomposition:
     """
 
     values: np.ndarray
-    polynomial: MatrixPolynomial = field(repr=False)
+    polynomial: MatrixPolynomial | None = field(repr=False)  # None: vectors cannot be refined
     companion_rows: np.ndarray = field(repr=False)  # top n rows of the eigenvectors, row q for values[q]
 
     def __len__(self):
@@ -77,6 +77,8 @@ class SpectralDecomposition:
 
     @cached_property
     def vectors(self) -> np.ndarray:
+        if self.polynomial is None:
+            raise ValueError("decomposition has no polynomial to refine its vectors against")
         return _proper_vectors(self.polynomial, self.values, self.companion_rows)
 
     def pairs(self):
@@ -173,23 +175,10 @@ def _proper_vectors(P: MatrixPolynomial, values: np.ndarray, rows: np.ndarray) -
     return V
 
 
-def proper_values(
-    P: MatrixPolynomial,
-    real_tol: float = REAL_TOL_DEFAULT,
-    sep_tol: float | None = None,
-) -> SpectralDecomposition:
-    """All nk proper values of P, ascending.
-
-    The unit proper vectors are selected and refined only when the returned
-    decomposition's ``vectors`` is first read (see SpectralDecomposition).
-
-    Raises NonRealSpectrum if any companion eigenvalue has relative
-    imaginary part above ``real_tol``, and NearDegenerate if two returned
-    values are closer than ``sep_tol`` (default SEP_TOL_REL times the
-    spectrum diameter).  Both signal that the simple-real regime the rest
-    of the package relies on has been left.
-    """
-    C = linearize(P)
+def _companion_spectrum(C: np.ndarray, n: int, real_tol: float, sep_tol: float | None):
+    """eig of a companion matrix with the checks of proper_values: the
+    ascending real parts of its eigenvalues and the top n rows of its
+    eigenvectors, row q for values[q]."""
     w, V = np.linalg.eig(C)
     bad = np.abs(w.imag) > real_tol * (1.0 + np.abs(w.real))
     if np.any(bad):
@@ -210,4 +199,66 @@ def proper_values(
         raise NearDegenerate(
             f"proper values {vals[q]:.12g} and {vals[q + 1]:.12g} closer than sep_tol {sep_tol:.3g}"
         )
-    return SpectralDecomposition(values=vals, polynomial=P, companion_rows=V[:P.n, order].T)
+    return vals, V[:n, order].T
+
+
+def proper_values(
+    P: MatrixPolynomial,
+    real_tol: float = REAL_TOL_DEFAULT,
+    sep_tol: float | None = None,
+) -> SpectralDecomposition:
+    """All nk proper values of P, ascending: eig of linearize(P).
+
+    The unit proper vectors are selected and refined only when the returned
+    decomposition's ``vectors`` is first read (see SpectralDecomposition).
+    CompanionTemplate.proper_values runs the same eig and checks on a
+    companion matrix patched in place of linearize(P).
+
+    Raises NonRealSpectrum if any companion eigenvalue has relative
+    imaginary part above ``real_tol``, and NearDegenerate if two returned
+    values are closer than ``sep_tol`` (default SEP_TOL_REL times the
+    spectrum diameter).  Both signal that the simple-real regime the rest
+    of the package relies on has been left.
+    """
+    vals, rows = _companion_spectrum(linearize(P), P.n, real_tol, sep_tol)
+    return SpectralDecomposition(values=vals, polynomial=P, companion_rows=rows)
+
+
+@dataclass(frozen=True)
+class CompanionTemplate:
+    """linearize(P) of a fixed P, for the proper values of polynomials that
+    differ from P only on the diagonals of the non-leading coefficients.
+
+    Entry (r, r) of A_s sits in the companion matrix at row (k-1)n + r,
+    column sn + r, as -A_s[r, r] / lead[r], exactly as linearize writes it;
+    so proper_values(d) gives bitwise the values of proper_values applied
+    to P with diag(A_s) = d[sn:(s+1)n], without building that polynomial or
+    checking its leading coefficient again.
+    """
+
+    matrix: np.ndarray
+    n: int
+    diagonal: tuple[np.ndarray, np.ndarray]  # (row, column) of entry d[sn + r]
+    lead: np.ndarray  # the leading diagonal repeated k times, one entry per unknown
+    sep_tol: float | None = None
+
+    @classmethod
+    def of(cls, P: MatrixPolynomial, sep_tol: float | None = None) -> "CompanionTemplate":
+        n, nk = P.n, P.n * P.degree
+        unknowns = np.arange(nk)
+        return cls(matrix=linearize(P), n=n, diagonal=(nk - n + unknowns % n, unknowns),
+                   lead=np.tile(np.diag(P.coeffs[-1]), P.degree), sep_tol=sep_tol)
+
+    def proper_values(self, d: np.ndarray) -> SpectralDecomposition:
+        """Ascending proper values for the diagonals d (s-major), with the
+        checks of proper_values at the default ``real_tol`` and this
+        template's ``sep_tol``.  The result carries no polynomial, so its
+        ``vectors`` cannot be read until one is attached
+        (dataclasses.replace)."""
+        d = np.asarray(d, dtype=float)
+        if d.shape != self.lead.shape:
+            raise ValueError(f"diagonals have shape {d.shape}, expected {self.lead.shape}")
+        C = self.matrix.copy()
+        C[self.diagonal] = -d / self.lead
+        vals, rows = _companion_spectrum(C, self.n, REAL_TOL_DEFAULT, self.sep_tol)
+        return SpectralDecomposition(values=vals, polynomial=None, companion_rows=rows)

@@ -100,23 +100,18 @@ def eigderivative(
 def jacobian_x(
     P: MatrixPolynomial,
     decomp: SpectralDecomposition,
-    matching: np.ndarray | None = None,
 ) -> np.ndarray:
     """Jacobian of the ascending proper values w.r.t. the kn diagonal unknowns.
 
-    Row q is the (matched) q-th pair; column s*n + r is diagonal entry r of
-    coefficient s.  ``matching`` maps row index to position in ``decomp``
-    (identity when omitted).  Reads ``decomp.vectors``, so this is where a
+    Row q is the q-th pair of ``decomp``; column s*n + r is diagonal entry r
+    of coefficient s.  Reads ``decomp.vectors``, so this is where a
     decomposition's proper vectors get refined.
     """
     n, k = P.n, P.degree
     nk = n * k
     if len(decomp) != nk:
         raise ValueError(f"decomposition has {len(decomp)} pairs, expected {nk}")
-    if matching is None:
-        matching = np.arange(nk)
-    lam = decomp.values[matching]
-    V = decomp.vectors[matching]
+    lam, V = decomp.values, decomp.vectors
     den = _denominators(P, lam, V, DENOM_TOL)
     powers = lam[:, None] ** np.arange(k)
     return (-powers[:, :, None] * (V ** 2)[:, None, :] / den[:, None, None]).reshape(nk, nk)
@@ -143,24 +138,21 @@ def tau_derivative(
 
 def jacobian_fd(
     P: MatrixPolynomial,
-    matching: np.ndarray | None = None,
     h: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference Jacobian: re-solve proper values with each diagonal
-    unknown perturbed by +-h, rows re-matched by ascending order."""
+    unknown perturbed by +-h, rows in ascending order."""
     if h <= 0:
         raise ValueError("step must be positive")
     n, k = P.n, P.degree
     nk = n * k
-    if matching is None:
-        matching = np.arange(nk)
     J = np.empty((nk, nk))
     for s in range(k):
         for r in range(n):
             col = s * n + r
             plus = _perturbed_values(P, s, r, +h)
             minus = _perturbed_values(P, s, r, -h)
-            J[:, col] = (plus[matching] - minus[matching]) / (2.0 * h)
+            J[:, col] = (plus - minus) / (2.0 * h)
     return J
 
 
@@ -187,33 +179,25 @@ def seed_vandermonde_check(
     n, k = spec.n, spec.k
     nk = n * k
     assign = block_assignment(spec)
+    entry = np.array([assign[q] for q in range(1, nk + 1)]) - 1  # 0-based entry of target q
     # row for target q = position of lambda_q in the ascending decomposition
     order = np.argsort(spec.values, kind="stable")
     row_of_target = np.empty(nk, dtype=int)
     row_of_target[order] = np.arange(nk)
-    Pd = derivative(P)
-    scaled = np.empty((nk, nk))
+    lam = decomp.values[row_of_target]
+    # (P'(lambda_q))_rr as the quadratic form of P' with the unit vector e_r
+    den = _quadratic_forms(derivative(P), lam, np.eye(n)[entry])
+    # column s*n + r' of J goes to column r'*k + s: one block of k per entry
+    scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)
+    own = np.zeros((nk, n, k), dtype=bool)
+    own[np.arange(nk), entry] = True
+    own = own.reshape(nk, nk)
     expected = np.zeros((nk, nk))
-    for q in range(1, nk + 1):
-        r = assign[q]
-        row = row_of_target[q - 1]
-        lam = decomp.values[row]
-        den = evaluate(Pd, lam)[r - 1, r - 1]
-        for s in range(k):
-            for rp in range(1, n + 1):
-                scaled[q - 1, (rp - 1) * k + s] = -J[row, s * n + (rp - 1)] * den
-        for s in range(k):
-            expected[q - 1, (r - 1) * k + s] = lam ** s
+    expected[own] = (lam[:, None] ** np.arange(k)).ravel()
     # relative entrywise deviation: powers of lambda grow quickly, so an
     # absolute comparison would just measure magnitude times roundoff
     diff = np.abs(scaled - expected) / np.maximum(1.0, np.abs(expected))
-    offblock = np.zeros_like(scaled)
-    for q in range(1, nk + 1):
-        r = assign[q]
-        row = q - 1
-        for rp in range(1, n + 1):
-            if rp != r:
-                offblock[row, (rp - 1) * k: rp * k] = scaled[row, (rp - 1) * k: rp * k]
+    offblock = np.where(own, 0.0, scaled)
     return {
         "scaled": scaled,
         "expected": expected,

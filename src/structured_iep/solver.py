@@ -25,7 +25,7 @@ from .errors import (
     SingularJacobian,
 )
 from .graphs import Graph, graph_of_matrix, matrix_of_graph
-from .matpoly import MatrixPolynomial, SEP_TOL_REL, proper_values
+from .matpoly import CompanionTemplate, MatrixPolynomial, SEP_TOL_REL, proper_values
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_diagonals
 from .sensitivity import jacobian_fd, jacobian_x, tau_derivative
 
@@ -139,12 +139,31 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
     return MatrixPolynomial(tuple(coeffs))
 
 
-def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0):
-    """Ascending proper values of the assembled polynomial, as a
-    decomposition whose vectors are refined only if the Jacobian reads them."""
-    diam = max(spec.spectrum.diameter, 1.0)
-    decomp = proper_values(assemble(x, spec, tau), sep_tol=SEP_TOL_REL * diam)
-    return decomp
+def _sep_tol(spec: ProblemSpec) -> float:
+    return SEP_TOL_REL * max(spec.spectrum.diameter, 1.0)
+
+
+def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate:
+    """The companion matrix of assemble(0, spec, tau), with the problem's
+    separation tolerance: what every spectral_map at this tau shares."""
+    return CompanionTemplate.of(assemble(np.zeros(spec.n * spec.k), spec, tau), sep_tol=_sep_tol(spec))
+
+
+def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
+                 companion: CompanionTemplate | None = None):
+    """Ascending proper values of assemble(x, spec, tau), bitwise, with the
+    checks of proper_values at a separation tolerance of SEP_TOL_REL times
+    the target spectrum's diameter.
+
+    The kn unknowns are written into a copy of ``companion`` (default:
+    companion_template(spec, tau), built here), so no polynomial is
+    assembled or linearized: newton_solve builds the template once per
+    solve and passes it to every trial.  The decomposition carries no
+    polynomial; attach assemble(x, spec, tau) before reading its vectors.
+    """
+    if companion is None:
+        companion = companion_template(spec, tau)
+    return companion.proper_values(x)
 
 
 def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -197,9 +216,11 @@ def newton_solve(
 
     Runs at most ``max_iter`` iterations (default controls.max_iter).
     Accepts a step only when the residual infinity-norm strictly decreases
-    (backtracking halving).  Backtracking trials and the converged iterate
-    use proper values only; proper vectors are refined just for the iterates
-    that build a Jacobian.  Raises NoConvergence / SingularJacobian /
+    (backtracking halving).  The residual is values - sorted targets, both
+    ascending (sorted order is the matching).  Every spectral_map patches
+    one companion template built per solve; the polynomial is assembled, and
+    proper vectors refined, only for the iterates that build a Jacobian and
+    for the report.  Raises NoConvergence / SingularJacobian /
     NonRealSpectrum with the partial report attached where applicable.
     """
     ctl = spec.controls
@@ -209,9 +230,9 @@ def newton_solve(
     x = seed_diagonals(spec.seed()) if x0 is None else np.array(x0, dtype=float, copy=True)
     trace = []
 
-    decomp = spectral_map(x, spec, tau)  # NonRealSpectrum propagates: continuation trigger
-    perm, _ = match_targets(decomp.values, targets)
-    res = decomp.values[perm] - targets
+    companion = companion_template(spec, tau)
+    decomp = spectral_map(x, spec, tau, companion)  # NonRealSpectrum propagates: continuation trigger
+    res = decomp.values - targets
     rnorm = float(np.max(np.abs(res)))
     trace.append(IterationRecord(0, rnorm, 0.0))
 
@@ -220,9 +241,9 @@ def newton_solve(
             return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
         P = assemble(x, spec, tau)
         if ctl.fd_jacobian:
-            J = jacobian_fd(P, matching=perm, h=ctl.fd_step)
+            J = jacobian_fd(P, h=ctl.fd_step)
         else:
-            J = jacobian_x(P, decomp, matching=perm)
+            J = jacobian_x(P, replace(decomp, polynomial=P))
         try:
             dx = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:
@@ -234,15 +255,14 @@ def newton_solve(
         for _ in range(MAX_BACKTRACKS + 1):
             x_try = x - damp * dx
             try:
-                d_try = spectral_map(x_try, spec, tau)
+                d_try = spectral_map(x_try, spec, tau, companion)
             except (NonRealSpectrum, NearDegenerate):
                 damp *= 0.5
                 continue
-            p_try, _ = match_targets(d_try.values, targets)
-            r_try = d_try.values[p_try] - targets
+            r_try = d_try.values - targets
             rn_try = float(np.max(np.abs(r_try)))
             if rn_try < rnorm:
-                x, decomp, perm, res, rnorm = x_try, d_try, p_try, r_try, rn_try
+                x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
                 trace.append(IterationRecord(it, rnorm, float(np.linalg.norm(damp * dx))))
                 accepted = True
                 break
@@ -263,13 +283,14 @@ def newton_solve(
 def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
     """dx/dtau of the solution curve at a converged (tau, x): -J^{-1} dlambda/dtau,
     or zero when the tangent cannot be formed (the predictor then is x)."""
-    decomp = spectral_map(x, spec, tau)
+    P = assemble(x, spec, tau)
+    decomp = proper_values(P, sep_tol=_sep_tol(spec))
     ramp = MatrixPolynomial(tuple(
         matrix_of_graph(g, np.zeros(spec.n), y) for g, y in zip(spec.graphs, spec.offdiag_values)
     ))
     try:
-        J = jacobian_x(decomp.polynomial, decomp)
-        xdot = -np.linalg.solve(J, tau_derivative(decomp.polynomial, decomp, ramp))
+        J = jacobian_x(P, decomp)
+        xdot = -np.linalg.solve(J, tau_derivative(P, decomp, ramp))
     except (np.linalg.LinAlgError, DegenerateDenominator):
         return np.zeros_like(x)
     return xdot if np.all(np.isfinite(xdot)) else np.zeros_like(x)
@@ -346,7 +367,12 @@ class VerifyReport:
 def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> VerifyReport:
     """Independent check of a candidate polynomial against the problem:
     recompute proper values, compare to sorted targets, check every
-    coefficient's graph and the leading coefficient."""
+    coefficient's graph and the leading coefficient.  Raises
+    InvariantViolation when P's size n or degree k is not the problem's."""
+    if (P.n, P.degree) != (spec.n, spec.k):
+        raise InvariantViolation(
+            f"polynomial has n={P.n}, k={P.degree}; the problem has n={spec.n}, k={spec.k}"
+        )
     targets = spec.spectrum.sorted_values()
     failure = None
     try:

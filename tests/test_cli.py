@@ -232,6 +232,18 @@ class TestErrorPaths:
         assert err.startswith("error:") and "leading coefficient" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("coefficients", [
+        [np.eye(2).tolist()] * 3,  # n = 2 against the problem's n = 4
+        [np.eye(4).tolist()] * 4,  # k = 3 against the problem's k = 2
+    ])
+    def test_verify_size_mismatch_exits_three(self, capsys, tmp_path, coefficients):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"coefficients": coefficients}))
+        code, _, err = run(capsys, ["--quiet", "verify", str(poly), PATH4])
+        assert code == cli.EXIT_INVARIANT
+        assert err.startswith("error:") and "problem has n=4, k=2" in err
+        assert "Traceback" not in err
+
     def test_unknown_control_exits_two(self, capsys, tmp_path):
         doc = path4_doc(controls={"jacobian_mode": "fd"})
         prob = tmp_path / "p.json"

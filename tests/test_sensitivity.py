@@ -8,7 +8,9 @@ from structured_iep import (
     PerturbationDirection,
     TargetSpectrum,
     assemble,
+    derivative,
     eigderivative,
+    evaluate,
     jacobian_fd,
     jacobian_x,
     proper_values,
@@ -108,6 +110,34 @@ class TestJacobianX:
         assert check["max_entry_error"] <= 1e-12
         assert check["max_offblock"] <= 1e-12
         assert np.isfinite(check["condition"])
+
+    def test_vandermonde_check_matches_per_entry_reference(self):
+        rng = np.random.default_rng(8)
+        for n, k in ((1, 1), (3, 2), (4, 3), (5, 1)):
+            spec = TargetSpectrum(values=rng.uniform(-10, 10, n * k), n=n, k=k)
+            P = seed_coefficients(spec, LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)))
+            decomp = proper_values(P)
+            J = jacobian_x(P, decomp)
+            check = seed_vandermonde_check(P, spec, decomp, J)
+            # reference: one entry at a time, target q (input order) on entry ceil(q/k)
+            rows = np.empty(n * k, dtype=int)
+            rows[np.argsort(spec.values, kind="stable")] = np.arange(n * k)
+            Pd = derivative(P)
+            scaled = np.empty((n * k, n * k))
+            expected = np.zeros((n * k, n * k))
+            for q in range(n * k):
+                r, lam = q // k, decomp.values[rows[q]]
+                den = evaluate(Pd, lam)[r, r]
+                for s in range(k):
+                    expected[q, r * k + s] = lam ** s
+                    for rp in range(n):
+                        scaled[q, rp * k + s] = -J[rows[q], s * n + rp] * den
+            offblock = max((abs(scaled[q, c]) for q in range(n * k) for c in range(n * k)
+                            if c // k != q // k), default=0.0)
+            assert np.array_equal(check["scaled"], scaled)
+            assert check["max_offblock"] == offblock
+            # lam ** s rounds differently as a scalar and as an array power
+            assert np.allclose(check["expected"], expected, rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_linear_seed_is_scaled_negative_identity(self):
         lam = np.array([2.0, -3.0, 7.0])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from structured_iep import (
     Graph,
     InvariantViolation,
     LeadingDiagonal,
+    NearDegenerate,
     NoConvergence,
     NonRealSpectrum,
     ProblemSpec,
@@ -14,6 +17,7 @@ from structured_iep import (
     assemble,
     continuation_solve,
     match_targets,
+    matpoly,
     newton_solve,
     proper_values,
     seed_diagonals,
@@ -45,6 +49,28 @@ def complex_pair_spec():
         epsilon=500.0,
         controls=SolverControls(max_iter=10),
     )
+
+
+def reference_spectral_map(x, spec, tau):
+    """The spectral map as assemble + proper_values computes it."""
+    sep_tol = matpoly.SEP_TOL_REL * max(spec.spectrum.diameter, 1.0)
+    return proper_values(assemble(x, spec, tau), sep_tol=sep_tol)
+
+
+def same_spectral_map(x, spec, tau, companion):
+    """Assert that spectral_map on the template returns bitwise what
+    reference_spectral_map returns, or raises the same exception type;
+    return whether the spectrum was real and simple."""
+    try:
+        ref = reference_spectral_map(x, spec, tau)
+    except (NonRealSpectrum, NearDegenerate) as exc:
+        with pytest.raises(type(exc)):
+            spectral_map(x, spec, tau, companion)
+        return False
+    got = spectral_map(x, spec, tau, companion)
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(got.companion_rows, ref.companion_rows)
+    return True
 
 
 def make_spec(rng, n, k, epsilon, **controls):
@@ -99,6 +125,45 @@ class TestSpectralMap:
                for t in (1e-2, 1e-4, 1e-6)]
         assert dev[0] > dev[1] > dev[2]
         assert dev[2] < 1e-4
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    def test_template_matches_assemble_and_proper_values(self, tau, path4_spec, linked4_spec):
+        rng = np.random.default_rng(59)
+        specs = [path4_spec, linked4_spec] + [make_spec(rng, n, k, 0.3) for n, k in ((3, 1), (5, 3), (2, 3))]
+        boundaries = 0
+        for spec in specs:
+            companion = solver.companion_template(spec, tau)
+            seed = seed_diagonals(spec.seed())
+            real, nonreal = [], []
+            for scale in (0.0, 0.1, 1.0, 5.0):
+                for _ in range(4):
+                    x = seed + scale * rng.standard_normal(len(seed))
+                    (real if same_spectral_map(x, spec, tau, companion) else nonreal).append(x)
+            if real and nonreal:
+                # bisect to the NonRealSpectrum boundary; every step is compared too
+                lo, hi = real[0], nonreal[0]
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if same_spectral_map(mid, spec, tau, companion):
+                        lo = mid
+                    else:
+                        hi = mid
+                assert np.max(np.abs(hi - lo)) <= 1e-12 * np.max(np.abs(hi))
+                boundaries += 1
+            if real:
+                # the public form builds its own template
+                assert np.array_equal(spectral_map(real[-1], spec, tau).values,
+                                      reference_spectral_map(real[-1], spec, tau).values)
+        assert boundaries >= 2
+
+    def test_vectors_need_an_attached_polynomial(self, path4_spec):
+        gold = golden_path4_polynomial()
+        x = np.concatenate([np.diag(gold.coeffs[0]), np.diag(gold.coeffs[1])])
+        decomp = spectral_map(x, path4_spec)
+        with pytest.raises(ValueError):
+            decomp.vectors
+        P = assemble(x, path4_spec)
+        assert np.array_equal(replace(decomp, polynomial=P).vectors, proper_values(P).vectors)
 
 
 class TestMatchTargets:
@@ -161,6 +226,30 @@ class TestNewtonSolve:
                 for j in range(i + 1, g.n):
                     if (i + 1, j + 1) not in edge_set:
                         assert A[i, j] == 0.0
+
+    def test_one_linearization_per_solve_whatever_the_trial_count(self, monkeypatch):
+        calls = {"linearize": 0, "spectral_map": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(matpoly, "linearize", counting("linearize", matpoly.linearize))
+        monkeypatch.setattr(solver, "spectral_map", counting("spectral_map", solver.spectral_map))
+        trials = []
+        for spec, tau, max_iter in ((make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1), 1.0, None),
+                                    (complex_pair_spec(), 1 / 64, 8),
+                                    (complex_pair_spec(), 1 / 8, 8)):
+            calls.update(linearize=0, spectral_map=0)
+            try:
+                newton_solve(spec, tau=tau, max_iter=max_iter)
+            except NoConvergence:
+                pass
+            assert calls["linearize"] == 1
+            trials.append(calls["spectral_map"])
+        assert max(trials) > 10 * min(trials)
 
     def test_nonreal_start_raises(self, path4_spec):
         # full-strength off-diagonals on both path coefficients push a pair

@@ -1,0 +1,28 @@
+"""The benchmark's tracer (perfbench/layers.py) still installs on the package
+and sees every backtracking trial: a change that moves a traced function or
+the module it is looked up from fails here instead of breaking traced
+benchmark runs."""
+
+import importlib.util
+import pathlib
+
+from structured_iep import problems, solver  # noqa: F401 (the tracer wraps problems.load_problem)
+
+LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_counts_every_trial(path4_spec):
+    tracer = load_layers().Tracer()
+    with tracer.active():  # raises if a traced name is no longer bound where it is looked up
+        report = solver.continuation_solve(path4_spec)
+    assert report.converged
+    counts = tracer.record()
+    assert counts["solver.trials"] > 0
+    assert counts["matpoly.eig.calls"] >= counts["solver.trials"]
