@@ -3,7 +3,7 @@
 Exit codes are a stable contract:
     0  success
     2  file/parse error
-    3  domain invariant violation
+    3  domain invariant violation (including a numerically multiple proper value)
     4  solver did not converge (partial report still written)
     5  non-real spectrum at the evaluation point
     6  verification failure
@@ -18,8 +18,10 @@ import sys
 import numpy as np
 
 from .errors import (
+    DegenerateDenominator,
     InvariantViolation,
     LeadingCoefficientError,
+    NearDegenerate,
     NoConvergence,
     NonRealSpectrum,
     ProblemFormatError,
@@ -46,9 +48,7 @@ def _emit(doc: dict, out: str | None):
         print(text)
 
 
-def _summary_matrix(name: str, M: np.ndarray, quiet: bool):
-    if quiet:
-        return
+def _summary_matrix(name: str, M: np.ndarray):
     print(name)
     for row in M:
         print("  " + "  ".join(f"{v:.15g}" for v in row))
@@ -66,17 +66,12 @@ def cmd_seed(args) -> int:
     _emit(doc, args.out)
     if not args.quiet and args.out:
         for s, c in enumerate(P.coeffs):
-            _summary_matrix(f"coefficient {s}:", c, args.quiet)
+            _summary_matrix(f"coefficient {s}:", c)
     return 0
 
 
 def cmd_solve(args) -> int:
-    overrides = _control_overrides(args)
-    if args.continuation is not None:
-        overrides["continuation_steps"] = args.continuation
-    if args.fd_jacobian:
-        overrides["fd_jacobian"] = True
-    spec = load_problem(args.problem, overrides=overrides)
+    spec = load_problem(args.problem, overrides=_control_overrides(args))
     report = continuation_solve(spec)
     doc = {
         "config": spec_to_config(spec),
@@ -96,7 +91,7 @@ def cmd_solve(args) -> int:
     _emit(doc, args.out)
     if not args.quiet:
         for s, c in enumerate(report.polynomial.coeffs):
-            _summary_matrix(f"coefficient {s}:", c, args.quiet)
+            _summary_matrix(f"coefficient {s}:", c)
         print(f"residual: {report.residual:.15g}")
         print(f"converged: {report.converged}  structure_ok: {report.structure_ok}")
     if report.converged:
@@ -179,6 +174,7 @@ def _control_overrides(args) -> dict:
     return {
         "newton_tol": getattr(args, "tol", None),
         "max_iter": getattr(args, "max_iter", None),
+        "continuation_steps": getattr(args, "continuation", None),
     }
 
 
@@ -201,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("solve", help="solve the structured inverse problem")
     pv.add_argument("problem")
-    pv.add_argument("--fd-jacobian", action="store_true",
-                    help="use the finite-difference Jacobian (cross-validation mode)")
     pv.add_argument("--continuation", type=int, default=None, metavar="STEPS",
                     help="first continuation step is 1/STEPS of the off-diagonal scale "
                          "(default 1: try the full problem first)")
@@ -231,7 +225,7 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvariantViolation, LeadingCoefficientError) as exc:
+    except (InvariantViolation, LeadingCoefficientError, NearDegenerate, DegenerateDenominator) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except NonRealSpectrum as exc:

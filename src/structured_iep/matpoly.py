@@ -175,12 +175,12 @@ def _proper_vectors(P: MatrixPolynomial, values: np.ndarray, rows: np.ndarray) -
     return V
 
 
-def _companion_spectrum(C: np.ndarray, n: int, real_tol: float, sep_tol: float | None):
+def _companion_spectrum(C: np.ndarray, n: int, sep_tol: float | None):
     """eig of a companion matrix with the checks of proper_values: the
     ascending real parts of its eigenvalues and the top n rows of its
     eigenvectors, row q for values[q]."""
     w, V = np.linalg.eig(C)
-    bad = np.abs(w.imag) > real_tol * (1.0 + np.abs(w.real))
+    bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
     if np.any(bad):
         raise NonRealSpectrum(
             f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
@@ -202,11 +202,7 @@ def _companion_spectrum(C: np.ndarray, n: int, real_tol: float, sep_tol: float |
     return vals, V[:n, order].T
 
 
-def proper_values(
-    P: MatrixPolynomial,
-    real_tol: float = REAL_TOL_DEFAULT,
-    sep_tol: float | None = None,
-) -> SpectralDecomposition:
+def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
     """All nk proper values of P, ascending: eig of linearize(P).
 
     The unit proper vectors are selected and refined only when the returned
@@ -215,12 +211,12 @@ def proper_values(
     companion matrix patched in place of linearize(P).
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
-    imaginary part above ``real_tol``, and NearDegenerate if two returned
+    imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two returned
     values are closer than ``sep_tol`` (default SEP_TOL_REL times the
     spectrum diameter).  Both signal that the simple-real regime the rest
     of the package relies on has been left.
     """
-    vals, rows = _companion_spectrum(linearize(P), P.n, real_tol, sep_tol)
+    vals, rows = _companion_spectrum(linearize(P), P.n, sep_tol)
     return SpectralDecomposition(values=vals, polynomial=P, companion_rows=rows)
 
 
@@ -251,14 +247,13 @@ class CompanionTemplate:
 
     def proper_values(self, d: np.ndarray) -> SpectralDecomposition:
         """Ascending proper values for the diagonals d (s-major), with the
-        checks of proper_values at the default ``real_tol`` and this
-        template's ``sep_tol``.  The result carries no polynomial, so its
-        ``vectors`` cannot be read until one is attached
-        (dataclasses.replace)."""
+        checks of proper_values at this template's ``sep_tol``.  The result
+        carries no polynomial, so its ``vectors`` cannot be read until one
+        is attached (dataclasses.replace)."""
         d = np.asarray(d, dtype=float)
         if d.shape != self.lead.shape:
             raise ValueError(f"diagonals have shape {d.shape}, expected {self.lead.shape}")
         C = self.matrix.copy()
         C[self.diagonal] = -d / self.lead
-        vals, rows = _companion_spectrum(C, self.n, REAL_TOL_DEFAULT, self.sep_tol)
+        vals, rows = _companion_spectrum(C, self.n, self.sep_tol)
         return SpectralDecomposition(values=vals, polynomial=None, companion_rows=rows)

@@ -18,30 +18,56 @@ Polynomial schema: {"n": ..., "k": ..., "coefficients": [k+1 row-major matrices]
 from __future__ import annotations
 
 import json
+import typing
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import GraphFormatError, InvariantViolation, ProblemFormatError
+from .errors import GraphFormatError, ProblemFormatError
 from .graphs import Graph, parse_graph
 from .matpoly import MatrixPolynomial
 from .seed import LeadingDiagonal, TargetSpectrum
 from .solver import ProblemSpec, SolverControls
 
-_CONTROL_FIELDS = {
-    "newton_tol", "max_iter", "continuation_steps", "damping",
-    "fd_jacobian", "fd_step", "group_sorted",
+# control name -> the JSON types it accepts, one entry per SolverControls field
+_CONTROL_KINDS = {
+    name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(SolverControls).items()
 }
+
+
+def _typed(val, where: str, *kinds):
+    """``val``, of exactly one of ``kinds`` (so JSON true/false is not an
+    integer); an integer where a float is allowed is returned as a float."""
+    if float in kinds and type(val) is int:
+        try:
+            val = float(val)
+        except OverflowError as exc:
+            raise ProblemFormatError(f"{where}: {exc}") from exc
+    if type(val) not in kinds:
+        expected = " or ".join(t.__name__ for t in kinds)
+        raise ProblemFormatError(f"{where}: expected {expected}, got {type(val).__name__}")
+    return val
 
 
 def _require(doc: dict, field: str, kind):
     if field not in doc:
         raise ProblemFormatError(f"missing field {field!r}")
-    val = doc[field]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ProblemFormatError(f"field {field!r}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
+    return _typed(doc[field], f"field {field!r}", kind)
+
+
+def _numbers(val, where: str) -> np.ndarray:
+    return np.array([_typed(v, f"{where}[{i}]", float) for i, v in enumerate(_typed(val, where, list))])
+
+
+def _load_object(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text encoding
+        raise ProblemFormatError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProblemFormatError(f"{path}: top level must be an object")
+    return doc
 
 
 def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
@@ -57,9 +83,9 @@ def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
                 raise ProblemFormatError(f"graphs[{idx}].edges: expected a list")
             pairs = []
             for e in edges:
-                if not (isinstance(e, list) and len(e) == 2):
-                    raise ProblemFormatError(f"graphs[{idx}]: edge {e!r} is not a pair")
-                pairs.append((int(e[0]), int(e[1])))
+                if not (type(e) is list and len(e) == 2 and all(type(v) is int for v in e)):
+                    raise ProblemFormatError(f"graphs[{idx}]: edge {e!r} is not a pair of vertex numbers")
+                pairs.append(tuple(e))
             return Graph(n=n, edges=tuple(pairs))
     except GraphFormatError as exc:
         raise ProblemFormatError(f"graphs[{idx}]: {exc}") from exc
@@ -68,29 +94,21 @@ def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
 
 def load_problem(path: str, overrides: dict | None = None) -> ProblemSpec:
     """Load and validate a problem file; ``overrides`` patches control fields."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemFormatError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ProblemFormatError(f"{path}: top level must be an object")
-
+    doc = _load_object(path)
     n = _require(doc, "n", int)
     k = _require(doc, "k", int)
-    values = _require(doc, "proper_values", list)
-    leading = _require(doc, "leading", list)
+    values = _numbers(_require(doc, "proper_values", list), "proper_values")
+    leading = _numbers(_require(doc, "leading", list), "leading")
     graphs_raw = _require(doc, "graphs", list)
     if len(graphs_raw) != k:
         raise ProblemFormatError(f"graphs: expected {k} entries, got {len(graphs_raw)}")
-    epsilon = doc.get("epsilon", 0.5)
-    if not isinstance(epsilon, (int, float)):
-        raise ProblemFormatError("field 'epsilon': expected a number")
+    epsilon = _typed(doc.get("epsilon", 0.5), "epsilon", float)
 
-    ctl_doc = dict(doc.get("controls", {}))
-    unknown = set(ctl_doc) - _CONTROL_FIELDS
+    ctl_doc = _typed(doc.get("controls", {}), "controls", dict)
+    unknown = set(ctl_doc) - set(_CONTROL_KINDS)
     if unknown:
         raise ProblemFormatError(f"controls: unknown field(s) {sorted(unknown)}")
+    ctl_doc = {name: _typed(val, f"controls.{name}", *_CONTROL_KINDS[name]) for name, val in ctl_doc.items()}
     if overrides:
         ctl_doc.update({k_: v for k_, v in overrides.items() if v is not None})
 
@@ -101,31 +119,29 @@ def load_problem(path: str, overrides: dict | None = None) -> ProblemSpec:
         if not isinstance(offdiag, list) or len(offdiag) != k:
             raise ProblemFormatError(f"offdiag_overrides: expected {k} entries")
         offdiag = tuple(
-            np.asarray(y, dtype=float) if y is not None
-            else np.full(graphs[s].num_edges, float(epsilon))
+            _numbers(y, f"offdiag_overrides[{s}]") if y is not None
+            else np.full(graphs[s].num_edges, epsilon)
             for s, y in enumerate(offdiag)
         )
 
-    spectrum = TargetSpectrum(values=np.asarray(values, dtype=float), n=n, k=k)
-    lead = LeadingDiagonal(alpha_k=np.asarray(leading, dtype=float))
+    spectrum = TargetSpectrum(values=values, n=n, k=k)
+    lead = LeadingDiagonal(alpha_k=leading)
     controls = SolverControls(**ctl_doc)
     return ProblemSpec(
         spectrum=spectrum, lead=lead, graphs=graphs,
-        epsilon=float(epsilon), offdiag_values=offdiag, controls=controls,
+        epsilon=epsilon, offdiag_values=offdiag, controls=controls,
     )
 
 
 def load_polynomial(path: str) -> MatrixPolynomial:
+    coeffs = _require(_load_object(path), "coefficients", list)
+    mats = [
+        [_numbers(row, f"coefficients[{s}][{i}]") for i, row in enumerate(_typed(c, f"coefficients[{s}]", list))]
+        for s, c in enumerate(coeffs)
+    ]
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemFormatError(f"{path}: {exc}") from exc
-    coeffs = _require(doc, "coefficients", list)
-    try:
-        mats = tuple(np.asarray(c, dtype=float) for c in coeffs)
-        return MatrixPolynomial(mats)
-    except (ValueError, TypeError) as exc:
+        return MatrixPolynomial(tuple(np.array(rows) for rows in mats))
+    except ValueError as exc:  # ragged rows, non-square or mismatched coefficients
         raise ProblemFormatError(f"{path}: bad coefficient matrices: {exc}") from exc
 
 
@@ -139,15 +155,7 @@ def spec_to_config(spec: ProblemSpec) -> dict:
         "graphs": [{"edges": [list(e) for e in g.edges]} for g in spec.graphs],
         "epsilon": spec.epsilon,
         "offdiag_values": [y.tolist() for y in spec.offdiag_values],
-        "controls": {
-            "newton_tol": spec.controls.resolved_tol(spec.spectrum),
-            "max_iter": spec.controls.max_iter,
-            "continuation_steps": spec.controls.continuation_steps,
-            "damping": spec.controls.damping,
-            "fd_jacobian": spec.controls.fd_jacobian,
-            "fd_step": spec.controls.fd_step,
-            "group_sorted": spec.controls.group_sorted,
-        },
+        "controls": {**asdict(spec.controls), "newton_tol": spec.controls.resolved_tol(spec.spectrum)},
     }
 
 

@@ -33,6 +33,8 @@ class TargetSpectrum:
             raise InvariantViolation(
                 f"expected {self.n * self.k} target values, got {vals.shape[0] if vals.ndim == 1 else vals.shape}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise InvariantViolation("target values must be finite")
         srt = np.sort(vals)
         diam = max(srt[-1] - srt[0], 1.0) if len(srt) > 1 else 1.0
         if len(srt) > 1 and np.min(np.diff(srt)) < SEP_TOL_REL * diam:
@@ -53,8 +55,8 @@ class LeadingDiagonal:
     def __post_init__(self):
         a = np.asarray(self.alpha_k, dtype=float)
         object.__setattr__(self, "alpha_k", a)
-        if a.ndim != 1 or np.any(a <= 0.0):
-            raise InvariantViolation("leading diagonal entries must be strictly positive")
+        if a.ndim != 1 or not np.all(np.isfinite(a)) or np.any(a <= 0.0):
+            raise InvariantViolation("leading diagonal entries must be finite and strictly positive")
 
 
 def elementary_symmetric(roots, j: int) -> float:
@@ -111,6 +113,8 @@ def seed_coefficients(
                 (-1.0) ** (k - s) * lead.alpha_k[t - 1] * elementary_symmetric(roots, k - s)
             )
         coeffs[k][t - 1, t - 1] = lead.alpha_k[t - 1]
+    if not all(np.all(np.isfinite(c)) for c in coeffs):
+        raise InvariantViolation("seed coefficients are not finite: targets or leading diagonal too large")
     return MatrixPolynomial(tuple(coeffs))
 
 

@@ -58,15 +58,15 @@ def _quadratic_forms(Q: MatrixPolynomial, lams: np.ndarray, V: np.ndarray) -> np
     return out
 
 
-def _denominators(P: MatrixPolynomial, lams: np.ndarray, V: np.ndarray, denom_tol: float) -> np.ndarray:
+def _denominators(P: MatrixPolynomial, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
     """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q].
 
-    Raises DegenerateDenominator when one is below ``denom_tol`` times the
+    Raises DegenerateDenominator when one is below DENOM_TOL times the
     coefficient scale of P' at lambda_q (numerically non-simple value).
     """
     Pd = derivative(P)
     den = _quadratic_forms(Pd, lams, V)
-    small = np.abs(den) < denom_tol * Pd.coefficient_scale(lams)
+    small = np.abs(den) < DENOM_TOL * Pd.coefficient_scale(lams)
     if np.any(small):
         q = int(np.argmax(small))
         raise DegenerateDenominator(
@@ -80,13 +80,12 @@ def eigderivative(
     P: MatrixPolynomial,
     pair: tuple[float, np.ndarray],
     direction: PerturbationDirection,
-    denom_tol: float = DENOM_TOL,
 ) -> float:
     """Derivative of the simple proper value in ``pair`` along ``direction``."""
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
     lam, v = pair
-    den = float(_denominators(P, np.array([lam], dtype=float), np.asarray(v)[None, :], denom_tol)[0])
+    den = float(_denominators(P, np.array([lam], dtype=float), np.asarray(v)[None, :])[0])
     zs = lam ** direction.s
     if direction.diag is not None:
         num = zs * v[direction.diag - 1] ** 2
@@ -112,7 +111,7 @@ def jacobian_x(
     if len(decomp) != nk:
         raise ValueError(f"decomposition has {len(decomp)} pairs, expected {nk}")
     lam, V = decomp.values, decomp.vectors
-    den = _denominators(P, lam, V, DENOM_TOL)
+    den = _denominators(P, lam, V)
     powers = lam[:, None] ** np.arange(k)
     return (-powers[:, :, None] * (V ** 2)[:, None, :] / den[:, None, None]).reshape(nk, nk)
 
@@ -133,7 +132,7 @@ def tau_derivative(
     a unit vector (a diagonal seed), because D has a zero diagonal.
     """
     lam, V = decomp.values, decomp.vectors
-    return -_quadratic_forms(D, lam, V) / _denominators(P, lam, V, DENOM_TOL)
+    return -_quadratic_forms(D, lam, V) / _denominators(P, lam, V)
 
 
 def jacobian_fd(

@@ -27,7 +27,7 @@ from .errors import (
 from .graphs import Graph, graph_of_matrix, matrix_of_graph
 from .matpoly import CompanionTemplate, MatrixPolynomial, SEP_TOL_REL, proper_values
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_diagonals
-from .sensitivity import jacobian_fd, jacobian_x, tau_derivative
+from .sensitivity import jacobian_x, tau_derivative
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 MAX_BACKTRACKS = 30
@@ -39,14 +39,11 @@ class SolverControls:
     newton_tol: float | None = None  # None: 1e-11 * spectrum diameter
     max_iter: int = 50
     continuation_steps: int = 1
-    damping: float = 1.0
-    fd_jacobian: bool = False
-    fd_step: float = 1e-6
     group_sorted: bool = False
 
     def __post_init__(self):
-        if self.newton_tol is not None and self.newton_tol <= 0:
-            raise InvariantViolation("newton_tol must be positive")
+        if self.newton_tol is not None and not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise InvariantViolation("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise InvariantViolation("max_iter must be at least 1")
         if self.continuation_steps < 1:
@@ -76,6 +73,8 @@ class ProblemSpec:
                 raise InvariantViolation(f"graph {s} has {g.n} vertices, expected {n}")
         if self.lead.alpha_k.shape != (n,):
             raise InvariantViolation(f"leading diagonal has wrong length {self.lead.alpha_k.shape[0]}")
+        if not np.isfinite(self.epsilon):
+            raise InvariantViolation("epsilon must be finite")
         if self.offdiag_values is None:
             # epsilon == 0 is the degenerate "echo the seed" case; any other
             # zero off-diagonal would silently break the prescribed structure
@@ -88,8 +87,8 @@ class ProblemSpec:
                         f"off-diagonal vector {s} has length {y.shape[0] if y.ndim == 1 else y.shape}, "
                         f"expected {g.num_edges}"
                     )
-            if any(np.any(y == 0.0) for y in ys if len(y)):
-                raise InvariantViolation("prescribed off-diagonal values must all be nonzero")
+            if any(np.any((y == 0.0) | ~np.isfinite(y)) for y in ys):
+                raise InvariantViolation("prescribed off-diagonal values must all be finite and nonzero")
         object.__setattr__(self, "offdiag_values", ys)
 
     @property
@@ -214,13 +213,14 @@ def newton_solve(
 ) -> SolveReport:
     """Damped Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
-    Runs at most ``max_iter`` iterations (default controls.max_iter).
-    Accepts a step only when the residual infinity-norm strictly decreases
-    (backtracking halving).  The residual is values - sorted targets, both
-    ascending (sorted order is the matching).  Every spectral_map patches
-    one companion template built per solve; the polynomial is assembled, and
-    proper vectors refined, only for the iterates that build a Jacobian and
-    for the report.  Raises NoConvergence / SingularJacobian /
+    Runs at most ``max_iter`` iterations (default controls.max_iter).  The
+    step is the analytic-Jacobian Newton step (jacobian_x), taken at length
+    1, 1/2, 1/4, ... (at most MAX_BACKTRACKS halvings) until the residual
+    infinity-norm strictly decreases.  The residual is values - sorted
+    targets, both ascending (sorted order is the matching).  Every
+    spectral_map patches one companion template built per solve; the
+    polynomial is assembled, and proper vectors refined, only for the
+    iterates that build a Jacobian and for the report.  Raises NoConvergence / SingularJacobian /
     NonRealSpectrum with the partial report attached where applicable.
     """
     ctl = spec.controls
@@ -240,17 +240,14 @@ def newton_solve(
         if rnorm <= tol:
             return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
         P = assemble(x, spec, tau)
-        if ctl.fd_jacobian:
-            J = jacobian_fd(P, h=ctl.fd_step)
-        else:
-            J = jacobian_x(P, replace(decomp, polynomial=P))
+        J = jacobian_x(P, replace(decomp, polynomial=P))
         try:
             dx = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
         if not np.all(np.isfinite(dx)):
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
-        damp = ctl.damping
+        damp = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             x_try = x - damp * dx
@@ -368,18 +365,21 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     """Independent check of a candidate polynomial against the problem:
     recompute proper values, compare to sorted targets, check every
     coefficient's graph and the leading coefficient.  Raises
-    InvariantViolation when P's size n or degree k is not the problem's."""
+    InvariantViolation when P's size n or degree k is not the problem's, or
+    a coefficient is not finite and symmetric."""
     if (P.n, P.degree) != (spec.n, spec.k):
         raise InvariantViolation(
             f"polynomial has n={P.n}, k={P.degree}; the problem has n={spec.n}, k={spec.k}"
         )
+    if not all(np.all(np.isfinite(c)) and np.array_equal(c, c.T) for c in P.coeffs):
+        raise InvariantViolation("polynomial coefficients must be finite and symmetric")
     targets = spec.spectrum.sorted_values()
     failure = None
     try:
         decomp = proper_values(P)
         values = decomp.values
         residual = float(np.max(np.abs(values - targets)))
-    except (NonRealSpectrum, NearDegenerate) as exc:
+    except (NonRealSpectrum, NearDegenerate, np.linalg.LinAlgError) as exc:
         values = np.full_like(targets, np.nan)
         residual = float("inf")
         failure = f"{type(exc).__name__}: {exc}"

@@ -1,10 +1,16 @@
+import dataclasses
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from structured_iep import cli
+from structured_iep import DegenerateDenominator, SolverControls, cli
 
 from conftest import (
     LINKED4_D_DIAG,
@@ -117,6 +123,12 @@ class TestSolve:
         else:
             assert code == cli.EXIT_NON_REAL
 
+    def test_fd_jacobian_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--quiet", "solve", PATH4, "--fd-jacobian"])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "unrecognized arguments: --fd-jacobian" in capsys.readouterr().err
+
     def test_summary_printed_unless_quiet(self, capsys, tmp_path):
         dest = tmp_path / "r.json"
         _, out, _ = run(capsys, ["solve", PATH4, "--out", str(dest)])
@@ -183,6 +195,26 @@ class TestJacobian:
         assert code == cli.EXIT_PARSE
         assert "error:" in err and "8 finite numbers" in err
 
+    def test_multiple_proper_value_exits_three(self, capsys, tmp_path):
+        # diag(3, 3) has the proper value 3 twice: NearDegenerate
+        prob, xfile = tmp_path / "p.json", tmp_path / "x.json"
+        prob.write_text(json.dumps({
+            "n": 2, "k": 1, "proper_values": [1.0, 2.0], "leading": [1.0, 1.0],
+            "graphs": [{"edges": []}],
+        }))
+        xfile.write_text(json.dumps([3.0, 3.0]))
+        code, _, err = run(capsys, ["--quiet", "jacobian", str(prob), "--at", str(xfile)])
+        assert code == cli.EXIT_INVARIANT
+        assert err.startswith("error:") and "closer than sep_tol" in err
+
+    def test_degenerate_denominator_exits_three(self, capsys, monkeypatch):
+        def degenerate(P, decomp):
+            raise DegenerateDenominator("row 0: value numerically non-simple")
+        monkeypatch.setattr(cli, "jacobian_x", degenerate)
+        code, _, err = run(capsys, ["--quiet", "jacobian", PATH4])
+        assert code == cli.EXIT_INVARIANT
+        assert err.startswith("error:") and "non-simple" in err
+
 
 class TestErrorPaths:
     def test_bad_json_exits_two(self, capsys, tmp_path):
@@ -244,12 +276,90 @@ class TestErrorPaths:
         assert err.startswith("error:") and "problem has n=4, k=2" in err
         assert "Traceback" not in err
 
-    def test_unknown_control_exits_two(self, capsys, tmp_path):
-        doc = path4_doc(controls={"jacobian_mode": "fd"})
+    @pytest.mark.parametrize("controls", [
+        {"jacobian_mode": "fd"}, {"damping": 1.0}, {"fd_jacobian": False}, {"fd_step": 1e-6},
+    ], ids=lambda controls: next(iter(controls)))
+    def test_unknown_control_exits_two(self, capsys, tmp_path, controls):
+        doc = path4_doc(controls=controls)
         prob = tmp_path / "p.json"
         prob.write_text(json.dumps(doc))
-        code, _, _ = run(capsys, ["--quiet", "solve", str(prob)])
+        code, _, err = run(capsys, ["--quiet", "solve", str(prob)])
         assert code == cli.EXIT_PARSE
+        assert err.startswith("error:") and "unknown field" in err
+
+    @pytest.mark.parametrize("patch", [
+        {"controls": {"max_iter": "5"}},
+        {"controls": {"max_iter": 2.5}},
+        {"controls": {"max_iter": True}},
+        {"controls": {"newton_tol": "x"}},
+        {"controls": {"continuation_steps": 2.5}},
+        {"controls": {"continuation_steps": True}},
+        {"controls": {"group_sorted": 1}},
+        {"controls": 5},
+        {"controls": [1, 2]},
+        {"proper_values": [-2.0, "-4", -6.0, -8.0, -10.0, -12.0, -14.0, -16.0]},
+        {"leading": [1.0, "1", 1.0, 1.0]},
+        {"offdiag_overrides": [[0.5, "x", 0.5], None]},
+        {"graphs": [{"edges": [["a", 2], [2, 3], [3, 4]]}, {"edges": [[1, 2], [2, 3], [3, 4]]}]},
+        {"graphs": [{"edges": [[1.5, 2], [2, 3], [3, 4]]}, {"edges": [[1, 2], [2, 3], [3, 4]]}]},
+        {"graphs": [{"edges": [[True, 2], [2, 3], [3, 4]]}, {"edges": [[1, 2], [2, 3], [3, 4]]}]},
+        {"epsilon": True},
+    ])
+    def test_wrong_json_type_exits_two(self, capsys, tmp_path, patch):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(path4_doc(**patch)))
+        code, _, err = run(capsys, ["--quiet", "solve", str(prob)])
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("patch", [
+        {"proper_values": [-2.0, float("nan"), -6.0, -8.0, -10.0, -12.0, -14.0, -16.0]},
+        {"proper_values": [-2.0, -4.0, -6.0, -8.0, -10.0, -12.0, -14.0, float("-inf")]},
+        {"epsilon": float("nan")},
+        {"leading": [1.0, float("nan"), 1.0, 1.0]},
+        {"leading": [1.0, float("inf"), 1.0, 1.0]},
+        {"offdiag_overrides": [[0.5, float("nan"), 0.5], None]},
+        # finite targets whose seed coefficients overflow
+        {"proper_values": [1e200 * (q + 1) for q in range(8)]},
+    ])
+    def test_non_finite_number_exits_three(self, capsys, tmp_path, patch):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(path4_doc(**patch)))
+        code, _, err = run(capsys, ["--quiet", "solve", str(prob)])
+        assert code == cli.EXIT_INVARIANT
+        assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("entry, value, expected", [
+        ((0, 0, 1), None, cli.EXIT_PARSE),
+        ((0, 0, 1), "0", cli.EXIT_PARSE),
+        ((0, 0, 1), 1.0, cli.EXIT_INVARIANT),  # asymmetric
+        ((0, 0, 0), float("nan"), cli.EXIT_INVARIANT),
+        ((2, 0, 0), 1e-320, cli.EXIT_VERIFY_FAIL),  # the companion matrix overflows
+    ])
+    def test_bad_coefficient_entry(self, capsys, tmp_path, entry, value, expected):
+        poly = tmp_path / "poly.json"
+        run(capsys, ["--quiet", "seed", PATH4, "--out", str(poly)])
+        doc = json.loads(poly.read_text())
+        s, i, j = entry
+        doc["coefficients"][s][i][j] = value
+        poly.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["--quiet", "verify", str(poly), PATH4])
+        assert code == expected
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_three(self, capsys, tol):
+        code, _, err = run(capsys, ["--quiet", "--tol", tol, "solve", PATH4])
+        assert code == cli.EXIT_INVARIANT
+        assert err.startswith("error:") and "newton_tol" in err
+
+    @pytest.mark.parametrize("doc", [5, [1, 2], "coefficients"])
+    def test_non_object_polynomial_exits_two(self, capsys, tmp_path, doc):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["--quiet", "verify", str(poly), PATH4])
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error:") and "top level must be an object" in err
 
 
 def test_tol_override_reaches_solver(capsys):
@@ -257,3 +367,66 @@ def test_tol_override_reaches_solver(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["controls"]["newton_tol"] == pytest.approx(1e-6)
+
+
+def test_problem_schema_controls_match_solver_controls():
+    schema = json.loads((PROBLEMS.parent / "schemas" / "problem.schema.json").read_text())
+    names = {f.name for f in dataclasses.fields(SolverControls)}
+    assert set(schema["properties"]["controls"]["properties"]) == names
+
+
+DOCUMENTED_EXITS = {0, cli.EXIT_PARSE, cli.EXIT_INVARIANT, cli.EXIT_NO_CONVERGENCE,
+                    cli.EXIT_NON_REAL, cli.EXIT_VERIFY_FAIL}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+# path4.json with every optional field written out, so each can be replaced
+PROBLEM_DOC = {
+    **json.loads(Path(PATH4).read_text()),
+    "offdiag_overrides": [None, None],
+    "controls": {f.name: f.default for f in dataclasses.fields(SolverControls)},
+}
+# the path4 seed polynomial (TestSeed.test_reference_seed_matrices)
+SEED_DOC = {"coefficients": [np.diag(d).tolist() for d in ([8.0, 48, 120, 224], [6.0, 14, 22, 30], [1.0] * 4)]}
+
+
+def _paths(doc, prefix=()):
+    """Every location in a JSON document: the top level, each field, each entry."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def replaced(draw, doc):
+    """``doc`` with one location, possibly the top level, replaced by a random JSON value."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=replaced(PROBLEM_DOC), polynomial=replaced(SEED_DOC))
+def test_malformed_files_exit_with_documented_code(problem, polynomial):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, doc in [("problem", problem), ("polynomial", polynomial), ("seed", SEED_DOC)]:
+            files[name] = str(Path(tmp, name + ".json"))
+            Path(files[name]).write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes = [
+                cli.main(["--quiet", "seed", files["problem"]]),
+                cli.main(["--quiet", "verify", files["seed"], files["problem"]]),
+                cli.main(["--quiet", "verify", files["polynomial"], PATH4]),
+            ]
+    assert set(codes) <= DOCUMENTED_EXITS

@@ -131,3 +131,18 @@ def test_output_bitwise_symmetric_with_exact_zeros(g):
         for j in range(i + 1, g.n):
             if (i + 1, j + 1) not in edge_set:
                 assert A[i, j] == 0.0 and A[j, i] == 0.0
+
+
+def graph_of_matrix_loop(A, zero_tol):
+    """Reference edge list by an explicit loop: {i, j} iff |A_ij| > zero_tol, i < j."""
+    n = A.shape[0]
+    return tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if abs(A[i, j]) > zero_tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.sampled_from([0.0, 1e-3, 0.5]), st.integers(0, 2**32 - 1))
+def test_graph_of_matrix_matches_loop_reference(n, zero_tol, seed):
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.choice([0.0, 1e-4, 0.3, -2.0, np.nan], size=(n, n)))
+    A = A + np.triu(A, 1).T
+    assert graph_of_matrix(A, zero_tol).edges == graph_of_matrix_loop(A, zero_tol)
