@@ -27,7 +27,7 @@ from .errors import (
     ProblemFormatError,
 )
 from .matpoly import proper_values
-from .problems import load_polynomial, load_problem, polynomial_to_doc, spec_to_config
+from .problems import load_polynomial, load_problem, load_unknowns, polynomial_to_doc, spec_to_config
 from .seed import seed_diagonals
 from .sensitivity import jacobian_x, seed_vandermonde_check
 from .solver import assemble, continuation_solve, verify
@@ -130,7 +130,7 @@ def cmd_jacobian(args) -> int:
         x = seed_diagonals(spec.seed())
         tau = 0.0
     else:
-        x = _load_unknowns(args.at, spec.n * spec.k)
+        x = load_unknowns(args.at, spec.n * spec.k)
         tau = 1.0
     P = assemble(x, spec, tau=tau)
     decomp = proper_values(P)
@@ -154,20 +154,6 @@ def cmd_jacobian(args) -> int:
         if at_seed:
             print(f"vandermonde check passed: {doc['vandermonde']['passed']}")
     return 0
-
-
-def _load_unknowns(path: str, nk: int) -> np.ndarray:
-    """The kn diagonal unknowns from a JSON file holding a list of nk finite numbers."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        numbers = isinstance(doc, list) and len(doc) == nk and all(type(v) in (int, float) for v in doc)
-        x = np.asarray(doc, dtype=float) if numbers else None
-    except (OSError, json.JSONDecodeError, OverflowError) as exc:
-        raise ProblemFormatError(f"{path}: {exc}") from exc
-    if x is None or not np.all(np.isfinite(x)):
-        raise ProblemFormatError(f"{path}: expected a list of {nk} finite numbers (the diagonal unknowns)")
-    return x
 
 
 def _control_overrides(args) -> dict:

@@ -12,7 +12,8 @@ Problem schema (see schemas/problem.schema.json):
       "controls": {"newton_tol": ..., "max_iter": ..., ...}  // optional
     }
 
-Polynomial schema: {"n": ..., "k": ..., "coefficients": [k+1 row-major matrices]}.
+Polynomial schema: {"n": ..., "k": ..., "coefficients": [k+1 row-major matrices]};
+n and k are optional and, when present, checked against the coefficients.
 """
 
 from __future__ import annotations
@@ -59,12 +60,16 @@ def _numbers(val, where: str) -> np.ndarray:
     return np.array([_typed(v, f"{where}[{i}]", float) for i, v in enumerate(_typed(val, where, list))])
 
 
-def _load_object(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text encoding
         raise ProblemFormatError(f"{path}: {exc}") from exc
+
+
+def _load_object(path: str) -> dict:
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{path}: top level must be an object")
     return doc
@@ -134,15 +139,34 @@ def load_problem(path: str, overrides: dict | None = None) -> ProblemSpec:
 
 
 def load_polynomial(path: str) -> MatrixPolynomial:
-    coeffs = _require(_load_object(path), "coefficients", list)
+    """Load a polynomial file; its optional ``n`` and ``k`` must be the
+    coefficients' size and degree."""
+    doc = _load_object(path)
+    coeffs = _require(doc, "coefficients", list)
     mats = [
         [_numbers(row, f"coefficients[{s}][{i}]") for i, row in enumerate(_typed(c, f"coefficients[{s}]", list))]
         for s, c in enumerate(coeffs)
     ]
     try:
-        return MatrixPolynomial(tuple(np.array(rows) for rows in mats))
+        P = MatrixPolynomial(tuple(np.array(rows) for rows in mats))
     except ValueError as exc:  # ragged rows, non-square or mismatched coefficients
         raise ProblemFormatError(f"{path}: bad coefficient matrices: {exc}") from exc
+    for name, actual in (("n", P.n), ("k", P.degree)):
+        if name in doc and _require(doc, name, int) != actual:
+            raise ProblemFormatError(f"{path}: field {name!r} is {doc[name]}, the coefficients give {actual}")
+    return P
+
+
+def load_unknowns(path: str, nk: int) -> np.ndarray:
+    """The kn diagonal unknowns from a JSON file holding a list of nk finite numbers."""
+    expected = f"{path}: expected a list of {nk} finite numbers (the diagonal unknowns)"
+    try:
+        x = _numbers(_load_json(path), "unknowns")
+    except ProblemFormatError as exc:
+        raise ProblemFormatError(f"{expected}; {exc}") from exc
+    if x.shape != (nk,) or not np.all(np.isfinite(x)):
+        raise ProblemFormatError(expected)
+    return x
 
 
 def spec_to_config(spec: ProblemSpec) -> dict:

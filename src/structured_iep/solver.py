@@ -30,7 +30,7 @@ from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_diago
 from .sensitivity import jacobian_x, tau_derivative
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
-MAX_BACKTRACKS = 30
+MAX_BACKTRACKS = 2  # step lengths 1, 1/2, 1/4: see newton_solve
 MAX_CORRECTOR_ITER = 8  # Newton iteration cap for correctors at tau < 1
 
 
@@ -215,13 +215,22 @@ def newton_solve(
 
     Runs at most ``max_iter`` iterations (default controls.max_iter).  The
     step is the analytic-Jacobian Newton step (jacobian_x), taken at length
-    1, 1/2, 1/4, ... (at most MAX_BACKTRACKS halvings) until the residual
-    infinity-norm strictly decreases.  The residual is values - sorted
-    targets, both ascending (sorted order is the matching).  Every
-    spectral_map patches one companion template built per solve; the
-    polynomial is assembled, and proper vectors refined, only for the
-    iterates that build a Jacobian and for the report.  Raises NoConvergence / SingularJacobian /
-    NonRealSpectrum with the partial report attached where applicable.
+    1, 1/2, 1/4 (MAX_BACKTRACKS = 2 halvings) until the residual
+    infinity-norm strictly decreases; otherwise the solve raises
+    NoConvergence ("backtracking stalled").  The floor is 1/4 because a
+    corrector that needs more damping than that is read as a continuation
+    step that is too long: continuation_solve then halves the step in tau,
+    which is cheaper than creeping along the Newton direction.  On the
+    benchmark instances every converged solve takes its steps at length 1
+    or 1/2.  A solve therefore makes at most 1 + max_iter * (MAX_BACKTRACKS
+    + 1) spectral_map evaluations.
+
+    The residual is values - sorted targets, both ascending (sorted order
+    is the matching).  Every spectral_map patches one companion template
+    built per solve; the polynomial is assembled, and proper vectors
+    refined, only for the iterates that build a Jacobian and for the
+    report.  Raises NoConvergence / SingularJacobian / NonRealSpectrum with
+    the partial report attached where applicable.
     """
     ctl = spec.controls
     max_iter = ctl.max_iter if max_iter is None else max_iter
@@ -310,7 +319,10 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     MAX_CONTINUATION_STEPS) and every failure halves the step, so for
     continuation_steps = s <= M a solve costs at most 2M - 1 + log2(M/s)
     Newton solves (133 by default), and a problem on which no step
-    converges costs log2(M/s) + 1 (7 by default).
+    converges costs log2(M/s) + 1 (7 by default).  Each Newton solve makes
+    at most 1 + controls.max_iter * (MAX_BACKTRACKS + 1) spectral_map
+    evaluations (151 by default), so a solve makes at most 133 * 151 =
+    20,083 with the default controls.
 
     On success continuation_path holds the accepted tau values, ascending to
     1.  On failure returns a flagged partial report at the largest tau

@@ -187,7 +187,8 @@ class TestJacobian:
         assert code == 0
         assert "vandermonde" not in json.loads(out)
 
-    @pytest.mark.parametrize("point", [[1, 2, 3], {"a": 1}, [1.0] * 7 + [float("nan")]])
+    @pytest.mark.parametrize("point", [[1, 2, 3], {"a": 1}, [1.0] * 7 + [float("nan")],
+                                       [10**400] + [1.0] * 7, [True] * 8])
     def test_malformed_point_exits_two(self, capsys, tmp_path, point):
         xfile = tmp_path / "x.json"
         xfile.write_text(json.dumps(point))
@@ -346,6 +347,17 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["--quiet", "verify", str(poly), PATH4])
         assert code == expected
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [("n", 5), ("k", 1), ("n", True)])
+    def test_polynomial_size_field_must_match_the_coefficients(self, capsys, tmp_path, field, value):
+        poly = tmp_path / "poly.json"
+        run(capsys, ["--quiet", "seed", PATH4, "--out", str(poly)])
+        doc = json.loads(poly.read_text())
+        doc[field] = value
+        poly.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["--quiet", "verify", str(poly), PATH4])
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error:") and f"'{field}'" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_three(self, capsys, tol):

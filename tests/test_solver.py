@@ -239,9 +239,12 @@ class TestNewtonSolve:
         monkeypatch.setattr(matpoly, "linearize", counting("linearize", matpoly.linearize))
         monkeypatch.setattr(solver, "spectral_map", counting("spectral_map", solver.spectral_map))
         trials = []
-        for spec, tau, max_iter in ((make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1), 1.0, None),
-                                    (complex_pair_spec(), 1 / 64, 8),
-                                    (complex_pair_spec(), 1 / 8, 8)):
+        # the complex pair at tau = 1/8 backtracks deep only under a looser cap
+        for spec, tau, max_iter, cap in (
+                (make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1), 1.0, None, solver.MAX_BACKTRACKS),
+                (complex_pair_spec(), 1 / 64, 8, solver.MAX_BACKTRACKS),
+                (complex_pair_spec(), 1 / 8, 8, 30)):
+            monkeypatch.setattr(solver, "MAX_BACKTRACKS", cap)
             calls.update(linearize=0, spectral_map=0)
             try:
                 newton_solve(spec, tau=tau, max_iter=max_iter)
@@ -250,6 +253,22 @@ class TestNewtonSolve:
             assert calls["linearize"] == 1
             trials.append(calls["spectral_map"])
         assert max(trials) > 10 * min(trials)
+
+    def test_stalled_step_stops_after_max_backtracks_plus_one_trials(self, monkeypatch):
+        # at tau = 1/64 the complex pair's first Newton step lowers the
+        # residual at none of the lengths 1, 1/2, 1/4
+        calls = []
+        spectral = solver.spectral_map
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return spectral(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "spectral_map", counting)
+        with pytest.raises(NoConvergence, match=r"backtracking stalled .*\(iteration 1\)") as info:
+            newton_solve(complex_pair_spec(), tau=1 / 64, max_iter=8)
+        assert len(calls) == 1 + solver.MAX_BACKTRACKS + 1  # the start, then the trials
+        assert len(info.value.report.iterations) == 1
 
     def test_nonreal_start_raises(self, path4_spec):
         # full-strength off-diagonals on both path coefficients push a pair
@@ -329,6 +348,46 @@ class TestContinuationSolve:
         assert min(taus) == 1.0 / M
         assert corrector_iterations
         assert all(n <= solver.MAX_CORRECTOR_ITER for tau, n in corrector_iterations if tau < 1.0)
+
+    @pytest.mark.parametrize("spec, newton_budget", [
+        # no step converges: log2(M) + 1 Newton solves
+        (complex_pair_spec(), int(np.log2(solver.MAX_CONTINUATION_STEPS)) + 1),
+        # six tau steps converge, then a corrector stalls: 2M - 1 + log2(M)
+        (make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0),
+         2 * solver.MAX_CONTINUATION_STEPS - 1 + int(np.log2(solver.MAX_CONTINUATION_STEPS))),
+    ], ids=["complex_pair", "stalling"])
+    def test_spectral_map_calls_stay_within_the_documented_budget(self, spec, newton_budget, monkeypatch):
+        M = solver.MAX_CONTINUATION_STEPS
+
+        def solve_budget(max_iter):
+            return 1 + max_iter * (solver.MAX_BACKTRACKS + 1)
+
+        # continuation_solve's docstring: 133 * 151 = 20,083 with the default controls
+        default_iter = SolverControls().max_iter
+        assert (2 * M - 1 + int(np.log2(M))) * solve_budget(default_iter) == 20_083
+
+        calls, per_solve = [], []
+        spectral, newton = solver.spectral_map, solver.newton_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return spectral(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            start = len(calls)
+            max_iter = kwargs["max_iter"] or spec.controls.max_iter
+            try:
+                return newton(*args, **kwargs)
+            finally:
+                per_solve.append((len(calls) - start, solve_budget(max_iter)))
+
+        monkeypatch.setattr(solver, "spectral_map", counting)
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        rep = continuation_solve(spec)
+        assert not rep.converged and "backtracking stalled" in rep.failure
+        assert all(used <= budget for used, budget in per_solve)
+        assert len(per_solve) <= newton_budget
+        assert len(calls) <= newton_budget * solve_budget(spec.controls.max_iter)
 
     def test_degenerate_denominator_in_a_corrector_halves_the_step(self, monkeypatch):
         jacobian = solver.jacobian_x
