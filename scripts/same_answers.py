@@ -4,6 +4,7 @@ such records.
 
     python3 scripts/same_answers.py --out answers.json
     python3 scripts/same_answers.py --compare parent.json change.json
+    python3 scripts/same_answers.py --compare parent.json change.json --rtol 1e-12
 
 Solves, with continuation_solve of the package in this checkout's src/, the
 instances that perfbench/workloads.py generates (its generators are only
@@ -14,10 +15,15 @@ iteration records (residual and step norm as hex floats); for a failed one
 the failure ``kind`` and ``tau`` read from the failure text, and the full
 text as ``detail``.
 
---compare exits 1 when the two records differ in the instance set, in which
-instances converged, in any converged instance's x, path or iterations
-(bitwise), or in any failure's kind or tau; the failure detail is not
-compared.  BLAS runs on one thread, as in perfbench/run.py.
+--compare A B exits 1 when the two records differ in the instance set, in
+which instances converged, in any converged instance's x, path or
+iterations (bitwise), or in any failure's kind or tau; the failure detail
+is not compared.  With --rtol R it applies the same-answers policy for
+changes that round differently instead: every instance converged in A
+converges in B, commonly converged instances have equal paths and
+iteration counts and x within R relative (max |x_A - x_B| / max |x_A|),
+and instances failed in both fail with the same kind and tau.  BLAS runs
+on one thread, as in perfbench/run.py.
 """
 
 import os
@@ -63,21 +69,40 @@ def answer(spec) -> dict:
             "iterations": [[r.iteration, float(r.residual).hex(), float(r.step_norm).hex()]
                            for r in rep.iterations],
         }
-    m = FAILURE.match(rep.failure)
-    if m:
-        kind, tau = m.group(1), m.group(2)
-    else:  # a failing corrector's own report: its text, at its tau
-        kind, tau = rep.failure, f"{rep.continuation_path[-1]:.6g}"
+    kind, tau = FAILURE.match(rep.failure).groups()
     return {"converged": False, "kind": kind, "tau": tau, "detail": rep.failure}
 
 
-def compare(a: dict, b: dict) -> list[str]:
+def relative_x_difference(ra: dict, rb: dict) -> float:
+    """max |x_A - x_B| / max |x_A| of two converged answers."""
+    xa, xb = ([float.fromhex(v) for v in r["x"]] for r in (ra, rb))
+    scale = max(abs(v) for v in xa) or 1.0
+    return max(abs(u - v) for u, v in zip(xa, xb)) / scale
+
+
+def compare(a: dict, b: dict, rtol: float | None = None) -> list[str]:
+    """Differences between two records: bitwise, or under the same-answers
+    policy at relative tolerance rtol."""
     diffs = [f"{label}: only in {'the first' if label in a else 'the second'} record"
              for label in sorted(set(a) ^ set(b))]
-    for label in a.keys() & b.keys():
+    for label in sorted(a.keys() & b.keys()):
         ra, rb = ({k: v for k, v in r.items() if k != "detail"} for r in (a[label], b[label]))
-        diffs += [f"{label}: {key} differs" for key in sorted(ra.keys() | rb.keys())
-                  if ra.get(key) != rb.get(key)]
+        if rtol is None:
+            diffs += [f"{label}: {key} differs" for key in sorted(ra.keys() | rb.keys())
+                      if ra.get(key) != rb.get(key)]
+        elif not ra["converged"]:
+            if not rb["converged"] and (ra["kind"], ra["tau"]) != (rb["kind"], rb["tau"]):
+                diffs.append(f"{label}: failure kind or tau differs")
+        elif not rb["converged"]:
+            diffs.append(f"{label}: converged only in the first record")
+        else:
+            if ra["continuation_path"] != rb["continuation_path"]:
+                diffs.append(f"{label}: continuation_path differs")
+            if len(ra["iterations"]) != len(rb["iterations"]):
+                diffs.append(f"{label}: iteration count differs")
+            rel = relative_x_difference(ra, rb)
+            if rel > rtol:
+                diffs.append(f"{label}: x differs by {rel:.3g} relative")
     return diffs
 
 
@@ -86,16 +111,26 @@ def main() -> int:
     group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--out", help="write the answers to this JSON file")
     group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two answer files")
+    ap.add_argument("--rtol", type=float, default=None,
+                    help="with --compare: relative tolerance on x instead of a bitwise comparison")
     args = ap.parse_args()
+    if args.rtol is not None and not args.compare:
+        ap.error("--rtol needs --compare")
+    if args.rtol is not None and not 0.0 <= args.rtol < float("inf"):
+        ap.error("--rtol must be a finite non-negative number")
 
     if args.compare:
         a, b = (json.loads(pathlib.Path(p).read_text()) for p in args.compare)
-        diffs = compare(a, b)
+        diffs = compare(a, b, args.rtol)
         for line in diffs:
             print(line)
         failed = sum(not r["converged"] for r in a.values())
         print(f"{len(a)} instances, {len(a) - failed} converged, {failed} failed in {args.compare[0]}; "
               f"{len(diffs)} difference(s)")
+        if args.rtol is not None:
+            both = [label for label in a.keys() & b.keys() if a[label]["converged"] and b[label]["converged"]]
+            worst = max((relative_x_difference(a[label], b[label]) for label in both), default=0.0)
+            print(f"largest relative x difference on {len(both)} commonly converged: {worst:.3g}")
         return 1 if diffs else 0
 
     answers = {label: answer(spec) for label, spec in instances()}

@@ -5,6 +5,12 @@ n x n coefficients.  Its proper values are the zeros of det P(z); proper
 vectors are the corresponding null directions.  This package operates in
 the all-real, simple-spectrum regime; a non-real or near-multiple spectrum
 is reported as an error, not a result.
+
+Degree k >= 2 goes through eig of the block companion matrix (linearize)
+and one step of inverse iteration per proper vector.  Degree 1 is the
+symmetric-definite pencil A_0 + zD (D the positive leading diagonal, A_0
+required symmetric): eigh of -D^{-1/2} A_0 D^{-1/2} gives real values and
+exact vectors, so it needs neither a non-real check nor refinement.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LeadingCoefficientError, NearDegenerate, NonRealSpectrum
+from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum
 
 REAL_TOL_DEFAULT = 1e-8
 SEP_TOL_REL = 1e-10
@@ -64,8 +70,8 @@ class SpectralDecomposition:
 
     Only the values are computed up front.  ``vectors`` (row q is the unit
     proper vector for values[q]) is selected from the companion eigenvectors
-    and refined on first access, then cached, so callers that need only the
-    values never pay for refinement.
+    and, for degree k >= 2, refined on first access, then cached, so callers
+    that need only the values never pay for refinement.
     """
 
     values: np.ndarray
@@ -80,9 +86,6 @@ class SpectralDecomposition:
         if self.polynomial is None:
             raise ValueError("decomposition has no polynomial to refine its vectors against")
         return _proper_vectors(self.polynomial, self.values, self.companion_rows)
-
-    def pairs(self):
-        return list(zip(self.values, self.vectors))
 
 
 def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
@@ -161,35 +164,48 @@ def _refine_vectors(P: MatrixPolynomial, values: np.ndarray, V: np.ndarray) -> n
 def _proper_vectors(P: MatrixPolynomial, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Unit proper vectors from the top n rows of the companion eigenvectors:
     the larger of the real and imaginary parts, normalised, refined, with the
-    largest-magnitude component made positive."""
+    largest-magnitude component made positive.  At degree 1 the rows are
+    D^{-1/2} times the eigh vectors of the pencil, exact up to scale, so
+    they are not refined."""
     use_imag = np.linalg.norm(rows.imag, axis=1) > np.linalg.norm(rows.real, axis=1)
     V = np.where(use_imag[:, None], rows.imag, rows.real)
     norms = np.linalg.norm(V, axis=1)
     zero = norms == 0.0
     V[zero] = 1.0
     norms[zero] = np.sqrt(P.n)
-    V = _refine_vectors(P, values, V / norms[:, None])
+    V = V / norms[:, None]
+    if P.degree > 1:
+        V = _refine_vectors(P, values, V)
     # deterministic sign: largest-magnitude component positive
     lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
     V[lead < 0] *= -1.0
     return V
 
 
-def _companion_spectrum(C: np.ndarray, n: int, sep_tol: float | None):
-    """eig of a companion matrix with the checks of proper_values: the
-    ascending real parts of its eigenvalues and the top n rows of its
-    eigenvectors, row q for values[q]."""
-    w, V = np.linalg.eig(C)
-    bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
-    if np.any(bad):
-        raise NonRealSpectrum(
-            f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
-            f"(max |imag| = {np.max(np.abs(w.imag)):.3g})",
-            max_imag=float(np.max(np.abs(w.imag))),
-        )
-    vals = w.real
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
+def _pencil(P: MatrixPolynomial) -> np.ndarray:
+    """-D^{-1/2} A_0 D^{-1/2} for a degree-1 P = A_0 + zD, whose eigenvalues
+    are the proper values of P.  Entry (r, r) is -A_0[r, r] / D[r, r],
+    exactly as linearize writes it.  Raises InvariantViolation when A_0 is
+    not symmetric: eigh reads one triangle only."""
+    lead = _check_leading(P)
+    A0 = P.coeffs[0]
+    if not np.array_equal(A0, A0.T, equal_nan=True):
+        raise InvariantViolation("the constant coefficient of a degree-1 polynomial must be symmetric")
+    root = np.sqrt(lead)
+    M = -A0 / np.outer(root, root)
+    M[np.diag_indices_from(M)] = -np.diag(A0) / lead
+    return M
+
+
+def _companion(P: MatrixPolynomial) -> np.ndarray:
+    """The matrix whose eigenvalues are the proper values of P: linearize(P),
+    or _pencil(P) at degree 1."""
+    return _pencil(P) if P.degree == 1 else linearize(P)
+
+
+def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
+    """Raise NearDegenerate if two ascending values are closer than sep_tol
+    (default SEP_TOL_REL times the spectrum diameter)."""
     if sep_tol is None:
         diam = vals[-1] - vals[0] if len(vals) > 1 else 0.0
         sep_tol = SEP_TOL_REL * max(diam, 1.0)
@@ -199,37 +215,67 @@ def _companion_spectrum(C: np.ndarray, n: int, sep_tol: float | None):
         raise NearDegenerate(
             f"proper values {vals[q]:.12g} and {vals[q + 1]:.12g} closer than sep_tol {sep_tol:.3g}"
         )
+
+
+def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None):
+    """Proper values of the polynomial whose _companion is C (leading
+    diagonal ``lead``) with the checks of proper_values: the ascending
+    values and, row q for values[q], the top n rows of the corresponding
+    eigenvectors of linearize(P)."""
+    n = len(lead)
+    if len(C) == n:
+        vals, U = np.linalg.eigh(C)
+        if not np.all(np.isfinite(vals)):
+            raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
+        _check_separation(vals, sep_tol)
+        return vals, (U / np.sqrt(lead)[:, None]).T
+    w, V = np.linalg.eig(C)
+    bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
+    if np.any(bad):
+        raise NonRealSpectrum(
+            f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
+            f"(max |imag| = {np.max(np.abs(w.imag)):.3g})",
+            max_imag=float(np.max(np.abs(w.imag))),
+        )
+    order = np.argsort(w.real, kind="stable")
+    vals = w.real[order]
+    _check_separation(vals, sep_tol)
     return vals, V[:n, order].T
 
 
 def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
-    """All nk proper values of P, ascending: eig of linearize(P).
+    """All nk proper values of P, ascending: eig of linearize(P), or for
+    degree 1 eigh of the symmetric pencil matrix -D^{-1/2} A_0 D^{-1/2}.
 
-    The unit proper vectors are selected and refined only when the returned
-    decomposition's ``vectors`` is first read (see SpectralDecomposition).
-    CompanionTemplate.proper_values runs the same eig and checks on a
-    companion matrix patched in place of linearize(P).
+    The unit proper vectors are selected, and at degree k >= 2 refined, only
+    when the returned decomposition's ``vectors`` is first read (see
+    SpectralDecomposition).  CompanionTemplate.proper_values runs the same
+    eigensolver and checks on a matrix patched in place of this one.
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
     imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two returned
     values are closer than ``sep_tol`` (default SEP_TOL_REL times the
     spectrum diameter).  Both signal that the simple-real regime the rest
-    of the package relies on has been left.
+    of the package relies on has been left.  NonRealSpectrum cannot occur
+    at degree 1, where the spectrum of the pencil is real; there a
+    non-symmetric A_0 raises InvariantViolation.
     """
-    vals, rows = _companion_spectrum(linearize(P), P.n, sep_tol)
+    vals, rows = _spectrum(_companion(P), np.diag(P.coeffs[-1]), sep_tol)
     return SpectralDecomposition(values=vals, polynomial=P, companion_rows=rows)
 
 
 @dataclass(frozen=True)
 class CompanionTemplate:
-    """linearize(P) of a fixed P, for the proper values of polynomials that
-    differ from P only on the diagonals of the non-leading coefficients.
+    """_companion(P) of a fixed P (linearize(P), or the symmetric pencil
+    matrix at degree 1), for the proper values of polynomials that differ
+    from P only on the diagonals of the non-leading coefficients.
 
-    Entry (r, r) of A_s sits in the companion matrix at row (k-1)n + r,
-    column sn + r, as -A_s[r, r] / lead[r], exactly as linearize writes it;
-    so proper_values(d) gives bitwise the values of proper_values applied
-    to P with diag(A_s) = d[sn:(s+1)n], without building that polynomial or
-    checking its leading coefficient again.
+    Entry (r, r) of A_s sits in the matrix at row (k-1)n + r, column sn + r
+    (at degree 1: (r, r)), as -A_s[r, r] / lead[r], exactly as _companion
+    writes it; so proper_values(d) gives bitwise the values of proper_values
+    applied to P with diag(A_s) = d[sn:(s+1)n], without building that
+    polynomial or checking its leading coefficient, or at degree 1 the
+    symmetry of A_0, again.
     """
 
     matrix: np.ndarray
@@ -242,7 +288,7 @@ class CompanionTemplate:
     def of(cls, P: MatrixPolynomial, sep_tol: float | None = None) -> "CompanionTemplate":
         n, nk = P.n, P.n * P.degree
         unknowns = np.arange(nk)
-        return cls(matrix=linearize(P), n=n, diagonal=(nk - n + unknowns % n, unknowns),
+        return cls(matrix=_companion(P), n=n, diagonal=(nk - n + unknowns % n, unknowns),
                    lead=np.tile(np.diag(P.coeffs[-1]), P.degree), sep_tol=sep_tol)
 
     def proper_values(self, d: np.ndarray) -> SpectralDecomposition:
@@ -255,5 +301,5 @@ class CompanionTemplate:
             raise ValueError(f"diagonals have shape {d.shape}, expected {self.lead.shape}")
         C = self.matrix.copy()
         C[self.diagonal] = -d / self.lead
-        vals, rows = _companion_spectrum(C, self.n, self.sep_tol)
+        vals, rows = _spectrum(C, self.lead[:self.n], self.sep_tol)
         return SpectralDecomposition(values=vals, polynomial=None, companion_rows=rows)

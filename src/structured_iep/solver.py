@@ -327,7 +327,8 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     On success continuation_path holds the accepted tau values, ascending to
     1.  On failure returns a flagged partial report at the largest tau
     reached, or, when no tau converged, the failing corrector's partial
-    report (or the seed when it has none).
+    report (or the seed when it has none).  Its failure always reads
+    "<exception kind> at tau=<tau>: <detail>", for the last corrector tried.
     """
     ctl = spec.controls
     x = seed_diagonals(spec.seed())
@@ -351,7 +352,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
                 return _report(spec, x, path, trace, trace[-1].residual, False, failure=failure, tau=tau)
             partial = getattr(exc, "report", None)
             if partial is not None:
-                return partial
+                return replace(partial, failure=failure)
             return _report(spec, x, [], [], np.inf, False, failure=failure, tau=0.0)
         x, tau = rep.x, tau_next
         path.append(tau)

@@ -48,6 +48,17 @@ def path4_doc(**patch):
     return doc
 
 
+# the complex pair of test_solver.py as a problem file
+COMPLEX_PAIR_DOC = {
+    "n": 2, "k": 2,
+    "proper_values": [-1.0, -2.0, -3.0, -4.0],
+    "leading": [1.0, 1.0],
+    "graphs": [{"edges": [[1, 2]]}, {"edges": [[1, 2]]}],
+    "epsilon": 500.0,
+    "controls": {"max_iter": 10},
+}
+
+
 class TestSeed:
     def test_reference_seed_matrices(self, capsys):
         code, out, _ = run(capsys, ["--quiet", "seed", PATH4])
@@ -107,14 +118,7 @@ class TestSolve:
         # overwhelming coupling on a 2x2 quadratic: even the smallest
         # continuation step leaves the real axis, nothing is accepted
         prob = tmp_path / "p.json"
-        prob.write_text(json.dumps({
-            "n": 2, "k": 2,
-            "proper_values": [-1.0, -2.0, -3.0, -4.0],
-            "leading": [1.0, 1.0],
-            "graphs": [{"edges": [[1, 2]]}, {"edges": [[1, 2]]}],
-            "epsilon": 500.0,
-            "controls": {"max_iter": 10},
-        }))
+        prob.write_text(json.dumps(COMPLEX_PAIR_DOC))
         code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
         doc = json.loads(out)
         assert not doc["converged"]
@@ -122,6 +126,15 @@ class TestSolve:
             assert code == cli.EXIT_NO_CONVERGENCE
         else:
             assert code == cli.EXIT_NON_REAL
+
+    def test_failure_without_a_converged_tau_names_kind_and_tau(self, capsys, tmp_path):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(COMPLEX_PAIR_DOC))
+        code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
+        doc = json.loads(out)
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert doc["continuation_path"] == [0.015625]
+        assert doc["failure"].startswith("NoConvergence at tau=0.015625: backtracking stalled")
 
     def test_fd_jacobian_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

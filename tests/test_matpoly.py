@@ -3,6 +3,7 @@ import pytest
 
 from structured_iep import (
     Graph,
+    InvariantViolation,
     LeadingCoefficientError,
     LeadingDiagonal,
     MatrixPolynomial,
@@ -11,6 +12,7 @@ from structured_iep import (
     ProblemSpec,
     TargetSpectrum,
     assemble,
+    continuation_solve,
     derivative,
     evaluate,
     linearize,
@@ -135,7 +137,7 @@ class TestProperValues:
 
     def test_residual_invariant(self, quad_seed):
         decomp = proper_values(quad_seed)
-        for lam, v in decomp.pairs():
+        for lam, v in zip(decomp.values, decomp.vectors):
             res = np.linalg.norm(evaluate(quad_seed, lam) @ v)
             assert res <= 1e-8 * quad_seed.coefficient_scale(lam)
 
@@ -252,3 +254,57 @@ class TestBatchedRefinement:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(evaluate(P, decomp.values), np.ones((n * k, n, 1)))
         assert np.max(np.abs(decomp.vectors - reference_vectors(P))) <= 1e-12
+
+
+def random_pencil(rng, n):
+    """A_0 + zD with a dense random symmetric A_0 and a positive diagonal D."""
+    B = rng.standard_normal((n, n))
+    return MatrixPolynomial(((B + B.T) / 2, np.diag(rng.uniform(0.5, 2.0, n))))
+
+
+class TestDegreeOnePencil:
+    @pytest.mark.parametrize("n", [2, 6, 20, 80])
+    def test_values_match_companion_eig(self, n):
+        P = random_pencil(np.random.default_rng(n), n)
+        ref = np.sort(np.linalg.eigvals(linearize(P)).real)
+        vals = proper_values(P).values
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("n", [2, 6, 20, 80])
+    def test_vectors_match_refined_companion_vectors(self, n):
+        P = random_pencil(np.random.default_rng(n), n)
+        V, ref = proper_values(P).vectors, reference_vectors(P)
+        up_to_sign = np.minimum(np.max(np.abs(V - ref), axis=1), np.max(np.abs(V + ref), axis=1))
+        assert np.max(up_to_sign) <= 1e-10
+
+    def test_double_value_raises_near_degenerate(self):
+        # a coupled pencil with the exact double eigenvalue 1 of [[1, 1], [1, 1]] + I
+        A0 = -np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NearDegenerate):
+            proper_values(MatrixPolynomial((A0, np.eye(3))))
+
+    def test_non_symmetric_constant_coefficient_raises(self):
+        A0 = np.array([[1.0, 0.5], [0.25, 2.0]])
+        P = MatrixPolynomial((A0, np.eye(2)))
+        with pytest.raises(InvariantViolation):
+            proper_values(P)
+        with pytest.raises(InvariantViolation):
+            matpoly.CompanionTemplate.of(P)
+
+    def test_continuation_solve_uses_neither_eig_nor_refinement(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called at degree 1")
+
+        monkeypatch.setattr(matpoly, "_refine_vectors", forbidden)
+        monkeypatch.setattr(np.linalg, "eig", forbidden)
+        rng = np.random.default_rng(11)
+        n = 6
+        g = sparse_graph(rng, n, mean_degree=3.0)
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=random_targets(rng, n, 1), n=n, k=1),
+            lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
+            graphs=(g,),
+            epsilon=0.3,
+        )
+        rep = continuation_solve(spec)
+        assert rep.converged and len(rep.iterations) > 1

@@ -176,6 +176,18 @@ class TestJacobianX:
         tol = 1e-5 * np.maximum(np.abs(J), np.abs(Jfd)) + 1e-7
         assert np.all(np.abs(J - Jfd) <= tol)
 
+    def test_matches_finite_differences_for_a_coupled_pencil(self):
+        # degree 1: the values and vectors come from eigh of the symmetric pencil
+        rng = np.random.default_rng(7)
+        n = 5
+        B = rng.uniform(-0.3, 0.3, (n, n))
+        A0 = (B + B.T) / 2 + np.diag(rng.uniform(-10.0, 10.0, n))
+        P = MatrixPolynomial((A0, np.diag(rng.uniform(0.5, 2.0, n))))
+        J = jacobian_x(P, proper_values(P))
+        Jfd = jacobian_fd(P, h=1e-4)
+        tol = 1e-5 * np.maximum(np.abs(J), np.abs(Jfd)) + 1e-7
+        assert np.all(np.abs(J - Jfd) <= tol)
+
 
 class TestTauDerivative:
     @staticmethod

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +309,11 @@ class TestContinuationSolve:
         rep = continuation_solve(complex_pair_spec())
         assert not rep.converged
         assert rep.failure is not None
+
+    def test_failure_names_kind_and_tau_when_no_tau_converged(self):
+        rep = continuation_solve(complex_pair_spec())
+        assert rep.continuation_path == (1 / solver.MAX_CONTINUATION_STEPS,)
+        assert re.fullmatch(r"NoConvergence at tau=0\.015625: backtracking stalled .*", rep.failure)
 
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
     def test_bundled_problems_take_at_most_five_newton_solves(self, name, request, monkeypatch):
