@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Stress the solver on random instances: random graphs, random distinct
 targets, small off-diagonal magnitude.  Prints a per-instance summary and a
-final success count."""
+final success count.
+
+    python3 scripts/random_instances.py --count 50 --epsilon 0.05 --seed 0
+
+Targets and graphs come from the generators of the benchmark corpus in
+perfbench/workloads.py, which is only read."""
 
 import argparse
 import pathlib
@@ -10,31 +15,19 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from structured_iep import (
-    Graph,
-    LeadingDiagonal,
-    ProblemSpec,
-    TargetSpectrum,
-    continuation_solve,
-)
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < p]
-    return Graph(n=n, edges=tuple(edges))
+from structured_iep import LeadingDiagonal, ProblemSpec, TargetSpectrum, continuation_solve  # noqa: E402
+from workloads import _corpus_graph, _corpus_targets  # noqa: E402
 
 
 def random_spec(rng, n, k, epsilon):
-    vals = np.sort(rng.uniform(-10.0, 10.0, size=n * k))
-    while np.min(np.diff(vals)) < 0.3:
-        vals = np.sort(rng.uniform(-10.0, 10.0, size=n * k))
-    rng.shuffle(vals)
+    """One instance drawn as the benchmark corpus draws its instances."""
     return ProblemSpec(
-        spectrum=TargetSpectrum(values=vals, n=n, k=k),
+        spectrum=TargetSpectrum(values=_corpus_targets(rng, n, k), n=n, k=k),
         lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, size=n)),
-        graphs=tuple(random_graph(rng, n) for _ in range(k)),
+        graphs=tuple(_corpus_graph(rng, n) for _ in range(k)),
         epsilon=epsilon,
     )
 

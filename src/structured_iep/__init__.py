@@ -22,7 +22,7 @@ from .errors import (
     SingularJacobian,
     StructuredIEPError,
 )
-from .graphs import Graph, graph_of_matrix, matrix_of_graph, parse_graph
+from .graphs import Graph, graph_of_matrix, matrix_of_graph
 from .matpoly import (
     CompanionTemplate,
     MatrixPolynomial,
@@ -68,7 +68,7 @@ __all__ = [
     "InvariantViolation", "LeadingCoefficientError", "NearDegenerate",
     "NoConvergence", "NonRealSpectrum", "ProblemFormatError",
     "SingularJacobian", "StructuredIEPError",
-    "Graph", "graph_of_matrix", "matrix_of_graph", "parse_graph",
+    "Graph", "graph_of_matrix", "matrix_of_graph",
     "CompanionTemplate", "MatrixPolynomial", "SpectralDecomposition", "derivative", "evaluate",
     "linearize", "proper_values",
     "LeadingDiagonal", "TargetSpectrum", "block_assignment",

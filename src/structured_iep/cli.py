@@ -160,7 +160,6 @@ def _control_overrides(args) -> dict:
     return {
         "newton_tol": getattr(args, "tol", None),
         "max_iter": getattr(args, "max_iter", None),
-        "continuation_steps": getattr(args, "continuation", None),
     }
 
 
@@ -183,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("solve", help="solve the structured inverse problem")
     pv.add_argument("problem")
-    pv.add_argument("--continuation", type=int, default=None, metavar="STEPS",
-                    help="first continuation step is 1/STEPS of the off-diagonal scale "
-                         "(default 1: try the full problem first)")
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_solve)
 
@@ -211,7 +207,8 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvariantViolation, LeadingCoefficientError, NearDegenerate, DegenerateDenominator) as exc:
+    except (InvariantViolation, LeadingCoefficientError, NearDegenerate, DegenerateDenominator,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except NonRealSpectrum as exc:

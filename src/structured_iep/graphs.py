@@ -45,39 +45,6 @@ class Graph:
         return len(self.edges)
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse an edge-list document: first line ``n <int>``, then ``i j`` lines.
-
-    Lines starting with ``#`` are comments.  Rejects self-loops, duplicate
-    edges, and out-of-range vertices.
-    """
-    n = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise GraphFormatError(f"line {lineno}: expected 'n <int>', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: vertex count {parts[1]!r} is not an integer")
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'i j', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
-        pairs.append((i, j))
-    if n is None:
-        raise GraphFormatError("missing 'n <int>' header line")
-    return Graph(n=n, edges=tuple(pairs))
-
-
 def matrix_of_graph(g: Graph, diag, offdiag) -> np.ndarray:
     """Symmetric matrix with ``diag`` on the diagonal and ``offdiag`` on the
     edges of ``g`` (canonical edge order); structural zeros elsewhere."""

@@ -6,10 +6,10 @@ Problem schema (see schemas/problem.schema.json):
       "n": 4, "k": 2,
       "proper_values": [nk doubles, input order],
       "leading": [n positive doubles],
-      "graphs": [k entries: {"edges": [[i, j], ...]} or an edge-list string],
+      "graphs": [k entries {"edges": [[i, j], ...]}],
       "epsilon": 0.5,
       "offdiag_overrides": [per-graph arrays or null],      // optional
-      "controls": {"newton_tol": ..., "max_iter": ..., ...}  // optional
+      "controls": {"newton_tol": ..., "max_iter": ...}       // optional
     }
 
 Polynomial schema: {"n": ..., "k": ..., "coefficients": [k+1 row-major matrices]};
@@ -25,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import GraphFormatError, ProblemFormatError
-from .graphs import Graph, parse_graph
+from .graphs import Graph
 from .matpoly import MatrixPolynomial
 from .seed import LeadingDiagonal, TargetSpectrum
 from .solver import ProblemSpec, SolverControls
@@ -76,25 +76,16 @@ def _load_object(path: str) -> dict:
 
 
 def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
+    where = f"graphs[{idx}]"
+    entry = _typed(entry, where, dict)
     try:
-        if isinstance(entry, str):
-            g = parse_graph(entry)
-            if g.n != n:
-                raise ProblemFormatError(f"graphs[{idx}]: declares n={g.n}, problem has n={n}")
-            return g
-        if isinstance(entry, dict):
-            edges = entry.get("edges", [])
-            if not isinstance(edges, list):
-                raise ProblemFormatError(f"graphs[{idx}].edges: expected a list")
-            pairs = []
-            for e in edges:
-                if not (type(e) is list and len(e) == 2 and all(type(v) is int for v in e)):
-                    raise ProblemFormatError(f"graphs[{idx}]: edge {e!r} is not a pair of vertex numbers")
-                pairs.append(tuple(e))
-            return Graph(n=n, edges=tuple(pairs))
-    except GraphFormatError as exc:
-        raise ProblemFormatError(f"graphs[{idx}]: {exc}") from exc
-    raise ProblemFormatError(f"graphs[{idx}]: expected an object with 'edges' or an edge-list string")
+        edges = _require(entry, "edges", list)
+        for e in edges:
+            if not (type(e) is list and len(e) == 2 and all(type(v) is int for v in e)):
+                raise ProblemFormatError(f"edge {e!r} is not a pair of vertex numbers")
+        return Graph(n=n, edges=tuple(tuple(e) for e in edges))
+    except (GraphFormatError, ProblemFormatError) as exc:
+        raise ProblemFormatError(f"{where}: {exc}") from exc
 
 
 def load_problem(path: str, overrides: dict | None = None) -> ProblemSpec:

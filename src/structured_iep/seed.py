@@ -4,8 +4,7 @@ Target q (1-based, in the user's input order) is assigned to diagonal
 entry r = ceil(q/k), so entry r of the seed is the scalar polynomial
 alpha_k[r] * prod(z - lambda_q) over its k assigned targets.  Input-order
 assignment is deliberate: it gives users control over which targets share
-a diagonal entry; an optional ascending pre-sort clusters nearby targets
-instead.
+a diagonal entry.
 """
 
 from __future__ import annotations
@@ -87,24 +86,16 @@ def block_roots(spec: TargetSpectrum, r: int) -> np.ndarray:
     return spec.values[(r - 1) * spec.k: r * spec.k]
 
 
-def seed_coefficients(
-    spec: TargetSpectrum,
-    lead: LeadingDiagonal,
-    group_sorted: bool = False,
-) -> MatrixPolynomial:
+def seed_coefficients(spec: TargetSpectrum, lead: LeadingDiagonal) -> MatrixPolynomial:
     """Diagonal matrix polynomial whose entry (t,t) is
     alpha_k[t] * prod(z - lambda_q) over the targets assigned to t.
 
     Coefficient s of entry t is (-1)^(k-s) * alpha_k[t] * e_{k-s}(assigned
-    targets).  With ``group_sorted`` the targets are sorted ascending before
-    blocking, which clusters nearby targets in one entry (a conditioning
-    heuristic, off by default).
+    targets).
     """
     n, k = spec.n, spec.k
     if lead.alpha_k.shape != (n,):
         raise InvariantViolation(f"leading diagonal has length {lead.alpha_k.shape[0]}, expected {n}")
-    if group_sorted:
-        spec = TargetSpectrum(values=spec.sorted_values(), n=n, k=k)
     coeffs = [np.zeros((n, n)) for _ in range(k + 1)]
     for t in range(1, n + 1):
         roots = block_roots(spec, t)

@@ -38,16 +38,12 @@ MAX_CORRECTOR_ITER = 8  # Newton iteration cap for correctors at tau < 1
 class SolverControls:
     newton_tol: float | None = None  # None: 1e-11 * spectrum diameter
     max_iter: int = 50
-    continuation_steps: int = 1
-    group_sorted: bool = False
 
     def __post_init__(self):
         if self.newton_tol is not None and not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise InvariantViolation("newton_tol must be positive and finite")
         if self.max_iter < 1:
             raise InvariantViolation("max_iter must be at least 1")
-        if self.continuation_steps < 1:
-            raise InvariantViolation("continuation_steps must be at least 1")
 
     def resolved_tol(self, spectrum: TargetSpectrum) -> float:
         if self.newton_tol is not None:
@@ -100,7 +96,7 @@ class ProblemSpec:
         return self.spectrum.k
 
     def seed(self) -> MatrixPolynomial:
-        return seed_coefficients(self.spectrum, self.lead, group_sorted=self.controls.group_sorted)
+        return seed_coefficients(self.spectrum, self.lead)
 
 
 @dataclass(frozen=True)
@@ -306,20 +302,19 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     """Adaptive predictor-corrector continuation in the off-diagonal scale tau.
 
     Keeps the last converged (tau, x), starting from the diagonal seed at
-    tau = 0 with a first step of 1/controls.continuation_steps.  Each step
-    predicts x + dtau * dx/dtau along the tangent of the solution curve
-    (zero at the seed, where every proper vector is a unit vector) and
-    corrects with newton_solve: at most min(max_iter, MAX_CORRECTOR_ITER)
-    iterations below tau = 1, controls.max_iter at tau = 1.  A failed
-    corrector halves the step and retries from the last converged point; a
-    converged one doubles it, clipped to 1 - tau.  The solve gives up once
-    the step falls below 1/MAX_CONTINUATION_STEPS.
+    tau = 0 with a first step of dtau = 1: the full problem is tried first.
+    Each step predicts x + dtau * dx/dtau along the tangent of the solution
+    curve (zero at the seed, where every proper vector is a unit vector)
+    and corrects with newton_solve: at most min(max_iter,
+    MAX_CORRECTOR_ITER) iterations below tau = 1, controls.max_iter at
+    tau = 1.  A failed corrector halves the step and retries from the last
+    converged point; a converged one doubles it, clipped to 1 - tau.  The
+    solve gives up once the step falls below 1/MAX_CONTINUATION_STEPS.
 
     Every step but the last advances tau by at least 1/M (M =
-    MAX_CONTINUATION_STEPS) and every failure halves the step, so for
-    continuation_steps = s <= M a solve costs at most 2M - 1 + log2(M/s)
-    Newton solves (133 by default), and a problem on which no step
-    converges costs log2(M/s) + 1 (7 by default).  Each Newton solve makes
+    MAX_CONTINUATION_STEPS) and every failure halves the step, so a solve
+    costs at most 2M - 1 + log2(M) = 133 Newton solves, and a problem on
+    which no step converges costs log2(M) + 1 = 7.  Each Newton solve makes
     at most 1 + controls.max_iter * (MAX_BACKTRACKS + 1) spectral_map
     evaluations (151 by default), so a solve makes at most 133 * 151 =
     20,083 with the default controls.
@@ -333,7 +328,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     ctl = spec.controls
     x = seed_diagonals(spec.seed())
     xdot = np.zeros_like(x)
-    tau, dtau = 0.0, 1.0 / ctl.continuation_steps
+    tau, dtau = 0.0, 1.0
     path, trace = [], []
     while True:
         # absorb rounding in tau + dtau so the last step lands exactly on 1

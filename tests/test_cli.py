@@ -142,6 +142,12 @@ class TestSolve:
         assert exc.value.code == cli.EXIT_PARSE
         assert "unrecognized arguments: --fd-jacobian" in capsys.readouterr().err
 
+    def test_continuation_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--quiet", "solve", PATH4, "--continuation", "4"])
+        assert exc.value.code == cli.EXIT_PARSE
+        assert "unrecognized arguments: --continuation 4" in capsys.readouterr().err
+
     def test_summary_printed_unless_quiet(self, capsys, tmp_path):
         dest = tmp_path / "r.json"
         _, out, _ = run(capsys, ["solve", PATH4, "--out", str(dest)])
@@ -221,6 +227,20 @@ class TestJacobian:
         assert code == cli.EXIT_INVARIANT
         assert err.startswith("error:") and "closer than sep_tol" in err
 
+    @pytest.mark.parametrize("x", [[1e300, 2.0], [1e300, 2.0, 1.0, 1.0]], ids=["k1", "k2"])
+    def test_overflowing_companion_exits_three(self, capsys, tmp_path, x):
+        # -x/lead overflows to -inf in the companion matrix: LinAlgError
+        k = len(x) // 2
+        prob, xfile = tmp_path / "p.json", tmp_path / "x.json"
+        prob.write_text(json.dumps({
+            "n": 2, "k": k, "proper_values": [float(q) for q in range(1, 2 * k + 1)],
+            "leading": [1e-300, 1.0], "graphs": [{"edges": []}] * k,
+        }))
+        xfile.write_text(json.dumps(x))
+        code, out, err = run(capsys, ["--quiet", "jacobian", str(prob), "--at", str(xfile)])
+        assert code == cli.EXIT_INVARIANT and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_degenerate_denominator_exits_three(self, capsys, monkeypatch):
         def degenerate(P, decomp):
             raise DegenerateDenominator("row 0: value numerically non-simple")
@@ -267,6 +287,19 @@ class TestErrorPaths:
         code, _, _ = run(capsys, ["--quiet", "solve", str(prob)])
         assert code == cli.EXIT_PARSE
 
+    @pytest.mark.parametrize("entry", [
+        "n 4\n1 2\n2 3\n3 4\n",               # the edge-list string form is gone
+        {"edgs": [[1, 2], [2, 3], [3, 4]]},    # a typo must not read as the empty graph
+    ], ids=["string", "no-edges"])
+    def test_graph_entry_without_edges_exits_two(self, capsys, tmp_path, entry):
+        doc = path4_doc()
+        doc["graphs"][0] = entry
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["--quiet", "solve", str(prob)])
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err.startswith("error: graphs[0]") and err.count("\n") == 1
+
     def test_nondiagonal_leading_coefficient_exits_three(self, capsys, tmp_path):
         poly = tmp_path / "poly.json"
         run(capsys, ["--quiet", "seed", PATH4, "--out", str(poly)])
@@ -292,6 +325,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("controls", [
         {"jacobian_mode": "fd"}, {"damping": 1.0}, {"fd_jacobian": False}, {"fd_step": 1e-6},
+        {"continuation_steps": 4}, {"group_sorted": True},
     ], ids=lambda controls: next(iter(controls)))
     def test_unknown_control_exits_two(self, capsys, tmp_path, controls):
         doc = path4_doc(controls=controls)

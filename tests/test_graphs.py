@@ -7,45 +7,40 @@ from structured_iep import (
     GraphFormatError,
     graph_of_matrix,
     matrix_of_graph,
-    parse_graph,
+    problems,
 )
 
 from conftest import G_EDGES, H_EDGES, PATH_EDGES, linked_system
 
 
 class TestParseGraph:
+    """The one graph form of a problem file: {"edges": [[i, j], ...]}."""
+
     def test_path_on_four(self):
-        g = parse_graph("n 4\n1 2\n2 3\n3 4\n")
+        g = problems._parse_graph_entry({"edges": [[1, 2], [2, 3], [3, 4]]}, 4, 0)
         assert g.n == 4
         assert g.edges == PATH_EDGES
 
     def test_empty_graph(self):
-        g = parse_graph("n 4\n")
+        g = problems._parse_graph_entry({"edges": []}, 4, 0)
         assert g.edges == ()
 
     def test_two_edge_graph(self):
-        g = parse_graph("n 4\n1 3\n3 4\n")
+        g = problems._parse_graph_entry({"edges": [[3, 4], [1, 3]]}, 4, 0)
         assert g.edges == H_EDGES
 
-    def test_comments_and_blank_lines(self):
-        g = parse_graph("# damping pattern\nn 4\n\n3 4\n# chord\n1 3\n")
-        assert g.edges == H_EDGES
 
+class TestGraph:
     def test_reversed_pairs_canonicalized(self):
-        g = parse_graph("n 4\n2 1\n4 3\n")
+        g = Graph(4, ((2, 1), (4, 3)))
         assert g.edges == ((1, 2), (3, 4))
 
-    @pytest.mark.parametrize("text", [
-        "n 4\n2 2\n",          # self-loop
-        "n 4\n1 5\n",          # out of range
-        "n 4\n0 1\n",          # out of range
-        "n 4\n1 2\n2 1\n",     # duplicate
-        "1 2\n",               # missing header
-        "n four\n",            # bad count
-    ])
-    def test_rejects(self, text):
+    @pytest.mark.parametrize("edges", [
+        ((2, 2),), ((1, 5),), ((0, 1),), ((1, 2), (2, 1)),
+    ], ids=["self-loop", "above-n", "zero", "duplicate"])
+    def test_rejects(self, edges):
         with pytest.raises(GraphFormatError):
-            parse_graph(text)
+            Graph(4, edges)
 
 
 class TestMatrixOfGraph:

@@ -129,14 +129,6 @@ class TestSeedCoefficients:
                 scale = sum(abs(P.coeffs[s][t - 1, t - 1]) * abs(lam) ** s for s in range(k + 1))
                 assert abs(val) <= 1e-12 * max(scale, 1.0)
 
-    def test_group_sorted_clusters_targets(self):
-        vals = np.array([10.0, -10.0, 9.0, -9.0])
-        spec = TargetSpectrum(values=vals, n=2, k=2)
-        P = seed_coefficients(spec, LeadingDiagonal(alpha_k=np.ones(2)), group_sorted=True)
-        # entry 1 gets (-10,-9): constant coefficient 90, linear 19
-        assert P.coeffs[0][0, 0] == pytest.approx(90.0)
-        assert P.coeffs[1][0, 0] == pytest.approx(19.0)
-
 
 class TestTargetSpectrum:
     def test_duplicate_rejected(self):
