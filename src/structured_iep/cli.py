@@ -4,8 +4,8 @@ Exit codes are a stable contract:
     0  success
     2  file/parse error
     3  domain invariant violation (including a numerically multiple proper value)
-    4  solver did not converge (partial report still written)
-    5  non-real spectrum at the evaluation point
+    4  solver did not converge (the report at the last converged tau is still written)
+    5  non-real spectrum at the evaluation point (for solve: no tau converged)
     6  verification failure
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,8 +40,19 @@ EXIT_NON_REAL = 5
 EXIT_VERIFY_FAIL = 6
 
 
+def _finite_or_null(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -89,7 +101,7 @@ def cmd_solve(args) -> int:
         "failure": report.failure,
     }
     _emit(doc, args.out)
-    if not args.quiet:
+    if not args.quiet and args.out:
         for s, c in enumerate(report.polynomial.coeffs):
             _summary_matrix(f"coefficient {s}:", c)
         print(f"residual: {report.residual:.15g}")
@@ -109,7 +121,7 @@ def cmd_verify(args) -> int:
     doc = {
         "config": spec_to_config(spec),
         "residual": report.residual,
-        "values": [None if np.isnan(v) else v for v in report.values],
+        "values": report.values.tolist(),
         "structure_ok": report.structure_ok,
         "structure_detail": list(report.structure_detail),
         "leading_ok": report.leading_ok,
@@ -117,7 +129,7 @@ def cmd_verify(args) -> int:
         "failure": report.failure,
     }
     _emit(doc, args.out)
-    if not args.quiet:
+    if not args.quiet and args.out:
         print(f"residual: {report.residual:.15g}")
         print(f"passed: {report.passed}" + (f"  ({report.failure})" if report.failure else ""))
     return 0 if report.passed else EXIT_VERIFY_FAIL
@@ -149,7 +161,7 @@ def cmd_jacobian(args) -> int:
             "passed": check["max_entry_error"] <= 1e-12 and check["max_offblock"] <= 1e-12,
         }
     _emit(doc, args.out)
-    if not args.quiet:
+    if not args.quiet and args.out:
         print(f"condition: {doc['condition']:.15g}")
         if at_seed:
             print(f"vandermonde check passed: {doc['vandermonde']['passed']}")
@@ -203,7 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow is caught where it matters (eig and eigh reject
+        # non-finite input, the seed checks its coefficients), so numpy's
+        # warnings would only put noise ahead of the error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -24,10 +24,6 @@ class LeadingCoefficientError(StructuredIEPError):
 class NonRealSpectrum(StructuredIEPError):
     """An eigenvalue of the linearization has a non-negligible imaginary part."""
 
-    def __init__(self, msg, max_imag=None):
-        super().__init__(msg)
-        self.max_imag = max_imag
-
 
 class NearDegenerate(StructuredIEPError):
     """Two computed proper values are closer than the separation tolerance."""
@@ -43,8 +39,4 @@ class SingularJacobian(StructuredIEPError):
 
 class NoConvergence(StructuredIEPError):
     """Newton iteration failed to reach the residual tolerance."""
-
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
 

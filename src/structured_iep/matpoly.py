@@ -234,8 +234,7 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None):
     if np.any(bad):
         raise NonRealSpectrum(
             f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
-            f"(max |imag| = {np.max(np.abs(w.imag)):.3g})",
-            max_imag=float(np.max(np.abs(w.imag))),
+            f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
         )
     order = np.argsort(w.real, kind="stable")
     vals = w.real[order]

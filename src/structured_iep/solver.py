@@ -225,8 +225,8 @@ def newton_solve(
     is the matching).  Every spectral_map patches one companion template
     built per solve; the polynomial is assembled, and proper vectors
     refined, only for the iterates that build a Jacobian and for the
-    report.  Raises NoConvergence / SingularJacobian / NonRealSpectrum with
-    the partial report attached where applicable.
+    report.  A failed solve raises NoConvergence / SingularJacobian /
+    NonRealSpectrum / NearDegenerate and builds no report.
     """
     ctl = spec.controls
     max_iter = ctl.max_iter if max_iter is None else max_iter
@@ -270,16 +270,10 @@ def newton_solve(
                 break
             damp *= 0.5
         if not accepted:
-            report = _report(spec, x, [tau], trace, rnorm, False, failure="backtracking stalled", tau=tau)
-            raise NoConvergence(
-                f"backtracking stalled at residual {rnorm:.3g} (iteration {it})", report=report
-            )
+            raise NoConvergence(f"backtracking stalled at residual {rnorm:.3g} (iteration {it})")
     if rnorm <= tol:
         return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
-    report = _report(spec, x, [tau], trace, rnorm, False,
-                     failure=f"no convergence in {max_iter} iterations", tau=tau)
-    raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {max_iter} iterations",
-                        report=report)
+    raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {max_iter} iterations")
 
 
 def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
@@ -319,10 +313,10 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     evaluations (151 by default), so a solve makes at most 133 * 151 =
     20,083 with the default controls.
 
-    On success continuation_path holds the accepted tau values, ascending to
-    1.  On failure returns a flagged partial report at the largest tau
-    reached, or, when no tau converged, the failing corrector's partial
-    report (or the seed when it has none).  Its failure always reads
+    continuation_path holds the converged tau values, ascending (to 1 on
+    success).  On failure the report is the last converged (tau, x), with
+    the residual of its last iteration; when no tau converged that is the
+    seed at tau = 0, with an empty path and residual inf.  Its failure reads
     "<exception kind> at tau=<tau>: <detail>", for the last corrector tried.
     """
     ctl = spec.controls
@@ -341,14 +335,10 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
             dtau *= 0.5
             if dtau >= 1.0 / MAX_CONTINUATION_STEPS:
                 continue
-            failure = f"{type(exc).__name__} at tau={tau_next:.6g}: {exc}"
-            if path:
-                # largest tau that did converge, with its polynomial
-                return _report(spec, x, path, trace, trace[-1].residual, False, failure=failure, tau=tau)
-            partial = getattr(exc, "report", None)
-            if partial is not None:
-                return replace(partial, failure=failure)
-            return _report(spec, x, [], [], np.inf, False, failure=failure, tau=0.0)
+            # the last converged (tau, x): the seed at tau = 0 when none did
+            residual = trace[-1].residual if path else np.inf
+            return _report(spec, x, path, trace, residual, False,
+                           failure=f"{type(exc).__name__} at tau={tau_next:.6g}: {exc}", tau=tau)
         x, tau = rep.x, tau_next
         path.append(tau)
         trace.extend(rep.iterations)

@@ -57,6 +57,21 @@ COMPLEX_PAIR_DOC = {
     "epsilon": 500.0,
     "controls": {"max_iter": 10},
 }
+# a 2x2 quadratic whose spectrum is non-real already at tau = 1/64
+NONREAL_DOC = {
+    "n": 2, "k": 2,
+    "proper_values": [-1.0, -5.0, -1.0001, 3.0],
+    "leading": [1.0, 1.0],
+    "graphs": [{"edges": [[1, 2]]}, {"edges": []}],
+    "epsilon": 0.5,
+}
+
+
+def strict_json(text):
+    """Parse text as JSON that has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestSeed:
@@ -115,17 +130,16 @@ class TestSolve:
         assert a.read_bytes() == b.read_bytes()
 
     def test_immediate_nonreal_exit_code(self, capsys, tmp_path):
-        # overwhelming coupling on a 2x2 quadratic: even the smallest
-        # continuation step leaves the real axis, nothing is accepted
+        # even the smallest continuation step leaves the real axis, so no
+        # tau converges and the report is the seed
         prob = tmp_path / "p.json"
-        prob.write_text(json.dumps(COMPLEX_PAIR_DOC))
+        prob.write_text(json.dumps(NONREAL_DOC))
         code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
-        doc = json.loads(out)
+        doc = strict_json(out)
+        assert code == cli.EXIT_NON_REAL
         assert not doc["converged"]
-        if doc["continuation_path"]:
-            assert code == cli.EXIT_NO_CONVERGENCE
-        else:
-            assert code == cli.EXIT_NON_REAL
+        assert doc["continuation_path"] == []
+        assert doc["residual"] is None
 
     def test_failure_without_a_converged_tau_names_kind_and_tau(self, capsys, tmp_path):
         prob = tmp_path / "p.json"
@@ -133,7 +147,7 @@ class TestSolve:
         code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
         doc = json.loads(out)
         assert code == cli.EXIT_NO_CONVERGENCE
-        assert doc["continuation_path"] == [0.015625]
+        assert doc["continuation_path"] == []
         assert doc["failure"].startswith("NoConvergence at tau=0.015625: backtracking stalled")
 
     def test_fd_jacobian_flag_is_gone(self, capsys):
@@ -174,6 +188,18 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY_FAIL
         doc = json.loads(out)
         assert not doc["structure_ok"]
+
+    def test_nonreal_polynomial_report_is_json(self, capsys, tmp_path):
+        # the path4 seed without its damping coefficient: z^2 = -k_i is imaginary
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"coefficients": [SEED_DOC["coefficients"][0], np.zeros((4, 4)).tolist(),
+                                                     SEED_DOC["coefficients"][2]]}))
+        code, out, _ = run(capsys, ["--quiet", "verify", str(poly), PATH4])
+        assert code == cli.EXIT_VERIFY_FAIL
+        doc = strict_json(out)
+        assert doc["failure"].startswith("NonRealSpectrum")
+        assert doc["residual"] is None
+        assert doc["values"] == [None] * 8
 
     def test_spectrum_violation_exits_six(self, capsys, tmp_path):
         poly = tmp_path / "poly.json"
@@ -419,6 +445,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["--quiet", "verify", str(poly), PATH4])
         assert code == cli.EXIT_PARSE
         assert err.startswith("error:") and "top level must be an object" in err
+
+
+@pytest.mark.parametrize("command", ["seed", "solve", "verify", "jacobian"])
+def test_stdout_without_out_is_only_the_report(capsys, tmp_path, command):
+    argv = [command, PATH4]
+    if command == "verify":
+        poly = tmp_path / "poly.json"
+        run(capsys, ["--quiet", "solve", PATH4, "--out", str(poly)])
+        argv = [command, str(poly), PATH4]
+    code, out, _ = run(capsys, argv)  # neither --out nor --quiet
+    assert code == 0
+    assert isinstance(strict_json(out), dict)
 
 
 def test_tol_override_reaches_solver(capsys):

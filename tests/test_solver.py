@@ -266,10 +266,9 @@ class TestNewtonSolve:
             return spectral(*args, **kwargs)
 
         monkeypatch.setattr(solver, "spectral_map", counting)
-        with pytest.raises(NoConvergence, match=r"backtracking stalled .*\(iteration 1\)") as info:
+        with pytest.raises(NoConvergence, match=r"backtracking stalled .*\(iteration 1\)"):
             newton_solve(complex_pair_spec(), tau=1 / 64, max_iter=8)
         assert len(calls) == 1 + solver.MAX_BACKTRACKS + 1  # the start, then the trials
-        assert len(info.value.report.iterations) == 1
 
     def test_nonreal_start_raises(self, path4_spec):
         # full-strength off-diagonals on both path coefficients push a pair
@@ -311,8 +310,12 @@ class TestContinuationSolve:
         assert rep.failure is not None
 
     def test_failure_names_kind_and_tau_when_no_tau_converged(self):
-        rep = continuation_solve(complex_pair_spec())
-        assert rep.continuation_path == (1 / solver.MAX_CONTINUATION_STEPS,)
+        spec = complex_pair_spec()
+        rep = continuation_solve(spec)
+        # the last converged point is the seed at tau = 0
+        assert rep.continuation_path == ()
+        assert np.array_equal(rep.x, seed_diagonals(spec.seed()))
+        assert rep.residual == np.inf
         assert re.fullmatch(r"NoConvergence at tau=0\.015625: backtracking stalled .*", rep.failure)
 
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
@@ -331,17 +334,23 @@ class TestContinuationSolve:
         assert len(taus) <= 5
 
     def test_failing_problem_stays_within_the_documented_budget(self, monkeypatch):
-        taus, corrector_iterations = [], []
-        newton = solver.newton_solve
+        taus, corrector_iterations, jacobians = [], [], []
+        newton, jacobian = solver.newton_solve, solver.jacobian_x
+
+        def counting_jacobian(*args, **kwargs):
+            jacobians.append(1)
+            return jacobian(*args, **kwargs)
 
         def recording(*args, **kwargs):
+            # newton_solve builds one Jacobian per iteration
             taus.append(kwargs["tau"])
+            before = len(jacobians)
             try:
                 return newton(*args, **kwargs)
-            except NoConvergence as exc:
-                corrector_iterations.append((kwargs["tau"], len(exc.report.iterations) - 1))
-                raise
+            finally:
+                corrector_iterations.append((kwargs["tau"], len(jacobians) - before))
 
+        monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
         monkeypatch.setattr(solver, "newton_solve", recording)
         rep = continuation_solve(complex_pair_spec())
         assert not rep.converged
