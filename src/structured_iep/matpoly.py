@@ -6,11 +6,14 @@ vectors are the corresponding null directions.  This package operates in
 the all-real, simple-spectrum regime; a non-real or near-multiple spectrum
 is reported as an error, not a result.
 
-Degree k >= 2 goes through eig of the block companion matrix (linearize)
-and one step of inverse iteration per proper vector.  Degree 1 is the
-symmetric-definite pencil A_0 + zD (D the positive leading diagonal, A_0
-required symmetric): eigh of -D^{-1/2} A_0 D^{-1/2} gives real values and
-exact vectors, so it needs neither a non-real check nor refinement.
+Degree k >= 2 goes through eig of the block companion matrix (linearize),
+and each proper vector is the top block of its companion eigenvector: the
+eigenvector of a linearization gives a proper vector with a backward error
+of the order of the eigensolver's (Higham, Li & Tisseur, SIAM J. Matrix
+Anal. Appl. 29, 2007).  Degree 1 is the symmetric-definite pencil
+A_0 + zD (D the positive leading diagonal, A_0 required symmetric): eigh
+of -D^{-1/2} A_0 D^{-1/2} gives real values and their vectors, so it
+needs no non-real check.
 """
 
 from __future__ import annotations
@@ -53,29 +56,17 @@ class MatrixPolynomial:
         return sum(np.linalg.norm(c) * abs(z) ** s for s, c in enumerate(self.coeffs))
 
 
-# cap on the entries of the stacked P(z_q) matrices held at once (1 MiB of
-# doubles); batched evaluation and solves run over row blocks of this size
-_BLOCK_DOUBLES = 1 << 17
-
-
-def _row_blocks(count: int, n: int):
-    step = max(1, _BLOCK_DOUBLES // (n * n))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Matched (value, unit vector) pairs, values strictly ascending.
 
     Only the values are computed up front.  ``vectors`` (row q is the unit
-    proper vector for values[q]) is selected from the companion eigenvectors
-    and, for degree k >= 2, refined on first access, then cached, so callers
-    that need only the values never pay for refinement.
+    proper vector for values[q]) is selected from the companion eigenvector
+    rows on first access, then cached, so callers that need only the values
+    never pay for it.
     """
 
     values: np.ndarray
-    polynomial: MatrixPolynomial | None = field(repr=False)  # None: vectors cannot be refined
     companion_rows: np.ndarray = field(repr=False)  # top n rows of the eigenvectors, row q for values[q]
 
     def __len__(self):
@@ -83,9 +74,7 @@ class SpectralDecomposition:
 
     @cached_property
     def vectors(self) -> np.ndarray:
-        if self.polynomial is None:
-            raise ValueError("decomposition has no polynomial to refine its vectors against")
-        return _proper_vectors(self.polynomial, self.values, self.companion_rows)
+        return _proper_vectors(self.companion_rows)
 
 
 def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
@@ -138,44 +127,18 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     return C
 
 
-def _refine_vectors(P: MatrixPolynomial, values: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """One inverse-iteration step per row, v_q <- P(values[q])^{-1} v_q
-    normalised; companion vectors lose accuracy for large |lambda|, and
-    Jacobian entries depend quadratically on v.  A row whose solve is
-    singular or gives a zero or non-finite result keeps its input."""
-    out = V.copy()
-    for blk in _row_blocks(len(values), P.n):
-        A = evaluate(P, values[blk])
-        try:
-            W = np.linalg.solve(A, V[blk, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            W = np.full_like(V[blk], np.nan)
-            for i, (a, v) in enumerate(zip(A, V[blk])):
-                try:
-                    W[i] = np.linalg.solve(a, v)
-                except np.linalg.LinAlgError:
-                    pass
-        norms = np.linalg.norm(W, axis=1)
-        ok = np.isfinite(norms) & (norms != 0.0)
-        out[blk][ok] = W[ok] / norms[ok, None]
-    return out
-
-
-def _proper_vectors(P: MatrixPolynomial, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _proper_vectors(rows: np.ndarray) -> np.ndarray:
     """Unit proper vectors from the top n rows of the companion eigenvectors:
-    the larger of the real and imaginary parts, normalised, refined, with the
+    the larger of the real and imaginary parts, normalised, with the
     largest-magnitude component made positive.  At degree 1 the rows are
-    D^{-1/2} times the eigh vectors of the pencil, exact up to scale, so
-    they are not refined."""
+    D^{-1/2} times the eigh vectors of the pencil."""
     use_imag = np.linalg.norm(rows.imag, axis=1) > np.linalg.norm(rows.real, axis=1)
     V = np.where(use_imag[:, None], rows.imag, rows.real)
     norms = np.linalg.norm(V, axis=1)
     zero = norms == 0.0
     V[zero] = 1.0
-    norms[zero] = np.sqrt(P.n)
+    norms[zero] = np.sqrt(V.shape[1])
     V = V / norms[:, None]
-    if P.degree > 1:
-        V = _refine_vectors(P, values, V)
     # deterministic sign: largest-magnitude component positive
     lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
     V[lead < 0] *= -1.0
@@ -246,10 +209,10 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
     """All nk proper values of P, ascending: eig of linearize(P), or for
     degree 1 eigh of the symmetric pencil matrix -D^{-1/2} A_0 D^{-1/2}.
 
-    The unit proper vectors are selected, and at degree k >= 2 refined, only
-    when the returned decomposition's ``vectors`` is first read (see
-    SpectralDecomposition).  CompanionTemplate.proper_values runs the same
-    eigensolver and checks on a matrix patched in place of this one.
+    The unit proper vectors are selected from the companion eigenvector
+    rows only when the returned decomposition's ``vectors`` is first read
+    (see SpectralDecomposition).  CompanionTemplate.proper_values runs the
+    same eigensolver and checks on a matrix patched in place of this one.
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
     imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two returned
@@ -260,7 +223,7 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
     non-symmetric A_0 raises InvariantViolation.
     """
     vals, rows = _spectrum(_companion(P), np.diag(P.coeffs[-1]), sep_tol)
-    return SpectralDecomposition(values=vals, polynomial=P, companion_rows=rows)
+    return SpectralDecomposition(values=vals, companion_rows=rows)
 
 
 @dataclass(frozen=True)
@@ -271,10 +234,10 @@ class CompanionTemplate:
 
     Entry (r, r) of A_s sits in the matrix at row (k-1)n + r, column sn + r
     (at degree 1: (r, r)), as -A_s[r, r] / lead[r], exactly as _companion
-    writes it; so proper_values(d) gives bitwise the values of proper_values
-    applied to P with diag(A_s) = d[sn:(s+1)n], without building that
-    polynomial or checking its leading coefficient, or at degree 1 the
-    symmetry of A_0, again.
+    writes it; so proper_values(d) gives bitwise the values and vectors of
+    proper_values applied to P with diag(A_s) = d[sn:(s+1)n], without
+    building that polynomial or checking its leading coefficient, or at
+    degree 1 the symmetry of A_0, again.
     """
 
     matrix: np.ndarray
@@ -292,13 +255,11 @@ class CompanionTemplate:
 
     def proper_values(self, d: np.ndarray) -> SpectralDecomposition:
         """Ascending proper values for the diagonals d (s-major), with the
-        checks of proper_values at this template's ``sep_tol``.  The result
-        carries no polynomial, so its ``vectors`` cannot be read until one
-        is attached (dataclasses.replace)."""
+        checks of proper_values at this template's ``sep_tol``."""
         d = np.asarray(d, dtype=float)
         if d.shape != self.lead.shape:
             raise ValueError(f"diagonals have shape {d.shape}, expected {self.lead.shape}")
         C = self.matrix.copy()
         C[self.diagonal] = -d / self.lead
         vals, rows = _spectrum(C, self.lead[:self.n], self.sep_tol)
-        return SpectralDecomposition(values=vals, polynomial=None, companion_rows=rows)
+        return SpectralDecomposition(values=vals, companion_rows=rows)

@@ -26,7 +26,6 @@ from .errors import DegenerateDenominator
 from .matpoly import (
     MatrixPolynomial,
     SpectralDecomposition,
-    _row_blocks,
     derivative,
     evaluate,
     proper_values,
@@ -34,6 +33,10 @@ from .matpoly import (
 from .seed import TargetSpectrum, block_assignment
 
 DENOM_TOL = 1e-10
+
+# cap on the entries of the stacked Q(lambda_q) matrices held at once (1 MiB
+# of doubles); _quadratic_forms evaluates over row blocks of this size
+_BLOCK_DOUBLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,12 @@ class PerturbationDirection:
     def __post_init__(self):
         if (self.diag is None) == (self.edge is None):
             raise ValueError("specify exactly one of diag or edge")
+
+
+def _row_blocks(count: int, n: int):
+    step = max(1, _BLOCK_DOUBLES // (n * n))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 def _quadratic_forms(Q: MatrixPolynomial, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -104,7 +113,7 @@ def jacobian_x(
 
     Row q is the q-th pair of ``decomp``; column s*n + r is diagonal entry r
     of coefficient s.  Reads ``decomp.vectors``, so this is where a
-    decomposition's proper vectors get refined.
+    decomposition's proper vectors are first selected.
     """
     n, k = P.n, P.degree
     nk = n * k

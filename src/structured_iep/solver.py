@@ -153,8 +153,8 @@ def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
     The kn unknowns are written into a copy of ``companion`` (default:
     companion_template(spec, tau), built here), so no polynomial is
     assembled or linearized: newton_solve builds the template once per
-    solve and passes it to every trial.  The decomposition carries no
-    polynomial; attach assemble(x, spec, tau) before reading its vectors.
+    solve and passes it to every trial.  Its vectors are bitwise those of
+    proper_values(assemble(x, spec, tau)).
     """
     if companion is None:
         companion = companion_template(spec, tau)
@@ -224,9 +224,10 @@ def newton_solve(
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map patches one companion template
     built per solve; the polynomial is assembled, and proper vectors
-    refined, only for the iterates that build a Jacobian and for the
-    report.  A failed solve raises NoConvergence / SingularJacobian /
-    NonRealSpectrum / NearDegenerate and builds no report.
+    selected from the companion eigenvectors, only for the iterates that
+    build a Jacobian and for the report.  A failed solve raises
+    NoConvergence / SingularJacobian / NonRealSpectrum / NearDegenerate and
+    builds no report.
     """
     ctl = spec.controls
     max_iter = ctl.max_iter if max_iter is None else max_iter
@@ -245,7 +246,7 @@ def newton_solve(
         if rnorm <= tol:
             return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
         P = assemble(x, spec, tau)
-        J = jacobian_x(P, replace(decomp, polynomial=P))
+        J = jacobian_x(P, decomp)
         try:
             dx = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:

@@ -15,14 +15,15 @@ from structured_iep import (
     continuation_solve,
     derivative,
     evaluate,
+    jacobian_x,
     linearize,
     proper_values,
     seed_coefficients,
     seed_diagonals,
 )
-from structured_iep import matpoly
+from structured_iep import matpoly, sensitivity
 
-from conftest import TARGETS, random_targets
+from conftest import TARGETS, golden_linked4_polynomial, golden_path4_polynomial, random_targets
 
 
 @pytest.fixture
@@ -197,20 +198,13 @@ class TestDeterminantOracles:
 
 def reference_vectors(P):
     """Proper vectors one value at a time: companion top block, the larger of
-    its real and imaginary parts, normalised, one inverse-iteration step (kept
-    unrefined when P(lambda) is singular), largest component positive."""
+    its real and imaginary parts, normalised, largest component positive."""
     w, V = np.linalg.eig(linearize(P))
     out = []
     for idx in np.argsort(w.real, kind="stable"):
         v = V[:P.n, idx]
         v = v.real if np.linalg.norm(v.real) >= np.linalg.norm(v.imag) else v.imag
         v = v / np.linalg.norm(v)
-        try:
-            x = np.linalg.solve(evaluate(P, w.real[idx]), v)
-            if np.isfinite(np.linalg.norm(x)) and np.linalg.norm(x) > 0:
-                v = x / np.linalg.norm(x)
-        except np.linalg.LinAlgError:
-            pass
         if v[np.argmax(np.abs(v))] < 0:
             v = -v
         out.append(v)
@@ -223,23 +217,64 @@ def sparse_graph(rng, n, mean_degree=2.0):
     return Graph(n=n, edges=tuple(zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())))
 
 
+def sparse_quadratic_80():
+    """n = 80, k = 2 seed diagonals with sparse off-diagonals at tau = 1."""
+    rng = np.random.default_rng(0)
+    n, k = 80, 2
+    m = n * k
+    vals = np.arange(m) - (m - 1) / 2 + rng.uniform(-0.35, 0.35, size=m)
+    g = sparse_graph(rng, n)
+    spec = ProblemSpec(
+        spectrum=TargetSpectrum(values=vals, n=n, k=k),
+        lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, size=n)),
+        graphs=(g, g),
+        epsilon=0.05,
+    )
+    return assemble(seed_diagonals(spec.seed()), spec)
+
+
+def solved_cubic():
+    """The converged continuation_solve of a seeded n = 4, k = 3 instance at
+    epsilon = 1 (the solve steps tau by 1/8 to reach 1)."""
+    rng = np.random.default_rng(5)
+    n, k = 4, 3
+    graphs = tuple(sparse_graph(rng, n) for _ in range(k))
+    spec = ProblemSpec(
+        spectrum=TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k),
+        lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
+        graphs=graphs,
+        epsilon=1.0,
+    )
+    rep = continuation_solve(spec)
+    assert rep.converged
+    return rep.polynomial
+
+
+@pytest.mark.parametrize("build", [golden_path4_polynomial, golden_linked4_polynomial,
+                                   sparse_quadratic_80, solved_cubic])
+def test_proper_vectors_have_small_backward_error(build):
+    # the vectors are the companion eigenvector blocks as eig returns them;
+    # normwise backward error ||P(lambda) v|| / sum_s |lambda|^s ||A_s||_F
+    P = build()
+    decomp = proper_values(P)
+    residuals = evaluate(P, decomp.values) @ decomp.vectors[:, :, None]
+    backward = np.linalg.norm(residuals[..., 0], axis=1) / P.coefficient_scale(decomp.values)
+    assert np.max(backward) <= 1e-13
+
+
 class TestBatchedRefinement:
     def test_matches_per_vector_reference_over_several_row_blocks(self):
-        rng = np.random.default_rng(0)
-        n, k = 80, 2
-        m = n * k
-        vals = np.arange(m) - (m - 1) / 2 + rng.uniform(-0.35, 0.35, size=m)
-        g = sparse_graph(rng, n)
-        spec = ProblemSpec(
-            spectrum=TargetSpectrum(values=vals, n=n, k=k),
-            lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, size=n)),
-            graphs=(g, g),
-            epsilon=0.05,
-        )
-        P = assemble(seed_diagonals(spec.seed()), spec)
-        assert len(list(matpoly._row_blocks(m, n))) > 1
+        P = sparse_quadratic_80()
+        n, m = P.n, P.n * P.degree
+        assert len(list(sensitivity._row_blocks(m, n))) > 1
         decomp = proper_values(P)
-        assert np.max(np.abs(decomp.vectors - reference_vectors(P))) <= 1e-12
+        V = reference_vectors(P)
+        assert np.max(np.abs(decomp.vectors - V)) <= 1e-12
+        # jacobian_x evaluates P' over the same row blocks
+        dP = derivative(P)
+        J = np.array([-(lam ** np.arange(P.degree))[:, None] * v ** 2 / (v @ evaluate(dP, lam) @ v)
+                      for lam, v in zip(decomp.values, V)]).reshape(m, m)
+        assert np.max(np.abs(jacobian_x(P, decomp) - J)) <= 1e-12 * np.max(np.abs(J))
 
     @pytest.mark.parametrize("n,k,vals", [
         (4, 2, TARGETS),
@@ -247,7 +282,7 @@ class TestBatchedRefinement:
     ])
     def test_singular_rows_keep_companion_vector(self, n, k, vals):
         # integer targets on a diagonal seed: eig returns them exactly, so
-        # P(lambda) has an exactly zero row and the batched solve raises
+        # P(lambda) has an exactly zero row and a solve with it raises
         spec = TargetSpectrum(values=vals, n=n, k=k)
         P = seed_coefficients(spec, LeadingDiagonal(alpha_k=np.ones(n)))
         decomp = proper_values(P)
@@ -291,11 +326,10 @@ class TestDegreeOnePencil:
         with pytest.raises(InvariantViolation):
             matpoly.CompanionTemplate.of(P)
 
-    def test_continuation_solve_uses_neither_eig_nor_refinement(self, monkeypatch):
+    def test_continuation_solve_does_not_call_eig(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("called at degree 1")
 
-        monkeypatch.setattr(matpoly, "_refine_vectors", forbidden)
         monkeypatch.setattr(np.linalg, "eig", forbidden)
         rng = np.random.default_rng(11)
         n = 6

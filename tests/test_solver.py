@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,14 +156,11 @@ class TestSpectralMap:
                                       reference_spectral_map(real[-1], spec, tau).values)
         assert boundaries >= 2
 
-    def test_vectors_need_an_attached_polynomial(self, path4_spec):
+    def test_template_vectors_equal_proper_values_vectors(self, path4_spec):
         gold = golden_path4_polynomial()
         x = np.concatenate([np.diag(gold.coeffs[0]), np.diag(gold.coeffs[1])])
         decomp = spectral_map(x, path4_spec)
-        with pytest.raises(ValueError):
-            decomp.vectors
-        P = assemble(x, path4_spec)
-        assert np.array_equal(replace(decomp, polynomial=P).vectors, proper_values(P).vectors)
+        assert np.array_equal(decomp.vectors, proper_values(assemble(x, path4_spec)).vectors)
 
 
 class TestMatchTargets:
@@ -470,25 +466,40 @@ class TestProblemSpecInvariants:
             )
 
 
-def test_vectors_refined_only_for_iterates_that_build_a_jacobian(path4_spec, monkeypatch):
+def test_vectors_selected_only_for_iterates_that_build_a_jacobian(path4_spec, monkeypatch):
     from structured_iep import matpoly, solver
 
-    refined, jacobians = [], []
-    refine, jacobian = matpoly._refine_vectors, solver.jacobian_x
+    selected, jacobians = [], []
+    select, jacobian = matpoly._proper_vectors, solver.jacobian_x
 
-    def counting_refine(P, values, V):
-        refined.append(len(values))
-        return refine(P, values, V)
+    def counting_select(rows):
+        selected.append(len(rows))
+        return select(rows)
 
     def counting_jacobian(*args, **kwargs):
         jacobians.append(1)
         return jacobian(*args, **kwargs)
 
-    monkeypatch.setattr(matpoly, "_refine_vectors", counting_refine)
+    monkeypatch.setattr(matpoly, "_proper_vectors", counting_select)
     monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
     report = continuation_solve(path4_spec)
     assert report.converged
-    assert jacobians and sum(refined) == path4_spec.n * path4_spec.k * len(jacobians)
-    refined.clear()
+    assert jacobians and sum(selected) == path4_spec.n * path4_spec.k * len(jacobians)
+    selected.clear()
     assert verify(report.polynomial, path4_spec).passed
-    assert refined == []
+    assert selected == []
+
+
+def test_k2_solve_makes_no_stacked_solve(path4_spec, monkeypatch):
+    # proper vectors come from the companion eigenvectors: the only linear
+    # solves are the n k x n k Newton and tangent systems, never one P(lambda_q)
+    # per value
+    shapes, solve = [], np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    assert continuation_solve(path4_spec).converged
+    assert shapes and all(len(shape) == 2 for shape in shapes)
