@@ -5,6 +5,7 @@ such records.
     python3 scripts/same_answers.py --out answers.json
     python3 scripts/same_answers.py --compare parent.json change.json
     python3 scripts/same_answers.py --compare parent.json change.json --rtol 1e-12
+    python3 scripts/same_answers.py --compare parent.json change.json --rtol 1e-9 --roots
 
 Solves, with continuation_solve of the package in this checkout's src/, the
 instances that perfbench/workloads.py generates (its generators are only
@@ -22,8 +23,10 @@ is not compared.  With --rtol R it applies the same-answers policy for
 changes that round differently instead: every instance converged in A
 converges in B, commonly converged instances have equal paths and
 iteration counts and x within R relative (max |x_A - x_B| / max |x_A|),
-and instances failed in both fail with the same kind and tau.  BLAS runs
-on one thread, as in perfbench/run.py.
+and instances failed in both fail with the same kind and tau.  --roots
+(with --rtol) drops the path and iteration-count equality from that
+policy, for changes that move the continuation path or the Newton start
+but not the root.  BLAS runs on one thread, as in perfbench/run.py.
 """
 
 import os
@@ -80,9 +83,10 @@ def relative_x_difference(ra: dict, rb: dict) -> float:
     return max(abs(u - v) for u, v in zip(xa, xb)) / scale
 
 
-def compare(a: dict, b: dict, rtol: float | None = None) -> list[str]:
+def compare(a: dict, b: dict, rtol: float | None = None, roots: bool = False) -> list[str]:
     """Differences between two records: bitwise, or under the same-answers
-    policy at relative tolerance rtol."""
+    policy at relative tolerance rtol, where ``roots`` leaves out the
+    equality of paths and iteration counts."""
     diffs = [f"{label}: only in {'the first' if label in a else 'the second'} record"
              for label in sorted(set(a) ^ set(b))]
     for label in sorted(a.keys() & b.keys()):
@@ -96,9 +100,9 @@ def compare(a: dict, b: dict, rtol: float | None = None) -> list[str]:
         elif not rb["converged"]:
             diffs.append(f"{label}: converged only in the first record")
         else:
-            if ra["continuation_path"] != rb["continuation_path"]:
+            if not roots and ra["continuation_path"] != rb["continuation_path"]:
                 diffs.append(f"{label}: continuation_path differs")
-            if len(ra["iterations"]) != len(rb["iterations"]):
+            if not roots and len(ra["iterations"]) != len(rb["iterations"]):
                 diffs.append(f"{label}: iteration count differs")
             rel = relative_x_difference(ra, rb)
             if rel > rtol:
@@ -113,15 +117,19 @@ def main() -> int:
     group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two answer files")
     ap.add_argument("--rtol", type=float, default=None,
                     help="with --compare: relative tolerance on x instead of a bitwise comparison")
+    ap.add_argument("--roots", action="store_true",
+                    help="with --rtol: compare roots only, not paths or iteration counts")
     args = ap.parse_args()
     if args.rtol is not None and not args.compare:
         ap.error("--rtol needs --compare")
+    if args.roots and args.rtol is None:
+        ap.error("--roots needs --rtol")
     if args.rtol is not None and not 0.0 <= args.rtol < float("inf"):
         ap.error("--rtol must be a finite non-negative number")
 
     if args.compare:
         a, b = (json.loads(pathlib.Path(p).read_text()) for p in args.compare)
-        diffs = compare(a, b, args.rtol)
+        diffs = compare(a, b, args.rtol, args.roots)
         for line in diffs:
             print(line)
         failed = sum(not r["converged"] for r in a.values())

@@ -7,7 +7,10 @@ off-diagonal strength can leave the real-spectrum regime, in which case the
 off-diagonals are ramped in by predictor-corrector continuation in their
 scale tau: each step predicts along the tangent of the solution curve and
 corrects with a capped Newton solve, keeping every converged step; the step
-halves on failure and doubles on success (continuation_solve).
+halves on failure and doubles on success (continuation_solve).  At the
+diagonal seed the tangent is zero, so correctors from the seed start at
+its closed-form second-order term instead, where that term moves no target
+by more than half its gap (_seed_curvature).
 """
 
 from __future__ import annotations
@@ -25,13 +28,20 @@ from .errors import (
     SingularJacobian,
 )
 from .graphs import Graph, graph_of_matrix, matrix_of_graph
-from .matpoly import CompanionTemplate, MatrixPolynomial, SEP_TOL_REL, proper_values
+from .matpoly import (
+    CompanionTemplate,
+    MatrixPolynomial,
+    SEP_TOL_REL,
+    SpectralDecomposition,
+    proper_values,
+)
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_diagonals
 from .sensitivity import jacobian_x, tau_derivative
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 MAX_BACKTRACKS = 2  # step lengths 1, 1/2, 1/4: see newton_solve
 MAX_CORRECTOR_ITER = 8  # Newton iteration cap for correctors at tau < 1
+SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
 
 
 @dataclass(frozen=True)
@@ -244,7 +254,7 @@ def newton_solve(
 
     for it in range(1, max_iter + 1):
         if rnorm <= tol:
-            return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
+            return _accepted(_report(spec, x, [tau], trace, rnorm, True, tau=tau), decomp)
         P = assemble(x, spec, tau)
         J = jacobian_x(P, decomp)
         try:
@@ -273,24 +283,96 @@ def newton_solve(
         if not accepted:
             raise NoConvergence(f"backtracking stalled at residual {rnorm:.3g} (iteration {it})")
     if rnorm <= tol:
-        return _report(spec, x, [tau], trace, rnorm, True, tau=tau)
+        return _accepted(_report(spec, x, [tau], trace, rnorm, True, tau=tau), decomp)
     raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {max_iter} iterations")
 
 
-def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float) -> np.ndarray:
-    """dx/dtau of the solution curve at a converged (tau, x): -J^{-1} dlambda/dtau,
-    or zero when the tangent cannot be formed (the predictor then is x)."""
-    P = assemble(x, spec, tau)
-    decomp = proper_values(P, sep_tol=_sep_tol(spec))
-    ramp = MatrixPolynomial(tuple(
+def _accepted(report: SolveReport, decomp: SpectralDecomposition) -> SolveReport:
+    """Attach to a converged newton_solve report, as ``_decomposition``, the
+    spectral_map of its last accepted iterate report.x: by the template's
+    contract bitwise proper_values(assemble(x, spec, tau)), so _tangent
+    needs no eig of its own.  It is not a field: replace() and comparisons
+    ignore it."""
+    object.__setattr__(report, "_decomposition", decomp)
+    return report
+
+
+def _ramp(spec: ProblemSpec) -> MatrixPolynomial:
+    """D(z) = sum_s z^s Y_s, Y_s the prescribed off-diagonals of coefficient
+    s: the direction in which tau moves the polynomial."""
+    return MatrixPolynomial(tuple(
         matrix_of_graph(g, np.zeros(spec.n), y) for g, y in zip(spec.graphs, spec.offdiag_values)
     ))
+
+
+def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float, decomp: SpectralDecomposition) -> np.ndarray:
+    """dx/dtau of the solution curve at a converged (tau, x) whose spectral
+    decomposition is ``decomp``: -J^{-1} dlambda/dtau, or zero when the
+    tangent cannot be formed (the predictor then is x)."""
+    P = assemble(x, spec, tau)
     try:
         J = jacobian_x(P, decomp)
-        xdot = -np.linalg.solve(J, tau_derivative(P, decomp, ramp))
+        xdot = -np.linalg.solve(J, tau_derivative(P, decomp, _ramp(spec)))
     except (np.linalg.LinAlgError, DegenerateDenominator):
         return np.zeros_like(x)
     return xdot if np.all(np.isfinite(xdot)) else np.zeros_like(x)
+
+
+def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
+    """The second-order seed predictor (c, rho): x(tau) = seed + tau^2 c +
+    O(tau^3) on the solution curve through the diagonal seed, and the shift
+    ratio rho that bounds where that expansion is used.
+
+    Let p_r be the seed's r-th diagonal scalar polynomial and D(z) =
+    sum_s z^s Y_s the off-diagonal ramp.  A Schur complement on entry r
+    moves its target lambda_q to lambda_q + tau^2 g_r(lambda_q) /
+    p_r'(lambda_q) + O(tau^3), with g_r(z) = sum_{j != r} D_rj(z)^2 / p_j(z)
+    (Andrew, Chu & Lancaster, SIAM J. Matrix Anal. Appl. 14, 1993).  Adding
+    tau^2 times the degree-(k-1) interpolant of g_r at r's k targets to p_r
+    cancels that shift, so entry r's block of c (c[s*n + r], s < k) holds
+    the interpolant's coefficients.  rho is the largest unpredicted shift
+    |g_r(lambda_q) / p_r'(lambda_q)| over the distance from lambda_q to its
+    nearest other target.
+
+    Built from the targets, the leading diagonal and the off-diagonal rows
+    of D at the targets: no eig, no Jacobian, O(nk * n) memory.  When c or
+    rho is not finite, the predictor is (0, inf): the bare seed.
+    """
+    n, k = spec.n, spec.k
+    lam = spec.spectrum.values  # input order: target q belongs to entry q // k
+    roots = lam.reshape(n, k)
+    entry = np.repeat(np.arange(n), k)
+    with np.errstate(all="ignore"):
+        # row q: D_rj(lambda_q) and p_j(lambda_q) for r = entry[q], every j
+        d_row = np.zeros((n * k, n))
+        for y in reversed(_ramp(spec).coeffs):
+            d_row = d_row * lam[:, None] + y[entry]
+        p_row = np.tile(spec.lead.alpha_k, (n * k, 1))
+        for i in range(k):
+            p_row *= lam[:, None] - roots[:, i]
+        p_row[np.arange(n * k), entry] = 1.0  # its own term: D has a zero diagonal
+        g = np.sum(d_row ** 2 / p_row, axis=1)
+        # p_r'(lambda_q) = alpha_r * prod of lambda_q - lambda_q' over r's other targets
+        diff = roots[:, :, None] - roots[:, None, :]
+        diff[:, np.arange(k), np.arange(k)] = 1.0
+        shift = g / (spec.lead.alpha_k[:, None] * np.prod(diff, axis=2)).ravel()
+        order = np.argsort(lam)
+        gaps = np.concatenate(([np.inf], np.diff(lam[order]), [np.inf]))
+        gap = np.empty(n * k)
+        gap[order] = np.minimum(gaps[:-1], gaps[1:])
+        rho = float(np.max(np.abs(shift) / gap))
+        # Newton divided differences of g over each entry's targets, then
+        # the interpolant's monomial coefficients by Horner on its Newton form
+        dd = g.reshape(n, k)
+        for j in range(1, k):
+            dd[:, j:] = (dd[:, j:] - dd[:, j - 1:-1]) / (roots[:, j:] - roots[:, :-j])
+        coef = np.zeros((n, k))
+        for j in range(k - 1, -1, -1):  # coef(z) <- coef(z) * (z - roots[:, j]) + dd[:, j]
+            coef = np.concatenate((dd[:, j, None], coef[:, :-1]), axis=1) - roots[:, j, None] * coef
+    c = coef.T.ravel()
+    if not (np.all(np.isfinite(c)) and np.isfinite(rho)):
+        return np.zeros_like(c), np.inf
+    return c, rho
 
 
 def continuation_solve(spec: ProblemSpec) -> SolveReport:
@@ -298,9 +380,15 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
 
     Keeps the last converged (tau, x), starting from the diagonal seed at
     tau = 0 with a first step of dtau = 1: the full problem is tried first.
-    Each step predicts x + dtau * dx/dtau along the tangent of the solution
-    curve (zero at the seed, where every proper vector is a unit vector)
-    and corrects with newton_solve: at most min(max_iter,
+    From a converged tau > 0, each step predicts x + dtau * dx/dtau along
+    the tangent of the solution curve.  At the seed that tangent is zero
+    (every proper vector is a unit vector), so a corrector from the seed
+    (the direct attempt at tau = 1 and its halved retries) starts at the
+    second-order prediction seed + tau^2 c of _seed_curvature when tau^2
+    rho <= SEED_SHIFT_MAX: no predicted target shift then exceeds half the
+    gap to its nearest other target, where the expansion and the sorted
+    matching hold.  Otherwise it starts at the bare seed.  Each prediction
+    is corrected with newton_solve: at most min(max_iter,
     MAX_CORRECTOR_ITER) iterations below tau = 1, controls.max_iter at
     tau = 1.  A failed corrector halves the step and retries from the last
     converged point; a converged one doubles it, clipped to 1 - tau.  The
@@ -312,7 +400,8 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     which no step converges costs log2(M) + 1 = 7.  Each Newton solve makes
     at most 1 + controls.max_iter * (MAX_BACKTRACKS + 1) spectral_map
     evaluations (151 by default), so a solve makes at most 133 * 151 =
-    20,083 with the default controls.
+    20,083 with the default controls.  The predictors choose only where a
+    corrector starts, so neither budget depends on them.
 
     continuation_path holds the converged tau values, ascending (to 1 on
     success).  On failure the report is the last converged (tau, x), with
@@ -322,15 +411,21 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     """
     ctl = spec.controls
     x = seed_diagonals(spec.seed())
-    xdot = np.zeros_like(x)
+    curvature, rho = _seed_curvature(spec)
     tau, dtau = 0.0, 1.0
     path, trace = [], []
     while True:
         # absorb rounding in tau + dtau so the last step lands exactly on 1
         tau_next = 1.0 if tau + dtau > 1.0 - 1e-12 else tau + dtau
         max_iter = None if tau_next == 1.0 else min(ctl.max_iter, MAX_CORRECTOR_ITER)
+        if path:
+            x0 = x + (tau_next - tau) * xdot
+        elif tau_next ** 2 * rho <= SEED_SHIFT_MAX:
+            x0 = x + tau_next ** 2 * curvature
+        else:
+            x0 = x
         try:
-            rep = newton_solve(spec, x0=x + (tau_next - tau) * xdot, tau=tau_next, max_iter=max_iter)
+            rep = newton_solve(spec, x0=x0, tau=tau_next, max_iter=max_iter)
         except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian,
                 DegenerateDenominator) as exc:
             dtau *= 0.5
@@ -345,7 +440,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         trace.extend(rep.iterations)
         if tau == 1.0:
             return replace(rep, continuation_path=tuple(path), iterations=tuple(trace))
-        xdot = _tangent(spec, x, tau)
+        xdot = _tangent(spec, x, tau, rep._decomposition)
         dtau = min(2.0 * dtau, 1.0 - tau)
 
 

@@ -277,11 +277,16 @@ class TestContinuationSolve:
     def test_single_step_matches_direct_newton(self):
         rng = np.random.default_rng(41)
         spec = make_spec(rng, 4, 2, epsilon=0.1)
-        direct = newton_solve(spec)
+        curvature, rho = solver._seed_curvature(spec)
+        assert rho <= solver.SEED_SHIFT_MAX  # the direct attempt starts at seed + c
+        predicted = newton_solve(spec, x0=seed_diagonals(spec.seed()) + curvature)
         cont = continuation_solve(spec)
         assert cont.continuation_path == (1.0,)
-        assert np.array_equal(cont.x, direct.x)
-        assert cont.iterations == direct.iterations
+        assert np.array_equal(cont.x, predicted.x)
+        assert cont.iterations == predicted.iterations
+        # the same root as Newton from the bare seed
+        direct = newton_solve(spec)
+        assert np.max(np.abs(cont.x - direct.x)) <= 1e-9 * np.max(np.abs(direct.x))
 
     def test_path4_requires_continuation(self, path4_spec):
         rep = continuation_solve(path4_spec)
@@ -363,7 +368,7 @@ class TestContinuationSolve:
     @pytest.mark.parametrize("spec, newton_budget", [
         # no step converges: log2(M) + 1 Newton solves
         (complex_pair_spec(), int(np.log2(solver.MAX_CONTINUATION_STEPS)) + 1),
-        # six tau steps converge, then a corrector stalls: 2M - 1 + log2(M)
+        # five tau steps converge, then a corrector stalls: 2M - 1 + log2(M)
         (make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0),
          2 * solver.MAX_CONTINUATION_STEPS - 1 + int(np.log2(solver.MAX_CONTINUATION_STEPS))),
     ], ids=["complex_pair", "stalling"])
@@ -503,3 +508,123 @@ def test_k2_solve_makes_no_stacked_solve(path4_spec, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     assert continuation_solve(path4_spec).converged
     assert shapes and all(len(shape) == 2 for shape in shapes)
+
+
+def record_start_points(monkeypatch):
+    """The x0 of every newton_solve that continuation_solve makes."""
+    starts, newton = [], solver.newton_solve
+
+    def recording(*args, **kwargs):
+        starts.append(np.array(kwargs["x0"], copy=True))
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    return starts
+
+
+def near_resonant_spec():
+    """Targets -1 and -1.0001 sit on different diagonal entries joined by an
+    edge of G_0: the seed predictor's shift dwarfs their gap."""
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=np.array([-1.0, -5.0, -1.0001, 3.0]), n=2, k=2),
+        lead=LeadingDiagonal(alpha_k=np.ones(2)),
+        graphs=(Graph(2, ((1, 2),)), Graph(2)),
+        epsilon=0.5,
+    )
+
+
+class TestSeedPredictor:
+    @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec", "k1", "k3"])
+    def test_error_is_third_order_or_better_in_tau(self, name, request):
+        if name in ("k1", "k3"):
+            # path graphs are bipartite, so x(tau) is even in tau, as on path4
+            k = int(name[1])
+            spec = ProblemSpec(
+                spectrum=TargetSpectrum(values=random_targets(np.random.default_rng(7), 4, k), n=4, k=k),
+                lead=LeadingDiagonal(alpha_k=np.array([0.5, 1.0, 1.5, 2.0])),
+                graphs=(Graph(4, PATH_EDGES),) * k,
+                epsilon=0.3,
+                controls=SolverControls(newton_tol=1e-13),
+            )
+        else:
+            spec = quadratic_targets_spec(request.getfixturevalue(name).graphs, newton_tol=1e-13)
+        curvature, _ = solver._seed_curvature(spec)
+        seed = seed_diagonals(spec.seed())
+        errors = []
+        for tau in (0.04, 0.02, 0.01):
+            predicted = seed + tau ** 2 * curvature
+            rep = newton_solve(spec, x0=predicted, tau=tau)
+            errors.append(np.linalg.norm(rep.x - predicted))
+        # x(tau) - seed - tau^2 c = O(tau^3): at least 8x smaller per halving
+        assert errors[0] >= 8 * errors[1] and errors[1] >= 8 * errors[2]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_a_per_entry_reference(self, k):
+        # g_r and p_r' from the assembled seed and ramp, one entry at a time,
+        # and the interpolant from a Vandermonde solve
+        spec = make_spec(np.random.default_rng(11), 5, k, epsilon=0.4)
+        n, seed, targets = spec.n, spec.seed(), spec.spectrum.values
+        ramp = matpoly.MatrixPolynomial(assemble(np.zeros(n * k), spec).coeffs[:k])
+        c_ref, rho_ref = np.empty(n * k), 0.0
+        for r in range(n):
+            roots = targets[r * k:(r + 1) * k]
+            g = np.empty(k)
+            for i, lam in enumerate(roots):
+                D, S = matpoly.evaluate(ramp, lam), matpoly.evaluate(seed, lam)
+                g[i] = sum(D[r, j] ** 2 / S[j, j] for j in range(n) if j != r)
+                slope = matpoly.evaluate(matpoly.derivative(seed), lam)[r, r]
+                gap = np.min(np.abs(targets[targets != lam] - lam))
+                rho_ref = max(rho_ref, abs(g[i] / slope) / gap)
+            c_ref[r::n] = np.linalg.solve(np.vander(roots, k, increasing=True), g)
+        c, rho = solver._seed_curvature(spec)
+        assert np.allclose(c, c_ref, rtol=1e-10, atol=1e-12 * np.max(np.abs(c_ref)))
+        assert rho == pytest.approx(rho_ref, rel=1e-10)
+
+    def test_near_resonant_pair_starts_at_the_bare_seed(self, monkeypatch):
+        spec = near_resonant_spec()
+        _, rho = solver._seed_curvature(spec)
+        assert rho > solver.SEED_SHIFT_MAX
+        starts = record_start_points(monkeypatch)
+        continuation_solve(spec)
+        seed = seed_diagonals(spec.seed())
+        assert starts[0].tobytes() == seed.tobytes()
+
+    def test_small_shift_ratio_starts_at_seed_plus_curvature(self, monkeypatch):
+        spec = make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1)
+        curvature, rho = solver._seed_curvature(spec)
+        assert rho <= solver.SEED_SHIFT_MAX
+        starts = record_start_points(monkeypatch)
+        continuation_solve(spec)
+        assert starts[0].tobytes() == (seed_diagonals(spec.seed()) + curvature).tobytes()
+
+    def test_retries_from_the_seed_use_the_gate_at_their_own_tau(self, path4_spec, monkeypatch):
+        # rho = 1.32: the direct attempt at tau = 1 starts at the bare seed,
+        # its retry at tau = 1/2 at seed + c / 4
+        curvature, rho = solver._seed_curvature(path4_spec)
+        assert 0.25 * rho <= solver.SEED_SHIFT_MAX < rho
+        starts = record_start_points(monkeypatch)
+        rep = continuation_solve(path4_spec)
+        seed = seed_diagonals(path4_spec.seed())
+        assert rep.continuation_path == (0.5, 1.0)
+        assert starts[0].tobytes() == seed.tobytes()
+        assert starts[1].tobytes() == (seed + 0.25 * curvature).tobytes()
+
+
+def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
+    curvature, _ = solver._seed_curvature(path4_spec)
+    rep = newton_solve(path4_spec, x0=seed_diagonals(path4_spec.seed()) + 0.25 * curvature, tau=0.5)
+    fresh = reference_spectral_map(rep.x, path4_spec, 0.5)
+    assert np.array_equal(solver._tangent(path4_spec, rep.x, 0.5, rep._decomposition),
+                          solver._tangent(path4_spec, rep.x, 0.5, fresh))
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return proper_values(*args, **kwargs)
+
+    monkeypatch.setattr(matpoly, "proper_values", counting)
+    monkeypatch.setattr(solver, "proper_values", counting)
+    rep = continuation_solve(path4_spec)
+    assert rep.converged and len(rep.continuation_path) > 1
+    assert calls == []
