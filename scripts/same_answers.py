@@ -26,31 +26,28 @@ iteration counts and x within R relative (max |x_A - x_B| / max |x_A|),
 and instances failed in both fail with the same kind and tau.  --roots
 (with --rtol) drops the path and iteration-count equality from that
 policy, for changes that move the continuation path or the Newton start
-but not the root.  BLAS runs on one thread, as in perfbench/run.py.
+but not the root.  --out runs BLAS on one thread, as in perfbench/run.py.
+Importing this module (for compare()) changes neither os.environ nor
+sys.path: only --out does, before it imports numpy.
 """
 
+import argparse
+import json
 import os
-
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import pathlib  # noqa: E402
-import re  # noqa: E402
-import sys  # noqa: E402
+import pathlib
+import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import workloads  # noqa: E402
-from structured_iep import continuation_solve  # noqa: E402
-
 CORPUS_SEEDS = (1, 2, 3)
 FAILURE = re.compile(r"(\w+) at tau=([^:]+): ")
 
 
 def instances():
-    """(label, spec) for every instance, in a fixed order."""
+    """(label, spec) for every instance, in a fixed order; perfbench/ must
+    be on sys.path."""
+    import workloads
+
     for seed in CORPUS_SEEDS:
         saved, workloads.CORPUS_SEED = workloads.CORPUS_SEED, seed
         try:
@@ -63,6 +60,8 @@ def instances():
 
 
 def answer(spec) -> dict:
+    from structured_iep import continuation_solve
+
     rep = continuation_solve(spec)
     if rep.converged:
         return {
@@ -141,6 +140,8 @@ def main() -> int:
             print(f"largest relative x difference on {len(both)} commonly converged: {worst:.3g}")
         return 1 if diffs else 0
 
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     answers = {label: answer(spec) for label, spec in instances()}
     pathlib.Path(args.out).write_text(json.dumps(answers, indent=1) + "\n")
     failed = sum(not r["converged"] for r in answers.values())

@@ -35,8 +35,6 @@ from .matpoly import (
 from .seed import (
     LeadingDiagonal,
     TargetSpectrum,
-    block_assignment,
-    elementary_symmetric,
     seed_coefficients,
     seed_diagonals,
 )
@@ -71,8 +69,7 @@ __all__ = [
     "Graph", "graph_of_matrix", "matrix_of_graph",
     "CompanionTemplate", "MatrixPolynomial", "SpectralDecomposition", "derivative", "evaluate",
     "linearize", "proper_values",
-    "LeadingDiagonal", "TargetSpectrum", "block_assignment",
-    "elementary_symmetric", "seed_coefficients", "seed_diagonals",
+    "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_diagonals",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
     "seed_vandermonde_check", "tau_derivative",
     "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",

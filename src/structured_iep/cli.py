@@ -114,7 +114,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = load_problem(args.problem, overrides=_control_overrides(args))
+    # --tol is the value tolerance here, not a Newton tolerance
+    spec = load_problem(args.problem, overrides={"max_iter": args.max_iter})
     P = load_polynomial(args.polynomial)
     tol = args.tol if args.tol is not None else 1e-8
     report = verify(P, spec, value_tol=tol)

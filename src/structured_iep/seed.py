@@ -4,7 +4,9 @@ Target q (1-based, in the user's input order) is assigned to diagonal
 entry r = ceil(q/k), so entry r of the seed is the scalar polynomial
 alpha_k[r] * prod(z - lambda_q) over its k assigned targets.  Input-order
 assignment is deliberate: it gives users control over which targets share
-a diagonal entry.
+a diagonal entry.  TargetSpectrum.blocks is the one place that reads that
+order; the seed, the seed predictor and the seed Jacobian check all take
+their targets from it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ class TargetSpectrum:
     def sorted_values(self) -> np.ndarray:
         return np.sort(self.values)
 
+    @property
+    def blocks(self) -> np.ndarray:
+        """(n, k) view of the values: row r holds diagonal entry r's targets."""
+        return self.values.reshape(self.n, self.k)
+
 
 @dataclass(frozen=True)
 class LeadingDiagonal:
@@ -58,55 +65,26 @@ class LeadingDiagonal:
             raise InvariantViolation("leading diagonal entries must be finite and strictly positive")
 
 
-def elementary_symmetric(roots, j: int) -> float:
-    """e_j(roots): sum over all j-subsets of the product of their elements.
-
-    Computed by the one-pass recurrence (prepend one root at a time),
-    O(k^2) instead of the O(2^k) subset sum it equals.
-    """
-    roots = np.asarray(roots, dtype=float)
-    k = len(roots)
-    if not (0 <= j <= k):
-        raise ValueError(f"j={j} out of range 0..{k}")
-    e = np.zeros(j + 1)
-    e[0] = 1.0
-    for r in roots:
-        for t in range(min(j, k), 0, -1):
-            e[t] = e[t] + r * e[t - 1]
-    return float(e[j])
-
-
-def block_assignment(spec: TargetSpectrum) -> dict[int, int]:
-    """Map target index q (1-based, input order) to diagonal entry r = ceil(q/k)."""
-    return {q: (q - 1) // spec.k + 1 for q in range(1, spec.n * spec.k + 1)}
-
-
-def block_roots(spec: TargetSpectrum, r: int) -> np.ndarray:
-    """The k targets assigned to diagonal entry r (1-based)."""
-    return spec.values[(r - 1) * spec.k: r * spec.k]
-
-
 def seed_coefficients(spec: TargetSpectrum, lead: LeadingDiagonal) -> MatrixPolynomial:
-    """Diagonal matrix polynomial whose entry (t,t) is
-    alpha_k[t] * prod(z - lambda_q) over the targets assigned to t.
+    """Diagonal matrix polynomial whose entry (r,r) is
+    alpha_k[r] * prod(z - lambda_q) over the targets in row r of spec.blocks.
 
-    Coefficient s of entry t is (-1)^(k-s) * alpha_k[t] * e_{k-s}(assigned
-    targets).
+    Coefficient s of entry r is (-1)^(k-s) * alpha_k[r] * e_{k-s}(r's
+    targets), the elementary symmetric polynomials e_j built for every entry
+    at once by prepending one root at a time (O(nk^2), not the O(2^k) subset
+    sum they equal).
     """
     n, k = spec.n, spec.k
     if lead.alpha_k.shape != (n,):
         raise InvariantViolation(f"leading diagonal has length {lead.alpha_k.shape[0]}, expected {n}")
-    coeffs = [np.zeros((n, n)) for _ in range(k + 1)]
-    for t in range(1, n + 1):
-        roots = block_roots(spec, t)
-        for s in range(k):
-            coeffs[s][t - 1, t - 1] = (
-                (-1.0) ** (k - s) * lead.alpha_k[t - 1] * elementary_symmetric(roots, k - s)
-            )
-        coeffs[k][t - 1, t - 1] = lead.alpha_k[t - 1]
+    e = np.zeros((n, k + 1))  # e[r, j] = e_j of entry r's targets
+    e[:, 0] = 1.0
+    for root in spec.blocks.T:
+        e[:, 1:] = e[:, 1:] + root[:, None] * e[:, :-1]
+    coeffs = tuple(np.diag((-1.0) ** (k - s) * lead.alpha_k * e[:, k - s]) for s in range(k + 1))
     if not all(np.all(np.isfinite(c)) for c in coeffs):
         raise InvariantViolation("seed coefficients are not finite: targets or leading diagonal too large")
-    return MatrixPolynomial(tuple(coeffs))
+    return MatrixPolynomial(coeffs)
 
 
 def seed_diagonals(seed: MatrixPolynomial) -> np.ndarray:

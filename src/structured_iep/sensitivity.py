@@ -30,7 +30,7 @@ from .matpoly import (
     evaluate,
     proper_values,
 )
-from .seed import TargetSpectrum, block_assignment
+from .seed import TargetSpectrum
 
 DENOM_TOL = 1e-10
 
@@ -178,18 +178,19 @@ def seed_vandermonde_check(
 ) -> dict:
     """Structure check of the Jacobian at a diagonal seed.
 
-    After negating, scaling row q by (P'(lambda_q))_rr, and permuting rows
-    into target blocks and columns into diagonal-entry blocks, the Jacobian
-    must be block diagonal with n Vandermonde blocks (1, lam, ..., lam^(k-1)).
-    Returns the scaled matrix, the expected Vandermonde form, the maximum
-    relative entrywise deviation, and off-block leakage.
+    Target q is row q of spec.blocks flattened, so it belongs to diagonal
+    entry r = q // k.  After negating, scaling row q by (P'(lambda_q))_rr,
+    and permuting rows into these target blocks and columns into
+    diagonal-entry blocks, the Jacobian must be block diagonal with n
+    Vandermonde blocks (1, lam, ..., lam^(k-1)).  Returns the scaled matrix,
+    the expected Vandermonde form, the maximum relative entrywise deviation,
+    and off-block leakage.
     """
     n, k = spec.n, spec.k
     nk = n * k
-    assign = block_assignment(spec)
-    entry = np.array([assign[q] for q in range(1, nk + 1)]) - 1  # 0-based entry of target q
+    entry = np.repeat(np.arange(n), k)  # 0-based entry of target q
     # row for target q = position of lambda_q in the ascending decomposition
-    order = np.argsort(spec.values, kind="stable")
+    order = np.argsort(spec.blocks.ravel(), kind="stable")
     row_of_target = np.empty(nk, dtype=int)
     row_of_target[order] = np.arange(nk)
     lam = decomp.values[row_of_target]

@@ -16,6 +16,7 @@ by more than half its gap (_seed_curvature).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,18 @@ class ProblemSpec:
     def seed(self) -> MatrixPolynomial:
         return seed_coefficients(self.spectrum, self.lead)
 
+    @cached_property
+    def ramp(self) -> MatrixPolynomial:
+        """D(z) = sum_s z^s Y_s, Y_s the prescribed off-diagonals of
+        coefficient s on a zero diagonal: the direction in which tau moves
+        the polynomial.  Built once per spec; its matrices are read-only."""
+        coeffs = tuple(
+            matrix_of_graph(g, np.zeros(self.n), y) for g, y in zip(self.graphs, self.offdiag_values)
+        )
+        for c in coeffs:
+            c.flags.writeable = False
+        return MatrixPolynomial(coeffs)
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -132,14 +145,18 @@ class SolveReport:
 
 def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolynomial:
     """Build the polynomial from diagonal unknowns x (s-major) with the
-    prescribed off-diagonals scaled by tau; leading coefficient is fixed."""
+    prescribed off-diagonals scaled by tau; leading coefficient is fixed.
+
+    Coefficient s is tau * Y_s of spec.ramp with x's block s written on its
+    diagonal: for tau >= 0 bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).
+    """
     n, k = spec.n, spec.k
     x = np.asarray(x, dtype=float)
     if x.shape != (n * k,):
         raise ValueError(f"x has shape {x.shape}, expected ({n * k},)")
-    coeffs = []
-    for s in range(k):
-        coeffs.append(matrix_of_graph(spec.graphs[s], x[s * n:(s + 1) * n], tau * spec.offdiag_values[s]))
+    coeffs = [tau * y for y in spec.ramp.coeffs]
+    for s, c in enumerate(coeffs):
+        c[np.diag_indices(n)] = x[s * n:(s + 1) * n]
     coeffs.append(np.diag(spec.lead.alpha_k))
     return MatrixPolynomial(tuple(coeffs))
 
@@ -297,14 +314,6 @@ def _accepted(report: SolveReport, decomp: SpectralDecomposition) -> SolveReport
     return report
 
 
-def _ramp(spec: ProblemSpec) -> MatrixPolynomial:
-    """D(z) = sum_s z^s Y_s, Y_s the prescribed off-diagonals of coefficient
-    s: the direction in which tau moves the polynomial."""
-    return MatrixPolynomial(tuple(
-        matrix_of_graph(g, np.zeros(spec.n), y) for g, y in zip(spec.graphs, spec.offdiag_values)
-    ))
-
-
 def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float, decomp: SpectralDecomposition) -> np.ndarray:
     """dx/dtau of the solution curve at a converged (tau, x) whose spectral
     decomposition is ``decomp``: -J^{-1} dlambda/dtau, or zero when the
@@ -312,7 +321,7 @@ def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float, decomp: SpectralDecom
     P = assemble(x, spec, tau)
     try:
         J = jacobian_x(P, decomp)
-        xdot = -np.linalg.solve(J, tau_derivative(P, decomp, _ramp(spec)))
+        xdot = -np.linalg.solve(J, tau_derivative(P, decomp, spec.ramp))
     except (np.linalg.LinAlgError, DegenerateDenominator):
         return np.zeros_like(x)
     return xdot if np.all(np.isfinite(xdot)) else np.zeros_like(x)
@@ -323,14 +332,15 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     O(tau^3) on the solution curve through the diagonal seed, and the shift
     ratio rho that bounds where that expansion is used.
 
-    Let p_r be the seed's r-th diagonal scalar polynomial and D(z) =
-    sum_s z^s Y_s the off-diagonal ramp.  A Schur complement on entry r
-    moves its target lambda_q to lambda_q + tau^2 g_r(lambda_q) /
-    p_r'(lambda_q) + O(tau^3), with g_r(z) = sum_{j != r} D_rj(z)^2 / p_j(z)
-    (Andrew, Chu & Lancaster, SIAM J. Matrix Anal. Appl. 14, 1993).  Adding
-    tau^2 times the degree-(k-1) interpolant of g_r at r's k targets to p_r
-    cancels that shift, so entry r's block of c (c[s*n + r], s < k) holds
-    the interpolant's coefficients.  rho is the largest unpredicted shift
+    Let p_r be the seed's r-th diagonal scalar polynomial, whose roots are
+    row r of spec.spectrum.blocks, and D(z) = sum_s z^s Y_s the off-diagonal
+    ramp spec.ramp.  A Schur complement on entry r moves its target lambda_q
+    to lambda_q + tau^2 g_r(lambda_q) / p_r'(lambda_q) + O(tau^3), with
+    g_r(z) = sum_{j != r} D_rj(z)^2 / p_j(z) (Andrew, Chu & Lancaster, SIAM
+    J. Matrix Anal. Appl. 14, 1993).  Adding tau^2 times the degree-(k-1)
+    interpolant of g_r at r's k targets to p_r cancels that shift, so entry
+    r's block of c (c[s*n + r], s < k) holds the interpolant's
+    coefficients.  rho is the largest unpredicted shift
     |g_r(lambda_q) / p_r'(lambda_q)| over the distance from lambda_q to its
     nearest other target.
 
@@ -339,13 +349,13 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     rho is not finite, the predictor is (0, inf): the bare seed.
     """
     n, k = spec.n, spec.k
-    lam = spec.spectrum.values  # input order: target q belongs to entry q // k
-    roots = lam.reshape(n, k)
+    roots = spec.spectrum.blocks
+    lam = roots.ravel()  # target q belongs to entry q // k
     entry = np.repeat(np.arange(n), k)
     with np.errstate(all="ignore"):
         # row q: D_rj(lambda_q) and p_j(lambda_q) for r = entry[q], every j
         d_row = np.zeros((n * k, n))
-        for y in reversed(_ramp(spec).coeffs):
+        for y in reversed(spec.ramp.coeffs):
             d_row = d_row * lam[:, None] + y[entry]
         p_row = np.tile(spec.lead.alpha_k, (n * k, 1))
         for i in range(k):
@@ -459,8 +469,11 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     """Independent check of a candidate polynomial against the problem:
     recompute proper values, compare to sorted targets, check every
     coefficient's graph and the leading coefficient.  Raises
-    InvariantViolation when P's size n or degree k is not the problem's, or
-    a coefficient is not finite and symmetric."""
+    InvariantViolation when value_tol is negative or not finite, when P's
+    size n or degree k is not the problem's, or when a coefficient is not
+    finite and symmetric."""
+    if not 0.0 <= value_tol < np.inf:
+        raise InvariantViolation(f"value_tol must be finite and non-negative, got {value_tol}")
     if (P.n, P.degree) != (spec.n, spec.k):
         raise InvariantViolation(
             f"polynomial has n={P.n}, k={P.degree}; the problem has n={spec.n}, k={spec.k}"

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structured_iep import DegenerateDenominator, SolverControls, cli
+from structured_iep.problems import load_problem
 
 from conftest import (
     LINKED4_D_DIAG,
@@ -457,6 +458,35 @@ def test_stdout_without_out_is_only_the_report(capsys, tmp_path, command):
     code, out, _ = run(capsys, argv)  # neither --out nor --quiet
     assert code == 0
     assert isinstance(strict_json(out), dict)
+
+
+class TestVerifyTol:
+    """verify takes --tol as its value tolerance only, never as newton_tol."""
+
+    @pytest.fixture(scope="class")
+    def solved(self, tmp_path_factory):
+        poly = tmp_path_factory.mktemp("verify_tol") / "solved.json"
+        assert cli.main(["--quiet", "solve", PATH4, "--out", str(poly)]) == 0
+        return str(poly)
+
+    def test_zero_is_a_value_tolerance(self, capsys, solved):
+        code, out, err = run(capsys, ["--quiet", "--tol", "0", "verify", solved, PATH4])
+        doc = strict_json(out)
+        assert err == ""
+        assert code == cli.EXIT_VERIFY_FAIL and doc["residual"] > 0.0
+        assert doc["failure"].startswith("spectral residual") and "tolerance 0" in doc["failure"]
+
+    def test_tol_leaves_the_newton_tolerance_alone(self, capsys, solved):
+        code, out, _ = run(capsys, ["--quiet", "--tol", "1e-3", "verify", solved, PATH4])
+        assert code == 0
+        default = SolverControls().resolved_tol(load_problem(PATH4).spectrum)
+        assert strict_json(out)["config"]["controls"]["newton_tol"] == default
+
+    @pytest.mark.parametrize("tol", ["-0.001", "nan", "inf"])
+    def test_negative_or_non_finite_exits_three(self, capsys, solved, tol):
+        code, out, err = run(capsys, ["--quiet", "--tol", tol, "verify", solved, PATH4])
+        assert code == cli.EXIT_INVARIANT and out == ""
+        assert err.startswith("error:") and "value_tol" in err
 
 
 def test_tol_override_reaches_solver(capsys):

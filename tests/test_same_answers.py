@@ -4,21 +4,29 @@ argument check, on hand-built records (no solves)."""
 import importlib.util
 import os
 import sys
-from unittest import mock
 
 import pytest
 
 from conftest import ROOT
 
 
-@pytest.fixture(scope="module")
-def same_answers():
-    # the script pins BLAS threads and extends sys.path on import: undo both
+def load_script():
     spec = importlib.util.spec_from_file_location("same_answers", ROOT / "scripts" / "same_answers.py")
     module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
-        spec.loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def same_answers():
+    return load_script()
+
+
+def test_import_leaves_the_environment_and_sys_path_alone():
+    environ, path = dict(os.environ), list(sys.path)
+    load_script()
+    assert dict(os.environ) == environ
+    assert sys.path == path
 
 
 def converged(x, path=(1.0,), iterations=2):

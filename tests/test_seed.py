@@ -9,8 +9,6 @@ from structured_iep import (
     InvariantViolation,
     LeadingDiagonal,
     TargetSpectrum,
-    block_assignment,
-    elementary_symmetric,
     proper_values,
     seed_coefficients,
     seed_diagonals,
@@ -25,46 +23,59 @@ def subset_sum_oracle(roots, j):
 
 
 class TestElementarySymmetric:
+    """Coefficient s of seed entry r is (-1)^(k-s) * alpha_r * e_{k-s} of the
+    targets in row r of spec.blocks."""
+
     def test_pair_minus_two_minus_four(self):
-        assert elementary_symmetric([-2.0, -4.0], 1) == -6.0
-        assert elementary_symmetric([-2.0, -4.0], 2) == 8.0
+        P = seed_coefficients(TargetSpectrum(values=np.array([-2.0, -4.0]), n=1, k=2),
+                              LeadingDiagonal(alpha_k=np.ones(1)))
+        assert P.coeffs[1][0, 0] == 6.0  # -e_1
+        assert P.coeffs[0][0, 0] == 8.0  # e_2
 
     def test_pair_minus_six_minus_eight(self):
-        assert elementary_symmetric([-6.0, -8.0], 1) == -14.0
-        assert elementary_symmetric([-6.0, -8.0], 2) == 48.0
+        P = seed_coefficients(TargetSpectrum(values=np.array([-6.0, -8.0]), n=1, k=2),
+                              LeadingDiagonal(alpha_k=np.ones(1)))
+        assert P.coeffs[1][0, 0] == 14.0
+        assert P.coeffs[0][0, 0] == 48.0
 
     def test_j_zero_is_one(self):
-        assert elementary_symmetric([3.0, 1.0, -9.0], 0) == 1.0
-        assert elementary_symmetric([], 0) == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric([1.0, 2.0], 3)
-        with pytest.raises(ValueError):
-            elementary_symmetric([1.0], -1)
+        # the leading coefficient is alpha * e_0 = alpha, exactly
+        alpha = np.array([0.3, 1.7])
+        P = seed_coefficients(TargetSpectrum(values=np.array([3.0, 1.0, -9.0, 2.0, 5.0, -4.0]), n=2, k=3),
+                              LeadingDiagonal(alpha_k=alpha))
+        assert np.array_equal(P.coeffs[3], np.diag(alpha))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-20, 20), min_size=0, max_size=5), st.data())
-    def test_matches_subset_enumeration_exactly(self, roots, data):
-        # integer roots keep both computations exact in float arithmetic
-        j = data.draw(st.integers(0, len(roots)))
-        assert elementary_symmetric([float(r) for r in roots], j) == float(subset_sum_oracle(roots, j))
+    @given(st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_matches_subset_enumeration_exactly(self, n, k, data):
+        # integer roots and power-of-two alpha keep both computations exact
+        roots = data.draw(st.lists(st.integers(-20, 20), min_size=n * k, max_size=n * k, unique=True))
+        alpha = [2.0 ** data.draw(st.integers(-4, 4)) for _ in range(n)]
+        spec = TargetSpectrum(values=np.array(roots, dtype=float), n=n, k=k)
+        P = seed_coefficients(spec, LeadingDiagonal(alpha_k=np.array(alpha)))
+        for r in range(n):
+            block = roots[r * k:(r + 1) * k]
+            for s in range(k + 1):
+                expected = (-1) ** (k - s) * alpha[r] * subset_sum_oracle(block, k - s)
+                assert P.coeffs[s][r, r] == float(expected)
 
 
 class TestBlockAssignment:
+    """TargetSpectrum.blocks: row r holds diagonal entry r's targets, in input order."""
+
     def test_quadratic_on_four(self):
         spec = TargetSpectrum(values=TARGETS, n=4, k=2)
-        a = block_assignment(spec)
-        assert a[1] == 1 and a[2] == 1
-        assert a[7] == 4 and a[8] == 4
+        assert np.array_equal(spec.blocks[0], TARGETS[:2])
+        assert np.array_equal(spec.blocks[3], TARGETS[6:])
 
     def test_linear_identity(self):
         spec = TargetSpectrum(values=np.array([5.0, 1.0, 3.0]), n=3, k=1)
-        assert block_assignment(spec) == {1: 1, 2: 2, 3: 3}
+        assert np.array_equal(spec.blocks, [[5.0], [1.0], [3.0]])
 
     def test_cubic_on_two(self):
         spec = TargetSpectrum(values=np.arange(6, dtype=float), n=2, k=3)
-        assert block_assignment(spec)[4] == 2
+        assert np.array_equal(spec.blocks, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        assert np.shares_memory(spec.blocks, spec.values)  # a view, not a copy
 
 
 class TestSeedCoefficients:

@@ -15,7 +15,6 @@ from structured_iep import (
     jacobian_x,
     proper_values,
     seed_coefficients,
-    matrix_of_graph,
     seed_vandermonde_check,
     tau_derivative,
 )
@@ -190,18 +189,11 @@ class TestJacobianX:
 
 
 class TestTauDerivative:
-    @staticmethod
-    def ramp(spec):
-        """d/dtau of the assembled polynomial: the prescribed off-diagonals."""
-        return MatrixPolynomial(tuple(
-            matrix_of_graph(g, np.zeros(spec.n), y) for g, y in zip(spec.graphs, spec.offdiag_values)
-        ))
-
     def test_matches_central_difference_in_tau(self, path4_spec):
         gold = golden_path4_polynomial()
         x = np.concatenate([np.diag(gold.coeffs[0]), np.diag(gold.coeffs[1])])
         P = assemble(x, path4_spec, tau=1.0)
-        d = tau_derivative(P, proper_values(P), self.ramp(path4_spec))
+        d = tau_derivative(P, proper_values(P), path4_spec.ramp)
         h = 1e-5
         fd = (proper_values(assemble(x, path4_spec, tau=1.0 + h)).values
               - proper_values(assemble(x, path4_spec, tau=1.0 - h)).values) / (2 * h)
@@ -210,7 +202,7 @@ class TestTauDerivative:
 
     def test_exactly_zero_at_diagonal_seed(self, path4_spec):
         P = path4_spec.seed()
-        d = tau_derivative(P, proper_values(P), self.ramp(path4_spec))
+        d = tau_derivative(P, proper_values(P), path4_spec.ramp)
         assert np.array_equal(d, np.zeros(8))
 
 

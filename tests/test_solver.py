@@ -18,6 +18,7 @@ from structured_iep import (
     continuation_solve,
     match_targets,
     matpoly,
+    matrix_of_graph,
     newton_solve,
     proper_values,
     seed_diagonals,
@@ -102,6 +103,23 @@ class TestAssemble:
         P = assemble(x, path4_spec)
         for a, b in zip(P.coeffs, gold.coeffs):
             assert np.array_equal(a, b)
+
+    def test_matches_a_per_graph_reference_after_a_solve(self):
+        # mixed signs: at tau = 0 the edges hold -0.0 in both; the solve
+        # reads spec.ramp throughout, and must not have written it
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=TARGETS, n=4, k=2),
+            lead=LeadingDiagonal(alpha_k=np.ones(4)),
+            graphs=(Graph(4, G_EDGES), Graph(4, H_EDGES)),
+            offdiag_values=(np.array([0.5, -0.25, 0.5, -0.5]), np.array([-0.5, 0.25])),
+        )
+        continuation_solve(spec)
+        x = np.linspace(-3.0, 7.0, 8)
+        for tau in (0.0, 1 / 3, 1.0):
+            P = assemble(x, spec, tau)
+            for s, (g, y) in enumerate(zip(spec.graphs, spec.offdiag_values)):
+                assert P.coeffs[s].tobytes() == matrix_of_graph(g, x[4 * s:4 * s + 4], tau * y).tobytes()
+        assert not any(c.flags.writeable for c in spec.ramp.coeffs)
 
 
 class TestSpectralMap:
@@ -608,6 +626,19 @@ class TestSeedPredictor:
         assert rep.continuation_path == (0.5, 1.0)
         assert starts[0].tobytes() == seed.tobytes()
         assert starts[1].tobytes() == (seed + 0.25 * curvature).tobytes()
+
+
+def test_continuation_solve_builds_each_offdiagonal_matrix_once(path4_spec, monkeypatch):
+    # spec.ramp is built once; assemble scales it instead of rebuilding it
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return matrix_of_graph(*args)
+
+    monkeypatch.setattr(solver, "matrix_of_graph", counting)
+    assert continuation_solve(path4_spec).converged
+    assert len(calls) == path4_spec.k
 
 
 def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
