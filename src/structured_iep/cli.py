@@ -67,7 +67,8 @@ def _summary_matrix(name: str, M: np.ndarray):
 
 
 def cmd_seed(args) -> int:
-    spec = load_problem(args.problem, overrides=_control_overrides(args))
+    # no Newton iteration runs here, so --tol and --max-iter are ignored
+    spec = load_problem(args.problem)
     P = spec.seed()
     decomp = proper_values(P)
     doc = {
@@ -83,7 +84,7 @@ def cmd_seed(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = load_problem(args.problem, overrides=_control_overrides(args))
+    spec = load_problem(args.problem, overrides={"newton_tol": args.tol, "max_iter": args.max_iter})
     report = continuation_solve(spec)
     doc = {
         "config": spec_to_config(spec),
@@ -137,7 +138,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    spec = load_problem(args.problem, overrides=_control_overrides(args))
+    # no Newton iteration runs here, so --tol and --max-iter are ignored
+    spec = load_problem(args.problem)
     at_seed = args.at == "seed"
     if at_seed:
         x = seed_diagonals(spec.seed())
@@ -169,13 +171,6 @@ def cmd_jacobian(args) -> int:
     return 0
 
 
-def _control_overrides(args) -> dict:
-    return {
-        "newton_tol": getattr(args, "tol", None),
-        "max_iter": getattr(args, "max_iter", None),
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="structured-iep",
@@ -183,8 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "real spectrum and prescribed coefficient graphs.",
     )
     p.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance (Newton tolerance for solve, value tolerance for verify)")
-    p.add_argument("--max-iter", type=int, default=None, help="Newton iteration cap")
+                   help="residual tolerance (Newton tolerance for solve, value tolerance for verify; "
+                        "ignored by seed and jacobian)")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="Newton iteration cap (ignored by seed and jacobian)")
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
     sub = p.add_subparsers(dest="command", required=True)
 

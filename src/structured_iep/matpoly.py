@@ -108,6 +108,30 @@ def _check_leading(P: MatrixPolynomial) -> np.ndarray:
     return d
 
 
+def _companion_layout(coeffs, lead: np.ndarray, pencil: bool = False) -> np.ndarray:
+    """The companion layout of sum_s z^s coeffs[s] + z^k diag(lead), the one
+    writer of linearize, _pencil and CompanionTemplate: identity blocks on
+    the block superdiagonal, and in the last block row -coeffs[s] scaled by
+    1 / lead[r] in row r.  With ``pencil`` (k = 1 only) -coeffs[0] is scaled
+    symmetrically by 1 / sqrt(lead[r] lead[c]) instead.  Either way entry
+    (r, r) of coeffs[s] lands at row (k-1)n + r, column sn + r as
+    -coeffs[s][r, r] / lead[r]."""
+    n, k = len(lead), len(coeffs)
+    if pencil:
+        root = np.sqrt(lead)
+        scale = np.outer(root, root)
+    else:
+        scale = lead[:, None]
+    C = np.zeros((n * k, n * k))
+    for i in range(k - 1):
+        C[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
+    for s, A in enumerate(coeffs):
+        C[(k - 1) * n:, s * n:(s + 1) * n] = -A / scale
+    if pencil:
+        C[np.diag_indices(n)] = -np.diag(coeffs[0]) / lead
+    return C
+
+
 def linearize(P: MatrixPolynomial) -> np.ndarray:
     """Block companion matrix of the monic reduction A_k^{-1} P(z).
 
@@ -116,15 +140,9 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     companion eigenvector stacks (v, z v, ..., z^{k-1} v).
     """
     lead = _check_leading(P)
-    n, k = P.n, P.degree
-    if k == 0:
+    if P.degree == 0:
         raise ValueError("cannot linearize a degree-0 polynomial")
-    C = np.zeros((n * k, n * k))
-    for i in range(k - 1):
-        C[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
-    for s in range(k):
-        C[(k - 1) * n:, s * n:(s + 1) * n] = -P.coeffs[s] / lead[:, None]
-    return C
+    return _companion_layout(P.coeffs[:-1], lead)
 
 
 def _proper_vectors(rows: np.ndarray) -> np.ndarray:
@@ -154,10 +172,7 @@ def _pencil(P: MatrixPolynomial) -> np.ndarray:
     A0 = P.coeffs[0]
     if not np.array_equal(A0, A0.T, equal_nan=True):
         raise InvariantViolation("the constant coefficient of a degree-1 polynomial must be symmetric")
-    root = np.sqrt(lead)
-    M = -A0 / np.outer(root, root)
-    M[np.diag_indices_from(M)] = -np.diag(A0) / lead
-    return M
+    return _companion_layout((A0,), lead, pencil=True)
 
 
 def _companion(P: MatrixPolynomial) -> np.ndarray:
@@ -228,16 +243,17 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
 
 @dataclass(frozen=True)
 class CompanionTemplate:
-    """_companion(P) of a fixed P (linearize(P), or the symmetric pencil
-    matrix at degree 1), for the proper values of polynomials that differ
-    from P only on the diagonals of the non-leading coefficients.
+    """The companion matrix of P(z) = sum_{s<k} z^s A_s + z^k diag(lead),
+    for the proper values of every polynomial that differs from P only on
+    the diagonals of A_0 .. A_{k-1}.
 
-    Entry (r, r) of A_s sits in the matrix at row (k-1)n + r, column sn + r
-    (at degree 1: (r, r)), as -A_s[r, r] / lead[r], exactly as _companion
-    writes it; so proper_values(d) gives bitwise the values and vectors of
-    proper_values applied to P with diag(A_s) = d[sn:(s+1)n], without
-    building that polynomial or checking its leading coefficient, or at
-    degree 1 the symmetry of A_0, again.
+    Built by from_coefficients through the layout linearize and _pencil
+    write (the symmetric pencil matrix at k = 1), so entry (r, r) of A_s
+    sits at row (k-1)n + r, column sn + r as -A_s[r, r] / lead[r], and
+    proper_values(d) gives bitwise the values and vectors of proper_values
+    applied to P with diag(A_s) = d[sn:(s+1)n].  Neither that polynomial
+    nor its checks are built: the caller supplies a positive ``lead`` and,
+    at k = 1, a symmetric A_0.
     """
 
     matrix: np.ndarray
@@ -247,11 +263,14 @@ class CompanionTemplate:
     sep_tol: float | None = None
 
     @classmethod
-    def of(cls, P: MatrixPolynomial, sep_tol: float | None = None) -> "CompanionTemplate":
-        n, nk = P.n, P.n * P.degree
-        unknowns = np.arange(nk)
-        return cls(matrix=_companion(P), n=n, diagonal=(nk - n + unknowns % n, unknowns),
-                   lead=np.tile(np.diag(P.coeffs[-1]), P.degree), sep_tol=sep_tol)
+    def from_coefficients(cls, coeffs, lead: np.ndarray, sep_tol: float | None = None) -> "CompanionTemplate":
+        """The template of the non-leading coefficients ``coeffs`` (their
+        diagonals are ignored) and the positive leading diagonal ``lead``."""
+        n, k = len(lead), len(coeffs)
+        unknowns = np.arange(n * k)
+        return cls(matrix=_companion_layout(coeffs, lead, pencil=k == 1), n=n,
+                   diagonal=(n * (k - 1) + unknowns % n, unknowns), lead=np.concatenate([lead] * k),
+                   sep_tol=sep_tol)
 
     def proper_values(self, d: np.ndarray) -> SpectralDecomposition:
         """Ascending proper values for the diagonals d (s-major), with the

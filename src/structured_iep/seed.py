@@ -12,6 +12,7 @@ their targets from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class TargetSpectrum:
         if len(srt) > 1 and np.min(np.diff(srt)) < SEP_TOL_REL * diam:
             raise InvariantViolation("target values must be pairwise distinct")
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         return float(np.max(self.values) - np.min(self.values)) if len(self.values) > 1 else 0.0
 

@@ -7,10 +7,13 @@ off-diagonal strength can leave the real-spectrum regime, in which case the
 off-diagonals are ramped in by predictor-corrector continuation in their
 scale tau: each step predicts along the tangent of the solution curve and
 corrects with a capped Newton solve, keeping every converged step; the step
-halves on failure and doubles on success (continuation_solve).  At the
-diagonal seed the tangent is zero, so correctors from the seed start at
-its closed-form second-order term instead, where that term moves no target
-by more than half its gap (_seed_curvature).
+halves on failure and doubles on success (continuation_solve).  Only the
+direct attempt at tau = 1 backtracks along its Newton steps; every later
+corrector takes full steps, and the first one that does not lower the
+residual fails it, so a losing corrector costs one eigensolve per
+iteration.  At the diagonal seed the tangent is zero, so correctors from
+the seed start at its closed-form second-order term instead, where that
+term moves no target by more than half its gap (_seed_curvature).
 """
 
 from __future__ import annotations
@@ -167,8 +170,15 @@ def _sep_tol(spec: ProblemSpec) -> float:
 
 def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate:
     """The companion matrix of assemble(0, spec, tau), with the problem's
-    separation tolerance: what every spectral_map at this tau shares."""
-    return CompanionTemplate.of(assemble(np.zeros(spec.n * spec.k), spec, tau), sep_tol=_sep_tol(spec))
+    separation tolerance: what every spectral_map at this tau shares.
+
+    Built straight from spec.ramp and the leading diagonal alpha (last
+    block row -(tau Y_s) / alpha, or the pencil -(tau Y_0) / sqrt(alpha
+    alpha^T) at k = 1), so no polynomial is assembled or checked: bitwise
+    linearize(assemble(0, spec, tau)), or its _pencil at k = 1, for tau >= 0.
+    """
+    return CompanionTemplate.from_coefficients([tau * y for y in spec.ramp.coeffs], spec.lead.alpha_k,
+                                               _sep_tol(spec))
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
@@ -233,6 +243,7 @@ def newton_solve(
     x0: np.ndarray | None = None,
     tau: float = 1.0,
     max_iter: int | None = None,
+    line_search: bool = True,
 ) -> SolveReport:
     """Damped Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
@@ -243,10 +254,13 @@ def newton_solve(
     NoConvergence ("backtracking stalled").  The floor is 1/4 because a
     corrector that needs more damping than that is read as a continuation
     step that is too long: continuation_solve then halves the step in tau,
-    which is cheaper than creeping along the Newton direction.  On the
-    benchmark instances every converged solve takes its steps at length 1
-    or 1/2.  A solve therefore makes at most 1 + max_iter * (MAX_BACKTRACKS
-    + 1) spectral_map evaluations.
+    which is cheaper than creeping along the Newton direction.  Without
+    ``line_search`` only the full step is tried, so a full step that does
+    not lower the residual, or whose spectrum is not real and simple,
+    stalls the solve at once: continuation_solve asks for that on every
+    corrector after its direct attempt.  A solve makes at most 1 + max_iter
+    * (MAX_BACKTRACKS + 1) spectral_map evaluations with the line search,
+    1 + max_iter without.
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map patches one companion template
@@ -282,7 +296,7 @@ def newton_solve(
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
         damp = 1.0
         accepted = False
-        for _ in range(MAX_BACKTRACKS + 1):
+        for _ in range(MAX_BACKTRACKS + 1 if line_search else 1):
             x_try = x - damp * dx
             try:
                 d_try = spectral_map(x_try, spec, tau, companion)
@@ -400,18 +414,25 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     matching hold.  Otherwise it starts at the bare seed.  Each prediction
     is corrected with newton_solve: at most min(max_iter,
     MAX_CORRECTOR_ITER) iterations below tau = 1, controls.max_iter at
-    tau = 1.  A failed corrector halves the step and retries from the last
-    converged point; a converged one doubles it, clipped to 1 - tau.  The
-    solve gives up once the step falls below 1/MAX_CONTINUATION_STEPS.
+    tau = 1.  Only the direct attempt backtracks along its Newton steps;
+    every later corrector takes full steps only (line_search=False), so
+    one full step that does not lower the residual fails it.  A corrector
+    that would need damping is read as a step in tau that is too long, as
+    after two halvings in the direct attempt (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004, sec. 5.1).  A failed corrector halves the
+    step and retries from the last converged point; a converged one
+    doubles it, clipped to 1 - tau.  The solve gives up once the step
+    falls below 1/MAX_CONTINUATION_STEPS.
 
     Every step but the last advances tau by at least 1/M (M =
     MAX_CONTINUATION_STEPS) and every failure halves the step, so a solve
     costs at most 2M - 1 + log2(M) = 133 Newton solves, and a problem on
-    which no step converges costs log2(M) + 1 = 7.  Each Newton solve makes
-    at most 1 + controls.max_iter * (MAX_BACKTRACKS + 1) spectral_map
-    evaluations (151 by default), so a solve makes at most 133 * 151 =
-    20,083 with the default controls.  The predictors choose only where a
-    corrector starts, so neither budget depends on them.
+    which no step converges costs log2(M) + 1 = 7.  The direct attempt
+    makes at most 1 + controls.max_iter * (MAX_BACKTRACKS + 1)
+    spectral_map evaluations (151 by default) and each later corrector at
+    most 1 + controls.max_iter (51), so a solve makes at most 151 + 132 *
+    51 = 6,883 with the default controls.  The predictors choose only where
+    a corrector starts, so neither budget depends on them.
 
     continuation_path holds the converged tau values, ascending (to 1 on
     success).  On failure the report is the last converged (tau, x), with
@@ -435,7 +456,9 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         else:
             x0 = x
         try:
-            rep = newton_solve(spec, x0=x0, tau=tau_next, max_iter=max_iter)
+            # the direct attempt: from the seed at tau = 1
+            rep = newton_solve(spec, x0=x0, tau=tau_next, max_iter=max_iter,
+                               line_search=not path and tau_next == 1.0)
         except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian,
                 DegenerateDenominator) as exc:
             dtau *= 0.5

@@ -496,6 +496,25 @@ def test_tol_override_reaches_solver(capsys):
     assert doc["config"]["controls"]["newton_tol"] == pytest.approx(1e-6)
 
 
+@pytest.mark.parametrize("command", ["seed", "jacobian"])
+class TestNewtonFlagsIgnored:
+    """seed and jacobian run no Newton iteration: --tol and --max-iter
+    neither fail them nor reach their config."""
+
+    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1"], ["--max-iter", "0"]])
+    def test_invalid_values_do_not_fail(self, capsys, command, flags):
+        code, out, err = run(capsys, ["--quiet", *flags, command, PATH4])
+        assert code == 0 and err == ""
+        assert isinstance(strict_json(out), dict)
+
+    def test_config_keeps_the_problem_controls(self, capsys, command):
+        code, out, _ = run(capsys, ["--quiet", "--tol", "1e-3", "--max-iter", "7", command, PATH4])
+        assert code == 0
+        default = SolverControls()
+        expected = {"newton_tol": default.resolved_tol(load_problem(PATH4).spectrum), "max_iter": default.max_iter}
+        assert strict_json(out)["config"]["controls"] == expected
+
+
 def test_problem_schema_controls_match_solver_controls():
     schema = json.loads((PROBLEMS.parent / "schemas" / "problem.schema.json").read_text())
     names = {f.name for f in dataclasses.fields(SolverControls)}

@@ -21,7 +21,7 @@ from structured_iep import (
     seed_coefficients,
     seed_diagonals,
 )
-from structured_iep import matpoly, sensitivity
+from structured_iep import sensitivity
 
 from conftest import TARGETS, golden_linked4_polynomial, golden_path4_polynomial, random_targets
 
@@ -323,8 +323,6 @@ class TestDegreeOnePencil:
         P = MatrixPolynomial((A0, np.eye(2)))
         with pytest.raises(InvariantViolation):
             proper_values(P)
-        with pytest.raises(InvariantViolation):
-            matpoly.CompanionTemplate.of(P)
 
     def test_continuation_solve_does_not_call_eig(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -180,6 +180,29 @@ class TestSpectralMap:
         decomp = spectral_map(x, path4_spec)
         assert np.array_equal(decomp.vectors, proper_values(assemble(x, path4_spec)).vectors)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.0, 1 / 3, 0.8125, 1.0])
+    def test_template_is_the_companion_of_the_assembled_polynomial(self, k, tau):
+        # mixed-sign off-diagonals: the template's signed zeros must be
+        # those of the assembled polynomial's companion too
+        rng = np.random.default_rng(71 + k)
+        n = 5
+        graphs = tuple(random_graph(rng, n, p=0.7) for _ in range(k))
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k),
+            lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
+            graphs=graphs,
+            offdiag_values=tuple(0.05 * rng.choice([-1.0, 1.0], g.num_edges) for g in graphs),
+        )
+        companion = solver.companion_template(spec, tau)
+        P0 = assemble(np.zeros(n * k), spec, tau)
+        reference = matpoly._pencil(P0) if k == 1 else matpoly.linearize(P0)
+        assert companion.matrix.tobytes() == reference.tobytes()
+        x = seed_diagonals(spec.seed()) + 0.01 * rng.standard_normal(n * k)
+        got, want = companion.proper_values(x), proper_values(assemble(x, spec, tau))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.companion_rows.tobytes() == want.companion_rows.tobytes()
+
 
 class TestMatchTargets:
     def test_identical_lists(self):
@@ -243,7 +266,9 @@ class TestNewtonSolve:
                         assert A[i, j] == 0.0
 
     def test_one_linearization_per_solve_whatever_the_trial_count(self, monkeypatch):
-        calls = {"linearize": 0, "spectral_map": 0}
+        # the linearization is the companion template, built from the ramp:
+        # linearize itself is never called
+        calls = {"companion_template": 0, "linearize": 0, "spectral_map": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -251,6 +276,8 @@ class TestNewtonSolve:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(solver, "companion_template",
+                            counting("companion_template", solver.companion_template))
         monkeypatch.setattr(matpoly, "linearize", counting("linearize", matpoly.linearize))
         monkeypatch.setattr(solver, "spectral_map", counting("spectral_map", solver.spectral_map))
         trials = []
@@ -260,12 +287,13 @@ class TestNewtonSolve:
                 (complex_pair_spec(), 1 / 64, 8, solver.MAX_BACKTRACKS),
                 (complex_pair_spec(), 1 / 8, 8, 30)):
             monkeypatch.setattr(solver, "MAX_BACKTRACKS", cap)
-            calls.update(linearize=0, spectral_map=0)
+            calls.update(companion_template=0, linearize=0, spectral_map=0)
             try:
                 newton_solve(spec, tau=tau, max_iter=max_iter)
             except NoConvergence:
                 pass
-            assert calls["linearize"] == 1
+            assert calls["companion_template"] == 1
+            assert calls["linearize"] == 0
             trials.append(calls["spectral_map"])
         assert max(trials) > 10 * min(trials)
 
@@ -396,7 +424,9 @@ class TestContinuationSolve:
         def solve_budget(max_iter):
             return 1 + max_iter * (solver.MAX_BACKTRACKS + 1)
 
-        # continuation_solve's docstring: 133 * 151 = 20,083 with the default controls
+        # every Newton solve within the direct attempt's budget: 133 * 151 =
+        # 20,083 with the default controls, looser than the 6,883 of
+        # continuation_solve's docstring (test_only_the_direct_attempt_backtracks)
         default_iter = SolverControls().max_iter
         assert (2 * M - 1 + int(np.log2(M))) * solve_budget(default_iter) == 20_083
 
@@ -422,6 +452,53 @@ class TestContinuationSolve:
         assert all(used <= budget for used, budget in per_solve)
         assert len(per_solve) <= newton_budget
         assert len(calls) <= newton_budget * solve_budget(spec.controls.max_iter)
+
+    @pytest.mark.parametrize("spec", [
+        complex_pair_spec(),
+        make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0),
+    ], ids=["complex_pair", "stalling"])
+    def test_only_the_direct_attempt_backtracks(self, spec, monkeypatch):
+        M = solver.MAX_CONTINUATION_STEPS
+
+        def direct_budget(max_iter):
+            return 1 + max_iter * (solver.MAX_BACKTRACKS + 1)
+
+        def total_budget(max_iter):
+            return direct_budget(max_iter) + (2 * M - 2 + int(np.log2(M))) * (1 + max_iter)
+
+        # continuation_solve's docstring: 151 + 132 * 51 = 6,883 with the default controls
+        assert total_budget(SolverControls().max_iter) == 6_883
+
+        calls, jacobians, per_solve = [], [], []
+        spectral, newton, jacobian = solver.spectral_map, solver.newton_solve, solver.jacobian_x
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return spectral(*args, **kwargs)
+
+        def counting_jacobian(*args, **kwargs):
+            jacobians.append(1)
+            return jacobian(*args, **kwargs)
+
+        def recording(*args, **kwargs):
+            start, iterations = len(calls), len(jacobians)  # one Jacobian per iteration
+            try:
+                return newton(*args, **kwargs)
+            finally:
+                per_solve.append((len(calls) - start, len(jacobians) - iterations,
+                                  kwargs["max_iter"] or spec.controls.max_iter, kwargs["line_search"]))
+
+        monkeypatch.setattr(solver, "spectral_map", counting)
+        monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        rep = continuation_solve(spec)
+        assert not rep.converged and "backtracking stalled" in rep.failure
+        (used, _, max_iter, line_search), *later = per_solve
+        assert line_search and used <= direct_budget(max_iter)
+        assert later and not any(line_search for *_, line_search in later)
+        # one trial per iteration: the first rejected full step ends a corrector
+        assert all(used == 1 + iterations <= 1 + max_iter for used, iterations, max_iter, _ in later)
+        assert len(calls) <= total_budget(spec.controls.max_iter)
 
     def test_degenerate_denominator_in_a_corrector_halves_the_step(self, monkeypatch):
         jacobian = solver.jacobian_x
