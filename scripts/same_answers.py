@@ -26,7 +26,8 @@ iteration counts and x within R relative (max |x_A - x_B| / max |x_A|),
 and instances failed in both fail with the same kind and tau.  --roots
 (with --rtol) drops the path and iteration-count equality from that
 policy, for changes that move the continuation path or the Newton start
-but not the root.  --out runs BLAS on one thread, as in perfbench/run.py.
+but not the root.  With --rtol the last line counts the differences of
+each kind (KINDS).  --out runs BLAS on one thread, as in perfbench/run.py.
 Importing this module (for compare()) changes neither os.environ nor
 sys.path: only --out does, before it imports numpy.
 """
@@ -41,6 +42,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS_SEEDS = (1, 2, 3)
 FAILURE = re.compile(r"(\w+) at tau=([^:]+): ")
+# the kinds of difference the --rtol policy reports, in the order counted
+KINDS = ("converged set", "x", "continuation path", "iteration count", "failure kind or tau")
 
 
 def instances():
@@ -82,31 +85,46 @@ def relative_x_difference(ra: dict, rb: dict) -> float:
     return max(abs(u - v) for u, v in zip(xa, xb)) / scale
 
 
-def compare(a: dict, b: dict, rtol: float | None = None, roots: bool = False) -> list[str]:
-    """Differences between two records: bitwise, or under the same-answers
-    policy at relative tolerance rtol, where ``roots`` leaves out the
-    equality of paths and iteration counts."""
-    diffs = [f"{label}: only in {'the first' if label in a else 'the second'} record"
+def differences(a: dict, b: dict, rtol: float | None = None, roots: bool = False) -> list[tuple[str, str]]:
+    """(kind, line) for every difference between two records: bitwise,
+    where the kind is the record key that differs, or under the
+    same-answers policy at relative tolerance rtol, where it is one of
+    KINDS and ``roots`` leaves out the equality of paths and iteration
+    counts.  A label in one record only is of kind "instance set"."""
+    diffs = [("instance set", f"{label}: only in {'the first' if label in a else 'the second'} record")
              for label in sorted(set(a) ^ set(b))]
     for label in sorted(a.keys() & b.keys()):
         ra, rb = ({k: v for k, v in r.items() if k != "detail"} for r in (a[label], b[label]))
         if rtol is None:
-            diffs += [f"{label}: {key} differs" for key in sorted(ra.keys() | rb.keys())
+            diffs += [(key, f"{label}: {key} differs") for key in sorted(ra.keys() | rb.keys())
                       if ra.get(key) != rb.get(key)]
         elif not ra["converged"]:
             if not rb["converged"] and (ra["kind"], ra["tau"]) != (rb["kind"], rb["tau"]):
-                diffs.append(f"{label}: failure kind or tau differs")
+                diffs.append(("failure kind or tau", f"{label}: failure kind or tau differs"))
         elif not rb["converged"]:
-            diffs.append(f"{label}: converged only in the first record")
+            diffs.append(("converged set", f"{label}: converged only in the first record"))
         else:
             if not roots and ra["continuation_path"] != rb["continuation_path"]:
-                diffs.append(f"{label}: continuation_path differs")
+                diffs.append(("continuation path", f"{label}: continuation_path differs"))
             if not roots and len(ra["iterations"]) != len(rb["iterations"]):
-                diffs.append(f"{label}: iteration count differs")
+                diffs.append(("iteration count", f"{label}: iteration count differs"))
             rel = relative_x_difference(ra, rb)
             if rel > rtol:
-                diffs.append(f"{label}: x differs by {rel:.3g} relative")
+                diffs.append(("x", f"{label}: x differs by {rel:.3g} relative"))
     return diffs
+
+
+def compare(a: dict, b: dict, rtol: float | None = None, roots: bool = False) -> list[str]:
+    """The lines of differences(a, b, rtol, roots)."""
+    return [line for _, line in differences(a, b, rtol, roots)]
+
+
+def kind_counts(diffs: list[tuple[str, str]]) -> str:
+    """One count per kind of KINDS (and of "instance set" when there is
+    one), on one line."""
+    kinds = [kind for kind, _ in diffs]
+    shown = (("instance set",) if "instance set" in kinds else ()) + KINDS
+    return ", ".join(f"{kind} {kinds.count(kind)}" for kind in shown)
 
 
 def main() -> int:
@@ -128,8 +146,8 @@ def main() -> int:
 
     if args.compare:
         a, b = (json.loads(pathlib.Path(p).read_text()) for p in args.compare)
-        diffs = compare(a, b, args.rtol, args.roots)
-        for line in diffs:
+        diffs = differences(a, b, args.rtol, args.roots)
+        for _, line in diffs:
             print(line)
         failed = sum(not r["converged"] for r in a.values())
         print(f"{len(a)} instances, {len(a) - failed} converged, {failed} failed in {args.compare[0]}; "
@@ -138,6 +156,7 @@ def main() -> int:
             both = [label for label in a.keys() & b.keys() if a[label]["converged"] and b[label]["converged"]]
             worst = max((relative_x_difference(a[label], b[label]) for label in both), default=0.0)
             print(f"largest relative x difference on {len(both)} commonly converged: {worst:.3g}")
+            print(f"differences by kind: {kind_counts(diffs)}")
         return 1 if diffs else 0
 
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")

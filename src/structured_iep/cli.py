@@ -115,8 +115,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # --tol is the value tolerance here, not a Newton tolerance
-    spec = load_problem(args.problem, overrides={"max_iter": args.max_iter})
+    # --tol is the value tolerance here; no Newton iteration runs, so --max-iter is ignored
+    spec = load_problem(args.problem)
     P = load_polynomial(args.polynomial)
     tol = args.tol if args.tol is not None else 1e-8
     report = verify(P, spec, value_tol=tol)
@@ -149,7 +149,7 @@ def cmd_jacobian(args) -> int:
         tau = 1.0
     P = assemble(x, spec, tau=tau)
     decomp = proper_values(P)
-    J = jacobian_x(P, decomp)
+    J = jacobian_x(decomp)
     doc = {
         "config": spec_to_config(spec),
         "at": "seed" if at_seed else args.at,
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual tolerance (Newton tolerance for solve, value tolerance for verify; "
                         "ignored by seed and jacobian)")
     p.add_argument("--max-iter", type=int, default=None,
-                   help="Newton iteration cap (ignored by seed and jacobian)")
+                   help="Newton iteration cap (ignored by seed, verify and jacobian)")
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
     sub = p.add_subparsers(dest="command", required=True)
 

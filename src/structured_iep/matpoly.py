@@ -63,11 +63,13 @@ class SpectralDecomposition:
     Only the values are computed up front.  ``vectors`` (row q is the unit
     proper vector for values[q]) is selected from the companion eigenvector
     rows on first access, then cached, so callers that need only the values
-    never pay for it.
+    never pay for it.  ``companion`` and ``lead`` give upper_coefficients.
     """
 
     values: np.ndarray
     companion_rows: np.ndarray = field(repr=False)  # top n rows of the eigenvectors, row q for values[q]
+    companion: np.ndarray = field(repr=False)
+    lead: np.ndarray = field(repr=False)
 
     def __len__(self):
         return len(self.values)
@@ -75,6 +77,11 @@ class SpectralDecomposition:
     @cached_property
     def vectors(self) -> np.ndarray:
         return _proper_vectors(self.companion_rows)
+
+    def upper_coefficients(self) -> np.ndarray:
+        """[A_1 ... A_k] (n x kn) from _companion_layout's last block row C_s: -diag(lead) C_s, diag(lead)."""
+        n = len(self.lead)
+        return np.hstack((-self.lead[:, None] * self.companion[-n:, n:], np.diag(self.lead)))
 
 
 def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
@@ -150,8 +157,10 @@ def _proper_vectors(rows: np.ndarray) -> np.ndarray:
     the larger of the real and imaginary parts, normalised, with the
     largest-magnitude component made positive.  At degree 1 the rows are
     D^{-1/2} times the eigh vectors of the pencil."""
-    use_imag = np.linalg.norm(rows.imag, axis=1) > np.linalg.norm(rows.real, axis=1)
-    V = np.where(use_imag[:, None], rows.imag, rows.real)
+    if np.iscomplexobj(rows):  # eig returns real arrays when every eigenvalue is real
+        use_imag = np.linalg.norm(rows.imag, axis=1) > np.linalg.norm(rows.real, axis=1)
+        rows = np.where(use_imag[:, None], rows.imag, rows.real)
+    V = np.array(rows)
     norms = np.linalg.norm(V, axis=1)
     zero = norms == 0.0
     V[zero] = 1.0
@@ -195,9 +204,9 @@ def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
         )
 
 
-def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None):
-    """Proper values of the polynomial whose _companion is C (leading
-    diagonal ``lead``) with the checks of proper_values: the ascending
+def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> SpectralDecomposition:
+    """The decomposition of the polynomial whose _companion is C (leading
+    diagonal ``lead``), with the checks of proper_values: the ascending
     values and, row q for values[q], the top n rows of the corresponding
     eigenvectors of linearize(P)."""
     n = len(lead)
@@ -206,18 +215,19 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None):
         if not np.all(np.isfinite(vals)):
             raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
         _check_separation(vals, sep_tol)
-        return vals, (U / np.sqrt(lead)[:, None]).T
+        return SpectralDecomposition(vals, (U / np.sqrt(lead)[:, None]).T, C, lead)
     w, V = np.linalg.eig(C)
-    bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
-    if np.any(bad):
-        raise NonRealSpectrum(
-            f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
-            f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
-        )
+    if np.iscomplexobj(w):  # as in _proper_vectors
+        bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
+        if np.any(bad):
+            raise NonRealSpectrum(
+                f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
+                f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
+            )
     order = np.argsort(w.real, kind="stable")
     vals = w.real[order]
     _check_separation(vals, sep_tol)
-    return vals, V[:n, order].T
+    return SpectralDecomposition(vals, V[:n, order].T, C, lead)
 
 
 def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
@@ -237,8 +247,7 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
     at degree 1, where the spectrum of the pencil is real; there a
     non-symmetric A_0 raises InvariantViolation.
     """
-    vals, rows = _spectrum(_companion(P), np.diag(P.coeffs[-1]), sep_tol)
-    return SpectralDecomposition(values=vals, companion_rows=rows)
+    return _spectrum(_companion(P), np.diag(P.coeffs[-1]), sep_tol)
 
 
 @dataclass(frozen=True)
@@ -280,5 +289,4 @@ class CompanionTemplate:
             raise ValueError(f"diagonals have shape {d.shape}, expected {self.lead.shape}")
         C = self.matrix.copy()
         C[self.diagonal] = -d / self.lead
-        vals, rows = _spectrum(C, self.lead[:self.n], self.sep_tol)
-        return SpectralDecomposition(values=vals, companion_rows=rows)
+        return _spectrum(C, self.lead[:self.n], self.sep_tol)

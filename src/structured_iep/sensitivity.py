@@ -10,7 +10,9 @@ tracked proper value is the Rayleigh-quotient formula
 At a diagonal seed with v = e_r this reduces to -lambda^s / P'(lambda)_rr
 for the (r,r) diagonal slot and to exactly 0 for every off-diagonal slot.
 jacobian_x applies it to every diagonal slot, and tau_derivative to a
-whole polynomial direction (the continuation's off-diagonal ramp).
+whole polynomial direction (the continuation's off-diagonal ramp); both
+read P' back from the decomposition's companion matrix, and every form
+v^T A v comes from one kernel, a single matrix product.
 Away from the seed the formula is the standard simple-eigenvalue one and is
 cross-validated against finite differences (jacobian_fd) rather than taken
 on faith.
@@ -23,20 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .matpoly import (
-    MatrixPolynomial,
-    SpectralDecomposition,
-    derivative,
-    evaluate,
-    proper_values,
-)
+# perfbench/layers.py wraps evaluate at this module, though nothing here calls it
+from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
 from .seed import TargetSpectrum
 
 DENOM_TOL = 1e-10
-
-# cap on the entries of the stacked Q(lambda_q) matrices held at once (1 MiB
-# of doubles); _quadratic_forms evaluates over row blocks of this size
-_BLOCK_DOUBLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -53,30 +46,27 @@ class PerturbationDirection:
             raise ValueError("specify exactly one of diag or edge")
 
 
-def _row_blocks(count: int, n: int):
-    step = max(1, _BLOCK_DOUBLES // (n * n))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
+def _forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """v_q^T A_s v_q (row q, column s) for the rows v_q of V and the blocks of A = [A_0 A_1 ...]."""
+    m, n = V.shape
+    return np.sum((V @ A).reshape(m, -1, n) * V[:, None, :], axis=2)
 
 
-def _quadratic_forms(Q: MatrixPolynomial, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """v_q^T Q(lambda_q) v_q for each value lams[q] and row V[q]."""
-    out = np.empty(len(lams))
-    for blk in _row_blocks(len(lams), Q.n):
-        out[blk] = (V[blk, None, :] @ evaluate(Q, lams[blk]) @ V[blk, :, None])[:, 0, 0]
-    return out
-
-
-def _denominators(P: MatrixPolynomial, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q].
-
-    Raises DegenerateDenominator when one is below DENOM_TOL times the
-    coefficient scale of P' at lambda_q (numerically non-simple value).
-    """
-    Pd = derivative(P)
-    den = _quadratic_forms(Pd, lams, V)
-    small = np.abs(den) < DENOM_TOL * Pd.coefficient_scale(lams)
-    if np.any(small):
+def _denominators(upper: np.ndarray, lams: np.ndarray, V: np.ndarray, check: bool = True) -> np.ndarray:
+    """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q], ``upper``
+    = [A_1 ... A_k] the coefficients of P from power 1 up.  With ``check``,
+    raises DegenerateDenominator when one is below DENOM_TOL times the scale
+    sum_s s ||A_s||_F |lambda_q|^(s-1) of P' (numerically non-simple value)."""
+    n = len(upper)
+    k = upper.shape[1] // n
+    s = np.arange(1, k + 1)
+    forms = s * _forms(upper, V)
+    den = forms[:, -1]
+    for j in range(k - 2, -1, -1):  # Horner, as evaluate(derivative(P), lams) runs it
+        den = den * lams + forms[:, j]
+    scale = np.abs(lams[:, None]) ** np.arange(k) @ (s * np.linalg.norm(upper.reshape(n, k, n), axis=(0, 2)))
+    small = np.abs(den) < DENOM_TOL * scale
+    if check and np.any(small):
         q = int(np.argmax(small))
         raise DegenerateDenominator(
             f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
@@ -94,7 +84,7 @@ def eigderivative(
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
     lam, v = pair
-    den = float(_denominators(P, np.array([lam], dtype=float), np.asarray(v)[None, :])[0])
+    den = float(_denominators(np.hstack(P.coeffs[1:]), np.array([lam], dtype=float), np.asarray(v)[None, :])[0])
     zs = lam ** direction.s
     if direction.diag is not None:
         num = zs * v[direction.diag - 1] ** 2
@@ -105,33 +95,23 @@ def eigderivative(
     return -num / den
 
 
-def jacobian_x(
-    P: MatrixPolynomial,
-    decomp: SpectralDecomposition,
-) -> np.ndarray:
+def jacobian_x(decomp: SpectralDecomposition) -> np.ndarray:
     """Jacobian of the ascending proper values w.r.t. the kn diagonal unknowns.
 
     Row q is the q-th pair of ``decomp``; column s*n + r is diagonal entry r
-    of coefficient s.  Reads ``decomp.vectors``, so this is where a
-    decomposition's proper vectors are first selected.
+    of coefficient s.  P' comes from ``decomp.upper_coefficients``, and this
+    is where a decomposition's proper vectors are first selected.
     """
-    n, k = P.n, P.degree
-    nk = n * k
-    if len(decomp) != nk:
-        raise ValueError(f"decomposition has {len(decomp)} pairs, expected {nk}")
     lam, V = decomp.values, decomp.vectors
-    den = _denominators(P, lam, V)
-    powers = lam[:, None] ** np.arange(k)
+    nk, n = V.shape
+    den = _denominators(decomp.upper_coefficients(), lam, V)
+    powers = lam[:, None] ** np.arange(nk // n)
     return (-powers[:, :, None] * (V ** 2)[:, None, :] / den[:, None, None]).reshape(nk, nk)
 
 
-def tau_derivative(
-    P: MatrixPolynomial,
-    decomp: SpectralDecomposition,
-    D: MatrixPolynomial,
-) -> np.ndarray:
-    """Derivative at tau = 0 of the ascending proper values of P + tau * D,
-    the Rayleigh-quotient formula with B = D:
+def tau_derivative(decomp: SpectralDecomposition, D: MatrixPolynomial) -> np.ndarray:
+    """Derivative at tau = 0 of the ascending proper values of P + tau * D (P
+    the polynomial of ``decomp``), the Rayleigh-quotient formula with B = D:
 
         d lambda_q / d tau = -(v_q^T D(lambda_q) v_q) / (v_q^T P'(lambda_q) v_q).
 
@@ -141,7 +121,8 @@ def tau_derivative(
     a unit vector (a diagonal seed), because D has a zero diagonal.
     """
     lam, V = decomp.values, decomp.vectors
-    return -_quadratic_forms(D, lam, V) / _denominators(P, lam, V)
+    num = np.sum(lam[:, None] ** np.arange(len(D.coeffs)) * _forms(np.hstack(D.coeffs), V), axis=1)
+    return -num / _denominators(decomp.upper_coefficients(), lam, V)
 
 
 def jacobian_fd(
@@ -195,7 +176,7 @@ def seed_vandermonde_check(
     row_of_target[order] = np.arange(nk)
     lam = decomp.values[row_of_target]
     # (P'(lambda_q))_rr as the quadratic form of P' with the unit vector e_r
-    den = _quadratic_forms(derivative(P), lam, np.eye(n)[entry])
+    den = _denominators(np.hstack(P.coeffs[1:]), lam, np.eye(n)[entry], check=False)
     # column s*n + r' of J goes to column r'*k + s: one block of k per entry
     scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)
     own = np.zeros((nk, n, k), dtype=bool)

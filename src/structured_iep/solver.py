@@ -14,6 +14,8 @@ residual fails it, so a losing corrector costs one eigensolve per
 iteration.  At the diagonal seed the tangent is zero, so correctors from
 the seed start at its closed-form second-order term instead, where that
 term moves no target by more than half its gap (_seed_curvature).
+Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL, and the
+Jacobian reads P' back from the companion matrix of each eigensolve.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     NonRealSpectrum,
     SingularJacobian,
 )
-from .graphs import Graph, graph_of_matrix, matrix_of_graph
+from .graphs import Graph, matrix_of_graph
 from .matpoly import (
     CompanionTemplate,
     MatrixPolynomial,
@@ -45,6 +47,7 @@ from .sensitivity import jacobian_x, tau_derivative
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 MAX_BACKTRACKS = 2  # step lengths 1, 1/2, 1/4: see newton_solve
 MAX_CORRECTOR_ITER = 8  # Newton iteration cap for correctors at tau < 1
+CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times max(diameter, 1): see continuation_solve
 SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
 
 
@@ -124,6 +127,15 @@ class ProblemSpec:
             c.flags.writeable = False
         return MatrixPolynomial(coeffs)
 
+    @cached_property
+    def edge_masks(self) -> np.ndarray:
+        """(k, n, n): True on each graph's edges (not the ramp's: zero at epsilon = 0)."""
+        masks = np.zeros((self.k, self.n, self.n), dtype=bool)
+        for s, g in enumerate(self.graphs):
+            for i, j in g.edges:
+                masks[s, i - 1, j - 1] = masks[s, j - 1, i - 1] = True
+        return masks
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -164,10 +176,6 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
     return MatrixPolynomial(tuple(coeffs))
 
 
-def _sep_tol(spec: ProblemSpec) -> float:
-    return SEP_TOL_REL * max(spec.spectrum.diameter, 1.0)
-
-
 def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate:
     """The companion matrix of assemble(0, spec, tau), with the problem's
     separation tolerance: what every spectral_map at this tau shares.
@@ -178,7 +186,7 @@ def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate
     linearize(assemble(0, spec, tau)), or its _pencil at k = 1, for tau >= 0.
     """
     return CompanionTemplate.from_coefficients([tau * y for y in spec.ramp.coeffs], spec.lead.alpha_k,
-                                               _sep_tol(spec))
+                                               SEP_TOL_REL * max(spec.spectrum.diameter, 1.0))
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
@@ -214,11 +222,12 @@ def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
 
 
 def _structure_verdict(P: MatrixPolynomial, spec: ProblemSpec) -> tuple[tuple[bool, ...], bool]:
-    per_coeff = []
-    for s in range(spec.k):
-        per_coeff.append(graph_of_matrix(P.coeffs[s], 0.0) == spec.graphs[s])
+    """graph_of_matrix(A_s) == graphs[s] per symmetric A_s, s < k; and A_k == diag(alpha)."""
+    offdiag = np.abs(np.stack(P.coeffs[:spec.k])) > 0.0
+    offdiag[:, np.arange(spec.n), np.arange(spec.n)] = False
+    per_coeff = tuple(bool(b) for b in np.all(offdiag == spec.edge_masks, axis=(1, 2)))
     leading_ok = bool(np.array_equal(P.coeffs[spec.k], np.diag(spec.lead.alpha_k)))
-    return tuple(per_coeff), leading_ok
+    return per_coeff, leading_ok
 
 
 def _report(spec, x, tau_path, trace, residual, converged, failure=None, tau=1.0):
@@ -244,10 +253,12 @@ def newton_solve(
     tau: float = 1.0,
     max_iter: int | None = None,
     line_search: bool = True,
+    tol: float | None = None,
 ) -> SolveReport:
     """Damped Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
-    Runs at most ``max_iter`` iterations (default controls.max_iter).  The
+    Runs at most ``max_iter`` iterations (default controls.max_iter) and stops
+    at a residual of ``tol`` (default controls.resolved_tol) or less.  The
     step is the analytic-Jacobian Newton step (jacobian_x), taken at length
     1, 1/2, 1/4 (MAX_BACKTRACKS = 2 halvings) until the residual
     infinity-norm strictly decreases; otherwise the solve raises
@@ -264,15 +275,15 @@ def newton_solve(
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map patches one companion template
-    built per solve; the polynomial is assembled, and proper vectors
-    selected from the companion eigenvectors, only for the iterates that
-    build a Jacobian and for the report.  A failed solve raises
+    built per solve, and jacobian_x reads P' back from it; proper vectors
+    are selected only for the iterates that build a Jacobian, and the
+    polynomial is assembled only for the report.  A failed solve raises
     NoConvergence / SingularJacobian / NonRealSpectrum / NearDegenerate and
     builds no report.
     """
     ctl = spec.controls
     max_iter = ctl.max_iter if max_iter is None else max_iter
-    tol = ctl.resolved_tol(spec.spectrum)
+    tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol
     targets = spec.spectrum.sorted_values()
     x = seed_diagonals(spec.seed()) if x0 is None else np.array(x0, dtype=float, copy=True)
     trace = []
@@ -283,11 +294,12 @@ def newton_solve(
     rnorm = float(np.max(np.abs(res)))
     trace.append(IterationRecord(0, rnorm, 0.0))
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 2):
         if rnorm <= tol:
             return _accepted(_report(spec, x, [tau], trace, rnorm, True, tau=tau), decomp)
-        P = assemble(x, spec, tau)
-        J = jacobian_x(P, decomp)
+        if it > max_iter:
+            raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {max_iter} iterations")
+        J = jacobian_x(decomp)
         try:
             dx = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:
@@ -295,7 +307,6 @@ def newton_solve(
         if not np.all(np.isfinite(dx)):
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
         damp = 1.0
-        accepted = False
         for _ in range(MAX_BACKTRACKS + 1 if line_search else 1):
             x_try = x - damp * dx
             try:
@@ -308,14 +319,10 @@ def newton_solve(
             if rn_try < rnorm:
                 x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
                 trace.append(IterationRecord(it, rnorm, float(np.linalg.norm(damp * dx))))
-                accepted = True
                 break
             damp *= 0.5
-        if not accepted:
+        else:
             raise NoConvergence(f"backtracking stalled at residual {rnorm:.3g} (iteration {it})")
-    if rnorm <= tol:
-        return _accepted(_report(spec, x, [tau], trace, rnorm, True, tau=tau), decomp)
-    raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {max_iter} iterations")
 
 
 def _accepted(report: SolveReport, decomp: SpectralDecomposition) -> SolveReport:
@@ -328,17 +335,15 @@ def _accepted(report: SolveReport, decomp: SpectralDecomposition) -> SolveReport
     return report
 
 
-def _tangent(spec: ProblemSpec, x: np.ndarray, tau: float, decomp: SpectralDecomposition) -> np.ndarray:
-    """dx/dtau of the solution curve at a converged (tau, x) whose spectral
+def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
+    """dx/dtau of the solution curve at a converged point whose spectral
     decomposition is ``decomp``: -J^{-1} dlambda/dtau, or zero when the
-    tangent cannot be formed (the predictor then is x)."""
-    P = assemble(x, spec, tau)
+    tangent cannot be formed (the predictor then is the point itself)."""
     try:
-        J = jacobian_x(P, decomp)
-        xdot = -np.linalg.solve(J, tau_derivative(P, decomp, spec.ramp))
+        xdot = -np.linalg.solve(jacobian_x(decomp), tau_derivative(decomp, spec.ramp))
     except (np.linalg.LinAlgError, DegenerateDenominator):
-        return np.zeros_like(x)
-    return xdot if np.all(np.isfinite(xdot)) else np.zeros_like(x)
+        return np.zeros(len(decomp))
+    return xdot if np.all(np.isfinite(xdot)) else np.zeros(len(decomp))
 
 
 def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
@@ -414,11 +419,15 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     matching hold.  Otherwise it starts at the bare seed.  Each prediction
     is corrected with newton_solve: at most min(max_iter,
     MAX_CORRECTOR_ITER) iterations below tau = 1, controls.max_iter at
-    tau = 1.  Only the direct attempt backtracks along its Newton steps;
-    every later corrector takes full steps only (line_search=False), so
-    one full step that does not lower the residual fails it.  A corrector
-    that would need damping is read as a step in tau that is too long, as
-    after two halvings in the direct attempt (Deuflhard, Newton Methods for
+    tau = 1.  A point below tau = 1 only seeds the next prediction, so its
+    corrector stops at CORRECTOR_TOL_REL times max(diameter, 1), or at
+    controls.newton_tol if looser: one quadratic Newton step regains full
+    accuracy from there.  The corrector at tau = 1 stops at resolved_tol.
+    Only the direct attempt backtracks along its Newton steps; every later
+    corrector takes full steps only (line_search=False), so one full step
+    that does not lower the residual fails it.  A corrector that would
+    need damping is read as a step in tau that is too long, as after two
+    halvings in the direct attempt (Deuflhard, Newton Methods for
     Nonlinear Problems, 2004, sec. 5.1).  A failed corrector halves the
     step and retries from the last converged point; a converged one
     doubles it, clipped to 1 - tau.  The solve gives up once the step
@@ -436,11 +445,13 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
 
     continuation_path holds the converged tau values, ascending (to 1 on
     success).  On failure the report is the last converged (tau, x), with
-    the residual of its last iteration; when no tau converged that is the
-    seed at tau = 0, with an empty path and residual inf.  Its failure reads
+    the residual of its last iteration (within the corrector tolerance
+    below tau = 1); when no tau converged that is the seed at tau = 0,
+    with an empty path and residual inf.  Its failure reads
     "<exception kind> at tau=<tau>: <detail>", for the last corrector tried.
     """
     ctl = spec.controls
+    loose_tol = max(CORRECTOR_TOL_REL * max(spec.spectrum.diameter, 1.0), ctl.resolved_tol(spec.spectrum))
     x = seed_diagonals(spec.seed())
     curvature, rho = _seed_curvature(spec)
     tau, dtau = 0.0, 1.0
@@ -448,7 +459,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     while True:
         # absorb rounding in tau + dtau so the last step lands exactly on 1
         tau_next = 1.0 if tau + dtau > 1.0 - 1e-12 else tau + dtau
-        max_iter = None if tau_next == 1.0 else min(ctl.max_iter, MAX_CORRECTOR_ITER)
+        max_iter, tol = (None, None) if tau_next == 1.0 else (min(ctl.max_iter, MAX_CORRECTOR_ITER), loose_tol)
         if path:
             x0 = x + (tau_next - tau) * xdot
         elif tau_next ** 2 * rho <= SEED_SHIFT_MAX:
@@ -458,7 +469,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         try:
             # the direct attempt: from the seed at tau = 1
             rep = newton_solve(spec, x0=x0, tau=tau_next, max_iter=max_iter,
-                               line_search=not path and tau_next == 1.0)
+                               line_search=not path and tau_next == 1.0, tol=tol)
         except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian,
                 DegenerateDenominator) as exc:
             dtau *= 0.5
@@ -473,7 +484,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         trace.extend(rep.iterations)
         if tau == 1.0:
             return replace(rep, continuation_path=tuple(path), iterations=tuple(trace))
-        xdot = _tangent(spec, x, tau, rep._decomposition)
+        xdot = _tangent(spec, rep._decomposition)
         dtau = min(2.0 * dtau, 1.0 - tau)
 
 

@@ -269,7 +269,7 @@ class TestJacobian:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_degenerate_denominator_exits_three(self, capsys, monkeypatch):
-        def degenerate(P, decomp):
+        def degenerate(decomp):
             raise DegenerateDenominator("row 0: value numerically non-simple")
         monkeypatch.setattr(cli, "jacobian_x", degenerate)
         code, _, err = run(capsys, ["--quiet", "jacobian", PATH4])
@@ -481,6 +481,15 @@ class TestVerifyTol:
         assert code == 0
         default = SolverControls().resolved_tol(load_problem(PATH4).spectrum)
         assert strict_json(out)["config"]["controls"]["newton_tol"] == default
+
+    def test_max_iter_is_ignored(self, capsys, solved):
+        # verify runs no Newton iteration: --max-iter 0 neither fails it nor
+        # reaches its config
+        code, out, err = run(capsys, ["--quiet", "--max-iter", "0", "verify", solved, PATH4])
+        assert code == 0 and err == ""
+        code, out, _ = run(capsys, ["--quiet", "--max-iter", "7", "verify", solved, PATH4])
+        assert code == 0
+        assert strict_json(out)["config"]["controls"]["max_iter"] == SolverControls().max_iter
 
     @pytest.mark.parametrize("tol", ["-0.001", "nan", "inf"])
     def test_negative_or_non_finite_exits_three(self, capsys, solved, tol):

@@ -1,7 +1,9 @@
 """scripts/same_answers.py: compare() in its three modes and the --roots
-argument check, on hand-built records (no solves)."""
+argument check, and the per-kind tally of --rtol, on hand-built records
+(no solves)."""
 
 import importlib.util
+import json
 import os
 import sys
 
@@ -99,3 +101,16 @@ def test_roots_needs_rtol_and_compare(same_answers, argv, monkeypatch, capsys):
         same_answers.main()
     assert exc.value.code == 2
     assert "needs" in capsys.readouterr().err
+
+
+def test_rtol_compare_ends_with_one_count_per_kind(same_answers, tmp_path, monkeypatch, capsys):
+    change = dict(NEW_PATH, c=converged([5.0, 6.0]), d=failed(tau="0.25"))
+    files = []
+    for name, record in (("parent.json", PARENT), ("change.json", change)):
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps(record))
+    monkeypatch.setattr(sys, "argv", ["same_answers.py", "--compare", *map(str, files), "--rtol", "1e-12"])
+    assert same_answers.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "differences by kind: converged set 0, x 0, continuation path 1, iteration count 1, "
+        "failure kind or tau 1")

@@ -3,9 +3,12 @@ import pytest
 
 from structured_iep import (
     DegenerateDenominator,
+    Graph,
     LeadingDiagonal,
     MatrixPolynomial,
     PerturbationDirection,
+    ProblemSpec,
+    SpectralDecomposition,
     TargetSpectrum,
     assemble,
     derivative,
@@ -13,9 +16,13 @@ from structured_iep import (
     evaluate,
     jacobian_fd,
     jacobian_x,
+    linearize,
     proper_values,
     seed_coefficients,
+    seed_diagonals,
     seed_vandermonde_check,
+    sensitivity,
+    spectral_map,
     tau_derivative,
 )
 
@@ -104,7 +111,7 @@ class TestJacobianX:
     def test_vandermonde_structure_at_seed(self, quad_seed):
         spec, P = quad_seed
         decomp = proper_values(P)
-        J = jacobian_x(P, decomp)
+        J = jacobian_x(decomp)
         check = seed_vandermonde_check(P, spec, decomp, J)
         assert check["max_entry_error"] <= 1e-12
         assert check["max_offblock"] <= 1e-12
@@ -116,7 +123,7 @@ class TestJacobianX:
             spec = TargetSpectrum(values=rng.uniform(-10, 10, n * k), n=n, k=k)
             P = seed_coefficients(spec, LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)))
             decomp = proper_values(P)
-            J = jacobian_x(P, decomp)
+            J = jacobian_x(decomp)
             check = seed_vandermonde_check(P, spec, decomp, J)
             # reference: one entry at a time, target q (input order) on entry ceil(q/k)
             rows = np.empty(n * k, dtype=int)
@@ -144,7 +151,7 @@ class TestJacobianX:
         spec = TargetSpectrum(values=lam, n=3, k=1)
         P = seed_coefficients(spec, LeadingDiagonal(alpha_k=alpha))
         decomp = proper_values(P)
-        J = jacobian_x(P, decomp)
+        J = jacobian_x(decomp)
         # ascending values correspond to entries in sorted-target order
         order = np.argsort(lam)
         expected = np.zeros((3, 3))
@@ -168,7 +175,7 @@ class TestJacobianX:
                         coeffs[s][i, j] = coeffs[s][j, i] = val
         P = MatrixPolynomial(tuple(coeffs))
         decomp = proper_values(P)
-        J = jacobian_x(P, decomp)
+        J = jacobian_x(decomp)
         # h ~ sqrt(eigensolver accuracy); the absolute floor covers entries
         # that are analytically ~0, where FD returns pure eigensolver noise
         Jfd = jacobian_fd(P, h=1e-4)
@@ -182,10 +189,79 @@ class TestJacobianX:
         B = rng.uniform(-0.3, 0.3, (n, n))
         A0 = (B + B.T) / 2 + np.diag(rng.uniform(-10.0, 10.0, n))
         P = MatrixPolynomial((A0, np.diag(rng.uniform(0.5, 2.0, n))))
-        J = jacobian_x(P, proper_values(P))
+        J = jacobian_x(proper_values(P))
         Jfd = jacobian_fd(P, h=1e-4)
         tol = 1e-5 * np.maximum(np.abs(J), np.abs(Jfd)) + 1e-7
         assert np.all(np.abs(J - Jfd) <= tol)
+
+
+def reference_jacobian(P, decomp):
+    """Row q, column s*n + r: -lambda_q^s v_r^2 / (v^T P'(lambda_q) v), one
+    proper pair at a time, P' evaluated from the polynomial."""
+    n, k = P.n, P.degree
+    dP = derivative(P)
+    J = np.empty((n * k, n * k))
+    for q, (lam, v) in enumerate(zip(decomp.values, decomp.vectors)):
+        den = v @ evaluate(dP, lam) @ v
+        for s in range(k):
+            J[q, s * n:(s + 1) * n] = -lam ** s * v ** 2 / den
+    return J
+
+
+def mixed_sign_spec(k, seed):
+    """n = 4, every coefficient on the complete graph, off-diagonals of
+    alternating sign."""
+    rng = np.random.default_rng(seed)
+    complete = Graph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=random_targets(rng, 4, k), n=4, k=k),
+        lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, 4)),
+        graphs=(complete,) * k,
+        offdiag_values=tuple(np.resize([1.0, -1.0], 6) * rng.uniform(0.02, 0.15, 6) for _ in range(k)),
+    )
+
+
+class TestJacobianFromDecomposition:
+    """jacobian_x reads P' back from the decomposition's companion matrix."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.0, 1 / 3, 1.0])
+    def test_matches_the_per_vector_reference(self, k, tau):
+        spec = mixed_sign_spec(k, seed=20 + k)
+        x = seed_diagonals(spec.seed()) + np.random.default_rng(k).uniform(-0.05, 0.05, 4 * k)
+        P = assemble(x, spec, tau)
+        for decomp in (spectral_map(x, spec, tau), proper_values(P)):
+            ref = reference_jacobian(P, decomp)
+            assert np.max(np.abs(jacobian_x(decomp) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_upper_coefficients_read_back_the_polynomial(self):
+        spec = mixed_sign_spec(3, seed=5)
+        x = seed_diagonals(spec.seed())
+        P = assemble(x, spec, 0.5)
+        for decomp in (spectral_map(x, spec, 0.5), proper_values(P)):
+            upper = decomp.upper_coefficients()
+            assert np.allclose(upper, np.hstack(P.coeffs[1:]), rtol=0.0,
+                               atol=4 * np.finfo(float).eps * np.max(np.abs(upper)))
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-11, 7e-11, 7.1e-11, 1e-10, 1e-3])
+    def test_degenerate_denominator_at_the_same_threshold(self, delta):
+        # P'(0) = diag(4, -4) and v = (cos t, sin t) with t = pi/4 + delta:
+        # v^T P'(0) v = 4 cos 2t, against DENOM_TOL times ||P'||_F = 4 sqrt(2)
+        P = MatrixPolynomial((np.eye(2), np.diag([4.0, -4.0]), np.eye(2)))
+        t = np.pi / 4 + delta
+        rows = np.array([[np.cos(t), np.sin(t)], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        values = np.array([0.0, 1.0, 3.0, 4.0])
+        decomp = SpectralDecomposition(values=values, companion_rows=rows, companion=linearize(P),
+                                       lead=np.ones(2))
+        dP = derivative(P)
+        degenerate = any(abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * dP.coefficient_scale(lam)
+                         for lam, v in zip(values, decomp.vectors))
+        assert degenerate == (delta < 7.07e-11)
+        if degenerate:
+            with pytest.raises(DegenerateDenominator, match="row 0"):
+                jacobian_x(decomp)
+        else:
+            assert np.all(np.isfinite(jacobian_x(decomp)))
 
 
 class TestTauDerivative:
@@ -193,7 +269,7 @@ class TestTauDerivative:
         gold = golden_path4_polynomial()
         x = np.concatenate([np.diag(gold.coeffs[0]), np.diag(gold.coeffs[1])])
         P = assemble(x, path4_spec, tau=1.0)
-        d = tau_derivative(P, proper_values(P), path4_spec.ramp)
+        d = tau_derivative(proper_values(P), path4_spec.ramp)
         h = 1e-5
         fd = (proper_values(assemble(x, path4_spec, tau=1.0 + h)).values
               - proper_values(assemble(x, path4_spec, tau=1.0 - h)).values) / (2 * h)
@@ -202,7 +278,7 @@ class TestTauDerivative:
 
     def test_exactly_zero_at_diagonal_seed(self, path4_spec):
         P = path4_spec.seed()
-        d = tau_derivative(P, proper_values(P), path4_spec.ramp)
+        d = tau_derivative(proper_values(P), path4_spec.ramp)
         assert np.array_equal(d, np.zeros(8))
 
 
@@ -210,7 +286,7 @@ class TestJacobianFD:
     def test_richardson_consistency_at_seed(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
-        J = jacobian_x(P, decomp)
+        J = jacobian_x(decomp)
         h = 1e-4
         e1 = np.max(np.abs(jacobian_fd(P, h=h) - J))
         e2 = np.max(np.abs(jacobian_fd(P, h=h / 2) - J))
@@ -223,7 +299,7 @@ class TestJacobianFD:
         # rows are ascending values: q-th smallest; row block r gets nonzeros
         # only in columns for diagonal entry r
         decomp = proper_values(P)
-        J = jacobian_x(P, decomp)
+        J = jacobian_x(decomp)
         zero_mask = np.abs(J) < 1e-13
         assert np.max(np.abs(Jfd[zero_mask])) <= 1e-7
 

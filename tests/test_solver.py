@@ -16,6 +16,7 @@ from structured_iep import (
     TargetSpectrum,
     assemble,
     continuation_solve,
+    graph_of_matrix,
     match_targets,
     matpoly,
     matrix_of_graph,
@@ -367,6 +368,7 @@ class TestContinuationSolve:
 
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
     def test_bundled_problems_take_at_most_five_newton_solves(self, name, request, monkeypatch):
+        # and keep the path (0.5, 1)
         spec = request.getfixturevalue(name)
         taus = []
         newton = solver.newton_solve
@@ -377,8 +379,49 @@ class TestContinuationSolve:
 
         monkeypatch.setattr(solver, "newton_solve", counting)
         rep = continuation_solve(spec)
-        assert rep.converged and rep.continuation_path[-1] == 1.0
+        assert rep.converged and rep.continuation_path == (0.5, 1.0)
         assert len(taus) <= 5
+
+    @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec", "stalling"])
+    def test_correctors_below_tau_one_stop_at_the_looser_tolerance(self, name, request, monkeypatch):
+        if name == "stalling":  # five tau steps converge, then a corrector stalls
+            spec = make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0)
+        else:
+            spec = request.getfixturevalue(name)
+        loose = solver.CORRECTOR_TOL_REL * max(spec.spectrum.diameter, 1.0)
+        full = spec.controls.resolved_tol(spec.spectrum)
+        converged, newton = [], solver.newton_solve
+
+        def recording(*args, **kwargs):
+            rep = newton(*args, **kwargs)
+            converged.append((kwargs["tau"], [r.residual for r in rep.iterations]))
+            return rep
+
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        rep = continuation_solve(spec)
+        below = [residuals for tau, residuals in converged if tau < 1.0]
+        assert below
+        # each stopped at its first iterate within the looser tolerance
+        assert all(r[-1] <= loose and all(v > loose for v in r[:-1]) for r in below)
+        assert any(r[-1] > full for r in below)
+        if rep.converged:
+            assert converged[-1][0] == 1.0 and rep.residual <= full
+        else:
+            assert rep.residual <= loose and rep.residual == below[-1][-1]
+
+    def test_a_looser_newton_tol_applies_below_tau_one(self, path4_spec, monkeypatch):
+        spec = quadratic_targets_spec(path4_spec.graphs, newton_tol=1e-3)
+        assert 1e-3 > solver.CORRECTOR_TOL_REL * max(spec.spectrum.diameter, 1.0)
+        tols, newton = [], solver.newton_solve
+
+        def recording(*args, **kwargs):
+            tols.append((kwargs["tau"], kwargs["tol"]))
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        assert continuation_solve(spec).converged
+        assert {tol for tau, tol in tols if tau < 1.0} == {1e-3}
+        assert {tol for tau, tol in tols if tau == 1.0} == {None}
 
     def test_failing_problem_stays_within_the_documented_budget(self, monkeypatch):
         taus, corrector_iterations, jacobians = [], [], []
@@ -515,6 +558,53 @@ class TestContinuationSolve:
         rep = continuation_solve(make_spec(rng, 4, 2, epsilon=0.1))
         assert raised and rep.converged
         assert rep.continuation_path == (0.5, 1.0)
+
+
+def old_structure_detail(P, spec):
+    """The verdict as graph_of_matrix computes it, one coefficient at a time."""
+    return tuple(graph_of_matrix(P.coeffs[s], 0.0) == spec.graphs[s] for s in range(spec.k))
+
+
+class TestStructureVerdict:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_graph_of_matrix_on_random_symmetric_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        spec = make_spec(rng, n, k, epsilon=0.5)
+        verdicts = set()
+        for _ in range(40):
+            coeffs = []
+            for s in range(k):
+                if rng.random() < 0.5:  # the graph's own pattern, one entry pair possibly flipped
+                    A = assemble(rng.uniform(-1, 1, n * k), spec).coeffs[s].copy()
+                    i, j = rng.integers(0, n, 2)
+                    if rng.random() < 0.5:
+                        A[i, j] = A[j, i] = 0.0 if A[i, j] else 1.0
+                else:  # random symmetric with exact zeros
+                    B = rng.standard_normal((n, n))
+                    A = np.where(rng.random((n, n)) < 0.5, 0.0, B)
+                    A = np.triu(A) + np.triu(A, 1).T
+                coeffs.append(A)
+            P = matpoly.MatrixPolynomial((*coeffs, np.diag(spec.lead.alpha_k)))
+            detail, leading_ok = solver._structure_verdict(P, spec)
+            assert detail == old_structure_detail(P, spec) and leading_ok
+            verdicts.update(detail)
+        assert verdicts == {True, False}
+
+    def test_zero_epsilon_seed_fails_structure(self, path4_spec):
+        spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
+        rep = continuation_solve(spec)
+        assert rep.converged and not rep.structure_ok
+        assert rep.structure_detail == old_structure_detail(rep.polynomial, spec) == (False, False)
+
+    def test_verify_sees_a_missing_edge(self, path4_spec):
+        gold = golden_path4_polynomial()
+        A0 = gold.coeffs[0].copy()
+        A0[0, 1] = A0[1, 0] = 0.0
+        P = matpoly.MatrixPolynomial((A0, *gold.coeffs[1:]))
+        report = verify(P, path4_spec, value_tol=1.0)
+        assert not report.passed and report.failure == "structure mismatch"
+        assert report.structure_detail == old_structure_detail(P, path4_spec) == (False, True)
 
 
 class TestVerify:
@@ -718,12 +808,28 @@ def test_continuation_solve_builds_each_offdiagonal_matrix_once(path4_spec, monk
     assert len(calls) == path4_spec.k
 
 
+@pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
+def test_converged_newton_solve_assembles_only_its_report(name, request, monkeypatch):
+    spec = request.getfixturevalue(name)
+    calls, assemble_ = [], solver.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble_(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble", counting)
+    curvature, _ = solver._seed_curvature(spec)
+    rep = newton_solve(spec, x0=seed_diagonals(spec.seed()) + 0.25 * curvature, tau=0.5)
+    assert rep.converged and len(rep.iterations) > 2
+    assert len(calls) == 1
+
+
 def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
     curvature, _ = solver._seed_curvature(path4_spec)
     rep = newton_solve(path4_spec, x0=seed_diagonals(path4_spec.seed()) + 0.25 * curvature, tau=0.5)
     fresh = reference_spectral_map(rep.x, path4_spec, 0.5)
-    assert np.array_equal(solver._tangent(path4_spec, rep.x, 0.5, rep._decomposition),
-                          solver._tangent(path4_spec, rep.x, 0.5, fresh))
+    assert np.array_equal(solver._tangent(path4_spec, rep._decomposition),
+                          solver._tangent(path4_spec, fresh))
 
     calls = []
 
