@@ -154,15 +154,17 @@ def cmd_jacobian(args) -> int:
         "config": spec_to_config(spec),
         "at": "seed" if at_seed else args.at,
         "jacobian": J.tolist(),
-        "condition": float(np.linalg.cond(J)),
     }
     if at_seed:
         check = seed_vandermonde_check(P, spec.spectrum, decomp, J)
+        doc["condition"] = check["condition"]
         doc["vandermonde"] = {
             "max_entry_error": check["max_entry_error"],
             "max_offblock": check["max_offblock"],
             "passed": check["max_entry_error"] <= 1e-12 and check["max_offblock"] <= 1e-12,
         }
+    else:
+        doc["condition"] = float(np.linalg.cond(J))
     _emit(doc, args.out)
     if not args.quiet and args.out:
         print(f"condition: {doc['condition']:.15g}")

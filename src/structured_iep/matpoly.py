@@ -192,7 +192,7 @@ def _companion(P: MatrixPolynomial) -> np.ndarray:
 
 def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
     """Raise NearDegenerate if two ascending values are closer than sep_tol
-    (default SEP_TOL_REL times the spectrum diameter)."""
+    (default SEP_TOL_REL times max(diameter, 1) of vals)."""
     if sep_tol is None:
         diam = vals[-1] - vals[0] if len(vals) > 1 else 0.0
         sep_tol = SEP_TOL_REL * max(diam, 1.0)
@@ -241,9 +241,9 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
     imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two returned
-    values are closer than ``sep_tol`` (default SEP_TOL_REL times the
-    spectrum diameter).  Both signal that the simple-real regime the rest
-    of the package relies on has been left.  NonRealSpectrum cannot occur
+    values are closer than ``sep_tol`` (default SEP_TOL_REL times
+    max(diameter, 1) of the values).  Both signal that the simple-real
+    regime the rest of the package relies on has been left.  NonRealSpectrum cannot occur
     at degree 1, where the spectrum of the pencil is real; there a
     non-symmetric A_0 raises InvariantViolation.
     """

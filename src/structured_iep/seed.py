@@ -37,14 +37,15 @@ class TargetSpectrum:
             )
         if not np.all(np.isfinite(vals)):
             raise InvariantViolation("target values must be finite")
-        srt = np.sort(vals)
-        diam = max(srt[-1] - srt[0], 1.0) if len(srt) > 1 else 1.0
-        if len(srt) > 1 and np.min(np.diff(srt)) < SEP_TOL_REL * diam:
+        if len(vals) > 1 and np.min(np.diff(np.sort(vals))) < SEP_TOL_REL * self.scale:
             raise InvariantViolation("target values must be pairwise distinct")
 
     @cached_property
-    def diameter(self) -> float:
-        return float(np.max(self.values) - np.min(self.values)) if len(self.values) > 1 else 0.0
+    def scale(self) -> float:
+        """max(max - min, 1) over the targets, 1 for a single one: the
+        scale of every tolerance on the values (target separation, the
+        companion's separation check, Newton and corrector residuals)."""
+        return max(float(np.max(self.values) - np.min(self.values)), 1.0)
 
     def sorted_values(self) -> np.ndarray:
         return np.sort(self.values)

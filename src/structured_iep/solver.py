@@ -6,8 +6,8 @@ the perturbation the Newton step must compensate).  A direct solve at full
 off-diagonal strength can leave the real-spectrum regime, in which case the
 off-diagonals are ramped in by predictor-corrector continuation in their
 scale tau: each step predicts along the tangent of the solution curve and
-corrects with a capped Newton solve, keeping every converged step; the step
-halves on failure and doubles on success (continuation_solve).  Only the
+corrects with a Newton solve, keeping every converged step; the step halves
+on failure and doubles on success (continuation_solve).  Only the
 direct attempt at tau = 1 backtracks along its Newton steps; every later
 corrector takes full steps, and the first one that does not lower the
 residual fails it, so a losing corrector costs one eigensolve per
@@ -15,12 +15,15 @@ iteration.  At the diagonal seed the tangent is zero, so correctors from
 the seed start at its closed-form second-order term instead, where that
 term moves no target by more than half its gap (_seed_curvature).
 Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL, and the
-Jacobian reads P' back from the companion matrix of each eigensolve.
+Jacobian reads P' back from the companion matrix of each eigensolve.  A
+corrector returns its converged state, not a report: the polynomial is
+assembled once per solve, for the one SolveReport continuation_solve
+returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,14 +49,13 @@ from .sensitivity import jacobian_x, tau_derivative
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 MAX_BACKTRACKS = 2  # step lengths 1, 1/2, 1/4: see newton_solve
-MAX_CORRECTOR_ITER = 8  # Newton iteration cap for correctors at tau < 1
-CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times max(diameter, 1): see continuation_solve
+CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.scale: see continuation_solve
 SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
 
 
 @dataclass(frozen=True)
 class SolverControls:
-    newton_tol: float | None = None  # None: 1e-11 * spectrum diameter
+    newton_tol: float | None = None  # None: 1e-11 * spectrum.scale, i.e. times max(diameter, 1)
     max_iter: int = 50
 
     def __post_init__(self):
@@ -65,7 +67,7 @@ class SolverControls:
     def resolved_tol(self, spectrum: TargetSpectrum) -> float:
         if self.newton_tol is not None:
             return self.newton_tol
-        return 1e-11 * max(spectrum.diameter, 1.0)
+        return 1e-11 * spectrum.scale
 
 
 @dataclass(frozen=True)
@@ -186,14 +188,14 @@ def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate
     linearize(assemble(0, spec, tau)), or its _pencil at k = 1, for tau >= 0.
     """
     return CompanionTemplate.from_coefficients([tau * y for y in spec.ramp.coeffs], spec.lead.alpha_k,
-                                               SEP_TOL_REL * max(spec.spectrum.diameter, 1.0))
+                                               SEP_TOL_REL * spec.spectrum.scale)
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
                  companion: CompanionTemplate | None = None):
     """Ascending proper values of assemble(x, spec, tau), bitwise, with the
     checks of proper_values at a separation tolerance of SEP_TOL_REL times
-    the target spectrum's diameter.
+    spec.spectrum.scale.
 
     The kn unknowns are written into a copy of ``companion`` (default:
     companion_template(spec, tau), built here), so no polynomial is
@@ -230,59 +232,42 @@ def _structure_verdict(P: MatrixPolynomial, spec: ProblemSpec) -> tuple[tuple[bo
     return per_coeff, leading_ok
 
 
-def _report(spec, x, tau_path, trace, residual, converged, failure=None, tau=1.0):
-    P = assemble(x, spec, tau)
-    detail, leading_ok = _structure_verdict(P, spec)
-    return SolveReport(
-        polynomial=P,
-        x=np.array(x, copy=True),
-        residual=float(residual),
-        iterations=tuple(trace),
-        structure_ok=all(detail) and leading_ok,
-        structure_detail=detail,
-        leading_ok=leading_ok,
-        continuation_path=tuple(tau_path),
-        converged=converged,
-        failure=failure,
-    )
-
-
 def newton_solve(
     spec: ProblemSpec,
     x0: np.ndarray | None = None,
     tau: float = 1.0,
-    max_iter: int | None = None,
     line_search: bool = True,
     tol: float | None = None,
-) -> SolveReport:
+) -> tuple[np.ndarray, SpectralDecomposition, tuple[IterationRecord, ...]]:
     """Damped Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
-    Runs at most ``max_iter`` iterations (default controls.max_iter) and stops
-    at a residual of ``tol`` (default controls.resolved_tol) or less.  The
-    step is the analytic-Jacobian Newton step (jacobian_x), taken at length
-    1, 1/2, 1/4 (MAX_BACKTRACKS = 2 halvings) until the residual
-    infinity-norm strictly decreases; otherwise the solve raises
-    NoConvergence ("backtracking stalled").  The floor is 1/4 because a
-    corrector that needs more damping than that is read as a continuation
-    step that is too long: continuation_solve then halves the step in tau,
-    which is cheaper than creeping along the Newton direction.  Without
-    ``line_search`` only the full step is tried, so a full step that does
-    not lower the residual, or whose spectrum is not real and simple,
-    stalls the solve at once: continuation_solve asks for that on every
-    corrector after its direct attempt.  A solve makes at most 1 + max_iter
-    * (MAX_BACKTRACKS + 1) spectral_map evaluations with the line search,
-    1 + max_iter without.
+    Runs at most controls.max_iter iterations and stops at a residual of
+    ``tol`` (default controls.resolved_tol) or less.  The step is the
+    analytic-Jacobian Newton step (jacobian_x), taken at length 1, 1/2, 1/4
+    (MAX_BACKTRACKS = 2 halvings) until the residual infinity-norm strictly
+    decreases; otherwise the solve raises NoConvergence ("backtracking
+    stalled").  The floor is 1/4 because a corrector that needs more
+    damping than that is read as a continuation step that is too long:
+    continuation_solve then halves the step in tau, which is cheaper than
+    creeping along the Newton direction.  Without ``line_search`` only the
+    full step is tried, so a full step that does not lower the residual, or
+    whose spectrum is not real and simple, stalls the solve at once:
+    continuation_solve asks for that on every corrector after its direct
+    attempt.  A solve makes at most 1 + max_iter * (MAX_BACKTRACKS + 1)
+    spectral_map evaluations with the line search, 1 + max_iter without.
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map patches one companion template
     built per solve, and jacobian_x reads P' back from it; proper vectors
-    are selected only for the iterates that build a Jacobian, and the
-    polynomial is assembled only for the report.  A failed solve raises
-    NoConvergence / SingularJacobian / NonRealSpectrum / NearDegenerate and
-    builds no report.
+    are selected only for the iterates that build a Jacobian, and no
+    polynomial is assembled.  Returns the converged state (x, decomposition,
+    iterations): the last accepted iterate, its spectral_map (by the
+    template's contract bitwise proper_values(assemble(x, spec, tau)), so
+    _tangent needs no eig of its own) and one IterationRecord per accepted
+    iterate, the start included.  A failed solve raises NoConvergence /
+    SingularJacobian / NonRealSpectrum / NearDegenerate.
     """
     ctl = spec.controls
-    max_iter = ctl.max_iter if max_iter is None else max_iter
     tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol
     targets = spec.spectrum.sorted_values()
     x = seed_diagonals(spec.seed()) if x0 is None else np.array(x0, dtype=float, copy=True)
@@ -294,11 +279,11 @@ def newton_solve(
     rnorm = float(np.max(np.abs(res)))
     trace.append(IterationRecord(0, rnorm, 0.0))
 
-    for it in range(1, max_iter + 2):
+    for it in range(1, ctl.max_iter + 2):
         if rnorm <= tol:
-            return _accepted(_report(spec, x, [tau], trace, rnorm, True, tau=tau), decomp)
-        if it > max_iter:
-            raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {max_iter} iterations")
+            return x, decomp, tuple(trace)
+        if it > ctl.max_iter:
+            raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {ctl.max_iter} iterations")
         J = jacobian_x(decomp)
         try:
             dx = np.linalg.solve(J, res)
@@ -323,16 +308,6 @@ def newton_solve(
             damp *= 0.5
         else:
             raise NoConvergence(f"backtracking stalled at residual {rnorm:.3g} (iteration {it})")
-
-
-def _accepted(report: SolveReport, decomp: SpectralDecomposition) -> SolveReport:
-    """Attach to a converged newton_solve report, as ``_decomposition``, the
-    spectral_map of its last accepted iterate report.x: by the template's
-    contract bitwise proper_values(assemble(x, spec, tau)), so _tangent
-    needs no eig of its own.  It is not a field: replace() and comparisons
-    ignore it."""
-    object.__setattr__(report, "_decomposition", decomp)
-    return report
 
 
 def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
@@ -417,10 +392,9 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     rho <= SEED_SHIFT_MAX: no predicted target shift then exceeds half the
     gap to its nearest other target, where the expansion and the sorted
     matching hold.  Otherwise it starts at the bare seed.  Each prediction
-    is corrected with newton_solve: at most min(max_iter,
-    MAX_CORRECTOR_ITER) iterations below tau = 1, controls.max_iter at
-    tau = 1.  A point below tau = 1 only seeds the next prediction, so its
-    corrector stops at CORRECTOR_TOL_REL times max(diameter, 1), or at
+    is corrected with newton_solve, in at most controls.max_iter
+    iterations.  A point below tau = 1 only seeds the next prediction, so
+    its corrector stops at CORRECTOR_TOL_REL times spectrum.scale, or at
     controls.newton_tol if looser: one quadratic Newton step regains full
     accuracy from there.  The corrector at tau = 1 stops at resolved_tol.
     Only the direct attempt backtracks along its Newton steps; every later
@@ -443,23 +417,23 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     51 = 6,883 with the default controls.  The predictors choose only where
     a corrector starts, so neither budget depends on them.
 
-    continuation_path holds the converged tau values, ascending (to 1 on
-    success).  On failure the report is the last converged (tau, x), with
-    the residual of its last iteration (within the corrector tolerance
-    below tau = 1); when no tau converged that is the seed at tau = 0,
-    with an empty path and residual inf.  Its failure reads
-    "<exception kind> at tau=<tau>: <detail>", for the last corrector tried.
+    The solve has one exit: the polynomial is assembled once, at the last
+    converged (tau, x), for the one SolveReport.  continuation_path holds
+    the converged tau values, ascending (to 1 on success).  On failure the
+    report is the last converged (tau, x), with the residual of its last
+    iteration (within the corrector tolerance below tau = 1); when no tau
+    converged that is the seed at tau = 0, with an empty path and residual
+    inf.  Its failure reads "<exception kind> at tau=<tau>: <detail>", for
+    the last corrector tried.
     """
-    ctl = spec.controls
-    loose_tol = max(CORRECTOR_TOL_REL * max(spec.spectrum.diameter, 1.0), ctl.resolved_tol(spec.spectrum))
+    loose_tol = max(CORRECTOR_TOL_REL * spec.spectrum.scale, spec.controls.resolved_tol(spec.spectrum))
     x = seed_diagonals(spec.seed())
     curvature, rho = _seed_curvature(spec)
     tau, dtau = 0.0, 1.0
-    path, trace = [], []
+    path, trace, failure = [], [], None
     while True:
         # absorb rounding in tau + dtau so the last step lands exactly on 1
         tau_next = 1.0 if tau + dtau > 1.0 - 1e-12 else tau + dtau
-        max_iter, tol = (None, None) if tau_next == 1.0 else (min(ctl.max_iter, MAX_CORRECTOR_ITER), loose_tol)
         if path:
             x0 = x + (tau_next - tau) * xdot
         elif tau_next ** 2 * rho <= SEED_SHIFT_MAX:
@@ -468,24 +442,38 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
             x0 = x
         try:
             # the direct attempt: from the seed at tau = 1
-            rep = newton_solve(spec, x0=x0, tau=tau_next, max_iter=max_iter,
-                               line_search=not path and tau_next == 1.0, tol=tol)
+            x_next, decomp, iterations = newton_solve(
+                spec, x0=x0, tau=tau_next, line_search=not path and tau_next == 1.0,
+                tol=None if tau_next == 1.0 else loose_tol)
         except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian,
                 DegenerateDenominator) as exc:
             dtau *= 0.5
             if dtau >= 1.0 / MAX_CONTINUATION_STEPS:
                 continue
-            # the last converged (tau, x): the seed at tau = 0 when none did
-            residual = trace[-1].residual if path else np.inf
-            return _report(spec, x, path, trace, residual, False,
-                           failure=f"{type(exc).__name__} at tau={tau_next:.6g}: {exc}", tau=tau)
-        x, tau = rep.x, tau_next
+            failure = f"{type(exc).__name__} at tau={tau_next:.6g}: {exc}"
+            break
+        x, tau = x_next, tau_next
         path.append(tau)
-        trace.extend(rep.iterations)
+        trace.extend(iterations)
         if tau == 1.0:
-            return replace(rep, continuation_path=tuple(path), iterations=tuple(trace))
-        xdot = _tangent(spec, rep._decomposition)
+            break
+        xdot = _tangent(spec, decomp)
         dtau = min(2.0 * dtau, 1.0 - tau)
+    # the last converged (tau, x): the seed at tau = 0 when none did
+    P = assemble(x, spec, tau)
+    detail, leading_ok = _structure_verdict(P, spec)
+    return SolveReport(
+        polynomial=P,
+        x=x,
+        residual=trace[-1].residual if path else np.inf,
+        iterations=tuple(trace),
+        structure_ok=all(detail) and leading_ok,
+        structure_detail=detail,
+        leading_ok=leading_ok,
+        continuation_path=tuple(path),
+        converged=failure is None,
+        failure=failure,
+    )
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,20 @@ class TestJacobian:
         assert np.isfinite(doc["condition"])
         assert np.array(doc["jacobian"]).shape == (8, 8)
 
+    def test_condition_is_computed_once_at_the_seed(self, capsys, monkeypatch):
+        # the seed check's condition number is the reported one
+        calls, cond = [], np.linalg.cond
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        code, out, _ = run(capsys, ["--quiet", "jacobian", PATH4])
+        assert code == 0 and len(calls) == 1
+        doc = json.loads(out)
+        assert doc["condition"] == cond(np.array(doc["jacobian"]))
+
     def test_at_solution_point(self, capsys, tmp_path):
         poly = tmp_path / "poly.json"
         run(capsys, ["--quiet", "solve", PATH4, "--out", str(poly)])
@@ -438,6 +452,22 @@ class TestErrorPaths:
         code, _, err = run(capsys, ["--quiet", "--tol", tol, "solve", PATH4])
         assert code == cli.EXIT_INVARIANT
         assert err.startswith("error:") and "newton_tol" in err
+
+    @pytest.mark.parametrize("flags, controls, field", [
+        (["--max-iter", "0"], None, "max_iter"),
+        (["--tol", "0"], None, "newton_tol"),
+        (["--tol", "-1"], None, "newton_tol"),
+        ([], {"max_iter": 0}, "max_iter"),
+        ([], {"newton_tol": -1}, "newton_tol"),
+    ], ids=["max-iter-0", "tol-0", "tol-minus-1", "file-max_iter-0", "file-newton_tol-minus-1"])
+    def test_out_of_range_controls_exit_three(self, capsys, tmp_path, flags, controls, field):
+        problem = PATH4
+        if controls is not None:
+            problem = tmp_path / "p.json"
+            problem.write_text(json.dumps(path4_doc(controls=controls)))
+        code, out, err = run(capsys, ["--quiet", *flags, "solve", str(problem)])
+        assert code == cli.EXIT_INVARIANT and out == ""
+        assert err.startswith("error:") and field in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("doc", [5, [1, 2], "coefficients"])
     def test_non_object_polynomial_exits_two(self, capsys, tmp_path, doc):

@@ -41,7 +41,7 @@ from conftest import (
 )
 
 
-def complex_pair_spec():
+def complex_pair_spec(max_iter=10):
     """2x2 quadratic whose spectrum turns complex under any coupling strong
     enough: with a huge epsilon even tau = 1/64 fails."""
     return ProblemSpec(
@@ -49,13 +49,18 @@ def complex_pair_spec():
         lead=LeadingDiagonal(alpha_k=np.ones(2)),
         graphs=(Graph(2, ((1, 2),)), Graph(2, ((1, 2),))),
         epsilon=500.0,
-        controls=SolverControls(max_iter=10),
+        controls=SolverControls(max_iter=max_iter),
     )
+
+
+def stalling_spec():
+    """Five tau steps converge, then a corrector stalls."""
+    return make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0)
 
 
 def reference_spectral_map(x, spec, tau):
     """The spectral map as assemble + proper_values computes it."""
-    sep_tol = matpoly.SEP_TOL_REL * max(spec.spectrum.diameter, 1.0)
+    sep_tol = matpoly.SEP_TOL_REL * spec.spectrum.scale
     return proper_values(assemble(x, spec, tau), sep_tol=sep_tol)
 
 
@@ -225,37 +230,36 @@ class TestMatchTargets:
 class TestNewtonSolve:
     def test_zero_epsilon_returns_seed_in_zero_iterations(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
-        rep = newton_solve(spec)
-        assert rep.converged
-        assert len(rep.iterations) == 1  # the initial residual record only
-        assert np.array_equal(rep.x, seed_diagonals(spec.seed()))
+        x, _, iterations = newton_solve(spec)
+        assert len(iterations) == 1  # the initial residual record only
+        assert np.array_equal(x, seed_diagonals(spec.seed()))
 
     def test_seed_newton_step_is_tiny(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
-        rep = newton_solve(spec)
-        assert rep.residual <= 1e-12
+        _, _, iterations = newton_solve(spec)
+        assert iterations[-1].residual <= 1e-12
 
     def test_random_instance(self):
         rng = np.random.default_rng(17)
         spec = make_spec(rng, 5, 3, epsilon=0.1, newton_tol=1e-10)
-        rep = newton_solve(spec)
-        assert rep.converged and rep.residual <= 1e-10
-        # independent re-check of the output polynomial
-        vals = proper_values(rep.polynomial).values
-        assert np.max(np.abs(vals - spec.spectrum.sorted_values())) <= 1e-10
-        assert rep.structure_ok
+        x, _, iterations = newton_solve(spec)
+        assert iterations[-1].residual <= 1e-10
+        # independent re-check of the polynomial of x: values and structure
+        assert verify(assemble(x, spec), spec, value_tol=1e-10).passed
 
     def test_monotone_residual_trace(self):
         rng = np.random.default_rng(23)
         spec = make_spec(rng, 4, 2, epsilon=0.15)
-        rep = newton_solve(spec)
-        residuals = [t.residual for t in rep.iterations]
+        _, _, iterations = newton_solve(spec)
+        residuals = [t.residual for t in iterations]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
     def test_offdiagonals_bitwise_fixed(self):
         rng = np.random.default_rng(31)
         spec = make_spec(rng, 4, 2, epsilon=0.2)
-        rep = newton_solve(spec)
+        # the direct Newton solve, and the polynomial of its report
+        rep = continuation_solve(spec)
+        assert rep.converged and rep.continuation_path == (1.0,)
         for s, g in enumerate(spec.graphs):
             A = rep.polynomial.coeffs[s]
             for y, (i, j) in zip(spec.offdiag_values[s], g.edges):
@@ -283,14 +287,14 @@ class TestNewtonSolve:
         monkeypatch.setattr(solver, "spectral_map", counting("spectral_map", solver.spectral_map))
         trials = []
         # the complex pair at tau = 1/8 backtracks deep only under a looser cap
-        for spec, tau, max_iter, cap in (
-                (make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1), 1.0, None, solver.MAX_BACKTRACKS),
-                (complex_pair_spec(), 1 / 64, 8, solver.MAX_BACKTRACKS),
-                (complex_pair_spec(), 1 / 8, 8, 30)):
+        for spec, tau, cap in (
+                (make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1), 1.0, solver.MAX_BACKTRACKS),
+                (complex_pair_spec(max_iter=8), 1 / 64, solver.MAX_BACKTRACKS),
+                (complex_pair_spec(max_iter=8), 1 / 8, 30)):
             monkeypatch.setattr(solver, "MAX_BACKTRACKS", cap)
             calls.update(companion_template=0, linearize=0, spectral_map=0)
             try:
-                newton_solve(spec, tau=tau, max_iter=max_iter)
+                newton_solve(spec, tau=tau)
             except NoConvergence:
                 pass
             assert calls["companion_template"] == 1
@@ -310,7 +314,7 @@ class TestNewtonSolve:
 
         monkeypatch.setattr(solver, "spectral_map", counting)
         with pytest.raises(NoConvergence, match=r"backtracking stalled .*\(iteration 1\)"):
-            newton_solve(complex_pair_spec(), tau=1 / 64, max_iter=8)
+            newton_solve(complex_pair_spec(max_iter=8), tau=1 / 64)
         assert len(calls) == 1 + solver.MAX_BACKTRACKS + 1  # the start, then the trials
 
     def test_nonreal_start_raises(self, path4_spec):
@@ -326,14 +330,14 @@ class TestContinuationSolve:
         spec = make_spec(rng, 4, 2, epsilon=0.1)
         curvature, rho = solver._seed_curvature(spec)
         assert rho <= solver.SEED_SHIFT_MAX  # the direct attempt starts at seed + c
-        predicted = newton_solve(spec, x0=seed_diagonals(spec.seed()) + curvature)
+        predicted, _, iterations = newton_solve(spec, x0=seed_diagonals(spec.seed()) + curvature)
         cont = continuation_solve(spec)
         assert cont.continuation_path == (1.0,)
-        assert np.array_equal(cont.x, predicted.x)
-        assert cont.iterations == predicted.iterations
+        assert np.array_equal(cont.x, predicted)
+        assert cont.iterations == iterations
         # the same root as Newton from the bare seed
-        direct = newton_solve(spec)
-        assert np.max(np.abs(cont.x - direct.x)) <= 1e-9 * np.max(np.abs(direct.x))
+        direct, _, _ = newton_solve(spec)
+        assert np.max(np.abs(cont.x - direct)) <= 1e-9 * np.max(np.abs(direct))
 
     def test_path4_requires_continuation(self, path4_spec):
         rep = continuation_solve(path4_spec)
@@ -384,18 +388,15 @@ class TestContinuationSolve:
 
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec", "stalling"])
     def test_correctors_below_tau_one_stop_at_the_looser_tolerance(self, name, request, monkeypatch):
-        if name == "stalling":  # five tau steps converge, then a corrector stalls
-            spec = make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0)
-        else:
-            spec = request.getfixturevalue(name)
-        loose = solver.CORRECTOR_TOL_REL * max(spec.spectrum.diameter, 1.0)
+        spec = stalling_spec() if name == "stalling" else request.getfixturevalue(name)
+        loose = solver.CORRECTOR_TOL_REL * spec.spectrum.scale
         full = spec.controls.resolved_tol(spec.spectrum)
         converged, newton = [], solver.newton_solve
 
         def recording(*args, **kwargs):
-            rep = newton(*args, **kwargs)
-            converged.append((kwargs["tau"], [r.residual for r in rep.iterations]))
-            return rep
+            state = newton(*args, **kwargs)
+            converged.append((kwargs["tau"], [r.residual for r in state[2]]))
+            return state
 
         monkeypatch.setattr(solver, "newton_solve", recording)
         rep = continuation_solve(spec)
@@ -411,7 +412,7 @@ class TestContinuationSolve:
 
     def test_a_looser_newton_tol_applies_below_tau_one(self, path4_spec, monkeypatch):
         spec = quadratic_targets_spec(path4_spec.graphs, newton_tol=1e-3)
-        assert 1e-3 > solver.CORRECTOR_TOL_REL * max(spec.spectrum.diameter, 1.0)
+        assert 1e-3 > solver.CORRECTOR_TOL_REL * spec.spectrum.scale
         tols, newton = [], solver.newton_solve
 
         def recording(*args, **kwargs):
@@ -442,7 +443,8 @@ class TestContinuationSolve:
 
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
         monkeypatch.setattr(solver, "newton_solve", recording)
-        rep = continuation_solve(complex_pair_spec())
+        spec = complex_pair_spec()
+        rep = continuation_solve(spec)
         assert not rep.converged
         M = solver.MAX_CONTINUATION_STEPS
         log2_m = int(np.log2(M))
@@ -452,13 +454,14 @@ class TestContinuationSolve:
         assert len(taus) == log2_m + 1
         assert min(taus) == 1.0 / M
         assert corrector_iterations
-        assert all(n <= solver.MAX_CORRECTOR_ITER for tau, n in corrector_iterations if tau < 1.0)
+        # continuation_solve's docstring: every corrector within controls.max_iter
+        assert all(n <= spec.controls.max_iter for tau, n in corrector_iterations)
 
     @pytest.mark.parametrize("spec, newton_budget", [
         # no step converges: log2(M) + 1 Newton solves
         (complex_pair_spec(), int(np.log2(solver.MAX_CONTINUATION_STEPS)) + 1),
         # five tau steps converge, then a corrector stalls: 2M - 1 + log2(M)
-        (make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0),
+        (stalling_spec(),
          2 * solver.MAX_CONTINUATION_STEPS - 1 + int(np.log2(solver.MAX_CONTINUATION_STEPS))),
     ], ids=["complex_pair", "stalling"])
     def test_spectral_map_calls_stay_within_the_documented_budget(self, spec, newton_budget, monkeypatch):
@@ -482,11 +485,10 @@ class TestContinuationSolve:
 
         def recording(*args, **kwargs):
             start = len(calls)
-            max_iter = kwargs["max_iter"] or spec.controls.max_iter
             try:
                 return newton(*args, **kwargs)
             finally:
-                per_solve.append((len(calls) - start, solve_budget(max_iter)))
+                per_solve.append((len(calls) - start, solve_budget(spec.controls.max_iter)))
 
         monkeypatch.setattr(solver, "spectral_map", counting)
         monkeypatch.setattr(solver, "newton_solve", recording)
@@ -498,7 +500,7 @@ class TestContinuationSolve:
 
     @pytest.mark.parametrize("spec", [
         complex_pair_spec(),
-        make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0),
+        stalling_spec(),
     ], ids=["complex_pair", "stalling"])
     def test_only_the_direct_attempt_backtracks(self, spec, monkeypatch):
         M = solver.MAX_CONTINUATION_STEPS
@@ -529,7 +531,7 @@ class TestContinuationSolve:
                 return newton(*args, **kwargs)
             finally:
                 per_solve.append((len(calls) - start, len(jacobians) - iterations,
-                                  kwargs["max_iter"] or spec.controls.max_iter, kwargs["line_search"]))
+                                  spec.controls.max_iter, kwargs["line_search"]))
 
         monkeypatch.setattr(solver, "spectral_map", counting)
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
@@ -738,8 +740,8 @@ class TestSeedPredictor:
         errors = []
         for tau in (0.04, 0.02, 0.01):
             predicted = seed + tau ** 2 * curvature
-            rep = newton_solve(spec, x0=predicted, tau=tau)
-            errors.append(np.linalg.norm(rep.x - predicted))
+            x, _, _ = newton_solve(spec, x0=predicted, tau=tau)
+            errors.append(np.linalg.norm(x - predicted))
         # x(tau) - seed - tau^2 c = O(tau^3): at least 8x smaller per halving
         assert errors[0] >= 8 * errors[1] and errors[1] >= 8 * errors[2]
 
@@ -808,28 +810,52 @@ def test_continuation_solve_builds_each_offdiagonal_matrix_once(path4_spec, monk
     assert len(calls) == path4_spec.k
 
 
-@pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
-def test_converged_newton_solve_assembles_only_its_report(name, request, monkeypatch):
-    spec = request.getfixturevalue(name)
-    calls, assemble_ = [], solver.assemble
+def counting_assemble(monkeypatch):
+    """The tau of every solver.assemble call."""
+    taus, assemble_ = [], solver.assemble
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return assemble_(*args, **kwargs)
+    def counting(x, spec, tau=1.0):
+        taus.append(tau)
+        return assemble_(x, spec, tau)
 
     monkeypatch.setattr(solver, "assemble", counting)
+    return taus
+
+
+@pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
+def test_converged_newton_solve_assembles_no_polynomial(name, request, monkeypatch):
+    spec = request.getfixturevalue(name)
+    taus = counting_assemble(monkeypatch)
     curvature, _ = solver._seed_curvature(spec)
-    rep = newton_solve(spec, x0=seed_diagonals(spec.seed()) + 0.25 * curvature, tau=0.5)
-    assert rep.converged and len(rep.iterations) > 2
-    assert len(calls) == 1
+    _, _, iterations = newton_solve(spec, x0=seed_diagonals(spec.seed()) + 0.25 * curvature, tau=0.5)
+    assert len(iterations) > 2
+    assert taus == []
+
+
+@pytest.mark.parametrize("name", ["path4_spec", "linked4_spec", "complex_pair", "stalling"])
+def test_continuation_solve_assembles_one_polynomial(name, request, monkeypatch):
+    # one exit: the report's polynomial, at the last converged tau (0 when none did)
+    if name == "complex_pair":
+        spec = complex_pair_spec()
+    elif name == "stalling":
+        spec = stalling_spec()
+    else:
+        spec = request.getfixturevalue(name)
+    taus = counting_assemble(monkeypatch)
+    rep = continuation_solve(spec)
+    assert rep.converged == (name not in ("complex_pair", "stalling"))
+    if rep.converged:
+        assert rep.continuation_path == (0.5, 1.0)
+    assert taus == [rep.continuation_path[-1] if rep.continuation_path else 0.0]
+    for got, want in zip(rep.polynomial.coeffs, assemble(rep.x, spec, taus[0]).coeffs):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
     curvature, _ = solver._seed_curvature(path4_spec)
-    rep = newton_solve(path4_spec, x0=seed_diagonals(path4_spec.seed()) + 0.25 * curvature, tau=0.5)
-    fresh = reference_spectral_map(rep.x, path4_spec, 0.5)
-    assert np.array_equal(solver._tangent(path4_spec, rep._decomposition),
-                          solver._tangent(path4_spec, fresh))
+    x, decomp, _ = newton_solve(path4_spec, x0=seed_diagonals(path4_spec.seed()) + 0.25 * curvature, tau=0.5)
+    fresh = reference_spectral_map(x, path4_spec, 0.5)
+    assert np.array_equal(solver._tangent(path4_spec, decomp), solver._tangent(path4_spec, fresh))
 
     calls = []
 

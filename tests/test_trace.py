@@ -26,3 +26,6 @@ def test_tracer_installs_and_counts_every_trial(path4_spec):
     counts = tracer.record()
     assert counts["solver.trials"] > 0
     assert counts["matpoly.eig.calls"] >= counts["solver.trials"]
+    # one polynomial per solve, and every converged corrector counted as kept
+    assert counts["solver.assemble.calls"] == counts["solver.continuation_solve.calls"] == 1
+    assert counts["solver.newton_solve.kept"] == len(report.continuation_path)
