@@ -37,6 +37,7 @@ from .seed import (
     TargetSpectrum,
     seed_coefficients,
     seed_diagonals,
+    seed_unknowns,
 )
 from .sensitivity import (
     PerturbationDirection,
@@ -70,6 +71,7 @@ __all__ = [
     "CompanionTemplate", "MatrixPolynomial", "SpectralDecomposition", "derivative", "evaluate",
     "linearize", "proper_values",
     "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_diagonals",
+    "seed_unknowns",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
     "seed_vandermonde_check", "tau_derivative",
     "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .matpoly import proper_values
 from .problems import load_polynomial, load_problem, load_unknowns, polynomial_to_doc, spec_to_config
-from .seed import seed_diagonals
+from .seed import seed_unknowns
 from .sensitivity import jacobian_x, seed_vandermonde_check
 from .solver import assemble, continuation_solve, verify
 
@@ -142,7 +142,7 @@ def cmd_jacobian(args) -> int:
     spec = load_problem(args.problem)
     at_seed = args.at == "seed"
     if at_seed:
-        x = seed_diagonals(spec.seed())
+        x = seed_unknowns(spec.spectrum, spec.lead)
         tau = 0.0
     else:
         x = load_unknowns(args.at, spec.n * spec.k)

@@ -13,13 +13,13 @@ of the order of the eigensolver's (Higham, Li & Tisseur, SIAM J. Matrix
 Anal. Appl. 29, 2007).  Degree 1 is the symmetric-definite pencil
 A_0 + zD (D the positive leading diagonal, A_0 required symmetric): eigh
 of -D^{-1/2} A_0 D^{-1/2} gives real values and their vectors, so it
-needs no non-real check.
+needs no non-real check.  The vectors keep the eigensolver's scale and
+sign: the sensitivities read them only through ratios of quadratic forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -58,30 +58,20 @@ class MatrixPolynomial:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Matched (value, unit vector) pairs, values strictly ascending.
+    """Matched (value, proper vector) pairs, values strictly ascending.
 
-    Only the values are computed up front.  ``vectors`` (row q is the unit
-    proper vector for values[q]) is selected from the companion eigenvector
-    rows on first access, then cached, so callers that need only the values
-    never pay for it.  ``companion`` and ``lead`` give upper_coefficients.
+    Row q of ``companion_rows`` is a real proper vector for values[q], not
+    normalised.  ``companion`` is the matrix whose eigenvalues are the
+    values, ``lead`` P's leading diagonal: the sensitivities read P' there.
     """
 
     values: np.ndarray
-    companion_rows: np.ndarray = field(repr=False)  # top n rows of the eigenvectors, row q for values[q]
+    companion_rows: np.ndarray = field(repr=False)  # real, row q for values[q]
     companion: np.ndarray = field(repr=False)
     lead: np.ndarray = field(repr=False)
 
     def __len__(self):
         return len(self.values)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return _proper_vectors(self.companion_rows)
-
-    def upper_coefficients(self) -> np.ndarray:
-        """[A_1 ... A_k] (n x kn) from _companion_layout's last block row C_s: -diag(lead) C_s, diag(lead)."""
-        n = len(self.lead)
-        return np.hstack((-self.lead[:, None] * self.companion[-n:, n:], np.diag(self.lead)))
 
 
 def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
@@ -152,26 +142,6 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     return _companion_layout(P.coeffs[:-1], lead)
 
 
-def _proper_vectors(rows: np.ndarray) -> np.ndarray:
-    """Unit proper vectors from the top n rows of the companion eigenvectors:
-    the larger of the real and imaginary parts, normalised, with the
-    largest-magnitude component made positive.  At degree 1 the rows are
-    D^{-1/2} times the eigh vectors of the pencil."""
-    if np.iscomplexobj(rows):  # eig returns real arrays when every eigenvalue is real
-        use_imag = np.linalg.norm(rows.imag, axis=1) > np.linalg.norm(rows.real, axis=1)
-        rows = np.where(use_imag[:, None], rows.imag, rows.real)
-    V = np.array(rows)
-    norms = np.linalg.norm(V, axis=1)
-    zero = norms == 0.0
-    V[zero] = 1.0
-    norms[zero] = np.sqrt(V.shape[1])
-    V = V / norms[:, None]
-    # deterministic sign: largest-magnitude component positive
-    lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
-    V[lead < 0] *= -1.0
-    return V
-
-
 def _pencil(P: MatrixPolynomial) -> np.ndarray:
     """-D^{-1/2} A_0 D^{-1/2} for a degree-1 P = A_0 + zD, whose eigenvalues
     are the proper values of P.  Entry (r, r) is -A_0[r, r] / D[r, r],
@@ -208,7 +178,8 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> Spectra
     """The decomposition of the polynomial whose _companion is C (leading
     diagonal ``lead``), with the checks of proper_values: the ascending
     values and, row q for values[q], the top n rows of the corresponding
-    eigenvectors of linearize(P)."""
+    eigenvectors of linearize(P), real: where eig returns complex arrays,
+    the larger of each vector's real and imaginary parts."""
     n = len(lead)
     if len(C) == n:
         vals, U = np.linalg.eigh(C)
@@ -217,27 +188,31 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> Spectra
         _check_separation(vals, sep_tol)
         return SpectralDecomposition(vals, (U / np.sqrt(lead)[:, None]).T, C, lead)
     w, V = np.linalg.eig(C)
-    if np.iscomplexobj(w):  # as in _proper_vectors
+    rows = V[:n]
+    if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
         bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
         if np.any(bad):
             raise NonRealSpectrum(
                 f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
                 f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
             )
+        # a real value's vector is real up to a complex phase: keep its larger part
+        use_imag = np.linalg.norm(rows.imag, axis=0) > np.linalg.norm(rows.real, axis=0)
+        rows = np.where(use_imag, rows.imag, rows.real)
     order = np.argsort(w.real, kind="stable")
     vals = w.real[order]
     _check_separation(vals, sep_tol)
-    return SpectralDecomposition(vals, V[:n, order].T, C, lead)
+    return SpectralDecomposition(vals, rows[:, order].T, C, lead)
 
 
 def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
     """All nk proper values of P, ascending: eig of linearize(P), or for
     degree 1 eigh of the symmetric pencil matrix -D^{-1/2} A_0 D^{-1/2}.
 
-    The unit proper vectors are selected from the companion eigenvector
-    rows only when the returned decomposition's ``vectors`` is first read
-    (see SpectralDecomposition).  CompanionTemplate.proper_values runs the
-    same eigensolver and checks on a matrix patched in place of this one.
+    The proper vectors are the top n rows of the companion eigenvectors as
+    the eigensolver returns them (see SpectralDecomposition), real and not
+    normalised.  CompanionTemplate.proper_values runs the same eigensolver
+    and checks on a matrix patched in place of this one.
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
     imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two returned

@@ -67,9 +67,9 @@ class LeadingDiagonal:
             raise InvariantViolation("leading diagonal entries must be finite and strictly positive")
 
 
-def seed_coefficients(spec: TargetSpectrum, lead: LeadingDiagonal) -> MatrixPolynomial:
-    """Diagonal matrix polynomial whose entry (r,r) is
-    alpha_k[r] * prod(z - lambda_q) over the targets in row r of spec.blocks.
+def seed_unknowns(spec: TargetSpectrum, lead: LeadingDiagonal) -> np.ndarray:
+    """The diagonals of A_0 .. A_{k-1} of seed_coefficients(spec, lead),
+    flattened s-major (x[s*n + r]), without building its matrices.
 
     Coefficient s of entry r is (-1)^(k-s) * alpha_k[r] * e_{k-s}(r's
     targets), the elementary symmetric polynomials e_j built for every entry
@@ -83,10 +83,17 @@ def seed_coefficients(spec: TargetSpectrum, lead: LeadingDiagonal) -> MatrixPoly
     e[:, 0] = 1.0
     for root in spec.blocks.T:
         e[:, 1:] = e[:, 1:] + root[:, None] * e[:, :-1]
-    coeffs = tuple(np.diag((-1.0) ** (k - s) * lead.alpha_k * e[:, k - s]) for s in range(k + 1))
-    if not all(np.all(np.isfinite(c)) for c in coeffs):
+    x = ((-1.0) ** (k - np.arange(k))[:, None] * lead.alpha_k * e[:, :0:-1].T).ravel()
+    if not np.all(np.isfinite(x)):
         raise InvariantViolation("seed coefficients are not finite: targets or leading diagonal too large")
-    return MatrixPolynomial(coeffs)
+    return x
+
+
+def seed_coefficients(spec: TargetSpectrum, lead: LeadingDiagonal) -> MatrixPolynomial:
+    """Diagonal matrix polynomial whose entry (r,r) is
+    alpha_k[r] * prod(z - lambda_q) over the targets in row r of spec.blocks."""
+    blocks = seed_unknowns(spec, lead).reshape(spec.k, spec.n)
+    return MatrixPolynomial(tuple(np.diag(d) for d in blocks) + (np.diag(lead.alpha_k),))
 
 
 def seed_diagonals(seed: MatrixPolynomial) -> np.ndarray:

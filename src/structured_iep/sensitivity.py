@@ -9,10 +9,12 @@ tracked proper value is the Rayleigh-quotient formula
 
 At a diagonal seed with v = e_r this reduces to -lambda^s / P'(lambda)_rr
 for the (r,r) diagonal slot and to exactly 0 for every off-diagonal slot.
+It is a ratio of quadratic forms in v, so the scale and sign of v cancel:
 jacobian_x applies it to every diagonal slot, and tau_derivative to a
-whole polynomial direction (the continuation's off-diagonal ramp); both
-read P' back from the decomposition's companion matrix, and every form
-v^T A v comes from one kernel, a single matrix product.
+whole polynomial direction (the continuation's off-diagonal ramp), both
+with the proper vectors as the eigensolver returned them.  Every
+denominator comes from one kernel, which reads P' back from a companion
+matrix, and every form v^T A v from a single matrix product.
 Away from the seed the formula is the standard simple-eigenvalue one and is
 cross-validated against finite differences (jacobian_fd) rather than taken
 on faith.
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator
 # perfbench/layers.py wraps evaluate at this module, though nothing here calls it
-from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
+from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, linearize, proper_values  # noqa: F401
 from .seed import TargetSpectrum
 
 DENOM_TOL = 1e-10
@@ -52,21 +54,28 @@ def _forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.sum((V @ A).reshape(m, -1, n) * V[:, None, :], axis=2)
 
 
-def _denominators(upper: np.ndarray, lams: np.ndarray, V: np.ndarray, check: bool = True) -> np.ndarray:
-    """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q], ``upper``
-    = [A_1 ... A_k] the coefficients of P from power 1 up.  With ``check``,
-    raises DegenerateDenominator when one is below DENOM_TOL times the scale
-    sum_s s ||A_s||_F |lambda_q|^(s-1) of P' (numerically non-simple value)."""
-    n = len(upper)
-    k = upper.shape[1] // n
-    s = np.arange(1, k + 1)
-    forms = s * _forms(upper, V)
-    den = forms[:, -1]
-    for j in range(k - 2, -1, -1):  # Horner, as evaluate(derivative(P), lams) runs it
-        den = den * lams + forms[:, j]
-    scale = np.abs(lams[:, None]) ** np.arange(k) @ (s * np.linalg.norm(upper.reshape(n, k, n), axis=(0, 2)))
-    small = np.abs(den) < DENOM_TOL * scale
-    if check and np.any(small):
+def _denominators(lead: np.ndarray, companion: np.ndarray, lams: np.ndarray, V: np.ndarray,
+                  check: bool = True) -> np.ndarray:
+    """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q] (any
+    scale), with A_k = diag(lead) and A_s = -diag(lead) C_s (0 < s < k) read
+    from the last block row [C_0 ... C_{k-1}] of P's ``companion`` matrix.
+    With ``check``, raises DegenerateDenominator when one is at most
+    DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F |lambda_q|^(s-1)
+    of P' (numerically non-simple value, or a zero row)."""
+    n = len(lead)
+    k = len(companion) // n
+    sq = V * V
+    den = k * (sq @ lead)
+    scale = k * np.linalg.norm(lead)
+    if k > 1:
+        upper = companion[-n:, n:] * -lead[:, None]  # [A_1 ... A_{k-1}]
+        forms = _forms(upper, V)
+        norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
+        for s in range(k - 1, 0, -1):  # Horner, as evaluate(derivative(P), lams) runs it
+            den = den * lams + s * forms[:, s - 1]
+            scale = scale * np.abs(lams) + s * norms[s - 1]
+    small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
+    if check and small.any():
         q = int(np.argmax(small))
         raise DegenerateDenominator(
             f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
@@ -80,11 +89,13 @@ def eigderivative(
     pair: tuple[float, np.ndarray],
     direction: PerturbationDirection,
 ) -> float:
-    """Derivative of the simple proper value in ``pair`` along ``direction``."""
+    """Derivative of the simple proper value in ``pair`` (its vector at any
+    scale) along ``direction``; P needs a positive diagonal A_k."""
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
     lam, v = pair
-    den = float(_denominators(np.hstack(P.coeffs[1:]), np.array([lam], dtype=float), np.asarray(v)[None, :])[0])
+    den = float(_denominators(np.diag(P.coeffs[-1]), linearize(P), np.array([lam], dtype=float),
+                              np.asarray(v)[None, :])[0])
     zs = lam ** direction.s
     if direction.diag is not None:
         num = zs * v[direction.diag - 1] ** 2
@@ -99,12 +110,13 @@ def jacobian_x(decomp: SpectralDecomposition) -> np.ndarray:
     """Jacobian of the ascending proper values w.r.t. the kn diagonal unknowns.
 
     Row q is the q-th pair of ``decomp``; column s*n + r is diagonal entry r
-    of coefficient s.  P' comes from ``decomp.upper_coefficients``, and this
-    is where a decomposition's proper vectors are first selected.
+    of coefficient s: -lambda_q^s v_r^2 / (v^T P'(lambda_q) v) for the row
+    v = decomp.companion_rows[q], whose scale and sign cancel.  P' comes
+    from ``decomp.companion``.
     """
-    lam, V = decomp.values, decomp.vectors
+    lam, V = decomp.values, decomp.companion_rows
     nk, n = V.shape
-    den = _denominators(decomp.upper_coefficients(), lam, V)
+    den = _denominators(decomp.lead, decomp.companion, lam, V)
     powers = lam[:, None] ** np.arange(nk // n)
     return (-powers[:, :, None] * (V ** 2)[:, None, :] / den[:, None, None]).reshape(nk, nk)
 
@@ -117,12 +129,13 @@ def tau_derivative(decomp: SpectralDecomposition, D: MatrixPolynomial) -> np.nda
 
     With D(z) = sum_s z^s Y_s, Y_s the prescribed off-diagonals of
     coefficient s, this is the rate at which the continuation in the
-    off-diagonal scale moves the values.  It vanishes wherever every v_q is
-    a unit vector (a diagonal seed), because D has a zero diagonal.
+    off-diagonal scale moves the values, with v_q = decomp.companion_rows[q].
+    It vanishes wherever every v_q is a multiple of a unit vector (a
+    diagonal seed), because D has a zero diagonal.
     """
-    lam, V = decomp.values, decomp.vectors
+    lam, V = decomp.values, decomp.companion_rows
     num = np.sum(lam[:, None] ** np.arange(len(D.coeffs)) * _forms(np.hstack(D.coeffs), V), axis=1)
-    return -num / _denominators(decomp.upper_coefficients(), lam, V)
+    return -num / _denominators(decomp.lead, decomp.companion, lam, V)
 
 
 def jacobian_fd(
@@ -176,7 +189,7 @@ def seed_vandermonde_check(
     row_of_target[order] = np.arange(nk)
     lam = decomp.values[row_of_target]
     # (P'(lambda_q))_rr as the quadratic form of P' with the unit vector e_r
-    den = _denominators(np.hstack(P.coeffs[1:]), lam, np.eye(n)[entry], check=False)
+    den = _denominators(np.diag(P.coeffs[-1]), linearize(P), lam, np.eye(n)[entry], check=False)
     # column s*n + r' of J goes to column r'*k + s: one block of k per entry
     scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)
     own = np.zeros((nk, n, k), dtype=bool)

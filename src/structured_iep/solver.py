@@ -44,7 +44,7 @@ from .matpoly import (
     SpectralDecomposition,
     proper_values,
 )
-from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_diagonals
+from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
 from .sensitivity import jacobian_x, tau_derivative
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
@@ -258,19 +258,19 @@ def newton_solve(
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map patches one companion template
-    built per solve, and jacobian_x reads P' back from it; proper vectors
-    are selected only for the iterates that build a Jacobian, and no
-    polynomial is assembled.  Returns the converged state (x, decomposition,
-    iterations): the last accepted iterate, its spectral_map (by the
-    template's contract bitwise proper_values(assemble(x, spec, tau)), so
-    _tangent needs no eig of its own) and one IterationRecord per accepted
-    iterate, the start included.  A failed solve raises NoConvergence /
-    SingularJacobian / NonRealSpectrum / NearDegenerate.
+    built per solve, and jacobian_x reads P' back from it and the proper
+    vectors straight from its eigenvectors; no polynomial is assembled.
+    Returns the converged state (x, decomposition, iterations): the last
+    accepted iterate, its spectral_map (by the template's contract bitwise
+    proper_values(assemble(x, spec, tau)), so _tangent needs no eig of its
+    own) and one IterationRecord per accepted iterate, the start included.
+    A failed solve raises NoConvergence / SingularJacobian /
+    NonRealSpectrum / NearDegenerate.
     """
     ctl = spec.controls
     tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol
     targets = spec.spectrum.sorted_values()
-    x = seed_diagonals(spec.seed()) if x0 is None else np.array(x0, dtype=float, copy=True)
+    x = seed_unknowns(spec.spectrum, spec.lead) if x0 is None else np.array(x0, dtype=float, copy=True)
     trace = []
 
     companion = companion_template(spec, tau)
@@ -427,7 +427,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     the last corrector tried.
     """
     loose_tol = max(CORRECTOR_TOL_REL * spec.spectrum.scale, spec.controls.resolved_tol(spec.spectrum))
-    x = seed_diagonals(spec.seed())
+    x = seed_unknowns(spec.spectrum, spec.lead)
     curvature, rho = _seed_curvature(spec)
     tau, dtau = 0.0, 1.0
     path, trace, failure = [], [], None

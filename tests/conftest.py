@@ -78,6 +78,21 @@ def golden_linked4_polynomial():
     ))
 
 
+def unit_vectors(decomp):
+    """The proper vectors of ``decomp`` normalised, with the largest-magnitude
+    component made positive (a zero row becomes the uniform unit vector):
+    the convention in which the tests compare vectors with references."""
+    V = np.array(decomp.companion_rows)
+    norms = np.linalg.norm(V, axis=1)
+    zero = norms == 0.0
+    V[zero] = 1.0
+    norms[zero] = np.sqrt(V.shape[1])
+    V = V / norms[:, None]
+    lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
+    V[lead < 0] *= -1.0
+    return V
+
+
 def chain_system(m, d, k):
     """Mass/damping/stiffness matrices of a serially linked chain with both
     ends fixed: n masses, n+1 dampers and springs, tridiagonal D and K."""

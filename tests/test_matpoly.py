@@ -22,7 +22,7 @@ from structured_iep import (
     seed_diagonals,
 )
 
-from conftest import TARGETS, golden_linked4_polynomial, golden_path4_polynomial, random_targets
+from conftest import TARGETS, golden_linked4_polynomial, golden_path4_polynomial, random_targets, unit_vectors
 
 
 @pytest.fixture
@@ -128,7 +128,7 @@ class TestProperValues:
         for q, r in enumerate(expected_r):
             e = np.zeros(4)
             e[r] = 1.0
-            assert np.allclose(decomp.vectors[q], e, atol=1e-10)
+            assert np.allclose(unit_vectors(decomp)[q], e, atol=1e-10)
 
     def test_linear_diagonal(self):
         P = MatrixPolynomial((-np.diag([3.0, 1.0]), np.eye(2)))
@@ -137,7 +137,7 @@ class TestProperValues:
 
     def test_residual_invariant(self, quad_seed):
         decomp = proper_values(quad_seed)
-        for lam, v in zip(decomp.values, decomp.vectors):
+        for lam, v in zip(decomp.values, unit_vectors(decomp)):
             res = np.linalg.norm(evaluate(quad_seed, lam) @ v)
             assert res <= 1e-8 * quad_seed.coefficient_scale(lam)
 
@@ -157,7 +157,7 @@ class TestProperValues:
 
     def test_sign_convention(self, quad_seed):
         decomp = proper_values(quad_seed)
-        for v in decomp.vectors:
+        for v in unit_vectors(decomp):
             assert v[np.argmax(np.abs(v))] > 0
 
 
@@ -256,9 +256,30 @@ def test_proper_vectors_have_small_backward_error(build):
     # normwise backward error ||P(lambda) v|| / sum_s |lambda|^s ||A_s||_F
     P = build()
     decomp = proper_values(P)
-    residuals = evaluate(P, decomp.values) @ decomp.vectors[:, :, None]
+    residuals = evaluate(P, decomp.values) @ unit_vectors(decomp)[:, :, None]
     backward = np.linalg.norm(residuals[..., 0], axis=1) / P.coefficient_scale(decomp.values)
     assert np.max(backward) <= 1e-13
+
+
+@pytest.mark.parametrize("phase", [1j, 1.0 + 0j])
+def test_complex_eig_output_gives_the_real_rows(monkeypatch, phase):
+    # eig returns complex arrays when any eigenvalue is non-real; for a real
+    # spectrum each vector is then real up to a phase, and the decomposition
+    # keeps its larger part
+    P = golden_path4_polynomial()
+    want = proper_values(P)
+    eig = np.linalg.eig
+
+    def complex_eig(a):
+        w, V = eig(a)
+        return w + 0j, V * phase
+
+    monkeypatch.setattr(np.linalg, "eig", complex_eig)
+    got = proper_values(P)
+    assert got.companion_rows.dtype == np.float64
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.companion_rows.tobytes() == want.companion_rows.tobytes()
+    assert jacobian_x(got).tobytes() == jacobian_x(want).tobytes()
 
 
 class TestBatchedRefinement:
@@ -267,7 +288,7 @@ class TestBatchedRefinement:
         m = P.n * P.degree
         decomp = proper_values(P)
         V = reference_vectors(P)
-        assert np.max(np.abs(decomp.vectors - V)) <= 1e-12
+        assert np.max(np.abs(unit_vectors(decomp) - V)) <= 1e-12
         # jacobian_x reads P' from the companion instead of evaluating it
         dP = derivative(P)
         J = np.array([-(lam ** np.arange(P.degree))[:, None] * v ** 2 / (v @ evaluate(dP, lam) @ v)
@@ -286,7 +307,7 @@ class TestBatchedRefinement:
         decomp = proper_values(P)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(evaluate(P, decomp.values), np.ones((n * k, n, 1)))
-        assert np.max(np.abs(decomp.vectors - reference_vectors(P))) <= 1e-12
+        assert np.max(np.abs(unit_vectors(decomp) - reference_vectors(P))) <= 1e-12
 
 
 def random_pencil(rng, n):
@@ -306,7 +327,7 @@ class TestDegreeOnePencil:
     @pytest.mark.parametrize("n", [2, 6, 20, 80])
     def test_vectors_match_refined_companion_vectors(self, n):
         P = random_pencil(np.random.default_rng(n), n)
-        V, ref = proper_values(P).vectors, reference_vectors(P)
+        V, ref = unit_vectors(proper_values(P)), reference_vectors(P)
         up_to_sign = np.minimum(np.max(np.abs(V - ref), axis=1), np.max(np.abs(V + ref), axis=1))
         assert np.max(up_to_sign) <= 1e-10
 

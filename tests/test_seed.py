@@ -12,6 +12,7 @@ from structured_iep import (
     proper_values,
     seed_coefficients,
     seed_diagonals,
+    seed_unknowns,
 )
 
 from conftest import TARGETS, random_targets
@@ -156,3 +157,22 @@ def test_seed_diagonals_layout():
     P = seed_coefficients(spec, LeadingDiagonal(alpha_k=np.ones(4)))
     x = seed_diagonals(P)
     assert np.array_equal(x, np.array([8.0, 48, 120, 224, 6, 14, 22, 30]))
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (4, 3), (6, 1), (2, 5)])
+def test_seed_unknowns_are_bitwise_the_seed_diagonals(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    spec = TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k)
+    lead = LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n))
+    P = seed_coefficients(spec, lead)
+    assert seed_unknowns(spec, lead).tobytes() == seed_diagonals(P).tobytes()
+    assert P.coeffs[-1].tobytes() == np.diag(lead.alpha_k).tobytes()
+
+
+def test_seed_unknowns_reject_an_overflowing_seed():
+    spec = TargetSpectrum(values=np.array([1e200, 2e200]), n=1, k=2)
+    lead = LeadingDiagonal(alpha_k=np.ones(1))
+    with np.errstate(over="ignore"), pytest.raises(InvariantViolation, match="not finite"):
+        seed_unknowns(spec, lead)
+    with np.errstate(over="ignore"), pytest.raises(InvariantViolation, match="not finite"):
+        seed_coefficients(spec, lead)

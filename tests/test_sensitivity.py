@@ -26,7 +26,7 @@ from structured_iep import (
     tau_derivative,
 )
 
-from conftest import TARGETS, golden_path4_polynomial, random_targets
+from conftest import TARGETS, golden_path4_polynomial, random_targets, unit_vectors
 
 
 @pytest.fixture
@@ -55,7 +55,7 @@ class TestEigderivative:
         _, P = quad_seed
         decomp = proper_values(P)
         # lambda = -2 is the largest value; its vector is e_1
-        pair = (decomp.values[-1], decomp.vectors[-1])
+        pair = (decomp.values[-1], unit_vectors(decomp)[-1])
         d = eigderivative(P, pair, PerturbationDirection(s=0, diag=1))
         # scalar oracle: d/dz of (z+2)(z+4) at -2 is 2, so derivative is -1/2
         assert d == pytest.approx(-0.5, abs=1e-10)
@@ -64,7 +64,7 @@ class TestEigderivative:
     def test_diagonal_slot_linear_power(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
-        pair = (decomp.values[-1], decomp.vectors[-1])
+        pair = (decomp.values[-1], unit_vectors(decomp)[-1])
         d = eigderivative(P, pair, PerturbationDirection(s=1, diag=1))
         assert d == pytest.approx(1.0, abs=1e-10)
         assert d == pytest.approx(fd_derivative(P, 7, 1, 1), rel=1e-6)
@@ -73,7 +73,7 @@ class TestEigderivative:
         _, P = quad_seed
         decomp = proper_values(P)
         for q in range(len(decomp)):
-            pair = (decomp.values[q], decomp.vectors[q])
+            pair = (decomp.values[q], unit_vectors(decomp)[q])
             for s in range(2):
                 for edge in [(1, 2), (1, 3), (2, 4), (3, 4)]:
                     d = eigderivative(P, pair, PerturbationDirection(s=s, edge=edge))
@@ -82,14 +82,14 @@ class TestEigderivative:
     def test_other_diagonal_vanishes_at_seed(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
-        pair = (decomp.values[-1], decomp.vectors[-1])  # block 1
+        pair = (decomp.values[-1], unit_vectors(decomp)[-1])  # block 1
         d = eigderivative(P, pair, PerturbationDirection(s=0, diag=2))
         assert abs(d) <= 1e-10
 
     def test_leading_power_rejected(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
-        pair = (decomp.values[0], decomp.vectors[0])
+        pair = (decomp.values[0], unit_vectors(decomp)[0])
         with pytest.raises(ValueError):
             eigderivative(P, pair, PerturbationDirection(s=2, diag=1))
 
@@ -201,7 +201,7 @@ def reference_jacobian(P, decomp):
     n, k = P.n, P.degree
     dP = derivative(P)
     J = np.empty((n * k, n * k))
-    for q, (lam, v) in enumerate(zip(decomp.values, decomp.vectors)):
+    for q, (lam, v) in enumerate(zip(decomp.values, unit_vectors(decomp))):
         den = v @ evaluate(dP, lam) @ v
         for s in range(k):
             J[q, s * n:(s + 1) * n] = -lam ** s * v ** 2 / den
@@ -234,34 +234,70 @@ class TestJacobianFromDecomposition:
             ref = reference_jacobian(P, decomp)
             assert np.max(np.abs(jacobian_x(decomp) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_upper_coefficients_read_back_the_polynomial(self):
+    def test_denominators_read_p_prime_back_from_the_companion(self):
         spec = mixed_sign_spec(3, seed=5)
         x = seed_diagonals(spec.seed())
         P = assemble(x, spec, 0.5)
         for decomp in (spectral_map(x, spec, 0.5), proper_values(P)):
-            upper = decomp.upper_coefficients()
-            assert np.allclose(upper, np.hstack(P.coeffs[1:]), rtol=0.0,
-                               atol=4 * np.finfo(float).eps * np.max(np.abs(upper)))
+            lam, V = decomp.values, decomp.companion_rows
+            den = sensitivity._denominators(decomp.lead, decomp.companion, lam, V)
+            want = np.einsum("qi,qij,qj->q", V, evaluate(derivative(P), lam), V)
+            assert np.max(np.abs(den - want) / np.abs(want)) <= 1e-13
 
     @pytest.mark.parametrize("delta", [0.0, 1e-11, 7e-11, 7.1e-11, 1e-10, 1e-3])
     def test_degenerate_denominator_at_the_same_threshold(self, delta):
         # P'(0) = diag(4, -4) and v = (cos t, sin t) with t = pi/4 + delta:
-        # v^T P'(0) v = 4 cos 2t, against DENOM_TOL times ||P'||_F = 4 sqrt(2)
+        # v^T P'(0) v = 4 cos 2t, against DENOM_TOL times ||P'||_F = 4 sqrt(2);
+        # the decision does not depend on the row's scale or sign
         P = MatrixPolynomial((np.eye(2), np.diag([4.0, -4.0]), np.eye(2)))
         t = np.pi / 4 + delta
         rows = np.array([[np.cos(t), np.sin(t)], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         values = np.array([0.0, 1.0, 3.0, 4.0])
-        decomp = SpectralDecomposition(values=values, companion_rows=rows, companion=linearize(P),
-                                       lead=np.ones(2))
         dP = derivative(P)
-        degenerate = any(abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * dP.coefficient_scale(lam)
-                         for lam, v in zip(values, decomp.vectors))
-        assert degenerate == (delta < 7.07e-11)
-        if degenerate:
-            with pytest.raises(DegenerateDenominator, match="row 0"):
-                jacobian_x(decomp)
-        else:
-            assert np.all(np.isfinite(jacobian_x(decomp)))
+        for row_scale in (1.0, 1e-3, -0.5, -1e3):
+            decomp = SpectralDecomposition(values=values, companion_rows=row_scale * rows, companion=linearize(P),
+                                           lead=np.ones(2))
+            degenerate = any(abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * dP.coefficient_scale(lam)
+                             for lam, v in zip(values, unit_vectors(decomp)))
+            assert degenerate == (delta < 7.07e-11)
+            if degenerate:
+                with pytest.raises(DegenerateDenominator, match="row 0"):
+                    jacobian_x(decomp)
+            else:
+                assert np.all(np.isfinite(jacobian_x(decomp)))
+
+
+class TestRawRows:
+    """jacobian_x and tau_derivative read the eigenvector rows as the
+    eigensolver returns them: any nonzero scale and sign per row."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rescaled_rows_leave_the_sensitivities_unchanged(self, k):
+        spec = mixed_sign_spec(k, seed=20 + k)
+        x = seed_diagonals(spec.seed()) + np.random.default_rng(k).uniform(-0.05, 0.05, 4 * k)
+        decomp = spectral_map(x, spec)
+        rng = np.random.default_rng(40 + k)
+        factors = rng.choice([-1.0, 1.0], len(decomp)) * 10.0 ** rng.uniform(-3.0, 3.0, len(decomp))
+        rescaled = SpectralDecomposition(values=decomp.values,
+                                         companion_rows=decomp.companion_rows * factors[:, None],
+                                         companion=decomp.companion, lead=decomp.lead)
+        for f in (jacobian_x, lambda d: tau_derivative(d, spec.ramp)):
+            want = f(decomp)
+            assert np.max(np.abs(f(rescaled) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_zero_row_raises_degenerate_denominator(self, path4_spec):
+        P = golden_path4_polynomial()
+        decomp = proper_values(P)
+        rows = decomp.companion_rows.copy()
+        rows[3] = 0.0
+        zeroed = SpectralDecomposition(values=decomp.values, companion_rows=rows,
+                                       companion=decomp.companion, lead=decomp.lead)
+        with pytest.raises(DegenerateDenominator, match="row 3"):
+            jacobian_x(zeroed)
+        with pytest.raises(DegenerateDenominator, match="row 3"):
+            tau_derivative(zeroed, path4_spec.ramp)
+        with pytest.raises(DegenerateDenominator):
+            eigderivative(P, (decomp.values[3], rows[3]), PerturbationDirection(s=0, diag=1))
 
 
 class TestTauDerivative:
@@ -328,7 +364,7 @@ def test_offdiagonal_factor_two_against_symmetric_fd():
     P = MatrixPolynomial(tuple(coeffs))
     decomp = proper_values(P)
     for q in [0, 2, 5]:
-        pair = (decomp.values[q], decomp.vectors[q])
+        pair = (decomp.values[q], unit_vectors(decomp)[q])
         for s, edge in [(0, (1, 2)), (1, (2, 3)), (0, (1, 3))]:
             d = eigderivative(P, pair, PerturbationDirection(s=s, edge=edge))
             fd = fd_derivative(P, q, s, edge, h=1e-6)

@@ -29,3 +29,5 @@ def test_tracer_installs_and_counts_every_trial(path4_spec):
     # one polynomial per solve, and every converged corrector counted as kept
     assert counts["solver.assemble.calls"] == counts["solver.continuation_solve.calls"] == 1
     assert counts["solver.newton_solve.kept"] == len(report.continuation_path)
+    # the solver starts from the seed's diagonals, not from a seed polynomial
+    assert counts["seed.seed_coefficients.calls"] == 0
