@@ -22,12 +22,11 @@ from .errors import (
     SingularJacobian,
     StructuredIEPError,
 )
-from .graphs import Graph, graph_of_matrix, matrix_of_graph
+from .graphs import Graph, matrix_of_graph
 from .matpoly import (
     CompanionTemplate,
     MatrixPolynomial,
     SpectralDecomposition,
-    derivative,
     evaluate,
     linearize,
     proper_values,
@@ -36,7 +35,6 @@ from .seed import (
     LeadingDiagonal,
     TargetSpectrum,
     seed_coefficients,
-    seed_diagonals,
     seed_unknowns,
 )
 from .sensitivity import (
@@ -67,11 +65,10 @@ __all__ = [
     "InvariantViolation", "LeadingCoefficientError", "NearDegenerate",
     "NoConvergence", "NonRealSpectrum", "ProblemFormatError",
     "SingularJacobian", "StructuredIEPError",
-    "Graph", "graph_of_matrix", "matrix_of_graph",
-    "CompanionTemplate", "MatrixPolynomial", "SpectralDecomposition", "derivative", "evaluate",
+    "Graph", "matrix_of_graph",
+    "CompanionTemplate", "MatrixPolynomial", "SpectralDecomposition", "evaluate",
     "linearize", "proper_values",
-    "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_diagonals",
-    "seed_unknowns",
+    "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_unknowns",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
     "seed_vandermonde_check", "tau_derivative",
     "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",

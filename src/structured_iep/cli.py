@@ -156,7 +156,7 @@ def cmd_jacobian(args) -> int:
         "jacobian": J.tolist(),
     }
     if at_seed:
-        check = seed_vandermonde_check(P, spec.spectrum, decomp, J)
+        check = seed_vandermonde_check(spec.spectrum, decomp, J)
         doc["condition"] = check["condition"]
         doc["vandermonde"] = {
             "max_entry_error": check["max_entry_error"],

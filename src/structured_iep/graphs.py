@@ -61,21 +61,3 @@ def matrix_of_graph(g: Graph, diag, offdiag) -> np.ndarray:
         A[j - 1, i - 1] = val
     return A
 
-
-def graph_of_matrix(A: np.ndarray, zero_tol: float = 0.0) -> Graph:
-    """Graph with edge {i,j} iff |A_ij| > zero_tol (i != j); diagonal ignored.
-
-    The default ``zero_tol=0`` is exact: constructed matrices carry
-    structural zeros exactly, so no fuzz is needed.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    asym = np.max(np.abs(A - A.T)) if A.size else 0.0
-    if asym > zero_tol:
-        raise ValueError(f"matrix asymmetry {asym:.3g} exceeds zero_tol {zero_tol:.3g}")
-    # row-major, so the pairs with i < j come out in canonical order; a loop
-    # over the nonzeros costs less than np.triu at the small n solves run at
-    rows, cols = np.nonzero(np.abs(A) > zero_tol)
-    edges = tuple((i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist()) if i < j)
-    return Graph(n=A.shape[0], edges=edges)

@@ -1,4 +1,4 @@
-"""Matrix polynomials: evaluation, differentiation, linearization, proper values.
+"""Matrix polynomials: evaluation, linearization, proper values.
 
 A degree-k matrix polynomial is P(z) = sum_s A_s z^s with real symmetric
 n x n coefficients.  Its proper values are the zeros of det P(z); proper
@@ -51,10 +51,6 @@ class MatrixPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient_scale(self, z: float) -> float:
-        """sum_s ||A_s||_F |z|^s, the natural residual scale at z."""
-        return sum(np.linalg.norm(c) * abs(z) ** s for s, c in enumerate(self.coeffs))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -85,13 +81,6 @@ def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
         out *= zz
         out += c
     return out
-
-
-def derivative(P: MatrixPolynomial) -> MatrixPolynomial:
-    """Termwise derivative; a constant polynomial differentiates to zero."""
-    if P.degree == 0:
-        return MatrixPolynomial((np.zeros((P.n, P.n)),))
-    return MatrixPolynomial(tuple(s * P.coeffs[s] for s in range(1, P.degree + 1)))
 
 
 def _check_leading(P: MatrixPolynomial) -> np.ndarray:
@@ -234,20 +223,21 @@ class CompanionTemplate:
     Built by from_coefficients through the layout linearize and _pencil
     write (the symmetric pencil matrix at k = 1), so entry (r, r) of A_s
     sits at row (k-1)n + r, column sn + r as -A_s[r, r] / lead[r], and
-    proper_values(d) gives bitwise the values and vectors of proper_values
-    applied to P with diag(A_s) = d[sn:(s+1)n].  Neither that polynomial
-    nor its checks are built: the caller supplies a positive ``lead`` and,
-    at k = 1, a symmetric A_0.
+    proper_values(d) gives bitwise the values and companion_rows of
+    proper_values applied to P with diag(A_s) = d[sn:(s+1)n].  Neither that
+    polynomial nor its checks are built: the caller supplies a positive
+    ``lead``, at k = 1 a symmetric A_0, and the separation tolerance
+    ``sep_tol``.
     """
 
     matrix: np.ndarray
     n: int
     diagonal: tuple[np.ndarray, np.ndarray]  # (row, column) of entry d[sn + r]
     lead: np.ndarray  # the leading diagonal repeated k times, one entry per unknown
-    sep_tol: float | None = None
+    sep_tol: float
 
     @classmethod
-    def from_coefficients(cls, coeffs, lead: np.ndarray, sep_tol: float | None = None) -> "CompanionTemplate":
+    def from_coefficients(cls, coeffs, lead: np.ndarray, sep_tol: float) -> "CompanionTemplate":
         """The template of the non-leading coefficients ``coeffs`` (their
         diagonals are ignored) and the positive leading diagonal ``lead``."""
         n, k = len(lead), len(coeffs)

@@ -114,10 +114,9 @@ def load_problem(path: str, overrides: dict | None = None) -> ProblemSpec:
     if offdiag is not None:
         if not isinstance(offdiag, list) or len(offdiag) != k:
             raise ProblemFormatError(f"offdiag_overrides: expected {k} entries")
+        # a null entry stays None: ProblemSpec fills it with epsilon
         offdiag = tuple(
-            _numbers(y, f"offdiag_overrides[{s}]") if y is not None
-            else np.full(graphs[s].num_edges, epsilon)
-            for s, y in enumerate(offdiag)
+            None if y is None else _numbers(y, f"offdiag_overrides[{s}]") for s, y in enumerate(offdiag)
         )
 
     spectrum = TargetSpectrum(values=values, n=n, k=k)

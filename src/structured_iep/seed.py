@@ -94,9 +94,3 @@ def seed_coefficients(spec: TargetSpectrum, lead: LeadingDiagonal) -> MatrixPoly
     alpha_k[r] * prod(z - lambda_q) over the targets in row r of spec.blocks."""
     blocks = seed_unknowns(spec, lead).reshape(spec.k, spec.n)
     return MatrixPolynomial(tuple(np.diag(d) for d in blocks) + (np.diag(lead.alpha_k),))
-
-
-def seed_diagonals(seed: MatrixPolynomial) -> np.ndarray:
-    """Diagonal unknowns of a seed, flattened s-major: x[s*n + r]."""
-    n, k = seed.n, seed.degree
-    return np.concatenate([np.diag(seed.coeffs[s]) for s in range(k)])

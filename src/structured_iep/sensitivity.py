@@ -10,11 +10,13 @@ tracked proper value is the Rayleigh-quotient formula
 At a diagonal seed with v = e_r this reduces to -lambda^s / P'(lambda)_rr
 for the (r,r) diagonal slot and to exactly 0 for every off-diagonal slot.
 It is a ratio of quadratic forms in v, so the scale and sign of v cancel:
-jacobian_x applies it to every diagonal slot, and tau_derivative to a
-whole polynomial direction (the continuation's off-diagonal ramp), both
-with the proper vectors as the eigensolver returned them.  Every
-denominator comes from one kernel, which reads P' back from a companion
-matrix, and every form v^T A v from a single matrix product.
+jacobian_x applies it to every diagonal slot at once, and tau_derivative to
+a whole polynomial direction (the continuation's off-diagonal ramp), both
+with the proper vectors as the eigensolver returned them.  eigderivative
+runs on tau_derivative, with B as the direction and one (value, vector)
+pair as the decomposition.  Every denominator comes from one kernel, which
+reads P' back from a companion matrix, and every form v^T A v from a
+single matrix product.
 Away from the seed the formula is the standard simple-eigenvalue one and is
 cross-validated against finite differences (jacobian_fd) rather than taken
 on faith.
@@ -71,7 +73,7 @@ def _denominators(lead: np.ndarray, companion: np.ndarray, lams: np.ndarray, V: 
         upper = companion[-n:, n:] * -lead[:, None]  # [A_1 ... A_{k-1}]
         forms = _forms(upper, V)
         norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
-        for s in range(k - 1, 0, -1):  # Horner, as evaluate(derivative(P), lams) runs it
+        for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
             den = den * lams + s * forms[:, s - 1]
             scale = scale * np.abs(lams) + s * norms[s - 1]
     small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
@@ -90,20 +92,18 @@ def eigderivative(
     direction: PerturbationDirection,
 ) -> float:
     """Derivative of the simple proper value in ``pair`` (its vector at any
-    scale) along ``direction``; P needs a positive diagonal A_k."""
+    scale) along ``direction``: tau_derivative of the one pair, with the
+    direction B(z) = z^s E as the polynomial.  P needs a positive diagonal
+    A_k."""
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
     lam, v = pair
-    den = float(_denominators(np.diag(P.coeffs[-1]), linearize(P), np.array([lam], dtype=float),
-                              np.asarray(v)[None, :])[0])
-    zs = lam ** direction.s
-    if direction.diag is not None:
-        num = zs * v[direction.diag - 1] ** 2
-    else:
-        i, j = direction.edge
-        # symmetric perturbation carries two unit entries, hence the factor 2
-        num = 2.0 * zs * v[i - 1] * v[j - 1]
-    return -num / den
+    coeffs = np.zeros((direction.s + 1, P.n, P.n))
+    i, j = (direction.diag,) * 2 if direction.diag is not None else direction.edge
+    coeffs[direction.s, i - 1, j - 1] = coeffs[direction.s, j - 1, i - 1] = 1.0
+    decomp = SpectralDecomposition(np.array([lam], dtype=float), np.asarray(v, dtype=float)[None, :],
+                                   linearize(P), np.diag(P.coeffs[-1]))
+    return float(tau_derivative(decomp, MatrixPolynomial(tuple(coeffs)))[0])
 
 
 def jacobian_x(decomp: SpectralDecomposition) -> np.ndarray:
@@ -165,18 +165,19 @@ def _perturbed_values(P: MatrixPolynomial, s: int, r: int, delta: float) -> np.n
 
 
 def seed_vandermonde_check(
-    P: MatrixPolynomial,
     spec: TargetSpectrum,
     decomp: SpectralDecomposition,
     J: np.ndarray,
 ) -> dict:
-    """Structure check of the Jacobian at a diagonal seed.
+    """Structure check of the Jacobian J of ``decomp``, the decomposition
+    of a diagonal seed P.
 
     Target q is row q of spec.blocks flattened, so it belongs to diagonal
-    entry r = q // k.  After negating, scaling row q by (P'(lambda_q))_rr,
-    and permuting rows into these target blocks and columns into
-    diagonal-entry blocks, the Jacobian must be block diagonal with n
-    Vandermonde blocks (1, lam, ..., lam^(k-1)).  Returns the scaled matrix,
+    entry r = q // k.  After negating, scaling row q by (P'(lambda_q))_rr
+    (P' read from decomp's companion, as jacobian_x reads it), and
+    permuting rows into these target blocks and columns into diagonal-entry
+    blocks, the Jacobian must be block diagonal with n Vandermonde blocks
+    (1, lam, ..., lam^(k-1)).  Returns the scaled matrix,
     the expected Vandermonde form, the maximum relative entrywise deviation,
     and off-block leakage.
     """
@@ -189,7 +190,7 @@ def seed_vandermonde_check(
     row_of_target[order] = np.arange(nk)
     lam = decomp.values[row_of_target]
     # (P'(lambda_q))_rr as the quadratic form of P' with the unit vector e_r
-    den = _denominators(np.diag(P.coeffs[-1]), linearize(P), lam, np.eye(n)[entry], check=False)
+    den = _denominators(decomp.lead, decomp.companion, lam, np.eye(n)[entry], check=False)
     # column s*n + r' of J goes to column r'*k + s: one block of k per entry
     scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)
     own = np.zeros((nk, n, k), dtype=bool)

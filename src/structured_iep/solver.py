@@ -76,7 +76,7 @@ class ProblemSpec:
     lead: LeadingDiagonal
     graphs: tuple[Graph, ...]  # G_0 .. G_{k-1}
     epsilon: float = 0.5
-    offdiag_values: tuple[np.ndarray, ...] | None = None  # default: all = epsilon
+    offdiag_values: tuple[np.ndarray | None, ...] | None = None  # None, or a None entry: all = epsilon
     controls: SolverControls = field(default_factory=SolverControls)
 
     def __post_init__(self):
@@ -90,21 +90,26 @@ class ProblemSpec:
             raise InvariantViolation(f"leading diagonal has wrong length {self.lead.alpha_k.shape[0]}")
         if not np.isfinite(self.epsilon):
             raise InvariantViolation("epsilon must be finite")
-        if self.offdiag_values is None:
-            # epsilon == 0 is the degenerate "echo the seed" case; any other
-            # zero off-diagonal would silently break the prescribed structure
-            ys = tuple(np.full(g.num_edges, float(self.epsilon)) for g in self.graphs)
-        else:
-            ys = tuple(np.asarray(y, dtype=float) for y in self.offdiag_values)
-            for s, (y, g) in enumerate(zip(ys, self.graphs)):
-                if y.shape != (g.num_edges,):
-                    raise InvariantViolation(
-                        f"off-diagonal vector {s} has length {y.shape[0] if y.ndim == 1 else y.shape}, "
-                        f"expected {g.num_edges}"
-                    )
-            if any(np.any((y == 0.0) | ~np.isfinite(y)) for y in ys):
+        given = (None,) * k if self.offdiag_values is None else tuple(self.offdiag_values)
+        if len(given) != k:
+            raise InvariantViolation(f"need {k} off-diagonal vectors, got {len(given)}")
+        ys = []
+        for s, (y, g) in enumerate(zip(given, self.graphs)):
+            if y is None:
+                # epsilon == 0 is the degenerate "echo the seed" case; any other
+                # zero off-diagonal would silently break the prescribed structure
+                ys.append(np.full(g.num_edges, float(self.epsilon)))
+                continue
+            y = np.asarray(y, dtype=float)
+            if y.shape != (g.num_edges,):
+                raise InvariantViolation(
+                    f"off-diagonal vector {s} has length {y.shape[0] if y.ndim == 1 else y.shape}, "
+                    f"expected {g.num_edges}"
+                )
+            if np.any((y == 0.0) | ~np.isfinite(y)):
                 raise InvariantViolation("prescribed off-diagonal values must all be finite and nonzero")
-        object.__setattr__(self, "offdiag_values", ys)
+            ys.append(y)
+        object.__setattr__(self, "offdiag_values", tuple(ys))
 
     @property
     def n(self) -> int:
@@ -200,8 +205,8 @@ def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
     The kn unknowns are written into a copy of ``companion`` (default:
     companion_template(spec, tau), built here), so no polynomial is
     assembled or linearized: newton_solve builds the template once per
-    solve and passes it to every trial.  Its vectors are bitwise those of
-    proper_values(assemble(x, spec, tau)).
+    solve and passes it to every trial.  Its companion_rows are bitwise
+    those of proper_values(assemble(x, spec, tau)).
     """
     if companion is None:
         companion = companion_template(spec, tau)
@@ -224,7 +229,8 @@ def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
 
 
 def _structure_verdict(P: MatrixPolynomial, spec: ProblemSpec) -> tuple[tuple[bool, ...], bool]:
-    """graph_of_matrix(A_s) == graphs[s] per symmetric A_s, s < k; and A_k == diag(alpha)."""
+    """Per A_s, s < k: are its nonzero off-diagonal entries exactly the
+    edges of graphs[s]?  And is A_k == diag(alpha)?"""
     offdiag = np.abs(np.stack(P.coeffs[:spec.k])) > 0.0
     offdiag[:, np.arange(spec.n), np.arange(spec.n)] = False
     per_coeff = tuple(bool(b) for b in np.all(offdiag == spec.edge_masks, axis=(1, 2)))

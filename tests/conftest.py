@@ -93,6 +93,27 @@ def unit_vectors(decomp):
     return V
 
 
+def derivative(P):
+    """Termwise derivative of P: the reference P' for the sensitivity kernels."""
+    from structured_iep import MatrixPolynomial
+
+    if P.degree == 0:
+        return MatrixPolynomial((np.zeros((P.n, P.n)),))
+    return MatrixPolynomial(tuple(s * P.coeffs[s] for s in range(1, P.degree + 1)))
+
+
+def coefficient_scale(P, z):
+    """sum_s ||A_s||_F |z|^s, the natural residual scale of P at z."""
+    return sum(np.linalg.norm(c) * abs(z) ** s for s, c in enumerate(P.coeffs))
+
+
+def graph_edges(A):
+    """Reference edge list of a square matrix by an explicit loop: {i, j}
+    (1-based, i < j) iff A_ij is nonzero."""
+    n = A.shape[0]
+    return tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if abs(A[i, j]) > 0.0)
+
+
 def chain_system(m, d, k):
     """Mass/damping/stiffness matrices of a serially linked chain with both
     ends fixed: n masses, n+1 dampers and springs, tridiagonal D and K."""

@@ -159,7 +159,7 @@ def test_acceptance_5_seed_jacobian_block_vandermonde():
         P = seed_coefficients(spec, lead)
         decomp = proper_values(P)
         J = jacobian_x(decomp)
-        check = seed_vandermonde_check(P, spec, decomp, J)
+        check = seed_vandermonde_check(spec, decomp, J)
         worst_entry = max(worst_entry, check["max_entry_error"])
         worst_offblock = max(worst_offblock, check["max_offblock"])
         worst_cond = max(worst_cond, check["condition"])

@@ -401,6 +401,23 @@ class TestErrorPaths:
         assert code == cli.EXIT_PARSE
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    def test_null_offdiag_overrides_behave_like_the_absent_field(self, capsys, tmp_path, epsilon):
+        # a null entry falls back to epsilon, even at epsilon = 0; an explicit zero is still rejected
+        specs, codes = [], []
+        for i, patch in enumerate(({}, {"offdiag_overrides": [None, None]})):
+            prob = tmp_path / f"p{i}.json"
+            prob.write_text(json.dumps(path4_doc(epsilon=epsilon, **patch)))
+            specs.append(load_problem(str(prob)))
+            codes.append(run(capsys, ["--quiet", "solve", str(prob)])[0])
+        assert codes == [0, 0]
+        absent, null = ([y.tobytes() for y in spec.offdiag_values] for spec in specs)
+        assert absent == null
+        prob = tmp_path / "zero.json"
+        prob.write_text(json.dumps(path4_doc(epsilon=epsilon, offdiag_overrides=[None, [0.5, 0.0, 0.5]])))
+        code, _, err = run(capsys, ["--quiet", "solve", str(prob)])
+        assert code == cli.EXIT_INVARIANT and "nonzero" in err
+
     @pytest.mark.parametrize("patch", [
         {"proper_values": [-2.0, float("nan"), -6.0, -8.0, -10.0, -12.0, -14.0, -16.0]},
         {"proper_values": [-2.0, -4.0, -6.0, -8.0, -10.0, -12.0, -14.0, float("-inf")]},

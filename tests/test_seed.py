@@ -11,7 +11,6 @@ from structured_iep import (
     TargetSpectrum,
     proper_values,
     seed_coefficients,
-    seed_diagonals,
     seed_unknowns,
 )
 
@@ -152,10 +151,8 @@ class TestTargetSpectrum:
             TargetSpectrum(values=np.array([1.0, 2.0, 3.0]), n=2, k=2)
 
 
-def test_seed_diagonals_layout():
-    spec = TargetSpectrum(values=TARGETS, n=4, k=2)
-    P = seed_coefficients(spec, LeadingDiagonal(alpha_k=np.ones(4)))
-    x = seed_diagonals(P)
+def test_seed_unknowns_layout():
+    x = seed_unknowns(TargetSpectrum(values=TARGETS, n=4, k=2), LeadingDiagonal(alpha_k=np.ones(4)))
     assert np.array_equal(x, np.array([8.0, 48, 120, 224, 6, 14, 22, 30]))
 
 
@@ -165,7 +162,8 @@ def test_seed_unknowns_are_bitwise_the_seed_diagonals(n, k):
     spec = TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k)
     lead = LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n))
     P = seed_coefficients(spec, lead)
-    assert seed_unknowns(spec, lead).tobytes() == seed_diagonals(P).tobytes()
+    diagonals = np.concatenate([np.diag(c) for c in P.coeffs[:-1]])  # s-major: x[s*n + r]
+    assert seed_unknowns(spec, lead).tobytes() == diagonals.tobytes()
     assert P.coeffs[-1].tobytes() == np.diag(lead.alpha_k).tobytes()
 
 

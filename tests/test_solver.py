@@ -16,14 +16,13 @@ from structured_iep import (
     TargetSpectrum,
     assemble,
     continuation_solve,
-    graph_of_matrix,
     jacobian_x,
     match_targets,
     matpoly,
     matrix_of_graph,
     newton_solve,
     proper_values,
-    seed_diagonals,
+    seed_unknowns,
     spectral_map,
     solver,
     verify,
@@ -34,9 +33,11 @@ from conftest import (
     H_EDGES,
     PATH_EDGES,
     TARGETS,
+    derivative,
     golden_linked4_polynomial,
     golden_path4_polynomial,
     quadratic_targets_spec,
+    graph_edges,
     random_graph,
     random_targets,
     unit_vectors,
@@ -96,7 +97,7 @@ def make_spec(rng, n, k, epsilon, **controls):
 class TestAssemble:
     def test_zero_offdiagonals_reproduce_seed(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
-        P = assemble(seed_diagonals(spec.seed()), spec)
+        P = assemble(seed_unknowns(spec.spectrum, spec.lead), spec)
         for a, b in zip(P.coeffs, spec.seed().coeffs):
             assert np.array_equal(a, b)
 
@@ -134,7 +135,7 @@ class TestAssemble:
 class TestSpectralMap:
     def test_seed_with_zero_offdiagonals(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
-        vals = spectral_map(seed_diagonals(spec.seed()), spec).values
+        vals = spectral_map(seed_unknowns(spec.spectrum, spec.lead), spec).values
         assert np.allclose(vals, np.sort(TARGETS), atol=1e-12)
 
     def test_golden_solution_hits_targets(self, path4_spec):
@@ -146,7 +147,7 @@ class TestSpectralMap:
     def test_continuity_in_offdiagonal_scale(self):
         rng = np.random.default_rng(5)
         spec = make_spec(rng, 4, 2, epsilon=1.0)
-        x = seed_diagonals(spec.seed())
+        x = seed_unknowns(spec.spectrum, spec.lead)
         base = spectral_map(x, spec, tau=0.0).values
         dev = [np.linalg.norm(spectral_map(x, spec, tau=t).values - base)
                for t in (1e-2, 1e-4, 1e-6)]
@@ -160,7 +161,7 @@ class TestSpectralMap:
         boundaries = 0
         for spec in specs:
             companion = solver.companion_template(spec, tau)
-            seed = seed_diagonals(spec.seed())
+            seed = seed_unknowns(spec.spectrum, spec.lead)
             real, nonreal = [], []
             for scale in (0.0, 0.1, 1.0, 5.0):
                 for _ in range(4):
@@ -208,7 +209,7 @@ class TestSpectralMap:
         P0 = assemble(np.zeros(n * k), spec, tau)
         reference = matpoly._pencil(P0) if k == 1 else matpoly.linearize(P0)
         assert companion.matrix.tobytes() == reference.tobytes()
-        x = seed_diagonals(spec.seed()) + 0.01 * rng.standard_normal(n * k)
+        x = seed_unknowns(spec.spectrum, spec.lead) + 0.01 * rng.standard_normal(n * k)
         got, want = companion.proper_values(x), proper_values(assemble(x, spec, tau))
         assert got.values.tobytes() == want.values.tobytes()
         assert got.companion_rows.tobytes() == want.companion_rows.tobytes()
@@ -236,7 +237,7 @@ class TestNewtonSolve:
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
         x, _, iterations = newton_solve(spec)
         assert len(iterations) == 1  # the initial residual record only
-        assert np.array_equal(x, seed_diagonals(spec.seed()))
+        assert np.array_equal(x, seed_unknowns(spec.spectrum, spec.lead))
 
     def test_seed_newton_step_is_tiny(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
@@ -334,7 +335,7 @@ class TestContinuationSolve:
         spec = make_spec(rng, 4, 2, epsilon=0.1)
         curvature, rho = solver._seed_curvature(spec)
         assert rho <= solver.SEED_SHIFT_MAX  # the direct attempt starts at seed + c
-        predicted, _, iterations = newton_solve(spec, x0=seed_diagonals(spec.seed()) + curvature)
+        predicted, _, iterations = newton_solve(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + curvature)
         cont = continuation_solve(spec)
         assert cont.continuation_path == (1.0,)
         assert np.array_equal(cont.x, predicted)
@@ -370,7 +371,7 @@ class TestContinuationSolve:
         rep = continuation_solve(spec)
         # the last converged point is the seed at tau = 0
         assert rep.continuation_path == ()
-        assert np.array_equal(rep.x, seed_diagonals(spec.seed()))
+        assert np.array_equal(rep.x, seed_unknowns(spec.spectrum, spec.lead))
         assert rep.residual == np.inf
         assert re.fullmatch(r"NoConvergence at tau=0\.015625: backtracking stalled .*", rep.failure)
 
@@ -567,8 +568,8 @@ class TestContinuationSolve:
 
 
 def old_structure_detail(P, spec):
-    """The verdict as graph_of_matrix computes it, one coefficient at a time."""
-    return tuple(graph_of_matrix(P.coeffs[s], 0.0) == spec.graphs[s] for s in range(spec.k))
+    """The verdict from the loop reference edge list, one coefficient at a time."""
+    return tuple(graph_edges(P.coeffs[s]) == spec.graphs[s].edges for s in range(spec.k))
 
 
 class TestStructureVerdict:
@@ -651,6 +652,24 @@ class TestProblemSpecInvariants:
                 lead=LeadingDiagonal(alpha_k=np.ones(4)),
                 graphs=(Graph(4, PATH_EDGES), Graph(4, H_EDGES)),
                 offdiag_values=(np.array([0.5, 0.0, 0.5]), np.array([0.5, 0.5])),
+            )
+
+    def test_none_entry_is_filled_with_epsilon(self):
+        graphs = (Graph(4, PATH_EDGES), Graph(4, H_EDGES))
+        y = np.array([0.5, -0.25])
+        for epsilon in (0.0, 0.3):
+            spec = quadratic_targets_spec(graphs, epsilon=epsilon)
+            mixed = ProblemSpec(spec.spectrum, spec.lead, graphs, epsilon, offdiag_values=(None, y))
+            assert mixed.offdiag_values[0].tobytes() == spec.offdiag_values[0].tobytes()
+            assert np.array_equal(mixed.offdiag_values[1], y)
+
+    def test_wrong_offdiag_count(self):
+        with pytest.raises(InvariantViolation, match="need 2 off-diagonal vectors, got 1"):
+            ProblemSpec(
+                spectrum=TargetSpectrum(values=TARGETS, n=4, k=2),
+                lead=LeadingDiagonal(alpha_k=np.ones(4)),
+                graphs=(Graph(4, PATH_EDGES),) * 2,
+                offdiag_values=(np.full(3, 0.5),),
             )
 
     def test_graph_vertex_mismatch(self):
@@ -736,7 +755,7 @@ class TestSeedPredictor:
         else:
             spec = quadratic_targets_spec(request.getfixturevalue(name).graphs, newton_tol=1e-13)
         curvature, _ = solver._seed_curvature(spec)
-        seed = seed_diagonals(spec.seed())
+        seed = seed_unknowns(spec.spectrum, spec.lead)
         errors = []
         for tau in (0.04, 0.02, 0.01):
             predicted = seed + tau ** 2 * curvature
@@ -759,7 +778,7 @@ class TestSeedPredictor:
             for i, lam in enumerate(roots):
                 D, S = matpoly.evaluate(ramp, lam), matpoly.evaluate(seed, lam)
                 g[i] = sum(D[r, j] ** 2 / S[j, j] for j in range(n) if j != r)
-                slope = matpoly.evaluate(matpoly.derivative(seed), lam)[r, r]
+                slope = matpoly.evaluate(derivative(seed), lam)[r, r]
                 gap = np.min(np.abs(targets[targets != lam] - lam))
                 rho_ref = max(rho_ref, abs(g[i] / slope) / gap)
             c_ref[r::n] = np.linalg.solve(np.vander(roots, k, increasing=True), g)
@@ -773,7 +792,7 @@ class TestSeedPredictor:
         assert rho > solver.SEED_SHIFT_MAX
         starts = record_start_points(monkeypatch)
         continuation_solve(spec)
-        seed = seed_diagonals(spec.seed())
+        seed = seed_unknowns(spec.spectrum, spec.lead)
         assert starts[0].tobytes() == seed.tobytes()
 
     def test_small_shift_ratio_starts_at_seed_plus_curvature(self, monkeypatch):
@@ -782,7 +801,7 @@ class TestSeedPredictor:
         assert rho <= solver.SEED_SHIFT_MAX
         starts = record_start_points(monkeypatch)
         continuation_solve(spec)
-        assert starts[0].tobytes() == (seed_diagonals(spec.seed()) + curvature).tobytes()
+        assert starts[0].tobytes() == (seed_unknowns(spec.spectrum, spec.lead) + curvature).tobytes()
 
     def test_retries_from_the_seed_use_the_gate_at_their_own_tau(self, path4_spec, monkeypatch):
         # rho = 1.32: the direct attempt at tau = 1 starts at the bare seed,
@@ -791,7 +810,7 @@ class TestSeedPredictor:
         assert 0.25 * rho <= solver.SEED_SHIFT_MAX < rho
         starts = record_start_points(monkeypatch)
         rep = continuation_solve(path4_spec)
-        seed = seed_diagonals(path4_spec.seed())
+        seed = seed_unknowns(path4_spec.spectrum, path4_spec.lead)
         assert rep.continuation_path == (0.5, 1.0)
         assert starts[0].tobytes() == seed.tobytes()
         assert starts[1].tobytes() == (seed + 0.25 * curvature).tobytes()
@@ -827,7 +846,7 @@ def test_converged_newton_solve_assembles_no_polynomial(name, request, monkeypat
     spec = request.getfixturevalue(name)
     taus = counting_assemble(monkeypatch)
     curvature, _ = solver._seed_curvature(spec)
-    _, _, iterations = newton_solve(spec, x0=seed_diagonals(spec.seed()) + 0.25 * curvature, tau=0.5)
+    _, _, iterations = newton_solve(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + 0.25 * curvature, tau=0.5)
     assert len(iterations) > 2
     assert taus == []
 
@@ -853,7 +872,7 @@ def test_continuation_solve_assembles_one_polynomial(name, request, monkeypatch)
 
 def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
     curvature, _ = solver._seed_curvature(path4_spec)
-    x, decomp, _ = newton_solve(path4_spec, x0=seed_diagonals(path4_spec.seed()) + 0.25 * curvature, tau=0.5)
+    x, decomp, _ = newton_solve(path4_spec, x0=seed_unknowns(path4_spec.spectrum, path4_spec.lead) + 0.25 * curvature, tau=0.5)
     fresh = reference_spectral_map(x, path4_spec, 0.5)
     assert np.array_equal(solver._tangent(path4_spec, decomp), solver._tangent(path4_spec, fresh))
 
