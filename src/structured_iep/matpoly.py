@@ -94,27 +94,24 @@ def _check_leading(P: MatrixPolynomial) -> np.ndarray:
     return d
 
 
-def _companion_layout(coeffs, lead: np.ndarray, pencil: bool = False) -> np.ndarray:
-    """The companion layout of sum_s z^s coeffs[s] + z^k diag(lead), the one
-    writer of linearize, _pencil and CompanionTemplate: identity blocks on
-    the block superdiagonal, and in the last block row -coeffs[s] scaled by
-    1 / lead[r] in row r.  With ``pencil`` (k = 1 only) -coeffs[0] is scaled
-    symmetrically by 1 / sqrt(lead[r] lead[c]) instead.  Either way entry
-    (r, r) of coeffs[s] lands at row (k-1)n + r, column sn + r as
-    -coeffs[s][r, r] / lead[r]."""
-    n, k = len(lead), len(coeffs)
+def companion_layout(row: np.ndarray, lead: np.ndarray, pencil: bool = False, tau: float = 1.0) -> np.ndarray:
+    """The companion layout of sum_s z^s tau A_s + z^k diag(lead), for the
+    block row row = [A_0 ... A_{k-1}] (n x kn): the one writer of
+    linearize, _pencil and CompanionTemplate.  Identity blocks on the block
+    superdiagonal, and in the last block row (tau * -row) / lead[r] in row
+    r.  With ``pencil`` (k = 1 only) the divisor is sqrt(lead[r] lead[c])
+    instead.  Either way entry (r, r) of A_s lands at row (k-1)n + r, column
+    sn + r as (tau * -A_s[r, r]) / lead[r].  Negation is exact, so that
+    rounds as -(tau A_s) / lead: the layout at tau is bitwise the layout of
+    the coefficients tau A_s."""
+    n, nk = row.shape
     if pencil:
         root = np.sqrt(lead)
-        scale = np.outer(root, root)
-    else:
-        scale = lead[:, None]
-    C = np.zeros((n * k, n * k))
-    for i in range(k - 1):
-        C[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = np.eye(n)
-    for s, A in enumerate(coeffs):
-        C[(k - 1) * n:, s * n:(s + 1) * n] = -A / scale
-    if pencil:
-        C[np.diag_indices(n)] = -np.diag(coeffs[0]) / lead
+        C = (tau * -row) / np.outer(root, root)
+        C[np.diag_indices(n)] = (tau * -np.diag(row)) / lead
+        return C
+    C = np.eye(nk, k=n)  # the identity blocks: nothing in the last block row
+    C[-n:] = (tau * -row) / lead[:, None]
     return C
 
 
@@ -128,7 +125,7 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     lead = _check_leading(P)
     if P.degree == 0:
         raise ValueError("cannot linearize a degree-0 polynomial")
-    return _companion_layout(P.coeffs[:-1], lead)
+    return companion_layout(np.hstack(P.coeffs[:-1]), lead)
 
 
 def _pencil(P: MatrixPolynomial) -> np.ndarray:
@@ -140,7 +137,7 @@ def _pencil(P: MatrixPolynomial) -> np.ndarray:
     A0 = P.coeffs[0]
     if not np.array_equal(A0, A0.T, equal_nan=True):
         raise InvariantViolation("the constant coefficient of a degree-1 polynomial must be symmetric")
-    return _companion_layout((A0,), lead, pencil=True)
+    return companion_layout(A0, lead, pencil=True)
 
 
 def _companion(P: MatrixPolynomial) -> np.ndarray:
@@ -155,9 +152,11 @@ def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
     if sep_tol is None:
         diam = vals[-1] - vals[0] if len(vals) > 1 else 0.0
         sep_tol = SEP_TOL_REL * max(diam, 1.0)
-    gaps = np.diff(vals)
-    if len(gaps) and np.min(gaps) < sep_tol:
-        q = int(np.argmin(gaps))
+    if len(vals) < 2:
+        return
+    gaps = vals[1:] - vals[:-1]
+    if gaps.min() < sep_tol:
+        q = int(gaps.argmin())
         raise NearDegenerate(
             f"proper values {vals[q]:.12g} and {vals[q + 1]:.12g} closer than sep_tol {sep_tol:.3g}"
         )
@@ -172,7 +171,7 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> Spectra
     n = len(lead)
     if len(C) == n:
         vals, U = np.linalg.eigh(C)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
         _check_separation(vals, sep_tol)
         return SpectralDecomposition(vals, (U / np.sqrt(lead)[:, None]).T, C, lead)
@@ -180,7 +179,7 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> Spectra
     rows = V[:n]
     if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
         bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
-        if np.any(bad):
+        if bad.any():
             raise NonRealSpectrum(
                 f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
                 f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
@@ -188,8 +187,9 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> Spectra
         # a real value's vector is real up to a complex phase: keep its larger part
         use_imag = np.linalg.norm(rows.imag, axis=0) > np.linalg.norm(rows.real, axis=0)
         rows = np.where(use_imag, rows.imag, rows.real)
-    order = np.argsort(w.real, kind="stable")
-    vals = w.real[order]
+    w = w.real
+    order = w.argsort(kind="stable")
+    vals = w[order]
     _check_separation(vals, sep_tol)
     return SpectralDecomposition(vals, rows[:, order].T, C, lead)
 
@@ -227,13 +227,13 @@ class CompanionTemplate:
     proper_values applied to P with diag(A_s) = d[sn:(s+1)n].  Neither that
     polynomial nor its checks are built: the caller supplies a positive
     ``lead``, at k = 1 a symmetric A_0, and the separation tolerance
-    ``sep_tol``.
+    ``sep_tol``.  Every array but ``matrix`` is read-only.
     """
 
     matrix: np.ndarray
-    n: int
-    diagonal: tuple[np.ndarray, np.ndarray]  # (row, column) of entry d[sn + r]
-    lead: np.ndarray  # the leading diagonal repeated k times, one entry per unknown
+    diagonal: np.ndarray  # flat index into matrix of entry d[sn + r]
+    lead: np.ndarray  # P's leading diagonal
+    divisor: np.ndarray  # lead repeated k times: d[sn + r] is written as -d[sn + r] / lead[r]
     sep_tol: float
 
     @classmethod
@@ -242,16 +242,19 @@ class CompanionTemplate:
         diagonals are ignored) and the positive leading diagonal ``lead``."""
         n, k = len(lead), len(coeffs)
         unknowns = np.arange(n * k)
-        return cls(matrix=_companion_layout(coeffs, lead, pencil=k == 1), n=n,
-                   diagonal=(n * (k - 1) + unknowns % n, unknowns), lead=np.concatenate([lead] * k),
-                   sep_tol=sep_tol)
+        diagonal = (n * (k - 1) + unknowns % n) * (n * k) + unknowns
+        lead = np.array(lead, dtype=float)
+        divisor = np.tile(lead, k)
+        for a in (diagonal, lead, divisor):
+            a.flags.writeable = False
+        return cls(companion_layout(np.hstack(coeffs), lead, pencil=k == 1), diagonal, lead, divisor, sep_tol)
 
     def proper_values(self, d: np.ndarray) -> SpectralDecomposition:
         """Ascending proper values for the diagonals d (s-major), with the
         checks of proper_values at this template's ``sep_tol``."""
         d = np.asarray(d, dtype=float)
-        if d.shape != self.lead.shape:
-            raise ValueError(f"diagonals have shape {d.shape}, expected {self.lead.shape}")
+        if d.shape != self.divisor.shape:
+            raise ValueError(f"diagonals have shape {d.shape}, expected {self.divisor.shape}")
         C = self.matrix.copy()
-        C[self.diagonal] = -d / self.lead
-        return _spectrum(C, self.lead[:self.n], self.sep_tol)
+        C.ravel()[self.diagonal] = -d / self.divisor
+        return _spectrum(C, self.lead, self.sep_tol)

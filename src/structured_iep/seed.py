@@ -48,7 +48,14 @@ class TargetSpectrum:
         return max(float(np.max(self.values) - np.min(self.values)), 1.0)
 
     def sorted_values(self) -> np.ndarray:
-        return np.sort(self.values)
+        """The values, ascending: one read-only array, sorted on first use."""
+        return self._ascending
+
+    @cached_property
+    def _ascending(self) -> np.ndarray:
+        vals = np.sort(self.values)
+        vals.flags.writeable = False
+        return vals
 
     @property
     def blocks(self) -> np.ndarray:
@@ -84,7 +91,7 @@ def seed_unknowns(spec: TargetSpectrum, lead: LeadingDiagonal) -> np.ndarray:
     for root in spec.blocks.T:
         e[:, 1:] = e[:, 1:] + root[:, None] * e[:, :-1]
     x = ((-1.0) ** (k - np.arange(k))[:, None] * lead.alpha_k * e[:, :0:-1].T).ravel()
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvariantViolation("seed coefficients are not finite: targets or leading diagonal too large")
     return x
 

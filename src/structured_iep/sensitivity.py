@@ -16,7 +16,10 @@ with the proper vectors as the eigensolver returned them.  eigderivative
 runs on tau_derivative, with B as the direction and one (value, vector)
 pair as the decomposition.  Every denominator comes from one kernel, which
 reads P' back from a companion matrix, and every form v^T A v from a
-single matrix product.
+single matrix product.  The continuation's tangent needs J and
+dlambda/dtau at the same point, so _tangent_terms gets both from one
+denominator computation; tau_derivative and _tangent_terms share the
+numerator formula through _tau_rates.
 Away from the seed the formula is the standard simple-eigenvalue one and is
 cross-validated against finite differences (jacobian_fd) rather than taken
 on faith.
@@ -24,6 +27,7 @@ on faith.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +42,8 @@ DENOM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PerturbationDirection:
-    """Perturb coefficient s: either diagonal entry r (1-based) or the
-    symmetric off-diagonal pair {i, j}."""
+    """Perturb coefficient s: either diagonal entry r or the symmetric
+    off-diagonal pair {i, j}, i != j (vertices 1-based)."""
 
     s: int
     diag: int | None = None
@@ -48,37 +52,42 @@ class PerturbationDirection:
     def __post_init__(self):
         if (self.diag is None) == (self.edge is None):
             raise ValueError("specify exactly one of diag or edge")
+        if self.edge is not None and self.edge[0] == self.edge[1]:
+            raise ValueError(f"edge {self.edge} joins a vertex to itself: use diag")
 
 
 def _forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
     """v_q^T A_s v_q (row q, column s) for the rows v_q of V and the blocks of A = [A_0 A_1 ...]."""
     m, n = V.shape
-    return np.sum((V @ A).reshape(m, -1, n) * V[:, None, :], axis=2)
+    return ((V @ A).reshape(m, -1, n) * V[:, None, :]).sum(axis=2)
 
 
 def _denominators(lead: np.ndarray, companion: np.ndarray, lams: np.ndarray, V: np.ndarray,
-                  check: bool = True) -> np.ndarray:
+                  check: bool = True, sq: np.ndarray | None = None) -> np.ndarray:
     """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q] (any
     scale), with A_k = diag(lead) and A_s = -diag(lead) C_s (0 < s < k) read
     from the last block row [C_0 ... C_{k-1}] of P's ``companion`` matrix.
     With ``check``, raises DegenerateDenominator when one is at most
     DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F |lambda_q|^(s-1)
-    of P' (numerically non-simple value, or a zero row)."""
+    of P' (numerically non-simple value, or a zero row).  ``sq`` is V * V
+    when the caller has it."""
     n = len(lead)
     k = len(companion) // n
-    sq = V * V
+    if sq is None:
+        sq = V * V
     den = k * (sq @ lead)
-    scale = k * np.linalg.norm(lead)
+    scale = k * math.sqrt(lead @ lead)
     if k > 1:
         upper = companion[-n:, n:] * -lead[:, None]  # [A_1 ... A_{k-1}]
         forms = _forms(upper, V)
         norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
+        size = np.abs(lams)
         for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
             den = den * lams + s * forms[:, s - 1]
-            scale = scale * np.abs(lams) + s * norms[s - 1]
+            scale = scale * size + s * norms[s - 1]
     small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
     if check and small.any():
-        q = int(np.argmax(small))
+        q = int(small.argmax())
         raise DegenerateDenominator(
             f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
             "value numerically non-simple"
@@ -97,9 +106,11 @@ def eigderivative(
     A_k."""
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
+    i, j = (direction.diag,) * 2 if direction.diag is not None else direction.edge
+    if not (1 <= i <= P.n and 1 <= j <= P.n):
+        raise ValueError(f"entry ({i}, {j}) out of range 1..{P.n}")
     lam, v = pair
     coeffs = np.zeros((direction.s + 1, P.n, P.n))
-    i, j = (direction.diag,) * 2 if direction.diag is not None else direction.edge
     coeffs[direction.s, i - 1, j - 1] = coeffs[direction.s, j - 1, i - 1] = 1.0
     decomp = SpectralDecomposition(np.array([lam], dtype=float), np.asarray(v, dtype=float)[None, :],
                                    linearize(P), np.diag(P.coeffs[-1]))
@@ -115,10 +126,19 @@ def jacobian_x(decomp: SpectralDecomposition) -> np.ndarray:
     from ``decomp.companion``.
     """
     lam, V = decomp.values, decomp.companion_rows
-    nk, n = V.shape
-    den = _denominators(decomp.lead, decomp.companion, lam, V)
-    powers = lam[:, None] ** np.arange(nk // n)
-    return (-powers[:, :, None] * (V ** 2)[:, None, :] / den[:, None, None]).reshape(nk, nk)
+    sq = V * V
+    return _jacobian(lam, sq, _denominators(decomp.lead, decomp.companion, lam, V, sq=sq))
+
+
+def _jacobian(lams: np.ndarray, sq: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """jacobian_x from the squared rows ``sq`` and the denominators: the
+    column factors -lambda_q^s / den_q by recurrence in s, times sq."""
+    nk, n = sq.shape
+    factors = np.empty((nk, nk // n))
+    factors[:, 0] = -1.0 / den
+    for s in range(1, nk // n):
+        factors[:, s] = factors[:, s - 1] * lams
+    return (factors[:, :, None] * sq[:, None, :]).reshape(nk, nk)
 
 
 def tau_derivative(decomp: SpectralDecomposition, D: MatrixPolynomial) -> np.ndarray:
@@ -134,8 +154,23 @@ def tau_derivative(decomp: SpectralDecomposition, D: MatrixPolynomial) -> np.nda
     diagonal seed), because D has a zero diagonal.
     """
     lam, V = decomp.values, decomp.companion_rows
-    num = np.sum(lam[:, None] ** np.arange(len(D.coeffs)) * _forms(np.hstack(D.coeffs), V), axis=1)
-    return -num / _denominators(decomp.lead, decomp.companion, lam, V)
+    return _tau_rates(lam, V, D, _denominators(decomp.lead, decomp.companion, lam, V))
+
+
+def _tau_rates(lams: np.ndarray, V: np.ndarray, D: MatrixPolynomial, den: np.ndarray) -> np.ndarray:
+    """tau_derivative's formula, given its denominators."""
+    num = (lams[:, None] ** np.arange(len(D.coeffs)) * _forms(np.hstack(D.coeffs), V)).sum(axis=1)
+    return -num / den
+
+
+def _tangent_terms(decomp: SpectralDecomposition, D: MatrixPolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """(jacobian_x(decomp), tau_derivative(decomp, D)) from one
+    _denominators call: the two sides of the tangent system J xdot =
+    -dlambda/dtau, which share v^T P'(lambda) v."""
+    lam, V = decomp.values, decomp.companion_rows
+    sq = V * V
+    den = _denominators(decomp.lead, decomp.companion, lam, V, sq=sq)
+    return _jacobian(lam, sq, den), _tau_rates(lam, V, D, den)
 
 
 def jacobian_fd(

@@ -15,14 +15,19 @@ iteration.  At the diagonal seed the tangent is zero, so correctors from
 the seed start at its closed-form second-order term instead, where that
 term moves no target by more than half its gap (_seed_curvature).
 Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL, and the
-Jacobian reads P' back from the companion matrix of each eigensolve.  A
-corrector returns its converged state, not a report: the polynomial is
+Jacobian reads P' back from the companion matrix of each eigensolve.  The
+tangent takes J and dlambda/dtau from one computation of the denominators
+v^T P'(lambda) v.  The companion template is affine in tau: each corrector
+scales the spec's cached off-diagonal block row into its last block row.
+A corrector returns its converged state, not a report: the polynomial is
 assembled once per solve, for the one SolveReport continuation_solve
 returns.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,10 +47,11 @@ from .matpoly import (
     MatrixPolynomial,
     SEP_TOL_REL,
     SpectralDecomposition,
+    companion_layout,
     proper_values,
 )
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
-from .sensitivity import jacobian_x, tau_derivative
+from .sensitivity import _tangent_terms, jacobian_x
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 MAX_BACKTRACKS = 2  # step lengths 1, 1/2, 1/4: see newton_solve
@@ -59,9 +65,14 @@ class SolverControls:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.newton_tol is not None and not (np.isfinite(self.newton_tol) and self.newton_tol > 0):
+        tol, max_iter = self.newton_tol, self.max_iter
+        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
+            raise InvariantViolation(f"newton_tol must be a real number, got {type(tol).__name__}")
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise InvariantViolation("newton_tol must be positive and finite")
-        if self.max_iter < 1:
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+            raise InvariantViolation(f"max_iter must be an integer, got {type(max_iter).__name__}")
+        if max_iter < 1:
             raise InvariantViolation("max_iter must be at least 1")
 
     def resolved_tol(self, spectrum: TargetSpectrum) -> float:
@@ -123,16 +134,30 @@ class ProblemSpec:
         return seed_coefficients(self.spectrum, self.lead)
 
     @cached_property
+    def ramp_row(self) -> np.ndarray:
+        """[Y_0 ... Y_{k-1}] (n x kn), Y_s the prescribed off-diagonals of
+        coefficient s on a zero diagonal.  Built once per spec and
+        read-only: ramp's matrices are its blocks, and companion_template
+        scales it into the companion's last block row."""
+        row = np.hstack([matrix_of_graph(g, np.zeros(self.n), y)
+                         for g, y in zip(self.graphs, self.offdiag_values)])
+        row.flags.writeable = False
+        return row
+
+    @cached_property
     def ramp(self) -> MatrixPolynomial:
-        """D(z) = sum_s z^s Y_s, Y_s the prescribed off-diagonals of
-        coefficient s on a zero diagonal: the direction in which tau moves
-        the polynomial.  Built once per spec; its matrices are read-only."""
-        coeffs = tuple(
-            matrix_of_graph(g, np.zeros(self.n), y) for g, y in zip(self.graphs, self.offdiag_values)
-        )
-        for c in coeffs:
-            c.flags.writeable = False
-        return MatrixPolynomial(coeffs)
+        """D(z) = sum_s z^s Y_s: the direction in which tau moves the
+        polynomial, its matrices the read-only blocks of ramp_row."""
+        return MatrixPolynomial(tuple(np.hsplit(self.ramp_row, self.k)))
+
+    @cached_property
+    def companion_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The fields of every companion_template but its matrix, the same
+        at every tau and built once per spec: the read-only diagonal index,
+        leading diagonal and divisor, and the separation tolerance."""
+        t = CompanionTemplate.from_coefficients(self.ramp.coeffs, self.lead.alpha_k,
+                                                SEP_TOL_REL * self.spectrum.scale)
+        return t.diagonal, t.lead, t.divisor, t.sep_tol
 
     @cached_property
     def edge_masks(self) -> np.ndarray:
@@ -187,13 +212,17 @@ def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate
     """The companion matrix of assemble(0, spec, tau), with the problem's
     separation tolerance: what every spectral_map at this tau shares.
 
-    Built straight from spec.ramp and the leading diagonal alpha (last
-    block row -(tau Y_s) / alpha, or the pencil -(tau Y_0) / sqrt(alpha
-    alpha^T) at k = 1), so no polynomial is assembled or checked: bitwise
+    tau enters the last block row only: the matrix is companion_layout of
+    the cached spec.ramp_row at tau, (tau * -Y) / alpha in that row (or
+    / sqrt(alpha alpha^T) for the pencil at k = 1), and the other fields
+    are the cached spec.companion_parts.  No polynomial is assembled or
+    checked.  Rounded in that order, the template is bitwise
+    CompanionTemplate.from_coefficients([tau * Y_s ...]), i.e.
     linearize(assemble(0, spec, tau)), or its _pencil at k = 1, for tau >= 0.
     """
-    return CompanionTemplate.from_coefficients([tau * y for y in spec.ramp.coeffs], spec.lead.alpha_k,
-                                               SEP_TOL_REL * spec.spectrum.scale)
+    diagonal, lead, divisor, sep_tol = spec.companion_parts
+    matrix = companion_layout(spec.ramp_row, lead, pencil=spec.k == 1, tau=tau)
+    return CompanionTemplate(matrix, diagonal, lead, divisor, sep_tol)
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
@@ -203,10 +232,12 @@ def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
     spec.spectrum.scale.
 
     The kn unknowns are written into a copy of ``companion`` (default:
-    companion_template(spec, tau), built here), so no polynomial is
-    assembled or linearized: newton_solve builds the template once per
-    solve and passes it to every trial.  Its companion_rows are bitwise
-    those of proper_values(assemble(x, spec, tau)).
+    companion_template(spec, tau), built here from the spec's cached
+    ramp_row and companion_parts), so no polynomial is assembled or
+    linearized: newton_solve builds the template once per solve and passes
+    it to every trial, and each trial writes its diagonal through the
+    template's flat index.  Its companion_rows are bitwise those of
+    proper_values(assemble(x, spec, tau)).
     """
     if companion is None:
         companion = companion_template(spec, tau)
@@ -233,8 +264,8 @@ def _structure_verdict(P: MatrixPolynomial, spec: ProblemSpec) -> tuple[tuple[bo
     edges of graphs[s]?  And is A_k == diag(alpha)?"""
     offdiag = np.abs(np.stack(P.coeffs[:spec.k])) > 0.0
     offdiag[:, np.arange(spec.n), np.arange(spec.n)] = False
-    per_coeff = tuple(bool(b) for b in np.all(offdiag == spec.edge_masks, axis=(1, 2)))
-    leading_ok = bool(np.array_equal(P.coeffs[spec.k], np.diag(spec.lead.alpha_k)))
+    per_coeff = tuple(bool(b) for b in (offdiag == spec.edge_masks).all(axis=(1, 2)))
+    leading_ok = bool((P.coeffs[spec.k] == np.diag(spec.lead.alpha_k)).all())
     return per_coeff, leading_ok
 
 
@@ -282,7 +313,7 @@ def newton_solve(
     companion = companion_template(spec, tau)
     decomp = spectral_map(x, spec, tau, companion)  # NonRealSpectrum propagates: continuation trigger
     res = decomp.values - targets
-    rnorm = float(np.max(np.abs(res)))
+    rnorm = float(np.abs(res).max())
     trace.append(IterationRecord(0, rnorm, 0.0))
 
     for it in range(1, ctl.max_iter + 2):
@@ -295,21 +326,22 @@ def newton_solve(
             dx = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
         damp = 1.0
         for _ in range(MAX_BACKTRACKS + 1 if line_search else 1):
-            x_try = x - damp * dx
+            step = damp * dx
+            x_try = x - step
             try:
                 d_try = spectral_map(x_try, spec, tau, companion)
             except (NonRealSpectrum, NearDegenerate):
                 damp *= 0.5
                 continue
             r_try = d_try.values - targets
-            rn_try = float(np.max(np.abs(r_try)))
+            rn_try = float(np.abs(r_try).max())
             if rn_try < rnorm:
                 x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
-                trace.append(IterationRecord(it, rnorm, float(np.linalg.norm(damp * dx))))
+                trace.append(IterationRecord(it, rnorm, math.sqrt(step @ step)))
                 break
             damp *= 0.5
         else:
@@ -321,10 +353,10 @@ def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
     decomposition is ``decomp``: -J^{-1} dlambda/dtau, or zero when the
     tangent cannot be formed (the predictor then is the point itself)."""
     try:
-        xdot = -np.linalg.solve(jacobian_x(decomp), tau_derivative(decomp, spec.ramp))
+        xdot = -np.linalg.solve(*_tangent_terms(decomp, spec.ramp))
     except (np.linalg.LinAlgError, DegenerateDenominator):
         return np.zeros(len(decomp))
-    return xdot if np.all(np.isfinite(xdot)) else np.zeros(len(decomp))
+    return xdot if np.isfinite(xdot).all() else np.zeros(len(decomp))
 
 
 def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
@@ -349,28 +381,32 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     rho is not finite, the predictor is (0, inf): the bare seed.
     """
     n, k = spec.n, spec.k
+    alpha = spec.lead.alpha_k
     roots = spec.spectrum.blocks
     lam = roots.ravel()  # target q belongs to entry q // k
-    entry = np.repeat(np.arange(n), k)
+    col = lam[:, None]
+    entry = np.arange(n * k) // k
     with np.errstate(all="ignore"):
         # row q: D_rj(lambda_q) and p_j(lambda_q) for r = entry[q], every j
-        d_row = np.zeros((n * k, n))
-        for y in reversed(spec.ramp.coeffs):
-            d_row = d_row * lam[:, None] + y[entry]
-        p_row = np.tile(spec.lead.alpha_k, (n * k, 1))
-        for i in range(k):
-            p_row *= lam[:, None] - roots[:, i]
+        d_row = spec.ramp.coeffs[-1][entry]
+        for y in reversed(spec.ramp.coeffs[:-1]):
+            d_row = d_row * col + y[entry]
+        p_row = alpha * (col - roots[:, 0])
+        for i in range(1, k):
+            p_row *= col - roots[:, i]
         p_row[np.arange(n * k), entry] = 1.0  # its own term: D has a zero diagonal
-        g = np.sum(d_row ** 2 / p_row, axis=1)
+        g = (d_row ** 2 / p_row).sum(axis=1)
         # p_r'(lambda_q) = alpha_r * prod of lambda_q - lambda_q' over r's other targets
         diff = roots[:, :, None] - roots[:, None, :]
         diff[:, np.arange(k), np.arange(k)] = 1.0
-        shift = g / (spec.lead.alpha_k[:, None] * np.prod(diff, axis=2)).ravel()
-        order = np.argsort(lam)
-        gaps = np.concatenate(([np.inf], np.diff(lam[order]), [np.inf]))
+        shift = g / (alpha[:, None] * diff.prod(axis=2)).ravel()
+        order = lam.argsort()
+        ascending = spec.spectrum.sorted_values()
+        gaps = np.full(n * k + 1, np.inf)
+        gaps[1:-1] = ascending[1:] - ascending[:-1]
         gap = np.empty(n * k)
         gap[order] = np.minimum(gaps[:-1], gaps[1:])
-        rho = float(np.max(np.abs(shift) / gap))
+        rho = float((np.abs(shift) / gap).max())
         # Newton divided differences of g over each entry's targets, then
         # the interpolant's monomial coefficients by Horner on its Newton form
         dd = g.reshape(n, k)
@@ -380,7 +416,7 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
         for j in range(k - 1, -1, -1):  # coef(z) <- coef(z) * (z - roots[:, j]) + dd[:, j]
             coef = np.concatenate((dd[:, j, None], coef[:, :-1]), axis=1) - roots[:, j, None] * coef
     c = coef.T.ravel()
-    if not (np.all(np.isfinite(c)) and np.isfinite(rho)):
+    if not (np.isfinite(c).all() and np.isfinite(rho)):
         return np.zeros_like(c), np.inf
     return c, rho
 

@@ -112,6 +112,31 @@ class TestEigderivative:
         with pytest.raises(ValueError):
             PerturbationDirection(s=0, diag=1, edge=(1, 2))
 
+    # vertices are 1-based: 0 must not wrap round to entry n
+    def test_zero_diagonal_entry_rejected(self, quad_seed):
+        _, P = quad_seed
+        decomp = proper_values(P)
+        with pytest.raises(ValueError, match="out of range 1..4"):
+            eigderivative(P, (decomp.values[0], unit_vectors(decomp)[0]), PerturbationDirection(s=0, diag=0))
+
+    def test_zero_edge_vertex_rejected(self, quad_seed):
+        _, P = quad_seed
+        decomp = proper_values(P)
+        with pytest.raises(ValueError, match="out of range 1..4"):
+            eigderivative(P, (decomp.values[0], unit_vectors(decomp)[0]), PerturbationDirection(s=0, edge=(0, 1)))
+
+    def test_out_of_range_vertex_rejected(self, quad_seed):
+        _, P = quad_seed
+        decomp = proper_values(P)
+        pair = (decomp.values[0], unit_vectors(decomp)[0])
+        for direction in (PerturbationDirection(s=0, edge=(1, 9)), PerturbationDirection(s=1, diag=5)):
+            with pytest.raises(ValueError, match="out of range 1..4"):
+                eigderivative(P, pair, direction)
+
+    def test_self_pair_edge_rejected(self):
+        with pytest.raises(ValueError, match="itself"):
+            PerturbationDirection(s=0, edge=(2, 2))
+
 
 class TestJacobianX:
     def test_vandermonde_structure_at_seed(self, quad_seed):

@@ -23,6 +23,7 @@ from structured_iep import (
     newton_solve,
     proper_values,
     seed_unknowns,
+    sensitivity,
     spectral_map,
     solver,
     verify,
@@ -213,6 +214,51 @@ class TestSpectralMap:
         got, want = companion.proper_values(x), proper_values(assemble(x, spec, tau))
         assert got.values.tobytes() == want.values.tobytes()
         assert got.companion_rows.tobytes() == want.companion_rows.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_template_is_bitwise_from_coefficients_at_every_tau(self, k):
+        # the template is affine in tau: only its last block row is computed
+        # per call, as (tau * -Y) / scale, which rounds as -(tau Y) / scale
+        rng = np.random.default_rng(83 + k)
+        n = 5
+        graphs = tuple(random_graph(rng, n, p=0.7) for _ in range(k))
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k),
+            lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
+            graphs=graphs,
+            offdiag_values=tuple(rng.choice([-1.0, 1.0], g.num_edges) * rng.uniform(0.01, 3.0, g.num_edges)
+                                 for g in graphs),
+        )
+        for tau in (0.0, 1 / 64, 1 / 3, 0.375, 0.75, 1.0):
+            got = solver.companion_template(spec, tau)
+            want = matpoly.CompanionTemplate.from_coefficients(
+                [tau * y for y in spec.ramp.coeffs], spec.lead.alpha_k, matpoly.SEP_TOL_REL * spec.spectrum.scale)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            for name in ("diagonal", "lead", "divisor"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.sep_tol == want.sep_tol
+
+    def test_solve_leaves_the_cached_parts_unchanged(self, linked4_spec, monkeypatch):
+        diagonal, lead, divisor, _ = linked4_spec.companion_parts
+        cached = (linked4_spec.ramp_row, diagonal, lead, divisor)
+        before = [a.tobytes() for a in cached]
+        matrices, template, spectrum = [], solver.companion_template, matpoly._spectrum
+
+        def recording_template(*args):
+            matrices.append(template(*args).matrix)
+            return template(*args)
+
+        def recording_spectrum(C, *args):
+            matrices.append(C)
+            return spectrum(C, *args)
+
+        monkeypatch.setattr(solver, "companion_template", recording_template)
+        monkeypatch.setattr(matpoly, "_spectrum", recording_spectrum)
+        assert continuation_solve(linked4_spec).converged
+        assert len(matrices) > 10
+        assert [a.tobytes() for a in cached] == before
+        assert not any(a.flags.writeable for a in cached)
+        assert not any(np.shares_memory(C, a) for C in matrices for a in cached)
 
 
 class TestMatchTargets:
@@ -672,6 +718,21 @@ class TestProblemSpecInvariants:
                 offdiag_values=(np.full(3, 0.5),),
             )
 
+    @pytest.mark.parametrize("controls", [
+        {"max_iter": 2.5}, {"max_iter": True}, {"max_iter": "5"}, {"max_iter": np.bool_(True)},
+        {"newton_tol": True}, {"newton_tol": "1e-8"}, {"newton_tol": 1j},
+    ], ids=["max_iter-float", "max_iter-bool", "max_iter-str", "max_iter-numpy-bool",
+            "newton_tol-bool", "newton_tol-str", "newton_tol-complex"])
+    def test_controls_of_the_wrong_type_rejected(self, controls):
+        # at the parent max_iter=2.5 passed and crashed newton_solve, and True was taken as 1
+        with pytest.raises(InvariantViolation, match="must be an integer|must be a real number"):
+            SolverControls(**controls)
+
+    def test_controls_accept_numpy_numbers(self, path4_spec):
+        controls = SolverControls(newton_tol=np.float64(1e-10), max_iter=np.int64(7))
+        spec = ProblemSpec(path4_spec.spectrum, path4_spec.lead, path4_spec.graphs, controls=controls)
+        assert continuation_solve(spec).converged
+
     def test_graph_vertex_mismatch(self):
         with pytest.raises(InvariantViolation):
             ProblemSpec(
@@ -887,3 +948,27 @@ def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
     rep = continuation_solve(path4_spec)
     assert rep.converged and len(rep.continuation_path) > 1
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
+def test_bundled_solve_counts(name, request, monkeypatch):
+    # machine-independent work of one bundled solve, path (0.5, 1): 9
+    # eigensolves, 6 Newton Jacobians and one tangent, each with one
+    # _denominators call; the tangent gets J and dlambda/dtau from one
+    # call, so tau_derivative does not run on the solver path
+    spec = request.getfixturevalue(name)
+    calls = dict.fromkeys(("eig", "_denominators", "tau_derivative", "jacobian_x", "_tangent"), 0)
+
+    def counting(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    for module, label in ((sensitivity, "_denominators"), (sensitivity, "tau_derivative"),
+                          (solver, "jacobian_x"), (solver, "_tangent")):
+        monkeypatch.setattr(module, label, counting(label, getattr(module, label)))
+    rep = continuation_solve(spec)
+    assert rep.converged and rep.continuation_path == (0.5, 1.0)
+    assert calls == {"eig": 9, "_denominators": 7, "tau_derivative": 0, "jacobian_x": 6, "_tangent": 1}
