@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and its type checks."""
+
+import numbers
 
 
 class StructuredIEPError(Exception):
@@ -40,3 +42,14 @@ class SingularJacobian(StructuredIEPError):
 class NoConvergence(StructuredIEPError):
     """Newton iteration failed to reach the residual tolerance."""
 
+
+def check_integer(name, value, error=InvariantViolation):
+    """Raise ``error`` unless value is an integer: numbers.Integral, not bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def check_real(name, value, error=InvariantViolation):
+    """Raise ``error`` unless value is a real number: numbers.Real, not bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {type(value).__name__}")

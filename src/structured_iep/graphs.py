@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, check_integer
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
+        check_integer("vertex count", self.n, GraphFormatError)
         if self.n < 1:
             raise GraphFormatError(f"vertex count must be positive, got {self.n}")
         seen = set()

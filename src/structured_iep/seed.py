@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, check_integer
 from .matpoly import MatrixPolynomial, SEP_TOL_REL
 
 
@@ -27,6 +27,8 @@ class TargetSpectrum:
     k: int
 
     def __post_init__(self):
+        check_integer("n", self.n)
+        check_integer("k", self.k)
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
         if self.n < 1 or self.k < 1:

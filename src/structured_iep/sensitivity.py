@@ -179,8 +179,8 @@ def jacobian_fd(
 ) -> np.ndarray:
     """Central-difference Jacobian: re-solve proper values with each diagonal
     unknown perturbed by +-h, rows in ascending order."""
-    if h <= 0:
-        raise ValueError("step must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h}")
     n, k = P.n, P.degree
     nk = n * k
     J = np.empty((nk, nk))

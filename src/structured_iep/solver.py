@@ -7,10 +7,9 @@ off-diagonal strength can leave the real-spectrum regime, in which case the
 off-diagonals are ramped in by predictor-corrector continuation in their
 scale tau: each step predicts along the tangent of the solution curve and
 corrects with a Newton solve, keeping every converged step; the step halves
-on failure and doubles on success (continuation_solve).  Only the
-direct attempt at tau = 1 backtracks along its Newton steps; every later
-corrector takes full steps, and the first one that does not lower the
-residual fails it, so a losing corrector costs one eigensolve per
+on failure and doubles on success (continuation_solve).  Every
+corrector takes full Newton steps, and the first one that does not lower
+the residual fails it, so a losing corrector costs one eigensolve per
 iteration.  At the diagonal seed the tangent is zero, so correctors from
 the seed start at its closed-form second-order term instead, where that
 term moves no target by more than half its gap (_seed_curvature).
@@ -27,7 +26,6 @@ returns.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +38,8 @@ from .errors import (
     NoConvergence,
     NonRealSpectrum,
     SingularJacobian,
+    check_integer,
+    check_real,
 )
 from .graphs import Graph, matrix_of_graph
 from .matpoly import (
@@ -54,7 +54,6 @@ from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unkno
 from .sensitivity import _tangent_terms, jacobian_x
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
-MAX_BACKTRACKS = 2  # step lengths 1, 1/2, 1/4: see newton_solve
 CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.scale: see continuation_solve
 SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
 
@@ -66,12 +65,11 @@ class SolverControls:
 
     def __post_init__(self):
         tol, max_iter = self.newton_tol, self.max_iter
-        if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
-            raise InvariantViolation(f"newton_tol must be a real number, got {type(tol).__name__}")
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise InvariantViolation("newton_tol must be positive and finite")
-        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
-            raise InvariantViolation(f"max_iter must be an integer, got {type(max_iter).__name__}")
+        if tol is not None:
+            check_real("newton_tol", tol)
+            if not (math.isfinite(tol) and tol > 0):
+                raise InvariantViolation("newton_tol must be positive and finite")
+        check_integer("max_iter", max_iter)
         if max_iter < 1:
             raise InvariantViolation("max_iter must be at least 1")
 
@@ -92,6 +90,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         n, k = self.spectrum.n, self.spectrum.k
+        check_real("epsilon", self.epsilon)
         if len(self.graphs) != k:
             raise InvariantViolation(f"need {k} graphs, got {len(self.graphs)}")
         for s, g in enumerate(self.graphs):
@@ -99,7 +98,7 @@ class ProblemSpec:
                 raise InvariantViolation(f"graph {s} has {g.n} vertices, expected {n}")
         if self.lead.alpha_k.shape != (n,):
             raise InvariantViolation(f"leading diagonal has wrong length {self.lead.alpha_k.shape[0]}")
-        if not np.isfinite(self.epsilon):
+        if not math.isfinite(self.epsilon):
             raise InvariantViolation("epsilon must be finite")
         given = (None,) * k if self.offdiag_values is None else tuple(self.offdiag_values)
         if len(given) != k:
@@ -273,25 +272,18 @@ def newton_solve(
     spec: ProblemSpec,
     x0: np.ndarray | None = None,
     tau: float = 1.0,
-    line_search: bool = True,
     tol: float | None = None,
 ) -> tuple[np.ndarray, SpectralDecomposition, tuple[IterationRecord, ...]]:
-    """Damped Newton on the diagonal unknowns at fixed off-diagonal scale tau.
+    """Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
     Runs at most controls.max_iter iterations and stops at a residual of
-    ``tol`` (default controls.resolved_tol) or less.  The step is the
-    analytic-Jacobian Newton step (jacobian_x), taken at length 1, 1/2, 1/4
-    (MAX_BACKTRACKS = 2 halvings) until the residual infinity-norm strictly
-    decreases; otherwise the solve raises NoConvergence ("backtracking
-    stalled").  The floor is 1/4 because a corrector that needs more
-    damping than that is read as a continuation step that is too long:
-    continuation_solve then halves the step in tau, which is cheaper than
-    creeping along the Newton direction.  Without ``line_search`` only the
-    full step is tried, so a full step that does not lower the residual, or
-    whose spectrum is not real and simple, stalls the solve at once:
-    continuation_solve asks for that on every corrector after its direct
-    attempt.  A solve makes at most 1 + max_iter * (MAX_BACKTRACKS + 1)
-    spectral_map evaluations with the line search, 1 + max_iter without.
+    ``tol`` (default controls.resolved_tol) or less.  Each iteration takes
+    the full analytic-Jacobian Newton step (jacobian_x) if it strictly
+    lowers the residual infinity-norm.  Otherwise, or when the step's
+    spectrum is not real and simple, the solve raises NoConvergence ("full
+    step did not lower the residual") and damps nothing: continuation_solve
+    halves its step in tau instead.  A solve makes at most 1 + max_iter
+    spectral_map evaluations, one per trial.
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map patches one companion template
@@ -328,24 +320,17 @@ def newton_solve(
             raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
         if not np.isfinite(dx).all():
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
-        damp = 1.0
-        for _ in range(MAX_BACKTRACKS + 1 if line_search else 1):
-            step = damp * dx
-            x_try = x - step
-            try:
-                d_try = spectral_map(x_try, spec, tau, companion)
-            except (NonRealSpectrum, NearDegenerate):
-                damp *= 0.5
-                continue
+        x_try = x - dx
+        try:
+            d_try = spectral_map(x_try, spec, tau, companion)
             r_try = d_try.values - targets
             rn_try = float(np.abs(r_try).max())
-            if rn_try < rnorm:
-                x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
-                trace.append(IterationRecord(it, rnorm, math.sqrt(step @ step)))
-                break
-            damp *= 0.5
-        else:
-            raise NoConvergence(f"backtracking stalled at residual {rnorm:.3g} (iteration {it})")
+        except (NonRealSpectrum, NearDegenerate):
+            rn_try = np.inf  # a trial off the real, simple spectrum lowers nothing
+        if not rn_try < rnorm:
+            raise NoConvergence(f"full step did not lower the residual {rnorm:.3g} (iteration {it})")
+        x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
+        trace.append(IterationRecord(it, rnorm, math.sqrt(dx @ dx)))
 
 
 def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
@@ -439,11 +424,9 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     its corrector stops at CORRECTOR_TOL_REL times spectrum.scale, or at
     controls.newton_tol if looser: one quadratic Newton step regains full
     accuracy from there.  The corrector at tau = 1 stops at resolved_tol.
-    Only the direct attempt backtracks along its Newton steps; every later
-    corrector takes full steps only (line_search=False), so one full step
-    that does not lower the residual fails it.  A corrector that would
-    need damping is read as a step in tau that is too long, as after two
-    halvings in the direct attempt (Deuflhard, Newton Methods for
+    Every corrector takes full Newton steps, and one that does not lower
+    the residual fails it: a corrector that would need damping is read as
+    a step in tau that is too long (Deuflhard, Newton Methods for
     Nonlinear Problems, 2004, sec. 5.1).  A failed corrector halves the
     step and retries from the last converged point; a converged one
     doubles it, clipped to 1 - tau.  The solve gives up once the step
@@ -452,12 +435,11 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     Every step but the last advances tau by at least 1/M (M =
     MAX_CONTINUATION_STEPS) and every failure halves the step, so a solve
     costs at most 2M - 1 + log2(M) = 133 Newton solves, and a problem on
-    which no step converges costs log2(M) + 1 = 7.  The direct attempt
-    makes at most 1 + controls.max_iter * (MAX_BACKTRACKS + 1)
-    spectral_map evaluations (151 by default) and each later corrector at
-    most 1 + controls.max_iter (51), so a solve makes at most 151 + 132 *
-    51 = 6,883 with the default controls.  The predictors choose only where
-    a corrector starts, so neither budget depends on them.
+    which no step converges costs log2(M) + 1 = 7.  Each Newton solve makes
+    at most 1 + controls.max_iter spectral_map evaluations (51 by default),
+    so a solve makes at most 133 * 51 = 6,783 with the default controls.
+    The predictors choose only where a corrector starts, so neither budget
+    depends on them.
 
     The solve has one exit: the polynomial is assembled once, at the last
     converged (tau, x), for the one SolveReport.  continuation_path holds
@@ -483,10 +465,8 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         else:
             x0 = x
         try:
-            # the direct attempt: from the seed at tau = 1
             x_next, decomp, iterations = newton_solve(
-                spec, x0=x0, tau=tau_next, line_search=not path and tau_next == 1.0,
-                tol=None if tau_next == 1.0 else loose_tol)
+                spec, x0=x0, tau=tau_next, tol=None if tau_next == 1.0 else loose_tol)
         except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian,
                 DegenerateDenominator) as exc:
             dtau *= 0.5
@@ -533,9 +513,10 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     """Independent check of a candidate polynomial against the problem:
     recompute proper values, compare to sorted targets, check every
     coefficient's graph and the leading coefficient.  Raises
-    InvariantViolation when value_tol is negative or not finite, when P's
-    size n or degree k is not the problem's, or when a coefficient is not
-    finite and symmetric."""
+    InvariantViolation when value_tol is not a real number, or is negative
+    or not finite, when P's size n or degree k is not the problem's, or
+    when a coefficient is not finite and symmetric."""
+    check_real("value_tol", value_tol)
     if not 0.0 <= value_tol < np.inf:
         raise InvariantViolation(f"value_tol must be finite and non-negative, got {value_tol}")
     if (P.n, P.degree) != (spec.n, spec.k):

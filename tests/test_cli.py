@@ -149,7 +149,7 @@ class TestSolve:
         doc = json.loads(out)
         assert code == cli.EXIT_NO_CONVERGENCE
         assert doc["continuation_path"] == []
-        assert doc["failure"].startswith("NoConvergence at tau=0.015625: backtracking stalled")
+        assert doc["failure"].startswith("NoConvergence at tau=0.015625: full step did not lower the residual")
 
     def test_fd_jacobian_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ only go up, and every converged answer must pass verify."""
 import importlib.util
 import sys
 
+import numpy as np
 import pytest
 
 from structured_iep import continuation_solve, verify
@@ -36,8 +37,16 @@ def test_corpus_success_rate_floor(corpus):
         assert check.passed, check.failure
 
 
-def test_the_direct_attempt_keeps_its_line_search(corpus):
-    # instance 67 converges directly at tau = 1 only through damped steps;
-    # with full steps alone it needs continuation and lands on another root
+# corpus[67]'s root as the damped direct attempt found it at tau = 1
+ROOT_67 = np.array([float.fromhex(h) for h in (
+    "-0x1.757250349e22cp+2", "-0x1.db55c4519f986p+6", "0x1.06beaa979eaf8p+2", "0x1.5913b43943b69p+4",
+    "0x1.2b10532bbf3aep+2", "0x1.cf54570b58ad5p-1", "-0x1.0d5ddd62ac870p+2", "-0x1.00a35636391b8p+3",
+)])
+
+
+def test_full_steps_keep_the_root_of_instance_67(corpus):
+    # the full step from the seed at tau = 1 does not lower the residual, so
+    # continuation takes (0.5, 1) and lands on the same root
     rep = continuation_solve(corpus[67])
-    assert rep.converged and rep.continuation_path == (1.0,)
+    assert rep.converged and rep.continuation_path == (0.5, 1.0)
+    assert np.max(np.abs(rep.x - ROOT_67)) <= 1e-12 * np.max(np.abs(ROOT_67))

@@ -41,6 +41,11 @@ class TestGraph:
         with pytest.raises(GraphFormatError):
             Graph(4, edges)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True, "4"], ids=["float", "integral-float", "bool", "str"])
+    def test_vertex_count_of_the_wrong_type_rejected(self, n):
+        with pytest.raises(GraphFormatError, match="vertex count must be an integer"):
+            Graph(n)
+
 
 class TestMatrixOfGraph:
     def test_two_edge_pattern(self):

@@ -150,6 +150,14 @@ class TestTargetSpectrum:
         with pytest.raises(InvariantViolation):
             TargetSpectrum(values=np.array([1.0, 2.0, 3.0]), n=2, k=2)
 
+    @pytest.mark.parametrize("n, k, values", [
+        (2.0, 2, [1.0, 2.0, 3.0, 4.0]), (2, 2.0, [1.0, 2.0, 3.0, 4.0]), (True, True, [1.0]),
+        ("2", 2, [1.0, 2.0, 3.0, 4.0]), (np.bool_(True), 1, [1.0]),
+    ], ids=["n-float", "k-float", "bool", "n-str", "n-numpy-bool"])
+    def test_sizes_of_the_wrong_type_rejected(self, n, k, values):
+        with pytest.raises(InvariantViolation, match="must be an integer"):
+            TargetSpectrum(values=np.array(values), n=n, k=k)
+
 
 def test_seed_unknowns_layout():
     x = seed_unknowns(TargetSpectrum(values=TARGETS, n=4, k=2), LeadingDiagonal(alpha_k=np.ones(4)))

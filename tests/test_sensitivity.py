@@ -382,6 +382,12 @@ class TestJacobianFD:
         with pytest.raises(ValueError):
             jacobian_fd(P, h=0.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_step(self, quad_seed, h):
+        _, P = quad_seed
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            jacobian_fd(P, h=h)
+
 
 def test_offdiagonal_factor_two_against_symmetric_fd():
     # off the seed the off-diagonal derivative is nonzero; the analytic value

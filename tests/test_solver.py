@@ -63,6 +63,18 @@ def stalling_spec():
     return make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0)
 
 
+def fold_spec(max_iter=50):
+    """2x2 linear pencil whose off-diagonal 1 is exactly half the target gap:
+    at tau = 1 the solution curve folds, where its Jacobian is singular."""
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=np.array([0.0, 2.0]), n=2, k=1),
+        lead=LeadingDiagonal(alpha_k=np.ones(2)),
+        graphs=(Graph(2, ((1, 2),)),),
+        epsilon=1.0,
+        controls=SolverControls(max_iter=max_iter),
+    )
+
+
 def reference_spectral_map(x, spec, tau):
     """The spectral map as assemble + proper_values computes it."""
     sep_tol = matpoly.SEP_TOL_REL * spec.spectrum.scale
@@ -337,15 +349,14 @@ class TestNewtonSolve:
         monkeypatch.setattr(matpoly, "linearize", counting("linearize", matpoly.linearize))
         monkeypatch.setattr(solver, "spectral_map", counting("spectral_map", solver.spectral_map))
         trials = []
-        # the complex pair at tau = 1/8 backtracks deep only under a looser cap
-        for spec, tau, cap in (
-                (make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1), 1.0, solver.MAX_BACKTRACKS),
-                (complex_pair_spec(max_iter=8), 1 / 64, solver.MAX_BACKTRACKS),
-                (complex_pair_spec(max_iter=8), 1 / 8, 30)):
-            monkeypatch.setattr(solver, "MAX_BACKTRACKS", cap)
+        # at its fold Newton converges linearly, so the full solve makes many
+        # trials; max_iter = 1 allows one, and a start at the root none
+        fold = fold_spec()
+        root, _, _ = newton_solve(fold)
+        for spec, x0 in ((fold, None), (fold_spec(max_iter=1), None), (fold, root)):
             calls.update(companion_template=0, linearize=0, spectral_map=0)
             try:
-                newton_solve(spec, tau=tau)
+                newton_solve(spec, x0=x0)
             except NoConvergence:
                 pass
             assert calls["companion_template"] == 1
@@ -353,9 +364,9 @@ class TestNewtonSolve:
             trials.append(calls["spectral_map"])
         assert max(trials) > 10 * min(trials)
 
-    def test_stalled_step_stops_after_max_backtracks_plus_one_trials(self, monkeypatch):
-        # at tau = 1/64 the complex pair's first Newton step lowers the
-        # residual at none of the lengths 1, 1/2, 1/4
+    def test_stalled_step_stops_after_one_trial(self, monkeypatch):
+        # at tau = 1/64 the complex pair's first full Newton step does not
+        # lower the residual
         calls = []
         spectral = solver.spectral_map
 
@@ -364,9 +375,9 @@ class TestNewtonSolve:
             return spectral(*args, **kwargs)
 
         monkeypatch.setattr(solver, "spectral_map", counting)
-        with pytest.raises(NoConvergence, match=r"backtracking stalled .*\(iteration 1\)"):
+        with pytest.raises(NoConvergence, match=r"full step did not lower the residual .*\(iteration 1\)"):
             newton_solve(complex_pair_spec(max_iter=8), tau=1 / 64)
-        assert len(calls) == 1 + solver.MAX_BACKTRACKS + 1  # the start, then the trials
+        assert len(calls) == 2  # the start, then the one trial
 
     def test_nonreal_start_raises(self, path4_spec):
         # full-strength off-diagonals on both path coefficients push a pair
@@ -419,7 +430,8 @@ class TestContinuationSolve:
         assert rep.continuation_path == ()
         assert np.array_equal(rep.x, seed_unknowns(spec.spectrum, spec.lead))
         assert rep.residual == np.inf
-        assert re.fullmatch(r"NoConvergence at tau=0\.015625: backtracking stalled .*", rep.failure)
+        assert re.fullmatch(r"NoConvergence at tau=0\.015625: full step did not lower the residual .*",
+                            rep.failure)
 
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
     def test_bundled_problems_take_at_most_five_newton_solves(self, name, request, monkeypatch):
@@ -518,55 +530,15 @@ class TestContinuationSolve:
     def test_spectral_map_calls_stay_within_the_documented_budget(self, spec, newton_budget, monkeypatch):
         M = solver.MAX_CONTINUATION_STEPS
 
-        def solve_budget(max_iter):
-            return 1 + max_iter * (solver.MAX_BACKTRACKS + 1)
-
-        # every Newton solve within the direct attempt's budget: 133 * 151 =
-        # 20,083 with the default controls, looser than the 6,883 of
-        # continuation_solve's docstring (test_only_the_direct_attempt_backtracks)
-        default_iter = SolverControls().max_iter
-        assert (2 * M - 1 + int(np.log2(M))) * solve_budget(default_iter) == 20_083
-
-        calls, per_solve = [], []
-        spectral, newton = solver.spectral_map, solver.newton_solve
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return spectral(*args, **kwargs)
-
-        def recording(*args, **kwargs):
-            start = len(calls)
-            try:
-                return newton(*args, **kwargs)
-            finally:
-                per_solve.append((len(calls) - start, solve_budget(spec.controls.max_iter)))
-
-        monkeypatch.setattr(solver, "spectral_map", counting)
-        monkeypatch.setattr(solver, "newton_solve", recording)
-        rep = continuation_solve(spec)
-        assert not rep.converged and "backtracking stalled" in rep.failure
-        assert all(used <= budget for used, budget in per_solve)
-        assert len(per_solve) <= newton_budget
-        assert len(calls) <= newton_budget * solve_budget(spec.controls.max_iter)
-
-    @pytest.mark.parametrize("spec", [
-        complex_pair_spec(),
-        stalling_spec(),
-    ], ids=["complex_pair", "stalling"])
-    def test_only_the_direct_attempt_backtracks(self, spec, monkeypatch):
-        M = solver.MAX_CONTINUATION_STEPS
-
-        def direct_budget(max_iter):
-            return 1 + max_iter * (solver.MAX_BACKTRACKS + 1)
-
         def total_budget(max_iter):
-            return direct_budget(max_iter) + (2 * M - 2 + int(np.log2(M))) * (1 + max_iter)
+            return (2 * M - 1 + int(np.log2(M))) * (1 + max_iter)
 
-        # continuation_solve's docstring: 151 + 132 * 51 = 6,883 with the default controls
-        assert total_budget(SolverControls().max_iter) == 6_883
+        # continuation_solve's docstring: 133 * 51 = 6,783 with the default controls
+        assert total_budget(SolverControls().max_iter) == 6_783
 
-        calls, jacobians, per_solve = [], [], []
-        spectral, newton, jacobian = solver.spectral_map, solver.newton_solve, solver.jacobian_x
+        calls, jacobians, accepted, per_solve = [], [], [], []
+        spectral, newton, jacobian, record = (solver.spectral_map, solver.newton_solve, solver.jacobian_x,
+                                              solver.IterationRecord)
 
         def counting(*args, **kwargs):
             calls.append(1)
@@ -576,25 +548,38 @@ class TestContinuationSolve:
             jacobians.append(1)
             return jacobian(*args, **kwargs)
 
+        def counting_record(iteration, *args):
+            if iteration > 0:  # an accepted step; iteration 0 is the start
+                accepted.append(1)
+            return record(iteration, *args)
+
         def recording(*args, **kwargs):
-            start, iterations = len(calls), len(jacobians)  # one Jacobian per iteration
+            start = len(calls), len(jacobians), len(accepted)
+            rejected = False
             try:
                 return newton(*args, **kwargs)
+            except NoConvergence as exc:
+                rejected = str(exc).startswith("full step did not lower the residual")
+                raise
             finally:
-                per_solve.append((len(calls) - start, len(jacobians) - iterations,
-                                  spec.controls.max_iter, kwargs["line_search"]))
+                per_solve.append((len(calls) - start[0], len(jacobians) - start[1], len(accepted) - start[2],
+                                  rejected))
 
         monkeypatch.setattr(solver, "spectral_map", counting)
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
+        monkeypatch.setattr(solver, "IterationRecord", counting_record)
         monkeypatch.setattr(solver, "newton_solve", recording)
         rep = continuation_solve(spec)
-        assert not rep.converged and "backtracking stalled" in rep.failure
-        (used, _, max_iter, line_search), *later = per_solve
-        assert line_search and used <= direct_budget(max_iter)
-        assert later and not any(line_search for *_, line_search in later)
-        # one trial per iteration: the first rejected full step ends a corrector
-        assert all(used == 1 + iterations <= 1 + max_iter for used, iterations, max_iter, _ in later)
-        assert len(calls) <= total_budget(spec.controls.max_iter)
+        assert not rep.converged and "full step did not lower the residual" in rep.failure
+        assert per_solve and any(rejected for *_, rejected in per_solve)
+        max_iter = spec.controls.max_iter
+        for used, built, steps, rejected in per_solve:
+            # one trial per Jacobian: the start, every accepted step, and the
+            # rejected full step that ended the corrector
+            assert used == 1 + steps + rejected <= 1 + max_iter
+            assert built == steps + rejected
+        assert len(per_solve) <= newton_budget
+        assert len(calls) <= newton_budget * (1 + max_iter) <= total_budget(max_iter)
 
     def test_degenerate_denominator_in_a_corrector_halves_the_step(self, monkeypatch):
         jacobian = solver.jacobian_x
@@ -681,6 +666,11 @@ class TestVerify:
         assert not report.structure_ok
         assert report.residual <= 1e-8  # spectrum is fine, structure is not
 
+    @pytest.mark.parametrize("value_tol", ["1", True, None, 1j], ids=["str", "bool", "none", "complex"])
+    def test_tolerance_of_the_wrong_type_rejected(self, path4_spec, value_tol):
+        with pytest.raises(InvariantViolation, match="value_tol must be a real number"):
+            verify(golden_path4_polynomial(), path4_spec, value_tol=value_tol)
+
 
 class TestProblemSpecInvariants:
     def test_wrong_graph_count(self):
@@ -727,6 +717,11 @@ class TestProblemSpecInvariants:
         # at the parent max_iter=2.5 passed and crashed newton_solve, and True was taken as 1
         with pytest.raises(InvariantViolation, match="must be an integer|must be a real number"):
             SolverControls(**controls)
+
+    @pytest.mark.parametrize("epsilon", ["0.5", None, True, 1j], ids=["str", "none", "bool", "complex"])
+    def test_epsilon_of_the_wrong_type_rejected(self, path4_spec, epsilon):
+        with pytest.raises(InvariantViolation, match="epsilon must be a real number"):
+            ProblemSpec(path4_spec.spectrum, path4_spec.lead, path4_spec.graphs, epsilon=epsilon)
 
     def test_controls_accept_numpy_numbers(self, path4_spec):
         controls = SolverControls(newton_tol=np.float64(1e-10), max_iter=np.int64(7))

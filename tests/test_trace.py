@@ -1,5 +1,5 @@
 """The benchmark's tracer (perfbench/layers.py) still installs on the package
-and sees every backtracking trial: a change that moves a traced function or
+and sees every Newton trial: a change that moves a traced function or
 the module it is looked up from fails here instead of breaking traced
 benchmark runs."""
 
@@ -7,6 +7,8 @@ import importlib.util
 import pathlib
 
 from structured_iep import problems, solver  # noqa: F401 (the tracer wraps problems.load_problem)
+
+from test_solver import complex_pair_spec
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -31,3 +33,14 @@ def test_tracer_installs_and_counts_every_trial(path4_spec):
     assert counts["solver.newton_solve.kept"] == len(report.continuation_path)
     # the solver starts from the seed's diagonals, not from a seed polynomial
     assert counts["seed.seed_coefficients.calls"] == 0
+
+
+def test_every_rejected_trial_ends_its_corrector():
+    # correctors take full steps only, so a rejected trial ends its Newton
+    # solve, and that solve is discarded
+    tracer = load_layers().Tracer()
+    with tracer.active():
+        report = solver.continuation_solve(complex_pair_spec())
+    assert not report.converged
+    counts = tracer.record()
+    assert 0 < counts["solver.trials.rejected"] <= counts["solver.newton_solve.discarded"]
