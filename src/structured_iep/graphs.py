@@ -29,7 +29,12 @@ class Graph:
         seen = set()
         canon = []
         for e in self.edges:
-            i, j = e
+            try:
+                i, j = e
+            except (TypeError, ValueError):
+                raise GraphFormatError(f"edge {e!r} is not a pair of vertices") from None
+            for vertex in (i, j):
+                check_integer("vertex", vertex, GraphFormatError)
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {i}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):

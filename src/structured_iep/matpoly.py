@@ -15,18 +15,23 @@ A_0 + zD (D the positive leading diagonal, A_0 required symmetric): eigh
 of -D^{-1/2} A_0 D^{-1/2} gives real values and their vectors, so it
 needs no non-real check.  The vectors keep the eigensolver's scale and
 sign: the sensitivities read them only through ratios of quadratic forms.
+Their denominators v^T P'(lambda) v are SpectralDecomposition.denominators,
+computed once from its own companion: the one reader of companion_layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum
+from .errors import DegenerateDenominator, InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum
 
 REAL_TOL_DEFAULT = 1e-8
 SEP_TOL_REL = 1e-10
+DENOM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class SpectralDecomposition:
 
     Row q of ``companion_rows`` is a real proper vector for values[q], not
     normalised.  ``companion`` is the matrix whose eigenvalues are the
-    values, ``lead`` P's leading diagonal: the sensitivities read P' there.
+    values, ``lead`` P's leading diagonal: ``denominators`` reads P' there.
     """
 
     values: np.ndarray
@@ -68,6 +73,45 @@ class SpectralDecomposition:
 
     def __len__(self):
         return len(self.values)
+
+    def forms(self, A: np.ndarray) -> np.ndarray:
+        """v_q^T A_s v_q (row q, column s) for the rows v_q of
+        companion_rows and the blocks of A = [A_0 A_1 ...]."""
+        V = self.companion_rows
+        m, n = V.shape
+        return ((V @ A).reshape(m, -1, n) * V[:, None, :]).sum(axis=2)
+
+    @cached_property
+    def denominators(self) -> np.ndarray:
+        """v_q^T P'(lambda_q) v_q for each pair (lambda_q, v_q), computed
+        once per decomposition, with A_k = diag(lead) and A_s = -diag(lead)
+        C_s (0 < s < k) read from the last block row [C_0 ... C_{k-1}] of
+        ``companion``.  Raises DegenerateDenominator when one is at most
+        DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F
+        |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero
+        row)."""
+        lead, lams, V = self.lead, self.values, self.companion_rows
+        n = len(lead)
+        k = len(self.companion) // n
+        sq = V * V
+        den = k * (sq @ lead)
+        scale = k * math.sqrt(lead @ lead)
+        if k > 1:
+            upper = self.companion[-n:, n:] * -lead[:, None]  # [A_1 ... A_{k-1}]
+            forms = self.forms(upper)
+            norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
+            size = np.abs(lams)
+            for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
+                den = den * lams + s * forms[:, s - 1]
+                scale = scale * size + s * norms[s - 1]
+        small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
+        if small.any():
+            q = int(small.argmax())
+            raise DegenerateDenominator(
+                f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
+                "value numerically non-simple"
+            )
+        return den
 
 
 def evaluate(P: MatrixPolynomial, z) -> np.ndarray:

@@ -14,12 +14,9 @@ jacobian_x applies it to every diagonal slot at once, and tau_derivative to
 a whole polynomial direction (the continuation's off-diagonal ramp), both
 with the proper vectors as the eigensolver returned them.  eigderivative
 runs on tau_derivative, with B as the direction and one (value, vector)
-pair as the decomposition.  Every denominator comes from one kernel, which
-reads P' back from a companion matrix, and every form v^T A v from a
-single matrix product.  The continuation's tangent needs J and
-dlambda/dtau at the same point, so _tangent_terms gets both from one
-denominator computation; tau_derivative and _tangent_terms share the
-numerator formula through _tau_rates.
+pair as the decomposition.  Every denominator is the decomposition's own
+cached ``denominators`` (matpoly), so the continuation's tangent, which
+needs J and dlambda/dtau at one point, computes v^T P'(lambda) v once.
 Away from the seed the formula is the standard simple-eigenvalue one and is
 cross-validated against finite differences (jacobian_fd) rather than taken
 on faith.
@@ -32,12 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import check_integer
 # perfbench/layers.py wraps evaluate at this module, though nothing here calls it
 from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, linearize, proper_values  # noqa: F401
 from .seed import TargetSpectrum
-
-DENOM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -50,49 +45,13 @@ class PerturbationDirection:
     edge: tuple[int, int] | None = None
 
     def __post_init__(self):
+        check_integer("power index", self.s, ValueError)
         if (self.diag is None) == (self.edge is None):
             raise ValueError("specify exactly one of diag or edge")
+        for vertex in (self.diag,) if self.edge is None else self.edge:
+            check_integer("vertex", vertex, ValueError)
         if self.edge is not None and self.edge[0] == self.edge[1]:
             raise ValueError(f"edge {self.edge} joins a vertex to itself: use diag")
-
-
-def _forms(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """v_q^T A_s v_q (row q, column s) for the rows v_q of V and the blocks of A = [A_0 A_1 ...]."""
-    m, n = V.shape
-    return ((V @ A).reshape(m, -1, n) * V[:, None, :]).sum(axis=2)
-
-
-def _denominators(lead: np.ndarray, companion: np.ndarray, lams: np.ndarray, V: np.ndarray,
-                  check: bool = True, sq: np.ndarray | None = None) -> np.ndarray:
-    """v_q^T P'(lambda_q) v_q for each value lams[q] and row V[q] (any
-    scale), with A_k = diag(lead) and A_s = -diag(lead) C_s (0 < s < k) read
-    from the last block row [C_0 ... C_{k-1}] of P's ``companion`` matrix.
-    With ``check``, raises DegenerateDenominator when one is at most
-    DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F |lambda_q|^(s-1)
-    of P' (numerically non-simple value, or a zero row).  ``sq`` is V * V
-    when the caller has it."""
-    n = len(lead)
-    k = len(companion) // n
-    if sq is None:
-        sq = V * V
-    den = k * (sq @ lead)
-    scale = k * math.sqrt(lead @ lead)
-    if k > 1:
-        upper = companion[-n:, n:] * -lead[:, None]  # [A_1 ... A_{k-1}]
-        forms = _forms(upper, V)
-        norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
-        size = np.abs(lams)
-        for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
-            den = den * lams + s * forms[:, s - 1]
-            scale = scale * size + s * norms[s - 1]
-    small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
-    if check and small.any():
-        q = int(small.argmax())
-        raise DegenerateDenominator(
-            f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
-            "value numerically non-simple"
-        )
-    return den
 
 
 def eigderivative(
@@ -122,21 +81,15 @@ def jacobian_x(decomp: SpectralDecomposition) -> np.ndarray:
 
     Row q is the q-th pair of ``decomp``; column s*n + r is diagonal entry r
     of coefficient s: -lambda_q^s v_r^2 / (v^T P'(lambda_q) v) for the row
-    v = decomp.companion_rows[q], whose scale and sign cancel.  P' comes
-    from ``decomp.companion``.
+    v = decomp.companion_rows[q], whose scale and sign cancel.  The
+    denominators are decomp.denominators.
     """
-    lam, V = decomp.values, decomp.companion_rows
+    lams, V = decomp.values, decomp.companion_rows
     sq = V * V
-    return _jacobian(lam, sq, _denominators(decomp.lead, decomp.companion, lam, V, sq=sq))
-
-
-def _jacobian(lams: np.ndarray, sq: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """jacobian_x from the squared rows ``sq`` and the denominators: the
-    column factors -lambda_q^s / den_q by recurrence in s, times sq."""
     nk, n = sq.shape
     factors = np.empty((nk, nk // n))
-    factors[:, 0] = -1.0 / den
-    for s in range(1, nk // n):
+    factors[:, 0] = -1.0 / decomp.denominators
+    for s in range(1, nk // n):  # the column factors -lambda_q^s / den_q
         factors[:, s] = factors[:, s - 1] * lams
     return (factors[:, :, None] * sq[:, None, :]).reshape(nk, nk)
 
@@ -153,24 +106,9 @@ def tau_derivative(decomp: SpectralDecomposition, D: MatrixPolynomial) -> np.nda
     It vanishes wherever every v_q is a multiple of a unit vector (a
     diagonal seed), because D has a zero diagonal.
     """
-    lam, V = decomp.values, decomp.companion_rows
-    return _tau_rates(lam, V, D, _denominators(decomp.lead, decomp.companion, lam, V))
-
-
-def _tau_rates(lams: np.ndarray, V: np.ndarray, D: MatrixPolynomial, den: np.ndarray) -> np.ndarray:
-    """tau_derivative's formula, given its denominators."""
-    num = (lams[:, None] ** np.arange(len(D.coeffs)) * _forms(np.hstack(D.coeffs), V)).sum(axis=1)
+    den = decomp.denominators
+    num = (decomp.values[:, None] ** np.arange(len(D.coeffs)) * decomp.forms(np.hstack(D.coeffs))).sum(axis=1)
     return -num / den
-
-
-def _tangent_terms(decomp: SpectralDecomposition, D: MatrixPolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """(jacobian_x(decomp), tau_derivative(decomp, D)) from one
-    _denominators call: the two sides of the tangent system J xdot =
-    -dlambda/dtau, which share v^T P'(lambda) v."""
-    lam, V = decomp.values, decomp.companion_rows
-    sq = V * V
-    den = _denominators(decomp.lead, decomp.companion, lam, V, sq=sq)
-    return _jacobian(lam, sq, den), _tau_rates(lam, V, D, den)
 
 
 def jacobian_fd(
@@ -209,7 +147,7 @@ def seed_vandermonde_check(
 
     Target q is row q of spec.blocks flattened, so it belongs to diagonal
     entry r = q // k.  After negating, scaling row q by (P'(lambda_q))_rr
-    (P' read from decomp's companion, as jacobian_x reads it), and
+    (the denominators of the unit rows e_r on decomp's companion), and
     permuting rows into these target blocks and columns into diagonal-entry
     blocks, the Jacobian must be block diagonal with n Vandermonde blocks
     (1, lam, ..., lam^(k-1)).  Returns the scaled matrix,
@@ -224,8 +162,9 @@ def seed_vandermonde_check(
     row_of_target = np.empty(nk, dtype=int)
     row_of_target[order] = np.arange(nk)
     lam = decomp.values[row_of_target]
-    # (P'(lambda_q))_rr as the quadratic form of P' with the unit vector e_r
-    den = _denominators(decomp.lead, decomp.companion, lam, np.eye(n)[entry], check=False)
+    # (P'(lambda_q))_rr: the denominators of the unit rows e_r, in ascending order
+    units = SpectralDecomposition(decomp.values, np.eye(n)[entry[order]], decomp.companion, decomp.lead)
+    den = units.denominators[row_of_target]
     # column s*n + r' of J goes to column r'*k + s: one block of k per entry
     scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)
     own = np.zeros((nk, n, k), dtype=bool)

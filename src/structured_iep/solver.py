@@ -14,9 +14,9 @@ iteration.  At the diagonal seed the tangent is zero, so correctors from
 the seed start at its closed-form second-order term instead, where that
 term moves no target by more than half its gap (_seed_curvature).
 Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL, and the
-Jacobian reads P' back from the companion matrix of each eigensolve.  The
-tangent takes J and dlambda/dtau from one computation of the denominators
-v^T P'(lambda) v.  The companion template is affine in tau: each corrector
+Jacobian reads its denominators v^T P'(lambda) v from the decomposition of
+each eigensolve.  The tangent's J and dlambda/dtau share that cached
+computation.  The companion template is affine in tau: each corrector
 scales the spec's cached off-diagonal block row into its last block row.
 A corrector returns its converged state, not a report: the polynomial is
 assembled once per solve, for the one SolveReport continuation_solve
@@ -51,7 +51,7 @@ from .matpoly import (
     proper_values,
 )
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
-from .sensitivity import _tangent_terms, jacobian_x
+from .sensitivity import jacobian_x, tau_derivative
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.scale: see continuation_solve
@@ -287,8 +287,8 @@ def newton_solve(
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map patches one companion template
-    built per solve, and jacobian_x reads P' back from it and the proper
-    vectors straight from its eigenvectors; no polynomial is assembled.
+    built per solve, and jacobian_x reads P' (through the decomposition's
+    denominators) and the proper vectors from it; no polynomial is assembled.
     Returns the converged state (x, decomposition, iterations): the last
     accepted iterate, its spectral_map (by the template's contract bitwise
     proper_values(assemble(x, spec, tau)), so _tangent needs no eig of its
@@ -338,7 +338,7 @@ def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
     decomposition is ``decomp``: -J^{-1} dlambda/dtau, or zero when the
     tangent cannot be formed (the predictor then is the point itself)."""
     try:
-        xdot = -np.linalg.solve(*_tangent_terms(decomp, spec.ramp))
+        xdot = -np.linalg.solve(jacobian_x(decomp), tau_derivative(decomp, spec.ramp))
     except (np.linalg.LinAlgError, DegenerateDenominator):
         return np.zeros(len(decomp))
     return xdot if np.isfinite(xdot).all() else np.zeros(len(decomp))

@@ -1,6 +1,7 @@
 """Shared fixtures: demo problems, golden reference solutions, and
 mass-spring-damper system builders used as structured test matrices."""
 
+import functools
 import pathlib
 import sys
 
@@ -13,6 +14,7 @@ from structured_iep import (
     Graph,
     LeadingDiagonal,
     ProblemSpec,
+    SpectralDecomposition,
     TargetSpectrum,
 )
 
@@ -91,6 +93,20 @@ def unit_vectors(decomp):
     lead = V[np.arange(len(V)), np.argmax(np.abs(V), axis=1)]
     V[lead < 0] *= -1.0
     return V
+
+
+def count_denominators(monkeypatch, calls):
+    """Add one to calls["denominators"] each time a SpectralDecomposition
+    computes its denominators; a cached read adds nothing."""
+    compute = SpectralDecomposition.denominators.func
+
+    def counted(decomp):
+        calls["denominators"] += 1
+        return compute(decomp)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(SpectralDecomposition, "denominators")
+    monkeypatch.setattr(SpectralDecomposition, "denominators", prop)
 
 
 def derivative(P):

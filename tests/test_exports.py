@@ -1,5 +1,7 @@
 """Every name the package exports is used by the package itself, by the
-scripts or by the benchmark: an export that nothing calls is dead code."""
+scripts or by the benchmark: an export that nothing calls is dead code.
+And no package module imports another's private name: each concept has
+one owning module."""
 
 import ast
 
@@ -33,3 +35,12 @@ def test_every_export_has_a_use():
     assert set(FD_GATE) <= set(structured_iep.__all__)
     unused = sorted(set(structured_iep.__all__) - used_names() - set(FD_GATE))
     assert not unused, f"exported, but used nowhere in src/, scripts/ or perfbench/: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted((ROOT / "src" / "structured_iep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("structured_iep")):
+                private += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert not private, f"private names imported across modules: {private}"

@@ -41,6 +41,12 @@ class TestGraph:
         with pytest.raises(GraphFormatError):
             Graph(4, edges)
 
+    @pytest.mark.parametrize("edge", [(1.0, 2), (2, np.float64(3.0)), (True, 2), ("a", 2), "12", (1, 2, 3), (1,), 5],
+                             ids=["float", "numpy-float", "bool", "str-label", "str-pair", "triple", "single", "int"])
+    def test_edges_that_are_not_integer_pairs_rejected(self, edge):
+        with pytest.raises(GraphFormatError, match="vertex must be an integer|is not a pair of vertices"):
+            Graph(4, ((3, 4), edge))
+
     @pytest.mark.parametrize("n", [2.5, 4.0, True, "4"], ids=["float", "integral-float", "bool", "str"])
     def test_vertex_count_of_the_wrong_type_rejected(self, n):
         with pytest.raises(GraphFormatError, match="vertex count must be an integer"):

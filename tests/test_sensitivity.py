@@ -16,11 +16,11 @@ from structured_iep import (
     jacobian_fd,
     jacobian_x,
     linearize,
+    matpoly,
     proper_values,
     seed_coefficients,
     seed_unknowns,
     seed_vandermonde_check,
-    sensitivity,
     spectral_map,
     tau_derivative,
 )
@@ -28,6 +28,7 @@ from structured_iep import (
 from conftest import (
     TARGETS,
     coefficient_scale,
+    count_denominators,
     derivative,
     golden_path4_polynomial,
     random_targets,
@@ -111,6 +112,14 @@ class TestEigderivative:
             PerturbationDirection(s=0)
         with pytest.raises(ValueError):
             PerturbationDirection(s=0, diag=1, edge=(1, 2))
+
+    @pytest.mark.parametrize("slot", [
+        dict(s=0.0, diag=1), dict(s=True, diag=1), dict(s="0", diag=1), dict(s=0, diag=1.0),
+        dict(s=0, diag=True), dict(s=0, edge=(1.0, 2)), dict(s=0, edge=(1, True)),
+    ], ids=["float-power", "bool-power", "str-power", "float-diag", "bool-diag", "float-vertex", "bool-vertex"])
+    def test_direction_of_the_wrong_type_rejected(self, slot):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PerturbationDirection(**slot)
 
     # vertices are 1-based: 0 must not wrap round to entry n
     def test_zero_diagonal_entry_rejected(self, quad_seed):
@@ -271,7 +280,7 @@ class TestJacobianFromDecomposition:
         P = assemble(x, spec, 0.5)
         for decomp in (spectral_map(x, spec, 0.5), proper_values(P)):
             lam, V = decomp.values, decomp.companion_rows
-            den = sensitivity._denominators(decomp.lead, decomp.companion, lam, V)
+            den = decomp.denominators
             want = np.einsum("qi,qij,qj->q", V, evaluate(derivative(P), lam), V)
             assert np.max(np.abs(den - want) / np.abs(want)) <= 1e-13
 
@@ -288,7 +297,7 @@ class TestJacobianFromDecomposition:
         for row_scale in (1.0, 1e-3, -0.5, -1e3):
             decomp = SpectralDecomposition(values=values, companion_rows=row_scale * rows, companion=linearize(P),
                                            lead=np.ones(2))
-            degenerate = any(abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * coefficient_scale(dP, lam)
+            degenerate = any(abs(v @ evaluate(dP, lam) @ v) < matpoly.DENOM_TOL * coefficient_scale(dP, lam)
                              for lam, v in zip(values, unit_vectors(decomp)))
             assert degenerate == (delta < 7.07e-11)
             if degenerate:
@@ -329,6 +338,40 @@ class TestRawRows:
             tau_derivative(zeroed, path4_spec.ramp)
         with pytest.raises(DegenerateDenominator):
             eigderivative(P, (decomp.values[3], rows[3]), PerturbationDirection(s=0, diag=1))
+
+
+class TestCachedDenominators:
+    """SpectralDecomposition.denominators is computed once per
+    decomposition and shared by jacobian_x and tau_derivative."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_jacobian_then_tau_derivative_compute_them_once(self, k, monkeypatch):
+        spec = mixed_sign_spec(k, seed=20 + k)
+        x = seed_unknowns(spec.spectrum, spec.lead) + np.random.default_rng(k).uniform(-0.05, 0.05, 4 * k)
+        decomp = spectral_map(x, spec, 0.5)
+
+        def fresh():
+            return SpectralDecomposition(decomp.values, decomp.companion_rows, decomp.companion, decomp.lead)
+
+        want = jacobian_x(fresh()), tau_derivative(fresh(), spec.ramp)
+        calls = {"denominators": 0}
+        count_denominators(monkeypatch, calls)
+        got = jacobian_x(decomp), tau_derivative(decomp, spec.ramp)
+        assert calls == {"denominators": 1}
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_a_zero_row_raises_from_both_and_is_not_cached(self, path4_spec, monkeypatch):
+        decomp = proper_values(golden_path4_polynomial())
+        rows = decomp.companion_rows.copy()
+        rows[3] = 0.0
+        zeroed = SpectralDecomposition(decomp.values, rows, decomp.companion, decomp.lead)
+        calls = {"denominators": 0}
+        count_denominators(monkeypatch, calls)
+        for f in (jacobian_x, lambda d: tau_derivative(d, path4_spec.ramp), jacobian_x):
+            with pytest.raises(DegenerateDenominator, match="row 3"):
+                f(zeroed)
+        assert calls == {"denominators": 3}
+        assert "denominators" not in vars(zeroed)
 
 
 class TestTauDerivative:

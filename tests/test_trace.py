@@ -1,7 +1,7 @@
 """The benchmark's tracer (perfbench/layers.py) still installs on the package
-and sees every Newton trial: a change that moves a traced function or
-the module it is looked up from fails here instead of breaking traced
-benchmark runs."""
+and sees every Newton trial and continuation tangent: a change that moves a
+traced function or the module it is looked up from fails here instead of
+breaking traced benchmark runs."""
 
 import importlib.util
 import pathlib
@@ -33,6 +33,9 @@ def test_tracer_installs_and_counts_every_trial(path4_spec):
     assert counts["solver.newton_solve.kept"] == len(report.continuation_path)
     # the solver starts from the seed's diagonals, not from a seed polynomial
     assert counts["seed.seed_coefficients.calls"] == 0
+    # one Jacobian per Newton trial and one per continuation tangent, taken
+    # at every kept tau but the last
+    assert counts["sensitivity.jacobian_x.calls"] == counts["solver.trials"] + len(report.continuation_path) - 1
 
 
 def test_every_rejected_trial_ends_its_corrector():
