@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Count the eigensolves and Newton trials of the solver on the benchmark
+instance sets.
+
+    python3 scripts/eigensolve_counts.py
+
+Solves, with continuation_solve of the package in this checkout's src/, the
+instances that perfbench/workloads.py generates (its generators are only
+read): the two bundled problems, the ``corpus`` set (generator seed 1) and
+the ``sweep`` set.  For each set it prints the eigensolves by kind (eig,
+eigvals, eigh, eigvalsh of numpy.linalg, as matpoly calls them) and the
+Newton trials: the spectral_map calls of newton_solve after each
+corrector's start.  The benchmark's tracer counts eig only.  Importing this
+module changes neither os.environ nor sys.path: only main() does, before
+it imports numpy.
+"""
+
+import os
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+KINDS = ("eig", "eigvals", "eigh", "eigvalsh")
+COLUMNS = ("instances", "newton_solves") + KINDS + ("trials",)
+
+
+def instance_sets() -> dict:
+    """Set name -> list of specs; perfbench/ must be on sys.path."""
+    import workloads
+
+    return {
+        "bundled": list(workloads.load_bundled().values()),
+        "corpus": workloads.corpus_specs(),
+        "sweep": workloads.sweep_specs(),
+    }
+
+
+class _Proxy:
+    """Attribute stand-in: the overrides first, then the wrapped module."""
+
+    def __init__(self, target, **overrides):
+        self._target = target
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def _counted(fn, name, calls):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def counts(specs) -> dict:
+    """COLUMNS for continuation_solve on each spec: eigensolves by kind as
+    matpoly sees numpy.linalg, and Newton trials (spectral_map calls minus
+    one start per newton_solve)."""
+    import numpy as np
+    from structured_iep import continuation_solve, matpoly, solver
+
+    calls = dict.fromkeys(KINDS + ("spectral_map", "newton_solve"), 0)
+    linalg = _Proxy(np.linalg, **{kind: _counted(getattr(np.linalg, kind), kind, calls) for kind in KINDS})
+    saved = matpoly.np, solver.spectral_map, solver.newton_solve
+    matpoly.np = _Proxy(np, linalg=linalg)
+    solver.spectral_map = _counted(solver.spectral_map, "spectral_map", calls)
+    solver.newton_solve = _counted(solver.newton_solve, "newton_solve", calls)
+    try:
+        for spec in specs:
+            continuation_solve(spec)
+    finally:
+        matpoly.np, solver.spectral_map, solver.newton_solve = saved
+    return {"instances": len(specs), "newton_solves": calls["newton_solve"],
+            **{kind: calls[kind] for kind in KINDS},
+            "trials": calls["spectral_map"] - calls["newton_solve"]}
+
+
+def main() -> int:
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    print(f"{'set':<8}" + "".join(f"{c:>14}" for c in COLUMNS))
+    for name, specs in instance_sets().items():
+        row = counts(specs)
+        print(f"{name:<8}" + "".join(f"{row[c]:>14}" for c in COLUMNS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

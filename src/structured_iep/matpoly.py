@@ -17,6 +17,10 @@ needs no non-real check.  The vectors keep the eigensolver's scale and
 sign: the sensitivities read them only through ratios of quadratic forms.
 Their denominators v^T P'(lambda) v are SpectralDecomposition.denominators,
 computed once from its own companion: the one reader of companion_layout.
+CompanionTemplate.proper_values given ``rows`` computes values only (eigvals,
+or eigvalsh at degree 1), with the same checks, and keeps those rows as the
+proper vectors: the solver's Newton trials near a root at full coupling
+reuse the vectors of their corrector's start.
 """
 
 from __future__ import annotations
@@ -206,21 +210,28 @@ def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
         )
 
 
-def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> SpectralDecomposition:
+def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None,
+              rows: np.ndarray | None = None) -> SpectralDecomposition:
     """The decomposition of the polynomial whose _companion is C (leading
     diagonal ``lead``), with the checks of proper_values: the ascending
     values and, row q for values[q], the top n rows of the corresponding
     eigenvectors of linearize(P), real: where eig returns complex arrays,
-    the larger of each vector's real and imaginary parts."""
+    the larger of each vector's real and imaginary parts.  Given ``rows``,
+    the eigensolve computes values only (eigvals, or eigvalsh at degree 1),
+    with the same checks, and ``rows`` is the decomposition's
+    companion_rows."""
     n = len(lead)
     if len(C) == n:
-        vals, U = np.linalg.eigh(C)
+        if rows is None:
+            vals, U = np.linalg.eigh(C)
+            rows = (U / np.sqrt(lead)[:, None]).T
+        else:
+            vals = np.linalg.eigvalsh(C)
         if not np.isfinite(vals).all():
             raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
         _check_separation(vals, sep_tol)
-        return SpectralDecomposition(vals, (U / np.sqrt(lead)[:, None]).T, C, lead)
-    w, V = np.linalg.eig(C)
-    rows = V[:n]
+        return SpectralDecomposition(vals, rows, C, lead)
+    w, V = np.linalg.eig(C) if rows is None else (np.linalg.eigvals(C), None)
     if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
         bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
         if bad.any():
@@ -228,14 +239,17 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None) -> Spectra
                 f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
                 f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
             )
-        # a real value's vector is real up to a complex phase: keep its larger part
-        use_imag = np.linalg.norm(rows.imag, axis=0) > np.linalg.norm(rows.real, axis=0)
-        rows = np.where(use_imag, rows.imag, rows.real)
     w = w.real
     order = w.argsort(kind="stable")
     vals = w[order]
     _check_separation(vals, sep_tol)
-    return SpectralDecomposition(vals, rows[:, order].T, C, lead)
+    if V is not None:
+        rows = V[:n]
+        if np.iscomplexobj(rows):  # a real value's vector is real up to a complex phase: keep its larger part
+            use_imag = np.linalg.norm(rows.imag, axis=0) > np.linalg.norm(rows.real, axis=0)
+            rows = np.where(use_imag, rows.imag, rows.real)
+        rows = rows[:, order].T
+    return SpectralDecomposition(vals, rows, C, lead)
 
 
 def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
@@ -293,12 +307,14 @@ class CompanionTemplate:
             a.flags.writeable = False
         return cls(companion_layout(np.hstack(coeffs), lead, pencil=k == 1), diagonal, lead, divisor, sep_tol)
 
-    def proper_values(self, d: np.ndarray) -> SpectralDecomposition:
+    def proper_values(self, d: np.ndarray, rows: np.ndarray | None = None) -> SpectralDecomposition:
         """Ascending proper values for the diagonals d (s-major), with the
-        checks of proper_values at this template's ``sep_tol``."""
+        checks of proper_values at this template's ``sep_tol``.  Given
+        ``rows`` (nk x n), eigenvalues only are computed, with the same
+        checks, and ``rows`` stands as the decomposition's companion_rows."""
         d = np.asarray(d, dtype=float)
         if d.shape != self.divisor.shape:
             raise ValueError(f"diagonals have shape {d.shape}, expected {self.divisor.shape}")
         C = self.matrix.copy()
         C.ravel()[self.diagonal] = -d / self.divisor
-        return _spectrum(C, self.lead, self.sep_tol)
+        return _spectrum(C, self.lead, self.sep_tol, rows)

@@ -59,6 +59,18 @@ class TargetSpectrum:
         vals.flags.writeable = False
         return vals
 
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        """Entry q: the distance from sorted target q to its nearest other
+        target, inf when there is one target.  One read-only array, built on
+        first use: the seed predictor's and the vector-reuse gate's scale."""
+        ascending = self._ascending
+        sides = np.full(len(ascending) + 1, np.inf)
+        sides[1:-1] = ascending[1:] - ascending[:-1]
+        gaps = np.minimum(sides[:-1], sides[1:])
+        gaps.flags.writeable = False
+        return gaps
+
     @property
     def blocks(self) -> np.ndarray:
         """(n, k) view of the values: row r holds diagonal entry r's targets."""

@@ -16,8 +16,12 @@ term moves no target by more than half its gap (_seed_curvature).
 Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL, and the
 Jacobian reads its denominators v^T P'(lambda) v from the decomposition of
 each eigensolve.  The tangent's J and dlambda/dtau share that cached
-computation.  The companion template is affine in tau: each corrector
-scales the spec's cached off-diagonal block row into its last block row.
+computation.  A corrector at tau = 1 that starts within VECTOR_REUSE_SHIFT
+of every target's gap computes proper vectors once, at its start: its
+trials solve for values only, and their Jacobians read the start's
+vectors (no tangent follows the last corrector).  The companion template
+is affine in tau: each corrector scales the spec's cached off-diagonal
+block row into its last block row.
 A corrector returns its converged state, not a report: the polynomial is
 assembled once per solve, for the one SolveReport continuation_solve
 returns.
@@ -56,6 +60,20 @@ from .sensitivity import jacobian_x, tau_derivative
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.scale: see continuation_solve
 SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
+VECTOR_REUSE_SHIFT = 0.01
+"""A corrector at tau = 1 whose start residual r has max_q |r_q| / g_q at
+most this (g = spectrum.gaps) computes proper vectors once, at its start,
+and every later trial solves for values only.  To first order a Newton step
+moves proper vector q by about |r_q| / g_q, so the Jacobian built from the
+start's vectors is off by about 1% at most and each step still gains about
+two digits."""
+
+
+def _check_tol(name: str, tol) -> None:
+    """Raise InvariantViolation unless tol is a positive, finite real number."""
+    check_real(name, tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvariantViolation(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -66,9 +84,7 @@ class SolverControls:
     def __post_init__(self):
         tol, max_iter = self.newton_tol, self.max_iter
         if tol is not None:
-            check_real("newton_tol", tol)
-            if not (math.isfinite(tol) and tol > 0):
-                raise InvariantViolation("newton_tol must be positive and finite")
+            _check_tol("newton_tol", tol)
         check_integer("max_iter", max_iter)
         if max_iter < 1:
             raise InvariantViolation("max_iter must be at least 1")
@@ -225,7 +241,7 @@ def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
-                 companion: CompanionTemplate | None = None):
+                 companion: CompanionTemplate | None = None, rows: np.ndarray | None = None):
     """Ascending proper values of assemble(x, spec, tau), bitwise, with the
     checks of proper_values at a separation tolerance of SEP_TOL_REL times
     spec.spectrum.scale.
@@ -236,11 +252,12 @@ def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
     linearized: newton_solve builds the template once per solve and passes
     it to every trial, and each trial writes its diagonal through the
     template's flat index.  Its companion_rows are bitwise those of
-    proper_values(assemble(x, spec, tau)).
+    proper_values(assemble(x, spec, tau)), or, given ``rows``, ``rows``
+    itself: the eigensolve then computes values only.
     """
     if companion is None:
         companion = companion_template(spec, tau)
-    return companion.proper_values(x)
+    return companion.proper_values(x, rows)
 
 
 def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -289,13 +306,26 @@ def newton_solve(
     is the matching).  Every spectral_map patches one companion template
     built per solve, and jacobian_x reads P' (through the decomposition's
     denominators) and the proper vectors from it; no polynomial is assembled.
+    At tau = 1, when the start residual r has max_q |r_q| / g_q <=
+    VECTOR_REUSE_SHIFT (g = spectrum.gaps), the proper vectors are computed
+    once, at the start: every trial solves for values only, and its
+    Jacobian reads the start's vectors with the trial's own values and P'.
     Returns the converged state (x, decomposition, iterations): the last
-    accepted iterate, its spectral_map (by the template's contract bitwise
+    accepted iterate, its spectral_map and one IterationRecord per accepted
+    iterate, the start included.  The decomposition's values are exact;
+    its rows are, by the template's contract, bitwise those of
     proper_values(assemble(x, spec, tau)), so _tangent needs no eig of its
-    own) and one IterationRecord per accepted iterate, the start included.
-    A failed solve raises NoConvergence / SingularJacobian /
-    NonRealSpectrum / NearDegenerate.
+    own, except when the start's vectors were reused: its rows are then the
+    start's.  A failed solve raises NoConvergence / SingularJacobian /
+    NonRealSpectrum / NearDegenerate, and a bool or non-real ``tol`` or
+    ``tau``, a ``tol`` that is not positive and finite or a non-finite
+    ``tau`` raise InvariantViolation.
     """
+    if tol is not None:
+        _check_tol("tol", tol)
+    check_real("tau", tau)
+    if not math.isfinite(tau):
+        raise InvariantViolation("tau must be finite")
     ctl = spec.controls
     tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol
     targets = spec.spectrum.sorted_values()
@@ -307,6 +337,9 @@ def newton_solve(
     res = decomp.values - targets
     rnorm = float(np.abs(res).max())
     trace.append(IterationRecord(0, rnorm, 0.0))
+    # the final corrector near its root: the start's vectors serve every trial
+    reuse = tau == 1.0 and (np.abs(res) / spec.spectrum.gaps).max() <= VECTOR_REUSE_SHIFT
+    rows = decomp.companion_rows if reuse else None
 
     for it in range(1, ctl.max_iter + 2):
         if rnorm <= tol:
@@ -322,7 +355,7 @@ def newton_solve(
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
         x_try = x - dx
         try:
-            d_try = spectral_map(x_try, spec, tau, companion)
+            d_try = spectral_map(x_try, spec, tau, companion, rows)
             r_try = d_try.values - targets
             rn_try = float(np.abs(r_try).max())
         except (NonRealSpectrum, NearDegenerate):
@@ -359,7 +392,7 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     r's block of c (c[s*n + r], s < k) holds the interpolant's
     coefficients.  rho is the largest unpredicted shift
     |g_r(lambda_q) / p_r'(lambda_q)| over the distance from lambda_q to its
-    nearest other target.
+    nearest other target (spectrum.gaps).
 
     Built from the targets, the leading diagonal and the off-diagonal rows
     of D at the targets: no eig, no Jacobian, O(nk * n) memory.  When c or
@@ -385,13 +418,7 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
         diff = roots[:, :, None] - roots[:, None, :]
         diff[:, np.arange(k), np.arange(k)] = 1.0
         shift = g / (alpha[:, None] * diff.prod(axis=2)).ravel()
-        order = lam.argsort()
-        ascending = spec.spectrum.sorted_values()
-        gaps = np.full(n * k + 1, np.inf)
-        gaps[1:-1] = ascending[1:] - ascending[:-1]
-        gap = np.empty(n * k)
-        gap[order] = np.minimum(gaps[:-1], gaps[1:])
-        rho = float((np.abs(shift) / gap).max())
+        rho = float((np.abs(shift[lam.argsort()]) / spec.spectrum.gaps).max())  # gaps are in sorted order
         # Newton divided differences of g over each entry's targets, then
         # the interpolant's monomial coefficients by Horner on its Newton form
         dd = g.reshape(n, k)

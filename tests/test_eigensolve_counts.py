@@ -1,0 +1,33 @@
+"""scripts/eigensolve_counts.py: the eigensolves by kind and the Newton
+trials of the bundled set."""
+
+import importlib.util
+import os
+import sys
+
+from conftest import ROOT
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("eigensolve_counts", ROOT / "scripts" / "eigensolve_counts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_import_leaves_the_environment_and_sys_path_alone():
+    environ, path = dict(os.environ), list(sys.path)
+    load_script()
+    assert dict(os.environ) == environ
+    assert sys.path == path
+
+
+def test_bundled_counts(monkeypatch):
+    # on each problem a failed direct attempt, then path (0.5, 1): 3 Newton
+    # solves and 9 eigs, one per corrector start and one per trial.  No
+    # corrector starts close enough to its root to reuse vectors
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    script = load_script()
+    counts = script.counts(script.instance_sets()["bundled"])
+    assert counts == {"instances": 2, "newton_solves": 6, "eig": 18, "eigvals": 0, "eigh": 0, "eigvalsh": 0,
+                      "trials": 12}

@@ -159,6 +159,13 @@ class TestTargetSpectrum:
             TargetSpectrum(values=np.array(values), n=n, k=k)
 
 
+    def test_gaps_are_each_sorted_targets_distance_to_its_nearest_other(self):
+        spec = TargetSpectrum(values=np.array([3.0, -1.0, 0.5, 10.0]), n=2, k=2)
+        assert spec.gaps.tolist() == [1.5, 1.5, 2.5, 7.0]
+        assert spec.gaps is spec.gaps and not spec.gaps.flags.writeable
+        assert TargetSpectrum(values=np.array([4.0]), n=1, k=1).gaps.tolist() == [np.inf]
+
+
 def test_seed_unknowns_layout():
     x = seed_unknowns(TargetSpectrum(values=TARGETS, n=4, k=2), LeadingDiagonal(alpha_k=np.ones(4)))
     assert np.array_equal(x, np.array([8.0, 48, 120, 224, 6, 14, 22, 30]))

@@ -97,6 +97,43 @@ def same_spectral_map(x, spec, tau, companion):
     return True
 
 
+def weakly_coupled_spec(n, k, seed=5):
+    """An instance built as the benchmark's sweep builds them: targets on a
+    jittered unit grid, sparse graphs of mean degree about 2, epsilon 0.05.
+    It converges directly at tau = 1."""
+    rng = np.random.default_rng([seed, n, k])
+    m = n * k
+    vals = np.arange(m) - (m - 1) / 2 + rng.uniform(-0.35, 0.35, size=m)
+    rng.shuffle(vals)
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=vals, n=n, k=k),
+        lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
+        graphs=tuple(random_graph(rng, n, p=2.0 / (n - 1)) for _ in range(k)),
+        epsilon=0.05,
+    )
+
+
+def count_eigensolves(monkeypatch):
+    """Calls of each numpy.linalg eigensolver, by name, from now on."""
+    calls = dict.fromkeys(("eig", "eigvals", "eigh", "eigvalsh"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+def start_shift(spec, x0, tau=1.0):
+    """max_q |r_q| / g_q of the start residual r at x0."""
+    res = spectral_map(x0, spec, tau).values - spec.spectrum.sorted_values()
+    return float((np.abs(res) / spec.spectrum.gaps).max())
+
+
 def make_spec(rng, n, k, epsilon, **controls):
     return ProblemSpec(
         spectrum=TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k),
@@ -379,11 +416,116 @@ class TestNewtonSolve:
             newton_solve(complex_pair_spec(max_iter=8), tau=1 / 64)
         assert len(calls) == 2  # the start, then the one trial
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.inf}, {"tol": True}, {"tol": "1e-3"},
+        {"tau": np.nan}, {"tau": np.inf}, {"tau": -np.inf}, {"tau": True}, {"tau": "1"},
+    ])
+    def test_rejects_bad_tol_and_tau(self, kwargs, path4_spec):
+        with pytest.raises(InvariantViolation, match="tol|tau"):
+            newton_solve(path4_spec, **kwargs)
+
     def test_nonreal_start_raises(self, path4_spec):
         # full-strength off-diagonals on both path coefficients push a pair
         # of values complex; direct Newton must fail fast
         with pytest.raises(NonRealSpectrum):
             newton_solve(path4_spec)
+
+
+class TestVectorReuse:
+    @pytest.mark.parametrize("k, vectors, values", [(1, "eigh", "eigvalsh"), (2, "eig", "eigvals")])
+    def test_final_corrector_takes_vectors_once(self, k, vectors, values, monkeypatch):
+        spec = weakly_coupled_spec(20, k)
+        calls = count_eigensolves(monkeypatch)
+        rep = continuation_solve(spec)
+        assert rep.converged and rep.continuation_path == (1.0,)
+        trials = len(rep.iterations) - 1  # no trial was rejected
+        assert trials >= 1
+        assert calls == dict(dict.fromkeys(calls, 0), **{vectors: 1, values: trials})
+
+    def test_start_beyond_the_gate_takes_vectors_at_every_trial(self, monkeypatch):
+        spec = weakly_coupled_spec(20, 2)
+        x0 = seed_unknowns(spec.spectrum, spec.lead)
+        omega = start_shift(spec, x0)
+        calls = count_eigensolves(monkeypatch)
+        for gate, reused in ((np.nextafter(omega, 0.0), False), (omega, True)):
+            monkeypatch.setattr(solver, "VECTOR_REUSE_SHIFT", gate)
+            calls.update(eig=0, eigvals=0)
+            _, _, iterations = newton_solve(spec, x0=x0)
+            trials = len(iterations) - 1
+            assert trials >= 2
+            # vectors at the start, and at every trial unless reused
+            assert (calls["eig"], calls["eigvals"]) == ((1, trials) if reused else (trials + 1, 0))
+
+    def test_no_reuse_below_full_coupling(self, monkeypatch):
+        # a corrector at tau < 1 feeds the tangent its vectors, however close
+        # to its root it starts: here at the seed predictor's tau^2 c
+        spec = weakly_coupled_spec(20, 2)
+        x0 = seed_unknowns(spec.spectrum, spec.lead) + 0.25 * solver._seed_curvature(spec)[0]
+        assert start_shift(spec, x0, tau=0.5) <= solver.VECTOR_REUSE_SHIFT
+        calls = count_eigensolves(monkeypatch)
+        _, _, iterations = newton_solve(spec, x0=x0, tau=0.5)
+        assert calls["eig"] == len(iterations) >= 2 and calls["eigvals"] == 0
+
+    def test_returned_decomposition_has_exact_values_and_the_start_rows(self):
+        spec = weakly_coupled_spec(20, 2)
+        x0 = seed_unknowns(spec.spectrum, spec.lead) + solver._seed_curvature(spec)[0]  # the direct attempt's start
+        assert start_shift(spec, x0) <= solver.VECTOR_REUSE_SHIFT
+        x, decomp, iterations = newton_solve(spec, x0=x0)
+        assert len(iterations) >= 3
+        start = spectral_map(x0, spec)
+        assert decomp.companion_rows.tobytes() == start.companion_rows.tobytes()
+        values = spectral_map(x, spec, rows=start.companion_rows).values
+        assert decomp.values.tobytes() == values.tobytes()
+        assert np.max(np.abs(decomp.values - spectral_map(x, spec).values)) <= 1e-12 * spec.spectrum.scale
+        assert iterations[-1].residual <= spec.controls.resolved_tol(spec.spectrum)
+
+
+class TestValuesOnly:
+    """spectral_map given rows: eigenvalues only, with the full branch's checks."""
+
+    def test_nonreal_spectrum_raises_in_both_branches(self):
+        # uncoupled, entry r is z^2 + r: values +-i, +-i sqrt(2)
+        spec = complex_pair_spec()
+        for given in (None, np.ones((4, 2))):
+            with pytest.raises(NonRealSpectrum):
+                spectral_map(np.array([1.0, 2.0, 0.0, 0.0]), spec, tau=0.0, rows=given)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_near_multiple_value_raises_in_both_branches(self, k):
+        # entry 2 uncoupled with entry 1's seed diagonals, up to 1e-13: k
+        # double proper values
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=np.arange(2.0 * k), n=2, k=k),
+            lead=LeadingDiagonal(alpha_k=np.ones(2)),
+            graphs=(Graph(2),) * k,
+            epsilon=0.0,
+        )
+        x = seed_unknowns(spec.spectrum, spec.lead)
+        x[1::2] = x[0::2] * (1.0 + 1e-13)
+        for given in (None, np.ones((2 * k, 2))):
+            with pytest.raises(NearDegenerate):
+                spectral_map(x, spec, rows=given)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (20, 1), (5, 2), (20, 2), (4, 3), (20, 3)])
+    def test_values_agree_with_the_full_branch(self, n, k):
+        rng = np.random.default_rng([61, n, k])
+        spec = make_spec(rng, n, k, epsilon=0.3) if n < 20 else weakly_coupled_spec(n, k)
+        companion = solver.companion_template(spec)
+        seed = seed_unknowns(spec.spectrum, spec.lead)
+        real = 0
+        for scale in (0.0, 0.01, 0.1, 1.0, 5.0):
+            x = seed + scale * rng.standard_normal(n * k)
+            try:
+                full = spectral_map(x, spec, 1.0, companion)
+            except (NonRealSpectrum, NearDegenerate) as exc:
+                with pytest.raises(type(exc)):
+                    spectral_map(x, spec, 1.0, companion, np.ones((n * k, n)))
+                continue
+            got = spectral_map(x, spec, 1.0, companion, full.companion_rows)
+            assert got.companion_rows is full.companion_rows
+            assert np.max(np.abs(got.values - full.values)) <= 1e-12 * spec.spectrum.scale
+            real += 1
+        assert real >= 2
 
 
 class TestContinuationSolve:

@@ -8,7 +8,7 @@ import pathlib
 
 from structured_iep import problems, solver  # noqa: F401 (the tracer wraps problems.load_problem)
 
-from test_solver import complex_pair_spec
+from test_solver import complex_pair_spec, weakly_coupled_spec
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -47,3 +47,16 @@ def test_every_rejected_trial_ends_its_corrector():
     assert not report.converged
     counts = tracer.record()
     assert 0 < counts["solver.trials.rejected"] <= counts["solver.newton_solve.discarded"]
+
+
+def test_values_only_trials_are_counted():
+    # the direct solve's corrector reuses its start's vectors: one eig, and
+    # every values-only trial still counted as a trial
+    tracer = load_layers().Tracer()
+    with tracer.active():
+        report = solver.continuation_solve(weakly_coupled_spec(20, 2))
+    assert report.converged and report.continuation_path == (1.0,)
+    counts = tracer.record()
+    assert counts["solver.trials"] == sum(r.iteration >= 1 for r in report.iterations) >= 1
+    assert counts["solver.trials.rejected"] >= 0
+    assert counts["matpoly.eig.calls"] == 1
