@@ -24,7 +24,6 @@ from .errors import (
 )
 from .graphs import Graph, matrix_of_graph
 from .matpoly import (
-    CompanionTemplate,
     MatrixPolynomial,
     SpectralDecomposition,
     evaluate,
@@ -52,7 +51,6 @@ from .solver import (
     SolverControls,
     VerifyReport,
     assemble,
-    companion_template,
     continuation_solve,
     match_targets,
     newton_solve,
@@ -66,13 +64,13 @@ __all__ = [
     "NoConvergence", "NonRealSpectrum", "ProblemFormatError",
     "SingularJacobian", "StructuredIEPError",
     "Graph", "matrix_of_graph",
-    "CompanionTemplate", "MatrixPolynomial", "SpectralDecomposition", "evaluate",
+    "MatrixPolynomial", "SpectralDecomposition", "evaluate",
     "linearize", "proper_values",
     "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_unknowns",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
     "seed_vandermonde_check", "tau_derivative",
     "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",
-    "VerifyReport", "assemble", "companion_template", "continuation_solve", "match_targets",
+    "VerifyReport", "assemble", "continuation_solve", "match_targets",
     "newton_solve", "spectral_map", "verify",
 ]
 

@@ -16,9 +16,12 @@ of -D^{-1/2} A_0 D^{-1/2} gives real values and their vectors, so it
 needs no non-real check.  The vectors keep the eigensolver's scale and
 sign: the sensitivities read them only through ratios of quadratic forms.
 Their denominators v^T P'(lambda) v are SpectralDecomposition.denominators,
-computed once from its own companion: the one reader of companion_layout.
-CompanionTemplate.proper_values given ``rows`` computes values only (eigvals,
-or eigvalsh at degree 1), with the same checks, and keeps those rows as the
+computed once from the coefficients [A_1 ... A_{k-1}] and the leading
+diagonal that decompose_row hands the decomposition.  decompose_row,
+which proper_values and the solver's spectral_map both run, takes the
+coefficient row [A_0 ... A_{k-1}] and lays out its companion with
+companion_layout.  Given ``rows`` it computes values only (eigvals, or
+eigvalsh at degree 1), with the same checks, and keeps those rows as the
 proper vectors: the solver's Newton trials near a root at full coupling
 reuse the vectors of their corrector's start.
 """
@@ -60,19 +63,34 @@ class MatrixPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def leading_diagonal(self) -> np.ndarray:
+        """The diagonal of A_k, after the check every eigensolve and
+        sensitivity here relies on: raises LeadingCoefficientError unless
+        A_k is diagonal with a finite, strictly positive diagonal."""
+        Ak = self.coeffs[-1]
+        if np.any(Ak[~np.eye(self.n, dtype=bool)] != 0.0):
+            raise LeadingCoefficientError("leading coefficient must be diagonal")
+        d = np.diag(Ak)
+        if not np.isfinite(d).all():
+            raise LeadingCoefficientError("leading diagonal must be finite")
+        if np.any(d <= 0.0):
+            raise LeadingCoefficientError("leading diagonal must be strictly positive")
+        return d
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Matched (value, proper vector) pairs, values strictly ascending.
 
     Row q of ``companion_rows`` is a real proper vector for values[q], not
-    normalised.  ``companion`` is the matrix whose eigenvalues are the
-    values, ``lead`` P's leading diagonal: ``denominators`` reads P' there.
+    normalised.  ``upper`` is P's [A_1 ... A_{k-1}] (n x (k-1)n, empty at
+    k = 1) and ``lead`` its leading diagonal: ``denominators`` reads P'
+    from them.
     """
 
     values: np.ndarray
     companion_rows: np.ndarray = field(repr=False)  # real, row q for values[q]
-    companion: np.ndarray = field(repr=False)
+    upper: np.ndarray = field(repr=False)
     lead: np.ndarray = field(repr=False)
 
     def __len__(self):
@@ -88,20 +106,18 @@ class SpectralDecomposition:
     @cached_property
     def denominators(self) -> np.ndarray:
         """v_q^T P'(lambda_q) v_q for each pair (lambda_q, v_q), computed
-        once per decomposition, with A_k = diag(lead) and A_s = -diag(lead)
-        C_s (0 < s < k) read from the last block row [C_0 ... C_{k-1}] of
-        ``companion``.  Raises DegenerateDenominator when one is at most
-        DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F
+        once per decomposition, with A_k = diag(lead) and A_s (0 < s < k)
+        the blocks of ``upper``.  Raises DegenerateDenominator when one is
+        at most DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F
         |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero
         row)."""
-        lead, lams, V = self.lead, self.values, self.companion_rows
+        lead, lams, V, upper = self.lead, self.values, self.companion_rows, self.upper
         n = len(lead)
-        k = len(self.companion) // n
+        k = upper.shape[1] // n + 1
         sq = V * V
         den = k * (sq @ lead)
         scale = k * math.sqrt(lead @ lead)
         if k > 1:
-            upper = self.companion[-n:, n:] * -lead[:, None]  # [A_1 ... A_{k-1}]
             forms = self.forms(upper)
             norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
             size = np.abs(lams)
@@ -131,35 +147,22 @@ def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
     return out
 
 
-def _check_leading(P: MatrixPolynomial) -> np.ndarray:
-    Ak = P.coeffs[-1]
-    offdiag = Ak - np.diag(np.diag(Ak))
-    if np.any(offdiag != 0.0):
-        raise LeadingCoefficientError("leading coefficient must be diagonal")
-    d = np.diag(Ak)
-    if np.any(d <= 0.0):
-        raise LeadingCoefficientError("leading diagonal must be strictly positive")
-    return d
-
-
-def companion_layout(row: np.ndarray, lead: np.ndarray, pencil: bool = False, tau: float = 1.0) -> np.ndarray:
-    """The companion layout of sum_s z^s tau A_s + z^k diag(lead), for the
-    block row row = [A_0 ... A_{k-1}] (n x kn): the one writer of
-    linearize, _pencil and CompanionTemplate.  Identity blocks on the block
-    superdiagonal, and in the last block row (tau * -row) / lead[r] in row
-    r.  With ``pencil`` (k = 1 only) the divisor is sqrt(lead[r] lead[c])
-    instead.  Either way entry (r, r) of A_s lands at row (k-1)n + r, column
-    sn + r as (tau * -A_s[r, r]) / lead[r].  Negation is exact, so that
-    rounds as -(tau A_s) / lead: the layout at tau is bitwise the layout of
-    the coefficients tau A_s."""
+def companion_layout(row: np.ndarray, lead: np.ndarray, pencil: bool = False) -> np.ndarray:
+    """The companion layout of sum_s z^s A_s + z^k diag(lead), for the
+    block row row = [A_0 ... A_{k-1}] (n x kn): the one writer of the
+    companion, for linearize and decompose_row.  Identity blocks on the
+    block superdiagonal, and in the last block row -row / lead[r] in row r.
+    With ``pencil`` (k = 1 only) the divisor is sqrt(lead[r] lead[c])
+    instead, but the diagonal stays -A_0[r, r] / lead[r], as the companion
+    writes it."""
     n, nk = row.shape
     if pencil:
         root = np.sqrt(lead)
-        C = (tau * -row) / np.outer(root, root)
-        C[np.diag_indices(n)] = (tau * -np.diag(row)) / lead
+        C = -row / np.outer(root, root)
+        C[np.diag_indices(n)] = -np.diag(row) / lead
         return C
     C = np.eye(nk, k=n)  # the identity blocks: nothing in the last block row
-    C[-n:] = (tau * -row) / lead[:, None]
+    C[-n:] = -row / lead[:, None]
     return C
 
 
@@ -170,28 +173,10 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     eigenvalues are exactly the proper values of P with multiplicity, and a
     companion eigenvector stacks (v, z v, ..., z^{k-1} v).
     """
-    lead = _check_leading(P)
+    lead = P.leading_diagonal()
     if P.degree == 0:
         raise ValueError("cannot linearize a degree-0 polynomial")
     return companion_layout(np.hstack(P.coeffs[:-1]), lead)
-
-
-def _pencil(P: MatrixPolynomial) -> np.ndarray:
-    """-D^{-1/2} A_0 D^{-1/2} for a degree-1 P = A_0 + zD, whose eigenvalues
-    are the proper values of P.  Entry (r, r) is -A_0[r, r] / D[r, r],
-    exactly as linearize writes it.  Raises InvariantViolation when A_0 is
-    not symmetric: eigh reads one triangle only."""
-    lead = _check_leading(P)
-    A0 = P.coeffs[0]
-    if not np.array_equal(A0, A0.T, equal_nan=True):
-        raise InvariantViolation("the constant coefficient of a degree-1 polynomial must be symmetric")
-    return companion_layout(A0, lead, pencil=True)
-
-
-def _companion(P: MatrixPolynomial) -> np.ndarray:
-    """The matrix whose eigenvalues are the proper values of P: linearize(P),
-    or _pencil(P) at degree 1."""
-    return _pencil(P) if P.degree == 1 else linearize(P)
 
 
 def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
@@ -210,18 +195,23 @@ def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
         )
 
 
-def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None,
-              rows: np.ndarray | None = None) -> SpectralDecomposition:
-    """The decomposition of the polynomial whose _companion is C (leading
-    diagonal ``lead``), with the checks of proper_values: the ascending
-    values and, row q for values[q], the top n rows of the corresponding
-    eigenvectors of linearize(P), real: where eig returns complex arrays,
-    the larger of each vector's real and imaginary parts.  Given ``rows``,
-    the eigensolve computes values only (eigvals, or eigvalsh at degree 1),
-    with the same checks, and ``rows`` is the decomposition's
-    companion_rows."""
+def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = None,
+                  rows: np.ndarray | None = None) -> SpectralDecomposition:
+    """The decomposition of P(z) = sum_{s<k} z^s A_s + z^k diag(lead), for
+    the coefficient row row = [A_0 ... A_{k-1}] (n x kn) and a positive
+    ``lead``, with the checks of proper_values: the ascending values and,
+    row q for values[q], the top n rows of the corresponding eigenvectors
+    of linearize(P), real: where eig returns complex arrays, the larger of
+    each vector's real and imaginary parts.  The eigensolve is eig of
+    companion_layout(row, lead), or eigh of its symmetric pencil at k = 1
+    (the caller supplies a symmetric A_0).  Given ``rows``, it computes
+    values only (eigvals, or eigvalsh at degree 1), with the same checks,
+    and ``rows`` is the decomposition's companion_rows.  Its ``upper`` is
+    the view row[:, n:]."""
     n = len(lead)
-    if len(C) == n:
+    pencil = row.shape[1] == n
+    C = companion_layout(row, lead, pencil)
+    if pencil:
         if rows is None:
             vals, U = np.linalg.eigh(C)
             rows = (U / np.sqrt(lead)[:, None]).T
@@ -230,7 +220,7 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None,
         if not np.isfinite(vals).all():
             raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
         _check_separation(vals, sep_tol)
-        return SpectralDecomposition(vals, rows, C, lead)
+        return SpectralDecomposition(vals, rows, row[:, n:], lead)
     w, V = np.linalg.eig(C) if rows is None else (np.linalg.eigvals(C), None)
     if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
         bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
@@ -249,7 +239,7 @@ def _spectrum(C: np.ndarray, lead: np.ndarray, sep_tol: float | None,
             use_imag = np.linalg.norm(rows.imag, axis=0) > np.linalg.norm(rows.real, axis=0)
             rows = np.where(use_imag, rows.imag, rows.real)
         rows = rows[:, order].T
-    return SpectralDecomposition(vals, rows, C, lead)
+    return SpectralDecomposition(vals, rows, row[:, n:], lead)
 
 
 def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
@@ -258,8 +248,8 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
 
     The proper vectors are the top n rows of the companion eigenvectors as
     the eigensolver returns them (see SpectralDecomposition), real and not
-    normalised.  CompanionTemplate.proper_values runs the same eigensolver
-    and checks on a matrix patched in place of this one.
+    normalised.  This is decompose_row of P's coefficient row [A_0 ...
+    A_{k-1}], after the checks that decompose_row leaves to its caller.
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
     imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two returned
@@ -267,54 +257,14 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
     max(diameter, 1) of the values).  Both signal that the simple-real
     regime the rest of the package relies on has been left.  NonRealSpectrum cannot occur
     at degree 1, where the spectrum of the pencil is real; there a
-    non-symmetric A_0 raises InvariantViolation.
+    non-symmetric A_0 raises InvariantViolation, because eigh reads one
+    triangle only.  A leading coefficient that is not diagonal with a
+    finite, positive diagonal raises LeadingCoefficientError.
     """
-    return _spectrum(_companion(P), np.diag(P.coeffs[-1]), sep_tol)
-
-
-@dataclass(frozen=True)
-class CompanionTemplate:
-    """The companion matrix of P(z) = sum_{s<k} z^s A_s + z^k diag(lead),
-    for the proper values of every polynomial that differs from P only on
-    the diagonals of A_0 .. A_{k-1}.
-
-    Built by from_coefficients through the layout linearize and _pencil
-    write (the symmetric pencil matrix at k = 1), so entry (r, r) of A_s
-    sits at row (k-1)n + r, column sn + r as -A_s[r, r] / lead[r], and
-    proper_values(d) gives bitwise the values and companion_rows of
-    proper_values applied to P with diag(A_s) = d[sn:(s+1)n].  Neither that
-    polynomial nor its checks are built: the caller supplies a positive
-    ``lead``, at k = 1 a symmetric A_0, and the separation tolerance
-    ``sep_tol``.  Every array but ``matrix`` is read-only.
-    """
-
-    matrix: np.ndarray
-    diagonal: np.ndarray  # flat index into matrix of entry d[sn + r]
-    lead: np.ndarray  # P's leading diagonal
-    divisor: np.ndarray  # lead repeated k times: d[sn + r] is written as -d[sn + r] / lead[r]
-    sep_tol: float
-
-    @classmethod
-    def from_coefficients(cls, coeffs, lead: np.ndarray, sep_tol: float) -> "CompanionTemplate":
-        """The template of the non-leading coefficients ``coeffs`` (their
-        diagonals are ignored) and the positive leading diagonal ``lead``."""
-        n, k = len(lead), len(coeffs)
-        unknowns = np.arange(n * k)
-        diagonal = (n * (k - 1) + unknowns % n) * (n * k) + unknowns
-        lead = np.array(lead, dtype=float)
-        divisor = np.tile(lead, k)
-        for a in (diagonal, lead, divisor):
-            a.flags.writeable = False
-        return cls(companion_layout(np.hstack(coeffs), lead, pencil=k == 1), diagonal, lead, divisor, sep_tol)
-
-    def proper_values(self, d: np.ndarray, rows: np.ndarray | None = None) -> SpectralDecomposition:
-        """Ascending proper values for the diagonals d (s-major), with the
-        checks of proper_values at this template's ``sep_tol``.  Given
-        ``rows`` (nk x n), eigenvalues only are computed, with the same
-        checks, and ``rows`` stands as the decomposition's companion_rows."""
-        d = np.asarray(d, dtype=float)
-        if d.shape != self.divisor.shape:
-            raise ValueError(f"diagonals have shape {d.shape}, expected {self.divisor.shape}")
-        C = self.matrix.copy()
-        C.ravel()[self.diagonal] = -d / self.divisor
-        return _spectrum(C, self.lead, self.sep_tol, rows)
+    lead = P.leading_diagonal()
+    if P.degree == 0:
+        raise ValueError("cannot linearize a degree-0 polynomial")
+    A0 = P.coeffs[0]
+    if P.degree == 1 and not np.array_equal(A0, A0.T, equal_nan=True):
+        raise InvariantViolation("the constant coefficient of a degree-1 polynomial must be symmetric")
+    return decompose_row(np.hstack(P.coeffs[:-1]), lead, sep_tol)

@@ -14,9 +14,11 @@ jacobian_x applies it to every diagonal slot at once, and tau_derivative to
 a whole polynomial direction (the continuation's off-diagonal ramp), both
 with the proper vectors as the eigensolver returned them.  eigderivative
 runs on tau_derivative, with B as the direction and one (value, vector)
-pair as the decomposition.  Every denominator is the decomposition's own
-cached ``denominators`` (matpoly), so the continuation's tangent, which
-needs J and dlambda/dtau at one point, computes v^T P'(lambda) v once.
+pair, with P's own coefficients, as the decomposition.  Every denominator
+is the decomposition's own cached ``denominators`` (matpoly), read from
+its coefficients [A_1 ... A_{k-1}] and leading diagonal, so the
+continuation's tangent, which needs J and dlambda/dtau at one point,
+computes v^T P'(lambda) v once.
 Away from the seed the formula is the standard simple-eigenvalue one and is
 cross-validated against finite differences (jacobian_fd) rather than taken
 on faith.
@@ -29,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_integer, check_real
 # perfbench/layers.py wraps evaluate at this module, though nothing here calls it
-from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, linearize, proper_values  # noqa: F401
+from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
 from .seed import TargetSpectrum
 
 
@@ -61,18 +63,25 @@ def eigderivative(
 ) -> float:
     """Derivative of the simple proper value in ``pair`` (its vector at any
     scale) along ``direction``: tau_derivative of the one pair, with the
-    direction B(z) = z^s E as the polynomial.  P needs a positive diagonal
-    A_k."""
+    direction B(z) = z^s E as the polynomial.  Raises ValueError unless the
+    pair is a finite real value and a finite vector of length n, and
+    LeadingCoefficientError unless A_k is diagonal and positive."""
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
     i, j = (direction.diag,) * 2 if direction.diag is not None else direction.edge
     if not (1 <= i <= P.n and 1 <= j <= P.n):
         raise ValueError(f"entry ({i}, {j}) out of range 1..{P.n}")
     lam, v = pair
+    check_real("pair value", lam, ValueError)
+    if not math.isfinite(lam):
+        raise ValueError(f"pair value must be finite, got {lam}")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (P.n,) or not np.isfinite(v).all():
+        raise ValueError(f"pair vector must be finite with shape ({P.n},), got shape {v.shape}")
     coeffs = np.zeros((direction.s + 1, P.n, P.n))
     coeffs[direction.s, i - 1, j - 1] = coeffs[direction.s, j - 1, i - 1] = 1.0
-    decomp = SpectralDecomposition(np.array([lam], dtype=float), np.asarray(v, dtype=float)[None, :],
-                                   linearize(P), np.diag(P.coeffs[-1]))
+    decomp = SpectralDecomposition(np.array([lam], dtype=float), v[None, :],
+                                   np.hstack(P.coeffs[:-1])[:, P.n:], P.leading_diagonal())
     return float(tau_derivative(decomp, MatrixPolynomial(tuple(coeffs)))[0])
 
 
@@ -117,6 +126,7 @@ def jacobian_fd(
 ) -> np.ndarray:
     """Central-difference Jacobian: re-solve proper values with each diagonal
     unknown perturbed by +-h, rows in ascending order."""
+    check_real("step", h, ValueError)
     if not 0.0 < h < math.inf:
         raise ValueError(f"step must be positive and finite, got {h}")
     n, k = P.n, P.degree
@@ -147,7 +157,7 @@ def seed_vandermonde_check(
 
     Target q is row q of spec.blocks flattened, so it belongs to diagonal
     entry r = q // k.  After negating, scaling row q by (P'(lambda_q))_rr
-    (the denominators of the unit rows e_r on decomp's companion), and
+    (the denominators of the unit rows e_r with decomp's coefficients), and
     permuting rows into these target blocks and columns into diagonal-entry
     blocks, the Jacobian must be block diagonal with n Vandermonde blocks
     (1, lam, ..., lam^(k-1)).  Returns the scaled matrix,
@@ -163,7 +173,7 @@ def seed_vandermonde_check(
     row_of_target[order] = np.arange(nk)
     lam = decomp.values[row_of_target]
     # (P'(lambda_q))_rr: the denominators of the unit rows e_r, in ascending order
-    units = SpectralDecomposition(decomp.values, np.eye(n)[entry[order]], decomp.companion, decomp.lead)
+    units = SpectralDecomposition(decomp.values, np.eye(n)[entry[order]], decomp.upper, decomp.lead)
     den = units.denominators[row_of_target]
     # column s*n + r' of J goes to column r'*k + s: one block of k per entry
     scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)

@@ -19,9 +19,10 @@ each eigensolve.  The tangent's J and dlambda/dtau share that cached
 computation.  A corrector at tau = 1 that starts within VECTOR_REUSE_SHIFT
 of every target's gap computes proper vectors once, at its start: its
 trials solve for values only, and their Jacobians read the start's
-vectors (no tangent follows the last corrector).  The companion template
-is affine in tau: each corrector scales the spec's cached off-diagonal
-block row into its last block row.
+vectors (no tangent follows the last corrector).  A trial's polynomial is
+one coefficient row [A_0 ... A_{k-1}]: tau times the spec's cached
+off-diagonal row, with the unknowns written on its diagonals by the same
+writer assemble uses, and matpoly.decompose_row lays out its companion.
 A corrector returns its converged state, not a report: the polynomial is
 assembled once per solve, for the one SolveReport continuation_solve
 returns.
@@ -46,14 +47,7 @@ from .errors import (
     check_real,
 )
 from .graphs import Graph, matrix_of_graph
-from .matpoly import (
-    CompanionTemplate,
-    MatrixPolynomial,
-    SEP_TOL_REL,
-    SpectralDecomposition,
-    companion_layout,
-    proper_values,
-)
+from .matpoly import MatrixPolynomial, SEP_TOL_REL, SpectralDecomposition, decompose_row, proper_values
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
 from .sensitivity import jacobian_x, tau_derivative
 
@@ -152,8 +146,8 @@ class ProblemSpec:
     def ramp_row(self) -> np.ndarray:
         """[Y_0 ... Y_{k-1}] (n x kn), Y_s the prescribed off-diagonals of
         coefficient s on a zero diagonal.  Built once per spec and
-        read-only: ramp's matrices are its blocks, and companion_template
-        scales it into the companion's last block row."""
+        read-only: ramp's matrices are its blocks, and every assemble and
+        spectral_map starts from tau times it."""
         row = np.hstack([matrix_of_graph(g, np.zeros(self.n), y)
                          for g, y in zip(self.graphs, self.offdiag_values)])
         row.flags.writeable = False
@@ -164,15 +158,6 @@ class ProblemSpec:
         """D(z) = sum_s z^s Y_s: the direction in which tau moves the
         polynomial, its matrices the read-only blocks of ramp_row."""
         return MatrixPolynomial(tuple(np.hsplit(self.ramp_row, self.k)))
-
-    @cached_property
-    def companion_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The fields of every companion_template but its matrix, the same
-        at every tau and built once per spec: the read-only diagonal index,
-        leading diagonal and divisor, and the separation tolerance."""
-        t = CompanionTemplate.from_coefficients(self.ramp.coeffs, self.lead.alpha_k,
-                                                SEP_TOL_REL * self.spectrum.scale)
-        return t.diagonal, t.lead, t.divisor, t.sep_tol
 
     @cached_property
     def edge_masks(self) -> np.ndarray:
@@ -205,59 +190,48 @@ class SolveReport:
     failure: str | None = None
 
 
-def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolynomial:
-    """Build the polynomial from diagonal unknowns x (s-major) with the
-    prescribed off-diagonals scaled by tau; leading coefficient is fixed.
-
-    Coefficient s is tau * Y_s of spec.ramp with x's block s written on its
-    diagonal: for tau >= 0 bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).
-    """
+def _coefficient_row(x: np.ndarray, spec: ProblemSpec, tau: float) -> np.ndarray:
+    """[A_0 ... A_{k-1}] of assemble(x, spec, tau), as one fresh n x kn row:
+    tau * spec.ramp_row with x's block s on the diagonal of block s.  The
+    one writer of the unknowns, for assemble and spectral_map."""
     n, k = spec.n, spec.k
     x = np.asarray(x, dtype=float)
     if x.shape != (n * k,):
         raise ValueError(f"x has shape {x.shape}, expected ({n * k},)")
-    coeffs = [tau * y for y in spec.ramp.coeffs]
-    for s, c in enumerate(coeffs):
-        c[np.diag_indices(n)] = x[s * n:(s + 1) * n]
-    coeffs.append(np.diag(spec.lead.alpha_k))
-    return MatrixPolynomial(tuple(coeffs))
+    row = tau * spec.ramp_row
+    flat = row.reshape(-1)
+    for s in range(k):  # entry (r, r) of block s sits at flat index s n + r (kn + 1)
+        flat[s * n::n * k + 1] = x[s * n:(s + 1) * n]
+    return row
 
 
-def companion_template(spec: ProblemSpec, tau: float = 1.0) -> CompanionTemplate:
-    """The companion matrix of assemble(0, spec, tau), with the problem's
-    separation tolerance: what every spectral_map at this tau shares.
+def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolynomial:
+    """Build the polynomial from diagonal unknowns x (s-major) with the
+    prescribed off-diagonals scaled by tau; leading coefficient is fixed.
 
-    tau enters the last block row only: the matrix is companion_layout of
-    the cached spec.ramp_row at tau, (tau * -Y) / alpha in that row (or
-    / sqrt(alpha alpha^T) for the pencil at k = 1), and the other fields
-    are the cached spec.companion_parts.  No polynomial is assembled or
-    checked.  Rounded in that order, the template is bitwise
-    CompanionTemplate.from_coefficients([tau * Y_s ...]), i.e.
-    linearize(assemble(0, spec, tau)), or its _pencil at k = 1, for tau >= 0.
+    Coefficient s is block s of spectral_map's coefficient row, tau * Y_s
+    of spec.ramp with x's block s written on its diagonal: for tau >= 0
+    bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).
     """
-    diagonal, lead, divisor, sep_tol = spec.companion_parts
-    matrix = companion_layout(spec.ramp_row, lead, pencil=spec.k == 1, tau=tau)
-    return CompanionTemplate(matrix, diagonal, lead, divisor, sep_tol)
+    row = _coefficient_row(x, spec, tau)
+    return MatrixPolynomial((*np.hsplit(row, spec.k), np.diag(spec.lead.alpha_k)))
 
 
-def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0,
-                 companion: CompanionTemplate | None = None, rows: np.ndarray | None = None):
+def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0, rows: np.ndarray | None = None):
     """Ascending proper values of assemble(x, spec, tau), bitwise, with the
     checks of proper_values at a separation tolerance of SEP_TOL_REL times
     spec.spectrum.scale.
 
-    The kn unknowns are written into a copy of ``companion`` (default:
-    companion_template(spec, tau), built here from the spec's cached
-    ramp_row and companion_parts), so no polynomial is assembled or
-    linearized: newton_solve builds the template once per solve and passes
-    it to every trial, and each trial writes its diagonal through the
-    template's flat index.  Its companion_rows are bitwise those of
-    proper_values(assemble(x, spec, tau)), or, given ``rows``, ``rows``
-    itself: the eigensolve then computes values only.
+    No polynomial is assembled or checked: the kn unknowns are written on
+    the diagonals of tau times the spec's cached ramp_row, and that
+    coefficient row goes to decompose_row, as proper_values sends the row
+    of assemble(x, spec, tau).  The decomposition's companion_rows are
+    therefore bitwise those of proper_values(assemble(x, spec, tau)), or,
+    given ``rows``, ``rows`` itself: the eigensolve then computes values
+    only.
     """
-    if companion is None:
-        companion = companion_template(spec, tau)
-    return companion.proper_values(x, rows)
+    return decompose_row(_coefficient_row(x, spec, tau), spec.lead.alpha_k,
+                         SEP_TOL_REL * spec.spectrum.scale, rows)
 
 
 def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -303,9 +277,10 @@ def newton_solve(
     spectral_map evaluations, one per trial.
 
     The residual is values - sorted targets, both ascending (sorted order
-    is the matching).  Every spectral_map patches one companion template
-    built per solve, and jacobian_x reads P' (through the decomposition's
-    denominators) and the proper vectors from it; no polynomial is assembled.
+    is the matching).  Every spectral_map writes its trial's coefficient
+    row, and jacobian_x reads P' (through the decomposition's
+    denominators) and the proper vectors from its decomposition; no
+    polynomial is assembled.
     At tau = 1, when the start residual r has max_q |r_q| / g_q <=
     VECTOR_REUSE_SHIFT (g = spectrum.gaps), the proper vectors are computed
     once, at the start: every trial solves for values only, and its
@@ -313,7 +288,7 @@ def newton_solve(
     Returns the converged state (x, decomposition, iterations): the last
     accepted iterate, its spectral_map and one IterationRecord per accepted
     iterate, the start included.  The decomposition's values are exact;
-    its rows are, by the template's contract, bitwise those of
+    its rows are, by spectral_map's contract, bitwise those of
     proper_values(assemble(x, spec, tau)), so _tangent needs no eig of its
     own, except when the start's vectors were reused: its rows are then the
     start's.  A failed solve raises NoConvergence / SingularJacobian /
@@ -332,8 +307,7 @@ def newton_solve(
     x = seed_unknowns(spec.spectrum, spec.lead) if x0 is None else np.array(x0, dtype=float, copy=True)
     trace = []
 
-    companion = companion_template(spec, tau)
-    decomp = spectral_map(x, spec, tau, companion)  # NonRealSpectrum propagates: continuation trigger
+    decomp = spectral_map(x, spec, tau)  # NonRealSpectrum propagates: continuation trigger
     res = decomp.values - targets
     rnorm = float(np.abs(res).max())
     trace.append(IterationRecord(0, rnorm, 0.0))
@@ -355,7 +329,7 @@ def newton_solve(
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
         x_try = x - dx
         try:
-            d_try = spectral_map(x_try, spec, tau, companion, rows)
+            d_try = spectral_map(x_try, spec, tau, rows)
             r_try = d_try.values - targets
             rn_try = float(np.abs(r_try).max())
         except (NonRealSpectrum, NearDegenerate):

@@ -44,3 +44,19 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("structured_iep")):
                 private += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert not private, f"private names imported across modules: {private}"
+
+
+def test_only_matpoly_lays_out_the_companion():
+    # the companion is matpoly's business: everything else hands it
+    # coefficients, so no other reader of that layout can creep back in
+    files = [*(ROOT / "src" / "structured_iep").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    users = set()
+    for path in files:
+        if path.name == "matpoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name == "companion_layout":
+                users.add(path.name)
+    assert not users, f"companion_layout used outside matpoly: {sorted(users)}"

@@ -125,6 +125,14 @@ class TestLinearize:
         with pytest.raises(LeadingCoefficientError):
             linearize(P)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_leading_diagonal_rejected(self, bad):
+        # the off-diagonal entries are zero: the diagonal itself is at fault
+        P = MatrixPolynomial((np.eye(2), np.eye(2), np.diag([1.0, bad])))
+        for f in (linearize, proper_values):
+            with pytest.raises(LeadingCoefficientError, match="leading diagonal must be finite"):
+                f(P)
+
 
 class TestProperValues:
     def test_quad_seed_values_and_vectors(self, quad_seed):

@@ -4,6 +4,7 @@ import pytest
 from structured_iep import (
     DegenerateDenominator,
     Graph,
+    LeadingCoefficientError,
     LeadingDiagonal,
     MatrixPolynomial,
     PerturbationDirection,
@@ -15,7 +16,6 @@ from structured_iep import (
     evaluate,
     jacobian_fd,
     jacobian_x,
-    linearize,
     matpoly,
     proper_values,
     seed_coefficients,
@@ -146,6 +146,24 @@ class TestEigderivative:
         with pytest.raises(ValueError, match="itself"):
             PerturbationDirection(s=0, edge=(2, 2))
 
+    @pytest.mark.parametrize("lead", [[[1.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+                             ids=["nondiagonal", "nonpositive"])
+    def test_bad_leading_coefficient_rejected(self, lead):
+        # P' reads A_k's diagonal only: unchecked, both would give -1.0
+        P = MatrixPolynomial((np.diag([-1.0, -4.0]), np.array(lead)))
+        with pytest.raises(LeadingCoefficientError):
+            eigderivative(P, (1.0, np.array([1.0, 0.0])), PerturbationDirection(s=0, diag=1))
+
+    @pytest.mark.parametrize("pair", [
+        (1.0, np.ones(1)), (1.0, np.ones(3)), (1.0, np.ones((1, 2))), (1.0, np.array([1.0, np.nan])),
+        (np.nan, np.ones(2)), (np.inf, np.ones(2)), (True, np.ones(2)), ("1", np.ones(2)),
+    ], ids=["short-vector", "long-vector", "2d-vector", "nan-vector", "nan-value", "inf-value", "bool-value",
+            "str-value"])
+    def test_bad_pair_rejected(self, pair):
+        P = MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2)))
+        with pytest.raises(ValueError, match="pair"):
+            eigderivative(P, pair, PerturbationDirection(s=0, diag=1))
+
 
 class TestJacobianX:
     def test_vandermonde_structure_at_seed(self, quad_seed):
@@ -262,7 +280,8 @@ def mixed_sign_spec(k, seed):
 
 
 class TestJacobianFromDecomposition:
-    """jacobian_x reads P' back from the decomposition's companion matrix."""
+    """jacobian_x reads P' from the decomposition's coefficients [A_1 ...
+    A_{k-1}] and leading diagonal."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("tau", [0.0, 1 / 3, 1.0])
@@ -274,7 +293,7 @@ class TestJacobianFromDecomposition:
             ref = reference_jacobian(P, decomp)
             assert np.max(np.abs(jacobian_x(decomp) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_denominators_read_p_prime_back_from_the_companion(self):
+    def test_denominators_read_p_prime_from_the_coefficients(self):
         spec = mixed_sign_spec(3, seed=5)
         x = seed_unknowns(spec.spectrum, spec.lead)
         P = assemble(x, spec, 0.5)
@@ -295,7 +314,7 @@ class TestJacobianFromDecomposition:
         values = np.array([0.0, 1.0, 3.0, 4.0])
         dP = derivative(P)
         for row_scale in (1.0, 1e-3, -0.5, -1e3):
-            decomp = SpectralDecomposition(values=values, companion_rows=row_scale * rows, companion=linearize(P),
+            decomp = SpectralDecomposition(values=values, companion_rows=row_scale * rows, upper=P.coeffs[1],
                                            lead=np.ones(2))
             degenerate = any(abs(v @ evaluate(dP, lam) @ v) < matpoly.DENOM_TOL * coefficient_scale(dP, lam)
                              for lam, v in zip(values, unit_vectors(decomp)))
@@ -320,7 +339,7 @@ class TestRawRows:
         factors = rng.choice([-1.0, 1.0], len(decomp)) * 10.0 ** rng.uniform(-3.0, 3.0, len(decomp))
         rescaled = SpectralDecomposition(values=decomp.values,
                                          companion_rows=decomp.companion_rows * factors[:, None],
-                                         companion=decomp.companion, lead=decomp.lead)
+                                         upper=decomp.upper, lead=decomp.lead)
         for f in (jacobian_x, lambda d: tau_derivative(d, spec.ramp)):
             want = f(decomp)
             assert np.max(np.abs(f(rescaled) - want)) <= 1e-13 * np.max(np.abs(want))
@@ -331,7 +350,7 @@ class TestRawRows:
         rows = decomp.companion_rows.copy()
         rows[3] = 0.0
         zeroed = SpectralDecomposition(values=decomp.values, companion_rows=rows,
-                                       companion=decomp.companion, lead=decomp.lead)
+                                       upper=decomp.upper, lead=decomp.lead)
         with pytest.raises(DegenerateDenominator, match="row 3"):
             jacobian_x(zeroed)
         with pytest.raises(DegenerateDenominator, match="row 3"):
@@ -351,7 +370,7 @@ class TestCachedDenominators:
         decomp = spectral_map(x, spec, 0.5)
 
         def fresh():
-            return SpectralDecomposition(decomp.values, decomp.companion_rows, decomp.companion, decomp.lead)
+            return SpectralDecomposition(decomp.values, decomp.companion_rows, decomp.upper, decomp.lead)
 
         want = jacobian_x(fresh()), tau_derivative(fresh(), spec.ramp)
         calls = {"denominators": 0}
@@ -364,7 +383,7 @@ class TestCachedDenominators:
         decomp = proper_values(golden_path4_polynomial())
         rows = decomp.companion_rows.copy()
         rows[3] = 0.0
-        zeroed = SpectralDecomposition(decomp.values, rows, decomp.companion, decomp.lead)
+        zeroed = SpectralDecomposition(decomp.values, rows, decomp.upper, decomp.lead)
         calls = {"denominators": 0}
         count_denominators(monkeypatch, calls)
         for f in (jacobian_x, lambda d: tau_derivative(d, path4_spec.ramp), jacobian_x):
@@ -425,10 +444,10 @@ class TestJacobianFD:
         with pytest.raises(ValueError):
             jacobian_fd(P, h=0.0)
 
-    @pytest.mark.parametrize("h", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("h", [np.nan, np.inf, True, "1e-6"], ids=["nan", "inf", "bool", "str"])
     def test_rejects_a_non_finite_step(self, quad_seed, h):
         _, P = quad_seed
-        with pytest.raises(ValueError, match="step must be positive and finite"):
+        with pytest.raises(ValueError, match="step must be (positive and finite|a real number)"):
             jacobian_fd(P, h=h)
 
 

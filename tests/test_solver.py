@@ -81,20 +81,33 @@ def reference_spectral_map(x, spec, tau):
     return proper_values(assemble(x, spec, tau), sep_tol=sep_tol)
 
 
-def same_spectral_map(x, spec, tau, companion):
-    """Assert that spectral_map on the template returns bitwise what
-    reference_spectral_map returns, or raises the same exception type;
-    return whether the spectrum was real and simple."""
+def same_spectral_map(x, spec, tau):
+    """Assert that spectral_map returns bitwise what reference_spectral_map
+    returns (values, rows and coefficients [A_1 ... A_{k-1}]), or raises
+    the same exception type; return whether the spectrum was real and
+    simple."""
     try:
         ref = reference_spectral_map(x, spec, tau)
     except (NonRealSpectrum, NearDegenerate) as exc:
         with pytest.raises(type(exc)):
-            spectral_map(x, spec, tau, companion)
+            spectral_map(x, spec, tau)
         return False
-    got = spectral_map(x, spec, tau, companion)
-    assert np.array_equal(got.values, ref.values)
-    assert np.array_equal(got.companion_rows, ref.companion_rows)
+    got = spectral_map(x, spec, tau)
+    for name in ("values", "companion_rows", "upper"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
     return True
+
+
+def signed_spec(rng, n, k, offdiag):
+    """n entries, dense random graphs, off-diagonals offdiag(rng, m) on m edges."""
+    graphs = tuple(random_graph(rng, n, p=0.7) for _ in range(k))
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k),
+        lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
+        graphs=graphs,
+        offdiag_values=tuple(offdiag(rng, g.num_edges) for g in graphs),
+    )
 
 
 def weakly_coupled_spec(n, k, seed=5):
@@ -205,36 +218,31 @@ class TestSpectralMap:
         assert dev[2] < 1e-4
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
-    def test_template_matches_assemble_and_proper_values(self, tau, path4_spec, linked4_spec):
+    def test_matches_assemble_and_proper_values(self, tau, path4_spec, linked4_spec):
         rng = np.random.default_rng(59)
         specs = [path4_spec, linked4_spec] + [make_spec(rng, n, k, 0.3) for n, k in ((3, 1), (5, 3), (2, 3))]
         boundaries = 0
         for spec in specs:
-            companion = solver.companion_template(spec, tau)
             seed = seed_unknowns(spec.spectrum, spec.lead)
             real, nonreal = [], []
             for scale in (0.0, 0.1, 1.0, 5.0):
                 for _ in range(4):
                     x = seed + scale * rng.standard_normal(len(seed))
-                    (real if same_spectral_map(x, spec, tau, companion) else nonreal).append(x)
+                    (real if same_spectral_map(x, spec, tau) else nonreal).append(x)
             if real and nonreal:
                 # bisect to the NonRealSpectrum boundary; every step is compared too
                 lo, hi = real[0], nonreal[0]
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
-                    if same_spectral_map(mid, spec, tau, companion):
+                    if same_spectral_map(mid, spec, tau):
                         lo = mid
                     else:
                         hi = mid
                 assert np.max(np.abs(hi - lo)) <= 1e-12 * np.max(np.abs(hi))
                 boundaries += 1
-            if real:
-                # the public form builds its own template
-                assert np.array_equal(spectral_map(real[-1], spec, tau).values,
-                                      reference_spectral_map(real[-1], spec, tau).values)
         assert boundaries >= 2
 
-    def test_template_vectors_equal_proper_values_vectors(self, path4_spec):
+    def test_vectors_equal_proper_values_vectors(self, path4_spec):
         gold = golden_path4_polynomial()
         x = np.concatenate([np.diag(gold.coeffs[0]), np.diag(gold.coeffs[1])])
         decomp = spectral_map(x, path4_spec)
@@ -243,71 +251,58 @@ class TestSpectralMap:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("tau", [0.0, 1 / 3, 0.8125, 1.0])
-    def test_template_is_the_companion_of_the_assembled_polynomial(self, k, tau):
-        # mixed-sign off-diagonals: the template's signed zeros must be
-        # those of the assembled polynomial's companion too
+    def test_is_proper_values_of_the_assembled_polynomial(self, k, tau):
+        # mixed-sign off-diagonals: the coefficient row's signed zeros must
+        # be those of the assembled polynomial's coefficients too
         rng = np.random.default_rng(71 + k)
         n = 5
-        graphs = tuple(random_graph(rng, n, p=0.7) for _ in range(k))
-        spec = ProblemSpec(
-            spectrum=TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k),
-            lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
-            graphs=graphs,
-            offdiag_values=tuple(0.05 * rng.choice([-1.0, 1.0], g.num_edges) for g in graphs),
-        )
-        companion = solver.companion_template(spec, tau)
-        P0 = assemble(np.zeros(n * k), spec, tau)
-        reference = matpoly._pencil(P0) if k == 1 else matpoly.linearize(P0)
-        assert companion.matrix.tobytes() == reference.tobytes()
+        spec = signed_spec(rng, n, k, lambda rng, m: 0.05 * rng.choice([-1.0, 1.0], m))
         x = seed_unknowns(spec.spectrum, spec.lead) + 0.01 * rng.standard_normal(n * k)
-        got, want = companion.proper_values(x), proper_values(assemble(x, spec, tau))
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.companion_rows.tobytes() == want.companion_rows.tobytes()
+        assert same_spectral_map(x, spec, tau)
+        upper = spectral_map(x, spec, tau).upper
+        assert upper.shape == (n, (k - 1) * n)
+        assert upper.tobytes() == np.hstack(assemble(x, spec, tau).coeffs[:-1])[:, n:].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_template_is_bitwise_from_coefficients_at_every_tau(self, k):
-        # the template is affine in tau: only its last block row is computed
-        # per call, as (tau * -Y) / scale, which rounds as -(tau Y) / scale
+    def test_is_bitwise_at_every_tau(self, k, monkeypatch):
+        # each trial scales the cached ramp row by tau: off-diagonals of both
+        # signs and of magnitudes 0.01 to 3, so at k = 2, 3 most spectra are
+        # not real, and the row eigensolved is checked on its own
         rng = np.random.default_rng(83 + k)
-        n = 5
-        graphs = tuple(random_graph(rng, n, p=0.7) for _ in range(k))
-        spec = ProblemSpec(
-            spectrum=TargetSpectrum(values=random_targets(rng, n, k), n=n, k=k),
-            lead=LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, n)),
-            graphs=graphs,
-            offdiag_values=tuple(rng.choice([-1.0, 1.0], g.num_edges) * rng.uniform(0.01, 3.0, g.num_edges)
-                                 for g in graphs),
-        )
+        spec = signed_spec(rng, 5, k, lambda rng, m: rng.choice([-1.0, 1.0], m) * rng.uniform(0.01, 3.0, m))
+        rows, decompose = [], solver.decompose_row
+
+        def recording(row, *args):
+            rows.append(row.copy())
+            return decompose(row, *args)
+
+        monkeypatch.setattr(solver, "decompose_row", recording)
+        seed = seed_unknowns(spec.spectrum, spec.lead)
+        real = 0
         for tau in (0.0, 1 / 64, 1 / 3, 0.375, 0.75, 1.0):
-            got = solver.companion_template(spec, tau)
-            want = matpoly.CompanionTemplate.from_coefficients(
-                [tau * y for y in spec.ramp.coeffs], spec.lead.alpha_k, matpoly.SEP_TOL_REL * spec.spectrum.scale)
-            assert got.matrix.tobytes() == want.matrix.tobytes()
-            for name in ("diagonal", "lead", "divisor"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert got.sep_tol == want.sep_tol
+            for scale in (0.0, 0.01, 0.5):
+                x = seed + scale * rng.standard_normal(len(seed))
+                real += same_spectral_map(x, spec, tau)
+                want = np.hstack([matrix_of_graph(g, x[5 * s:5 * s + 5], tau * y)
+                                  for s, (g, y) in enumerate(zip(spec.graphs, spec.offdiag_values))])
+                assert rows[-1].tobytes() == want.tobytes()
+        assert len(rows) == 18 and real >= 5
 
-    def test_solve_leaves_the_cached_parts_unchanged(self, linked4_spec, monkeypatch):
-        diagonal, lead, divisor, _ = linked4_spec.companion_parts
-        cached = (linked4_spec.ramp_row, diagonal, lead, divisor)
+    def test_solve_leaves_the_cached_ramp_unchanged(self, linked4_spec, monkeypatch):
+        cached = (linked4_spec.ramp_row, linked4_spec.lead.alpha_k)
         before = [a.tobytes() for a in cached]
-        matrices, template, spectrum = [], solver.companion_template, matpoly._spectrum
+        rows, decompose = [], solver.decompose_row
 
-        def recording_template(*args):
-            matrices.append(template(*args).matrix)
-            return template(*args)
+        def recording(row, *args):
+            rows.append(row)
+            return decompose(row, *args)
 
-        def recording_spectrum(C, *args):
-            matrices.append(C)
-            return spectrum(C, *args)
-
-        monkeypatch.setattr(solver, "companion_template", recording_template)
-        monkeypatch.setattr(matpoly, "_spectrum", recording_spectrum)
+        monkeypatch.setattr(solver, "decompose_row", recording)
         assert continuation_solve(linked4_spec).converged
-        assert len(matrices) > 10
+        assert len(rows) > 5
         assert [a.tobytes() for a in cached] == before
-        assert not any(a.flags.writeable for a in cached)
-        assert not any(np.shares_memory(C, a) for C in matrices for a in cached)
+        assert not linked4_spec.ramp_row.flags.writeable
+        assert not any(np.shares_memory(row, linked4_spec.ramp_row) for row in rows)
 
 
 class TestMatchTargets:
@@ -370,10 +365,11 @@ class TestNewtonSolve:
                     if (i + 1, j + 1) not in edge_set:
                         assert A[i, j] == 0.0
 
-    def test_one_linearization_per_solve_whatever_the_trial_count(self, monkeypatch):
-        # the linearization is the companion template, built from the ramp:
-        # linearize itself is never called
-        calls = {"companion_template": 0, "linearize": 0, "spectral_map": 0}
+    def test_one_coefficient_row_per_trial_whatever_the_trial_count(self, monkeypatch):
+        # every spectral_map decomposes its own coefficient row: no
+        # polynomial is assembled or linearized, and no proper_values runs
+        names = ("assemble", "decompose_row", "proper_values", "spectral_map")
+        calls = dict.fromkeys(names + ("linearize",), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -381,23 +377,22 @@ class TestNewtonSolve:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(solver, "companion_template",
-                            counting("companion_template", solver.companion_template))
+        for name in names:
+            monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
         monkeypatch.setattr(matpoly, "linearize", counting("linearize", matpoly.linearize))
-        monkeypatch.setattr(solver, "spectral_map", counting("spectral_map", solver.spectral_map))
         trials = []
         # at its fold Newton converges linearly, so the full solve makes many
         # trials; max_iter = 1 allows one, and a start at the root none
         fold = fold_spec()
         root, _, _ = newton_solve(fold)
         for spec, x0 in ((fold, None), (fold_spec(max_iter=1), None), (fold, root)):
-            calls.update(companion_template=0, linearize=0, spectral_map=0)
+            calls.update(dict.fromkeys(calls, 0))
             try:
                 newton_solve(spec, x0=x0)
             except NoConvergence:
                 pass
-            assert calls["companion_template"] == 1
-            assert calls["linearize"] == 0
+            assert calls["decompose_row"] == calls["spectral_map"] >= 1
+            assert calls["assemble"] == calls["linearize"] == calls["proper_values"] == 0
             trials.append(calls["spectral_map"])
         assert max(trials) > 10 * min(trials)
 
@@ -510,18 +505,17 @@ class TestValuesOnly:
     def test_values_agree_with_the_full_branch(self, n, k):
         rng = np.random.default_rng([61, n, k])
         spec = make_spec(rng, n, k, epsilon=0.3) if n < 20 else weakly_coupled_spec(n, k)
-        companion = solver.companion_template(spec)
         seed = seed_unknowns(spec.spectrum, spec.lead)
         real = 0
         for scale in (0.0, 0.01, 0.1, 1.0, 5.0):
             x = seed + scale * rng.standard_normal(n * k)
             try:
-                full = spectral_map(x, spec, 1.0, companion)
+                full = spectral_map(x, spec)
             except (NonRealSpectrum, NearDegenerate) as exc:
                 with pytest.raises(type(exc)):
-                    spectral_map(x, spec, 1.0, companion, np.ones((n * k, n)))
+                    spectral_map(x, spec, rows=np.ones((n * k, n)))
                 continue
-            got = spectral_map(x, spec, 1.0, companion, full.companion_rows)
+            got = spectral_map(x, spec, rows=full.companion_rows)
             assert got.companion_rows is full.companion_rows
             assert np.max(np.abs(got.values - full.values)) <= 1e-12 * spec.spectrum.scale
             real += 1
@@ -883,13 +877,14 @@ class TestProblemSpecInvariants:
 def test_jacobian_matches_the_unit_vector_definition(build):
     # jacobian_x reads the eigenvector rows at the eigensolver's scale and
     # sign; the reference is its unit-vector form: -lambda^s u_r^2 /
-    # (u^T P'(lambda) u) for unit proper vectors u, with [A_1 ... A_k] read
-    # from the companion's last block row and the forms summed by Horner
-    decomp = proper_values(build())
-    lam, U, lead = decomp.values, unit_vectors(decomp), decomp.lead
+    # (u^T P'(lambda) u) for unit proper vectors u, with [A_1 ... A_k] the
+    # polynomial's own coefficients and the forms summed by Horner
+    P = build()
+    decomp = proper_values(P)
+    lam, U = decomp.values, unit_vectors(decomp)
     nk, n = U.shape
     k = nk // n
-    upper = np.hstack((-lead[:, None] * decomp.companion[-n:, n:], np.diag(lead)))
+    upper = np.hstack(P.coeffs[1:])
     forms = np.arange(1, k + 1) * np.sum((U @ upper).reshape(nk, k, n) * U[:, None, :], axis=2)
     den = forms[:, -1]
     for j in range(k - 2, -1, -1):
