@@ -42,7 +42,6 @@ from .sensitivity import (
     jacobian_fd,
     jacobian_x,
     seed_vandermonde_check,
-    tau_derivative,
 )
 from .solver import (
     IterationRecord,
@@ -68,7 +67,7 @@ __all__ = [
     "linearize", "proper_values",
     "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_unknowns",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
-    "seed_vandermonde_check", "tau_derivative",
+    "seed_vandermonde_check",
     "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",
     "VerifyReport", "assemble", "continuation_solve", "match_targets",
     "newton_solve", "spectral_map", "verify",

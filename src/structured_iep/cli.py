@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
     0  success
-    2  file/parse error
+    2  file/parse error, or an --out file that cannot be written
     3  domain invariant violation (including a numerically multiple proper value)
     4  solver did not converge (the report at the last converged tau is still written)
     5  non-real spectrum at the evaluation point (for solve: no tau converged)
@@ -52,10 +52,15 @@ def _finite_or_null(value):
 
 
 def _emit(doc: dict, out: str | None):
+    """Write doc as JSON to the file ``out``, or to stdout; a file that
+    cannot be written raises ProblemFormatError."""
     text = json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ProblemFormatError(f"cannot write --out file {out}: {exc.strerror or exc}") from exc
     else:
         print(text)
 

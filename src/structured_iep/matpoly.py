@@ -15,30 +15,28 @@ A_0 + zD (D the positive leading diagonal, A_0 required symmetric): eigh
 of -D^{-1/2} A_0 D^{-1/2} gives real values and their vectors, so it
 needs no non-real check.  The vectors keep the eigensolver's scale and
 sign: the sensitivities read them only through ratios of quadratic forms.
-Their denominators v^T P'(lambda) v are SpectralDecomposition.denominators,
-computed once from the coefficients [A_1 ... A_{k-1}] and the leading
-diagonal that decompose_row hands the decomposition.  decompose_row,
-which proper_values and the solver's spectral_map both run, takes the
-coefficient row [A_0 ... A_{k-1}] and lays out its companion with
-companion_layout.  Given ``rows`` it computes values only (eigvals, or
-eigvalsh at degree 1), with the same checks, and keeps those rows as the
-proper vectors: the solver's Newton trials near a root at full coupling
-reuse the vectors of their corrector's start.
+
+decompose_row, which proper_values and the solver's spectral_map both run,
+takes the coefficient row [A_0 ... A_{k-1}] and lays out its companion
+with companion_layout, or at degree 1 the pencil matrix itself.  Given
+``rows`` it computes values only (eigvals, or eigvalsh at degree 1), with
+the same checks, and keeps those rows as the proper vectors: the solver's
+Newton trials near a root at full coupling reuse the vectors of their
+corrector's start.  Its SpectralDecomposition is plain data, the pairs
+with P's coefficients [A_1 ... A_{k-1}] and leading diagonal: this module
+solves, and the sensitivity module differentiates from that data.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum
+from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum
 
 REAL_TOL_DEFAULT = 1e-8
 SEP_TOL_REL = 1e-10
-DENOM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,8 @@ class SpectralDecomposition:
 
     Row q of ``companion_rows`` is a real proper vector for values[q], not
     normalised.  ``upper`` is P's [A_1 ... A_{k-1}] (n x (k-1)n, empty at
-    k = 1) and ``lead`` its leading diagonal: ``denominators`` reads P'
-    from them.
+    k = 1) and ``lead`` its leading diagonal: with the values they give P'
+    at each value, which the sensitivities read.
     """
 
     values: np.ndarray
@@ -95,43 +93,6 @@ class SpectralDecomposition:
 
     def __len__(self):
         return len(self.values)
-
-    def forms(self, A: np.ndarray) -> np.ndarray:
-        """v_q^T A_s v_q (row q, column s) for the rows v_q of
-        companion_rows and the blocks of A = [A_0 A_1 ...]."""
-        V = self.companion_rows
-        m, n = V.shape
-        return ((V @ A).reshape(m, -1, n) * V[:, None, :]).sum(axis=2)
-
-    @cached_property
-    def denominators(self) -> np.ndarray:
-        """v_q^T P'(lambda_q) v_q for each pair (lambda_q, v_q), computed
-        once per decomposition, with A_k = diag(lead) and A_s (0 < s < k)
-        the blocks of ``upper``.  Raises DegenerateDenominator when one is
-        at most DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F
-        |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero
-        row)."""
-        lead, lams, V, upper = self.lead, self.values, self.companion_rows, self.upper
-        n = len(lead)
-        k = upper.shape[1] // n + 1
-        sq = V * V
-        den = k * (sq @ lead)
-        scale = k * math.sqrt(lead @ lead)
-        if k > 1:
-            forms = self.forms(upper)
-            norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
-            size = np.abs(lams)
-            for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
-                den = den * lams + s * forms[:, s - 1]
-                scale = scale * size + s * norms[s - 1]
-        small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
-        if small.any():
-            q = int(small.argmax())
-            raise DegenerateDenominator(
-                f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
-                "value numerically non-simple"
-            )
-        return den
 
 
 def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
@@ -147,20 +108,12 @@ def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
     return out
 
 
-def companion_layout(row: np.ndarray, lead: np.ndarray, pencil: bool = False) -> np.ndarray:
+def companion_layout(row: np.ndarray, lead: np.ndarray) -> np.ndarray:
     """The companion layout of sum_s z^s A_s + z^k diag(lead), for the
     block row row = [A_0 ... A_{k-1}] (n x kn): the one writer of the
     companion, for linearize and decompose_row.  Identity blocks on the
-    block superdiagonal, and in the last block row -row / lead[r] in row r.
-    With ``pencil`` (k = 1 only) the divisor is sqrt(lead[r] lead[c])
-    instead, but the diagonal stays -A_0[r, r] / lead[r], as the companion
-    writes it."""
+    block superdiagonal, and in the last block row -row / lead[r] in row r."""
     n, nk = row.shape
-    if pencil:
-        root = np.sqrt(lead)
-        C = -row / np.outer(root, root)
-        C[np.diag_indices(n)] = -np.diag(row) / lead
-        return C
     C = np.eye(nk, k=n)  # the identity blocks: nothing in the last block row
     C[-n:] = -row / lead[:, None]
     return C
@@ -203,24 +156,29 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     row q for values[q], the top n rows of the corresponding eigenvectors
     of linearize(P), real: where eig returns complex arrays, the larger of
     each vector's real and imaginary parts.  The eigensolve is eig of
-    companion_layout(row, lead), or eigh of its symmetric pencil at k = 1
-    (the caller supplies a symmetric A_0).  Given ``rows``, it computes
+    companion_layout(row, lead), or at k = 1 eigh of the symmetric pencil
+    matrix -D^{-1/2} A_0 D^{-1/2} (D = diag(lead), the caller supplies a
+    symmetric A_0), its diagonal written as the companion writes it,
+    -A_0[r, r] / lead[r], and its vectors scaled back by the same
+    sqrt(lead).  Given ``rows``, it computes
     values only (eigvals, or eigvalsh at degree 1), with the same checks,
     and ``rows`` is the decomposition's companion_rows.  Its ``upper`` is
     the view row[:, n:]."""
     n = len(lead)
-    pencil = row.shape[1] == n
-    C = companion_layout(row, lead, pencil)
-    if pencil:
+    if row.shape[1] == n:
+        root = np.sqrt(lead)
+        C = -row / np.outer(root, root)
+        C[np.diag_indices(n)] = -np.diag(row) / lead
         if rows is None:
             vals, U = np.linalg.eigh(C)
-            rows = (U / np.sqrt(lead)[:, None]).T
+            rows = (U / root[:, None]).T
         else:
             vals = np.linalg.eigvalsh(C)
         if not np.isfinite(vals).all():
             raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
         _check_separation(vals, sep_tol)
         return SpectralDecomposition(vals, rows, row[:, n:], lead)
+    C = companion_layout(row, lead)
     w, V = np.linalg.eig(C) if rows is None else (np.linalg.eigvals(C), None)
     if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
         bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))

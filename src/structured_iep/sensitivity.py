@@ -1,27 +1,24 @@
 """First-order sensitivities of simple proper values and the spectral Jacobian.
 
-For a simple proper pair (lambda, v) of P and a symmetric one-slot
-perturbation direction B(z) = z^s * E (E with a single unit diagonal entry,
-or a symmetric pair of unit off-diagonal entries), the derivative of the
-tracked proper value is the Rayleigh-quotient formula
+For a simple proper pair (lambda, v) of P and a perturbation direction
+B(z) = sum_s z^s B_s with symmetric B_s, the derivative of the tracked
+proper value is the Rayleigh-quotient formula (Andrew, Chu & Lancaster,
+SIAM J. Matrix Anal. Appl. 14, 1993)
 
     d lambda = -(v^T B(lambda) v) / (v^T P'(lambda) v).
 
-At a diagonal seed with v = e_r this reduces to -lambda^s / P'(lambda)_rr
-for the (r,r) diagonal slot and to exactly 0 for every off-diagonal slot.
-It is a ratio of quadratic forms in v, so the scale and sign of v cancel:
-jacobian_x applies it to every diagonal slot at once, and tau_derivative to
-a whole polynomial direction (the continuation's off-diagonal ramp), both
-with the proper vectors as the eigensolver returned them.  eigderivative
-runs on tau_derivative, with B as the direction and one (value, vector)
-pair, with P's own coefficients, as the decomposition.  Every denominator
-is the decomposition's own cached ``denominators`` (matpoly), read from
-its coefficients [A_1 ... A_{k-1}] and leading diagonal, so the
-continuation's tangent, which needs J and dlambda/dtau at one point,
-computes v^T P'(lambda) v once.
-Away from the seed the formula is the standard simple-eigenvalue one and is
-cross-validated against finite differences (jacobian_fd) rather than taken
-on faith.
+At a diagonal seed with v = e_r this is -lambda^s / P'(lambda)_rr for the
+(r,r) slot of coefficient s and exactly 0 for every off-diagonal slot.
+A ratio of quadratic forms in v, it reads the proper vectors at the
+eigensolver's scale and sign.  This module owns the whole quotient:
+jacobian_x applies it to every diagonal slot and, given a coefficient row
+[B_0 B_1 ...] such as the continuation's ramp, to that direction too, in
+one pass that forms V o V once and reads P' from the decomposition's
+coefficients and leading diagonal.  The tangent's J and dlambda/dtau thus
+share one computation of the denominators; one too small for its scale
+raises DegenerateDenominator.  eigderivative is the direction column of
+one pair for a one-slot B(z) = z^s E.  Away from the seed the formula is
+cross-validated against finite differences (jacobian_fd).
 """
 
 from __future__ import annotations
@@ -31,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_integer, check_real
+from .errors import DegenerateDenominator, check_integer, check_real
 # perfbench/layers.py wraps evaluate at this module, though nothing here calls it
 from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
 from .seed import TargetSpectrum
+
+DENOM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,9 @@ def eigderivative(
     direction: PerturbationDirection,
 ) -> float:
     """Derivative of the simple proper value in ``pair`` (its vector at any
-    scale) along ``direction``: tau_derivative of the one pair, with the
-    direction B(z) = z^s E as the polynomial.  Raises ValueError unless the
-    pair is a finite real value and a finite vector of length n, and
+    scale) along ``direction``: the direction column of jacobian_x for the
+    one pair, with B(z) = z^s E as the direction.  Raises ValueError unless
+    the pair is a finite real value and a finite vector of length n, and
     LeadingCoefficientError unless A_k is diagonal and positive."""
     if not (0 <= direction.s < P.degree):
         raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
@@ -78,46 +77,74 @@ def eigderivative(
     v = np.asarray(v, dtype=float)
     if v.shape != (P.n,) or not np.isfinite(v).all():
         raise ValueError(f"pair vector must be finite with shape ({P.n},), got shape {v.shape}")
-    coeffs = np.zeros((direction.s + 1, P.n, P.n))
-    coeffs[direction.s, i - 1, j - 1] = coeffs[direction.s, j - 1, i - 1] = 1.0
+    n, s = P.n, direction.s
+    B = np.zeros((n, (s + 1) * n))  # [0 ... 0 E], E in block s
+    B[i - 1, s * n + j - 1] = B[j - 1, s * n + i - 1] = 1.0
     decomp = SpectralDecomposition(np.array([lam], dtype=float), v[None, :],
-                                   np.hstack(P.coeffs[:-1])[:, P.n:], P.leading_diagonal())
-    return float(tau_derivative(decomp, MatrixPolynomial(tuple(coeffs)))[0])
+                                   np.hstack(P.coeffs[:-1])[:, n:], P.leading_diagonal())
+    return float(jacobian_x(decomp, B)[0, -1])
 
 
-def jacobian_x(decomp: SpectralDecomposition) -> np.ndarray:
+def _forms(V: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """v_q^T A_s v_q (row q, column s) for the rows v_q of V and the blocks
+    of A = [A_0 A_1 ...]."""
+    m, n = V.shape
+    return ((V @ A).reshape(m, -1, n) * V[:, None, :]).sum(axis=2)
+
+
+def _denominators(decomp: SpectralDecomposition, sq: np.ndarray) -> np.ndarray:
+    """v_q^T P'(lambda_q) v_q for each pair (lambda_q, v_q) of ``decomp``,
+    sq = V o V its squared rows, with A_k = diag(lead) and A_s (0 < s < k)
+    the blocks of ``upper``.  Raises DegenerateDenominator when one is at
+    most DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F
+    |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero row)."""
+    lead, lams, upper = decomp.lead, decomp.values, decomp.upper
+    n = len(lead)
+    k = upper.shape[1] // n + 1
+    den = k * (sq @ lead)
+    scale = k * math.sqrt(lead @ lead)
+    if k > 1:
+        forms = _forms(decomp.companion_rows, upper)
+        norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
+        size = np.abs(lams)
+        for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
+            den = den * lams + s * forms[:, s - 1]
+            scale = scale * size + s * norms[s - 1]
+    small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
+    if small.any():
+        q = int(small.argmax())
+        raise DegenerateDenominator(
+            f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
+            "value numerically non-simple"
+        )
+    return den
+
+
+def jacobian_x(decomp: SpectralDecomposition, direction: np.ndarray | None = None) -> np.ndarray:
     """Jacobian of the ascending proper values w.r.t. the kn diagonal unknowns.
 
     Row q is the q-th pair of ``decomp``; column s*n + r is diagonal entry r
     of coefficient s: -lambda_q^s v_r^2 / (v^T P'(lambda_q) v) for the row
-    v = decomp.companion_rows[q], whose scale and sign cancel.  The
-    denominators are decomp.denominators.
+    v = decomp.companion_rows[q], whose scale and sign cancel.  Given a
+    coefficient row ``direction`` [B_0 B_1 ...], one more column holds
+    -(sum_s lambda_q^s v^T B_s v) / (v^T P'(lambda_q) v) with the same
+    denominators: for the ramp spec.ramp_row, dlambda/dtau, which is zero
+    at a diagonal seed (unit rows v, a ramp with a zero diagonal).
     """
     lams, V = decomp.values, decomp.companion_rows
     sq = V * V
-    nk, n = sq.shape
-    factors = np.empty((nk, nk // n))
-    factors[:, 0] = -1.0 / decomp.denominators
-    for s in range(1, nk // n):  # the column factors -lambda_q^s / den_q
+    m, n = sq.shape
+    k = decomp.upper.shape[1] // n + 1
+    den = _denominators(decomp, sq)
+    factors = np.empty((m, k))
+    factors[:, 0] = -1.0 / den
+    for s in range(1, k):  # the column factors -lambda_q^s / den_q
         factors[:, s] = factors[:, s - 1] * lams
-    return (factors[:, :, None] * sq[:, None, :]).reshape(nk, nk)
-
-
-def tau_derivative(decomp: SpectralDecomposition, D: MatrixPolynomial) -> np.ndarray:
-    """Derivative at tau = 0 of the ascending proper values of P + tau * D (P
-    the polynomial of ``decomp``), the Rayleigh-quotient formula with B = D:
-
-        d lambda_q / d tau = -(v_q^T D(lambda_q) v_q) / (v_q^T P'(lambda_q) v_q).
-
-    With D(z) = sum_s z^s Y_s, Y_s the prescribed off-diagonals of
-    coefficient s, this is the rate at which the continuation in the
-    off-diagonal scale moves the values, with v_q = decomp.companion_rows[q].
-    It vanishes wherever every v_q is a multiple of a unit vector (a
-    diagonal seed), because D has a zero diagonal.
-    """
-    den = decomp.denominators
-    num = (decomp.values[:, None] ** np.arange(len(D.coeffs)) * decomp.forms(np.hstack(D.coeffs))).sum(axis=1)
-    return -num / den
+    J = (factors[:, :, None] * sq[:, None, :]).reshape(m, k * n)
+    if direction is None:
+        return J
+    num = (lams[:, None] ** np.arange(direction.shape[1] // n) * _forms(V, direction)).sum(axis=1)
+    return np.column_stack((J, -num / den))
 
 
 def jacobian_fd(
@@ -173,8 +200,9 @@ def seed_vandermonde_check(
     row_of_target[order] = np.arange(nk)
     lam = decomp.values[row_of_target]
     # (P'(lambda_q))_rr: the denominators of the unit rows e_r, in ascending order
-    units = SpectralDecomposition(decomp.values, np.eye(n)[entry[order]], decomp.upper, decomp.lead)
-    den = units.denominators[row_of_target]
+    units = np.eye(n)[entry[order]]
+    den = _denominators(SpectralDecomposition(decomp.values, units, decomp.upper, decomp.lead),
+                        units * units)[row_of_target]
     # column s*n + r' of J goes to column r'*k + s: one block of k per entry
     scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)
     own = np.zeros((nk, n, k), dtype=bool)

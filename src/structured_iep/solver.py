@@ -13,19 +13,20 @@ the residual fails it, so a losing corrector costs one eigensolve per
 iteration.  At the diagonal seed the tangent is zero, so correctors from
 the seed start at its closed-form second-order term instead, where that
 term moves no target by more than half its gap (_seed_curvature).
-Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL, and the
-Jacobian reads its denominators v^T P'(lambda) v from the decomposition of
-each eigensolve.  The tangent's J and dlambda/dtau share that cached
-computation.  A corrector at tau = 1 that starts within VECTOR_REUSE_SHIFT
-of every target's gap computes proper vectors once, at its start: its
-trials solve for values only, and their Jacobians read the start's
-vectors (no tangent follows the last corrector).  A trial's polynomial is
-one coefficient row [A_0 ... A_{k-1}]: tau times the spec's cached
-off-diagonal row, with the unknowns written on its diagonals by the same
-writer assemble uses, and matpoly.decompose_row lays out its companion.
-A corrector returns its converged state, not a report: the polynomial is
-assembled once per solve, for the one SolveReport continuation_solve
-returns.
+Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL.
+
+This module runs no eigensolve and no derivative of its own: a trial's
+polynomial is one coefficient row [A_0 ... A_{k-1}], tau times the spec's
+cached ramp row with the unknowns written on its diagonals by the same
+writer assemble uses, which matpoly.decompose_row turns into a
+decomposition; sensitivity.jacobian_x turns that into the Newton
+Jacobian, and, given the ramp row as its direction, into the tangent's J
+and dlambda/dtau in one call.  A corrector at tau = 1 that starts within
+VECTOR_REUSE_SHIFT of every target's gap computes proper vectors once, at
+its start: its trials solve for values only, and their Jacobians read the
+start's vectors (no tangent follows the last corrector).  A corrector
+returns its converged state, not a report: the polynomial is assembled
+once per solve, for the one SolveReport continuation_solve returns.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
 from .graphs import Graph, matrix_of_graph
 from .matpoly import MatrixPolynomial, SEP_TOL_REL, SpectralDecomposition, decompose_row, proper_values
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
-from .sensitivity import jacobian_x, tau_derivative
+from .sensitivity import jacobian_x
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
 CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.scale: see continuation_solve
@@ -145,19 +146,14 @@ class ProblemSpec:
     @cached_property
     def ramp_row(self) -> np.ndarray:
         """[Y_0 ... Y_{k-1}] (n x kn), Y_s the prescribed off-diagonals of
-        coefficient s on a zero diagonal.  Built once per spec and
-        read-only: ramp's matrices are its blocks, and every assemble and
+        coefficient s on a zero diagonal: the coefficient row of the ramp
+        D(z) = sum_s z^s Y_s, the direction in which tau moves the
+        polynomial.  Built once per spec and read-only: every assemble and
         spectral_map starts from tau times it."""
         row = np.hstack([matrix_of_graph(g, np.zeros(self.n), y)
                          for g, y in zip(self.graphs, self.offdiag_values)])
         row.flags.writeable = False
         return row
-
-    @cached_property
-    def ramp(self) -> MatrixPolynomial:
-        """D(z) = sum_s z^s Y_s: the direction in which tau moves the
-        polynomial, its matrices the read-only blocks of ramp_row."""
-        return MatrixPolynomial(tuple(np.hsplit(self.ramp_row, self.k)))
 
     @cached_property
     def edge_masks(self) -> np.ndarray:
@@ -210,7 +206,7 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
     prescribed off-diagonals scaled by tau; leading coefficient is fixed.
 
     Coefficient s is block s of spectral_map's coefficient row, tau * Y_s
-    of spec.ramp with x's block s written on its diagonal: for tau >= 0
+    of spec.ramp_row with x's block s written on its diagonal: for tau >= 0
     bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).
     """
     row = _coefficient_row(x, spec, tau)
@@ -278,9 +274,9 @@ def newton_solve(
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map writes its trial's coefficient
-    row, and jacobian_x reads P' (through the decomposition's
-    denominators) and the proper vectors from its decomposition; no
-    polynomial is assembled.
+    row, and jacobian_x reads P' (from the decomposition's coefficients)
+    and the proper vectors from its decomposition; no polynomial is
+    assembled.
     At tau = 1, when the start residual r has max_q |r_q| / g_q <=
     VECTOR_REUSE_SHIFT (g = spectrum.gaps), the proper vectors are computed
     once, at the start: every trial solves for values only, and its
@@ -293,8 +289,9 @@ def newton_solve(
     own, except when the start's vectors were reused: its rows are then the
     start's.  A failed solve raises NoConvergence / SingularJacobian /
     NonRealSpectrum / NearDegenerate, and a bool or non-real ``tol`` or
-    ``tau``, a ``tol`` that is not positive and finite or a non-finite
-    ``tau`` raise InvariantViolation.
+    ``tau``, a ``tol`` that is not positive and finite, a non-finite
+    ``tau``, or an ``x0`` that is not a finite real (non-bool) vector of
+    shape (kn,) raise InvariantViolation.
     """
     if tol is not None:
         _check_tol("tol", tol)
@@ -304,7 +301,13 @@ def newton_solve(
     ctl = spec.controls
     tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol
     targets = spec.spectrum.sorted_values()
-    x = seed_unknowns(spec.spectrum, spec.lead) if x0 is None else np.array(x0, dtype=float, copy=True)
+    if x0 is None:
+        x = seed_unknowns(spec.spectrum, spec.lead)
+    else:
+        x, kn = np.asarray(x0), spec.n * spec.k
+        if x.dtype.kind not in "iuf" or x.shape != (kn,) or not np.isfinite(x).all():
+            raise InvariantViolation(f"x0 must be a finite real vector of shape ({kn},), got {x.dtype} {x.shape}")
+        x = x.astype(float)
     trace = []
 
     decomp = spectral_map(x, spec, tau)  # NonRealSpectrum propagates: continuation trigger
@@ -345,7 +348,8 @@ def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
     decomposition is ``decomp``: -J^{-1} dlambda/dtau, or zero when the
     tangent cannot be formed (the predictor then is the point itself)."""
     try:
-        xdot = -np.linalg.solve(jacobian_x(decomp), tau_derivative(decomp, spec.ramp))
+        A = jacobian_x(decomp, spec.ramp_row)  # [J  dlambda/dtau]
+        xdot = np.linalg.solve(A[:, :-1], -A[:, -1])
     except (np.linalg.LinAlgError, DegenerateDenominator):
         return np.zeros(len(decomp))
     return xdot if np.isfinite(xdot).all() else np.zeros(len(decomp))
@@ -358,10 +362,10 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
 
     Let p_r be the seed's r-th diagonal scalar polynomial, whose roots are
     row r of spec.spectrum.blocks, and D(z) = sum_s z^s Y_s the off-diagonal
-    ramp spec.ramp.  A Schur complement on entry r moves its target lambda_q
-    to lambda_q + tau^2 g_r(lambda_q) / p_r'(lambda_q) + O(tau^3), with
-    g_r(z) = sum_{j != r} D_rj(z)^2 / p_j(z) (Andrew, Chu & Lancaster, SIAM
-    J. Matrix Anal. Appl. 14, 1993).  Adding tau^2 times the degree-(k-1)
+    ramp, Y_s the blocks of spec.ramp_row.  A Schur complement on entry r
+    moves its target lambda_q to lambda_q + tau^2 g_r(lambda_q) /
+    p_r'(lambda_q) + O(tau^3), with g_r(z) = sum_{j != r} D_rj(z)^2 /
+    p_j(z) (Andrew, Chu & Lancaster, SIAM J. Matrix Anal. Appl. 14, 1993).  Adding tau^2 times the degree-(k-1)
     interpolant of g_r at r's k targets to p_r cancels that shift, so entry
     r's block of c (c[s*n + r], s < k) holds the interpolant's
     coefficients.  rho is the largest unpredicted shift
@@ -380,9 +384,10 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     entry = np.arange(n * k) // k
     with np.errstate(all="ignore"):
         # row q: D_rj(lambda_q) and p_j(lambda_q) for r = entry[q], every j
-        d_row = spec.ramp.coeffs[-1][entry]
-        for y in reversed(spec.ramp.coeffs[:-1]):
-            d_row = d_row * col + y[entry]
+        ys = spec.ramp_row.reshape(n, k, n)[entry]  # ys[q, s] = row entry[q] of Y_s
+        d_row = ys[:, -1]
+        for s in range(k - 2, -1, -1):
+            d_row = d_row * col + ys[:, s]
         p_row = alpha * (col - roots[:, 0])
         for i in range(1, k):
             p_row *= col - roots[:, i]

@@ -1,7 +1,6 @@
 """Shared fixtures: demo problems, golden reference solutions, and
 mass-spring-damper system builders used as structured test matrices."""
 
-import functools
 import pathlib
 import sys
 
@@ -14,7 +13,6 @@ from structured_iep import (
     Graph,
     LeadingDiagonal,
     ProblemSpec,
-    SpectralDecomposition,
     TargetSpectrum,
 )
 
@@ -96,17 +94,17 @@ def unit_vectors(decomp):
 
 
 def count_denominators(monkeypatch, calls):
-    """Add one to calls["denominators"] each time a SpectralDecomposition
-    computes its denominators; a cached read adds nothing."""
-    compute = SpectralDecomposition.denominators.func
+    """Add one to calls["denominators"] each time the sensitivities compute
+    the denominators v^T P'(lambda) v of a decomposition."""
+    from structured_iep import sensitivity
 
-    def counted(decomp):
+    compute = sensitivity._denominators
+
+    def counted(*args):
         calls["denominators"] += 1
-        return compute(decomp)
+        return compute(*args)
 
-    prop = functools.cached_property(counted)
-    prop.__set_name__(SpectralDecomposition, "denominators")
-    monkeypatch.setattr(SpectralDecomposition, "denominators", prop)
+    monkeypatch.setattr(sensitivity, "_denominators", counted)
 
 
 def derivative(P):

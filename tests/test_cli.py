@@ -507,6 +507,20 @@ def test_stdout_without_out_is_only_the_report(capsys, tmp_path, command):
     assert isinstance(strict_json(out), dict)
 
 
+@pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["seed", "solve", "verify", "jacobian"])
+def test_unwritable_out_exits_two(capsys, tmp_path, command, bad):
+    argv = [command, PATH4]
+    if command == "verify":
+        poly = tmp_path / "poly.json"
+        run(capsys, ["--quiet", "solve", PATH4, "--out", str(poly)])
+        argv = [command, str(poly), PATH4]
+    dest = tmp_path / "no-such-dir" / "r.json" if bad == "missing-dir" else tmp_path
+    code, out, err = run(capsys, ["--quiet", *argv, "--out", str(dest)])
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith(f"error: cannot write --out file {dest}") and err.count("\n") == 1
+
+
 class TestVerifyTol:
     """verify takes --tol as its value tolerance only, never as newton_tol."""
 

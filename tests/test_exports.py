@@ -60,3 +60,21 @@ def test_only_matpoly_lays_out_the_companion():
             if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name == "companion_layout":
                 users.add(path.name)
     assert not users, f"companion_layout used outside matpoly: {sorted(users)}"
+
+
+def test_only_sensitivity_owns_the_denominator_check():
+    # the Rayleigh quotient's denominators are sensitivity's business: no
+    # other module reads their threshold or raises their failure
+    offenders = set()
+    for path in (ROOT / "src" / "structured_iep").glob("*.py"):
+        if path.name == "sensitivity.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name == "DENOM_TOL":
+                offenders.add(f"{path.name}: DENOM_TOL")
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if "DegenerateDenominator" in (getattr(raised, "id", None), getattr(raised, "attr", None)):
+                    offenders.add(f"{path.name}: raise DegenerateDenominator")
+    assert not offenders, f"denominator check outside sensitivity: {sorted(offenders)}"

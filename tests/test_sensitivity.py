@@ -16,13 +16,13 @@ from structured_iep import (
     evaluate,
     jacobian_fd,
     jacobian_x,
-    matpoly,
     proper_values,
     seed_coefficients,
     seed_unknowns,
     seed_vandermonde_check,
+    sensitivity,
+    solver,
     spectral_map,
-    tau_derivative,
 )
 
 from conftest import (
@@ -299,7 +299,7 @@ class TestJacobianFromDecomposition:
         P = assemble(x, spec, 0.5)
         for decomp in (spectral_map(x, spec, 0.5), proper_values(P)):
             lam, V = decomp.values, decomp.companion_rows
-            den = decomp.denominators
+            den = sensitivity._denominators(decomp, V * V)
             want = np.einsum("qi,qij,qj->q", V, evaluate(derivative(P), lam), V)
             assert np.max(np.abs(den - want) / np.abs(want)) <= 1e-13
 
@@ -316,7 +316,7 @@ class TestJacobianFromDecomposition:
         for row_scale in (1.0, 1e-3, -0.5, -1e3):
             decomp = SpectralDecomposition(values=values, companion_rows=row_scale * rows, upper=P.coeffs[1],
                                            lead=np.ones(2))
-            degenerate = any(abs(v @ evaluate(dP, lam) @ v) < matpoly.DENOM_TOL * coefficient_scale(dP, lam)
+            degenerate = any(abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * coefficient_scale(dP, lam)
                              for lam, v in zip(values, unit_vectors(decomp)))
             assert degenerate == (delta < 7.07e-11)
             if degenerate:
@@ -327,7 +327,7 @@ class TestJacobianFromDecomposition:
 
 
 class TestRawRows:
-    """jacobian_x and tau_derivative read the eigenvector rows as the
+    """jacobian_x and its direction column read the eigenvector rows as the
     eigensolver returns them: any nonzero scale and sign per row."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -340,7 +340,7 @@ class TestRawRows:
         rescaled = SpectralDecomposition(values=decomp.values,
                                          companion_rows=decomp.companion_rows * factors[:, None],
                                          upper=decomp.upper, lead=decomp.lead)
-        for f in (jacobian_x, lambda d: tau_derivative(d, spec.ramp)):
+        for f in (jacobian_x, lambda d: jacobian_x(d, spec.ramp_row)[:, -1]):
             want = f(decomp)
             assert np.max(np.abs(f(rescaled) - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -354,51 +354,63 @@ class TestRawRows:
         with pytest.raises(DegenerateDenominator, match="row 3"):
             jacobian_x(zeroed)
         with pytest.raises(DegenerateDenominator, match="row 3"):
-            tau_derivative(zeroed, path4_spec.ramp)
+            jacobian_x(zeroed, path4_spec.ramp_row)
         with pytest.raises(DegenerateDenominator):
             eigderivative(P, (decomp.values[3], rows[3]), PerturbationDirection(s=0, diag=1))
 
 
-class TestCachedDenominators:
-    """SpectralDecomposition.denominators is computed once per
-    decomposition and shared by jacobian_x and tau_derivative."""
+class TestOneDenominatorsPerCall:
+    """Each jacobian_x call computes the denominators v^T P'(lambda) v once,
+    for the diagonal columns and the direction column alike; nothing is
+    cached on the decomposition."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_jacobian_then_tau_derivative_compute_them_once(self, k, monkeypatch):
+    def test_the_direction_column_shares_the_call(self, k, monkeypatch):
         spec = mixed_sign_spec(k, seed=20 + k)
         x = seed_unknowns(spec.spectrum, spec.lead) + np.random.default_rng(k).uniform(-0.05, 0.05, 4 * k)
         decomp = spectral_map(x, spec, 0.5)
-
-        def fresh():
-            return SpectralDecomposition(decomp.values, decomp.companion_rows, decomp.upper, decomp.lead)
-
-        want = jacobian_x(fresh()), tau_derivative(fresh(), spec.ramp)
+        J = jacobian_x(decomp)
         calls = {"denominators": 0}
         count_denominators(monkeypatch, calls)
-        got = jacobian_x(decomp), tau_derivative(decomp, spec.ramp)
+        A = jacobian_x(decomp, spec.ramp_row)
         assert calls == {"denominators": 1}
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert A.shape == (4 * k, 4 * k + 1)
+        assert A[:, :-1].tobytes() == J.tobytes()
 
-    def test_a_zero_row_raises_from_both_and_is_not_cached(self, path4_spec, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_tangent_computes_them_once(self, k, monkeypatch):
+        spec = mixed_sign_spec(k, seed=20 + k)
+        x = seed_unknowns(spec.spectrum, spec.lead) + np.random.default_rng(k).uniform(-0.05, 0.05, 4 * k)
+        decomp = spectral_map(x, spec, 0.5)
+        calls = {"denominators": 0}
+        count_denominators(monkeypatch, calls)
+        xdot = solver._tangent(spec, decomp)
+        assert calls == {"denominators": 1}
+        A = jacobian_x(decomp, spec.ramp_row)
+        assert np.abs(A[:, :-1] @ xdot + A[:, -1]).max() <= 1e-10 * np.abs(A[:, -1]).max()
+        assert np.abs(xdot).max() > 0.0
+
+    def test_a_zero_row_raises_from_every_call(self, path4_spec, monkeypatch):
         decomp = proper_values(golden_path4_polynomial())
         rows = decomp.companion_rows.copy()
         rows[3] = 0.0
         zeroed = SpectralDecomposition(decomp.values, rows, decomp.upper, decomp.lead)
         calls = {"denominators": 0}
         count_denominators(monkeypatch, calls)
-        for f in (jacobian_x, lambda d: tau_derivative(d, path4_spec.ramp), jacobian_x):
+        for f in (jacobian_x, lambda d: jacobian_x(d, path4_spec.ramp_row), jacobian_x):
             with pytest.raises(DegenerateDenominator, match="row 3"):
                 f(zeroed)
         assert calls == {"denominators": 3}
-        assert "denominators" not in vars(zeroed)
 
 
-class TestTauDerivative:
+class TestDirectionColumn:
+    """The last column of jacobian_x(decomp, spec.ramp_row): dlambda/dtau."""
+
     def test_matches_central_difference_in_tau(self, path4_spec):
         gold = golden_path4_polynomial()
         x = np.concatenate([np.diag(gold.coeffs[0]), np.diag(gold.coeffs[1])])
         P = assemble(x, path4_spec, tau=1.0)
-        d = tau_derivative(proper_values(P), path4_spec.ramp)
+        d = jacobian_x(proper_values(P), path4_spec.ramp_row)[:, -1]
         h = 1e-5
         fd = (proper_values(assemble(x, path4_spec, tau=1.0 + h)).values
               - proper_values(assemble(x, path4_spec, tau=1.0 - h)).values) / (2 * h)
@@ -407,7 +419,7 @@ class TestTauDerivative:
 
     def test_exactly_zero_at_diagonal_seed(self, path4_spec):
         P = path4_spec.seed()
-        d = tau_derivative(proper_values(P), path4_spec.ramp)
+        d = jacobian_x(proper_values(P), path4_spec.ramp_row)[:, -1]
         assert np.array_equal(d, np.zeros(8))
 
 

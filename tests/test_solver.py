@@ -179,7 +179,7 @@ class TestAssemble:
 
     def test_matches_a_per_graph_reference_after_a_solve(self):
         # mixed signs: at tau = 0 the edges hold -0.0 in both; the solve
-        # reads spec.ramp throughout, and must not have written it
+        # reads spec.ramp_row throughout, and must not have written it
         spec = ProblemSpec(
             spectrum=TargetSpectrum(values=TARGETS, n=4, k=2),
             lead=LeadingDiagonal(alpha_k=np.ones(4)),
@@ -192,7 +192,7 @@ class TestAssemble:
             P = assemble(x, spec, tau)
             for s, (g, y) in enumerate(zip(spec.graphs, spec.offdiag_values)):
                 assert P.coeffs[s].tobytes() == matrix_of_graph(g, x[4 * s:4 * s + 4], tau * y).tobytes()
-        assert not any(c.flags.writeable for c in spec.ramp.coeffs)
+        assert not spec.ramp_row.flags.writeable
 
 
 class TestSpectralMap:
@@ -418,6 +418,19 @@ class TestNewtonSolve:
     def test_rejects_bad_tol_and_tau(self, kwargs, path4_spec):
         with pytest.raises(InvariantViolation, match="tol|tau"):
             newton_solve(path4_spec, **kwargs)
+
+    @pytest.mark.parametrize("x0", [
+        np.zeros(3), np.r_[np.nan, np.ones(7)], np.r_[np.ones(7), np.inf], [True] * 8, "abc",
+        np.ones(8) + 0j,
+    ], ids=["length-3", "nan", "inf", "bool", "str", "complex"])
+    def test_rejects_a_bad_x0(self, x0, path4_spec):
+        with pytest.raises(InvariantViolation, match=r"x0 must be a finite real vector of shape \(8,\)"):
+            newton_solve(path4_spec, x0=x0)
+
+    def test_rejects_a_nan_x0_at_degree_one(self):
+        # k = 1 would otherwise reach eigh of the pencil matrix
+        with pytest.raises(InvariantViolation, match=r"x0 must be a finite real vector of shape \(2,\)"):
+            newton_solve(fold_spec(), x0=np.array([np.nan, 0.0]))
 
     def test_nonreal_start_raises(self, path4_spec):
         # full-strength off-diagonals on both path coefficients push a pair
@@ -1010,7 +1023,7 @@ class TestSeedPredictor:
 
 
 def test_continuation_solve_builds_each_offdiagonal_matrix_once(path4_spec, monkeypatch):
-    # spec.ramp is built once; assemble scales it instead of rebuilding it
+    # spec.ramp_row is built once; assemble scales it instead of rebuilding it
     calls = []
 
     def counting(*args):
@@ -1085,11 +1098,11 @@ def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
 @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
 def test_bundled_solve_counts(name, request, monkeypatch):
     # machine-independent work of one bundled solve, path (0.5, 1): 9
-    # eigensolves, 6 Newton Jacobians and one tangent; the tangent's
-    # jacobian_x and tau_derivative share one computation of the
-    # decomposition's denominators
+    # eigensolves, 6 Newton Jacobians and one tangent; each jacobian_x call,
+    # the tangent's with its direction column included, computes the
+    # denominators once
     spec = request.getfixturevalue(name)
-    calls = dict.fromkeys(("eig", "denominators", "tau_derivative", "jacobian_x", "_tangent"), 0)
+    calls = dict.fromkeys(("eig", "denominators", "jacobian_x", "_tangent"), 0)
 
     def counting(label, fn):
         def wrapper(*args, **kwargs):
@@ -1099,8 +1112,8 @@ def test_bundled_solve_counts(name, request, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     count_denominators(monkeypatch, calls)
-    for label in ("tau_derivative", "jacobian_x", "_tangent"):
+    for label in ("jacobian_x", "_tangent"):
         monkeypatch.setattr(solver, label, counting(label, getattr(solver, label)))
     rep = continuation_solve(spec)
     assert rep.converged and rep.continuation_path == (0.5, 1.0)
-    assert calls == {"eig": 9, "denominators": 7, "tau_derivative": 1, "jacobian_x": 7, "_tangent": 1}
+    assert calls == {"eig": 9, "denominators": 7, "jacobian_x": 7, "_tangent": 1}
