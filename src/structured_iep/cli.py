@@ -4,7 +4,7 @@ Exit codes are a stable contract:
     0  success
     2  file/parse error, or an --out file that cannot be written
     3  domain invariant violation (including a numerically multiple proper value)
-    4  solver did not converge (the report at the last converged tau is still written)
+    4  solver did not converge, overflow included (the report at the last converged tau is still written)
     5  non-real spectrum at the evaluation point (for solve: no tau converged)
     6  verification failure
 """

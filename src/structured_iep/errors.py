@@ -1,6 +1,9 @@
-"""Exception taxonomy shared across the package, and its type checks."""
+"""Exception taxonomy shared across the package, and its input rules."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class StructuredIEPError(Exception):
@@ -50,6 +53,24 @@ def check_integer(name, value, error=InvariantViolation):
 
 
 def check_real(name, value, error=InvariantViolation):
-    """Raise ``error`` unless value is a real number: numbers.Real, not bool."""
+    """Raise ``error`` unless value is a finite real number: numbers.Real, not bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be a real number and finite, got {value}")
+
+
+def real_vector(name, value, length=None, error=InvariantViolation) -> np.ndarray:
+    """A fresh float64 copy of ``value``, the rule of every vector input:
+    integer or floating entries (no bool, complex, text or object), one
+    dimension, ``length`` entries (any when None), all finite.  Otherwise,
+    a ragged list included, raise ``error``."""
+    shape = "(n,)" if length is None else f"({length},)"
+    try:
+        v = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise error(f"{name} must be a finite real vector of shape {shape}, got a ragged sequence") from None
+    if (v.dtype.kind not in "iuf" or v.ndim != 1 or (length is not None and len(v) != length)
+            or not np.isfinite(v).all()):
+        raise error(f"{name} must be a finite real vector of shape {shape}, got {v.dtype} {v.shape}")
+    return v.astype(float)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphFormatError, check_integer
+from .errors import GraphFormatError, check_integer, real_vector
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,10 @@ class Graph:
 
 def matrix_of_graph(g: Graph, diag, offdiag) -> np.ndarray:
     """Symmetric matrix with ``diag`` on the diagonal and ``offdiag`` on the
-    edges of ``g`` (canonical edge order); structural zeros elsewhere."""
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
-    if diag.shape != (g.n,):
-        raise ValueError(f"diag has length {diag.shape}, expected ({g.n},)")
-    if offdiag.shape != (g.num_edges,):
-        raise ValueError(f"offdiag has length {offdiag.shape}, expected ({g.num_edges},)")
+    edges of ``g`` (canonical edge order); structural zeros elsewhere.  A
+    bad vector (see errors.real_vector) raises ValueError."""
+    diag = real_vector("diag", diag, g.n, ValueError)
+    offdiag = real_vector("offdiag", offdiag, g.num_edges, ValueError)
     A = np.zeros((g.n, g.n))
     A[np.diag_indices(g.n)] = diag
     for val, (i, j) in zip(offdiag, g.edges):

@@ -37,6 +37,8 @@ from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate,
 
 REAL_TOL_DEFAULT = 1e-8
 SEP_TOL_REL = 1e-10
+# a spectrum off the real, simple regime, or a matrix LAPACK refuses (overflow)
+SPECTRUM_FAILURES = (NonRealSpectrum, NearDegenerate, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,7 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     the coefficient row row = [A_0 ... A_{k-1}] (n x kn) and a positive
     ``lead``, with the checks of proper_values: the ascending values and,
     row q for values[q], the top n rows of the corresponding eigenvectors
-    of linearize(P), real: where eig returns complex arrays, the larger of
-    each vector's real and imaginary parts.  The eigensolve is eig of
+    of linearize(P).  The eigensolve is eig of
     companion_layout(row, lead), or at k = 1 eigh of the symmetric pencil
     matrix -D^{-1/2} A_0 D^{-1/2} (D = diag(lead), the caller supplies a
     symmetric A_0), its diagonal written as the companion writes it,
@@ -163,7 +164,10 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     sqrt(lead).  Given ``rows``, it computes
     values only (eigvals, or eigvalsh at degree 1), with the same checks,
     and ``rows`` is the decomposition's companion_rows.  Its ``upper`` is
-    the view row[:, n:]."""
+    the view row[:, n:].  eig and eigvals return complex arrays only for a
+    nonzero imaginary part, and LAPACK stores each conjugate pair with
+    bitwise-equal real parts: a complex output raises NonRealSpectrum, or
+    ties on the real line and NearDegenerate (sep_tol > 0)."""
     n = len(lead)
     if row.shape[1] == n:
         root = np.sqrt(lead)
@@ -176,27 +180,21 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
             vals = np.linalg.eigvalsh(C)
         if not np.isfinite(vals).all():
             raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
-        _check_separation(vals, sep_tol)
-        return SpectralDecomposition(vals, rows, row[:, n:], lead)
-    C = companion_layout(row, lead)
-    w, V = np.linalg.eig(C) if rows is None else (np.linalg.eigvals(C), None)
-    if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
-        bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
-        if bad.any():
-            raise NonRealSpectrum(
-                f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
-                f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
-            )
-    w = w.real
-    order = w.argsort(kind="stable")
-    vals = w[order]
+    else:
+        C = companion_layout(row, lead)
+        w, V = np.linalg.eig(C) if rows is None else (np.linalg.eigvals(C), None)
+        if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
+            bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
+            if bad.any():
+                raise NonRealSpectrum(
+                    f"{int(bad.sum())} eigenvalue(s) with non-negligible imaginary part "
+                    f"(max |imag| = {np.max(np.abs(w.imag)):.3g})"
+                )
+        order = w.real.argsort(kind="stable")
+        vals = w.real[order]
+        if V is not None:
+            rows = V[:n, order].T
     _check_separation(vals, sep_tol)
-    if V is not None:
-        rows = V[:n]
-        if np.iscomplexobj(rows):  # a real value's vector is real up to a complex phase: keep its larger part
-            use_imag = np.linalg.norm(rows.imag, axis=0) > np.linalg.norm(rows.real, axis=0)
-            rows = np.where(use_imag, rows.imag, rows.real)
-        rows = rows[:, order].T
     return SpectralDecomposition(vals, rows, row[:, n:], lead)
 
 

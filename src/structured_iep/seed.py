@@ -16,29 +16,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, check_integer
+from .errors import InvariantViolation, check_integer, real_vector
 from .matpoly import MatrixPolynomial, SEP_TOL_REL
 
 
 @dataclass(frozen=True)
 class TargetSpectrum:
-    values: np.ndarray  # length n*k, input order
+    values: np.ndarray  # length n*k, input order: a read-only float64 copy
     n: int
     k: int
 
     def __post_init__(self):
         check_integer("n", self.n)
         check_integer("k", self.k)
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
         if self.n < 1 or self.k < 1:
             raise InvariantViolation(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
-        if vals.shape != (self.n * self.k,):
-            raise InvariantViolation(
-                f"expected {self.n * self.k} target values, got {vals.shape[0] if vals.ndim == 1 else vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvariantViolation("target values must be finite")
+        vals = real_vector("target values", self.values, self.n * self.k)
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
         if len(vals) > 1 and np.min(np.diff(np.sort(vals))) < SEP_TOL_REL * self.scale:
             raise InvariantViolation("target values must be pairwise distinct")
 
@@ -79,13 +74,14 @@ class TargetSpectrum:
 
 @dataclass(frozen=True)
 class LeadingDiagonal:
-    alpha_k: np.ndarray  # length n, strictly positive
+    alpha_k: np.ndarray  # length n, strictly positive: a read-only float64 copy
 
     def __post_init__(self):
-        a = np.asarray(self.alpha_k, dtype=float)
+        a = real_vector("leading diagonal", self.alpha_k)
+        a.flags.writeable = False
         object.__setattr__(self, "alpha_k", a)
-        if a.ndim != 1 or not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-            raise InvariantViolation("leading diagonal entries must be finite and strictly positive")
+        if np.any(a <= 0.0):
+            raise InvariantViolation("leading diagonal entries must be strictly positive")
 
 
 def seed_unknowns(spec: TargetSpectrum, lead: LeadingDiagonal) -> np.ndarray:

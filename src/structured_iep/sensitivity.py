@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, check_integer, check_real
+from .errors import DegenerateDenominator, check_integer, check_real, real_vector
 # perfbench/layers.py wraps evaluate at this module, though nothing here calls it
 from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
 from .seed import TargetSpectrum
@@ -72,11 +72,7 @@ def eigderivative(
         raise ValueError(f"entry ({i}, {j}) out of range 1..{P.n}")
     lam, v = pair
     check_real("pair value", lam, ValueError)
-    if not math.isfinite(lam):
-        raise ValueError(f"pair value must be finite, got {lam}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (P.n,) or not np.isfinite(v).all():
-        raise ValueError(f"pair vector must be finite with shape ({P.n},), got shape {v.shape}")
+    v = real_vector("pair vector", v, P.n, ValueError)
     n, s = P.n, direction.s
     B = np.zeros((n, (s + 1) * n))  # [0 ... 0 E], E in block s
     B[i - 1, s * n + j - 1] = B[j - 1, s * n + i - 1] = 1.0
@@ -154,8 +150,8 @@ def jacobian_fd(
     """Central-difference Jacobian: re-solve proper values with each diagonal
     unknown perturbed by +-h, rows in ascending order."""
     check_real("step", h, ValueError)
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step must be positive and finite, got {h}")
+    if not h > 0.0:
+        raise ValueError(f"step must be positive, got {h}")
     n, k = P.n, P.degree
     nk = n * k
     J = np.empty((nk, nk))

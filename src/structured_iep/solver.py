@@ -37,18 +37,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    InvariantViolation,
-    NearDegenerate,
-    NoConvergence,
-    NonRealSpectrum,
-    SingularJacobian,
-    check_integer,
-    check_real,
-)
+from .errors import (DegenerateDenominator, InvariantViolation, NoConvergence, SingularJacobian, check_integer,
+                     check_real, real_vector)
 from .graphs import Graph, matrix_of_graph
-from .matpoly import MatrixPolynomial, SEP_TOL_REL, SpectralDecomposition, decompose_row, proper_values
+from .matpoly import (MatrixPolynomial, SEP_TOL_REL, SPECTRUM_FAILURES, SpectralDecomposition, decompose_row,
+                      proper_values)
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
 from .sensitivity import jacobian_x
 
@@ -67,8 +60,8 @@ two digits."""
 def _check_tol(name: str, tol) -> None:
     """Raise InvariantViolation unless tol is a positive, finite real number."""
     check_real(name, tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvariantViolation(f"{name} must be positive and finite")
+    if not tol > 0:
+        raise InvariantViolation(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,6 +85,9 @@ class SolverControls:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """The whole problem.  A component of the wrong type raises
+    InvariantViolation; offdiag_values holds read-only float64 copies."""
+
     spectrum: TargetSpectrum
     lead: LeadingDiagonal
     graphs: tuple[Graph, ...]  # G_0 .. G_{k-1}
@@ -100,6 +96,11 @@ class ProblemSpec:
     controls: SolverControls = field(default_factory=SolverControls)
 
     def __post_init__(self):
+        for name, kind in (("spectrum", TargetSpectrum), ("lead", LeadingDiagonal), ("controls", SolverControls)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise InvariantViolation(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        if not isinstance(self.graphs, tuple) or not all(isinstance(g, Graph) for g in self.graphs):
+            raise InvariantViolation("graphs must be a tuple of Graph objects")
         n, k = self.spectrum.n, self.spectrum.k
         check_real("epsilon", self.epsilon)
         if len(self.graphs) != k:
@@ -109,8 +110,6 @@ class ProblemSpec:
                 raise InvariantViolation(f"graph {s} has {g.n} vertices, expected {n}")
         if self.lead.alpha_k.shape != (n,):
             raise InvariantViolation(f"leading diagonal has wrong length {self.lead.alpha_k.shape[0]}")
-        if not math.isfinite(self.epsilon):
-            raise InvariantViolation("epsilon must be finite")
         given = (None,) * k if self.offdiag_values is None else tuple(self.offdiag_values)
         if len(given) != k:
             raise InvariantViolation(f"need {k} off-diagonal vectors, got {len(given)}")
@@ -119,16 +118,12 @@ class ProblemSpec:
             if y is None:
                 # epsilon == 0 is the degenerate "echo the seed" case; any other
                 # zero off-diagonal would silently break the prescribed structure
-                ys.append(np.full(g.num_edges, float(self.epsilon)))
-                continue
-            y = np.asarray(y, dtype=float)
-            if y.shape != (g.num_edges,):
-                raise InvariantViolation(
-                    f"off-diagonal vector {s} has length {y.shape[0] if y.ndim == 1 else y.shape}, "
-                    f"expected {g.num_edges}"
-                )
-            if np.any((y == 0.0) | ~np.isfinite(y)):
-                raise InvariantViolation("prescribed off-diagonal values must all be finite and nonzero")
+                y = np.full(g.num_edges, float(self.epsilon))
+            else:
+                y = real_vector(f"off-diagonal vector {s}", y, g.num_edges)
+                if np.any(y == 0.0):
+                    raise InvariantViolation("prescribed off-diagonal values must all be nonzero")
+            y.flags.writeable = False
             ys.append(y)
         object.__setattr__(self, "offdiag_values", tuple(ys))
 
@@ -207,9 +202,9 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
 
     Coefficient s is block s of spectral_map's coefficient row, tau * Y_s
     of spec.ramp_row with x's block s written on its diagonal: for tau >= 0
-    bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).
-    """
-    row = _coefficient_row(x, spec, tau)
+    bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).  A bad x (see
+    errors.real_vector) raises ValueError."""
+    row = _coefficient_row(real_vector("x", x, spec.n * spec.k, ValueError), spec, tau)
     return MatrixPolynomial((*np.hsplit(row, spec.k), np.diag(spec.lead.alpha_k)))
 
 
@@ -267,10 +262,11 @@ def newton_solve(
     ``tol`` (default controls.resolved_tol) or less.  Each iteration takes
     the full analytic-Jacobian Newton step (jacobian_x) if it strictly
     lowers the residual infinity-norm.  Otherwise, or when the step's
-    spectrum is not real and simple, the solve raises NoConvergence ("full
-    step did not lower the residual") and damps nothing: continuation_solve
-    halves its step in tau instead.  A solve makes at most 1 + max_iter
-    spectral_map evaluations, one per trial.
+    spectral_map raises one of SPECTRUM_FAILURES (a spectrum not real and
+    simple, or a companion that overflows), the solve raises NoConvergence
+    ("full step did not lower the residual") and damps nothing:
+    continuation_solve halves its step in tau instead.  A solve makes at
+    most 1 + max_iter spectral_map evaluations, one per trial.
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map writes its trial's coefficient
@@ -287,30 +283,24 @@ def newton_solve(
     its rows are, by spectral_map's contract, bitwise those of
     proper_values(assemble(x, spec, tau)), so _tangent needs no eig of its
     own, except when the start's vectors were reused: its rows are then the
-    start's.  A failed solve raises NoConvergence / SingularJacobian /
-    NonRealSpectrum / NearDegenerate, and a bool or non-real ``tol`` or
-    ``tau``, a ``tol`` that is not positive and finite, a non-finite
-    ``tau``, or an ``x0`` that is not a finite real (non-bool) vector of
-    shape (kn,) raise InvariantViolation.
-    """
+    start's.  A failed solve raises NoConvergence, SingularJacobian or, at
+    the start, one of SPECTRUM_FAILURES.  A ``tau`` or positive ``tol`` that
+    is not a finite real number, or an ``x0`` that is not a finite real
+    vector of shape (kn,) (errors.check_real, errors.real_vector), raises
+    InvariantViolation."""
     if tol is not None:
         _check_tol("tol", tol)
     check_real("tau", tau)
-    if not math.isfinite(tau):
-        raise InvariantViolation("tau must be finite")
     ctl = spec.controls
     tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol
     targets = spec.spectrum.sorted_values()
     if x0 is None:
         x = seed_unknowns(spec.spectrum, spec.lead)
     else:
-        x, kn = np.asarray(x0), spec.n * spec.k
-        if x.dtype.kind not in "iuf" or x.shape != (kn,) or not np.isfinite(x).all():
-            raise InvariantViolation(f"x0 must be a finite real vector of shape ({kn},), got {x.dtype} {x.shape}")
-        x = x.astype(float)
+        x = real_vector("x0", x0, spec.n * spec.k)
     trace = []
 
-    decomp = spectral_map(x, spec, tau)  # NonRealSpectrum propagates: continuation trigger
+    decomp = spectral_map(x, spec, tau)  # SPECTRUM_FAILURES propagate: continuation trigger
     res = decomp.values - targets
     rnorm = float(np.abs(res).max())
     trace.append(IterationRecord(0, rnorm, 0.0))
@@ -335,8 +325,8 @@ def newton_solve(
             d_try = spectral_map(x_try, spec, tau, rows)
             r_try = d_try.values - targets
             rn_try = float(np.abs(r_try).max())
-        except (NonRealSpectrum, NearDegenerate):
-            rn_try = np.inf  # a trial off the real, simple spectrum lowers nothing
+        except SPECTRUM_FAILURES:
+            rn_try = np.inf  # a trial off the real, simple spectrum, or one LAPACK refuses, lowers nothing
         if not rn_try < rnorm:
             raise NoConvergence(f"full step did not lower the residual {rnorm:.3g} (iteration {it})")
         x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
@@ -473,8 +463,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         try:
             x_next, decomp, iterations = newton_solve(
                 spec, x0=x0, tau=tau_next, tol=None if tau_next == 1.0 else loose_tol)
-        except (NoConvergence, NonRealSpectrum, NearDegenerate, SingularJacobian,
-                DegenerateDenominator) as exc:
+        except (NoConvergence, SingularJacobian, DegenerateDenominator, *SPECTRUM_FAILURES) as exc:
             dtau *= 0.5
             if dtau >= 1.0 / MAX_CONTINUATION_STEPS:
                 continue
@@ -516,15 +505,17 @@ class VerifyReport:
 
 
 def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> VerifyReport:
-    """Independent check of a candidate polynomial against the problem:
-    recompute proper values, compare to sorted targets, check every
-    coefficient's graph and the leading coefficient.  Raises
-    InvariantViolation when value_tol is not a real number, or is negative
-    or not finite, when P's size n or degree k is not the problem's, or
-    when a coefficient is not finite and symmetric."""
+    """Check a candidate polynomial against the problem: recompute its
+    proper values with the solver's own proper_values (the same companion
+    eig, so not an independent eigensolver), compare them to the sorted
+    targets, and check every coefficient's graph and the leading
+    coefficient.  An eigensolve that raises one of SPECTRUM_FAILURES fails
+    the check.  Raises InvariantViolation when value_tol is not a finite,
+    non-negative real number, when P's size n or degree k is not the
+    problem's, or when a coefficient is not finite and symmetric."""
     check_real("value_tol", value_tol)
-    if not 0.0 <= value_tol < np.inf:
-        raise InvariantViolation(f"value_tol must be finite and non-negative, got {value_tol}")
+    if value_tol < 0.0:
+        raise InvariantViolation(f"value_tol must be non-negative, got {value_tol}")
     if (P.n, P.degree) != (spec.n, spec.k):
         raise InvariantViolation(
             f"polynomial has n={P.n}, k={P.degree}; the problem has n={spec.n}, k={spec.k}"
@@ -537,7 +528,7 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
         decomp = proper_values(P)
         values = decomp.values
         residual = float(np.max(np.abs(values - targets)))
-    except (NonRealSpectrum, NearDegenerate, np.linalg.LinAlgError) as exc:
+    except SPECTRUM_FAILURES as exc:
         values = np.full_like(targets, np.nan)
         residual = float("inf")
         failure = f"{type(exc).__name__}: {exc}"

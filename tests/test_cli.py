@@ -151,6 +151,22 @@ class TestSolve:
         assert doc["continuation_path"] == []
         assert doc["failure"].startswith("NoConvergence at tau=0.015625: full step did not lower the residual")
 
+    @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "DegenerateDenominator"), (1, 1e200, "LinAlgError")],
+                             ids=["k2", "k1"])
+    def test_overflowing_companion_writes_the_report_and_exits_four(self, capsys, tmp_path, k, epsilon, kind):
+        # an overflowing companion is a failed corrector, not a LinAlgError
+        # escaping the solve (exit 3, no report)
+        prob, report = tmp_path / "p.json", tmp_path / "r.json"
+        prob.write_text(json.dumps({
+            "n": 2, "k": k, "proper_values": [float(q) for q in range(1, 2 * k + 1)],
+            "leading": [1e-300, 1.0], "graphs": [{"edges": [[1, 2]]}] * k, "epsilon": epsilon,
+        }))
+        code, _, err = run(capsys, ["--quiet", "solve", str(prob), "--out", str(report)])
+        doc = strict_json(report.read_text())
+        assert code == cli.EXIT_NO_CONVERGENCE and err == ""
+        assert not doc["converged"] and doc["continuation_path"] == [] and doc["residual"] is None
+        assert doc["failure"].startswith(f"{kind} at tau=0.015625: ")
+
     def test_fd_jacobian_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--quiet", "solve", PATH4, "--fd-jacobian"])

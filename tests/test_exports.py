@@ -78,3 +78,23 @@ def test_only_sensitivity_owns_the_denominator_check():
                 if "DegenerateDenominator" in (getattr(raised, "id", None), getattr(raised, "attr", None)):
                     offenders.add(f"{path.name}: raise DegenerateDenominator")
     assert not offenders, f"denominator check outside sensitivity: {sorted(offenders)}"
+
+
+def test_only_errors_owns_the_finite_real_rules():
+    # "a finite real number" and "a finite real vector" are errors.py's
+    # check_real and real_vector: no other module reads a dtype's kind or
+    # tests finiteness after check_real (cli's _finite_or_null writes JSON
+    # nulls, it checks no argument)
+    offenders = set()
+    for path in (ROOT / "src" / "structured_iep").glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "kind" and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype":
+                offenders.add(f"{path.name}:{node.lineno} .dtype.kind")
+            if (node.attr == "isfinite" and getattr(node.value, "id", None) == "math"
+                    and path.name != "cli.py"):
+                offenders.add(f"{path.name}:{node.lineno} math.isfinite")
+    assert not offenders, f"input rules outside errors.py: {sorted(offenders)}"

@@ -1,0 +1,71 @@
+"""Every library entry point that takes a vector applies errors.real_vector's
+rule, each with its documented error type: integer or floating entries in
+one dimension, of the expected length, all finite."""
+
+import numpy as np
+import pytest
+
+from structured_iep import (
+    Graph,
+    InvariantViolation,
+    LeadingDiagonal,
+    MatrixPolynomial,
+    PerturbationDirection,
+    ProblemSpec,
+    TargetSpectrum,
+    assemble,
+    eigderivative,
+    matrix_of_graph,
+    newton_solve,
+)
+
+from conftest import PATH_EDGES, TARGETS, quadratic_targets_spec
+
+PATH4 = Graph(4, PATH_EDGES)
+
+
+def path4_spec(lead=np.ones(4), offdiag=None):
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=TARGETS, n=4, k=2),
+        lead=LeadingDiagonal(alpha_k=lead),
+        graphs=(PATH4, PATH4),
+        offdiag_values=offdiag,
+    )
+
+
+# entry point -> (its documented error, the expected length, a call on one vector)
+SITES = {
+    "TargetSpectrum.values": (InvariantViolation, 8, lambda v: TargetSpectrum(values=v, n=4, k=2)),
+    "LeadingDiagonal.alpha_k": (InvariantViolation, 4, lambda v: path4_spec(lead=v)),
+    "ProblemSpec.offdiag_values": (InvariantViolation, 3, lambda v: path4_spec(offdiag=(v, None))),
+    "newton_solve.x0": (InvariantViolation, 8,
+                        lambda v: newton_solve(quadratic_targets_spec((PATH4, PATH4)), x0=v)),
+    "eigderivative.pair": (ValueError, 2, lambda v: eigderivative(
+        MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2))), (1.0, v), PerturbationDirection(s=0, diag=1))),
+    "matrix_of_graph.diag": (ValueError, 4, lambda v: matrix_of_graph(PATH4, v, np.full(3, 0.5))),
+    "matrix_of_graph.offdiag": (ValueError, 3, lambda v: matrix_of_graph(PATH4, np.ones(4), v)),
+    "assemble.x": (ValueError, 8, lambda v: assemble(v, quadratic_targets_spec((PATH4, PATH4)))),
+}
+
+# bad input -> the vector it makes for an expected length m
+BAD = {
+    "bools": lambda m: [True] * m,
+    "complex": lambda m: np.full(m, 1.0 + 1.0j),
+    "text": lambda m: ["1"] * m,
+    "ragged": lambda m: [[1.0]] * (m - 1) + [[1.0, 2.0]],
+    "nested": lambda m: [[1.0] * m],
+    "wrong-length": lambda m: np.ones(m + 1),
+    "nan": lambda m: np.r_[np.nan, np.ones(m - 1)],
+    "inf": lambda m: np.r_[np.ones(m - 1), np.inf],
+}
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("site", SITES)
+def test_a_bad_vector_raises_the_sites_error(site, bad):
+    error, length, call = SITES[site]
+    # a LeadingDiagonal has any length: the ProblemSpec compares it with n
+    wrong_lead = (site, bad) == ("LeadingDiagonal.alpha_k", "wrong-length")
+    with pytest.raises(error, match="has wrong length" if wrong_lead else "must be a finite real vector"):
+        call(BAD[bad](length))
+

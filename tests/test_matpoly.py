@@ -21,6 +21,8 @@ from structured_iep import (
     seed_unknowns,
 )
 
+from structured_iep.matpoly import REAL_TOL_DEFAULT, companion_layout, decompose_row
+
 from conftest import (
     TARGETS,
     coefficient_scale,
@@ -276,25 +278,35 @@ def test_proper_vectors_have_small_backward_error(build):
     assert np.max(backward) <= 1e-13
 
 
-@pytest.mark.parametrize("phase", [1j, 1.0 + 0j])
-def test_complex_eig_output_gives_the_real_rows(monkeypatch, phase):
-    # eig returns complex arrays when any eigenvalue is non-real; for a real
-    # spectrum each vector is then real up to a phase, and the decomposition
-    # keeps its larger part
-    P = golden_path4_polynomial()
-    want = proper_values(P)
-    eig = np.linalg.eig
+def test_complex_eig_output_pairs_its_real_parts_exactly():
+    # the premise of decompose_row's one real tail: eig and eigvals return a
+    # complex array only for a nonzero imaginary part, and LAPACK stores each
+    # conjugate pair with bitwise-equal real parts
+    rng = np.random.default_rng(25)
+    complex_outputs = 0
+    for _ in range(300):
+        m = int(rng.integers(2, 41))
+        A = rng.standard_normal((m, m))
+        for w in (np.linalg.eig(A)[0], np.linalg.eigvals(A)):
+            if np.iscomplexobj(w):
+                complex_outputs += 1
+                assert (w.imag != 0.0).any()
+                pairs = set(zip(w.real.tolist(), w.imag.tolist()))
+                assert all((re, -im) in pairs for re, im in pairs)
+    assert complex_outputs > 100
 
-    def complex_eig(a):
-        w, V = eig(a)
-        return w + 0j, V * phase
 
-    monkeypatch.setattr(np.linalg, "eig", complex_eig)
-    got = proper_values(P)
-    assert got.companion_rows.dtype == np.float64
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.companion_rows.tobytes() == want.companion_rows.tobytes()
-    assert jacobian_x(got).tobytes() == jacobian_x(want).tobytes()
+@pytest.mark.parametrize("rows", [None, np.ones((4, 2))], ids=["eig", "eigvals"])
+def test_a_conjugate_pair_within_the_real_tolerance_is_near_degenerate(rows):
+    # entry 1, z^2 + 1e-18, has the roots +-1e-9 i, inside REAL_TOL_DEFAULT:
+    # the pair passes the non-real check, ties at 0 on the real line, and the
+    # separation check rejects it before any complex vector is kept
+    row = np.array([[1e-18, 0.0, 0.0, 0.0], [0.0, 12.0, 0.0, -7.0]])  # [A_0 A_1]
+    lead = np.ones(2)
+    w = np.linalg.eigvals(companion_layout(row, lead))
+    assert np.iscomplexobj(w) and 0.0 < np.abs(w.imag).max() <= REAL_TOL_DEFAULT
+    with pytest.raises(NearDegenerate, match="proper values 0 and 0"):
+        decompose_row(row, lead, rows=rows)
 
 
 class TestBatchedRefinement:

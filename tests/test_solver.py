@@ -27,6 +27,7 @@ from structured_iep import (
     solver,
     verify,
 )
+from structured_iep.problems import spec_to_config
 
 from conftest import (
     G_EDGES,
@@ -730,6 +731,23 @@ class TestContinuationSolve:
         assert len(per_solve) <= newton_budget
         assert len(calls) <= newton_budget * (1 + max_iter) <= total_budget(max_iter)
 
+    @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "DegenerateDenominator"), (1, 1e200, "LinAlgError")],
+                             ids=["k2", "k1"])
+    def test_an_overflowing_companion_fails_the_solve(self, k, epsilon, kind):
+        # over a leading 1e-300 the trials' companion (at k = 1 the pencil
+        # matrix) overflows and LAPACK refuses it: a failed trial or
+        # corrector, not a LinAlgError escaping the solve
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=np.arange(1.0, 2 * k + 1), n=2, k=k),
+            lead=LeadingDiagonal(alpha_k=np.array([1e-300, 1.0])),
+            graphs=(Graph(2, ((1, 2),)),) * k,
+            epsilon=epsilon,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = continuation_solve(spec)
+        assert not report.converged and report.continuation_path == () and report.residual == np.inf
+        assert report.failure.startswith(f"{kind} at tau=0.015625: ")
+
     def test_degenerate_denominator_in_a_corrector_halves_the_step(self, monkeypatch):
         jacobian = solver.jacobian_x
         raised = []
@@ -871,6 +889,36 @@ class TestProblemSpecInvariants:
     def test_epsilon_of_the_wrong_type_rejected(self, path4_spec, epsilon):
         with pytest.raises(InvariantViolation, match="epsilon must be a real number"):
             ProblemSpec(path4_spec.spectrum, path4_spec.lead, path4_spec.graphs, epsilon=epsilon)
+
+    @pytest.mark.parametrize("field, value", [
+        ("spectrum", None), ("lead", np.ones(4)), ("graphs", (None, None)), ("graphs", None),
+        ("controls", {"max_iter": 3}),
+    ], ids=["spectrum-none", "lead-array", "graphs-of-none", "graphs-none", "controls-dict"])
+    def test_components_of_the_wrong_type_rejected(self, path4_spec, field, value):
+        # unchecked, each raised AttributeError or TypeError
+        parts = {"spectrum": path4_spec.spectrum, "lead": path4_spec.lead, "graphs": path4_spec.graphs}
+        with pytest.raises(InvariantViolation, match=f"^{field} must be a"):
+            ProblemSpec(**{**parts, field: value})
+
+    def test_the_spec_keeps_read_only_copies_of_the_callers_arrays(self):
+        # a spec holding the caller's arrays would move values, alpha_k and
+        # offdiag_values with them, but not the cached sorted values, scale
+        # or ramp_row
+        values, alpha, y0, y1 = TARGETS.copy(), np.ones(4), np.full(4, 0.5), np.full(2, 0.5)
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=values, n=4, k=2),
+            lead=LeadingDiagonal(alpha_k=alpha),
+            graphs=(Graph(4, G_EDGES), Graph(4, H_EDGES)),
+            offdiag_values=(y0, y1),
+        )
+        config, report = spec_to_config(spec), continuation_solve(spec)
+        for a in (values, alpha, y0, y1):
+            a *= 3.0
+        assert spec_to_config(spec) == config
+        again = continuation_solve(spec)
+        assert again.converged and again.x.tobytes() == report.x.tobytes()
+        for a in (spec.spectrum.values, spec.lead.alpha_k, *spec.offdiag_values):
+            assert a.dtype == np.float64 and not a.flags.writeable
 
     def test_controls_accept_numpy_numbers(self, path4_spec):
         controls = SolverControls(newton_tol=np.float64(1e-10), max_iter=np.int64(7))
