@@ -10,7 +10,11 @@ read): the two bundled problems, the ``corpus`` set (generator seed 1) and
 the ``sweep`` set.  For each set it prints the eigensolves by kind (eig,
 eigvals, eigh, eigvalsh of numpy.linalg, as matpoly calls them) and the
 Newton trials: the spectral_map calls of newton_solve after each
-corrector's start.  The benchmark's tracer counts eig only.  Importing this
+corrector's start.  The benchmark's tracer counts eig only.  The last
+column, events_per_map, is the number of Python and C function calls that
+sys.setprofile sees over the whole solves (after one warm-up solve of each
+instance), per spectral_map: the machine-independent call overhead of a
+Newton iteration.  Importing this
 module changes neither os.environ nor sys.path: only main() does, before
 it imports numpy.
 """
@@ -22,6 +26,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KINDS = ("eig", "eigvals", "eigh", "eigvalsh")
 COLUMNS = ("instances", "newton_solves") + KINDS + ("trials",)
+PROFILE_EVENTS = ("call", "c_call")
 
 
 def instance_sets() -> dict:
@@ -76,13 +81,41 @@ def counts(specs) -> dict:
             "trials": calls["spectral_map"] - calls["newton_solve"]}
 
 
+def events_per_map(specs) -> float:
+    """Profile events (PROFILE_EVENTS: Python and C function calls, as
+    sys.setprofile reports them) over continuation_solve on each spec,
+    divided by the spectral_map calls among them.  Each spec is solved once
+    first, so what a spec or the package builds on first use is not
+    counted, and nothing is wrapped, so no call of the count's own is."""
+    from structured_iep import continuation_solve, solver
+
+    for spec in specs:
+        continuation_solve(spec)
+    target = solver.spectral_map.__code__
+    events = maps = 0
+
+    def profile(frame, event, arg):
+        nonlocal events, maps
+        if event in PROFILE_EVENTS:
+            events += 1
+            maps += frame.f_code is target and event == "call"
+
+    sys.setprofile(profile)
+    try:
+        for spec in specs:
+            continuation_solve(spec)
+    finally:
+        sys.setprofile(None)
+    return events / maps
+
+
 def main() -> int:
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    print(f"{'set':<8}" + "".join(f"{c:>14}" for c in COLUMNS))
+    print(f"{'set':<8}" + "".join(f"{c:>14}" for c in COLUMNS) + f"{'events_per_map':>16}")
     for name, specs in instance_sets().items():
         row = counts(specs)
-        print(f"{name:<8}" + "".join(f"{row[c]:>14}" for c in COLUMNS))
+        print(f"{name:<8}" + "".join(f"{row[c]:>14}" for c in COLUMNS) + f"{events_per_map(specs):>16.1f}")
     return 0
 
 

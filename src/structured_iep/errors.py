@@ -53,10 +53,15 @@ def check_integer(name, value, error=InvariantViolation):
 
 
 def check_real(name, value, error=InvariantViolation):
-    """Raise ``error`` unless value is a finite real number: numbers.Real, not bool."""
+    """Raise ``error`` unless value is a finite real number: numbers.Real, not
+    bool, and within float range (an integer such as 10**400 is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise error(f"{name} must be a real number and finite, got a value beyond float range") from None
+    if not finite:
         raise error(f"{name} must be a real number and finite, got {value}")
 
 

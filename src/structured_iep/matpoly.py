@@ -6,8 +6,8 @@ vectors are the corresponding null directions.  This package operates in
 the all-real, simple-spectrum regime; a non-real or near-multiple spectrum
 is reported as an error, not a result.
 
-Degree k >= 2 goes through eig of the block companion matrix (linearize),
-and each proper vector is the top block of its companion eigenvector: the
+Degree k >= 2 goes through eig of the block companion matrix, and each
+proper vector is the top block of its companion eigenvector: the
 eigenvector of a linearization gives a proper vector with a backward error
 of the order of the eigensolver's (Higham, Li & Tisseur, SIAM J. Matrix
 Anal. Appl. 29, 2007).  Degree 1 is the symmetric-definite pencil
@@ -18,7 +18,11 @@ sign: the sensitivities read them only through ratios of quadratic forms.
 
 decompose_row, which proper_values and the solver's spectral_map both run,
 takes the coefficient row [A_0 ... A_{k-1}] and lays out its companion
-with companion_layout, or at degree 1 the pencil matrix itself.  Given
+with companion_layout, the one writer of that layout (linearize is the
+same layout of a whole polynomial), or at degree 1 the pencil matrix
+itself.  companion_layout copies a cached read-only template of the
+identity blocks for each size and writes only the last block row, the one
+part that changes from trial to trial.  Given
 ``rows`` it computes values only (eigvals, or eigvalsh at degree 1), with
 the same checks, and keeps those rows as the proper vectors: the solver's
 Newton trials near a root at full coupling reuse the vectors of their
@@ -30,6 +34,7 @@ solves, and the sensitivity module differentiates from that data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,14 +115,24 @@ def evaluate(P: MatrixPolynomial, z) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _identity_blocks(n: int, nk: int) -> np.ndarray:
+    """The read-only nk x nk companion template of block size n: identity
+    blocks on the block superdiagonal and nothing in the last block row."""
+    C = np.eye(nk, k=n)
+    C.flags.writeable = False
+    return C
+
+
 def companion_layout(row: np.ndarray, lead: np.ndarray) -> np.ndarray:
     """The companion layout of sum_s z^s A_s + z^k diag(lead), for the
     block row row = [A_0 ... A_{k-1}] (n x kn): the one writer of the
-    companion, for linearize and decompose_row.  Identity blocks on the
-    block superdiagonal, and in the last block row -row / lead[r] in row r."""
+    companion, for linearize and decompose_row.  A fresh copy of the cached
+    identity template, with -row / lead[r] written in row r of its last
+    block row (as row / -lead[r], which rounds the same)."""
     n, nk = row.shape
-    C = np.eye(nk, k=n)  # the identity blocks: nothing in the last block row
-    C[-n:] = -row / lead[:, None]
+    C = _identity_blocks(n, nk).copy()
+    np.divide(row, -lead[:, None], out=C[-n:])
     return C
 
 
@@ -134,14 +149,8 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     return companion_layout(np.hstack(P.coeffs[:-1]), lead)
 
 
-def _check_separation(vals: np.ndarray, sep_tol: float | None) -> None:
-    """Raise NearDegenerate if two ascending values are closer than sep_tol
-    (default SEP_TOL_REL times max(diameter, 1) of vals)."""
-    if sep_tol is None:
-        diam = vals[-1] - vals[0] if len(vals) > 1 else 0.0
-        sep_tol = SEP_TOL_REL * max(diam, 1.0)
-    if len(vals) < 2:
-        return
+def _check_separation(vals: np.ndarray, sep_tol: float) -> None:
+    """Raise NearDegenerate if two ascending values are closer than sep_tol."""
     gaps = vals[1:] - vals[:-1]
     if gaps.min() < sep_tol:
         q = int(gaps.argmin())
@@ -155,9 +164,10 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     """The decomposition of P(z) = sum_{s<k} z^s A_s + z^k diag(lead), for
     the coefficient row row = [A_0 ... A_{k-1}] (n x kn) and a positive
     ``lead``, with the checks of proper_values: the ascending values and,
-    row q for values[q], the top n rows of the corresponding eigenvectors
-    of linearize(P).  The eigensolve is eig of
-    companion_layout(row, lead), or at k = 1 eigh of the symmetric pencil
+    row q for values[q], the top n rows of the corresponding companion
+    eigenvectors.  The eigensolve is eig of the companion matrix that
+    companion_layout(row, lead) writes (the template's identity blocks and
+    the last block row from ``row``), or at k = 1 eigh of the symmetric pencil
     matrix -D^{-1/2} A_0 D^{-1/2} (D = diag(lead), the caller supplies a
     symmetric A_0), its diagonal written as the companion writes it,
     -A_0[r, r] / lead[r], and its vectors scaled back by the same
@@ -167,7 +177,10 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     the view row[:, n:].  eig and eigvals return complex arrays only for a
     nonzero imaginary part, and LAPACK stores each conjugate pair with
     bitwise-equal real parts: a complex output raises NonRealSpectrum, or
-    ties on the real line and NearDegenerate (sep_tol > 0)."""
+    ties on the real line and NearDegenerate (sep_tol > 0).  The
+    separation check compares the smallest gap with sep_tol (default
+    SEP_TOL_REL times max(diameter, 1)), and only a failing one builds the
+    message."""
     n = len(lead)
     if row.shape[1] == n:
         root = np.sqrt(lead)
@@ -194,13 +207,17 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
         vals = w.real[order]
         if V is not None:
             rows = V[:n, order].T
-    _check_separation(vals, sep_tol)
+    if sep_tol is None:
+        sep_tol = SEP_TOL_REL * max(vals[-1] - vals[0], 1.0)
+    if len(vals) > 1 and np.minimum.reduce(vals[1:] - vals[:-1]) < sep_tol:
+        _check_separation(vals, sep_tol)
     return SpectralDecomposition(vals, rows, row[:, n:], lead)
 
 
 def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
-    """All nk proper values of P, ascending: eig of linearize(P), or for
-    degree 1 eigh of the symmetric pencil matrix -D^{-1/2} A_0 D^{-1/2}.
+    """All nk proper values of P, ascending: eig of P's block companion
+    matrix, or for degree 1 eigh of the symmetric pencil matrix
+    -D^{-1/2} A_0 D^{-1/2}.
 
     The proper vectors are the top n rows of the companion eigenvectors as
     the eigensolver returns them (see SpectralDecomposition), real and not

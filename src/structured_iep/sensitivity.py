@@ -85,7 +85,7 @@ def _forms(V: np.ndarray, A: np.ndarray) -> np.ndarray:
     """v_q^T A_s v_q (row q, column s) for the rows v_q of V and the blocks
     of A = [A_0 A_1 ...]."""
     m, n = V.shape
-    return ((V @ A).reshape(m, -1, n) * V[:, None, :]).sum(axis=2)
+    return np.add.reduce((V @ A).reshape(m, -1, n) * V[:, None, :], axis=2)
 
 
 def _denominators(decomp: SpectralDecomposition, sq: np.ndarray) -> np.ndarray:
@@ -93,20 +93,42 @@ def _denominators(decomp: SpectralDecomposition, sq: np.ndarray) -> np.ndarray:
     sq = V o V its squared rows, with A_k = diag(lead) and A_s (0 < s < k)
     the blocks of ``upper``.  Raises DegenerateDenominator when one is at
     most DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F
-    |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero row)."""
+    |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero row).
+
+    That per-row rule runs only when one scalar bound fails: no row can
+    fail it when min_q |den_q| exceeds twice DENOM_TOL sum_q ||v_q||^2
+    times the scale at max_q |lambda_q| with ||upper||_F for every
+    ||A_s||_F.  The scale grows with |lambda|, ||upper||_F bounds every
+    block's norm and the sum bounds every ||v_q||^2, so that bound is at
+    least every row's threshold; the factor 2 covers their different
+    rounding (of the order of n^2 k roundoffs), and a bound that is not
+    finite fails.  So the decisions, and the error, are the per-row
+    rule's."""
     lead, lams, upper = decomp.lead, decomp.values, decomp.upper
     n = len(lead)
     k = upper.shape[1] // n + 1
     den = k * (sq @ lead)
-    scale = k * math.sqrt(lead @ lead)
+    lead_scale = k * math.sqrt(lead @ lead)  # k ||A_k||_F
+    bound = lead_scale
     if k > 1:
         forms = _forms(decomp.companion_rows, upper)
-        norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
-        size = np.abs(lams)
         for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
             den = den * lams + s * forms[:, s - 1]
+        # ufunc reductions called directly: at small n the ndarray methods'
+        # Python wrappers cost more than the reductions themselves
+        size = float(np.maximum.reduce(np.abs(lams)))
+        norm = math.sqrt(np.vdot(upper, upper))
+        for s in range(k - 1, 0, -1):
+            bound = bound * size + s * norm
+    if np.minimum.reduce(np.abs(den)) > 2.0 * DENOM_TOL * bound * np.add.reduce(sq, axis=None):
+        return den
+    scale = lead_scale
+    if k > 1:
+        norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
+        size = np.abs(lams)
+        for s in range(k - 1, 0, -1):
             scale = scale * size + s * norms[s - 1]
-    small = np.abs(den) <= DENOM_TOL * scale * sq.sum(axis=1)
+    small = np.abs(den) <= DENOM_TOL * scale * np.add.reduce(sq, axis=1)
     if small.any():
         q = int(small.argmax())
         raise DegenerateDenominator(
@@ -132,15 +154,16 @@ def jacobian_x(decomp: SpectralDecomposition, direction: np.ndarray | None = Non
     m, n = sq.shape
     k = decomp.upper.shape[1] // n + 1
     den = _denominators(decomp, sq)
-    factors = np.empty((m, k))
-    factors[:, 0] = -1.0 / den
-    for s in range(1, k):  # the column factors -lambda_q^s / den_q
-        factors[:, s] = factors[:, s - 1] * lams
-    J = (factors[:, :, None] * sq[:, None, :]).reshape(m, k * n)
-    if direction is None:
-        return J
-    num = (lams[:, None] ** np.arange(direction.shape[1] // n) * _forms(V, direction)).sum(axis=1)
-    return np.column_stack((J, -num / den))
+    J = np.empty((m, k * n + (direction is not None)))
+    factor = -1.0 / den
+    for s in range(k):  # block s: the column factor -lambda_q^s / den_q times V o V
+        if s:
+            factor = factor * lams
+        np.multiply(factor[:, None], sq, out=J[:, s * n:(s + 1) * n])
+    if direction is not None:
+        num = (lams[:, None] ** np.arange(direction.shape[1] // n) * _forms(V, direction)).sum(axis=1)
+        J[:, -1] = -num / den
+    return J
 
 
 def jacobian_fd(

@@ -110,7 +110,11 @@ class ProblemSpec:
                 raise InvariantViolation(f"graph {s} has {g.n} vertices, expected {n}")
         if self.lead.alpha_k.shape != (n,):
             raise InvariantViolation(f"leading diagonal has wrong length {self.lead.alpha_k.shape[0]}")
-        given = (None,) * k if self.offdiag_values is None else tuple(self.offdiag_values)
+        try:
+            given = (None,) * k if self.offdiag_values is None else tuple(self.offdiag_values)
+        except TypeError:  # not a sequence
+            raise InvariantViolation(f"offdiag_values must be None or {k} vectors, "
+                                     f"got {type(self.offdiag_values).__name__}") from None
         if len(given) != k:
             raise InvariantViolation(f"need {k} off-diagonal vectors, got {len(given)}")
         ys = []
@@ -151,6 +155,15 @@ class ProblemSpec:
         return row
 
     @cached_property
+    def _unknown_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, columns) of the kn diagonal unknowns in a coefficient row
+        [A_0 ... A_{k-1}], read-only: unknown s*n + r is entry (r, s*n + r)."""
+        columns = np.arange(self.n * self.k)
+        rows = columns % self.n
+        rows.flags.writeable = columns.flags.writeable = False
+        return rows, columns
+
+    @cached_property
     def edge_masks(self) -> np.ndarray:
         """(k, n, n): True on each graph's edges (not the ramp's: zero at epsilon = 0)."""
         masks = np.zeros((self.k, self.n, self.n), dtype=bool)
@@ -183,16 +196,15 @@ class SolveReport:
 
 def _coefficient_row(x: np.ndarray, spec: ProblemSpec, tau: float) -> np.ndarray:
     """[A_0 ... A_{k-1}] of assemble(x, spec, tau), as one fresh n x kn row:
-    tau * spec.ramp_row with x's block s on the diagonal of block s.  The
-    one writer of the unknowns, for assemble and spectral_map."""
-    n, k = spec.n, spec.k
+    tau * spec.ramp_row with x's block s on the diagonal of block s, in one
+    indexed store.  The one writer of the unknowns, for assemble and
+    spectral_map."""
+    ramp = spec.ramp_row
     x = np.asarray(x, dtype=float)
-    if x.shape != (n * k,):
-        raise ValueError(f"x has shape {x.shape}, expected ({n * k},)")
-    row = tau * spec.ramp_row
-    flat = row.reshape(-1)
-    for s in range(k):  # entry (r, r) of block s sits at flat index s n + r (kn + 1)
-        flat[s * n::n * k + 1] = x[s * n:(s + 1) * n]
+    if x.shape != (ramp.shape[1],):
+        raise ValueError(f"x has shape {x.shape}, expected ({ramp.shape[1]},)")
+    row = tau * ramp
+    row[spec._unknown_slots] = x
     return row
 
 
@@ -204,8 +216,9 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
     of spec.ramp_row with x's block s written on its diagonal: for tau >= 0
     bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).  A bad x (see
     errors.real_vector) raises ValueError."""
-    row = _coefficient_row(real_vector("x", x, spec.n * spec.k, ValueError), spec, tau)
-    return MatrixPolynomial((*np.hsplit(row, spec.k), np.diag(spec.lead.alpha_k)))
+    n, k = spec.n, spec.k
+    row = _coefficient_row(real_vector("x", x, n * k, ValueError), spec, tau)
+    return MatrixPolynomial((*row.reshape(n, k, n).transpose(1, 0, 2), np.diag(spec.lead.alpha_k)))
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0, rows: np.ndarray | None = None):
@@ -243,9 +256,10 @@ def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
 def _structure_verdict(P: MatrixPolynomial, spec: ProblemSpec) -> tuple[tuple[bool, ...], bool]:
     """Per A_s, s < k: are its nonzero off-diagonal entries exactly the
     edges of graphs[s]?  And is A_k == diag(alpha)?"""
-    offdiag = np.abs(np.stack(P.coeffs[:spec.k])) > 0.0
-    offdiag[:, np.arange(spec.n), np.arange(spec.n)] = False
-    per_coeff = tuple(bool(b) for b in (offdiag == spec.edge_masks).all(axis=(1, 2)))
+    n, k = spec.n, spec.k
+    offdiag = np.abs(np.array(P.coeffs[:k])) > 0.0
+    offdiag.reshape(k, n * n)[:, ::n + 1] = False  # every block's diagonal
+    per_coeff = tuple((offdiag == spec.edge_masks).all(axis=(1, 2)).tolist())
     leading_ok = bool((P.coeffs[spec.k] == np.diag(spec.lead.alpha_k)).all())
     return per_coeff, leading_ok
 
@@ -302,10 +316,10 @@ def newton_solve(
 
     decomp = spectral_map(x, spec, tau)  # SPECTRUM_FAILURES propagate: continuation trigger
     res = decomp.values - targets
-    rnorm = float(np.abs(res).max())
+    rnorm = float(np.maximum.reduce(np.abs(res)))
     trace.append(IterationRecord(0, rnorm, 0.0))
     # the final corrector near its root: the start's vectors serve every trial
-    reuse = tau == 1.0 and (np.abs(res) / spec.spectrum.gaps).max() <= VECTOR_REUSE_SHIFT
+    reuse = tau == 1.0 and np.maximum.reduce(np.abs(res) / spec.spectrum.gaps) <= VECTOR_REUSE_SHIFT
     rows = decomp.companion_rows if reuse else None
 
     for it in range(1, ctl.max_iter + 2):
@@ -318,13 +332,14 @@ def newton_solve(
             dx = np.linalg.solve(J, res)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
-        if not np.isfinite(dx).all():
+        if not np.logical_and.reduce(np.isfinite(dx)):
             raise SingularJacobian(f"Newton step non-finite at iteration {it}")
         x_try = x - dx
         try:
             d_try = spectral_map(x_try, spec, tau, rows)
             r_try = d_try.values - targets
-            rn_try = float(np.abs(r_try).max())
+            # the ufunc's reduce, without the Python wrapper of ndarray.max
+            rn_try = float(np.maximum.reduce(np.abs(r_try)))
         except SPECTRUM_FAILURES:
             rn_try = np.inf  # a trial off the real, simple spectrum, or one LAPACK refuses, lowers nothing
         if not rn_try < rnorm:
@@ -371,7 +386,8 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     roots = spec.spectrum.blocks
     lam = roots.ravel()  # target q belongs to entry q // k
     col = lam[:, None]
-    entry = np.arange(n * k) // k
+    q = np.arange(n * k)
+    entry = q // k
     with np.errstate(all="ignore"):
         # row q: D_rj(lambda_q) and p_j(lambda_q) for r = entry[q], every j
         ys = spec.ramp_row.reshape(n, k, n)[entry]  # ys[q, s] = row entry[q] of Y_s
@@ -381,13 +397,13 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
         p_row = alpha * (col - roots[:, 0])
         for i in range(1, k):
             p_row *= col - roots[:, i]
-        p_row[np.arange(n * k), entry] = 1.0  # its own term: D has a zero diagonal
-        g = (d_row ** 2 / p_row).sum(axis=1)
+        p_row[q, entry] = 1.0  # its own term: D has a zero diagonal
+        g = np.add.reduce(d_row ** 2 / p_row, axis=1)
         # p_r'(lambda_q) = alpha_r * prod of lambda_q - lambda_q' over r's other targets
         diff = roots[:, :, None] - roots[:, None, :]
-        diff[:, np.arange(k), np.arange(k)] = 1.0
-        shift = g / (alpha[:, None] * diff.prod(axis=2)).ravel()
-        rho = float((np.abs(shift[lam.argsort()]) / spec.spectrum.gaps).max())  # gaps are in sorted order
+        diff.reshape(n, k * k)[:, ::k + 1] = 1.0
+        shift = g / (alpha[:, None] * np.multiply.reduce(diff, axis=2)).ravel()
+        rho = float(np.maximum.reduce(np.abs(shift[lam.argsort()]) / spec.spectrum.gaps))  # gaps are in sorted order
         # Newton divided differences of g over each entry's targets, then
         # the interpolant's monomial coefficients by Horner on its Newton form
         dd = g.reshape(n, k)
@@ -397,7 +413,7 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
         for j in range(k - 1, -1, -1):  # coef(z) <- coef(z) * (z - roots[:, j]) + dd[:, j]
             coef = np.concatenate((dd[:, j, None], coef[:, :-1]), axis=1) - roots[:, j, None] * coef
     c = coef.T.ravel()
-    if not (np.isfinite(c).all() and np.isfinite(rho)):
+    if not (np.logical_and.reduce(np.isfinite(c)) and np.isfinite(rho)):
         return np.zeros_like(c), np.inf
     return c, rho
 

@@ -1,5 +1,5 @@
-"""scripts/eigensolve_counts.py: the eigensolves by kind and the Newton
-trials of the bundled set."""
+"""scripts/eigensolve_counts.py: the eigensolves by kind, the Newton
+trials and the profile events per spectral_map of the bundled set."""
 
 import importlib.util
 import os
@@ -31,3 +31,13 @@ def test_bundled_counts(monkeypatch):
     counts = script.counts(script.instance_sets()["bundled"])
     assert counts == {"instances": 2, "newton_solves": 6, "eig": 18, "eigvals": 0, "eigh": 0, "eigvalsh": 0,
                       "trials": 12}
+
+
+def test_bundled_events_per_map_are_positive_and_repeat(monkeypatch):
+    # a count of calls, not a time: two runs on fresh specs agree exactly
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    script = load_script()
+    first, second = (script.events_per_map(script.instance_sets()["bundled"]) for _ in range(2))
+    assert first > 0.0
+    assert first == second
+    assert sys.getprofile() is None

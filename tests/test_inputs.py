@@ -1,6 +1,8 @@
 """Every library entry point that takes a vector applies errors.real_vector's
 rule, each with its documented error type: integer or floating entries in
-one dimension, of the expected length, all finite."""
+one dimension, of the expected length, all finite.  Every one that takes a
+number applies errors.check_real's, an integer beyond float range
+included."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,15 @@ from structured_iep import (
     MatrixPolynomial,
     PerturbationDirection,
     ProblemSpec,
+    SolverControls,
     TargetSpectrum,
     assemble,
     eigderivative,
+    jacobian_fd,
     matrix_of_graph,
     newton_solve,
+    seed_unknowns,
+    verify,
 )
 
 from conftest import PATH_EDGES, TARGETS, quadratic_targets_spec
@@ -69,3 +75,39 @@ def test_a_bad_vector_raises_the_sites_error(site, bad):
     with pytest.raises(error, match="has wrong length" if wrong_lead else "must be a finite real vector"):
         call(BAD[bad](length))
 
+
+
+def seed_of(spec):
+    return assemble(seed_unknowns(spec.spectrum, spec.lead), spec)
+
+
+QUADRATIC = quadratic_targets_spec((PATH4, PATH4))
+PAIR = MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2)))
+
+# entry point -> (its documented error, a call on one number)
+NUMBER_SITES = {
+    "ProblemSpec.epsilon": (InvariantViolation, lambda v: ProblemSpec(
+        spectrum=QUADRATIC.spectrum, lead=QUADRATIC.lead, graphs=QUADRATIC.graphs, epsilon=v)),
+    "SolverControls.newton_tol": (InvariantViolation, lambda v: SolverControls(newton_tol=v)),
+    "newton_solve.tol": (InvariantViolation, lambda v: newton_solve(QUADRATIC, tol=v)),
+    "verify.value_tol": (InvariantViolation, lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v)),
+    "jacobian_fd.h": (ValueError, lambda v: jacobian_fd(PAIR, h=v)),
+    "eigderivative.pair": (ValueError, lambda v: eigderivative(
+        PAIR, (v, np.array([1.0, 0.0])), PerturbationDirection(s=0, diag=1))),
+}
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -(10 ** 400)])
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_an_integer_beyond_float_range_raises_the_sites_error(site, value):
+    # math.isfinite raises OverflowError on such an integer: check_real
+    # reports it as the site's own error
+    error, call = NUMBER_SITES[site]
+    with pytest.raises(error, match="must be a real number and finite, got a value beyond float range"):
+        call(value)
+
+
+@pytest.mark.parametrize("offdiag", [0.5, 3, object()])
+def test_offdiag_values_that_are_not_a_sequence_raise_invariant_violation(offdiag):
+    with pytest.raises(InvariantViolation, match="offdiag_values must be None or 2 vectors"):
+        path4_spec(offdiag=offdiag)

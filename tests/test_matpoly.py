@@ -21,6 +21,7 @@ from structured_iep import (
     seed_unknowns,
 )
 
+from structured_iep import matpoly
 from structured_iep.matpoly import REAL_TOL_DEFAULT, companion_layout, decompose_row
 
 from conftest import (
@@ -307,6 +308,63 @@ def test_a_conjugate_pair_within_the_real_tolerance_is_near_degenerate(rows):
     assert np.iscomplexobj(w) and 0.0 < np.abs(w.imag).max() <= REAL_TOL_DEFAULT
     with pytest.raises(NearDegenerate, match="proper values 0 and 0"):
         decompose_row(row, lead, rows=rows)
+
+
+class _Proxy:
+    """Attribute stand-in: the overrides first, then the wrapped module."""
+
+    def __init__(self, target, **overrides):
+        self._target = target
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+class TestOneCompanionWriter:
+    """decompose_row hands its eigensolve the matrix of companion_layout,
+    which writes the last block row into a copy of a cached read-only
+    identity template: bitwise the layout written anew."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("vectors", [True, False], ids=["eig", "eigvals"])
+    def test_the_eigensolve_sees_the_companion_layout(self, k, vectors, monkeypatch):
+        n = 4
+        spec = TargetSpectrum(values=np.arange(1.0, n * k + 1.0), n=n, k=k)
+        lead = np.array([1.0, 0.5, 2.0, 3.0])
+        x = seed_unknowns(spec, LeadingDiagonal(alpha_k=lead))
+        row = np.hstack([np.diag(d) for d in x.reshape(k, n)])
+        row[0, 1] = row[1, 0] = 1e-3  # one coupling, the spectrum stays real and simple
+        seen = []
+
+        def capture(solve):
+            def wrapper(C):
+                seen.append(C.copy())
+                return solve(C)
+            return wrapper
+
+        linalg = _Proxy(np.linalg, eig=capture(np.linalg.eig), eigvals=capture(np.linalg.eigvals))
+        monkeypatch.setattr(matpoly, "np", _Proxy(np, linalg=linalg))
+        decompose_row(row, lead, rows=None if vectors else np.ones((n * k, n)))
+        monkeypatch.undo()
+        fresh = np.eye(n * k, k=n)
+        fresh[-n:] = -row / lead[:, None]
+        assert len(seen) == 1
+        assert seen[0].tobytes() == companion_layout(row, lead).tobytes() == fresh.tobytes()
+
+    def test_the_template_is_read_only_and_survives_a_non_real_trial(self):
+        # z^2 + 1 on both entries: the roots +-i
+        row, lead = np.hstack((np.eye(2), np.zeros((2, 2)))), np.ones(2)
+        template = matpoly._identity_blocks(2, 4)
+        C = companion_layout(row, lead)
+        assert C.flags.writeable and not np.shares_memory(C, template)
+        with pytest.raises(NonRealSpectrum):
+            decompose_row(row, lead)
+        assert matpoly._identity_blocks(2, 4) is template
+        assert not template.flags.writeable
+        assert template.tobytes() == np.eye(4, k=2).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            template[-1, 0] = 1.0
 
 
 class TestBatchedRefinement:

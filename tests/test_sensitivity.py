@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from structured_iep import (
     DegenerateDenominator,
@@ -304,26 +307,115 @@ class TestJacobianFromDecomposition:
             assert np.max(np.abs(den - want) / np.abs(want)) <= 1e-13
 
     @pytest.mark.parametrize("delta", [0.0, 1e-11, 7e-11, 7.1e-11, 1e-10, 1e-3])
-    def test_degenerate_denominator_at_the_same_threshold(self, delta):
-        # P'(0) = diag(4, -4) and v = (cos t, sin t) with t = pi/4 + delta:
-        # v^T P'(0) v = 4 cos 2t, against DENOM_TOL times ||P'||_F = 4 sqrt(2);
-        # the decision does not depend on the row's scale or sign
-        P = MatrixPolynomial((np.eye(2), np.diag([4.0, -4.0]), np.eye(2)))
+    @pytest.mark.parametrize("k, crossing", [(2, 0), (3, 2)])
+    def test_degenerate_denominator_at_the_same_threshold(self, k, crossing, delta):
+        # P'(0) = A_1 = diag(4, -4) and row ``crossing``, at lambda = 0, is
+        # v = (cos t, sin t) with t = pi/4 + delta: v^T P'(0) v = 4 cos 2t,
+        # against DENOM_TOL times ||P'(0)||_F = 4 sqrt(2).  Every other row
+        # is e_1, far from its threshold, at a value away from 0; at k = 3
+        # the crossing row is not row 0 and not the largest |lambda|.  The
+        # decision does not depend on the row's scale or sign
+        P = MatrixPolynomial((np.eye(2), np.diag([4.0, -4.0])) + (np.eye(2),) * (k - 1))
+        values = np.array({2: [0.0, 1.0, 3.0, 4.0], 3: [-2.0, -1.0, 0.0, 1.0, 3.0, 4.0]}[k])
         t = np.pi / 4 + delta
-        rows = np.array([[np.cos(t), np.sin(t)], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        values = np.array([0.0, 1.0, 3.0, 4.0])
+        rows = np.tile([1.0, 0.0], (2 * k, 1))
+        rows[crossing] = np.cos(t), np.sin(t)
         dP = derivative(P)
         for row_scale in (1.0, 1e-3, -0.5, -1e3):
-            decomp = SpectralDecomposition(values=values, companion_rows=row_scale * rows, upper=P.coeffs[1],
-                                           lead=np.ones(2))
-            degenerate = any(abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * coefficient_scale(dP, lam)
-                             for lam, v in zip(values, unit_vectors(decomp)))
-            assert degenerate == (delta < 7.07e-11)
-            if degenerate:
-                with pytest.raises(DegenerateDenominator, match="row 0"):
+            decomp = SpectralDecomposition(values=values, companion_rows=row_scale * rows,
+                                           upper=np.hstack(P.coeffs[1:k]), lead=np.ones(2))
+            degenerate = [abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * coefficient_scale(dP, lam)
+                          for lam, v in zip(values, unit_vectors(decomp))]
+            assert degenerate == [q == crossing and delta < 7.07e-11 for q in range(2 * k)]
+            if any(degenerate):
+                with pytest.raises(DegenerateDenominator, match=f"row {crossing}:"):
                     jacobian_x(decomp)
             else:
                 assert np.all(np.isfinite(jacobian_x(decomp)))
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.999, 1.001, 2.0, 1e7])
+    def test_degenerate_denominator_at_the_same_threshold_at_degree_one(self, ratio):
+        # P'(z) = diag(1, mu) at every z, and row 1 is e_2: v^T P' v = mu,
+        # against DENOM_TOL times ||P'||_F = DENOM_TOL (1 + mu^2)^(1/2)
+        mu = ratio * sensitivity.DENOM_TOL
+        dP = MatrixPolynomial((np.diag([1.0, mu]),))
+        values = np.array([-3.0, 2.0])
+        for row_scale in (1.0, 1e-3, -0.5, -1e3):
+            decomp = SpectralDecomposition(values=values, companion_rows=row_scale * np.eye(2),
+                                           upper=np.zeros((2, 0)), lead=np.array([1.0, mu]))
+            degenerate = [abs(v @ evaluate(dP, lam) @ v) < sensitivity.DENOM_TOL * coefficient_scale(dP, lam)
+                          for lam, v in zip(values, unit_vectors(decomp))]
+            assert degenerate == [False, ratio < 1.0]
+            if any(degenerate):
+                with pytest.raises(DegenerateDenominator, match="row 1:"):
+                    jacobian_x(decomp)
+            else:
+                assert np.all(np.isfinite(jacobian_x(decomp)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), k=st.integers(1, 3))
+    def test_the_guard_raises_exactly_when_the_per_row_rule_does(self, seed, n, k):
+        decomp = random_guard_case(np.random.default_rng(seed), n, k)
+        sq = decomp.companion_rows ** 2
+        den, row = per_row_rule(decomp, sq)
+        if row is None:
+            assert sensitivity._denominators(decomp, sq).tobytes() == den.tobytes()
+        else:
+            with pytest.raises(DegenerateDenominator, match=f"row {row}:"):
+                sensitivity._denominators(decomp, sq)
+
+
+def per_row_rule(decomp, sq):
+    """The denominators v_q^T P'(lambda_q) v_q and the guard's per-row rule
+    alone, written out as the guard ran before its scalar bound: (den, the
+    first row whose |den| is at most DENOM_TOL ||v_q||^2 times the scale
+    sum_s s ||A_s||_F |lambda_q|^(s-1), or None)."""
+    lead, lams, upper, V = decomp.lead, decomp.values, decomp.upper, decomp.companion_rows
+    n = len(lead)
+    k = upper.shape[1] // n + 1
+    den = k * (sq @ lead)
+    scale = k * math.sqrt(lead @ lead)
+    if k > 1:
+        forms = ((V @ upper).reshape(len(V), -1, n) * V[:, None, :]).sum(axis=2)
+        norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
+        for s in range(k - 1, 0, -1):
+            den = den * lams + s * forms[:, s - 1]
+            scale = scale * np.abs(lams) + s * norms[s - 1]
+    small = np.abs(den) <= sensitivity.DENOM_TOL * scale * sq.sum(axis=1)
+    return den, (int(small.argmax()) if small.any() else None)
+
+
+def random_guard_case(rng, n, k):
+    """A decomposition of random data for the denominator guard: leading
+    entries from 1e-12 to 10, symmetric A_s of magnitudes 1e-3 to 1e3,
+    ascending values of both signs and some exactly 0, and rows that are
+    random, zero, or built to sit near their threshold (from 0.1 to 10
+    times it, of either sign), each scaled by +-1e-3 to 1e3."""
+    lead = 10.0 ** rng.uniform(-12.0, 1.0, n)
+    blocks = [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3.0, 3.0) for _ in range(k - 1)]
+    blocks = [b + b.T for b in blocks]
+    m = n * k
+    values = np.sort(np.where(rng.random(m) < 0.2, 0.0, rng.standard_normal(m) * 10.0 ** rng.uniform(-2.0, 2.0, m)))
+    rows = np.zeros((m, n))
+    for q, lam in enumerate(values):
+        kind = rng.choice(("random", "zero", "near"), p=(0.5, 0.05, 0.45))
+        if kind == "zero":
+            continue
+        dP = k * np.diag(lead) * lam ** (k - 1) + sum(s * blocks[s - 1] * lam ** (s - 1) for s in range(1, k))
+        w, U = np.linalg.eigh(dP)
+        v = rng.standard_normal(n)
+        if kind == "near" and w[0] < 0.0 < w[-1]:
+            # v = cos t u_max + sin t u_min, a unit vector with v^T P' v = target
+            scale = (k * np.linalg.norm(lead) * abs(lam) ** (k - 1)
+                     + sum(s * np.linalg.norm(blocks[s - 1]) * abs(lam) ** (s - 1) for s in range(1, k)))
+            target = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.0) * sensitivity.DENOM_TOL * scale
+            c2 = min(max((target - w[0]) / (w[-1] - w[0]), 0.0), 1.0)
+            v = math.sqrt(c2) * U[:, -1] + math.sqrt(1.0 - c2) * U[:, 0]
+        elif kind == "near":  # P' definite: the direction of its smallest |eigenvalue|
+            v = U[:, np.argmin(np.abs(w))]
+        rows[q] = v * rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    upper = np.hstack(blocks) if k > 1 else np.zeros((n, 0))
+    return SpectralDecomposition(values=values, companion_rows=rows, upper=upper, lead=lead)
 
 
 class TestRawRows:
