@@ -8,13 +8,14 @@ Solves, with continuation_solve of the package in this checkout's src/, the
 instances that perfbench/workloads.py generates (its generators are only
 read): the two bundled problems, the ``corpus`` set (generator seed 1) and
 the ``sweep`` set.  For each set it prints the eigensolves by kind (eig,
-eigvals, eigh, eigvalsh of numpy.linalg, as matpoly calls them) and the
-Newton trials: the spectral_map calls of newton_solve after each
-corrector's start.  The benchmark's tracer counts eig only.  The last
-column, events_per_map, is the number of Python and C function calls that
-sys.setprofile sees over the whole solves (after one warm-up solve of each
-instance), per spectral_map: the machine-independent call overhead of a
-Newton iteration.  Importing this
+eigvals, eigh, eigvalsh of numpy.linalg, as matpoly calls them), counted
+through a stand-in for matpoly's ``np``, and the Newton solves and trials
+that the reports' corrector records hold (a trial is a spectral_map call
+of newton_solve after its corrector's start).  The benchmark's tracer
+counts eig only.  The last column, events_per_map, is the number of Python
+and C function calls that sys.setprofile sees over the whole solves (after
+one warm-up solve of each instance), per spectral_map: the
+machine-independent call overhead of a Newton iteration.  Importing this
 module changes neither os.environ nor sys.path: only main() does, before
 it imports numpy.
 """
@@ -60,25 +61,20 @@ def _counted(fn, name, calls):
 
 def counts(specs) -> dict:
     """COLUMNS for continuation_solve on each spec: eigensolves by kind as
-    matpoly sees numpy.linalg, and Newton trials (spectral_map calls minus
-    one start per newton_solve)."""
+    matpoly sees numpy.linalg, and the Newton solves and trials of the
+    reports' Corrector records."""
     import numpy as np
-    from structured_iep import continuation_solve, matpoly, solver
+    from structured_iep import continuation_solve, matpoly
 
-    calls = dict.fromkeys(KINDS + ("spectral_map", "newton_solve"), 0)
+    calls = dict.fromkeys(KINDS, 0)
     linalg = _Proxy(np.linalg, **{kind: _counted(getattr(np.linalg, kind), kind, calls) for kind in KINDS})
-    saved = matpoly.np, solver.spectral_map, solver.newton_solve
-    matpoly.np = _Proxy(np, linalg=linalg)
-    solver.spectral_map = _counted(solver.spectral_map, "spectral_map", calls)
-    solver.newton_solve = _counted(solver.newton_solve, "newton_solve", calls)
+    saved, matpoly.np = matpoly.np, _Proxy(np, linalg=linalg)
     try:
-        for spec in specs:
-            continuation_solve(spec)
+        correctors = [c for spec in specs for c in continuation_solve(spec).correctors]
     finally:
-        matpoly.np, solver.spectral_map, solver.newton_solve = saved
-    return {"instances": len(specs), "newton_solves": calls["newton_solve"],
-            **{kind: calls[kind] for kind in KINDS},
-            "trials": calls["spectral_map"] - calls["newton_solve"]}
+        matpoly.np = saved
+    return {"instances": len(specs), "newton_solves": len(correctors), **calls,
+            "trials": sum(c.trials for c in correctors)}
 
 
 def events_per_map(specs) -> float:

@@ -13,8 +13,9 @@ read): the ``corpus`` set for generator seeds 1-3, the ``sweep`` set and the
 two bundled problems.  For each instance the record holds ``converged``; for
 a converged solve ``x`` as hex floats, ``continuation_path`` and the
 iteration records (residual and step norm as hex floats); for a failed one
-the failure ``kind`` and ``tau`` read from the failure text, and the full
-text as ``detail``.
+the ``kind`` (the error's class name) and ``tau`` (to 6 significant
+digits) of the solve's last corrector, and the report's failure text as
+``detail``.
 
 --compare A B exits 1 when the two records differ in the instance set, in
 which instances converged, in any converged instance's x, path or
@@ -36,12 +37,10 @@ import argparse
 import json
 import os
 import pathlib
-import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS_SEEDS = (1, 2, 3)
-FAILURE = re.compile(r"(\w+) at tau=([^:]+): ")
 # the kinds of difference the --rtol policy reports, in the order counted
 KINDS = ("converged set", "x", "continuation path", "iteration count", "failure kind or tau")
 
@@ -74,8 +73,8 @@ def answer(spec) -> dict:
             "iterations": [[r.iteration, float(r.residual).hex(), float(r.step_norm).hex()]
                            for r in rep.iterations],
         }
-    kind, tau = FAILURE.match(rep.failure).groups()
-    return {"converged": False, "kind": kind, "tau": tau, "detail": rep.failure}
+    last = rep.correctors[-1]
+    return {"converged": False, "kind": last.kind.__name__, "tau": f"{last.tau:.6g}", "detail": rep.failure}
 
 
 def relative_x_difference(ra: dict, rb: dict) -> float:

@@ -44,6 +44,7 @@ from .sensitivity import (
     seed_vandermonde_check,
 )
 from .solver import (
+    Corrector,
     IterationRecord,
     ProblemSpec,
     SolveReport,
@@ -68,7 +69,7 @@ __all__ = [
     "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_unknowns",
     "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
     "seed_vandermonde_check",
-    "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",
+    "Corrector", "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",
     "VerifyReport", "assemble", "continuation_solve", "match_targets",
     "newton_solve", "spectral_map", "verify",
 ]

@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolation,
     LeadingCoefficientError,
     NearDegenerate,
-    NoConvergence,
     NonRealSpectrum,
     ProblemFormatError,
 )
@@ -114,7 +113,7 @@ def cmd_solve(args) -> int:
         print(f"converged: {report.converged}  structure_ok: {report.structure_ok}")
     if report.converged:
         return 0
-    if report.failure and "NonRealSpectrum" in report.failure and not report.continuation_path:
+    if report.correctors[-1].kind is NonRealSpectrum and not report.continuation_path:
         return EXIT_NON_REAL
     return EXIT_NO_CONVERGENCE
 
@@ -235,9 +234,6 @@ def main(argv=None) -> int:
     except NonRealSpectrum as exc:
         print(f"error: non-real spectrum: {exc}", file=sys.stderr)
         return EXIT_NON_REAL
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -25,8 +25,10 @@ and dlambda/dtau in one call.  A corrector at tau = 1 that starts within
 VECTOR_REUSE_SHIFT of every target's gap computes proper vectors once, at
 its start: its trials solve for values only, and their Jacobians read the
 start's vectors (no tangent follows the last corrector).  A corrector
-returns its converged state, not a report: the polynomial is assembled
-once per solve, for the one SolveReport continuation_solve returns.
+returns its state and a Corrector record of how it ended, not a report:
+the records are the one account of a solve, from which continuation_solve
+derives its path, iterations, residual and failure text, and the
+polynomial is assembled once per solve, for the one SolveReport.
 """
 
 from __future__ import annotations
@@ -181,11 +183,31 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class Corrector:
+    """How one newton_solve at off-diagonal scale tau ended: its accepted
+    iterates, start first (empty when the start's eigensolve failed), and
+    its trials (spectral_map calls after the start).  A failed corrector
+    holds the error's class as ``kind`` and its message as ``detail``, not
+    the exception, whose traceback would keep the solve's frames alive."""
+
+    tau: float
+    iterations: tuple[IterationRecord, ...]
+    trials: int
+    kind: type[Exception] | None = None
+    detail: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.kind is None
+
+
+@dataclass(frozen=True)
 class SolveReport:
     polynomial: MatrixPolynomial
     x: np.ndarray
     residual: float
-    iterations: tuple[IterationRecord, ...]
+    iterations: tuple[IterationRecord, ...]  # of the converged correctors, in order
+    correctors: tuple[Corrector, ...]  # every newton_solve, discarded ones included
     structure_ok: bool
     structure_detail: tuple[bool, ...]  # per non-leading coefficient
     leading_ok: bool
@@ -269,7 +291,7 @@ def newton_solve(
     x0: np.ndarray | None = None,
     tau: float = 1.0,
     tol: float | None = None,
-) -> tuple[np.ndarray, SpectralDecomposition, tuple[IterationRecord, ...]]:
+) -> tuple[np.ndarray, SpectralDecomposition | None, Corrector]:
     """Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
     Runs at most controls.max_iter iterations and stops at a residual of
@@ -277,10 +299,11 @@ def newton_solve(
     the full analytic-Jacobian Newton step (jacobian_x) if it strictly
     lowers the residual infinity-norm.  Otherwise, or when the step's
     spectral_map raises one of SPECTRUM_FAILURES (a spectrum not real and
-    simple, or a companion that overflows), the solve raises NoConvergence
-    ("full step did not lower the residual") and damps nothing:
-    continuation_solve halves its step in tau instead.  A solve makes at
-    most 1 + max_iter spectral_map evaluations, one per trial.
+    simple, or a companion that overflows), the solve fails with
+    NoConvergence ("full step did not lower the residual") and damps
+    nothing: continuation_solve halves its step in tau instead.  A solve
+    makes at most 1 + max_iter spectral_map evaluations: the start, then
+    one per trial.
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map writes its trial's coefficient
@@ -291,16 +314,19 @@ def newton_solve(
     VECTOR_REUSE_SHIFT (g = spectrum.gaps), the proper vectors are computed
     once, at the start: every trial solves for values only, and its
     Jacobian reads the start's vectors with the trial's own values and P'.
-    Returns the converged state (x, decomposition, iterations): the last
-    accepted iterate, its spectral_map and one IterationRecord per accepted
-    iterate, the start included.  The decomposition's values are exact;
-    its rows are, by spectral_map's contract, bitwise those of
-    proper_values(assemble(x, spec, tau)), so _tangent needs no eig of its
-    own, except when the start's vectors were reused: its rows are then the
-    start's.  A failed solve raises NoConvergence, SingularJacobian or, at
-    the start, one of SPECTRUM_FAILURES.  A ``tau`` or positive ``tol`` that
-    is not a finite real number, or an ``x0`` that is not a finite real
-    vector of shape (kn,) (errors.check_real, errors.real_vector), raises
+    Returns (x, decomposition, Corrector) whether it converges or fails;
+    x is the last accepted iterate (x0 when none was).  On convergence the
+    decomposition is x's spectral_map and the record holds one
+    IterationRecord per accepted iterate, the start included.  The
+    decomposition's values are exact; its rows are, by spectral_map's
+    contract, bitwise those of proper_values(assemble(x, spec, tau)), so
+    _tangent needs no eig of its own, except when the start's vectors were
+    reused: its rows are then the start's.  On failure the decomposition is
+    None and the record's kind is NoConvergence, SingularJacobian,
+    DegenerateDenominator or, at the start, one of SPECTRUM_FAILURES.
+    Only bad input raises: a ``tau`` or positive ``tol`` that is not a
+    finite real number, or an ``x0`` that is not a finite real vector of
+    shape (kn,) (errors.check_real, errors.real_vector), raises
     InvariantViolation."""
     if tol is not None:
         _check_tol("tol", tol)
@@ -312,40 +338,45 @@ def newton_solve(
         x = seed_unknowns(spec.spectrum, spec.lead)
     else:
         x = real_vector("x0", x0, spec.n * spec.k)
-    trace = []
+    trace, trials = [], 0
 
-    decomp = spectral_map(x, spec, tau)  # SPECTRUM_FAILURES propagate: continuation trigger
-    res = decomp.values - targets
-    rnorm = float(np.maximum.reduce(np.abs(res)))
-    trace.append(IterationRecord(0, rnorm, 0.0))
-    # the final corrector near its root: the start's vectors serve every trial
-    reuse = tau == 1.0 and np.maximum.reduce(np.abs(res) / spec.spectrum.gaps) <= VECTOR_REUSE_SHIFT
-    rows = decomp.companion_rows if reuse else None
+    try:
+        decomp = spectral_map(x, spec, tau)
+        res = decomp.values - targets
+        rnorm = float(np.maximum.reduce(np.abs(res)))
+        trace.append(IterationRecord(0, rnorm, 0.0))
+        # the final corrector near its root: the start's vectors serve every trial
+        reuse = tau == 1.0 and np.maximum.reduce(np.abs(res) / spec.spectrum.gaps) <= VECTOR_REUSE_SHIFT
+        rows = decomp.companion_rows if reuse else None
 
-    for it in range(1, ctl.max_iter + 2):
-        if rnorm <= tol:
-            return x, decomp, tuple(trace)
-        if it > ctl.max_iter:
-            raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {ctl.max_iter} iterations")
-        J = jacobian_x(decomp)
-        try:
-            dx = np.linalg.solve(J, res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
-        if not np.logical_and.reduce(np.isfinite(dx)):
-            raise SingularJacobian(f"Newton step non-finite at iteration {it}")
-        x_try = x - dx
-        try:
-            d_try = spectral_map(x_try, spec, tau, rows)
-            r_try = d_try.values - targets
-            # the ufunc's reduce, without the Python wrapper of ndarray.max
-            rn_try = float(np.maximum.reduce(np.abs(r_try)))
-        except SPECTRUM_FAILURES:
-            rn_try = np.inf  # a trial off the real, simple spectrum, or one LAPACK refuses, lowers nothing
-        if not rn_try < rnorm:
-            raise NoConvergence(f"full step did not lower the residual {rnorm:.3g} (iteration {it})")
-        x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
-        trace.append(IterationRecord(it, rnorm, math.sqrt(dx @ dx)))
+        for it in range(1, ctl.max_iter + 2):
+            if rnorm <= tol:
+                return x, decomp, Corrector(tau, tuple(trace), trials)
+            if it > ctl.max_iter:
+                raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {ctl.max_iter} iterations")
+            J = jacobian_x(decomp)
+            try:
+                dx = np.linalg.solve(J, res)
+            except np.linalg.LinAlgError as exc:
+                raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
+            if not np.logical_and.reduce(np.isfinite(dx)):
+                raise SingularJacobian(f"Newton step non-finite at iteration {it}")
+            x_try = x - dx
+            trials += 1
+            try:
+                d_try = spectral_map(x_try, spec, tau, rows)
+                r_try = d_try.values - targets
+                # the ufunc's reduce, without the Python wrapper of ndarray.max
+                rn_try = float(np.maximum.reduce(np.abs(r_try)))
+            except SPECTRUM_FAILURES:
+                rn_try = np.inf  # a trial off the real, simple spectrum, or one LAPACK refuses, lowers nothing
+            if not rn_try < rnorm:
+                raise NoConvergence(f"full step did not lower the residual {rnorm:.3g} (iteration {it})")
+            x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
+            trace.append(IterationRecord(it, rnorm, math.sqrt(dx @ dx)))
+    except (NoConvergence, SingularJacobian, DegenerateDenominator, *SPECTRUM_FAILURES) as exc:
+        # the class and message only: the exception's traceback holds this frame
+        return x, None, Corrector(tau, tuple(trace), trials, type(exc), str(exc))
 
 
 def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
@@ -453,59 +484,62 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     The predictors choose only where a corrector starts, so neither budget
     depends on them.
 
-    The solve has one exit: the polynomial is assembled once, at the last
-    converged (tau, x), for the one SolveReport.  continuation_path holds
-    the converged tau values, ascending (to 1 on success).  On failure the
-    report is the last converged (tau, x), with the residual of its last
-    iteration (within the corrector tolerance below tau = 1); when no tau
-    converged that is the seed at tau = 0, with an empty path and residual
-    inf.  Its failure reads "<exception kind> at tau=<tau>: <detail>", for
-    the last corrector tried.
+    The solve has one exit, where the report is derived from the Corrector
+    records of every newton_solve, discarded ones included, kept in order
+    as ``correctors``: the polynomial is assembled once, at the last
+    converged (tau, x).  continuation_path holds the converged correctors'
+    tau values, ascending (to 1 on success), and iterations their
+    IterationRecords.  The solve converged when its last corrector did.
+    On failure the report is the last converged (tau, x), with the residual
+    of its last iteration (within the corrector tolerance below tau = 1);
+    when no tau converged that is the seed at tau = 0, with an empty path
+    and residual inf.  Its failure reads "<kind> at tau=<tau>: <detail>",
+    for the last corrector; this is the one place that text is written.
     """
     loose_tol = max(CORRECTOR_TOL_REL * spec.spectrum.scale, spec.controls.resolved_tol(spec.spectrum))
     x = seed_unknowns(spec.spectrum, spec.lead)
     curvature, rho = _seed_curvature(spec)
     tau, dtau = 0.0, 1.0
-    path, trace, failure = [], [], None
+    correctors = []
     while True:
         # absorb rounding in tau + dtau so the last step lands exactly on 1
         tau_next = 1.0 if tau + dtau > 1.0 - 1e-12 else tau + dtau
-        if path:
+        if tau > 0.0:
             x0 = x + (tau_next - tau) * xdot
         elif tau_next ** 2 * rho <= SEED_SHIFT_MAX:
             x0 = x + tau_next ** 2 * curvature
         else:
             x0 = x
-        try:
-            x_next, decomp, iterations = newton_solve(
-                spec, x0=x0, tau=tau_next, tol=None if tau_next == 1.0 else loose_tol)
-        except (NoConvergence, SingularJacobian, DegenerateDenominator, *SPECTRUM_FAILURES) as exc:
+        x_next, decomp, corrector = newton_solve(
+            spec, x0=x0, tau=tau_next, tol=None if tau_next == 1.0 else loose_tol)
+        correctors.append(corrector)
+        if not corrector.converged:
             dtau *= 0.5
             if dtau >= 1.0 / MAX_CONTINUATION_STEPS:
                 continue
-            failure = f"{type(exc).__name__} at tau={tau_next:.6g}: {exc}"
             break
         x, tau = x_next, tau_next
-        path.append(tau)
-        trace.extend(iterations)
         if tau == 1.0:
             break
         xdot = _tangent(spec, decomp)
         dtau = min(2.0 * dtau, 1.0 - tau)
     # the last converged (tau, x): the seed at tau = 0 when none did
+    kept = [c for c in correctors if c.converged]
+    last = correctors[-1]
     P = assemble(x, spec, tau)
     detail, leading_ok = _structure_verdict(P, spec)
     return SolveReport(
         polynomial=P,
         x=x,
-        residual=trace[-1].residual if path else np.inf,
-        iterations=tuple(trace),
+        residual=kept[-1].iterations[-1].residual if kept else np.inf,
+        iterations=tuple(r for c in kept for r in c.iterations),
+        correctors=tuple(correctors),
         structure_ok=all(detail) and leading_ok,
         structure_detail=detail,
         leading_ok=leading_ok,
-        continuation_path=tuple(path),
-        converged=failure is None,
-        failure=failure,
+        continuation_path=tuple(c.tau for c in kept),
+        converged=last.converged,
+        failure=None if last.converged else f"{last.kind.__name__} at tau={last.tau:.6g}: {last.detail}",
     )
 
 

@@ -298,6 +298,15 @@ class TestJacobian:
         assert code == cli.EXIT_INVARIANT and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_nonreal_spectrum_at_the_point_exits_five(self, capsys, tmp_path):
+        # at x = 0 path4's polynomial is z^2 I + z Y + Y, Y its path
+        # off-diagonals, whose spectrum is not real: no Jacobian, no report
+        xfile = tmp_path / "x.json"
+        xfile.write_text(json.dumps([0.0] * 8))
+        code, out, err = run(capsys, ["--quiet", "jacobian", PATH4, "--at", str(xfile)])
+        assert code == cli.EXIT_NON_REAL and out == ""
+        assert err.startswith("error: non-real spectrum:") and err.count("\n") == 1
+
     def test_degenerate_denominator_exits_three(self, capsys, monkeypatch):
         def degenerate(decomp):
             raise DegenerateDenominator("row 0: value numerically non-simple")
@@ -521,6 +530,29 @@ def test_stdout_without_out_is_only_the_report(capsys, tmp_path, command):
     code, out, _ = run(capsys, argv)  # neither --out nor --quiet
     assert code == 0
     assert isinstance(strict_json(out), dict)
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("seed", ["coefficient 0:", "coefficient 1:", "coefficient 2:"]),
+    ("verify", ["residual: ", "passed: True"]),
+    ("jacobian", ["condition: ", "vandermonde check passed: True"]),
+])
+def test_summary_after_out_unless_quiet(capsys, tmp_path, command, lines):
+    # solve's summary is tested in TestSolve; these are the other three
+    argv = [command, PATH4]
+    if command == "verify":
+        poly = tmp_path / "poly.json"
+        run(capsys, ["--quiet", "solve", PATH4, "--out", str(poly)])
+        argv = [command, str(poly), PATH4]
+    dest = tmp_path / "r.json"
+    code, out, err = run(capsys, [*argv, "--out", str(dest)])
+    assert code == 0 and err == ""
+    assert isinstance(strict_json(dest.read_text()), dict)
+    shown = [line for line in out.splitlines() if not line.startswith("  ")]  # matrix rows are indented
+    assert len(shown) == len(lines)
+    assert all(line.startswith(want) for line, want in zip(shown, lines))
+    code, out, _ = run(capsys, ["--quiet", *argv, "--out", str(dest)])
+    assert code == 0 and out == ""
 
 
 @pytest.mark.parametrize("bad", ["missing-dir", "directory"])

@@ -98,3 +98,24 @@ def test_only_errors_owns_the_finite_real_rules():
                     and path.name != "cli.py"):
                 offenders.add(f"{path.name}:{node.lineno} math.isfinite")
     assert not offenders, f"input rules outside errors.py: {sorted(offenders)}"
+
+
+def test_only_the_solver_writes_the_failure_text():
+    # "<kind> at tau=<tau>: <detail>" is written once, by continuation_solve,
+    # and parsed nowhere: the CLI's exit code and the scripts read the kind
+    # and tau of the report's last Corrector record.  So no string constant
+    # but a docstring (a string statement), outside solver.py and the
+    # package's __init__ (whose __all__ names the classes), may hold
+    # "at tau=" or the name of an errors.py class
+    errors = ast.parse((ROOT / "src" / "structured_iep" / "errors.py").read_text())
+    needles = ("at tau=", *(node.name for node in errors.body if isinstance(node, ast.ClassDef)))
+    offenders = set()
+    for path in [*(ROOT / "src" / "structured_iep").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        if path.name in ("solver.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                offenders.update(f"{path.name}:{node.lineno} {needle!r}" for needle in needles if needle in node.value)
+    assert not offenders, f"failure text written or parsed outside solver.py: {sorted(offenders)}"

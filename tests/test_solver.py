@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from structured_iep import (
     NoConvergence,
     NonRealSpectrum,
     ProblemSpec,
+    SingularJacobian,
     SolverControls,
     TargetSpectrum,
     assemble,
@@ -57,6 +59,14 @@ def complex_pair_spec(max_iter=10):
         epsilon=500.0,
         controls=SolverControls(max_iter=max_iter),
     )
+
+
+def solved(spec, **kwargs):
+    """newton_solve's (x, decomposition, iterations), asserting that the
+    corrector converged."""
+    x, decomp, corrector = newton_solve(spec, **kwargs)
+    assert corrector.converged, corrector.detail
+    return x, decomp, corrector.iterations
 
 
 def stalling_spec():
@@ -326,19 +336,19 @@ class TestMatchTargets:
 class TestNewtonSolve:
     def test_zero_epsilon_returns_seed_in_zero_iterations(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
-        x, _, iterations = newton_solve(spec)
+        x, _, iterations = solved(spec)
         assert len(iterations) == 1  # the initial residual record only
         assert np.array_equal(x, seed_unknowns(spec.spectrum, spec.lead))
 
     def test_seed_newton_step_is_tiny(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
-        _, _, iterations = newton_solve(spec)
+        _, _, iterations = solved(spec)
         assert iterations[-1].residual <= 1e-12
 
     def test_random_instance(self):
         rng = np.random.default_rng(17)
         spec = make_spec(rng, 5, 3, epsilon=0.1, newton_tol=1e-10)
-        x, _, iterations = newton_solve(spec)
+        x, _, iterations = solved(spec)
         assert iterations[-1].residual <= 1e-10
         # independent re-check of the polynomial of x: values and structure
         assert verify(assemble(x, spec), spec, value_tol=1e-10).passed
@@ -346,7 +356,7 @@ class TestNewtonSolve:
     def test_monotone_residual_trace(self):
         rng = np.random.default_rng(23)
         spec = make_spec(rng, 4, 2, epsilon=0.15)
-        _, _, iterations = newton_solve(spec)
+        _, _, iterations = solved(spec)
         residuals = [t.residual for t in iterations]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
@@ -385,32 +395,26 @@ class TestNewtonSolve:
         # at its fold Newton converges linearly, so the full solve makes many
         # trials; max_iter = 1 allows one, and a start at the root none
         fold = fold_spec()
-        root, _, _ = newton_solve(fold)
+        root, _, _ = solved(fold)
         for spec, x0 in ((fold, None), (fold_spec(max_iter=1), None), (fold, root)):
             calls.update(dict.fromkeys(calls, 0))
-            try:
-                newton_solve(spec, x0=x0)
-            except NoConvergence:
-                pass
+            newton_solve(spec, x0=x0)
             assert calls["decompose_row"] == calls["spectral_map"] >= 1
             assert calls["assemble"] == calls["linearize"] == calls["proper_values"] == 0
             trials.append(calls["spectral_map"])
         assert max(trials) > 10 * min(trials)
 
-    def test_stalled_step_stops_after_one_trial(self, monkeypatch):
+    def test_stalled_step_stops_after_one_trial(self):
         # at tau = 1/64 the complex pair's first full Newton step does not
         # lower the residual
-        calls = []
-        spectral = solver.spectral_map
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return spectral(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "spectral_map", counting)
-        with pytest.raises(NoConvergence, match=r"full step did not lower the residual .*\(iteration 1\)"):
-            newton_solve(complex_pair_spec(max_iter=8), tau=1 / 64)
-        assert len(calls) == 2  # the start, then the one trial
+        spec = complex_pair_spec(max_iter=8)
+        x, decomp, corrector = newton_solve(spec, tau=1 / 64)
+        assert corrector.kind is NoConvergence and corrector.tau == 1 / 64
+        assert re.search(r"full step did not lower the residual .*\(iteration 1\)", corrector.detail)
+        assert corrector.trials == 1  # after the start, the one trial
+        # the last accepted iterate is the start, and no decomposition is kept
+        assert len(corrector.iterations) == 1 and decomp is None
+        assert x.tobytes() == seed_unknowns(spec.spectrum, spec.lead).tobytes()
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.inf}, {"tol": True}, {"tol": "1e-3"},
@@ -433,11 +437,16 @@ class TestNewtonSolve:
         with pytest.raises(InvariantViolation, match=r"x0 must be a finite real vector of shape \(2,\)"):
             newton_solve(fold_spec(), x0=np.array([np.nan, 0.0]))
 
-    def test_nonreal_start_raises(self, path4_spec):
+    def test_nonreal_start_fails_fast(self, path4_spec):
         # full-strength off-diagonals on both path coefficients push a pair
         # of values complex; direct Newton must fail fast
-        with pytest.raises(NonRealSpectrum):
-            newton_solve(path4_spec)
+        x, decomp, corrector = newton_solve(path4_spec)
+        assert corrector.kind is NonRealSpectrum and corrector.detail
+        assert corrector.iterations == () and corrector.trials == 0 and decomp is None
+        assert x.tobytes() == seed_unknowns(path4_spec.spectrum, path4_spec.lead).tobytes()
+        # the record holds the class and the message, not the exception
+        assert not any(isinstance(getattr(corrector, f.name), BaseException)
+                       for f in dataclasses.fields(corrector))
 
 
 class TestVectorReuse:
@@ -459,7 +468,7 @@ class TestVectorReuse:
         for gate, reused in ((np.nextafter(omega, 0.0), False), (omega, True)):
             monkeypatch.setattr(solver, "VECTOR_REUSE_SHIFT", gate)
             calls.update(eig=0, eigvals=0)
-            _, _, iterations = newton_solve(spec, x0=x0)
+            _, _, iterations = solved(spec, x0=x0)
             trials = len(iterations) - 1
             assert trials >= 2
             # vectors at the start, and at every trial unless reused
@@ -472,14 +481,14 @@ class TestVectorReuse:
         x0 = seed_unknowns(spec.spectrum, spec.lead) + 0.25 * solver._seed_curvature(spec)[0]
         assert start_shift(spec, x0, tau=0.5) <= solver.VECTOR_REUSE_SHIFT
         calls = count_eigensolves(monkeypatch)
-        _, _, iterations = newton_solve(spec, x0=x0, tau=0.5)
+        _, _, iterations = solved(spec, x0=x0, tau=0.5)
         assert calls["eig"] == len(iterations) >= 2 and calls["eigvals"] == 0
 
     def test_returned_decomposition_has_exact_values_and_the_start_rows(self):
         spec = weakly_coupled_spec(20, 2)
         x0 = seed_unknowns(spec.spectrum, spec.lead) + solver._seed_curvature(spec)[0]  # the direct attempt's start
         assert start_shift(spec, x0) <= solver.VECTOR_REUSE_SHIFT
-        x, decomp, iterations = newton_solve(spec, x0=x0)
+        x, decomp, iterations = solved(spec, x0=x0)
         assert len(iterations) >= 3
         start = spectral_map(x0, spec)
         assert decomp.companion_rows.tobytes() == start.companion_rows.tobytes()
@@ -542,13 +551,13 @@ class TestContinuationSolve:
         spec = make_spec(rng, 4, 2, epsilon=0.1)
         curvature, rho = solver._seed_curvature(spec)
         assert rho <= solver.SEED_SHIFT_MAX  # the direct attempt starts at seed + c
-        predicted, _, iterations = newton_solve(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + curvature)
+        predicted, _, iterations = solved(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + curvature)
         cont = continuation_solve(spec)
         assert cont.continuation_path == (1.0,)
         assert np.array_equal(cont.x, predicted)
         assert cont.iterations == iterations
         # the same root as Newton from the bare seed
-        direct, _, _ = newton_solve(spec)
+        direct, _, _ = solved(spec)
         assert np.max(np.abs(cont.x - direct)) <= 1e-9 * np.max(np.abs(direct))
 
     def test_path4_requires_continuation(self, path4_spec):
@@ -584,35 +593,21 @@ class TestContinuationSolve:
                             rep.failure)
 
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
-    def test_bundled_problems_take_at_most_five_newton_solves(self, name, request, monkeypatch):
+    def test_bundled_problems_take_at_most_five_newton_solves(self, name, request):
         # and keep the path (0.5, 1)
         spec = request.getfixturevalue(name)
-        taus = []
-        newton = solver.newton_solve
-
-        def counting(*args, **kwargs):
-            taus.append(kwargs["tau"])
-            return newton(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "newton_solve", counting)
         rep = continuation_solve(spec)
+        taus = [c.tau for c in rep.correctors]
         assert rep.converged and rep.continuation_path == (0.5, 1.0)
         assert len(taus) <= 5
 
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec", "stalling"])
-    def test_correctors_below_tau_one_stop_at_the_looser_tolerance(self, name, request, monkeypatch):
+    def test_correctors_below_tau_one_stop_at_the_looser_tolerance(self, name, request):
         spec = stalling_spec() if name == "stalling" else request.getfixturevalue(name)
         loose = solver.CORRECTOR_TOL_REL * spec.spectrum.scale
         full = spec.controls.resolved_tol(spec.spectrum)
-        converged, newton = [], solver.newton_solve
-
-        def recording(*args, **kwargs):
-            state = newton(*args, **kwargs)
-            converged.append((kwargs["tau"], [r.residual for r in state[2]]))
-            return state
-
-        monkeypatch.setattr(solver, "newton_solve", recording)
         rep = continuation_solve(spec)
+        converged = [(c.tau, [r.residual for r in c.iterations]) for c in rep.correctors if c.converged]
         below = [residuals for tau, residuals in converged if tau < 1.0]
         assert below
         # each stopped at its first iterate within the looser tolerance
@@ -638,27 +633,17 @@ class TestContinuationSolve:
         assert {tol for tau, tol in tols if tau == 1.0} == {None}
 
     def test_failing_problem_stays_within_the_documented_budget(self, monkeypatch):
-        taus, corrector_iterations, jacobians = [], [], []
-        newton, jacobian = solver.newton_solve, solver.jacobian_x
+        jacobians, jacobian = [], solver.jacobian_x
 
         def counting_jacobian(*args, **kwargs):
             jacobians.append(1)
             return jacobian(*args, **kwargs)
 
-        def recording(*args, **kwargs):
-            # newton_solve builds one Jacobian per iteration
-            taus.append(kwargs["tau"])
-            before = len(jacobians)
-            try:
-                return newton(*args, **kwargs)
-            finally:
-                corrector_iterations.append((kwargs["tau"], len(jacobians) - before))
-
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
-        monkeypatch.setattr(solver, "newton_solve", recording)
         spec = complex_pair_spec()
         rep = continuation_solve(spec)
         assert not rep.converged
+        taus = [c.tau for c in rep.correctors]
         M = solver.MAX_CONTINUATION_STEPS
         log2_m = int(np.log2(M))
         # continuation_solve's docstring: at most 2M - 1 + log2(M) solves,
@@ -666,9 +651,10 @@ class TestContinuationSolve:
         assert len(taus) <= 2 * M - 1 + log2_m
         assert len(taus) == log2_m + 1
         assert min(taus) == 1.0 / M
-        assert corrector_iterations
+        # no corrector converged, so no tangent: one Jacobian per trial
+        assert len(jacobians) == sum(c.trials for c in rep.correctors)
         # continuation_solve's docstring: every corrector within controls.max_iter
-        assert all(n <= spec.controls.max_iter for tau, n in corrector_iterations)
+        assert all(c.trials <= spec.controls.max_iter for c in rep.correctors)
 
     @pytest.mark.parametrize("spec, newton_budget", [
         # no step converges: log2(M) + 1 Newton solves
@@ -686,50 +672,31 @@ class TestContinuationSolve:
         # continuation_solve's docstring: 133 * 51 = 6,783 with the default controls
         assert total_budget(SolverControls().max_iter) == 6_783
 
-        calls, jacobians, accepted, per_solve = [], [], [], []
-        spectral, newton, jacobian, record = (solver.spectral_map, solver.newton_solve, solver.jacobian_x,
-                                              solver.IterationRecord)
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return spectral(*args, **kwargs)
+        jacobians, jacobian = [], solver.jacobian_x
 
         def counting_jacobian(*args, **kwargs):
             jacobians.append(1)
             return jacobian(*args, **kwargs)
 
-        def counting_record(iteration, *args):
-            if iteration > 0:  # an accepted step; iteration 0 is the start
-                accepted.append(1)
-            return record(iteration, *args)
-
-        def recording(*args, **kwargs):
-            start = len(calls), len(jacobians), len(accepted)
-            rejected = False
-            try:
-                return newton(*args, **kwargs)
-            except NoConvergence as exc:
-                rejected = str(exc).startswith("full step did not lower the residual")
-                raise
-            finally:
-                per_solve.append((len(calls) - start[0], len(jacobians) - start[1], len(accepted) - start[2],
-                                  rejected))
-
-        monkeypatch.setattr(solver, "spectral_map", counting)
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
-        monkeypatch.setattr(solver, "IterationRecord", counting_record)
-        monkeypatch.setattr(solver, "newton_solve", recording)
         rep = continuation_solve(spec)
         assert not rep.converged and "full step did not lower the residual" in rep.failure
+        # the start (whether its eigensolve succeeded or not) and the trials
+        per_solve = [(1 + c.trials, len(c.iterations[1:]),
+                      c.kind is NoConvergence and c.detail.startswith("full step did not lower the residual"))
+                     for c in rep.correctors]
         assert per_solve and any(rejected for *_, rejected in per_solve)
         max_iter = spec.controls.max_iter
-        for used, built, steps, rejected in per_solve:
+        for used, steps, rejected in per_solve:
             # one trial per Jacobian: the start, every accepted step, and the
             # rejected full step that ended the corrector
             assert used == 1 + steps + rejected <= 1 + max_iter
-            assert built == steps + rejected
+        # one Jacobian per accepted or rejected step, and one per tangent:
+        # after every converged corrector, all below tau = 1 here
+        tangents = sum(c.converged for c in rep.correctors)
+        assert len(jacobians) == sum(steps + rejected for _, steps, rejected in per_solve) + tangents
         assert len(per_solve) <= newton_budget
-        assert len(calls) <= newton_budget * (1 + max_iter) <= total_budget(max_iter)
+        assert sum(used for used, *_ in per_solve) <= newton_budget * (1 + max_iter) <= total_budget(max_iter)
 
     @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "DegenerateDenominator"), (1, 1e200, "LinAlgError")],
                              ids=["k2", "k1"])
@@ -763,6 +730,50 @@ class TestContinuationSolve:
         rep = continuation_solve(make_spec(rng, 4, 2, epsilon=0.1))
         assert raised and rep.converged
         assert rep.continuation_path == (0.5, 1.0)
+
+
+class TestCorrectorEndings:
+    """Endings that no bundled or random problem reaches, forced through
+    the Jacobian."""
+
+    @pytest.mark.parametrize("J, detail", [
+        (lambda m: np.zeros((m, m)), "Newton linear solve failed at iteration 1: "),
+        (lambda m: 1e-320 * np.eye(m), "Newton step non-finite at iteration 1"),
+    ], ids=["zero", "non-finite-step"])
+    def test_a_singular_jacobian_fails_every_corrector_and_continuation_halves(self, J, detail, monkeypatch):
+        # every start is real and none within tolerance, so each corrector
+        # ends at its first step and none converges
+        spec = complex_pair_spec()
+        monkeypatch.setattr(solver, "jacobian_x", lambda decomp: J(len(decomp)))
+        with np.errstate(all="ignore"):
+            rep = continuation_solve(spec)
+        M = solver.MAX_CONTINUATION_STEPS
+        assert [c.tau for c in rep.correctors] == [2.0 ** -j for j in range(int(np.log2(M)) + 1)]
+        for c in rep.correctors:
+            assert c.kind is SingularJacobian and c.detail.startswith(detail)
+            assert len(c.iterations) == 1 and c.trials == 0
+        assert not rep.converged and rep.continuation_path == ()
+        assert rep.failure == f"SingularJacobian at tau=0.015625: {rep.correctors[-1].detail}"
+
+    def test_a_failed_tangent_starts_the_next_corrector_at_the_last_converged_x(self, path4_spec, monkeypatch):
+        jacobian, tangents = solver.jacobian_x, []
+
+        def degenerate_tangent(decomp, direction=None):
+            if direction is None:
+                return jacobian(decomp)
+            tangents.append(1)
+            raise DegenerateDenominator("injected")
+
+        monkeypatch.setattr(solver, "jacobian_x", degenerate_tangent)
+        starts = record_start_points(monkeypatch)
+        rep = continuation_solve(path4_spec)
+        assert tangents
+        first = next(i for i, c in enumerate(rep.correctors) if c.converged)
+        assert rep.correctors[first].tau < 1.0
+        loose = solver.CORRECTOR_TOL_REL * path4_spec.spectrum.scale
+        x, _, _ = solved(path4_spec, x0=starts[first], tau=rep.correctors[first].tau, tol=loose)
+        # the zero predictor: the next start is the converged point itself
+        assert starts[first + 1].tobytes() == x.tobytes()
 
 
 def old_structure_detail(P, spec):
@@ -1013,7 +1024,7 @@ class TestSeedPredictor:
         errors = []
         for tau in (0.04, 0.02, 0.01):
             predicted = seed + tau ** 2 * curvature
-            x, _, _ = newton_solve(spec, x0=predicted, tau=tau)
+            x, _, _ = solved(spec, x0=predicted, tau=tau)
             errors.append(np.linalg.norm(x - predicted))
         # x(tau) - seed - tau^2 c = O(tau^3): at least 8x smaller per halving
         assert errors[0] >= 8 * errors[1] and errors[1] >= 8 * errors[2]
@@ -1100,7 +1111,7 @@ def test_converged_newton_solve_assembles_no_polynomial(name, request, monkeypat
     spec = request.getfixturevalue(name)
     taus = counting_assemble(monkeypatch)
     curvature, _ = solver._seed_curvature(spec)
-    _, _, iterations = newton_solve(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + 0.25 * curvature, tau=0.5)
+    _, _, iterations = solved(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + 0.25 * curvature, tau=0.5)
     assert len(iterations) > 2
     assert taus == []
 
@@ -1126,7 +1137,7 @@ def test_continuation_solve_assembles_one_polynomial(name, request, monkeypatch)
 
 def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
     curvature, _ = solver._seed_curvature(path4_spec)
-    x, decomp, _ = newton_solve(path4_spec, x0=seed_unknowns(path4_spec.spectrum, path4_spec.lead) + 0.25 * curvature, tau=0.5)
+    x, decomp, _ = solved(path4_spec, x0=seed_unknowns(path4_spec.spectrum, path4_spec.lead) + 0.25 * curvature, tau=0.5)
     fresh = reference_spectral_map(x, path4_spec, 0.5)
     assert np.array_equal(solver._tangent(path4_spec, decomp), solver._tangent(path4_spec, fresh))
 

@@ -1,14 +1,17 @@
 """The benchmark's tracer (perfbench/layers.py) still installs on the package
 and sees every Newton trial and continuation tangent: a change that moves a
 traced function or the module it is looked up from fails here instead of
-breaking traced benchmark runs."""
+breaking traced benchmark runs.  The report's Corrector records count the
+same Newton solves, trials and accepted steps."""
 
 import importlib.util
 import pathlib
 
+import pytest
+
 from structured_iep import problems, solver  # noqa: F401 (the tracer wraps problems.load_problem)
 
-from test_solver import complex_pair_spec, weakly_coupled_spec
+from test_solver import complex_pair_spec, stalling_spec, weakly_coupled_spec
 
 LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -60,3 +63,21 @@ def test_values_only_trials_are_counted():
     assert counts["solver.trials"] == sum(r.iteration >= 1 for r in report.iterations) >= 1
     assert counts["solver.trials.rejected"] >= 0
     assert counts["matpoly.eig.calls"] == 1
+
+
+@pytest.mark.parametrize("name", ["path4", "complex_pair", "weakly_coupled", "stalling"])
+def test_the_corrector_records_agree_with_the_tracer(name, path4_spec):
+    # the report's records count what the tracer counts from outside; the
+    # stalling problem has a trial whose spectrum is not real
+    spec = {"path4": path4_spec, "complex_pair": complex_pair_spec(),
+            "weakly_coupled": weakly_coupled_spec(20, 2), "stalling": stalling_spec()}[name]
+    tracer = load_layers().Tracer()
+    with tracer.active():
+        report = solver.continuation_solve(spec)
+    counts, correctors = tracer.record(), report.correctors
+    assert len(correctors) == counts["solver.newton_solve.calls"]
+    assert sum(c.trials for c in correctors) == counts["solver.trials"]
+    assert sum(len(c.iterations[1:]) for c in correctors) == counts["solver.newton.accepted_steps"]
+    assert report.converged == (name in ("path4", "weakly_coupled"))
+    if report.converged:
+        assert sum(c.converged for c in correctors) == counts["solver.newton_solve.kept"]
