@@ -113,7 +113,9 @@ def cmd_solve(args) -> int:
         print(f"converged: {report.converged}  structure_ok: {report.structure_ok}")
     if report.converged:
         return 0
-    if report.correctors[-1].kind is NonRealSpectrum and not report.continuation_path:
+    # exit 5: no tau converged, and the last corrector's start was not real
+    last = report.correctors[-1]
+    if last.kind is NonRealSpectrum and not last.iterations and not report.continuation_path:
         return EXIT_NON_REAL
     return EXIT_NO_CONVERGENCE
 

@@ -149,16 +149,6 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     return companion_layout(np.hstack(P.coeffs[:-1]), lead)
 
 
-def _check_separation(vals: np.ndarray, sep_tol: float) -> None:
-    """Raise NearDegenerate if two ascending values are closer than sep_tol."""
-    gaps = vals[1:] - vals[:-1]
-    if gaps.min() < sep_tol:
-        q = int(gaps.argmin())
-        raise NearDegenerate(
-            f"proper values {vals[q]:.12g} and {vals[q + 1]:.12g} closer than sep_tol {sep_tol:.3g}"
-        )
-
-
 def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = None,
                   rows: np.ndarray | None = None) -> SpectralDecomposition:
     """The decomposition of P(z) = sum_{s<k} z^s A_s + z^k diag(lead), for
@@ -209,8 +199,13 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
             rows = V[:n, order].T
     if sep_tol is None:
         sep_tol = SEP_TOL_REL * max(vals[-1] - vals[0], 1.0)
-    if len(vals) > 1 and np.minimum.reduce(vals[1:] - vals[:-1]) < sep_tol:
-        _check_separation(vals, sep_tol)
+    if len(vals) > 1:
+        gaps = vals[1:] - vals[:-1]
+        if np.minimum.reduce(gaps) < sep_tol:
+            q = int(gaps.argmin())
+            raise NearDegenerate(
+                f"proper values {vals[q]:.12g} and {vals[q + 1]:.12g} closer than sep_tol {sep_tol:.3g}"
+            )
     return SpectralDecomposition(vals, rows, row[:, n:], lead)
 
 

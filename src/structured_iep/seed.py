@@ -34,7 +34,7 @@ class TargetSpectrum:
         vals = real_vector("target values", self.values, self.n * self.k)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if len(vals) > 1 and np.min(np.diff(np.sort(vals))) < SEP_TOL_REL * self.scale:
+        if np.min(self.gaps) < SEP_TOL_REL * self.scale:
             raise InvariantViolation("target values must be pairwise distinct")
 
     @cached_property

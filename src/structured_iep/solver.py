@@ -9,8 +9,9 @@ scale tau: each step predicts along the tangent of the solution curve and
 corrects with a Newton solve, keeping every converged step; the step halves
 on failure and doubles on success (continuation_solve).  Every
 corrector takes full Newton steps, and the first one that does not lower
-the residual fails it, so a losing corrector costs one eigensolve per
-iteration.  At the diagonal seed the tangent is zero, so correctors from
+the residual fails it, as does a trial whose eigensolve raises (with that
+error as the corrector's kind), so a losing corrector costs one eigensolve
+per iteration.  At the diagonal seed the tangent is zero, so correctors from
 the seed start at its closed-form second-order term instead, where that
 term moves no target by more than half its gap (_seed_curvature).
 Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL.
@@ -188,7 +189,10 @@ class Corrector:
     iterates, start first (empty when the start's eigensolve failed), and
     its trials (spectral_map calls after the start).  A failed corrector
     holds the error's class as ``kind`` and its message as ``detail``, not
-    the exception, whose traceback would keep the solve's frames alive."""
+    the exception, whose traceback would keep the solve's frames alive.
+    It ended at a trial (a step that did not lower the residual, or whose
+    eigensolve raised) exactly when it has iterations and trials ==
+    len(iterations), and at its start when it has no iterations."""
 
     tau: float
     iterations: tuple[IterationRecord, ...]
@@ -237,7 +241,9 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
     Coefficient s is block s of spectral_map's coefficient row, tau * Y_s
     of spec.ramp_row with x's block s written on its diagonal: for tau >= 0
     bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).  A bad x (see
-    errors.real_vector) raises ValueError."""
+    errors.real_vector) or a tau that is not a finite real number (see
+    errors.check_real) raises ValueError."""
+    check_real("tau", tau, ValueError)
     n, k = spec.n, spec.k
     row = _coefficient_row(real_vector("x", x, n * k, ValueError), spec, tau)
     return MatrixPolynomial((*row.reshape(n, k, n).transpose(1, 0, 2), np.diag(spec.lead.alpha_k)))
@@ -297,13 +303,13 @@ def newton_solve(
     Runs at most controls.max_iter iterations and stops at a residual of
     ``tol`` (default controls.resolved_tol) or less.  Each iteration takes
     the full analytic-Jacobian Newton step (jacobian_x) if it strictly
-    lowers the residual infinity-norm.  Otherwise, or when the step's
-    spectral_map raises one of SPECTRUM_FAILURES (a spectrum not real and
-    simple, or a companion that overflows), the solve fails with
-    NoConvergence ("full step did not lower the residual") and damps
-    nothing: continuation_solve halves its step in tau instead.  A solve
-    makes at most 1 + max_iter spectral_map evaluations: the start, then
-    one per trial.
+    lowers the residual infinity-norm.  Otherwise the solve fails with
+    NoConvergence ("full step did not lower the residual"), and when the
+    step's spectral_map raises one of SPECTRUM_FAILURES (a spectrum not
+    real and simple, or a companion that overflows) it fails with that
+    error; either way it damps nothing: continuation_solve halves its step
+    in tau instead.  A solve makes at most 1 + max_iter spectral_map
+    evaluations: the start, then one per trial.
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map writes its trial's coefficient
@@ -322,8 +328,10 @@ def newton_solve(
     contract, bitwise those of proper_values(assemble(x, spec, tau)), so
     _tangent needs no eig of its own, except when the start's vectors were
     reused: its rows are then the start's.  On failure the decomposition is
-    None and the record's kind is NoConvergence, SingularJacobian,
-    DegenerateDenominator or, at the start, one of SPECTRUM_FAILURES.
+    None and the record's kind is NoConvergence (a real trial that did
+    not lower the residual, or the max_iter budget), SingularJacobian,
+    DegenerateDenominator or, at the start or a trial, one of
+    SPECTRUM_FAILURES.
     Only bad input raises: a ``tau`` or positive ``tol`` that is not a
     finite real number, or an ``x0`` that is not a finite real vector of
     shape (kn,) (errors.check_real, errors.real_vector), raises
@@ -363,13 +371,10 @@ def newton_solve(
                 raise SingularJacobian(f"Newton step non-finite at iteration {it}")
             x_try = x - dx
             trials += 1
-            try:
-                d_try = spectral_map(x_try, spec, tau, rows)
-                r_try = d_try.values - targets
-                # the ufunc's reduce, without the Python wrapper of ndarray.max
-                rn_try = float(np.maximum.reduce(np.abs(r_try)))
-            except SPECTRUM_FAILURES:
-                rn_try = np.inf  # a trial off the real, simple spectrum, or one LAPACK refuses, lowers nothing
+            d_try = spectral_map(x_try, spec, tau, rows)
+            r_try = d_try.values - targets
+            # the ufunc's reduce, without the Python wrapper of ndarray.max
+            rn_try = float(np.maximum.reduce(np.abs(r_try)))
             if not rn_try < rnorm:
                 raise NoConvergence(f"full step did not lower the residual {rnorm:.3g} (iteration {it})")
             x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
@@ -559,10 +564,16 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     proper values with the solver's own proper_values (the same companion
     eig, so not an independent eigensolver), compare them to the sorted
     targets, and check every coefficient's graph and the leading
-    coefficient.  An eigensolve that raises one of SPECTRUM_FAILURES fails
-    the check.  Raises InvariantViolation when value_tol is not a finite,
+    coefficient.  The graph check reads which off-diagonal entries are
+    nonzero, not their values: a polynomial whose off-diagonals are tau
+    times the prescribed ones passes when its values are the targets.  An
+    eigensolve that raises one of SPECTRUM_FAILURES fails the check, and
+    so does a positive diagonal A_k that is not the problem's (leading_ok
+    False).  Raises InvariantViolation when value_tol is not a finite,
     non-negative real number, when P's size n or degree k is not the
-    problem's, or when a coefficient is not finite and symmetric."""
+    problem's, or when a coefficient is not finite and symmetric, and
+    LeadingCoefficientError (from proper_values) when A_k is not diagonal
+    with a positive diagonal."""
     check_real("value_tol", value_tol)
     if value_tol < 0.0:
         raise InvariantViolation(f"value_tol must be non-negative, got {value_tol}")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structured_iep import DegenerateDenominator, SolverControls, cli
+from structured_iep import DegenerateDenominator, NonRealSpectrum, SolverControls, cli, solver
 from structured_iep.problems import load_problem
 
 from conftest import (
@@ -150,6 +150,33 @@ class TestSolve:
         assert code == cli.EXIT_NO_CONVERGENCE
         assert doc["continuation_path"] == []
         assert doc["failure"].startswith("NoConvergence at tau=0.015625: full step did not lower the residual")
+
+    def test_nonreal_trials_without_a_converged_tau_exit_four(self, capsys, tmp_path, monkeypatch):
+        # every corrector's start is real and its first trial is not: the
+        # last corrector failed at a trial, not at its start, so exit 4
+        newton, spectral_map, maps = solver.newton_solve, solver.spectral_map, []
+
+        def fresh_corrector(*args, **kwargs):
+            maps.clear()
+            return newton(*args, **kwargs)
+
+        def nonreal_trials(*args, **kwargs):
+            maps.append(1)
+            if len(maps) > 1:
+                raise NonRealSpectrum("injected")
+            return spectral_map(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", fresh_corrector)
+        monkeypatch.setattr(solver, "spectral_map", nonreal_trials)
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(COMPLEX_PAIR_DOC))
+        code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
+        doc = strict_json(out)
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert doc["continuation_path"] == [] and doc["residual"] is None
+        last = solver.continuation_solve(load_problem(str(prob))).correctors[-1]
+        assert last.kind is NonRealSpectrum and last.detail == "injected"
+        assert len(last.iterations) == 1 and last.trials == 1
 
     @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "DegenerateDenominator"), (1, 1e200, "LinAlgError")],
                              ids=["k2", "k1"])

@@ -90,6 +90,7 @@ NUMBER_SITES = {
         spectrum=QUADRATIC.spectrum, lead=QUADRATIC.lead, graphs=QUADRATIC.graphs, epsilon=v)),
     "SolverControls.newton_tol": (InvariantViolation, lambda v: SolverControls(newton_tol=v)),
     "newton_solve.tol": (InvariantViolation, lambda v: newton_solve(QUADRATIC, tol=v)),
+    "assemble.tau": (ValueError, lambda v: assemble(seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead), QUADRATIC, v)),
     "verify.value_tol": (InvariantViolation, lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v)),
     "jacobian_fd.h": (ValueError, lambda v: jacobian_fd(PAIR, h=v)),
     "eigderivative.pair": (ValueError, lambda v: eigderivative(

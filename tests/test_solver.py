@@ -8,6 +8,7 @@ from structured_iep import (
     DegenerateDenominator,
     Graph,
     InvariantViolation,
+    LeadingCoefficientError,
     LeadingDiagonal,
     NearDegenerate,
     NoConvergence,
@@ -204,6 +205,13 @@ class TestAssemble:
             for s, (g, y) in enumerate(zip(spec.graphs, spec.offdiag_values)):
                 assert P.coeffs[s].tobytes() == matrix_of_graph(g, x[4 * s:4 * s + 4], tau * y).tobytes()
         assert not spec.ramp_row.flags.writeable
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, True, 1 + 0j, "0.5", None],
+                             ids=["nan", "inf", "bool", "complex", "str", "none"])
+    def test_rejects_a_tau_that_is_not_a_finite_real_number(self, tau, path4_spec):
+        x = seed_unknowns(path4_spec.spectrum, path4_spec.lead)
+        with pytest.raises(ValueError, match="tau must be a real number"):
+            assemble(x, path4_spec, tau)
 
 
 class TestSpectralMap:
@@ -681,9 +689,10 @@ class TestContinuationSolve:
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
         rep = continuation_solve(spec)
         assert not rep.converged and "full step did not lower the residual" in rep.failure
-        # the start (whether its eigensolve succeeded or not) and the trials
-        per_solve = [(1 + c.trials, len(c.iterations[1:]),
-                      c.kind is NoConvergence and c.detail.startswith("full step did not lower the residual"))
+        # the start (whether its eigensolve succeeded or not) and the trials;
+        # a corrector ended at a trial, rejected or not real, exactly when it
+        # has iterations and one trial per iteration
+        per_solve = [(1 + c.trials, len(c.iterations[1:]), bool(c.iterations) and c.trials == len(c.iterations))
                      for c in rep.correctors]
         assert per_solve and any(rejected for *_, rejected in per_solve)
         max_iter = spec.controls.max_iter
@@ -843,6 +852,33 @@ class TestVerify:
         assert not report.passed
         assert not report.structure_ok
         assert report.residual <= 1e-8  # spectrum is fine, structure is not
+
+    def test_prescribed_offdiagonal_values_are_not_checked(self, path4_spec):
+        # verify checks each coefficient's graph and the leading
+        # coefficient: a solution at tau = 1/4, whose off-diagonals are a
+        # quarter of the prescribed ones, passes against the full problem
+        x, _, corrector = newton_solve(path4_spec, tau=0.25)
+        assert corrector.converged
+        P = assemble(x, path4_spec, 0.25)
+        assert P.coeffs[0][0, 1] == 0.25 * path4_spec.offdiag_values[0][0] != path4_spec.offdiag_values[0][0]
+        report = verify(P, path4_spec)
+        assert report.passed and report.residual <= 1e-12
+
+    def test_a_bad_leading_coefficient(self, path4_spec):
+        # one that is not diagonal and positive raises from the eigensolve;
+        # a positive diagonal that is not the problem's fails the check
+        gold = golden_path4_polynomial()
+
+        def with_lead(A):
+            return matpoly.MatrixPolynomial((*gold.coeffs[:-1], A))
+
+        tridiagonal = np.eye(4) + 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1))
+        with pytest.raises(LeadingCoefficientError, match="leading coefficient must be diagonal"):
+            verify(with_lead(tridiagonal), path4_spec)
+        with pytest.raises(LeadingCoefficientError, match="leading diagonal must be strictly positive"):
+            verify(with_lead(np.diag([1.0, -1.0, 1.0, 1.0])), path4_spec)
+        report = verify(with_lead(np.diag([2.0, 1.0, 1.0, 1.0])), path4_spec)
+        assert not report.passed and not report.leading_ok and not report.structure_ok
 
     @pytest.mark.parametrize("value_tol", ["1", True, None, 1j], ids=["str", "bool", "none", "complex"])
     def test_tolerance_of_the_wrong_type_rejected(self, path4_spec, value_tol):

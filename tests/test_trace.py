@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from structured_iep import problems, solver  # noqa: F401 (the tracer wraps problems.load_problem)
+from structured_iep import NonRealSpectrum, problems, solver  # noqa: F401 (the tracer wraps problems.load_problem)
 
 from test_solver import complex_pair_spec, stalling_spec, weakly_coupled_spec
 
@@ -78,6 +78,10 @@ def test_the_corrector_records_agree_with_the_tracer(name, path4_spec):
     assert len(correctors) == counts["solver.newton_solve.calls"]
     assert sum(c.trials for c in correctors) == counts["solver.trials"]
     assert sum(len(c.iterations[1:]) for c in correctors) == counts["solver.newton.accepted_steps"]
+    # a corrector ended at a trial exactly when it has one trial per iteration
+    at_trial = [c for c in correctors if c.iterations and c.trials == len(c.iterations)]
+    assert len(at_trial) == counts["solver.trials.rejected"]
+    assert sum(c.kind is NonRealSpectrum for c in at_trial) == counts["solver.trials.nonreal"]
     assert report.converged == (name in ("path4", "weakly_coupled"))
     if report.converged:
         assert sum(c.converged for c in correctors) == counts["solver.newton_solve.kept"]
