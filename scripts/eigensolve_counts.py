@@ -8,13 +8,14 @@ Solves, with continuation_solve of the package in this checkout's src/, the
 instances that perfbench/workloads.py generates (its generators are only
 read): the two bundled problems, the ``corpus`` set (generator seed 1) and
 the ``sweep`` set.  For each set it prints the eigensolves by kind (eig,
-eigvals, eigh, eigvalsh of numpy.linalg, as matpoly calls them), counted
-through a stand-in for matpoly's ``np``, and the Newton solves and trials
-that the reports' corrector records hold (a trial is a spectral_map call
-of newton_solve after its corrector's start).  The benchmark's tracer
-counts eig only.  The last column, events_per_map, is the number of Python
-and C function calls that sys.setprofile sees over the whole solves (after
-one warm-up solve of each instance), per spectral_map: the
+eigvals, eigh, eigvalsh), counted through a stand-in for matpoly.lapack,
+the package's one LAPACK kernel, and the Newton solves and trials that
+the reports' corrector records hold (a trial is a spectral_map call of
+newton_solve after its corrector's start).  The benchmark's tracer wraps
+numpy.linalg.eig, which the kernel does not call, so its eig count reads
+0.  The last column, events_per_map, is the number of Python and C
+function calls that sys.setprofile sees over the whole solves (after one
+warm-up solve of each instance), per spectral_map: the
 machine-independent call overhead of a Newton iteration.  Importing this
 module changes neither os.environ nor sys.path: only main() does, before
 it imports numpy.
@@ -41,38 +42,24 @@ def instance_sets() -> dict:
     }
 
 
-class _Proxy:
-    """Attribute stand-in: the overrides first, then the wrapped module."""
-
-    def __init__(self, target, **overrides):
-        self._target = target
-        self.__dict__.update(overrides)
-
-    def __getattr__(self, name):
-        return getattr(self._target, name)
-
-
-def _counted(fn, name, calls):
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-    return wrapper
-
-
 def counts(specs) -> dict:
-    """COLUMNS for continuation_solve on each spec: eigensolves by kind as
-    matpoly sees numpy.linalg, and the Newton solves and trials of the
+    """COLUMNS for continuation_solve on each spec: the eigensolves of
+    matpoly.lapack by kind, and the Newton solves and trials of the
     reports' Corrector records."""
-    import numpy as np
     from structured_iep import continuation_solve, matpoly
 
-    calls = dict.fromkeys(KINDS, 0)
-    linalg = _Proxy(np.linalg, **{kind: _counted(getattr(np.linalg, kind), kind, calls) for kind in KINDS})
-    saved, matpoly.np = matpoly.np, _Proxy(np, linalg=linalg)
+    calls, kernel = dict.fromkeys(KINDS, 0), matpoly.lapack
+
+    def counted(kind, *operands):
+        if kind in calls:
+            calls[kind] += 1
+        return kernel(kind, *operands)
+
+    matpoly.lapack = counted
     try:
         correctors = [c for spec in specs for c in continuation_solve(spec).correctors]
     finally:
-        matpoly.np = saved
+        matpoly.lapack = kernel
     return {"instances": len(specs), "newton_solves": len(correctors), **calls,
             "trials": sum(c.trials for c in correctors)}
 

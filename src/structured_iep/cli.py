@@ -221,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # overflow is caught where it matters (eig and eigh reject
-        # non-finite input, the seed checks its coefficients), so numpy's
-        # warnings would only put noise ahead of the error line
+        # overflow is caught where it matters (eig and eigvals reject
+        # non-finite input, the pencil path checks its values, the seed
+        # checks its coefficients), so numpy's warnings would only put
+        # noise ahead of the error line
         with np.errstate(all="ignore"):
             return args.func(args)
     except ProblemFormatError as exc:

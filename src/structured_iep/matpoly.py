@@ -29,6 +29,21 @@ Newton trials near a root at full coupling reuse the vectors of their
 corrector's start.  Its SpectralDecomposition is plain data, the pairs
 with P's coefficients [A_1 ... A_{k-1}] and leading diagonal: this module
 solves, and the sensitivity module differentiates from that data.
+
+Every LAPACK call of the package goes through lapack, this module's one
+kernel (not exported): decompose_row's eig, eigvals, eigh and eigvalsh,
+and the solver's Newton and tangent solves.  It calls the gufuncs that
+numpy.linalg's wrappers call (numpy.linalg._umath_linalg, float64
+signatures) and keeps the part of each wrapper that matters here: eig and
+eigvals reject non-finite input, and a LAPACK failure raises LinAlgError
+with numpy's text.  The wrappers' type promotion, shape checks and
+real-or-complex result cast cost more than the eigensolve itself at the
+n <= 6 sizes of most solves, and every array handed over here is a
+square float64 matrix already; decompose_row reads the real parts of the
+complex eig output and tests the imaginary parts itself.  The results are
+the wrappers' bitwise, the same gufunc on the same array.  The gufuncs are
+private to numpy, so tests/test_matpoly.py pins the kernel to the public
+functions, values and errors, on the installed numpy.
 """
 
 from __future__ import annotations
@@ -37,13 +52,48 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum
 
 REAL_TOL_DEFAULT = 1e-8
 SEP_TOL_REL = 1e-10
 # a spectrum off the real, simple regime, or a matrix LAPACK refuses (overflow)
-SPECTRUM_FAILURES = (NonRealSpectrum, NearDegenerate, np.linalg.LinAlgError)
+SPECTRUM_FAILURES = (NonRealSpectrum, NearDegenerate, LinAlgError)
+
+
+def _eigensolve_failed(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# kind: (gufunc, float64 signature, LAPACK-failure handler, rejects non-finite input)
+_GUFUNCS = {
+    "eig": (_umath_linalg.eig, "d->DD", _eigensolve_failed, True),
+    "eigvals": (_umath_linalg.eigvals, "d->D", _eigensolve_failed, True),
+    "eigh": (_umath_linalg.eigh_lo, "d->dd", _eigensolve_failed, False),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d", _eigensolve_failed, False),
+    "solve": (_umath_linalg.solve1, "dd->d", _singular, False),
+}
+
+
+def lapack(kind: str, *operands: np.ndarray):
+    """numpy.linalg.<kind>(*operands) for kind in _GUFUNCS, bitwise, for a
+    square float64 matrix (and, for solve, a float64 vector): the gufunc
+    numpy's wrapper calls, with the wrapper's checks and errors.  eig and
+    eigvals return complex arrays whatever the imaginary parts, where the
+    wrapper casts to real when they are all 0; eigh and eigvalsh read the
+    lower triangle.  Non-finite input to eig or eigvals raises LinAlgError
+    ("Array must not contain infs or NaNs"), and a LAPACK failure raises it
+    with numpy's text ("Eigenvalues did not converge", "Singular matrix")."""
+    gufunc, signature, failed, finite_only = _GUFUNCS[kind]
+    if finite_only and not np.logical_and.reduce(np.isfinite(operands[0]), axis=None):
+        raise LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*operands, signature=signature)
 
 
 @dataclass(frozen=True)
@@ -161,32 +211,33 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     matrix -D^{-1/2} A_0 D^{-1/2} (D = diag(lead), the caller supplies a
     symmetric A_0), its diagonal written as the companion writes it,
     -A_0[r, r] / lead[r], and its vectors scaled back by the same
-    sqrt(lead).  Given ``rows``, it computes
-    values only (eigvals, or eigvalsh at degree 1), with the same checks,
-    and ``rows`` is the decomposition's companion_rows.  Its ``upper`` is
-    the view row[:, n:].  eig and eigvals return complex arrays only for a
-    nonzero imaginary part, and LAPACK stores each conjugate pair with
-    bitwise-equal real parts: a complex output raises NonRealSpectrum, or
-    ties on the real line and NearDegenerate (sep_tol > 0).  The
-    separation check compares the smallest gap with sep_tol (default
-    SEP_TOL_REL times max(diameter, 1)), and only a failing one builds the
-    message."""
+    sqrt(lead).  Given ``rows``, it computes values only (eigvals, or
+    eigvalsh at degree 1), with the same checks, and ``rows`` is the
+    decomposition's companion_rows.  Its ``upper`` is the view row[:, n:].
+    Each eigensolve is one lapack call.  The values and vectors are the
+    real parts of its complex eig output, and a nonzero imaginary part
+    (where numpy's eig would return a complex array) is a conjugate pair,
+    which LAPACK stores with bitwise-equal real parts: it raises
+    NonRealSpectrum, or ties on the real line and NearDegenerate
+    (sep_tol > 0).  The separation check compares the smallest gap with
+    sep_tol (default SEP_TOL_REL times max(diameter, 1)), and only a
+    failing one builds the message."""
     n = len(lead)
     if row.shape[1] == n:
         root = np.sqrt(lead)
         C = -row / np.outer(root, root)
         C[np.diag_indices(n)] = -np.diag(row) / lead
         if rows is None:
-            vals, U = np.linalg.eigh(C)
+            vals, U = lapack("eigh", C)
             rows = (U / root[:, None]).T
         else:
-            vals = np.linalg.eigvalsh(C)
+            vals = lapack("eigvalsh", C)
         if not np.isfinite(vals).all():
-            raise np.linalg.LinAlgError("pencil matrix has an infinite or NaN entry")
+            raise LinAlgError("pencil matrix has an infinite or NaN entry")
     else:
         C = companion_layout(row, lead)
-        w, V = np.linalg.eig(C) if rows is None else (np.linalg.eigvals(C), None)
-        if np.iscomplexobj(w):  # eig returns real arrays when every eigenvalue is real
+        w, V = lapack("eig", C) if rows is None else (lapack("eigvals", C), None)
+        if np.logical_or.reduce(w.imag):  # where numpy's eig would return a complex array
             bad = np.abs(w.imag) > REAL_TOL_DEFAULT * (1.0 + np.abs(w.real))
             if bad.any():
                 raise NonRealSpectrum(
@@ -196,7 +247,7 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
         order = w.real.argsort(kind="stable")
         vals = w.real[order]
         if V is not None:
-            rows = V[:n, order].T
+            rows = V.real[:n, order].T
     if sep_tol is None:
         sep_tol = SEP_TOL_REL * max(vals[-1] - vals[0], 1.0)
     if len(vals) > 1:

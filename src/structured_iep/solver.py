@@ -25,11 +25,13 @@ Jacobian, and, given the ramp row as its direction, into the tangent's J
 and dlambda/dtau in one call.  A corrector at tau = 1 that starts within
 VECTOR_REUSE_SHIFT of every target's gap computes proper vectors once, at
 its start: its trials solve for values only, and their Jacobians read the
-start's vectors (no tangent follows the last corrector).  A corrector
-returns its state and a Corrector record of how it ended, not a report:
-the records are the one account of a solve, from which continuation_solve
-derives its path, iterations, residual and failure text, and the
-polynomial is assembled once per solve, for the one SolveReport.
+start's vectors (no tangent follows the last corrector).  The Newton
+step and the tangent are linear solves of matpoly.lapack, the package's
+one LAPACK kernel.  A corrector returns its state and a Corrector record
+of how it ended, not a report: the records are the one account of a
+solve, from which continuation_solve derives its path, iterations,
+residual and failure text, and the polynomial is assembled once per
+solve, for the one SolveReport.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (DegenerateDenominator, InvariantViolation, NoConvergence, S
                      check_real, real_vector)
 from .graphs import Graph, matrix_of_graph
 from .matpoly import (MatrixPolynomial, SEP_TOL_REL, SPECTRUM_FAILURES, SpectralDecomposition, decompose_row,
-                      proper_values)
+                      lapack, proper_values)
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
 from .sensitivity import jacobian_x
 
@@ -364,7 +366,7 @@ def newton_solve(
                 raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {ctl.max_iter} iterations")
             J = jacobian_x(decomp)
             try:
-                dx = np.linalg.solve(J, res)
+                dx = lapack("solve", J, res)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
             if not np.logical_and.reduce(np.isfinite(dx)):
@@ -390,7 +392,7 @@ def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
     tangent cannot be formed (the predictor then is the point itself)."""
     try:
         A = jacobian_x(decomp, spec.ramp_row)  # [J  dlambda/dtau]
-        xdot = np.linalg.solve(A[:, :-1], -A[:, -1])
+        xdot = lapack("solve", A[:, :-1], -A[:, -1])
     except (np.linalg.LinAlgError, DegenerateDenominator):
         return np.zeros(len(decomp))
     return xdot if np.isfinite(xdot).all() else np.zeros(len(decomp))
@@ -569,11 +571,14 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     times the prescribed ones passes when its values are the targets.  An
     eigensolve that raises one of SPECTRUM_FAILURES fails the check, and
     so does a positive diagonal A_k that is not the problem's (leading_ok
-    False).  Raises InvariantViolation when value_tol is not a finite,
-    non-negative real number, when P's size n or degree k is not the
-    problem's, or when a coefficient is not finite and symmetric, and
-    LeadingCoefficientError (from proper_values) when A_k is not diagonal
-    with a positive diagonal."""
+    False).  A failed check's ``failure`` names every failing check, in
+    this order and joined by "; ": the eigensolve's error or the spectral
+    residual, "structure mismatch" (a graph) and "leading coefficient
+    mismatch"; a passed one's is None.  Raises InvariantViolation when
+    value_tol is not a finite, non-negative real number, when P's size n
+    or degree k is not the problem's, or when a coefficient is not finite
+    and symmetric, and LeadingCoefficientError (from proper_values) when
+    A_k is not diagonal with a positive diagonal."""
     check_real("value_tol", value_tol)
     if value_tol < 0.0:
         raise InvariantViolation(f"value_tol must be non-negative, got {value_tol}")
@@ -584,7 +589,7 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     if not all(np.all(np.isfinite(c)) and np.array_equal(c, c.T) for c in P.coeffs):
         raise InvariantViolation("polynomial coefficients must be finite and symmetric")
     targets = spec.spectrum.sorted_values()
-    failure = None
+    failures = []
     try:
         decomp = proper_values(P)
         values = decomp.values
@@ -592,20 +597,21 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     except SPECTRUM_FAILURES as exc:
         values = np.full_like(targets, np.nan)
         residual = float("inf")
-        failure = f"{type(exc).__name__}: {exc}"
+        failures.append(f"{type(exc).__name__}: {exc}")
+    else:
+        if not residual <= value_tol:
+            failures.append(f"spectral residual {residual:.3g} exceeds tolerance {value_tol:.3g}")
     detail, leading_ok = _structure_verdict(P, spec)
-    structure_ok = all(detail) and leading_ok
-    passed = failure is None and residual <= value_tol and structure_ok
-    if failure is None and residual > value_tol:
-        failure = f"spectral residual {residual:.3g} exceeds tolerance {value_tol:.3g}"
-    elif failure is None and not structure_ok:
-        failure = "structure mismatch"
+    if not all(detail):
+        failures.append("structure mismatch")
+    if not leading_ok:
+        failures.append("leading coefficient mismatch")
     return VerifyReport(
         residual=residual,
         values=values,
         structure_detail=detail,
-        structure_ok=structure_ok,
+        structure_ok=all(detail) and leading_ok,
         leading_ok=leading_ok,
-        passed=passed,
-        failure=None if passed else failure,
+        passed=not failures,
+        failure="; ".join(failures) or None,
     )

@@ -310,17 +310,6 @@ def test_a_conjugate_pair_within_the_real_tolerance_is_near_degenerate(rows):
         decompose_row(row, lead, rows=rows)
 
 
-class _Proxy:
-    """Attribute stand-in: the overrides first, then the wrapped module."""
-
-    def __init__(self, target, **overrides):
-        self._target = target
-        self.__dict__.update(overrides)
-
-    def __getattr__(self, name):
-        return getattr(self._target, name)
-
-
 class TestOneCompanionWriter:
     """decompose_row hands its eigensolve the matrix of companion_layout,
     which writes the last block row into a copy of a cached read-only
@@ -335,22 +324,19 @@ class TestOneCompanionWriter:
         x = seed_unknowns(spec, LeadingDiagonal(alpha_k=lead))
         row = np.hstack([np.diag(d) for d in x.reshape(k, n)])
         row[0, 1] = row[1, 0] = 1e-3  # one coupling, the spectrum stays real and simple
-        seen = []
+        seen, kernel = [], matpoly.lapack
 
-        def capture(solve):
-            def wrapper(C):
-                seen.append(C.copy())
-                return solve(C)
-            return wrapper
+        def capture(kind, C):
+            seen.append((kind, C.copy()))
+            return kernel(kind, C)
 
-        linalg = _Proxy(np.linalg, eig=capture(np.linalg.eig), eigvals=capture(np.linalg.eigvals))
-        monkeypatch.setattr(matpoly, "np", _Proxy(np, linalg=linalg))
+        monkeypatch.setattr(matpoly, "lapack", capture)
         decompose_row(row, lead, rows=None if vectors else np.ones((n * k, n)))
         monkeypatch.undo()
         fresh = np.eye(n * k, k=n)
         fresh[-n:] = -row / lead[:, None]
-        assert len(seen) == 1
-        assert seen[0].tobytes() == companion_layout(row, lead).tobytes() == fresh.tobytes()
+        assert [kind for kind, _ in seen] == ["eig" if vectors else "eigvals"]
+        assert seen[0][1].tobytes() == companion_layout(row, lead).tobytes() == fresh.tobytes()
 
     def test_the_template_is_read_only_and_survives_a_non_real_trial(self):
         # z^2 + 1 on both entries: the roots +-i
@@ -365,6 +351,106 @@ class TestOneCompanionWriter:
         assert template.tobytes() == np.eye(4, k=2).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             template[-1, 0] = 1.0
+
+
+def coupled_companion(rng, n, k, coupling):
+    """The companion of a diagonal seed with targets about one apart and a
+    symmetric random coupling of size ``coupling`` in every coefficient:
+    real and simple for a small coupling, often not for a large one."""
+    m = n * k
+    vals = np.arange(m) - (m - 1) / 2 + rng.uniform(-0.3, 0.3, m)
+    rng.shuffle(vals)
+    lead = rng.uniform(0.5, 2.0, n)
+    x = seed_unknowns(TargetSpectrum(values=vals, n=n, k=k), LeadingDiagonal(alpha_k=lead))
+    blocks = []
+    for d in x.reshape(k, n):
+        B = coupling * rng.standard_normal((n, n))
+        blocks.append(np.diag(d) + np.triu(B, 1) + np.triu(B, 1).T)
+    return companion_layout(np.hstack(blocks), lead)
+
+
+def same_bits(got, want):
+    """The kernel's ``got`` is numpy's ``want`` bitwise, where a real
+    ``want`` is the real part of a complex ``got`` whose imaginary parts
+    are all 0 (numpy's cast)."""
+    if np.iscomplexobj(got) and not np.iscomplexobj(want):
+        return got.shape == want.shape and not got.imag.any() and got.real.tobytes() == want.tobytes()
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestLapackKernel:
+    """matpoly.lapack calls numpy's private gufuncs (numpy.linalg._umath_linalg):
+    on the installed numpy it must give the public functions' results and
+    errors bitwise, so a numpy release that changes the gufuncs fails here."""
+
+    @pytest.mark.parametrize("n, k", [(n, k) for k in (2, 3) for n in range(2, 9)] + [(80, 2)])
+    def test_eig_and_eigvals_of_real_spectrum_companions(self, n, k):
+        rng = np.random.default_rng([29, n, k])
+        for _ in range(3):
+            C = coupled_companion(rng, n, k, coupling=1e-3)
+            w, V = np.linalg.eig(C)
+            assert not np.iscomplexobj(w)  # the premise: a real spectrum
+            got_w, got_V = matpoly.lapack("eig", C)
+            assert same_bits(got_w, w) and same_bits(got_V, V)
+            assert same_bits(matpoly.lapack("eigvals", C), np.linalg.eigvals(C))
+
+    def test_eig_and_eigvals_of_companions_with_conjugate_pairs(self):
+        rng = np.random.default_rng(29)
+        complex_outputs = 0
+        for _ in range(30):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            C = coupled_companion(rng, n, k, coupling=2.0)
+            w, V = np.linalg.eig(C)
+            complex_outputs += np.iscomplexobj(w)
+            got_w, got_V = matpoly.lapack("eig", C)
+            assert same_bits(got_w, w) and same_bits(got_V, V)
+            assert same_bits(matpoly.lapack("eigvals", C), np.linalg.eigvals(C))
+        assert complex_outputs >= 10
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 20, 80])
+    def test_eigh_and_eigvalsh_of_pencil_matrices(self, n):
+        rng = np.random.default_rng([29, n])
+        for _ in range(3):
+            A0 = rng.standard_normal((n, n))
+            root = np.sqrt(rng.uniform(0.5, 2.0, n))
+            C = -(A0 + A0.T) / np.outer(root, root)
+            w, U = np.linalg.eigh(C)
+            got_w, got_U = matpoly.lapack("eigh", C)
+            assert same_bits(got_w, w) and same_bits(got_U, U)
+            assert same_bits(matpoly.lapack("eigvalsh", C), np.linalg.eigvalsh(C))
+
+    @pytest.mark.parametrize("m", [2, 8, 24, 160])
+    def test_solve_contiguous_and_on_a_strided_view(self, m):
+        # the Newton step solves J x = r; the tangent solves with the
+        # strided view A[:, :-1] of [J  dlambda/dtau]
+        rng = np.random.default_rng([29, m])
+        A = rng.standard_normal((m, m + 1))
+        J = np.ascontiguousarray(A[:, :-1])
+        assert same_bits(matpoly.lapack("solve", J, A[:, -1]), np.linalg.solve(J, A[:, -1]))
+        assert same_bits(matpoly.lapack("solve", A[:, :-1], -A[:, -1]), np.linalg.solve(A[:, :-1], -A[:, -1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["eig", "eigvals"])
+    def test_non_finite_input_raises_numpys_error(self, kind, bad):
+        C = coupled_companion(np.random.default_rng(29), 3, 2, coupling=1e-3)
+        C[-1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            getattr(np.linalg, kind)(C)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            matpoly.lapack(kind, C)
+        assert str(got.value) == str(want.value) == "Array must not contain infs or NaNs"
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_singular_solve_raises_numpys_error(self, strided):
+        A = np.arange(12.0).reshape(3, 4)  # rank 2
+        J = A[:, :-1] if strided else np.ascontiguousarray(A[:, :-1])
+        errors = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.solve(J, A[:, -1])
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            matpoly.lapack("solve", J, A[:, -1])
+        assert str(got.value) == str(want.value) == "Singular matrix"
+        assert np.geterr() == errors  # the error state is restored
 
 
 class TestBatchedRefinement:
@@ -429,10 +515,14 @@ class TestDegreeOnePencil:
             proper_values(P)
 
     def test_continuation_solve_does_not_call_eig(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("called at degree 1")
+        kernel = matpoly.lapack
 
-        monkeypatch.setattr(np.linalg, "eig", forbidden)
+        def companion_forbidden(kind, *operands):
+            if kind in ("eig", "eigvals"):
+                raise AssertionError(f"{kind} called at degree 1")
+            return kernel(kind, *operands)
+
+        monkeypatch.setattr(matpoly, "lapack", companion_forbidden)
         rng = np.random.default_rng(11)
         n = 6
         g = sparse_graph(rng, n, mean_degree=3.0)

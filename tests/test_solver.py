@@ -139,17 +139,15 @@ def weakly_coupled_spec(n, k, seed=5):
 
 
 def count_eigensolves(monkeypatch):
-    """Calls of each numpy.linalg eigensolver, by name, from now on."""
-    calls = dict.fromkeys(("eig", "eigvals", "eigh", "eigvalsh"), 0)
+    """Calls of matpoly's LAPACK kernel, by eigensolver kind, from now on."""
+    calls, kernel = dict.fromkeys(("eig", "eigvals", "eigh", "eigvalsh"), 0), matpoly.lapack
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(kind, *operands):
+        if kind in calls:
+            calls[kind] += 1
+        return kernel(kind, *operands)
 
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(matpoly, "lapack", counting)
     return calls
 
 
@@ -880,6 +878,24 @@ class TestVerify:
         report = verify(with_lead(np.diag([2.0, 1.0, 1.0, 1.0])), path4_spec)
         assert not report.passed and not report.leading_ok and not report.structure_ok
 
+    def test_failure_names_every_failing_check(self, path4_spec):
+        # path4 solved at tau = 1/4 has the right graphs; with A_k = diag(2,
+        # 1, 1, 1) its spectrum leaves the real line as well
+        x, _, corrector = newton_solve(path4_spec, tau=0.25)
+        assert corrector.converged
+        P = assemble(x, path4_spec, 0.25)
+        report = verify(matpoly.MatrixPolynomial((*P.coeffs[:-1], np.diag([2.0, 1.0, 1.0, 1.0]))), path4_spec)
+        assert not report.passed and report.structure_detail == (True, True) and not report.leading_ok
+        spectrum, leading = report.failure.split("; ")
+        assert spectrum.startswith("NonRealSpectrum: ") and leading == "leading coefficient mismatch"
+        # and with a missing edge, all three checks, in order
+        A0 = P.coeffs[0].copy()
+        A0[0, 1] = A0[1, 0] = 0.0
+        report = verify(matpoly.MatrixPolynomial((A0, P.coeffs[1], np.diag([2.0, 1.0, 1.0, 1.0]))), path4_spec)
+        spectrum, *rest = report.failure.split("; ")
+        assert spectrum.startswith("NonRealSpectrum: ") and rest == ["structure mismatch", "leading coefficient mismatch"]
+        assert verify(P, path4_spec).failure is None
+
     @pytest.mark.parametrize("value_tol", ["1", True, None, 1j], ids=["str", "bool", "none", "complex"])
     def test_tolerance_of_the_wrong_type_rejected(self, path4_spec, value_tol):
         with pytest.raises(InvariantViolation, match="value_tol must be a real number"):
@@ -1006,13 +1022,14 @@ def test_k2_solve_makes_no_stacked_solve(path4_spec, monkeypatch):
     # proper vectors come from the companion eigenvectors: the only linear
     # solves are the n k x n k Newton and tangent systems, never one P(lambda_q)
     # per value
-    shapes, solve = [], np.linalg.solve
+    shapes, kernel = [], solver.lapack
 
-    def recording_solve(a, b):
-        shapes.append(np.shape(a))
-        return solve(a, b)
+    def recording(kind, *operands):
+        if kind == "solve":
+            shapes.append(np.shape(operands[0]))
+        return kernel(kind, *operands)
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(solver, "lapack", recording)
     assert continuation_solve(path4_spec).converged
     assert shapes and all(len(shape) == 2 for shape in shapes)
 
@@ -1197,7 +1214,7 @@ def test_bundled_solve_counts(name, request, monkeypatch):
     # the tangent's with its direction column included, computes the
     # denominators once
     spec = request.getfixturevalue(name)
-    calls = dict.fromkeys(("eig", "denominators", "jacobian_x", "_tangent"), 0)
+    calls = dict.fromkeys(("denominators", "jacobian_x", "_tangent"), 0)
 
     def counting(label, fn):
         def wrapper(*args, **kwargs):
@@ -1205,10 +1222,10 @@ def test_bundled_solve_counts(name, request, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    eigensolves = count_eigensolves(monkeypatch)
     count_denominators(monkeypatch, calls)
     for label in ("jacobian_x", "_tangent"):
         monkeypatch.setattr(solver, label, counting(label, getattr(solver, label)))
     rep = continuation_solve(spec)
     assert rep.converged and rep.continuation_path == (0.5, 1.0)
-    assert calls == {"eig": 9, "denominators": 7, "jacobian_x": 7, "_tangent": 1}
+    assert dict(calls, eig=eigensolves["eig"]) == {"eig": 9, "denominators": 7, "jacobian_x": 7, "_tangent": 1}
