@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DegenerateDenominator,
     InvariantViolation,
-    LeadingCoefficientError,
     NearDegenerate,
     NonRealSpectrum,
     ProblemFormatError,
@@ -230,8 +229,7 @@ def main(argv=None) -> int:
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvariantViolation, LeadingCoefficientError, NearDegenerate, DegenerateDenominator,
-            np.linalg.LinAlgError) as exc:
+    except (InvariantViolation, NearDegenerate, DegenerateDenominator, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except NonRealSpectrum as exc:

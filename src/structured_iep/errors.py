@@ -10,20 +10,25 @@ class StructuredIEPError(Exception):
     """Base class for all package errors."""
 
 
-class GraphFormatError(StructuredIEPError):
-    """Malformed edge list: self-loop, duplicate edge, or vertex out of range."""
-
-
 class ProblemFormatError(StructuredIEPError):
-    """Problem or polynomial file fails schema-level validation."""
+    """A problem, polynomial or unknowns file that fails schema-level
+    validation: unreadable, not JSON, a missing or mistyped field."""
 
 
-class InvariantViolation(StructuredIEPError):
-    """Input parses but violates a domain invariant (e.g. repeated targets)."""
+class InvariantViolation(StructuredIEPError, ValueError):
+    """Bad input to a library entry point: an argument of the wrong type,
+    shape or range, or one that breaks a hypothesis of the theorem (nk
+    distinct real targets, one graph per non-leading coefficient, a
+    positive diagonal A_k).  A ValueError too, as numpy's LinAlgError is."""
 
 
-class LeadingCoefficientError(StructuredIEPError):
-    """Leading coefficient is not diagonal with strictly positive diagonal."""
+class GraphFormatError(InvariantViolation):
+    """Malformed edge list: an edge that is not a pair, a self-loop, a
+    duplicate edge, or a vertex out of range."""
+
+
+class LeadingCoefficientError(InvariantViolation):
+    """Leading coefficient is not diagonal with a finite, strictly positive diagonal."""
 
 
 class NonRealSpectrum(StructuredIEPError):
@@ -46,36 +51,38 @@ class NoConvergence(StructuredIEPError):
     """Newton iteration failed to reach the residual tolerance."""
 
 
-def check_integer(name, value, error=InvariantViolation):
-    """Raise ``error`` unless value is an integer: numbers.Integral, not bool."""
+def check_integer(name, value):
+    """Raise InvariantViolation unless value is an integer: numbers.Integral, not bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {type(value).__name__}")
+        raise InvariantViolation(f"{name} must be an integer, got {type(value).__name__}")
 
 
-def check_real(name, value, error=InvariantViolation):
-    """Raise ``error`` unless value is a finite real number: numbers.Real, not
-    bool, and within float range (an integer such as 10**400 is not)."""
+def check_real(name, value):
+    """Raise InvariantViolation unless value is a finite real number:
+    numbers.Real, not bool, and within float range (an integer such as
+    10**400 is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {type(value).__name__}")
+        raise InvariantViolation(f"{name} must be a real number, got {type(value).__name__}")
     try:
         finite = math.isfinite(value)
     except OverflowError:
-        raise error(f"{name} must be a real number and finite, got a value beyond float range") from None
+        raise InvariantViolation(f"{name} must be a real number and finite, got a value beyond float range") from None
     if not finite:
-        raise error(f"{name} must be a real number and finite, got {value}")
+        raise InvariantViolation(f"{name} must be a real number and finite, got {value}")
 
 
-def real_vector(name, value, length=None, error=InvariantViolation) -> np.ndarray:
+def real_vector(name, value, length=None) -> np.ndarray:
     """A fresh float64 copy of ``value``, the rule of every vector input:
     integer or floating entries (no bool, complex, text or object), one
     dimension, ``length`` entries (any when None), all finite.  Otherwise,
-    a ragged list included, raise ``error``."""
+    a ragged list included, raise InvariantViolation."""
     shape = "(n,)" if length is None else f"({length},)"
     try:
         v = np.asarray(value)
     except ValueError:  # a ragged list
-        raise error(f"{name} must be a finite real vector of shape {shape}, got a ragged sequence") from None
+        raise InvariantViolation(
+            f"{name} must be a finite real vector of shape {shape}, got a ragged sequence") from None
     if (v.dtype.kind not in "iuf" or v.ndim != 1 or (length is not None and len(v) != length)
             or not np.isfinite(v).all()):
-        raise error(f"{name} must be a finite real vector of shape {shape}, got {v.dtype} {v.shape}")
+        raise InvariantViolation(f"{name} must be a finite real vector of shape {shape}, got {v.dtype} {v.shape}")
     return v.astype(float)

@@ -23,7 +23,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        check_integer("vertex count", self.n, GraphFormatError)
+        check_integer("vertex count", self.n)
         if self.n < 1:
             raise GraphFormatError(f"vertex count must be positive, got {self.n}")
         seen = set()
@@ -34,7 +34,7 @@ class Graph:
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {e!r} is not a pair of vertices") from None
             for vertex in (i, j):
-                check_integer("vertex", vertex, GraphFormatError)
+                check_integer("vertex", vertex)
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {i}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -54,9 +54,9 @@ class Graph:
 def matrix_of_graph(g: Graph, diag, offdiag) -> np.ndarray:
     """Symmetric matrix with ``diag`` on the diagonal and ``offdiag`` on the
     edges of ``g`` (canonical edge order); structural zeros elsewhere.  A
-    bad vector (see errors.real_vector) raises ValueError."""
-    diag = real_vector("diag", diag, g.n, ValueError)
-    offdiag = real_vector("offdiag", offdiag, g.num_edges, ValueError)
+    bad vector (see errors.real_vector) raises InvariantViolation."""
+    diag = real_vector("diag", diag, g.n)
+    offdiag = real_vector("offdiag", offdiag, g.num_edges)
     A = np.zeros((g.n, g.n))
     A[np.diag_indices(g.n)] = diag
     for val, (i, j) in zip(offdiag, g.edges):

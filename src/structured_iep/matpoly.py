@@ -103,11 +103,11 @@ class MatrixPolynomial:
     def __post_init__(self):
         coeffs = tuple(np.asarray(c, dtype=float) for c in self.coeffs)
         if not coeffs:
-            raise ValueError("need at least one coefficient")
+            raise InvariantViolation("need at least one coefficient")
         n = coeffs[0].shape[0]
         for c in coeffs:
             if c.shape != (n, n):
-                raise ValueError(f"coefficient shape {c.shape} != ({n},{n})")
+                raise InvariantViolation(f"coefficient shape {c.shape} != ({n},{n})")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -195,7 +195,7 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     """
     lead = P.leading_diagonal()
     if P.degree == 0:
-        raise ValueError("cannot linearize a degree-0 polynomial")
+        raise InvariantViolation("cannot linearize a degree-0 polynomial")
     return companion_layout(np.hstack(P.coeffs[:-1]), lead)
 
 
@@ -260,7 +260,7 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     return SpectralDecomposition(vals, rows, row[:, n:], lead)
 
 
-def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> SpectralDecomposition:
+def proper_values(P: MatrixPolynomial) -> SpectralDecomposition:
     """All nk proper values of P, ascending: eig of P's block companion
     matrix, or for degree 1 eigh of the symmetric pencil matrix
     -D^{-1/2} A_0 D^{-1/2}.
@@ -271,19 +271,20 @@ def proper_values(P: MatrixPolynomial, sep_tol: float | None = None) -> Spectral
     A_{k-1}], after the checks that decompose_row leaves to its caller.
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
-    imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two returned
-    values are closer than ``sep_tol`` (default SEP_TOL_REL times
-    max(diameter, 1) of the values).  Both signal that the simple-real
-    regime the rest of the package relies on has been left.  NonRealSpectrum cannot occur
-    at degree 1, where the spectrum of the pencil is real; there a
+    imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two
+    returned values are closer than SEP_TOL_REL times max(diameter, 1) of
+    the values.  Both signal that the simple-real regime the rest of the
+    package relies on has been left.  NonRealSpectrum cannot occur at
+    degree 1, where the spectrum of the pencil is real; there a
     non-symmetric A_0 raises InvariantViolation, because eigh reads one
     triangle only.  A leading coefficient that is not diagonal with a
-    finite, positive diagonal raises LeadingCoefficientError.
+    finite, positive diagonal raises LeadingCoefficientError, and degree 0
+    raises InvariantViolation.
     """
     lead = P.leading_diagonal()
     if P.degree == 0:
-        raise ValueError("cannot linearize a degree-0 polynomial")
+        raise InvariantViolation("cannot linearize a degree-0 polynomial")
     A0 = P.coeffs[0]
     if P.degree == 1 and not np.array_equal(A0, A0.T, equal_nan=True):
         raise InvariantViolation("the constant coefficient of a degree-1 polynomial must be symmetric")
-    return decompose_row(np.hstack(P.coeffs[:-1]), lead, sep_tol)
+    return decompose_row(np.hstack(P.coeffs[:-1]), lead)

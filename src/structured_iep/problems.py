@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import GraphFormatError, ProblemFormatError
+from .errors import InvariantViolation, ProblemFormatError
 from .graphs import Graph
 from .matpoly import MatrixPolynomial
 from .seed import LeadingDiagonal, TargetSpectrum
@@ -84,7 +84,7 @@ def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
             if not (type(e) is list and len(e) == 2 and all(type(v) is int for v in e)):
                 raise ProblemFormatError(f"edge {e!r} is not a pair of vertex numbers")
         return Graph(n=n, edges=tuple(tuple(e) for e in edges))
-    except (GraphFormatError, ProblemFormatError) as exc:
+    except (InvariantViolation, ProblemFormatError) as exc:
         raise ProblemFormatError(f"{where}: {exc}") from exc
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, check_integer, check_real, real_vector
+from .errors import DegenerateDenominator, InvariantViolation, check_integer, check_real, real_vector
 # perfbench/layers.py wraps evaluate at this module, though nothing here calls it
 from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
 from .seed import TargetSpectrum
@@ -46,13 +46,13 @@ class PerturbationDirection:
     edge: tuple[int, int] | None = None
 
     def __post_init__(self):
-        check_integer("power index", self.s, ValueError)
+        check_integer("power index", self.s)
         if (self.diag is None) == (self.edge is None):
-            raise ValueError("specify exactly one of diag or edge")
+            raise InvariantViolation("specify exactly one of diag or edge")
         for vertex in (self.diag,) if self.edge is None else self.edge:
-            check_integer("vertex", vertex, ValueError)
+            check_integer("vertex", vertex)
         if self.edge is not None and self.edge[0] == self.edge[1]:
-            raise ValueError(f"edge {self.edge} joins a vertex to itself: use diag")
+            raise InvariantViolation(f"edge {self.edge} joins a vertex to itself: use diag")
 
 
 def eigderivative(
@@ -62,17 +62,17 @@ def eigderivative(
 ) -> float:
     """Derivative of the simple proper value in ``pair`` (its vector at any
     scale) along ``direction``: the direction column of jacobian_x for the
-    one pair, with B(z) = z^s E as the direction.  Raises ValueError unless
+    one pair, with B(z) = z^s E as the direction.  Raises InvariantViolation unless
     the pair is a finite real value and a finite vector of length n, and
     LeadingCoefficientError unless A_k is diagonal and positive."""
     if not (0 <= direction.s < P.degree):
-        raise ValueError(f"power index {direction.s} out of range 0..{P.degree - 1}")
+        raise InvariantViolation(f"power index {direction.s} out of range 0..{P.degree - 1}")
     i, j = (direction.diag,) * 2 if direction.diag is not None else direction.edge
     if not (1 <= i <= P.n and 1 <= j <= P.n):
-        raise ValueError(f"entry ({i}, {j}) out of range 1..{P.n}")
+        raise InvariantViolation(f"entry ({i}, {j}) out of range 1..{P.n}")
     lam, v = pair
-    check_real("pair value", lam, ValueError)
-    v = real_vector("pair vector", v, P.n, ValueError)
+    check_real("pair value", lam)
+    v = real_vector("pair vector", v, P.n)
     n, s = P.n, direction.s
     B = np.zeros((n, (s + 1) * n))  # [0 ... 0 E], E in block s
     B[i - 1, s * n + j - 1] = B[j - 1, s * n + i - 1] = 1.0
@@ -172,9 +172,9 @@ def jacobian_fd(
 ) -> np.ndarray:
     """Central-difference Jacobian: re-solve proper values with each diagonal
     unknown perturbed by +-h, rows in ascending order."""
-    check_real("step", h, ValueError)
+    check_real("step", h)
     if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+        raise InvariantViolation(f"step must be positive, got {h}")
     n, k = P.n, P.degree
     nk = n * k
     J = np.empty((nk, nk))

@@ -230,7 +230,7 @@ def _coefficient_row(x: np.ndarray, spec: ProblemSpec, tau: float) -> np.ndarray
     ramp = spec.ramp_row
     x = np.asarray(x, dtype=float)
     if x.shape != (ramp.shape[1],):
-        raise ValueError(f"x has shape {x.shape}, expected ({ramp.shape[1]},)")
+        raise InvariantViolation(f"x has shape {x.shape}, expected ({ramp.shape[1]},)")
     row = tau * ramp
     row[spec._unknown_slots] = x
     return row
@@ -244,10 +244,10 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
     of spec.ramp_row with x's block s written on its diagonal: for tau >= 0
     bitwise matrix_of_graph(graphs[s], x_s, tau * y_s).  A bad x (see
     errors.real_vector) or a tau that is not a finite real number (see
-    errors.check_real) raises ValueError."""
-    check_real("tau", tau, ValueError)
+    errors.check_real) raises InvariantViolation."""
+    check_real("tau", tau)
     n, k = spec.n, spec.k
-    row = _coefficient_row(real_vector("x", x, n * k, ValueError), spec, tau)
+    row = _coefficient_row(real_vector("x", x, n * k), spec, tau)
     return MatrixPolynomial((*row.reshape(n, k, n).transpose(1, 0, 2), np.diag(spec.lead.alpha_k)))
 
 
@@ -263,6 +263,11 @@ def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0, rows: np.nd
     therefore bitwise those of proper_values(assemble(x, spec, tau)), or,
     given ``rows``, ``rows`` itself: the eigensolve then computes values
     only.
+
+    It checks only x's shape (InvariantViolation), not assemble's input
+    rules: it is every Newton trial's hot path and the tracer's trial site.
+    So a bool x is cast to float, and a non-finite tau surfaces as LAPACK's
+    LinAlgError, one of SPECTRUM_FAILURES.
     """
     return decompose_row(_coefficient_row(x, spec, tau), spec.lead.alpha_k,
                          SEP_TOL_REL * spec.spectrum.scale, rows)
@@ -279,7 +284,7 @@ def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray,
     current = np.asarray(current, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if current.shape != targets.shape:
-        raise ValueError("length mismatch")
+        raise InvariantViolation("length mismatch")
     return np.arange(len(current)), False
 
 

@@ -142,3 +142,23 @@ def test_only_the_solver_writes_the_failure_text():
             if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
                 offenders.update(f"{path.name}:{node.lineno} {needle!r}" for needle in needles if needle in node.value)
     assert not offenders, f"failure text written or parsed outside solver.py: {sorted(offenders)}"
+
+
+def test_bad_input_has_one_error_class():
+    # bad input to a library entry point raises InvariantViolation (a
+    # ValueError too): no module raises a bare ValueError, and no call
+    # hands errors.py's input rules another error class, positionally or
+    # as error=
+    arity = {"check_integer": 2, "check_real": 2, "real_vector": 3}  # name, value[, length]
+    offenders = set()
+    for path in (ROOT / "src" / "structured_iep").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if "ValueError" in (getattr(raised, "id", None), getattr(raised, "attr", None)):
+                    offenders.add(f"{path.name}:{node.lineno} raise ValueError")
+            if isinstance(node, ast.Call):
+                rule = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if rule in arity and (len(node.args) > arity[rule] or any(kw.arg == "error" for kw in node.keywords)):
+                    offenders.add(f"{path.name}:{node.lineno} {rule} given an error class")
+    assert not offenders, f"bad input raised as another class: {sorted(offenders)}"

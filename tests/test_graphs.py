@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from structured_iep import (
     Graph,
     GraphFormatError,
+    InvariantViolation,
     matrix_of_graph,
     problems,
 )
@@ -41,16 +42,24 @@ class TestGraph:
         with pytest.raises(GraphFormatError):
             Graph(4, edges)
 
-    @pytest.mark.parametrize("edge", [(1.0, 2), (2, np.float64(3.0)), (True, 2), ("a", 2), "12", (1, 2, 3), (1,), 5],
-                             ids=["float", "numpy-float", "bool", "str-label", "str-pair", "triple", "single", "int"])
-    def test_edges_that_are_not_integer_pairs_rejected(self, edge):
-        with pytest.raises(GraphFormatError, match="vertex must be an integer|is not a pair of vertices"):
+    # a vertex that is not an integer breaks check_integer's rule, as
+    # TargetSpectrum's n and k do: InvariantViolation.  An edge that is not
+    # a pair is the graph's own fault: GraphFormatError, a subclass
+    @pytest.mark.parametrize("edge, error", [
+        ((1.0, 2), InvariantViolation), ((2, np.float64(3.0)), InvariantViolation), ((True, 2), InvariantViolation),
+        (("a", 2), InvariantViolation), ("12", InvariantViolation),
+        ((1, 2, 3), GraphFormatError), ((1,), GraphFormatError), (5, GraphFormatError),
+    ], ids=["float", "numpy-float", "bool", "str-label", "str-pair", "triple", "single", "int"])
+    def test_edges_that_are_not_integer_pairs_rejected(self, edge, error):
+        with pytest.raises(InvariantViolation, match="vertex must be an integer|is not a pair of vertices") as exc:
             Graph(4, ((3, 4), edge))
+        assert type(exc.value) is error
 
     @pytest.mark.parametrize("n", [2.5, 4.0, True, "4"], ids=["float", "integral-float", "bool", "str"])
     def test_vertex_count_of_the_wrong_type_rejected(self, n):
-        with pytest.raises(GraphFormatError, match="vertex count must be an integer"):
+        with pytest.raises(InvariantViolation, match="vertex count must be an integer") as exc:
             Graph(n)
+        assert type(exc.value) is InvariantViolation
 
 
 class TestMatrixOfGraph:

@@ -1,8 +1,8 @@
 """Every library entry point that takes a vector applies errors.real_vector's
-rule, each with its documented error type: integer or floating entries in
-one dimension, of the expected length, all finite.  Every one that takes a
-number applies errors.check_real's, an integer beyond float range
-included."""
+rule: integer or floating entries in one dimension, of the expected length,
+all finite.  Every one that takes a number applies errors.check_real's, an
+integer beyond float range included.  Bad input raises InvariantViolation
+at every entry point: a StructuredIEPError and a ValueError."""
 
 import numpy as np
 import pytest
@@ -15,13 +15,16 @@ from structured_iep import (
     PerturbationDirection,
     ProblemSpec,
     SolverControls,
+    StructuredIEPError,
     TargetSpectrum,
     assemble,
     eigderivative,
     jacobian_fd,
     matrix_of_graph,
     newton_solve,
+    proper_values,
     seed_unknowns,
+    spectral_map,
     verify,
 )
 
@@ -39,18 +42,17 @@ def path4_spec(lead=np.ones(4), offdiag=None):
     )
 
 
-# entry point -> (its documented error, the expected length, a call on one vector)
+# entry point -> (the expected length, a call on one vector)
 SITES = {
-    "TargetSpectrum.values": (InvariantViolation, 8, lambda v: TargetSpectrum(values=v, n=4, k=2)),
-    "LeadingDiagonal.alpha_k": (InvariantViolation, 4, lambda v: path4_spec(lead=v)),
-    "ProblemSpec.offdiag_values": (InvariantViolation, 3, lambda v: path4_spec(offdiag=(v, None))),
-    "newton_solve.x0": (InvariantViolation, 8,
-                        lambda v: newton_solve(quadratic_targets_spec((PATH4, PATH4)), x0=v)),
-    "eigderivative.pair": (ValueError, 2, lambda v: eigderivative(
+    "TargetSpectrum.values": (8, lambda v: TargetSpectrum(values=v, n=4, k=2)),
+    "LeadingDiagonal.alpha_k": (4, lambda v: path4_spec(lead=v)),
+    "ProblemSpec.offdiag_values": (3, lambda v: path4_spec(offdiag=(v, None))),
+    "newton_solve.x0": (8, lambda v: newton_solve(quadratic_targets_spec((PATH4, PATH4)), x0=v)),
+    "eigderivative.pair": (2, lambda v: eigderivative(
         MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2))), (1.0, v), PerturbationDirection(s=0, diag=1))),
-    "matrix_of_graph.diag": (ValueError, 4, lambda v: matrix_of_graph(PATH4, v, np.full(3, 0.5))),
-    "matrix_of_graph.offdiag": (ValueError, 3, lambda v: matrix_of_graph(PATH4, np.ones(4), v)),
-    "assemble.x": (ValueError, 8, lambda v: assemble(v, quadratic_targets_spec((PATH4, PATH4)))),
+    "matrix_of_graph.diag": (4, lambda v: matrix_of_graph(PATH4, v, np.full(3, 0.5))),
+    "matrix_of_graph.offdiag": (3, lambda v: matrix_of_graph(PATH4, np.ones(4), v)),
+    "assemble.x": (8, lambda v: assemble(v, quadratic_targets_spec((PATH4, PATH4)))),
 }
 
 # bad input -> the vector it makes for an expected length m
@@ -69,10 +71,10 @@ BAD = {
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("site", SITES)
 def test_a_bad_vector_raises_the_sites_error(site, bad):
-    error, length, call = SITES[site]
+    length, call = SITES[site]
     # a LeadingDiagonal has any length: the ProblemSpec compares it with n
     wrong_lead = (site, bad) == ("LeadingDiagonal.alpha_k", "wrong-length")
-    with pytest.raises(error, match="has wrong length" if wrong_lead else "must be a finite real vector"):
+    with pytest.raises(InvariantViolation, match="has wrong length" if wrong_lead else "must be a finite real vector"):
         call(BAD[bad](length))
 
 
@@ -84,17 +86,16 @@ def seed_of(spec):
 QUADRATIC = quadratic_targets_spec((PATH4, PATH4))
 PAIR = MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2)))
 
-# entry point -> (its documented error, a call on one number)
+# entry point -> a call on one number
 NUMBER_SITES = {
-    "ProblemSpec.epsilon": (InvariantViolation, lambda v: ProblemSpec(
-        spectrum=QUADRATIC.spectrum, lead=QUADRATIC.lead, graphs=QUADRATIC.graphs, epsilon=v)),
-    "SolverControls.newton_tol": (InvariantViolation, lambda v: SolverControls(newton_tol=v)),
-    "newton_solve.tol": (InvariantViolation, lambda v: newton_solve(QUADRATIC, tol=v)),
-    "assemble.tau": (ValueError, lambda v: assemble(seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead), QUADRATIC, v)),
-    "verify.value_tol": (InvariantViolation, lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v)),
-    "jacobian_fd.h": (ValueError, lambda v: jacobian_fd(PAIR, h=v)),
-    "eigderivative.pair": (ValueError, lambda v: eigderivative(
-        PAIR, (v, np.array([1.0, 0.0])), PerturbationDirection(s=0, diag=1))),
+    "ProblemSpec.epsilon": lambda v: ProblemSpec(
+        spectrum=QUADRATIC.spectrum, lead=QUADRATIC.lead, graphs=QUADRATIC.graphs, epsilon=v),
+    "SolverControls.newton_tol": lambda v: SolverControls(newton_tol=v),
+    "newton_solve.tol": lambda v: newton_solve(QUADRATIC, tol=v),
+    "assemble.tau": lambda v: assemble(seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead), QUADRATIC, v),
+    "verify.value_tol": lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
+    "jacobian_fd.h": lambda v: jacobian_fd(PAIR, h=v),
+    "eigderivative.pair": lambda v: eigderivative(PAIR, (v, np.array([1.0, 0.0])), PerturbationDirection(s=0, diag=1)),
 }
 
 
@@ -102,13 +103,40 @@ NUMBER_SITES = {
 @pytest.mark.parametrize("site", NUMBER_SITES)
 def test_an_integer_beyond_float_range_raises_the_sites_error(site, value):
     # math.isfinite raises OverflowError on such an integer: check_real
-    # reports it as the site's own error
-    error, call = NUMBER_SITES[site]
-    with pytest.raises(error, match="must be a real number and finite, got a value beyond float range"):
-        call(value)
+    # reports it as InvariantViolation
+    with pytest.raises(InvariantViolation, match="must be a real number and finite, got a value beyond float range"):
+        NUMBER_SITES[site](value)
 
 
 @pytest.mark.parametrize("offdiag", [0.5, 3, object()])
 def test_offdiag_values_that_are_not_a_sequence_raise_invariant_violation(offdiag):
     with pytest.raises(InvariantViolation, match="offdiag_values must be None or 2 vectors"):
         path4_spec(offdiag=offdiag)
+
+
+def test_invariant_violation_is_a_value_error():
+    # a caller that catches ValueError keeps working: numpy's LinAlgError is one too
+    assert issubclass(InvariantViolation, ValueError)
+    assert issubclass(InvariantViolation, StructuredIEPError)
+
+
+# entry point -> (a call on input of the wrong shape or range that neither
+# rule above sees, its message)
+SHAPE_SITES = {
+    "spectral_map.x": (lambda: spectral_map(np.ones(9), QUADRATIC), r"x has shape \(9,\), expected \(8,\)"),
+    "MatrixPolynomial.coeffs": (lambda: MatrixPolynomial((np.zeros((2, 3)),)),
+                                r"coefficient shape \(2, 3\) != \(2,2\)"),
+    "proper_values.degree": (lambda: proper_values(MatrixPolynomial((np.eye(2),))),
+                             "cannot linearize a degree-0 polynomial"),
+    "PerturbationDirection.diag_and_edge": (lambda: PerturbationDirection(s=0, diag=1, edge=(1, 2)),
+                                            "specify exactly one of diag or edge"),
+    "jacobian_fd.h": (lambda: jacobian_fd(PAIR, h=0), "step must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("site", SHAPE_SITES)
+def test_bad_input_raises_invariant_violation(site):
+    call, message = SHAPE_SITES[site]
+    with pytest.raises(InvariantViolation, match=message) as exc:
+        call()
+    assert isinstance(exc.value, StructuredIEPError)

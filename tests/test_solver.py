@@ -88,9 +88,12 @@ def fold_spec(max_iter=50):
 
 
 def reference_spectral_map(x, spec, tau):
-    """The spectral map as assemble + proper_values computes it."""
-    sep_tol = matpoly.SEP_TOL_REL * spec.spectrum.scale
-    return proper_values(assemble(x, spec, tau), sep_tol=sep_tol)
+    """The spectral map as the assembled polynomial gives it: decompose_row
+    of its coefficient row and checked leading diagonal, as proper_values
+    runs it, at the solver's separation tolerance."""
+    P = assemble(x, spec, tau)
+    return matpoly.decompose_row(np.hstack(P.coeffs[:-1]), P.leading_diagonal(),
+                                 matpoly.SEP_TOL_REL * spec.spectrum.scale)
 
 
 def same_spectral_map(x, spec, tau):
