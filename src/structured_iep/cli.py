@@ -12,6 +12,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -63,13 +64,18 @@ def _emit(doc: dict, out: str | None):
         print(text)
 
 
-def _summary_matrix(name: str, M: np.ndarray):
-    print(name)
-    for row in M:
-        print("  " + "  ".join(f"{v:.15g}" for v in row))
+def _coefficient_lines(P) -> list[str]:
+    lines = []
+    for s, c in enumerate(P.coeffs):
+        lines.append(f"coefficient {s}:")
+        lines += ["  " + "  ".join(f"{v:.15g}" for v in row) for row in c]
+    return lines
 
 
-def cmd_seed(args) -> int:
+# Each command returns (report, summary lines, exit code); main writes both.
+
+
+def cmd_seed(args):
     # no Newton iteration runs here, so --tol and --max-iter are ignored
     spec = load_problem(args.problem)
     P = spec.seed()
@@ -79,15 +85,15 @@ def cmd_seed(args) -> int:
         **polynomial_to_doc(P),
         "spectrum": decomp.values.tolist(),
     }
-    _emit(doc, args.out)
-    if not args.quiet and args.out:
-        for s, c in enumerate(P.coeffs):
-            _summary_matrix(f"coefficient {s}:", c)
-    return 0
+    return doc, _coefficient_lines(P), 0
 
 
-def cmd_solve(args) -> int:
-    spec = load_problem(args.problem, overrides={"newton_tol": args.tol, "max_iter": args.max_iter})
+def cmd_solve(args):
+    spec = load_problem(args.problem)
+    # the flags patch the file's controls, which SolverControls has checked already
+    flags = {"newton_tol": args.tol, "max_iter": args.max_iter}
+    controls = dataclasses.replace(spec.controls, **{name: v for name, v in flags.items() if v is not None})
+    spec = dataclasses.replace(spec, controls=controls)
     report = continuation_solve(spec)
     doc = {
         "config": spec_to_config(spec),
@@ -104,27 +110,22 @@ def cmd_solve(args) -> int:
         ],
         "failure": report.failure,
     }
-    _emit(doc, args.out)
-    if not args.quiet and args.out:
-        for s, c in enumerate(report.polynomial.coeffs):
-            _summary_matrix(f"coefficient {s}:", c)
-        print(f"residual: {report.residual:.15g}")
-        print(f"converged: {report.converged}  structure_ok: {report.structure_ok}")
-    if report.converged:
-        return 0
+    summary = [
+        *_coefficient_lines(report.polynomial),
+        f"residual: {report.residual:.15g}",
+        f"converged: {report.converged}  structure_ok: {report.structure_ok}",
+    ]
     # exit 5: no tau converged, and the last corrector's start was not real
     last = report.correctors[-1]
-    if last.kind is NonRealSpectrum and not last.iterations and not report.continuation_path:
-        return EXIT_NON_REAL
-    return EXIT_NO_CONVERGENCE
+    non_real = last.kind is NonRealSpectrum and not last.iterations and not report.continuation_path
+    return doc, summary, 0 if report.converged else EXIT_NON_REAL if non_real else EXIT_NO_CONVERGENCE
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     # --tol is the value tolerance here; no Newton iteration runs, so --max-iter is ignored
     spec = load_problem(args.problem)
     P = load_polynomial(args.polynomial)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = verify(P, spec, value_tol=tol)
+    report = verify(P, spec) if args.tol is None else verify(P, spec, value_tol=args.tol)
     doc = {
         "config": spec_to_config(spec),
         "residual": report.residual,
@@ -135,47 +136,34 @@ def cmd_verify(args) -> int:
         "passed": report.passed,
         "failure": report.failure,
     }
-    _emit(doc, args.out)
-    if not args.quiet and args.out:
-        print(f"residual: {report.residual:.15g}")
-        print(f"passed: {report.passed}" + (f"  ({report.failure})" if report.failure else ""))
-    return 0 if report.passed else EXIT_VERIFY_FAIL
+    summary = [
+        f"residual: {report.residual:.15g}",
+        f"passed: {report.passed}" + (f"  ({report.failure})" if report.failure else ""),
+    ]
+    return doc, summary, 0 if report.passed else EXIT_VERIFY_FAIL
 
 
-def cmd_jacobian(args) -> int:
+def cmd_jacobian(args):
     # no Newton iteration runs here, so --tol and --max-iter are ignored
     spec = load_problem(args.problem)
-    at_seed = args.at == "seed"
-    if at_seed:
-        x = seed_unknowns(spec.spectrum, spec.lead)
-        tau = 0.0
+    if args.at == "seed":
+        x, tau = seed_unknowns(spec.spectrum, spec.lead), 0.0
     else:
-        x = load_unknowns(args.at, spec.n * spec.k)
-        tau = 1.0
-    P = assemble(x, spec, tau=tau)
-    decomp = proper_values(P)
+        x, tau = load_unknowns(args.at, spec.n * spec.k), 1.0
+    decomp = proper_values(assemble(x, spec, tau=tau))
     J = jacobian_x(decomp)
     doc = {
         "config": spec_to_config(spec),
-        "at": "seed" if at_seed else args.at,
+        "at": args.at,
         "jacobian": J.tolist(),
     }
-    if at_seed:
-        check = seed_vandermonde_check(spec.spectrum, decomp, J)
-        doc["condition"] = check["condition"]
-        doc["vandermonde"] = {
-            "max_entry_error": check["max_entry_error"],
-            "max_offblock": check["max_offblock"],
-            "passed": check["max_entry_error"] <= 1e-12 and check["max_offblock"] <= 1e-12,
-        }
-    else:
+    if args.at != "seed":
         doc["condition"] = float(np.linalg.cond(J))
-    _emit(doc, args.out)
-    if not args.quiet and args.out:
-        print(f"condition: {doc['condition']:.15g}")
-        if at_seed:
-            print(f"vandermonde check passed: {doc['vandermonde']['passed']}")
-    return 0
+        return doc, [f"condition: {doc['condition']:.15g}"], 0
+    check = seed_vandermonde_check(spec.spectrum, decomp, J)
+    doc["condition"] = check["condition"]
+    doc["vandermonde"] = {key: check[key] for key in ("max_entry_error", "max_offblock", "passed")}
+    return doc, [f"condition: {check['condition']:.15g}", f"vandermonde check passed: {check['passed']}"], 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,26 +182,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("seed", help="build and verify the diagonal seed polynomial")
     ps.add_argument("problem")
-    ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_seed)
 
     pv = sub.add_parser("solve", help="solve the structured inverse problem")
     pv.add_argument("problem")
-    pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_solve)
 
     pf = sub.add_parser("verify", help="verify a polynomial file against a problem file")
     pf.add_argument("polynomial")
     pf.add_argument("problem")
-    pf.add_argument("--out", default=None)
     pf.set_defaults(func=cmd_verify)
 
     pj = sub.add_parser("jacobian", help="spectral Jacobian and seed structure check")
     pj.add_argument("problem")
     pj.add_argument("--at", default="seed", metavar="seed|X_FILE",
                     help="evaluation point: 'seed' or a JSON file with the kn diagonal unknowns")
-    pj.add_argument("--out", default=None)
     pj.set_defaults(func=cmd_jacobian)
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)
     return p
 
 
@@ -225,7 +211,8 @@ def main(argv=None) -> int:
         # checks its coefficients), so numpy's warnings would only put
         # noise ahead of the error line
         with np.errstate(all="ignore"):
-            return args.func(args)
+            doc, summary, code = args.func(args)
+        _emit(doc, args.out)
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -235,6 +222,10 @@ def main(argv=None) -> int:
     except NonRealSpectrum as exc:
         print(f"error: non-real spectrum: {exc}", file=sys.stderr)
         return EXIT_NON_REAL
+    if args.out and not args.quiet:
+        for line in summary:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -86,3 +86,22 @@ def real_vector(name, value, length=None) -> np.ndarray:
             or not np.isfinite(v).all()):
         raise InvariantViolation(f"{name} must be a finite real vector of shape {shape}, got {v.dtype} {v.shape}")
     return v.astype(float)
+
+
+def real_matrix(name, value, size=None) -> np.ndarray:
+    """``value`` as a float64 array (no copy when it is one already), the
+    rule of every matrix input: integer or floating entries (no bool,
+    complex, text or object) in a square 2-D array, ``size`` x ``size``
+    (any size when None).  Entries may be non-finite: what they must
+    satisfy beyond their type is the reader's rule.  Otherwise, a ragged
+    list included, raise InvariantViolation."""
+    try:
+        m = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise InvariantViolation(f"{name} must be a real square matrix, got a ragged sequence") from None
+    if m.dtype.kind not in "iuf" or m.ndim != 2:
+        raise InvariantViolation(f"{name} must be a real square matrix, got {m.dtype} {m.shape}")
+    n = m.shape[0] if size is None else size
+    if m.shape != (n, n):
+        raise InvariantViolation(f"{name} shape {m.shape} != ({n},{n})")
+    return m.astype(float, copy=False)

@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum
+from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum, real_matrix
 
 REAL_TOL_DEFAULT = 1e-8
 SEP_TOL_REL = 1e-10
@@ -98,16 +98,18 @@ def lapack(kind: str, *operands: np.ndarray):
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
+    """P(z) = sum_s A_s z^s.  Each coefficient is typed by
+    errors.real_matrix, all of the first one's size: a coefficient of
+    another type or shape raises InvariantViolation."""
+
     coeffs: tuple[np.ndarray, ...]  # A_0 .. A_k
 
     def __post_init__(self):
-        coeffs = tuple(np.asarray(c, dtype=float) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
         if not coeffs:
             raise InvariantViolation("need at least one coefficient")
-        n = coeffs[0].shape[0]
-        for c in coeffs:
-            if c.shape != (n, n):
-                raise InvariantViolation(f"coefficient shape {c.shape} != ({n},{n})")
+        first = real_matrix("coefficient", coeffs[0])
+        coeffs = (first, *(real_matrix("coefficient", c, len(first)) for c in coeffs[1:]))
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

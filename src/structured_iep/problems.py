@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import InvariantViolation, ProblemFormatError
+from .errors import InvariantViolation, ProblemFormatError, real_vector
 from .graphs import Graph
 from .matpoly import MatrixPolynomial
 from .seed import LeadingDiagonal, TargetSpectrum
@@ -79,17 +79,20 @@ def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
     where = f"graphs[{idx}]"
     entry = _typed(entry, where, dict)
     try:
-        edges = _require(entry, "edges", list)
-        for e in edges:
-            if not (type(e) is list and len(e) == 2 and all(type(v) is int for v in e)):
-                raise ProblemFormatError(f"edge {e!r} is not a pair of vertex numbers")
-        return Graph(n=n, edges=tuple(tuple(e) for e in edges))
+        # Graph rejects an edge that is not a pair of integer vertices
+        return Graph(n=n, edges=tuple(_require(entry, "edges", list)))
     except (InvariantViolation, ProblemFormatError) as exc:
         raise ProblemFormatError(f"{where}: {exc}") from exc
 
 
-def load_problem(path: str, overrides: dict | None = None) -> ProblemSpec:
-    """Load and validate a problem file; ``overrides`` patches control fields."""
+def load_problem(path: str) -> ProblemSpec:
+    """Load and validate a problem file.  A schema fault (unreadable JSON,
+    a missing field, a value of the wrong JSON type, an unknown control, a
+    malformed graph) raises ProblemFormatError; a value the library rejects,
+    out-of-range ``controls`` included, raises InvariantViolation from the
+    spec class that owns the rule.  A caller that overrides a control
+    replaces it on the returned spec, after the file's own controls were
+    checked."""
     doc = _load_object(path)
     n = _require(doc, "n", int)
     k = _require(doc, "k", int)
@@ -105,8 +108,6 @@ def load_problem(path: str, overrides: dict | None = None) -> ProblemSpec:
     if unknown:
         raise ProblemFormatError(f"controls: unknown field(s) {sorted(unknown)}")
     ctl_doc = {name: _typed(val, f"controls.{name}", *_CONTROL_KINDS[name]) for name, val in ctl_doc.items()}
-    if overrides:
-        ctl_doc.update({k_: v for k_, v in overrides.items() if v is not None})
 
     graphs = tuple(_parse_graph_entry(g, n, i) for i, g in enumerate(graphs_raw))
 
@@ -151,12 +152,11 @@ def load_unknowns(path: str, nk: int) -> np.ndarray:
     """The kn diagonal unknowns from a JSON file holding a list of nk finite numbers."""
     expected = f"{path}: expected a list of {nk} finite numbers (the diagonal unknowns)"
     try:
-        x = _numbers(_load_json(path), "unknowns")
+        return real_vector("unknowns", _numbers(_load_json(path), "unknowns"), nk)
+    except InvariantViolation:  # a wrong length or a non-finite number
+        raise ProblemFormatError(expected) from None
     except ProblemFormatError as exc:
         raise ProblemFormatError(f"{expected}; {exc}") from exc
-    if x.shape != (nk,) or not np.all(np.isfinite(x)):
-        raise ProblemFormatError(expected)
-    return x
 
 
 def spec_to_config(spec: ProblemSpec) -> dict:

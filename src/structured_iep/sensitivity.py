@@ -49,9 +49,13 @@ class PerturbationDirection:
         check_integer("power index", self.s)
         if (self.diag is None) == (self.edge is None):
             raise InvariantViolation("specify exactly one of diag or edge")
-        for vertex in (self.diag,) if self.edge is None else self.edge:
+        try:
+            i, j = (self.diag,) * 2 if self.edge is None else self.edge
+        except (TypeError, ValueError):
+            raise InvariantViolation(f"edge {self.edge!r} is not a pair of vertices") from None
+        for vertex in (i, j):
             check_integer("vertex", vertex)
-        if self.edge is not None and self.edge[0] == self.edge[1]:
+        if self.edge is not None and i == j:
             raise InvariantViolation(f"edge {self.edge} joins a vertex to itself: use diag")
 
 
@@ -206,9 +210,10 @@ def seed_vandermonde_check(
     (the denominators of the unit rows e_r with decomp's coefficients), and
     permuting rows into these target blocks and columns into diagonal-entry
     blocks, the Jacobian must be block diagonal with n Vandermonde blocks
-    (1, lam, ..., lam^(k-1)).  Returns the scaled matrix,
-    the expected Vandermonde form, the maximum relative entrywise deviation,
-    and off-block leakage.
+    (1, lam, ..., lam^(k-1)).  Returns the scaled matrix, the expected
+    Vandermonde form, the maximum relative entrywise deviation, the
+    off-block leakage, the condition number of J, and ``passed``: the
+    check's one pass rule, both deviations at most 1e-12.
     """
     n, k = spec.n, spec.k
     nk = n * k
@@ -232,11 +237,13 @@ def seed_vandermonde_check(
     # relative entrywise deviation: powers of lambda grow quickly, so an
     # absolute comparison would just measure magnitude times roundoff
     diff = np.abs(scaled - expected) / np.maximum(1.0, np.abs(expected))
-    offblock = np.where(own, 0.0, scaled)
+    max_entry_error = float(np.max(diff))
+    max_offblock = float(np.max(np.abs(np.where(own, 0.0, scaled))))
     return {
         "scaled": scaled,
         "expected": expected,
-        "max_entry_error": float(np.max(diff)),
-        "max_offblock": float(np.max(np.abs(offblock))),
+        "max_entry_error": max_entry_error,
+        "max_offblock": max_offblock,
         "condition": float(np.linalg.cond(J)),
+        "passed": max_entry_error <= 1e-12 and max_offblock <= 1e-12,
     }

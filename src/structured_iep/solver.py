@@ -130,7 +130,9 @@ class ProblemSpec:
                 y = np.full(g.num_edges, float(self.epsilon))
             else:
                 y = real_vector(f"off-diagonal vector {s}", y, g.num_edges)
-                if np.any(y == 0.0):
+                # all zeros at epsilon == 0 is what None gives there, so a
+                # spec's own values pass again (dataclasses.replace)
+                if not y.all() and (self.epsilon != 0.0 or y.any()):
                     raise InvariantViolation("prescribed off-diagonal values must all be nonzero")
             y.flags.writeable = False
             ys.append(y)

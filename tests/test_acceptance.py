@@ -155,15 +155,17 @@ def test_acceptance_4_seed_spectrum_and_exact_coefficients():
 def test_acceptance_5_seed_jacobian_block_vandermonde():
     instances = _random_seed_instances(100)
     worst_entry = worst_offblock = worst_cond = 0.0
+    passed = True
     for spec, lead in instances:
         P = seed_coefficients(spec, lead)
         decomp = proper_values(P)
         J = jacobian_x(decomp)
         check = seed_vandermonde_check(spec, decomp, J)
+        passed = passed and check["passed"]
         worst_entry = max(worst_entry, check["max_entry_error"])
         worst_offblock = max(worst_offblock, check["max_offblock"])
         worst_cond = max(worst_cond, check["condition"])
-    ok = worst_entry <= 1e-12 and worst_offblock <= 1e-12 and np.isfinite(worst_cond)
+    ok = passed and np.isfinite(worst_cond)
     assert _verdict(
         f"seed Jacobian is block Vandermonde (entry err {worst_entry:.2e}, "
         f"off-block {worst_offblock:.2e}, worst condition {worst_cond:.2e})", ok

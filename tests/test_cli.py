@@ -118,11 +118,13 @@ class TestSolve:
     def test_zero_epsilon_echoes_seed(self, capsys, tmp_path):
         prob = tmp_path / "p.json"
         prob.write_text(json.dumps(path4_doc(epsilon=0.0)))
-        code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
-        assert code == 0
-        doc = json.loads(out)
-        assert len(doc["iterations"]) == 1
-        assert np.array_equal(np.array(doc["coefficients"][1]), np.diag([6.0, 14, 22, 30]))
+        # a flag replaces a control of the loaded spec, whose zero off-diagonals pass again
+        for flags in ([], ["--max-iter", "5"]):
+            code, out, _ = run(capsys, ["--quiet", *flags, "solve", str(prob)])
+            assert code == 0
+            doc = json.loads(out)
+            assert len(doc["iterations"]) == 1
+            assert np.array_equal(np.array(doc["coefficients"][1]), np.diag([6.0, 14, 22, 30]))
 
     def test_deterministic_reports(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -528,7 +530,11 @@ class TestErrorPaths:
         (["--tol", "-1"], None, "newton_tol"),
         ([], {"max_iter": 0}, "max_iter"),
         ([], {"newton_tol": -1}, "newton_tol"),
-    ], ids=["max-iter-0", "tol-0", "tol-minus-1", "file-max_iter-0", "file-newton_tol-minus-1"])
+        # the file's controls are checked before a flag replaces them
+        (["--max-iter", "5"], {"max_iter": 0}, "max_iter"),
+        (["--tol", "1e-6"], {"newton_tol": -1}, "newton_tol"),
+    ], ids=["max-iter-0", "tol-0", "tol-minus-1", "file-max_iter-0", "file-newton_tol-minus-1",
+            "file-max_iter-0-with-flag", "file-newton_tol-minus-1-with-flag"])
     def test_out_of_range_controls_exit_three(self, capsys, tmp_path, flags, controls, field):
         problem = PATH4
         if controls is not None:

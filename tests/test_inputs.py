@@ -126,6 +126,15 @@ SHAPE_SITES = {
     "spectral_map.x": (lambda: spectral_map(np.ones(9), QUADRATIC), r"x has shape \(9,\), expected \(8,\)"),
     "MatrixPolynomial.coeffs": (lambda: MatrixPolynomial((np.zeros((2, 3)),)),
                                 r"coefficient shape \(2, 3\) != \(2,2\)"),
+    "MatrixPolynomial.ragged": (lambda: MatrixPolynomial(([[1.0], [1.0, 2.0]], np.eye(2))),
+                                "coefficient must be a real square matrix, got a ragged sequence"),
+    "MatrixPolynomial.text": (lambda: MatrixPolynomial(([["1", "0"], ["0", "1"]], np.eye(2))),
+                              r"coefficient must be a real square matrix, got <U1 \(2, 2\)"),
+    "MatrixPolynomial.0-d": (lambda: MatrixPolynomial((1.0, np.eye(2))),
+                             r"coefficient must be a real square matrix, got float64 \(\)"),
+    # numpy would drop the imaginary part with a ComplexWarning
+    "MatrixPolynomial.complex": (lambda: MatrixPolynomial((np.eye(2) * 1j, np.eye(2))),
+                                 r"coefficient must be a real square matrix, got complex128 \(2, 2\)"),
     "proper_values.degree": (lambda: proper_values(MatrixPolynomial((np.eye(2),))),
                              "cannot linearize a degree-0 polynomial"),
     "PerturbationDirection.diag_and_edge": (lambda: PerturbationDirection(s=0, diag=1, edge=(1, 2)),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from structured_iep import (
     DegenerateDenominator,
     Graph,
+    InvariantViolation,
     LeadingCoefficientError,
     LeadingDiagonal,
     MatrixPolynomial,
@@ -116,12 +117,16 @@ class TestEigderivative:
         with pytest.raises(ValueError):
             PerturbationDirection(s=0, diag=1, edge=(1, 2))
 
-    @pytest.mark.parametrize("slot", [
-        dict(s=0.0, diag=1), dict(s=True, diag=1), dict(s="0", diag=1), dict(s=0, diag=1.0),
-        dict(s=0, diag=True), dict(s=0, edge=(1.0, 2)), dict(s=0, edge=(1, True)),
-    ], ids=["float-power", "bool-power", "str-power", "float-diag", "bool-diag", "float-vertex", "bool-vertex"])
-    def test_direction_of_the_wrong_type_rejected(self, slot):
-        with pytest.raises(ValueError, match="must be an integer"):
+    @pytest.mark.parametrize("slot, message", [
+        (dict(s=0.0, diag=1), "must be an integer"), (dict(s=True, diag=1), "must be an integer"),
+        (dict(s="0", diag=1), "must be an integer"), (dict(s=0, diag=1.0), "must be an integer"),
+        (dict(s=0, diag=True), "must be an integer"), (dict(s=0, edge=(1.0, 2)), "must be an integer"),
+        (dict(s=0, edge=(1, True)), "must be an integer"),
+        (dict(s=0, edge=(1, 2, 3)), "is not a pair of vertices"), (dict(s=0, edge=5), "is not a pair of vertices"),
+    ], ids=["float-power", "bool-power", "str-power", "float-diag", "bool-diag", "float-vertex", "bool-vertex",
+            "triple-edge", "int-edge"])
+    def test_direction_of_the_wrong_type_rejected(self, slot, message):
+        with pytest.raises(InvariantViolation, match=message):
             PerturbationDirection(**slot)
 
     # vertices are 1-based: 0 must not wrap round to entry n
@@ -174,9 +179,10 @@ class TestJacobianX:
         decomp = proper_values(P)
         J = jacobian_x(decomp)
         check = seed_vandermonde_check(spec, decomp, J)
-        assert check["max_entry_error"] <= 1e-12
-        assert check["max_offblock"] <= 1e-12
+        assert check["passed"] is True
         assert np.isfinite(check["condition"])
+        J[0, 1] += 1e-6  # leakage off the Vandermonde blocks
+        assert seed_vandermonde_check(spec, decomp, J)["passed"] is False
 
     def test_vandermonde_check_matches_per_entry_reference(self):
         rng = np.random.default_rng(8)
