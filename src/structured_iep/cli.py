@@ -125,7 +125,7 @@ def cmd_verify(args):
     # --tol is the value tolerance here; no Newton iteration runs, so --max-iter is ignored
     spec = load_problem(args.problem)
     P = load_polynomial(args.polynomial)
-    report = verify(P, spec) if args.tol is None else verify(P, spec, value_tol=args.tol)
+    report = verify(P, spec, value_tol=args.tol)
     doc = {
         "config": spec_to_config(spec),
         "residual": report.residual,
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("seed", help="build and verify the diagonal seed polynomial")
+    ps = sub.add_parser("seed", help="build the diagonal seed polynomial and its spectrum")
     ps.add_argument("problem")
     ps.set_defaults(func=cmd_seed)
 

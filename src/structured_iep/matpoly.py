@@ -99,8 +99,8 @@ def lapack(kind: str, *operands: np.ndarray):
 @dataclass(frozen=True)
 class MatrixPolynomial:
     """P(z) = sum_s A_s z^s.  Each coefficient is typed by
-    errors.real_matrix, all of the first one's size: a coefficient of
-    another type or shape raises InvariantViolation."""
+    errors.real_matrix, all of the first one's size, at least 1 x 1: a
+    coefficient of another type or shape raises InvariantViolation."""
 
     coeffs: tuple[np.ndarray, ...]  # A_0 .. A_k
 
@@ -109,6 +109,8 @@ class MatrixPolynomial:
         if not coeffs:
             raise InvariantViolation("need at least one coefficient")
         first = real_matrix("coefficient", coeffs[0])
+        if not first.size:
+            raise InvariantViolation("coefficient must be at least 1 x 1, got 0 x 0")
         coeffs = (first, *(real_matrix("coefficient", c, len(first)) for c in coeffs[1:]))
         object.__setattr__(self, "coeffs", coeffs)
 

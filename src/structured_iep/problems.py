@@ -1,19 +1,11 @@
 """JSON problem and polynomial files.
 
-Problem schema (see schemas/problem.schema.json):
-
-    {
-      "n": 4, "k": 2,
-      "proper_values": [nk doubles, input order],
-      "leading": [n positive doubles],
-      "graphs": [k entries {"edges": [[i, j], ...]}],
-      "epsilon": 0.5,
-      "offdiag_overrides": [per-graph arrays or null],      // optional
-      "controls": {"newton_tol": ..., "max_iter": ...}       // optional
-    }
-
-Polynomial schema: {"n": ..., "k": ..., "coefficients": [k+1 row-major matrices]};
-n and k are optional and, when present, checked against the coefficients.
+A problem file is the object that schemas/problem.schema.json describes; a
+key it does not list is an error at every level.  Every report's ``config``
+(spec_to_config) is such a file, the one that reproduces the report.  A
+polynomial file is an object with ``coefficients`` (k+1 row-major
+matrices) and optional ``n`` and ``k``, checked against the coefficients;
+it may hold any other key, so a report is one.
 """
 
 from __future__ import annotations
@@ -30,6 +22,9 @@ from .matpoly import MatrixPolynomial
 from .seed import LeadingDiagonal, TargetSpectrum
 from .solver import ProblemSpec, SolverControls
 
+# the keys of each object of a problem file, as schemas/problem.schema.json lists them
+_PROBLEM_FIELDS = ("n", "k", "proper_values", "leading", "graphs", "epsilon", "offdiag_overrides", "controls")
+_GRAPH_FIELDS = ("edges",)
 # control name -> the JSON types it accepts, one entry per SolverControls field
 _CONTROL_KINDS = {
     name: typing.get_args(hint) or (hint,) for name, hint in typing.get_type_hints(SolverControls).items()
@@ -68,16 +63,19 @@ def _load_json(path: str):
         raise ProblemFormatError(f"{path}: {exc}") from exc
 
 
-def _load_object(path: str) -> dict:
-    doc = _load_json(path)
+def _object(doc, where: str, fields=None) -> dict:
+    """``doc``, a JSON object with no key outside ``fields`` (None: any key)."""
     if not isinstance(doc, dict):
-        raise ProblemFormatError(f"{path}: top level must be an object")
+        raise ProblemFormatError(f"{where} must be an object")
+    unknown = set() if fields is None else set(doc) - set(fields)
+    if unknown:
+        raise ProblemFormatError(f"{where}: unknown field(s) {sorted(unknown)}")
     return doc
 
 
 def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
     where = f"graphs[{idx}]"
-    entry = _typed(entry, where, dict)
+    entry = _object(entry, where, _GRAPH_FIELDS)
     try:
         # Graph rejects an edge that is not a pair of integer vertices
         return Graph(n=n, edges=tuple(_require(entry, "edges", list)))
@@ -87,13 +85,13 @@ def _parse_graph_entry(entry, n: int, idx: int) -> Graph:
 
 def load_problem(path: str) -> ProblemSpec:
     """Load and validate a problem file.  A schema fault (unreadable JSON,
-    a missing field, a value of the wrong JSON type, an unknown control, a
-    malformed graph) raises ProblemFormatError; a value the library rejects,
-    out-of-range ``controls`` included, raises InvariantViolation from the
-    spec class that owns the rule.  A caller that overrides a control
-    replaces it on the returned spec, after the file's own controls were
-    checked."""
-    doc = _load_object(path)
+    a missing field, a value of the wrong JSON type, an unknown field at
+    any level, a malformed graph) raises ProblemFormatError; a value the
+    library rejects, out-of-range ``controls`` and n < 1 included, raises
+    InvariantViolation from the spec class that owns the rule.  A caller
+    that overrides a control replaces it on the returned spec, after the
+    file's own controls were checked."""
+    doc = _object(_load_json(path), f"{path}: top level", _PROBLEM_FIELDS)
     n = _require(doc, "n", int)
     k = _require(doc, "k", int)
     values = _numbers(_require(doc, "proper_values", list), "proper_values")
@@ -103,12 +101,11 @@ def load_problem(path: str) -> ProblemSpec:
         raise ProblemFormatError(f"graphs: expected {k} entries, got {len(graphs_raw)}")
     epsilon = _typed(doc.get("epsilon", 0.5), "epsilon", float)
 
-    ctl_doc = _typed(doc.get("controls", {}), "controls", dict)
-    unknown = set(ctl_doc) - set(_CONTROL_KINDS)
-    if unknown:
-        raise ProblemFormatError(f"controls: unknown field(s) {sorted(unknown)}")
+    ctl_doc = _object(doc.get("controls", {}), "controls", _CONTROL_KINDS)
     ctl_doc = {name: _typed(val, f"controls.{name}", *_CONTROL_KINDS[name]) for name, val in ctl_doc.items()}
 
+    # before the graphs, so that n < 1 is the spectrum's error for every k
+    spectrum = TargetSpectrum(values=values, n=n, k=k)
     graphs = tuple(_parse_graph_entry(g, n, i) for i, g in enumerate(graphs_raw))
 
     offdiag = doc.get("offdiag_overrides")
@@ -120,19 +117,16 @@ def load_problem(path: str) -> ProblemSpec:
             None if y is None else _numbers(y, f"offdiag_overrides[{s}]") for s, y in enumerate(offdiag)
         )
 
-    spectrum = TargetSpectrum(values=values, n=n, k=k)
-    lead = LeadingDiagonal(alpha_k=leading)
-    controls = SolverControls(**ctl_doc)
     return ProblemSpec(
-        spectrum=spectrum, lead=lead, graphs=graphs,
-        epsilon=epsilon, offdiag_values=offdiag, controls=controls,
+        spectrum=spectrum, lead=LeadingDiagonal(alpha_k=leading), graphs=graphs,
+        epsilon=epsilon, offdiag_values=offdiag, controls=SolverControls(**ctl_doc),
     )
 
 
 def load_polynomial(path: str) -> MatrixPolynomial:
     """Load a polynomial file; its optional ``n`` and ``k`` must be the
     coefficients' size and degree."""
-    doc = _load_object(path)
+    doc = _object(_load_json(path), f"{path}: top level")
     coeffs = _require(doc, "coefficients", list)
     mats = [
         [_numbers(row, f"coefficients[{s}][{i}]") for i, row in enumerate(_typed(c, f"coefficients[{s}]", list))]
@@ -160,7 +154,8 @@ def load_unknowns(path: str, nk: int) -> np.ndarray:
 
 
 def spec_to_config(spec: ProblemSpec) -> dict:
-    """Fully resolved configuration embedded in every report for reproducibility."""
+    """The problem file of spec, defaults resolved: every report embeds it
+    as ``config``, and load_problem reads it back to an equal spec."""
     return {
         "n": spec.n,
         "k": spec.k,
@@ -168,7 +163,7 @@ def spec_to_config(spec: ProblemSpec) -> dict:
         "leading": spec.lead.alpha_k.tolist(),
         "graphs": [{"edges": [list(e) for e in g.edges]} for g in spec.graphs],
         "epsilon": spec.epsilon,
-        "offdiag_values": [y.tolist() for y in spec.offdiag_values],
+        "offdiag_overrides": [y.tolist() for y in spec.offdiag_values],
         "controls": {**asdict(spec.controls), "newton_tol": spec.controls.resolved_tol(spec.spectrum)},
     }
 

@@ -568,7 +568,7 @@ class VerifyReport:
     failure: str | None = None
 
 
-def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> VerifyReport:
+def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float | None = None) -> VerifyReport:
     """Check a candidate polynomial against the problem: recompute its
     proper values with the solver's own proper_values (the same companion
     eig, so not an independent eigensolver), compare them to the sorted
@@ -581,11 +581,14 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float = 1e-8) -> V
     False).  A failed check's ``failure`` names every failing check, in
     this order and joined by "; ": the eigensolve's error or the spectral
     residual, "structure mismatch" (a graph) and "leading coefficient
-    mismatch"; a passed one's is None.  Raises InvariantViolation when
-    value_tol is not a finite, non-negative real number, when P's size n
+    mismatch"; a passed one's is None.  value_tol is absolute; None
+    means max(1e-8, the problem's own Newton tolerance), so the default
+    check is never tighter than the solve.  Raises InvariantViolation when value_tol is not
+    None or a finite, non-negative real number, when P's size n
     or degree k is not the problem's, or when a coefficient is not finite
     and symmetric, and LeadingCoefficientError (from proper_values) when
     A_k is not diagonal with a positive diagonal."""
+    value_tol = max(1e-8, spec.controls.resolved_tol(spec.spectrum)) if value_tol is None else value_tol
     check_real("value_tol", value_tol)
     if value_tol < 0.0:
         raise InvariantViolation(f"value_tol must be non-negative, got {value_tol}")

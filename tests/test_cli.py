@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structured_iep import DegenerateDenominator, NonRealSpectrum, SolverControls, cli, solver
-from structured_iep.problems import load_problem
+from structured_iep import DegenerateDenominator, NonRealSpectrum, SolverControls, cli, problems, solver
+from structured_iep.problems import load_problem, spec_to_config
 
 from conftest import (
     LINKED4_D_DIAG,
@@ -20,6 +21,8 @@ from conftest import (
     PATH4_K_DIAG,
     TARGETS,
 )
+from test_corpus import load_workloads
+from test_same_answers import load_script
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 PATH4 = str(PROBLEMS / "path4.json")
@@ -430,6 +433,27 @@ class TestErrorPaths:
         assert code == cli.EXIT_PARSE
         assert err.startswith("error:") and "unknown field" in err
 
+    @pytest.mark.parametrize("patch, key", [
+        ({"offdiag_override": [[0.3, 0.4, 0.5], None]}, "offdiag_override"),  # a misspelled optional field
+        ({"graphs": [{"edges": [], "weights": []}, {"edges": []}]}, "weights"),
+    ], ids=["top-level", "graph-entry"])
+    def test_unknown_field_exits_two_at_every_level(self, capsys, tmp_path, patch, key):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(path4_doc(**patch)))
+        code, out, err = run(capsys, ["--quiet", "solve", str(prob)])
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err.startswith("error:") and f"unknown field(s) [{key!r}]" in err
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_no_vertices_exits_three_for_every_k(self, capsys, tmp_path, k):
+        # the spectrum's rule, not a graph's "vertex count must be positive"
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps({"n": 0, "k": k, "proper_values": [], "leading": [],
+                                    "graphs": [{"edges": []}] * k}))
+        code, out, err = run(capsys, ["--quiet", "solve", str(prob)])
+        assert code == cli.EXIT_INVARIANT and out == ""
+        assert err == f"error: need n >= 1 and k >= 1, got n=0, k={k}\n"
+
     @pytest.mark.parametrize("patch", [
         {"controls": {"max_iter": "5"}},
         {"controls": {"max_iter": 2.5}},
@@ -633,6 +657,17 @@ class TestVerifyTol:
         assert code == 0
         assert strict_json(out)["config"]["controls"]["max_iter"] == SolverControls().max_iter
 
+    def test_default_is_never_tighter_than_the_solve(self, capsys, tmp_path):
+        # path4 scaled by 1e5 converges within its Newton tolerance 1.4e-5,
+        # to a residual near 2e-8: the default is that tolerance, not 1e-8
+        doc = json.loads(Path(PATH4).read_text())
+        prob, poly = tmp_path / "p.json", tmp_path / "poly.json"
+        prob.write_text(json.dumps({**doc, "proper_values": [1e5 * v for v in doc["proper_values"]],
+                                    "epsilon": 1e5 * doc["epsilon"]}))
+        assert run(capsys, ["--quiet", "solve", str(prob), "--out", str(poly)])[0] == 0
+        code, out, _ = run(capsys, ["--quiet", "verify", str(poly), str(prob)])
+        assert code == 0 and strict_json(out)["passed"]
+
     @pytest.mark.parametrize("tol", ["-0.001", "nan", "inf"])
     def test_negative_or_non_finite_exits_three(self, capsys, solved, tol):
         code, out, err = run(capsys, ["--quiet", "--tol", tol, "verify", solved, PATH4])
@@ -666,10 +701,72 @@ class TestNewtonFlagsIgnored:
         assert strict_json(out)["config"]["controls"] == expected
 
 
-def test_problem_schema_controls_match_solver_controls():
-    schema = json.loads((PROBLEMS.parent / "schemas" / "problem.schema.json").read_text())
-    names = {f.name for f in dataclasses.fields(SolverControls)}
-    assert set(schema["properties"]["controls"]["properties"]) == names
+def test_problem_schema_lists_the_fields_the_reader_knows():
+    # at each object level of a problem file the schema names exactly the
+    # keys load_problem reads, and forbids every other; a report's config
+    # is a problem file
+    schemas = PROBLEMS.parent / "schemas"
+    schema = json.loads((schemas / "problem.schema.json").read_text())
+    levels = {
+        "top level": (schema, problems._PROBLEM_FIELDS),
+        "graph entry": (schema["properties"]["graphs"]["items"], problems._GRAPH_FIELDS),
+        "controls": (schema["properties"]["controls"], problems._CONTROL_KINDS),  # the SolverControls fields
+    }
+    for name, (level, fields) in levels.items():
+        assert set(level["properties"]) == set(fields), name
+        assert level["additionalProperties"] is False, name
+    report = json.loads((schemas / "report.schema.json").read_text())
+    assert report["properties"]["config"]["$ref"] == "problem.schema.json"
+
+
+def config_file(tmp_path, spec) -> str:
+    """spec_to_config(spec), written to a problem file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(spec_to_config(spec)))
+    return str(path)
+
+
+# problem files whose report config must reproduce them
+ROUND_TRIP = {
+    "path4": json.loads(Path(PATH4).read_text()),
+    "linked4": json.loads(Path(LINKED4).read_text()),
+    "complex-pair": COMPLEX_PAIR_DOC,
+    "epsilon-0": path4_doc(epsilon=0.0),
+    "null-override": path4_doc(offdiag_overrides=[[0.3, 0.4, 0.5], None]),
+}
+
+
+class TestConfigIsTheProblemFile:
+    """A report's config is a problem file: load_problem reads it back to a
+    spec with an equal config, and solve of it gives the same polynomial."""
+
+    def test_every_benchmark_instance(self, tmp_path, monkeypatch):
+        same_answers = load_script()
+        monkeypatch.setitem(sys.modules, "workloads", load_workloads())
+        instances = list(same_answers.instances())
+        assert len(instances) == 293
+        for label, spec in instances:
+            assert spec_to_config(load_problem(config_file(tmp_path, spec))) == spec_to_config(spec), label
+
+    @pytest.mark.parametrize("name", ROUND_TRIP)
+    def test_problem_file(self, tmp_path, name):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(ROUND_TRIP[name]))
+        spec = load_problem(str(prob))
+        assert spec_to_config(load_problem(config_file(tmp_path, spec))) == spec_to_config(spec)
+
+    @pytest.mark.parametrize("name", ["path4", "linked4", "null-override"])
+    def test_solve_of_the_config_gives_the_same_coefficients(self, capsys, tmp_path, name):
+        prob, config = tmp_path / "p.json", tmp_path / "config.json"
+        prob.write_text(json.dumps(ROUND_TRIP[name]))
+        code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
+        first = json.loads(out)
+        config.write_text(json.dumps(first["config"]))
+        code_again, out, _ = run(capsys, ["--quiet", "solve", str(config)])
+        second = json.loads(out)
+        assert code == code_again == 0
+        assert json.dumps(second["coefficients"]) == json.dumps(first["coefficients"])
+        assert second["config"] == first["config"]
 
 
 DOCUMENTED_EXITS = {0, cli.EXIT_PARSE, cli.EXIT_INVARIANT, cli.EXIT_NO_CONVERGENCE,

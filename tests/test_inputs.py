@@ -135,6 +135,9 @@ SHAPE_SITES = {
     # numpy would drop the imaginary part with a ComplexWarning
     "MatrixPolynomial.complex": (lambda: MatrixPolynomial((np.eye(2) * 1j, np.eye(2))),
                                  r"coefficient must be a real square matrix, got complex128 \(2, 2\)"),
+    # an empty polynomial would fail later, in an eigensolve or as an empty Jacobian
+    "MatrixPolynomial.empty": (lambda: MatrixPolynomial((np.zeros((0, 0)), np.zeros((0, 0)))),
+                               "coefficient must be at least 1 x 1, got 0 x 0"),
     "proper_values.degree": (lambda: proper_values(MatrixPolynomial((np.eye(2),))),
                              "cannot linearize a degree-0 polynomial"),
     "PerturbationDirection.diag_and_edge": (lambda: PerturbationDirection(s=0, diag=1, edge=(1, 2)),

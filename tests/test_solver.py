@@ -899,10 +899,21 @@ class TestVerify:
         assert spectrum.startswith("NonRealSpectrum: ") and rest == ["structure mismatch", "leading coefficient mismatch"]
         assert verify(P, path4_spec).failure is None
 
-    @pytest.mark.parametrize("value_tol", ["1", True, None, 1j], ids=["str", "bool", "none", "complex"])
+    @pytest.mark.parametrize("value_tol", ["1", True, 1j], ids=["str", "bool", "complex"])
     def test_tolerance_of_the_wrong_type_rejected(self, path4_spec, value_tol):
         with pytest.raises(InvariantViolation, match="value_tol must be a real number"):
             verify(golden_path4_polynomial(), path4_spec, value_tol=value_tol)
+
+    def test_none_is_the_problems_own_tolerance(self, path4_spec):
+        # the default, None, is max(1e-8, resolved_tol): 1e-8 for path4,
+        # never tighter than a looser newton_tol; an explicit value is absolute
+        gold = golden_path4_polynomial()
+        P = matpoly.MatrixPolynomial((gold.coeffs[0] + 1e-6 * np.eye(4), *gold.coeffs[1:]))
+        loose = dataclasses.replace(path4_spec, controls=SolverControls(newton_tol=1e-3))
+        assert verify(P, path4_spec, value_tol=None).failure == verify(P, path4_spec).failure
+        assert verify(P, path4_spec).failure.endswith("exceeds tolerance 1e-08")
+        assert verify(P, loose).passed
+        assert verify(P, loose, value_tol=1e-8).failure.endswith("exceeds tolerance 1e-08")
 
 
 class TestProblemSpecInvariants:
