@@ -11,8 +11,6 @@ import pathlib
 import sys
 import time
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from structured_iep import continuation_solve, proper_values

@@ -71,6 +71,13 @@ def check_real(name, value):
         raise InvariantViolation(f"{name} must be a real number and finite, got {value}")
 
 
+def check_positive(name, value):
+    """Raise InvariantViolation unless value is a positive, finite real number (check_real)."""
+    check_real(name, value)
+    if not value > 0:
+        raise InvariantViolation(f"{name} must be positive, got {value}")
+
+
 def real_vector(name, value, length=None) -> np.ndarray:
     """A fresh float64 copy of ``value``, the rule of every vector input:
     integer or floating entries (no bool, complex, text or object), one

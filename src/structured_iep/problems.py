@@ -87,16 +87,19 @@ def load_problem(path: str) -> ProblemSpec:
     """Load and validate a problem file.  A schema fault (unreadable JSON,
     a missing field, a value of the wrong JSON type, an unknown field at
     any level, a malformed graph) raises ProblemFormatError; a value the
-    library rejects, out-of-range ``controls`` and n < 1 included, raises
-    InvariantViolation from the spec class that owns the rule.  A caller
-    that overrides a control replaces it on the returned spec, after the
-    file's own controls were checked."""
+    library rejects, out-of-range ``controls``, n < 1 and k < 1 included,
+    raises InvariantViolation from the spec class that owns the rule.  A
+    caller that overrides a control replaces it on the returned spec, after
+    the file's own controls were checked."""
     doc = _object(_load_json(path), f"{path}: top level", _PROBLEM_FIELDS)
     n = _require(doc, "n", int)
     k = _require(doc, "k", int)
     values = _numbers(_require(doc, "proper_values", list), "proper_values")
     leading = _numbers(_require(doc, "leading", list), "leading")
     graphs_raw = _require(doc, "graphs", list)
+    # before the graph count and the graphs, so that n < 1 or k < 1 is the
+    # spectrum's error
+    spectrum = TargetSpectrum(values=values, n=n, k=k)
     if len(graphs_raw) != k:
         raise ProblemFormatError(f"graphs: expected {k} entries, got {len(graphs_raw)}")
     epsilon = _typed(doc.get("epsilon", 0.5), "epsilon", float)
@@ -104,8 +107,6 @@ def load_problem(path: str) -> ProblemSpec:
     ctl_doc = _object(doc.get("controls", {}), "controls", _CONTROL_KINDS)
     ctl_doc = {name: _typed(val, f"controls.{name}", *_CONTROL_KINDS[name]) for name, val in ctl_doc.items()}
 
-    # before the graphs, so that n < 1 is the spectrum's error for every k
-    spectrum = TargetSpectrum(values=values, n=n, k=k)
     graphs = tuple(_parse_graph_entry(g, n, i) for i, g in enumerate(graphs_raw))
 
     offdiag = doc.get("offdiag_overrides")

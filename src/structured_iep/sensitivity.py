@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvariantViolation, check_integer, check_real, real_vector
+from .errors import DegenerateDenominator, InvariantViolation, check_integer, check_positive, check_real, real_vector
 # perfbench/layers.py wraps evaluate at this module, though nothing here calls it
 from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
 from .seed import TargetSpectrum
@@ -97,43 +97,23 @@ def _denominators(decomp: SpectralDecomposition, sq: np.ndarray) -> np.ndarray:
     sq = V o V its squared rows, with A_k = diag(lead) and A_s (0 < s < k)
     the blocks of ``upper``.  Raises DegenerateDenominator when one is at
     most DENOM_TOL ||v_q||^2 times the scale sum_s s ||A_s||_F
-    |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero row).
-
-    That per-row rule runs only when one scalar bound fails: no row can
-    fail it when min_q |den_q| exceeds twice DENOM_TOL sum_q ||v_q||^2
-    times the scale at max_q |lambda_q| with ||upper||_F for every
-    ||A_s||_F.  The scale grows with |lambda|, ||upper||_F bounds every
-    block's norm and the sum bounds every ||v_q||^2, so that bound is at
-    least every row's threshold; the factor 2 covers their different
-    rounding (of the order of n^2 k roundoffs), and a bound that is not
-    finite fails.  So the decisions, and the error, are the per-row
-    rule's."""
+    |lambda_q|^(s-1) of P' (numerically non-simple value, or a zero row)."""
     lead, lams, upper = decomp.lead, decomp.values, decomp.upper
     n = len(lead)
     k = upper.shape[1] // n + 1
     den = k * (sq @ lead)
-    lead_scale = k * math.sqrt(lead @ lead)  # k ||A_k||_F
-    bound = lead_scale
+    scale = k * math.sqrt(lead @ lead)  # k ||A_k||_F
     if k > 1:
         forms = _forms(decomp.companion_rows, upper)
-        for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
-            den = den * lams + s * forms[:, s - 1]
-        # ufunc reductions called directly: at small n the ndarray methods'
-        # Python wrappers cost more than the reductions themselves
-        size = float(np.maximum.reduce(np.abs(lams)))
-        norm = math.sqrt(np.vdot(upper, upper))
-        for s in range(k - 1, 0, -1):
-            bound = bound * size + s * norm
-    if np.minimum.reduce(np.abs(den)) > 2.0 * DENOM_TOL * bound * np.add.reduce(sq, axis=None):
-        return den
-    scale = lead_scale
-    if k > 1:
-        norms = np.sqrt((upper * upper).reshape(n, k - 1, n).sum(axis=(0, 2)))
         size = np.abs(lams)
-        for s in range(k - 1, 0, -1):
-            scale = scale * size + s * norms[s - 1]
+        for s in range(k - 1, 0, -1):  # Horner in lams, highest power first
+            block = upper[:, (s - 1) * n:s * n]
+            den = den * lams + s * forms[:, s - 1]
+            scale = scale * size + s * math.sqrt(np.vdot(block, block))
+    # ufunc reductions called directly: at small n the ndarray methods'
+    # Python wrappers cost more than the reductions themselves
     small = np.abs(den) <= DENOM_TOL * scale * np.add.reduce(sq, axis=1)
-    if small.any():
+    if np.logical_or.reduce(small):
         q = int(small.argmax())
         raise DegenerateDenominator(
             f"row {q}: |v^T P'(lambda) v| = {abs(den[q]):.3g} at lambda = {lams[q]:.12g}: "
@@ -176,9 +156,7 @@ def jacobian_fd(
 ) -> np.ndarray:
     """Central-difference Jacobian: re-solve proper values with each diagonal
     unknown perturbed by +-h, rows in ascending order."""
-    check_real("step", h)
-    if not h > 0.0:
-        raise InvariantViolation(f"step must be positive, got {h}")
+    check_positive("step", h)
     n, k = P.n, P.degree
     nk = n * k
     J = np.empty((nk, nk))

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DegenerateDenominator, InvariantViolation, NoConvergence, SingularJacobian, check_integer,
-                     check_real, real_vector)
+                     check_positive, check_real, real_vector)
 from .graphs import Graph, matrix_of_graph
 from .matpoly import (MatrixPolynomial, SEP_TOL_REL, SPECTRUM_FAILURES, SpectralDecomposition, decompose_row,
                       lapack, proper_values)
@@ -62,13 +62,6 @@ start's vectors is off by about 1% at most and each step still gains about
 two digits."""
 
 
-def _check_tol(name: str, tol) -> None:
-    """Raise InvariantViolation unless tol is a positive, finite real number."""
-    check_real(name, tol)
-    if not tol > 0:
-        raise InvariantViolation(f"{name} must be positive")
-
-
 @dataclass(frozen=True)
 class SolverControls:
     newton_tol: float | None = None  # None: 1e-11 * spectrum.scale, i.e. times max(diameter, 1)
@@ -77,7 +70,7 @@ class SolverControls:
     def __post_init__(self):
         tol, max_iter = self.newton_tol, self.max_iter
         if tol is not None:
-            _check_tol("newton_tol", tol)
+            check_positive("newton_tol", tol)
         check_integer("max_iter", max_iter)
         if max_iter < 1:
             raise InvariantViolation("max_iter must be at least 1")
@@ -341,12 +334,12 @@ def newton_solve(
     not lower the residual, or the max_iter budget), SingularJacobian,
     DegenerateDenominator or, at the start or a trial, one of
     SPECTRUM_FAILURES.
-    Only bad input raises: a ``tau`` or positive ``tol`` that is not a
-    finite real number, or an ``x0`` that is not a finite real vector of
-    shape (kn,) (errors.check_real, errors.real_vector), raises
-    InvariantViolation."""
+    Only bad input raises: a ``tau`` that is not a finite real number, a
+    ``tol`` that is not a positive one, or an ``x0`` that is not a finite
+    real vector of shape (kn,) (errors.check_real, errors.check_positive,
+    errors.real_vector), raises InvariantViolation."""
     if tol is not None:
-        _check_tol("tol", tol)
+        check_positive("tol", tol)
     check_real("tau", tau)
     ctl = spec.controls
     tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol

@@ -128,26 +128,6 @@ def graph_edges(A):
     return tuple((i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if abs(A[i, j]) > 0.0)
 
 
-def chain_system(m, d, k):
-    """Mass/damping/stiffness matrices of a serially linked chain with both
-    ends fixed: n masses, n+1 dampers and springs, tridiagonal D and K."""
-    m = np.asarray(m, float)
-    d = np.asarray(d, float)
-    k = np.asarray(k, float)
-    n = len(m)
-    assert len(d) == len(k) == n + 1
-    M = np.diag(m)
-    D = np.zeros((n, n))
-    K = np.zeros((n, n))
-    for i in range(n):
-        D[i, i] = d[i] + d[i + 1]
-        K[i, i] = k[i] + k[i + 1]
-        if i + 1 < n:
-            D[i, i + 1] = D[i + 1, i] = -d[i + 1]
-            K[i, i + 1] = K[i + 1, i] = -k[i + 1]
-    return M, D, K
-
-
 def linked_system(m, d, k):
     """The generally linked 4-mass system: one wall spring/damper, a chord
     spring k5 between masses 1 and 3, dampers only on {1,3} and {3,4}."""

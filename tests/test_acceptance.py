@@ -17,7 +17,6 @@ from structured_iep import (
     Graph,
     LeadingDiagonal,
     MatrixPolynomial,
-    NearDegenerate,
     PerturbationDirection,
     ProblemSpec,
     SolverControls,

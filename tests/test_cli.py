@@ -444,7 +444,7 @@ class TestErrorPaths:
         assert code == cli.EXIT_PARSE and out == ""
         assert err.startswith("error:") and f"unknown field(s) [{key!r}]" in err
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2])
     def test_no_vertices_exits_three_for_every_k(self, capsys, tmp_path, k):
         # the spectrum's rule, not a graph's "vertex count must be positive"
         prob = tmp_path / "p.json"

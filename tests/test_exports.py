@@ -149,7 +149,7 @@ def test_bad_input_has_one_error_class():
     # ValueError too): no module raises a bare ValueError, and no call
     # hands errors.py's input rules another error class, positionally or
     # as error=
-    arity = {"check_integer": 2, "check_real": 2, "real_vector": 3}  # name, value[, length]
+    arity = {"check_integer": 2, "check_real": 2, "check_positive": 2, "real_vector": 3}  # name, value[, length]
     offenders = set()
     for path in (ROOT / "src" / "structured_iep").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
