@@ -1,20 +1,21 @@
 """Matrix polynomials: evaluation, linearization, proper values.
 
 A degree-k matrix polynomial is P(z) = sum_s A_s z^s with real symmetric
-n x n coefficients.  Its proper values are the zeros of det P(z); proper
-vectors are the corresponding null directions.  This package operates in
-the all-real, simple-spectrum regime; a non-real or near-multiple spectrum
-is reported as an error, not a result.
+n x n coefficients, which proper_values checks (finite and symmetric, at
+every degree) before it solves.  Its proper values are the zeros of
+det P(z); proper vectors are the corresponding null directions.  This
+package operates in the all-real, simple-spectrum regime; a non-real or
+near-multiple spectrum is reported as an error, not a result.
 
 Degree k >= 2 goes through eig of the block companion matrix, and each
 proper vector is the top block of its companion eigenvector: the
 eigenvector of a linearization gives a proper vector with a backward error
 of the order of the eigensolver's (Higham, Li & Tisseur, SIAM J. Matrix
 Anal. Appl. 29, 2007).  Degree 1 is the symmetric-definite pencil
-A_0 + zD (D the positive leading diagonal, A_0 required symmetric): eigh
-of -D^{-1/2} A_0 D^{-1/2} gives real values and their vectors, so it
-needs no non-real check.  The vectors keep the eigensolver's scale and
-sign: the sensitivities read them only through ratios of quadratic forms.
+A_0 + zD (D the positive leading diagonal): eigh of -D^{-1/2} A_0 D^{-1/2}
+gives real values and their vectors, so it needs no non-real check.  The
+vectors keep the eigensolver's scale and sign: the sensitivities read them
+only through ratios of quadratic forms.
 
 decompose_row, which proper_values and the solver's spectral_map both run,
 takes the coefficient row [A_0 ... A_{k-1}] and lays out its companion
@@ -279,16 +280,16 @@ def proper_values(P: MatrixPolynomial) -> SpectralDecomposition:
     returned values are closer than SEP_TOL_REL times max(diameter, 1) of
     the values.  Both signal that the simple-real regime the rest of the
     package relies on has been left.  NonRealSpectrum cannot occur at
-    degree 1, where the spectrum of the pencil is real; there a
-    non-symmetric A_0 raises InvariantViolation, because eigh reads one
-    triangle only.  A leading coefficient that is not diagonal with a
-    finite, positive diagonal raises LeadingCoefficientError, and degree 0
-    raises InvariantViolation.
+    degree 1, where the spectrum of the pencil is real.  A leading
+    coefficient that is not diagonal with a finite, positive diagonal
+    raises LeadingCoefficientError; degree 0, and then any other
+    coefficient that is not finite and symmetric (the theorem's
+    hypothesis, and at degree 1 eigh reads one triangle only), raise
+    InvariantViolation.
     """
     lead = P.leading_diagonal()
     if P.degree == 0:
         raise InvariantViolation("cannot linearize a degree-0 polynomial")
-    A0 = P.coeffs[0]
-    if P.degree == 1 and not np.array_equal(A0, A0.T, equal_nan=True):
-        raise InvariantViolation("the constant coefficient of a degree-1 polynomial must be symmetric")
+    if not all(np.isfinite(c).all() and np.array_equal(c, c.T) for c in P.coeffs[:-1]):
+        raise InvariantViolation("polynomial coefficients must be finite and symmetric")
     return decompose_row(np.hstack(P.coeffs[:-1]), lead)

@@ -181,45 +181,33 @@ def seed_vandermonde_check(
     J: np.ndarray,
 ) -> dict:
     """Structure check of the Jacobian J of ``decomp``, the decomposition
-    of a diagonal seed P.
+    of a diagonal seed P, in jacobian_x's layout.
 
     Target q is row q of spec.blocks flattened, so it belongs to diagonal
-    entry r = q // k.  After negating, scaling row q by (P'(lambda_q))_rr
-    (the denominators of the unit rows e_r with decomp's coefficients), and
-    permuting rows into these target blocks and columns into diagonal-entry
-    blocks, the Jacobian must be block diagonal with n Vandermonde blocks
-    (1, lam, ..., lam^(k-1)).  Returns the scaled matrix, the expected
-    Vandermonde form, the maximum relative entrywise deviation, the
-    off-block leakage, the condition number of J, and ``passed``: the
-    check's one pass rule, both deviations at most 1e-12.
+    entry q // k.  Row i of J is the i-th smallest value, at the seed the
+    i-th smallest target; let r be its entry.  Negated and scaled by
+    (P'(lambda_i))_rr (the denominator of the unit row e_r with decomp's
+    coefficients), row i must read lambda_i^s in column s*n + r and 0 in
+    every other column: up to a permutation, a block diagonal of n
+    Vandermonde blocks (1, lam, ..., lam^(k-1)).  Returns
+    the maximum relative entrywise deviation, the off-block leakage, the
+    condition number of J, and ``passed``: the check's one pass rule, both
+    deviations at most 1e-12.
     """
     n, k = spec.n, spec.k
-    nk = n * k
-    entry = np.repeat(np.arange(n), k)  # 0-based entry of target q
-    # row for target q = position of lambda_q in the ascending decomposition
-    order = np.argsort(spec.blocks.ravel(), kind="stable")
-    row_of_target = np.empty(nk, dtype=int)
-    row_of_target[order] = np.arange(nk)
-    lam = decomp.values[row_of_target]
-    # (P'(lambda_q))_rr: the denominators of the unit rows e_r, in ascending order
-    units = np.eye(n)[entry[order]]
-    den = _denominators(SpectralDecomposition(decomp.values, units, decomp.upper, decomp.lead),
-                        units * units)[row_of_target]
-    # column s*n + r' of J goes to column r'*k + s: one block of k per entry
-    scaled = -(J[row_of_target] * den[:, None]).reshape(nk, k, n).transpose(0, 2, 1).reshape(nk, nk)
-    own = np.zeros((nk, n, k), dtype=bool)
-    own[np.arange(nk), entry] = True
-    own = own.reshape(nk, nk)
-    expected = np.zeros((nk, nk))
-    expected[own] = (lam[:, None] ** np.arange(k)).ravel()
+    col = np.arange(n * k)
+    entry = np.argsort(spec.blocks.ravel(), kind="stable") // k  # 0-based entry of row i
+    own = col % n == entry[:, None]  # columns s*n + r of row i's own entry r
+    units = np.eye(n)[entry]
+    den = _denominators(SpectralDecomposition(decomp.values, units, decomp.upper, decomp.lead), units * units)
+    scaled = -(J * den[:, None])
+    expected = np.where(own, decomp.values[:, None] ** (col // n), 0.0)
     # relative entrywise deviation: powers of lambda grow quickly, so an
     # absolute comparison would just measure magnitude times roundoff
     diff = np.abs(scaled - expected) / np.maximum(1.0, np.abs(expected))
     max_entry_error = float(np.max(diff))
     max_offblock = float(np.max(np.abs(np.where(own, 0.0, scaled))))
     return {
-        "scaled": scaled,
-        "expected": expected,
         "max_entry_error": max_entry_error,
         "max_offblock": max_offblock,
         "condition": float(np.linalg.cond(J)),

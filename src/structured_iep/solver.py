@@ -577,10 +577,11 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float | None = Non
     mismatch"; a passed one's is None.  value_tol is absolute; None
     means max(1e-8, the problem's own Newton tolerance), so the default
     check is never tighter than the solve.  Raises InvariantViolation when value_tol is not
-    None or a finite, non-negative real number, when P's size n
-    or degree k is not the problem's, or when a coefficient is not finite
-    and symmetric, and LeadingCoefficientError (from proper_values) when
-    A_k is not diagonal with a positive diagonal."""
+    None or a finite, non-negative real number or when P's size n or
+    degree k is not the problem's; proper_values raises the rest of P's
+    input errors, LeadingCoefficientError when A_k is not diagonal with a
+    finite, positive diagonal and InvariantViolation when another
+    coefficient is not finite and symmetric."""
     value_tol = max(1e-8, spec.controls.resolved_tol(spec.spectrum)) if value_tol is None else value_tol
     check_real("value_tol", value_tol)
     if value_tol < 0.0:
@@ -589,8 +590,6 @@ def verify(P: MatrixPolynomial, spec: ProblemSpec, value_tol: float | None = Non
         raise InvariantViolation(
             f"polynomial has n={P.n}, k={P.degree}; the problem has n={spec.n}, k={spec.k}"
         )
-    if not all(np.all(np.isfinite(c)) and np.array_equal(c, c.T) for c in P.coeffs):
-        raise InvariantViolation("polynomial coefficients must be finite and symmetric")
     targets = spec.spectrum.sorted_values()
     failures = []
     try:

@@ -1,6 +1,7 @@
 """Shared fixtures: demo problems, golden reference solutions, and
 mass-spring-damper system builders used as structured test matrices."""
 
+import importlib.util
 import pathlib
 import sys
 
@@ -18,6 +19,18 @@ from structured_iep import (
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "problems"
+
+
+def load_module(name, path):
+    """Run the repository file ROOT / path as a fresh module called name.
+    It is in sys.modules while it runs: a dataclass looks its module up
+    there."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
 
 TARGETS = np.array([-2.0, -4, -6, -8, -10, -12, -14, -16])
 

@@ -2,10 +2,9 @@
 and docstrings do not count; code, each line of a multi-line expression and
 a string that is not a docstring do."""
 
-import importlib.util
 import sys
 
-from conftest import ROOT
+from conftest import load_module
 
 SOURCE = '''"""Module docstring,
 on two lines."""
@@ -32,10 +31,7 @@ CODE_LINES = 8  # import, def (2 lines), text (2 lines), return, class, x
 
 
 def load_script():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("code_lines", "scripts/code_lines.py")
 
 
 def test_counts_code_lines_outside_docstrings():

@@ -2,25 +2,18 @@
 instances of perfbench/workloads.py (imported, never written).  The rate may
 only go up, and every converged answer must pass verify."""
 
-import importlib.util
-import sys
-
 import numpy as np
 import pytest
 
 from structured_iep import continuation_solve, verify
 
-from conftest import ROOT
+from conftest import load_module
 
 CORPUS_FLOOR = 69  # converged instances of 90: success_rate 0.767
 
 
 def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up while it loads
-    spec.loader.exec_module(module)
-    return module
+    return load_module("perfbench_workloads", "perfbench/workloads.py")
 
 
 @pytest.fixture(scope="module")

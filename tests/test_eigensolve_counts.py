@@ -1,18 +1,14 @@
 """scripts/eigensolve_counts.py: the eigensolves by kind, the Newton
 trials and the profile events per spectral_map of the bundled set."""
 
-import importlib.util
 import os
 import sys
 
-from conftest import ROOT
+from conftest import ROOT, load_module
 
 
 def load_script():
-    spec = importlib.util.spec_from_file_location("eigensolve_counts", ROOT / "scripts" / "eigensolve_counts.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("eigensolve_counts", "scripts/eigensolve_counts.py")
 
 
 def test_import_leaves_the_environment_and_sys_path_alone():

@@ -508,11 +508,17 @@ class TestDegreeOnePencil:
         with pytest.raises(NearDegenerate):
             proper_values(MatrixPolynomial((A0, np.eye(3))))
 
-    def test_non_symmetric_constant_coefficient_raises(self):
-        A0 = np.array([[1.0, 0.5], [0.25, 2.0]])
-        P = MatrixPolynomial((A0, np.eye(2)))
-        with pytest.raises(InvariantViolation):
-            proper_values(P)
+    @pytest.mark.parametrize("k,s", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
+    @pytest.mark.parametrize("entries", [
+        {(0, 1): 0.5, (1, 0): 0.25}, {(0, 1): np.nan, (1, 0): np.nan}, {(1, 1): np.inf},
+    ], ids=["asymmetric", "nan", "inf"])
+    def test_bad_coefficient_raises(self, k, s, entries):
+        # every coefficient below the leading one, at every degree
+        coeffs = [np.diag([1.0, 2.0]) for _ in range(k)] + [np.eye(2)]
+        for ij, v in entries.items():
+            coeffs[s][ij] = v
+        with pytest.raises(InvariantViolation, match="finite and symmetric"):
+            proper_values(MatrixPolynomial(tuple(coeffs)))
 
     def test_continuation_solve_does_not_call_eig(self, monkeypatch):
         kernel = matpoly.lapack

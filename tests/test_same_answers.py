@@ -2,21 +2,17 @@
 argument check, and the per-kind tally of --rtol, on hand-built records
 (no solves)."""
 
-import importlib.util
 import json
 import os
 import sys
 
 import pytest
 
-from conftest import ROOT
+from conftest import load_module
 
 
 def load_script():
-    spec = importlib.util.spec_from_file_location("same_answers", ROOT / "scripts" / "same_answers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("same_answers", "scripts/same_answers.py")
 
 
 @pytest.fixture(scope="module")

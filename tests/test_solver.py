@@ -786,7 +786,7 @@ class TestCorrectorEndings:
         assert starts[first + 1].tobytes() == x.tobytes()
 
 
-def old_structure_detail(P, spec):
+def reference_structure_detail(P, spec):
     """The verdict from the loop reference edge list, one coefficient at a time."""
     return tuple(graph_edges(P.coeffs[s]) == spec.graphs[s].edges for s in range(spec.k))
 
@@ -813,7 +813,7 @@ class TestStructureVerdict:
                 coeffs.append(A)
             P = matpoly.MatrixPolynomial((*coeffs, np.diag(spec.lead.alpha_k)))
             detail, leading_ok = solver._structure_verdict(P, spec)
-            assert detail == old_structure_detail(P, spec) and leading_ok
+            assert detail == reference_structure_detail(P, spec) and leading_ok
             verdicts.update(detail)
         assert verdicts == {True, False}
 
@@ -821,7 +821,7 @@ class TestStructureVerdict:
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
         rep = continuation_solve(spec)
         assert rep.converged and not rep.structure_ok
-        assert rep.structure_detail == old_structure_detail(rep.polynomial, spec) == (False, False)
+        assert rep.structure_detail == reference_structure_detail(rep.polynomial, spec) == (False, False)
 
     def test_verify_sees_a_missing_edge(self, path4_spec):
         gold = golden_path4_polynomial()
@@ -830,7 +830,7 @@ class TestStructureVerdict:
         P = matpoly.MatrixPolynomial((A0, *gold.coeffs[1:]))
         report = verify(P, path4_spec, value_tol=1.0)
         assert not report.passed and report.failure == "structure mismatch"
-        assert report.structure_detail == old_structure_detail(P, path4_spec) == (False, True)
+        assert report.structure_detail == reference_structure_detail(P, path4_spec) == (False, True)
 
 
 class TestVerify:

@@ -4,23 +4,16 @@ traced function or the module it is looked up from fails here instead of
 breaking traced benchmark runs.  The report's Corrector records count the
 same Newton solves, trials and accepted steps."""
 
-import importlib.util
-import pathlib
-
 import pytest
 
 from structured_iep import NonRealSpectrum, problems, solver  # noqa: F401 (the tracer wraps problems.load_problem)
 
+from conftest import load_module
 from test_solver import complex_pair_spec, count_eigensolves, stalling_spec, weakly_coupled_spec
-
-LAYERS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("perfbench_layers", "perfbench/layers.py")
 
 
 def test_tracer_installs_and_counts_every_trial(path4_spec, monkeypatch):
