@@ -1,11 +1,19 @@
 """Matrix polynomials: evaluation, linearization, proper values.
 
 A degree-k matrix polynomial is P(z) = sum_s A_s z^s with real symmetric
-n x n coefficients, which proper_values checks (finite and symmetric, at
-every degree) before it solves.  Its proper values are the zeros of
-det P(z); proper vectors are the corresponding null directions.  This
-package operates in the all-real, simple-spectrum regime; a non-real or
-near-multiple spectrum is reported as an error, not a result.
+n x n coefficients and a positive diagonal A_k, the theorem's hypothesis.
+One method checks it: MatrixPolynomial.checked_row() returns the
+coefficient row [A_0 ... A_{k-1}] and A_k's diagonal, or raises
+LeadingCoefficientError (A_k) or InvariantViolation (degree 0, or another
+coefficient not finite and symmetric), and every reader of a polynomial
+goes through it: proper_values (and so the solver's verify), linearize,
+and the sensitivity module's eigderivative and jacobian_fd.  Construction
+checks types and shapes only.
+
+The proper values of P are the zeros of det P(z); proper vectors are the
+corresponding null directions.  This package operates in the all-real,
+simple-spectrum regime; a non-real or near-multiple spectrum is reported
+as an error, not a result.
 
 Degree k >= 2 goes through eig of the block companion matrix, and each
 proper vector is the top block of its companion eigenvector: the
@@ -123,19 +131,27 @@ class MatrixPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def leading_diagonal(self) -> np.ndarray:
-        """The diagonal of A_k, after the check every eigensolve and
-        sensitivity here relies on: raises LeadingCoefficientError unless
-        A_k is diagonal with a finite, strictly positive diagonal."""
-        Ak = self.coeffs[-1]
+    def checked_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, lead): the coefficient row [A_0 ... A_{k-1}] (n x kn) and
+        the diagonal of A_k, after the theorem's hypothesis, which every
+        eigensolve and sensitivity here relies on and this method alone
+        checks.  Raises LeadingCoefficientError unless A_k is diagonal
+        with a finite, strictly positive diagonal; then InvariantViolation
+        at degree 0, and unless every other coefficient is finite and
+        symmetric (at degree 1 eigh reads one triangle only)."""
+        *rest, Ak = self.coeffs
         if np.any(Ak[~np.eye(self.n, dtype=bool)] != 0.0):
             raise LeadingCoefficientError("leading coefficient must be diagonal")
-        d = np.diag(Ak)
-        if not np.isfinite(d).all():
+        lead = np.diag(Ak)
+        if not np.isfinite(lead).all():
             raise LeadingCoefficientError("leading diagonal must be finite")
-        if np.any(d <= 0.0):
+        if np.any(lead <= 0.0):
             raise LeadingCoefficientError("leading diagonal must be strictly positive")
-        return d
+        if not rest:
+            raise InvariantViolation("cannot linearize a degree-0 polynomial")
+        if not all(np.isfinite(c).all() and np.array_equal(c, c.T) for c in rest):
+            raise InvariantViolation("polynomial coefficients must be finite and symmetric")
+        return np.hstack(rest), lead
 
 
 @dataclass(frozen=True)
@@ -192,16 +208,13 @@ def companion_layout(row: np.ndarray, lead: np.ndarray) -> np.ndarray:
 
 
 def linearize(P: MatrixPolynomial) -> np.ndarray:
-    """Block companion matrix of the monic reduction A_k^{-1} P(z).
-
-    Requires a diagonal positive leading coefficient.  The companion
-    eigenvalues are exactly the proper values of P with multiplicity, and a
-    companion eigenvector stacks (v, z v, ..., z^{k-1} v).
+    """Block companion matrix of the monic reduction A_k^{-1} P(z):
+    companion_layout of P.checked_row(), whose errors it raises.  The
+    companion eigenvalues are exactly the proper values of P with
+    multiplicity, and a companion eigenvector stacks (v, z v, ...,
+    z^{k-1} v).
     """
-    lead = P.leading_diagonal()
-    if P.degree == 0:
-        raise InvariantViolation("cannot linearize a degree-0 polynomial")
-    return companion_layout(np.hstack(P.coeffs[:-1]), lead)
+    return companion_layout(*P.checked_row())
 
 
 def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = None,
@@ -272,24 +285,15 @@ def proper_values(P: MatrixPolynomial) -> SpectralDecomposition:
 
     The proper vectors are the top n rows of the companion eigenvectors as
     the eigensolver returns them (see SpectralDecomposition), real and not
-    normalised.  This is decompose_row of P's coefficient row [A_0 ...
-    A_{k-1}], after the checks that decompose_row leaves to its caller.
+    normalised.  This is decompose_row of P.checked_row().
 
     Raises NonRealSpectrum if any companion eigenvalue has relative
     imaginary part above REAL_TOL_DEFAULT, and NearDegenerate if two
     returned values are closer than SEP_TOL_REL times max(diameter, 1) of
     the values.  Both signal that the simple-real regime the rest of the
     package relies on has been left.  NonRealSpectrum cannot occur at
-    degree 1, where the spectrum of the pencil is real.  A leading
-    coefficient that is not diagonal with a finite, positive diagonal
-    raises LeadingCoefficientError; degree 0, and then any other
-    coefficient that is not finite and symmetric (the theorem's
-    hypothesis, and at degree 1 eigh reads one triangle only), raise
-    InvariantViolation.
+    degree 1, where the spectrum of the pencil is real.  Before it solves,
+    P.checked_row() raises LeadingCoefficientError or InvariantViolation
+    for a polynomial outside the theorem's hypothesis.
     """
-    lead = P.leading_diagonal()
-    if P.degree == 0:
-        raise InvariantViolation("cannot linearize a degree-0 polynomial")
-    if not all(np.isfinite(c).all() and np.array_equal(c, c.T) for c in P.coeffs[:-1]):
-        raise InvariantViolation("polynomial coefficients must be finite and symmetric")
-    return decompose_row(np.hstack(P.coeffs[:-1]), lead)
+    return decompose_row(*P.checked_row())

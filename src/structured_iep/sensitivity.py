@@ -17,8 +17,12 @@ one pass that forms V o V once and reads P' from the decomposition's
 coefficients and leading diagonal.  The tangent's J and dlambda/dtau thus
 share one computation of the denominators; one too small for its scale
 raises DegenerateDenominator.  eigderivative is the direction column of
-one pair for a one-slot B(z) = z^s E.  Away from the seed the formula is
-cross-validated against finite differences (jacobian_fd).
+one pair for a one-slot B(z) = z^s E, built from the coefficient row and
+leading diagonal of MatrixPolynomial.checked_row(), the one check of the
+theorem's hypothesis: a P outside it raises LeadingCoefficientError or
+InvariantViolation there, before any derivative.  Away from the seed the
+formula is cross-validated against finite differences (jacobian_fd, which
+checks P the same way).
 """
 
 from __future__ import annotations
@@ -66,22 +70,26 @@ def eigderivative(
 ) -> float:
     """Derivative of the simple proper value in ``pair`` (its vector at any
     scale) along ``direction``: the direction column of jacobian_x for the
-    one pair, with B(z) = z^s E as the direction.  Raises InvariantViolation unless
-    the pair is a finite real value and a finite vector of length n, and
-    LeadingCoefficientError unless A_k is diagonal and positive."""
-    if not (0 <= direction.s < P.degree):
-        raise InvariantViolation(f"power index {direction.s} out of range 0..{P.degree - 1}")
+    one pair, with B(z) = z^s E as the direction, from the row and leading
+    diagonal of P.checked_row().  That method raises first, for a P outside
+    the theorem's hypothesis: LeadingCoefficientError unless A_k is
+    diagonal with a finite, positive diagonal, InvariantViolation at degree
+    0 and unless every other coefficient is finite and symmetric.  Then
+    InvariantViolation unless s < k and the entry is within 1..n, and
+    unless the pair is a finite real value and a finite vector of length n."""
+    row, lead = P.checked_row()
+    n, s = P.n, direction.s
+    if not (0 <= s < P.degree):
+        raise InvariantViolation(f"power index {s} out of range 0..{P.degree - 1}")
     i, j = (direction.diag,) * 2 if direction.diag is not None else direction.edge
-    if not (1 <= i <= P.n and 1 <= j <= P.n):
-        raise InvariantViolation(f"entry ({i}, {j}) out of range 1..{P.n}")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise InvariantViolation(f"entry ({i}, {j}) out of range 1..{n}")
     lam, v = pair
     check_real("pair value", lam)
-    v = real_vector("pair vector", v, P.n)
-    n, s = P.n, direction.s
+    v = real_vector("pair vector", v, n)
     B = np.zeros((n, (s + 1) * n))  # [0 ... 0 E], E in block s
     B[i - 1, s * n + j - 1] = B[j - 1, s * n + i - 1] = 1.0
-    decomp = SpectralDecomposition(np.array([lam], dtype=float), v[None, :],
-                                   np.hstack(P.coeffs[:-1])[:, n:], P.leading_diagonal())
+    decomp = SpectralDecomposition(np.array([lam], dtype=float), v[None, :], row[:, n:], lead)
     return float(jacobian_x(decomp, B)[0, -1])
 
 
@@ -155,8 +163,12 @@ def jacobian_fd(
     h: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference Jacobian: re-solve proper values with each diagonal
-    unknown perturbed by +-h, rows in ascending order."""
+    unknown perturbed by +-h, rows in ascending order.  P.checked_row()
+    checks P first, so a P outside the theorem's hypothesis raises its
+    LeadingCoefficientError or InvariantViolation, also at degree 0, where
+    there is no unknown to perturb."""
     check_positive("step", h)
+    P.checked_row()
     n, k = P.n, P.degree
     nk = n * k
     J = np.empty((nk, nk))

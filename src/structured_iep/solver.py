@@ -51,6 +51,9 @@ from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unkno
 from .sensitivity import jacobian_x
 
 MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_STEPS
+# continuation_solve's budget of Newton solves, 2M - 1 + log2(M) (M = MAX_CONTINUATION_STEPS),
+# and its loop's bound: a defect in the step rule ends the solve instead of hanging it
+_NEWTON_SOLVE_BUDGET = 2 * MAX_CONTINUATION_STEPS - 1 + int(math.log2(MAX_CONTINUATION_STEPS))
 CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.scale: see continuation_solve
 SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
 VECTOR_REUSE_SHIFT = 0.01
@@ -484,10 +487,11 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
 
     Every step but the last advances tau by at least 1/M (M =
     MAX_CONTINUATION_STEPS) and every failure halves the step, so a solve
-    costs at most 2M - 1 + log2(M) = 133 Newton solves, and a problem on
-    which no step converges costs log2(M) + 1 = 7.  Each Newton solve makes
-    at most 1 + controls.max_iter spectral_map evaluations (51 by default),
-    so a solve makes at most 133 * 51 = 6,783 with the default controls.
+    costs at most 2M - 1 + log2(M) = 133 Newton solves, the loop's bound,
+    and a problem on which no step converges costs log2(M) + 1 = 7.  Each
+    Newton solve makes at most 1 + controls.max_iter spectral_map
+    evaluations (51 by default), so a solve makes at most 133 * 51 = 6,783
+    with the default controls.
     The predictors choose only where a corrector starts, so neither budget
     depends on them.
 
@@ -508,7 +512,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     curvature, rho = _seed_curvature(spec)
     tau, dtau = 0.0, 1.0
     correctors = []
-    while True:
+    for _ in range(_NEWTON_SOLVE_BUDGET):
         # absorb rounding in tau + dtau so the last step lands exactly on 1
         tau_next = 1.0 if tau + dtau > 1.0 - 1e-12 else tau + dtau
         if tau > 0.0:

@@ -162,3 +162,35 @@ def test_bad_input_has_one_error_class():
                 if rule in arity and (len(node.args) > arity[rule] or any(kw.arg == "error" for kw in node.keywords)):
                     offenders.add(f"{path.name}:{node.lineno} {rule} given an error class")
     assert not offenders, f"bad input raised as another class: {sorted(offenders)}"
+
+
+def test_only_matpoly_checks_the_polynomial_rule():
+    # the theorem's hypothesis is MatrixPolynomial.checked_row's: no other
+    # module stacks a coefficient row from .coeffs or compares a matrix with
+    # its transpose, and the rule's message is written once
+    stackers = {"hstack", "concatenate", "block", "column_stack"}
+    comparers = {"array_equal", "array_equiv", "allclose", "isclose"}
+
+    def called(node):
+        return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+
+    def transposed(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "T")
+                or (isinstance(node, ast.Call) and called(node) in ("transpose", "swapaxes")))
+
+    offenders, messages = set(), 0
+    for path in (ROOT / "src" / "structured_iep").glob("*.py"):
+        source = path.read_text()
+        messages += source.count("polynomial coefficients must be finite and symmetric")
+        if path.name == "matpoly.py":
+            continue
+        for node in ast.walk(ast.parse(source, str(path))):
+            inside = list(ast.walk(node))
+            if isinstance(node, ast.Call) and called(node) in stackers and any(
+                    isinstance(n, ast.Attribute) and n.attr == "coeffs" for n in inside):
+                offenders.add(f"{path.name}:{node.lineno} coefficient row from .coeffs")
+            if (isinstance(node, ast.Compare) or (isinstance(node, ast.Call) and called(node) in comparers)) and any(
+                    transposed(n) for n in inside):
+                offenders.add(f"{path.name}:{node.lineno} symmetry test")
+    assert not offenders, f"the polynomial rule outside matpoly: {sorted(offenders)}"
+    assert messages == 1

@@ -9,16 +9,20 @@ from structured_iep import (
     MatrixPolynomial,
     NearDegenerate,
     NonRealSpectrum,
+    PerturbationDirection,
     ProblemSpec,
     TargetSpectrum,
     assemble,
     continuation_solve,
+    eigderivative,
     evaluate,
+    jacobian_fd,
     jacobian_x,
     linearize,
     proper_values,
     seed_coefficients,
     seed_unknowns,
+    verify,
 )
 
 from structured_iep import matpoly
@@ -116,25 +120,6 @@ class TestLinearize:
             coeffs_desc = [seed.coeffs[s][t, t] for s in range(k, -1, -1)]
             roots.extend(np.roots(coeffs_desc).real)
         assert np.allclose(w, np.sort(roots), atol=1e-10)
-
-    def test_nondiagonal_leading_rejected(self):
-        Ak = np.array([[1.0, 0.1], [0.1, 1.0]])
-        P = MatrixPolynomial((np.eye(2), Ak))
-        with pytest.raises(LeadingCoefficientError):
-            linearize(P)
-
-    def test_nonpositive_leading_rejected(self):
-        P = MatrixPolynomial((np.eye(2), np.diag([1.0, -1.0])))
-        with pytest.raises(LeadingCoefficientError):
-            linearize(P)
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-    def test_non_finite_leading_diagonal_rejected(self, bad):
-        # the off-diagonal entries are zero: the diagonal itself is at fault
-        P = MatrixPolynomial((np.eye(2), np.eye(2), np.diag([1.0, bad])))
-        for f in (linearize, proper_values):
-            with pytest.raises(LeadingCoefficientError, match="leading diagonal must be finite"):
-                f(P)
 
 
 class TestProperValues:
@@ -508,18 +493,6 @@ class TestDegreeOnePencil:
         with pytest.raises(NearDegenerate):
             proper_values(MatrixPolynomial((A0, np.eye(3))))
 
-    @pytest.mark.parametrize("k,s", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
-    @pytest.mark.parametrize("entries", [
-        {(0, 1): 0.5, (1, 0): 0.25}, {(0, 1): np.nan, (1, 0): np.nan}, {(1, 1): np.inf},
-    ], ids=["asymmetric", "nan", "inf"])
-    def test_bad_coefficient_raises(self, k, s, entries):
-        # every coefficient below the leading one, at every degree
-        coeffs = [np.diag([1.0, 2.0]) for _ in range(k)] + [np.eye(2)]
-        for ij, v in entries.items():
-            coeffs[s][ij] = v
-        with pytest.raises(InvariantViolation, match="finite and symmetric"):
-            proper_values(MatrixPolynomial(tuple(coeffs)))
-
     def test_continuation_solve_does_not_call_eig(self, monkeypatch):
         kernel = matpoly.lapack
 
@@ -540,3 +513,71 @@ class TestDegreeOnePencil:
         )
         rep = continuation_solve(spec)
         assert rep.converged and len(rep.iterations) > 1
+
+
+def bad_polynomial(k, s, entries):
+    """n = 2, degree k: A_s < k is diag(1, 2), A_k the identity, then
+    ``entries`` written into A_s (s = k: into A_k)."""
+    coeffs = [np.diag([1.0, 2.0]) for _ in range(k)] + [np.eye(2)]
+    for ij, v in entries.items():
+        coeffs[s][ij] = v
+    return MatrixPolynomial(tuple(coeffs))
+
+
+# name -> (polynomial outside the theorem's hypothesis, error class, message)
+BAD_POLYNOMIALS = {
+    **{f"{kind}-k{k}-A{s}": (bad_polynomial(k, s, entries), InvariantViolation,
+                             "polynomial coefficients must be finite and symmetric")
+       for k, s in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)]
+       for kind, entries in [("asymmetric", {(0, 1): 0.5, (1, 0): 0.25}),
+                             ("nan", {(0, 1): np.nan, (1, 0): np.nan}), ("inf", {(1, 1): np.inf})]},
+    **{f"{kind}-leading-k{k}": (bad_polynomial(k, k, entries), LeadingCoefficientError, message)
+       for k in (1, 2)
+       for kind, entries, message in [
+           # a symmetric off-diagonal pair: the diagonal is fine, the shape is not
+           ("nondiagonal", {(0, 1): 0.1, (1, 0): 0.1}, "leading coefficient must be diagonal"),
+           ("nonpositive", {(1, 1): -1.0}, "leading diagonal must be strictly positive"),
+           ("zero", {(1, 1): 0.0}, "leading diagonal must be strictly positive"),
+           ("inf", {(1, 1): np.inf}, "leading diagonal must be finite"),
+           ("-inf", {(1, 1): -np.inf}, "leading diagonal must be finite"),
+           ("nan", {(1, 1): np.nan}, "leading diagonal must be finite"),
+       ]},
+    # the order: a bad A_k outranks a bad A_s, and degree 0
+    "nan-leading-asymmetric-A0": (MatrixPolynomial((np.array([[1.0, 0.5], [0.25, 2.0]]), np.eye(2),
+                                                     np.diag([1.0, np.nan]))),
+                                  LeadingCoefficientError, "leading diagonal must be finite"),
+    "degree-0": (MatrixPolynomial((np.eye(2),)), InvariantViolation, "cannot linearize a degree-0 polynomial"),
+    "nonpositive-degree-0": (MatrixPolynomial((-np.eye(2),)), LeadingCoefficientError,
+                             "leading diagonal must be strictly positive"),
+}
+
+
+def verify_against_its_own_size(P):
+    """verify of P against a problem of P's n and k, whose size check it passes."""
+    k = P.degree
+    spec = ProblemSpec(spectrum=TargetSpectrum(values=np.arange(1.0, 2 * k + 1), n=2, k=k),
+                       lead=LeadingDiagonal(alpha_k=np.ones(2)), graphs=(Graph(2),) * k, epsilon=0.0)
+    return verify(P, spec)
+
+
+READERS = {
+    "proper_values": proper_values,
+    "linearize": linearize,
+    "eigderivative": lambda P: eigderivative(P, (1.0, np.array([1.0, 0.0])), PerturbationDirection(s=0, diag=1)),
+    "verify": verify_against_its_own_size,
+    "jacobian_fd": jacobian_fd,
+}
+
+
+# no problem has k = 0, so verify of a degree-0 polynomial fails its size check first
+@pytest.mark.parametrize("case, reader", [
+    (case, reader) for case, (P, *_) in BAD_POLYNOMIALS.items() for reader in READERS
+    if P.degree or reader != "verify"
+])
+def test_every_reader_raises_the_polynomial_rule(case, reader):
+    # MatrixPolynomial.checked_row owns the theorem's hypothesis: every
+    # reader of a polynomial raises its class and message, in its order
+    P, cls, message = BAD_POLYNOMIALS[case]
+    with pytest.raises(cls) as exc:
+        READERS[reader](P)
+    assert type(exc.value) is cls and str(exc.value) == message

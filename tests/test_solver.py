@@ -89,11 +89,9 @@ def fold_spec(max_iter=50):
 
 def reference_spectral_map(x, spec, tau):
     """The spectral map as the assembled polynomial gives it: decompose_row
-    of its coefficient row and checked leading diagonal, as proper_values
+    of its checked coefficient row and leading diagonal, as proper_values
     runs it, at the solver's separation tolerance."""
-    P = assemble(x, spec, tau)
-    return matpoly.decompose_row(np.hstack(P.coeffs[:-1]), P.leading_diagonal(),
-                                 matpoly.SEP_TOL_REL * spec.spectrum.scale)
+    return matpoly.decompose_row(*assemble(x, spec, tau).checked_row(), matpoly.SEP_TOL_REL * spec.spectrum.scale)
 
 
 def same_spectral_map(x, spec, tau):
@@ -281,7 +279,7 @@ class TestSpectralMap:
         assert same_spectral_map(x, spec, tau)
         upper = spectral_map(x, spec, tau).upper
         assert upper.shape == (n, (k - 1) * n)
-        assert upper.tobytes() == np.hstack(assemble(x, spec, tau).coeffs[:-1])[:, n:].tobytes()
+        assert upper.tobytes() == assemble(x, spec, tau).checked_row()[0][:, n:].tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_is_bitwise_at_every_tau(self, k, monkeypatch):
@@ -368,6 +366,25 @@ class TestNewtonSolve:
         _, _, iterations = solved(spec)
         residuals = [t.residual for t in iterations]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+    def test_max_iter_counts_accepted_steps(self):
+        # a corrector that needs exactly N steps converges under max_iter = N,
+        # to the same x, and fails under N - 1
+        spec = make_spec(np.random.default_rng(23), 4, 2, epsilon=0.15)
+        x, _, iterations = solved(spec)
+        N = len(iterations) - 1
+        assert N >= 2
+
+        def with_max_iter(m):
+            return dataclasses.replace(spec, controls=dataclasses.replace(spec.controls, max_iter=m))
+
+        x_n, _, iterations_n = solved(with_max_iter(N))
+        assert x_n.tobytes() == x.tobytes() and len(iterations_n) == N + 1
+        _, decomp, corrector = newton_solve(with_max_iter(N - 1))
+        assert corrector.kind is NoConvergence and decomp is None
+        assert corrector.detail.endswith(f"after {N - 1} iterations")
+        # the same first N - 1 steps, then the budget
+        assert corrector.trials == N - 1 and corrector.iterations == iterations_n[:N]
 
     def test_offdiagonals_bitwise_fixed(self):
         rng = np.random.default_rng(31)
