@@ -27,7 +27,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KINDS = ("eig", "eigvals", "eigh", "eigvalsh")
-COLUMNS = ("instances", "newton_solves") + KINDS + ("trials",)
+COST_COLUMNS = ("newton_solves",) + KINDS + ("trials",)
+COLUMNS = ("instances",) + COST_COLUMNS
 PROFILE_EVENTS = ("call", "c_call")
 
 
@@ -42,10 +43,10 @@ def instance_sets() -> dict:
     }
 
 
-def counts(specs) -> dict:
-    """COLUMNS for continuation_solve on each spec: the eigensolves of
-    matpoly.lapack by kind, and the Newton solves and trials of the
-    reports' Corrector records."""
+def solve_counted(spec) -> tuple:
+    """(report, cost) of continuation_solve on spec, where the cost holds
+    COST_COLUMNS: the Newton solves and trials of the report's Corrector
+    records, and the eigensolves of matpoly.lapack by kind."""
     from structured_iep import continuation_solve, matpoly
 
     calls, kernel = dict.fromkeys(KINDS, 0), matpoly.lapack
@@ -57,11 +58,18 @@ def counts(specs) -> dict:
 
     matpoly.lapack = counted
     try:
-        correctors = [c for spec in specs for c in continuation_solve(spec).correctors]
+        report = continuation_solve(spec)
     finally:
         matpoly.lapack = kernel
-    return {"instances": len(specs), "newton_solves": len(correctors), **calls,
-            "trials": sum(c.trials for c in correctors)}
+    correctors = report.correctors
+    return report, {"newton_solves": len(correctors), **calls, "trials": sum(c.trials for c in correctors)}
+
+
+def counts(specs) -> dict:
+    """COLUMNS for continuation_solve on each spec: the instances, and the
+    sums of their costs (solve_counted)."""
+    costs = [solve_counted(spec)[1] for spec in specs]
+    return {"instances": len(specs), **{c: sum(cost[c] for cost in costs) for c in COST_COLUMNS}}
 
 
 def events_per_map(specs) -> float:

@@ -61,10 +61,8 @@ def instances():
     yield from workloads.load_bundled().items()
 
 
-def answer(spec) -> dict:
-    from structured_iep import continuation_solve
-
-    rep = continuation_solve(spec)
+def answer(rep) -> dict:
+    """The record of one continuation_solve report."""
     if rep.converged:
         return {
             "converged": True,
@@ -160,7 +158,9 @@ def main() -> int:
 
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    answers = {label: answer(spec) for label, spec in instances()}
+    from structured_iep import continuation_solve
+
+    answers = {label: answer(continuation_solve(spec)) for label, spec in instances()}
     pathlib.Path(args.out).write_text(json.dumps(answers, indent=1) + "\n")
     failed = sum(not r["converged"] for r in answers.values())
     print(f"{len(answers)} instances: {len(answers) - failed} converged, {failed} failed")
