@@ -7,7 +7,8 @@ off-diagonal strength can leave the real-spectrum regime, in which case the
 off-diagonals are ramped in by predictor-corrector continuation in their
 scale tau: each step predicts along the tangent of the solution curve and
 corrects with a Newton solve, keeping every converged step; the step halves
-on failure and doubles on success (continuation_solve).  Every
+on failure, and after a success it is scaled by how fast that corrector
+contracted, Deuflhard's adaptive path-following (_next_step).  Every
 corrector takes full Newton steps, and the first one that does not lower
 the residual fails it, as does a trial whose eigensolve raises (with that
 error as the corrector's kind), so a losing corrector costs one eigensolve
@@ -56,6 +57,8 @@ MAX_CONTINUATION_STEPS = 64  # smallest continuation step is 1/MAX_CONTINUATION_
 _NEWTON_SOLVE_BUDGET = 2 * MAX_CONTINUATION_STEPS - 1 + int(math.log2(MAX_CONTINUATION_STEPS))
 CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.scale: see continuation_solve
 SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
+CONTRACTION_TARGET = 0.05  # the corrector contraction rate the next step in tau aims at: see _next_step
+STEP_FACTOR_MIN, STEP_FACTOR_MAX = 0.5, 2.0  # clip of the step's factor after a converged corrector
 VECTOR_REUSE_SHIFT = 0.01
 """A corrector at tau = 1 whose start residual r has max_q |r_q| / g_q at
 most this (g = spectrum.gaps) computes proper vectors once, at its start,
@@ -459,6 +462,28 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     return c, rho
 
 
+def _next_step(dtau: float, tau: float, iterations: tuple[IterationRecord, ...]) -> float:
+    """The step in tau after a corrector that converged at tau, reached by
+    a step of dtau, with these accepted iterates (the start first).
+
+    With at least two accepted steps the corrector's contraction rate is
+    theta = |dx_2| / |dx_1| (IterationRecord.step_norm; an accepted step is
+    never zero, because a zero step leaves the residual where it was).  The
+    tangent predictor's error grows as the step squared, so the step that
+    would make the next corrector contract at CONTRACTION_TARGET is dtau *
+    sqrt(CONTRACTION_TARGET / theta) (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004, ch. 5; Deuflhard, Fiedler & Kunkel, SIAM J.
+    Numer. Anal. 24, 1987).  That factor is clipped to [STEP_FACTOR_MIN,
+    STEP_FACTOR_MAX]; theta = 0, or a corrector with fewer than two steps,
+    has no rate to read and takes the largest factor, doubling the step.
+    The step is then floored at 1/MAX_CONTINUATION_STEPS, so that a
+    shrinking step cannot stall tau short of 1, and clipped to 1 - tau."""
+    factor = STEP_FACTOR_MAX
+    if len(iterations) > 2 and (theta := iterations[2].step_norm / iterations[1].step_norm) > 0.0:
+        factor = min(max(math.sqrt(CONTRACTION_TARGET / theta), STEP_FACTOR_MIN), STEP_FACTOR_MAX)
+    return min(max(factor * dtau, 1.0 / MAX_CONTINUATION_STEPS), 1.0 - tau)
+
+
 def continuation_solve(spec: ProblemSpec) -> SolveReport:
     """Adaptive predictor-corrector continuation in the off-diagonal scale tau.
 
@@ -481,14 +506,27 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     the residual fails it: a corrector that would need damping is read as
     a step in tau that is too long (Deuflhard, Newton Methods for
     Nonlinear Problems, 2004, sec. 5.1).  A failed corrector halves the
-    step and retries from the last converged point; a converged one
-    doubles it, clipped to 1 - tau.  The solve gives up once the step
-    falls below 1/MAX_CONTINUATION_STEPS.
+    step and retries from the last converged point.  A converged one sets
+    the next step from its own contraction rate (_next_step): the last
+    step times a factor in [1/2, 2], floored at 1/M (M =
+    MAX_CONTINUATION_STEPS) and clipped to 1 - tau.  The solve gives up
+    once a failure takes the step below 1/M.
 
-    Every step but the last advances tau by at least 1/M (M =
-    MAX_CONTINUATION_STEPS) and every failure halves the step, so a solve
-    costs at most 2M - 1 + log2(M) = 133 Newton solves, the loop's bound,
-    and a problem on which no step converges costs log2(M) + 1 = 7.  Each
+    The budget.  Every attempted step is at least 1/M, the floor, except a
+    step clipped to 1 - tau, which lands on tau = 1.  So each success below
+    tau = 1 advances tau by at least 1/M, and at most M - 1 succeed below
+    1.  In l = log2(dtau), 0 at the start, a failure lowers l by 1, and a
+    success raises it by at most 1: its factor is at most 2, the floor
+    lifts a step to 1/M, at most twice a step that was at least 1/M, and
+    the clip to 1 - tau only lowers it.  A factor below 1 only lowers l, so
+    a shrinking step adds no failure to the count; without the floor it
+    could add successes, tau creeping toward a limit below 1.  Every
+    failure but one that ends the solve leaves l >= -log2(M).  So with S
+    successes below tau = 1 there are at most S + log2(M) failures in a
+    solve that converges, which adds one success at tau = 1, and at most
+    S + log2(M) + 1 in one that fails: either way at most 2S + 1 + log2(M)
+    <= 2M - 1 + log2(M) = 133 Newton solves, the loop's bound.  A problem
+    on which no step converges costs log2(M) + 1 = 7.  Each
     Newton solve makes at most 1 + controls.max_iter spectral_map
     evaluations (51 by default), so a solve makes at most 133 * 51 = 6,783
     with the default controls.
@@ -533,7 +571,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         if tau == 1.0:
             break
         xdot = _tangent(spec, decomp)
-        dtau = min(2.0 * dtau, 1.0 - tau)
+        dtau = _next_step(dtau, tau, corrector.iterations)
     # the last converged (tau, x): the seed at tau = 0 when none did
     kept = [c for c in correctors if c.converged]
     last = correctors[-1]

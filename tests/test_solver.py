@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -72,7 +73,7 @@ def solved(spec, **kwargs):
 
 def stalling_spec():
     """Five tau steps converge, then a corrector stalls."""
-    return make_spec(np.random.default_rng(1), 3, 2, epsilon=1.0)
+    return make_spec(np.random.default_rng(87), 3, 2, epsilon=1.0)
 
 
 def fold_spec(max_iter=50):
@@ -757,6 +758,76 @@ class TestContinuationSolve:
         rep = continuation_solve(make_spec(rng, 4, 2, epsilon=0.1))
         assert raised and rep.converged
         assert rep.continuation_path == (0.5, 1.0)
+
+
+def accepted(*step_norms):
+    """A converged corrector's iterates: the start, then one accepted step of
+    each norm."""
+    return tuple(solver.IterationRecord(i, 1.0, norm) for i, norm in enumerate((0.0, *step_norms)))
+
+
+class TestNextStep:
+    """solver._next_step, the step in tau after a converged corrector.  The
+    expected values are written with the literals 0.05, 0.5, 2 and 1/64, not
+    the module's constants, so that changing one of those fails a test."""
+
+    @pytest.mark.parametrize("theta, factor", [
+        (0.08, math.sqrt(0.05 / 0.08)),  # slower than the target rate: shrink
+        (0.02, math.sqrt(0.05 / 0.02)),  # faster: grow
+        (0.05, 1.0),  # at the target: keep
+    ], ids=["above", "below", "at"])
+    def test_the_factor_is_the_root_of_the_target_over_theta(self, theta, factor):
+        assert solver._next_step(0.25, 0.25, accepted(1.0, theta)) == pytest.approx(0.25 * factor, rel=1e-15)
+
+    def test_theta_reads_the_first_two_steps_only(self):
+        assert solver._next_step(0.25, 0.25, accepted(2.0, 0.16, 5.0)) == pytest.approx(
+            0.25 * math.sqrt(0.05 / 0.08), rel=1e-15)
+
+    @pytest.mark.parametrize("theta, factor", [(0.9, 0.5), (0.001, 2.0)], ids=["lower", "upper"])
+    def test_the_factor_is_clipped(self, theta, factor):
+        assert solver._next_step(0.25, 0.25, accepted(1.0, theta)) == 0.25 * factor
+
+    @pytest.mark.parametrize("iterations", [accepted(), accepted(0.3), accepted(0.3, 0.0)],
+                             ids=["no-step", "one-step", "theta-zero"])
+    def test_no_contraction_rate_doubles_the_step(self, iterations):
+        assert solver._next_step(0.125, 0.25, iterations) == 0.25
+
+    def test_a_shrinking_step_is_floored_at_one_over_m(self):
+        assert solver._next_step(1 / 64, 0.5, accepted(1.0, 0.9)) == 1 / 64
+
+    def test_the_step_is_clipped_to_one_minus_tau(self):
+        assert solver._next_step(0.25, 0.9, accepted(1.0, 0.02)) == 1.0 - 0.9
+
+    def test_the_clip_to_one_minus_tau_overrides_the_floor(self):
+        assert solver._next_step(1 / 64, 1.0 - 2.0 ** -7, accepted(1.0, 0.9)) == 2.0 ** -7
+
+    @pytest.mark.parametrize("fold, taus", [
+        # never fails below tau = 1: the step halves after each success down
+        # to the floor 1/M, whose step lands on 1
+        (1.0, [1.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375, 1.0]),
+        # fails from tau = 0.7 on: halving after failures and after successes
+        (0.7, [1.0, 0.5, 0.75, 0.625, 0.6875, 0.71875, 0.703125]),
+    ], ids=["no-fold", "fold"])
+    def test_a_step_that_shrinks_after_every_success_stays_within_the_budget(self, fold, taus, monkeypatch):
+        # every corrector below the fold converges with theta = 1, twenty
+        # times the target, so the factor clips to 1/2 after every success.
+        # The loop may run ten times the budget: only the step rule ends it
+        slow, M = accepted(1.0, 1.0), solver.MAX_CONTINUATION_STEPS
+
+        def stub_newton_solve(spec, x0, tau, tol):
+            if tau >= fold:
+                return x0, None, solver.Corrector(tau, slow[:1], 1, NoConvergence, "stub")
+            return x0, None, solver.Corrector(tau, slow, 2)
+
+        monkeypatch.setattr(solver, "newton_solve", stub_newton_solve)
+        monkeypatch.setattr(solver, "_tangent", lambda spec, decomp: np.zeros(spec.n * spec.k))
+        monkeypatch.setattr(solver, "_NEWTON_SOLVE_BUDGET", 10 * solver._NEWTON_SOLVE_BUDGET)
+        rep = continuation_solve(complex_pair_spec())
+        assert [c.tau for c in rep.correctors] == taus
+        assert not rep.converged
+        path = (0.0, *rep.continuation_path)
+        assert all(b - a >= 1 / M for a, b in zip(path, path[1:]))
+        assert len(rep.correctors) <= 2 * M - 1 + int(np.log2(M))
 
 
 class TestCorrectorEndings:
