@@ -83,7 +83,8 @@ def write_record(path, records: dict):
 
 if __name__ == "__main__":
     sys.modules["workloads"] = load_workloads()
-    answers, costs = solve_all(load_script(), load_counts())
+    eigensolve_counts = load_counts()
+    answers, costs = solve_all(load_script(), eigensolve_counts)
     write_record(RECORD, {
         label: {key: r[key] for key in (("converged", "x") if r["converged"] else ("converged", "kind", "tau"))}
         for label, r in answers.items()
@@ -91,5 +92,5 @@ if __name__ == "__main__":
     write_record(COSTS, costs)
     failed = sum(not r["converged"] for r in answers.values())
     print(f"{RECORD}: {len(answers)} instances, {len(answers) - failed} converged, {failed} failed")
-    totals = {c: sum(cost[c] for cost in costs.values()) for c in next(iter(costs.values()))}
-    print(f"{COSTS}: totals " + ", ".join(f"{c} {v}" for c, v in totals.items()))
+    print(f"{COSTS}: totals " + ", ".join(f"{c} {sum(cost[c] for cost in costs.values())}"
+                                          for c in eigensolve_counts.COST_COLUMNS))
