@@ -43,6 +43,21 @@ def instance_sets() -> dict:
     }
 
 
+def counting_kernel(calls: dict):
+    """A stand-in for matpoly.lapack as it is now: each call of a kind in
+    calls adds one to calls[kind], then runs that kernel."""
+    from structured_iep import matpoly
+
+    kernel = matpoly.lapack
+
+    def counted(kind, *operands):
+        if kind in calls:
+            calls[kind] += 1
+        return kernel(kind, *operands)
+
+    return counted
+
+
 def solve_counted(spec) -> tuple:
     """(report, cost) of continuation_solve on spec, where the cost holds
     COST_COLUMNS: the Newton solves and trials of the report's Corrector
@@ -50,13 +65,7 @@ def solve_counted(spec) -> tuple:
     from structured_iep import continuation_solve, matpoly
 
     calls, kernel = dict.fromkeys(KINDS, 0), matpoly.lapack
-
-    def counted(kind, *operands):
-        if kind in calls:
-            calls[kind] += 1
-        return kernel(kind, *operands)
-
-    matpoly.lapack = counted
+    matpoly.lapack = counting_kernel(calls)
     try:
         report = continuation_solve(spec)
     finally:

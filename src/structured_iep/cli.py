@@ -12,7 +12,6 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -76,7 +75,6 @@ def _coefficient_lines(P) -> list[str]:
 
 
 def cmd_seed(args):
-    # no Newton iteration runs here, so --tol and --max-iter are ignored
     spec = load_problem(args.problem)
     P = spec.seed()
     decomp = proper_values(P)
@@ -90,10 +88,6 @@ def cmd_seed(args):
 
 def cmd_solve(args):
     spec = load_problem(args.problem)
-    # the flags patch the file's controls, which SolverControls has checked already
-    flags = {"newton_tol": args.tol, "max_iter": args.max_iter}
-    controls = dataclasses.replace(spec.controls, **{name: v for name, v in flags.items() if v is not None})
-    spec = dataclasses.replace(spec, controls=controls)
     report = continuation_solve(spec)
     doc = {
         "config": spec_to_config(spec),
@@ -122,7 +116,6 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    # --tol is the value tolerance here; no Newton iteration runs, so --max-iter is ignored
     spec = load_problem(args.problem)
     P = load_polynomial(args.polynomial)
     report = verify(P, spec, value_tol=args.tol)
@@ -144,7 +137,6 @@ def cmd_verify(args):
 
 
 def cmd_jacobian(args):
-    # no Newton iteration runs here, so --tol and --max-iter are ignored
     spec = load_problem(args.problem)
     if args.at == "seed":
         x, tau = seed_unknowns(spec.spectrum, spec.lead), 0.0
@@ -172,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct symmetric matrix polynomials with prescribed "
                     "real spectrum and prescribed coefficient graphs.",
     )
-    p.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance (Newton tolerance for solve, value tolerance for verify; "
-                        "ignored by seed and jacobian)")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="Newton iteration cap (ignored by seed, verify and jacobian)")
     p.add_argument("--quiet", action="store_true", help="suppress the human-readable summary")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -191,6 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("verify", help="verify a polynomial file against a problem file")
     pf.add_argument("polynomial")
     pf.add_argument("problem")
+    pf.add_argument("--tol", type=float, default=None,
+                    help="value tolerance (default: max(1e-8, the problem's Newton tolerance))")
     pf.set_defaults(func=cmd_verify)
 
     pj = sub.add_parser("jacobian", help="spectral Jacobian and seed structure check")

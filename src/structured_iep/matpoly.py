@@ -39,20 +39,23 @@ corrector's start.  Its SpectralDecomposition is plain data, the pairs
 with P's coefficients [A_1 ... A_{k-1}] and leading diagonal: this module
 solves, and the sensitivity module differentiates from that data.
 
-Every LAPACK call of the package goes through lapack, this module's one
-kernel (not exported): decompose_row's eig, eigvals, eigh and eigvalsh,
-and the solver's Newton and tangent solves.  It calls the gufuncs that
-numpy.linalg's wrappers call (numpy.linalg._umath_linalg, float64
-signatures) and keeps the part of each wrapper that matters here: eig and
-eigvals reject non-finite input, and a LAPACK failure raises LinAlgError
-with numpy's text.  The wrappers' type promotion, shape checks and
+Every eigensolve and linear solve of the package goes through lapack,
+this module's one kernel (not exported): decompose_row's eig, eigvals,
+eigh and eigvalsh, and the solver's Newton and tangent solves.  It calls
+the gufuncs that numpy.linalg's wrappers call (numpy.linalg._umath_linalg,
+float64 signatures) and keeps the part of each wrapper that matters
+here: eig and eigvals reject non-finite input, and a LAPACK failure raises
+LinAlgError with numpy's text.  The wrappers' type promotion, shape checks and
 real-or-complex result cast cost more than the eigensolve itself at the
 n <= 6 sizes of most solves, and every array handed over here is a
 square float64 matrix already; decompose_row reads the real parts of the
 complex eig output and tests the imaginary parts itself.  The results are
 the wrappers' bitwise, the same gufunc on the same array.  The gufuncs are
 private to numpy, so tests/test_matpoly.py pins the kernel to the public
-functions, values and errors, on the installed numpy.
+functions, values and errors, on the installed numpy.  The package's one
+other LAPACK work, the SVD of np.linalg.cond for the Jacobian's condition
+number, runs outside the kernel: in sensitivity.seed_vandermonde_check and
+in cli.cmd_jacobian.
 """
 
 from __future__ import annotations
@@ -217,8 +220,7 @@ def linearize(P: MatrixPolynomial) -> np.ndarray:
     return companion_layout(*P.checked_row())
 
 
-def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = None,
-                  rows: np.ndarray | None = None) -> SpectralDecomposition:
+def decompose_row(row: np.ndarray, lead: np.ndarray, rows: np.ndarray | None = None) -> SpectralDecomposition:
     """The decomposition of P(z) = sum_{s<k} z^s A_s + z^k diag(lead), for
     the coefficient row row = [A_0 ... A_{k-1}] (n x kn) and a positive
     ``lead``, with the checks of proper_values: the ascending values and,
@@ -236,10 +238,10 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
     real parts of its complex eig output, and a nonzero imaginary part
     (where numpy's eig would return a complex array) is a conjugate pair,
     which LAPACK stores with bitwise-equal real parts: it raises
-    NonRealSpectrum, or ties on the real line and NearDegenerate
-    (sep_tol > 0).  The separation check compares the smallest gap with
-    sep_tol (default SEP_TOL_REL times max(diameter, 1)), and only a
-    failing one builds the message."""
+    NonRealSpectrum, or ties on the real line and NearDegenerate.  The
+    separation check compares the smallest gap with SEP_TOL_REL times
+    max(diameter, 1) of the values, and only a failing one builds the
+    message."""
     n = len(lead)
     if row.shape[1] == n:
         root = np.sqrt(lead)
@@ -266,8 +268,7 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, sep_tol: float | None = Non
         vals = w.real[order]
         if V is not None:
             rows = V.real[:n, order].T
-    if sep_tol is None:
-        sep_tol = SEP_TOL_REL * max(vals[-1] - vals[0], 1.0)
+    sep_tol = SEP_TOL_REL * max(vals[-1] - vals[0], 1.0)
     if len(vals) > 1:
         gaps = vals[1:] - vals[:-1]
         if np.minimum.reduce(gaps) < sep_tol:

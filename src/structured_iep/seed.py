@@ -40,11 +40,8 @@ class TargetSpectrum:
     @cached_property
     def scale(self) -> float:
         """max(max - min, 1) over the targets, 1 for a single one: the
-        scale of the target separation check, of the solver's separation
-        check (spectral_map, so every Newton trial) and of the Newton and
-        corrector residuals.  proper_values, and so verify, the seed and
-        jacobian commands and jacobian_fd, scales its separation check by
-        max(diameter, 1) of the computed values instead."""
+        scale of the target separation check and of the Newton and
+        corrector residuals."""
         return max(float(np.max(self.values) - np.min(self.values)), 1.0)
 
     def sorted_values(self) -> np.ndarray:

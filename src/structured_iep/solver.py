@@ -46,8 +46,7 @@ import numpy as np
 from .errors import (DegenerateDenominator, InvariantViolation, NoConvergence, SingularJacobian, check_integer,
                      check_positive, check_real, real_vector)
 from .graphs import Graph, matrix_of_graph
-from .matpoly import (MatrixPolynomial, SEP_TOL_REL, SPECTRUM_FAILURES, SpectralDecomposition, decompose_row,
-                      lapack, proper_values)
+from .matpoly import MatrixPolynomial, SPECTRUM_FAILURES, SpectralDecomposition, decompose_row, lapack, proper_values
 from .seed import LeadingDiagonal, TargetSpectrum, seed_coefficients, seed_unknowns
 from .sensitivity import jacobian_x
 
@@ -253,25 +252,21 @@ def assemble(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0) -> MatrixPolyno
 
 
 def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0, rows: np.ndarray | None = None):
-    """Ascending proper values of assemble(x, spec, tau), bitwise, with the
-    checks of proper_values at a separation tolerance of SEP_TOL_REL times
-    spec.spectrum.scale.
+    """proper_values(assemble(x, spec, tau)), bitwise, its spectrum errors
+    included.  Given ``rows``, the eigensolve computes values only, and
+    ``rows`` is the decomposition's companion_rows.
 
     No polynomial is assembled or checked: the kn unknowns are written on
     the diagonals of tau times the spec's cached ramp_row, and that
     coefficient row goes to decompose_row, as proper_values sends the row
-    of assemble(x, spec, tau).  The decomposition's companion_rows are
-    therefore bitwise those of proper_values(assemble(x, spec, tau)), or,
-    given ``rows``, ``rows`` itself: the eigensolve then computes values
-    only.
+    of assemble(x, spec, tau).
 
     It checks only x's shape (InvariantViolation), not assemble's input
     rules: it is every Newton trial's hot path and the tracer's trial site.
     So a bool x is cast to float, and a non-finite tau surfaces as LAPACK's
     LinAlgError, one of SPECTRUM_FAILURES.
     """
-    return decompose_row(_coefficient_row(x, spec, tau), spec.lead.alpha_k,
-                         SEP_TOL_REL * spec.spectrum.scale, rows)
+    return decompose_row(_coefficient_row(x, spec, tau), spec.lead.alpha_k, rows)
 
 
 def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -313,7 +313,7 @@ def test_acceptance_8_verification_round_trip(tmp_path, capsys):
             "coefficients": [c.tolist() for c in golden.coeffs],
         }))
         code_golden = cli.main(
-            ["--quiet", "--tol", "5e-9", "verify", str(gold_file), prob]
+            ["--quiet", "verify", str(gold_file), prob, "--tol", "5e-9"]
         )
         capsys.readouterr()
         statuses.append((code_solve, code_verify, code_golden))

@@ -121,13 +121,11 @@ class TestSolve:
     def test_zero_epsilon_echoes_seed(self, capsys, tmp_path):
         prob = tmp_path / "p.json"
         prob.write_text(json.dumps(path4_doc(epsilon=0.0)))
-        # a flag replaces a control of the loaded spec, whose zero off-diagonals pass again
-        for flags in ([], ["--max-iter", "5"]):
-            code, out, _ = run(capsys, ["--quiet", *flags, "solve", str(prob)])
-            assert code == 0
-            doc = json.loads(out)
-            assert len(doc["iterations"]) == 1
-            assert np.array_equal(np.array(doc["coefficients"][1]), np.diag([6.0, 14, 22, 30]))
+        code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["iterations"]) == 1
+        assert np.array_equal(np.array(doc["coefficients"][1]), np.diag([6.0, 14, 22, 30]))
 
     def test_deterministic_reports(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -183,7 +181,7 @@ class TestSolve:
         assert last.kind is NonRealSpectrum and last.detail == "injected"
         assert len(last.iterations) == 1 and last.trials == 1
 
-    @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "DegenerateDenominator"), (1, 1e200, "LinAlgError")],
+    @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "NearDegenerate"), (1, 1e200, "LinAlgError")],
                              ids=["k2", "k1"])
     def test_overflowing_companion_writes_the_report_and_exits_four(self, capsys, tmp_path, k, epsilon, kind):
         # an overflowing companion is a failed corrector, not a LinAlgError
@@ -542,29 +540,23 @@ class TestErrorPaths:
         assert code == cli.EXIT_PARSE
         assert err.startswith("error:") and f"'{field}'" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tol_exits_three(self, capsys, tol):
-        code, _, err = run(capsys, ["--quiet", "--tol", tol, "solve", PATH4])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_exits_three(self, capsys, tmp_path, tol):
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(path4_doc(controls={"newton_tol": tol})))
+        code, _, err = run(capsys, ["--quiet", "solve", str(prob)])
         assert code == cli.EXIT_INVARIANT
         assert err.startswith("error:") and "newton_tol" in err
 
-    @pytest.mark.parametrize("flags, controls, field", [
-        (["--max-iter", "0"], None, "max_iter"),
-        (["--tol", "0"], None, "newton_tol"),
-        (["--tol", "-1"], None, "newton_tol"),
-        ([], {"max_iter": 0}, "max_iter"),
-        ([], {"newton_tol": -1}, "newton_tol"),
-        # the file's controls are checked before a flag replaces them
-        (["--max-iter", "5"], {"max_iter": 0}, "max_iter"),
-        (["--tol", "1e-6"], {"newton_tol": -1}, "newton_tol"),
-    ], ids=["max-iter-0", "tol-0", "tol-minus-1", "file-max_iter-0", "file-newton_tol-minus-1",
-            "file-max_iter-0-with-flag", "file-newton_tol-minus-1-with-flag"])
-    def test_out_of_range_controls_exit_three(self, capsys, tmp_path, flags, controls, field):
-        problem = PATH4
-        if controls is not None:
-            problem = tmp_path / "p.json"
-            problem.write_text(json.dumps(path4_doc(controls=controls)))
-        code, out, err = run(capsys, ["--quiet", *flags, "solve", str(problem)])
+    @pytest.mark.parametrize("controls, field", [
+        ({"max_iter": 0}, "max_iter"),
+        ({"newton_tol": 0}, "newton_tol"),
+        ({"newton_tol": -1}, "newton_tol"),
+    ], ids=["file-max_iter-0", "file-newton_tol-0", "file-newton_tol-minus-1"])
+    def test_out_of_range_controls_exit_three(self, capsys, tmp_path, controls, field):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(path4_doc(controls=controls)))
+        code, out, err = run(capsys, ["--quiet", "solve", str(problem)])
         assert code == cli.EXIT_INVARIANT and out == ""
         assert err.startswith("error:") and field in err and err.count("\n") == 1
 
@@ -636,26 +628,17 @@ class TestVerifyTol:
         return str(poly)
 
     def test_zero_is_a_value_tolerance(self, capsys, solved):
-        code, out, err = run(capsys, ["--quiet", "--tol", "0", "verify", solved, PATH4])
+        code, out, err = run(capsys, ["--quiet", "verify", solved, PATH4, "--tol", "0"])
         doc = strict_json(out)
         assert err == ""
         assert code == cli.EXIT_VERIFY_FAIL and doc["residual"] > 0.0
         assert doc["failure"].startswith("spectral residual") and "tolerance 0" in doc["failure"]
 
     def test_tol_leaves_the_newton_tolerance_alone(self, capsys, solved):
-        code, out, _ = run(capsys, ["--quiet", "--tol", "1e-3", "verify", solved, PATH4])
+        code, out, _ = run(capsys, ["--quiet", "verify", solved, PATH4, "--tol", "1e-3"])
         assert code == 0
         default = SolverControls().resolved_tol(load_problem(PATH4).spectrum)
         assert strict_json(out)["config"]["controls"]["newton_tol"] == default
-
-    def test_max_iter_is_ignored(self, capsys, solved):
-        # verify runs no Newton iteration: --max-iter 0 neither fails it nor
-        # reaches its config
-        code, out, err = run(capsys, ["--quiet", "--max-iter", "0", "verify", solved, PATH4])
-        assert code == 0 and err == ""
-        code, out, _ = run(capsys, ["--quiet", "--max-iter", "7", "verify", solved, PATH4])
-        assert code == 0
-        assert strict_json(out)["config"]["controls"]["max_iter"] == SolverControls().max_iter
 
     def test_default_is_never_tighter_than_the_solve(self, capsys, tmp_path):
         # path4 scaled by 1e5 converges within its Newton tolerance 1.4e-5,
@@ -670,35 +653,42 @@ class TestVerifyTol:
 
     @pytest.mark.parametrize("tol", ["-0.001", "nan", "inf"])
     def test_negative_or_non_finite_exits_three(self, capsys, solved, tol):
-        code, out, err = run(capsys, ["--quiet", "--tol", tol, "verify", solved, PATH4])
+        code, out, err = run(capsys, ["--quiet", "verify", solved, PATH4, "--tol", tol])
         assert code == cli.EXIT_INVARIANT and out == ""
         assert err.startswith("error:") and "value_tol" in err
 
 
-def test_tol_override_reaches_solver(capsys):
-    code, out, _ = run(capsys, ["--quiet", "--tol", "1e-6", "solve", PATH4])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["config"]["controls"]["newton_tol"] == pytest.approx(1e-6)
+@pytest.mark.parametrize("argv", [
+    ["--tol", "1e-6", "solve", PATH4],
+    ["--tol", "1e-6", "verify", PATH4, PATH4],
+    ["seed", PATH4, "--tol", "1e-6"],
+    ["solve", PATH4, "--tol", "1e-6"],
+    ["jacobian", PATH4, "--tol", "1e-6"],
+    ["--max-iter", "5", "solve", PATH4],
+    ["seed", PATH4, "--max-iter", "5"],
+    ["solve", PATH4, "--max-iter", "5"],
+    ["verify", PATH4, PATH4, "--max-iter", "5"],
+    ["jacobian", PATH4, "--max-iter", "5"],
+], ids=["global-tol-solve", "global-tol-verify", "seed-tol", "solve-tol", "jacobian-tol",
+        "global-max-iter", "seed-max-iter", "solve-max-iter", "verify-max-iter", "jacobian-max-iter"])
+def test_only_verify_takes_tol_and_no_command_takes_max_iter(capsys, argv):
+    # a solve's Newton controls come from the problem file alone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--quiet", *argv])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["seed", "jacobian"])
-class TestNewtonFlagsIgnored:
-    """seed and jacobian run no Newton iteration: --tol and --max-iter
-    neither fail them nor reach their config."""
-
-    @pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1"], ["--max-iter", "0"]])
-    def test_invalid_values_do_not_fail(self, capsys, command, flags):
-        code, out, err = run(capsys, ["--quiet", *flags, command, PATH4])
-        assert code == 0 and err == ""
-        assert isinstance(strict_json(out), dict)
-
-    def test_config_keeps_the_problem_controls(self, capsys, command):
-        code, out, _ = run(capsys, ["--quiet", "--tol", "1e-3", "--max-iter", "7", command, PATH4])
-        assert code == 0
-        default = SolverControls()
-        expected = {"newton_tol": default.resolved_tol(load_problem(PATH4).spectrum), "max_iter": default.max_iter}
-        assert strict_json(out)["config"]["controls"] == expected
+def test_file_newton_tolerance_is_the_one_verify_checks(capsys, tmp_path):
+    # a loose newton_tol in the problem file: the solve stops at it, and
+    # verify's default tolerance, read from the same file, accepts it
+    prob, poly = tmp_path / "p.json", tmp_path / "poly.json"
+    prob.write_text(json.dumps({**json.loads(Path(PATH4).read_text()), "controls": {"newton_tol": 1e-4}}))
+    code, _, _ = run(capsys, ["--quiet", "solve", str(prob), "--out", str(poly)])
+    residual = strict_json(poly.read_text())["residual"]
+    assert code == 0 and 1e-8 < residual <= 1e-4
+    code, out, _ = run(capsys, ["--quiet", "verify", str(poly), str(prob)])
+    assert code == 0 and strict_json(out)["passed"]
 
 
 def test_problem_schema_lists_the_fields_the_reader_knows():
@@ -717,6 +707,13 @@ def test_problem_schema_lists_the_fields_the_reader_knows():
         assert level["additionalProperties"] is False, name
     report = json.loads((schemas / "report.schema.json").read_text())
     assert report["properties"]["config"]["$ref"] == "problem.schema.json"
+
+
+def test_report_schema_lists_the_keys_of_a_solve_report(capsys):
+    schema = json.loads((PROBLEMS.parent / "schemas" / "report.schema.json").read_text())
+    code, out, _ = run(capsys, ["--quiet", "solve", PATH4])
+    assert code == 0
+    assert list(schema["properties"]) == list(strict_json(out))
 
 
 def config_file(tmp_path, spec) -> str:

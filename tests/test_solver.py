@@ -48,7 +48,10 @@ from conftest import (
     random_targets,
     unit_vectors,
 )
+from test_eigensolve_counts import load_script
 from test_matpoly import sparse_quadratic_80
+
+EIGENSOLVE_COUNTS = load_script()
 
 
 def complex_pair_spec(max_iter=10):
@@ -89,21 +92,19 @@ def fold_spec(max_iter=50):
 
 
 def reference_spectral_map(x, spec, tau):
-    """The spectral map as the assembled polynomial gives it: decompose_row
-    of its checked coefficient row and leading diagonal, as proper_values
-    runs it, at the solver's separation tolerance."""
-    return matpoly.decompose_row(*assemble(x, spec, tau).checked_row(), matpoly.SEP_TOL_REL * spec.spectrum.scale)
+    """The spectral map as the assembled polynomial gives it."""
+    return proper_values(assemble(x, spec, tau))
 
 
 def same_spectral_map(x, spec, tau):
     """Assert that spectral_map returns bitwise what reference_spectral_map
     returns (values, rows and coefficients [A_1 ... A_{k-1}]), or raises
-    the same exception type; return whether the spectrum was real and
-    simple."""
+    the same exception with the same message; return whether the spectrum
+    was real and simple."""
     try:
         ref = reference_spectral_map(x, spec, tau)
     except (NonRealSpectrum, NearDegenerate) as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             spectral_map(x, spec, tau)
         return False
     got = spectral_map(x, spec, tau)
@@ -141,15 +142,10 @@ def weakly_coupled_spec(n, k, seed=5):
 
 
 def count_eigensolves(monkeypatch):
-    """Calls of matpoly's LAPACK kernel, by eigensolver kind, from now on."""
-    calls, kernel = dict.fromkeys(("eig", "eigvals", "eigh", "eigvalsh"), 0), matpoly.lapack
-
-    def counting(kind, *operands):
-        if kind in calls:
-            calls[kind] += 1
-        return kernel(kind, *operands)
-
-    monkeypatch.setattr(matpoly, "lapack", counting)
+    """Calls of matpoly's LAPACK kernel, by eigensolver kind, from now on:
+    scripts/eigensolve_counts.py's counting stand-in."""
+    calls = dict.fromkeys(EIGENSOLVE_COUNTS.KINDS, 0)
+    monkeypatch.setattr(matpoly, "lapack", EIGENSOLVE_COUNTS.counting_kernel(calls))
     return calls
 
 
@@ -260,6 +256,31 @@ class TestSpectralMap:
                 assert np.max(np.abs(hi - lo)) <= 1e-12 * np.max(np.abs(hi))
                 boundaries += 1
         assert boundaries >= 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_separation_is_scaled_by_the_computed_values(self, k):
+        # targets of diameter 3, uncoupled values of diameter 100 whose
+        # smallest gap, 1e-9, lies between SEP_TOL_REL times the targets'
+        # scale and times the values' diameter: spectral_map raises as
+        # proper_values of the assembled polynomial does, in both branches
+        n = 4 // k
+        spec = ProblemSpec(
+            spectrum=TargetSpectrum(values=np.arange(4.0), n=n, k=k),
+            lead=LeadingDiagonal(alpha_k=np.ones(n)),
+            graphs=(Graph(n),) * k,
+        )
+        # entry r's diagonals: the monic polynomial of its roots (a
+        # TargetSpectrum would refuse them as not distinct at its own scale)
+        roots = np.array([100.0, 0.0, 100.0 + 1e-9, 50.0]).reshape(n, k)
+        x = np.array([np.poly(r)[:0:-1] for r in roots]).T.ravel()
+        values = np.sort(np.linalg.eigvals(matpoly.linearize(assemble(x, spec))).real)
+        gap = np.min(np.diff(values))
+        assert matpoly.SEP_TOL_REL * spec.spectrum.scale < gap < matpoly.SEP_TOL_REL * (values[-1] - values[0])
+        with pytest.raises(NearDegenerate) as want:
+            proper_values(assemble(x, spec))
+        for given in (None, np.ones((4, n))):
+            with pytest.raises(NearDegenerate, match=f"^{re.escape(str(want.value))}$"):
+                spectral_map(x, spec, rows=given)
 
     def test_vectors_equal_proper_values_vectors(self, path4_spec):
         gold = golden_path4_polynomial()
@@ -726,7 +747,7 @@ class TestContinuationSolve:
         assert len(per_solve) <= newton_budget
         assert sum(used for used, *_ in per_solve) <= newton_budget * (1 + max_iter) <= total_budget(max_iter)
 
-    @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "DegenerateDenominator"), (1, 1e200, "LinAlgError")],
+    @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "NearDegenerate"), (1, 1e200, "LinAlgError")],
                              ids=["k2", "k1"])
     def test_an_overflowing_companion_fails_the_solve(self, k, epsilon, kind):
         # over a leading 1e-300 the trials' companion (at k = 1 the pencil
