@@ -6,8 +6,8 @@ coefficient, construct a real symmetric matrix polynomial with exactly
 those proper values and exactly those patterns: seed a diagonal polynomial
 carrying the targets, fix the off-diagonal entries to prescribed nonzero
 values, and Newton-correct the diagonals using analytic spectral
-sensitivities, with continuation in the off-diagonal scale when the direct
-solve leaves the real-spectrum regime.
+sensitivities, with continuation in the off-diagonal scale from the seed,
+whose first step is as long as the seed's second-order predictor reaches.
 """
 
 from .errors import (

@@ -2,20 +2,21 @@
 
 The unknowns are exactly the kn diagonal entries of the non-leading
 coefficients; the prescribed off-diagonal values are held fixed (they are
-the perturbation the Newton step must compensate).  A direct solve at full
-off-diagonal strength can leave the real-spectrum regime, in which case the
-off-diagonals are ramped in by predictor-corrector continuation in their
-scale tau: each step predicts along the tangent of the solution curve and
-corrects with a Newton solve, keeping every converged step; the step halves
-on failure, and after a success it is scaled by how fast that corrector
-contracted, Deuflhard's adaptive path-following (_next_step).  Every
-corrector takes full Newton steps, and the first one that does not lower
-the residual fails it, as does a trial whose eigensolve raises (with that
-error as the corrector's kind), so a losing corrector costs one eigensolve
-per iteration.  At the diagonal seed the tangent is zero, so correctors from
-the seed start at its closed-form second-order term instead, where that
-term moves no target by more than half its gap (_seed_curvature).
-Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL.
+the perturbation the Newton step must compensate).  The off-diagonals are
+ramped in by predictor-corrector continuation in their scale tau: each step
+predicts along the tangent of the solution curve and corrects with a Newton
+solve, keeping every converged step; the step halves on failure, and after
+a success it is scaled by how fast that corrector contracted, Deuflhard's
+adaptive path-following (_next_step).  Every corrector takes full Newton
+steps, and the first one that does not lower the residual fails it, as does
+a trial whose eigensolve raises (with that error as the corrector's kind),
+so a losing corrector costs one eigensolve per iteration.  At the diagonal
+seed the tangent is zero, so correctors from the seed start at its
+closed-form second-order term instead, where that term moves no target by
+more than half its gap (_seed_curvature), and the first step is the longest
+power of two in tau over which it does so (_first_step): the full problem
+at tau = 1 only when the seed predictor reaches it.  Correctors below
+tau = 1 stop at the looser CORRECTOR_TOL_REL.
 
 This module runs no eigensolve and no derivative of its own: a trial's
 polynomial is one coefficient row [A_0 ... A_{k-1}], tau times the spec's
@@ -457,6 +458,19 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
     return c, rho
 
 
+def _first_step(rho: float) -> float:
+    """The first step in tau from the seed, given the shift ratio rho of
+    _seed_curvature: the longest 2^-j (j >= 0) with 4^-j rho <=
+    SEED_SHIFT_MAX, where the seed predictor moves no target by more than
+    half its gap, floored at 1/MAX_CONTINUATION_STEPS.  Only at that floor
+    (rho > SEED_SHIFT_MAX * M^2, or rho = inf) does a corrector start at the
+    bare seed."""
+    dtau = 1.0
+    while dtau > 1.0 / MAX_CONTINUATION_STEPS and dtau ** 2 * rho > SEED_SHIFT_MAX:
+        dtau *= 0.5
+    return dtau
+
+
 def _next_step(dtau: float, tau: float, iterations: tuple[IterationRecord, ...]) -> float:
     """The step in tau after a corrector that converged at tau, reached by
     a step of dtau, with these accepted iterates (the start first).
@@ -483,15 +497,18 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     """Adaptive predictor-corrector continuation in the off-diagonal scale tau.
 
     Keeps the last converged (tau, x), starting from the diagonal seed at
-    tau = 0 with a first step of dtau = 1: the full problem is tried first.
-    From a converged tau > 0, each step predicts x + dtau * dx/dtau along
-    the tangent of the solution curve.  At the seed that tangent is zero
-    (every proper vector is a unit vector), so a corrector from the seed
-    (the direct attempt at tau = 1 and its halved retries) starts at the
+    tau = 0.  From a converged tau > 0, each step predicts x + dtau *
+    dx/dtau along the tangent of the solution curve.  At the seed that
+    tangent is zero (every proper vector is a unit vector), so a corrector
+    from the seed (the first one and its halved retries) starts at the
     second-order prediction seed + tau^2 c of _seed_curvature when tau^2
     rho <= SEED_SHIFT_MAX: no predicted target shift then exceeds half the
     gap to its nearest other target, where the expansion and the sorted
-    matching hold.  Otherwise it starts at the bare seed.  Each prediction
+    matching hold.  Otherwise it starts at the bare seed.  The first step
+    is _first_step(rho), the longest 2^-j inside that gate (floored at
+    1/M), so only a corrector at the floor starts at the bare seed, and
+    the full problem at tau = 1 is tried first only when rho <=
+    SEED_SHIFT_MAX.  Each prediction
     is corrected with newton_solve, in at most controls.max_iter
     iterations.  A point below tau = 1 only seeds the next prediction, so
     its corrector stops at CORRECTOR_TOL_REL times spectrum.scale, or at
@@ -510,18 +527,20 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     The budget.  Every attempted step is at least 1/M, the floor, except a
     step clipped to 1 - tau, which lands on tau = 1.  So each success below
     tau = 1 advances tau by at least 1/M, and at most M - 1 succeed below
-    1.  In l = log2(dtau), 0 at the start, a failure lowers l by 1, and a
+    1.  In l = log2(dtau), -j <= 0 at the start (dtau = 2^-j, the first
+    step), a failure lowers l by 1, and a
     success raises it by at most 1: its factor is at most 2, the floor
     lifts a step to 1/M, at most twice a step that was at least 1/M, and
     the clip to 1 - tau only lowers it.  A factor below 1 only lowers l, so
     a shrinking step adds no failure to the count; without the floor it
     could add successes, tau creeping toward a limit below 1.  Every
     failure but one that ends the solve leaves l >= -log2(M).  So with S
-    successes below tau = 1 there are at most S + log2(M) failures in a
-    solve that converges, which adds one success at tau = 1, and at most
-    S + log2(M) + 1 in one that fails: either way at most 2S + 1 + log2(M)
-    <= 2M - 1 + log2(M) = 133 Newton solves, the loop's bound.  A problem
-    on which no step converges costs log2(M) + 1 = 7.  Each
+    successes below tau = 1 there are at most S + log2(M) - j failures in
+    a solve that converges, which adds one success at tau = 1, and at most
+    S + log2(M) + 1 - j in one that fails: either way at most 2S + 1 +
+    log2(M) <= 2M - 1 + log2(M) = 133 Newton solves, the loop's bound.  A
+    problem on which no step converges costs log2(M) + 1 - j: 7 when the
+    first step is 1, 1 when it is 1/M.  Each
     Newton solve makes at most 1 + controls.max_iter spectral_map
     evaluations (51 by default), so a solve makes at most 133 * 51 = 6,783
     with the default controls.
@@ -543,7 +562,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     loose_tol = max(CORRECTOR_TOL_REL * spec.spectrum.scale, spec.controls.resolved_tol(spec.spectrum))
     x = seed_unknowns(spec.spectrum, spec.lead)
     curvature, rho = _seed_curvature(spec)
-    tau, dtau = 0.0, 1.0
+    tau, dtau = 0.0, _first_step(rho)
     correctors = []
     for _ in range(_NEWTON_SOLVE_BUDGET):
         # absorb rounding in tau + dtau so the last step lands exactly on 1

@@ -26,7 +26,9 @@ commit with
     python3 tests/test_answers.py
 
 so that their diffs show, one line per instance, which answers moved and
-which solves got cheaper or dearer."""
+which solves got cheaper or dearer.  Before it overwrites a record, it
+prints each instance whose line changes, with the keys that change: old
+and new value for a number or a name, the key alone for x."""
 
 import json
 import sys
@@ -75,6 +77,23 @@ def test_costs_match_the_record(solved):
             for label in sorted(record.keys() | costs.keys()) if record.get(label) != costs.get(label)] == []
 
 
+def changed_lines(path, records: dict) -> list[str]:
+    """One line per label whose record differs between the file at path
+    (empty when there is none) and records, in record order: the label,
+    then each key that differs, as "key old -> new", or the key alone when
+    its value is a list."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    lines = []
+    for label in {**old, **records}:
+        a, b = old.get(label, {}), records.get(label, {})
+        keys = [key for key in {**a, **b} if a.get(key) != b.get(key)]
+        if keys:
+            lines.append(f"{label}: " + ", ".join(
+                key if isinstance(a.get(key, b.get(key)), list) else f"{key} {a.get(key)} -> {b.get(key)}"
+                for key in keys))
+    return lines
+
+
 def write_record(path, records: dict):
     """One line per instance, in order."""
     path.write_text("{\n" + ",\n".join(f"{json.dumps(label)}: {json.dumps(r)}" for label, r in records.items())
@@ -85,11 +104,14 @@ if __name__ == "__main__":
     sys.modules["workloads"] = load_workloads()
     eigensolve_counts = load_counts()
     answers, costs = solve_all(load_script(), eigensolve_counts)
-    write_record(RECORD, {
+    answers = {
         label: {key: r[key] for key in (("converged", "x") if r["converged"] else ("converged", "kind", "tau"))}
         for label, r in answers.items()
-    })
-    write_record(COSTS, costs)
+    }
+    for path, records in ((RECORD, answers), (COSTS, costs)):
+        lines = changed_lines(path, records)
+        print(f"{path.name}: {len(lines)} line(s) change", *lines, sep="\n  ")
+        write_record(path, records)
     failed = sum(not r["converged"] for r in answers.values())
     print(f"{RECORD}: {len(answers)} instances, {len(answers) - failed} converged, {failed} failed")
     print(f"{COSTS}: totals " + ", ".join(f"{c} {sum(cost[c] for cost in costs.values())}"

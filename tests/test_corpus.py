@@ -5,7 +5,7 @@ only go up, and every converged answer must pass verify."""
 import numpy as np
 import pytest
 
-from structured_iep import continuation_solve, verify
+from structured_iep import continuation_solve, solver, verify
 
 from conftest import load_module
 
@@ -38,11 +38,29 @@ ROOT_67 = np.array([float.fromhex(h) for h in (
 
 
 def test_full_steps_keep_the_root_of_instance_67(corpus):
-    # the full step from the seed at tau = 1 does not lower the residual, so
-    # continuation converges at 0.5, whose corrector contracts at about the
-    # target rate (0.054): the next step is 0.96 times the last, then 1 - tau.
-    # It lands on the same root
+    # rho = 2.31, so the first step is 1/4, inside the seed predictor's
+    # reach.  That corrector converges in one Newton step, which gives no
+    # contraction rate, so the step doubles to 1/2, then 1 - tau.  It lands
+    # on the same root
     rep = continuation_solve(corpus[67])
     assert rep.converged
-    assert rep.continuation_path == pytest.approx((0.5, 0.9821307224611011, 1.0), rel=1e-12, abs=0.0)
+    assert rep.continuation_path == pytest.approx((0.25, 0.75, 1.0), rel=1e-12, abs=0.0)
     assert np.max(np.abs(rep.x - ROOT_67)) <= 1e-12 * np.max(np.abs(ROOT_67))
+
+
+def test_correctors_from_the_seed_start_inside_the_predictor_gate(corpus, path4_spec, linked4_spec):
+    # the first corrector's step is _first_step(rho), and every corrector
+    # from the seed (up to and including the first converged one) has
+    # tau^2 rho <= SEED_SHIFT_MAX, so it starts at seed + tau^2 c, unless its
+    # step is the floor 1/M
+    floor, first_steps = 1.0 / solver.MAX_CONTINUATION_STEPS, []
+    for spec in (*corpus, path4_spec, linked4_spec):
+        rho = solver._seed_curvature(spec)[1]
+        correctors = continuation_solve(spec).correctors
+        first_steps.append(solver._first_step(rho))
+        assert correctors[0].tau == first_steps[-1]
+        from_seed = next((i + 1 for i, c in enumerate(correctors) if c.converged), len(correctors))
+        for c in correctors[:from_seed]:
+            assert c.tau ** 2 * rho <= solver.SEED_SHIFT_MAX or c.tau == floor
+    # the rule is not vacuous here: some first steps are below 1
+    assert min(first_steps) < 1.0

@@ -19,13 +19,13 @@ def test_import_leaves_the_environment_and_sys_path_alone():
 
 
 def test_bundled_counts(monkeypatch):
-    # on each problem a failed direct attempt, then path (0.5, 1): 3 Newton
-    # solves and 9 eigs, one per corrector start and one per trial.  No
-    # corrector starts close enough to its root to reuse vectors
+    # on each problem the first step is 1/2 (rho = 1.32), then path (0.5, 1):
+    # 2 Newton solves and 8 eigs, one per corrector start and one per trial.
+    # No corrector starts close enough to its root to reuse vectors
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     script = load_script()
     counts = script.counts(script.instance_sets()["bundled"])
-    assert counts == {"instances": 2, "newton_solves": 6, "eig": 18, "eigvals": 0, "eigh": 0, "eigvalsh": 0,
+    assert counts == {"instances": 2, "newton_solves": 4, "eig": 16, "eigvals": 0, "eigh": 0, "eigvalsh": 0,
                       "trials": 12}
 
 

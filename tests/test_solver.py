@@ -165,6 +165,13 @@ def make_spec(rng, n, k, epsilon, **controls):
     )
 
 
+def bare_seed_ladder(monkeypatch):
+    """Make the seed predictor (c, rho) = (0, 0): the first step is 1 and
+    every corrector from the seed starts at the bare seed, so a problem on
+    which no step converges walks the whole ladder 1, 1/2, ..., 1/M."""
+    monkeypatch.setattr(solver, "_seed_curvature", lambda spec: (np.zeros(spec.n * spec.k), 0.0))
+
+
 class TestAssemble:
     def test_zero_offdiagonals_reproduce_seed(self, path4_spec):
         spec = quadratic_targets_spec(path4_spec.graphs, epsilon=0.0)
@@ -640,6 +647,15 @@ class TestContinuationSolve:
         assert re.fullmatch(r"NoConvergence at tau=0\.015625: full step did not lower the residual .*",
                             rep.failure)
 
+    def test_a_shift_ratio_beyond_every_step_makes_one_corrector_at_the_floor(self):
+        # rho = 5e5 > 0.5 * 64^2: the first step is 1/64, from the bare seed,
+        # and its failure ends the solve with the text of the ladder it replaces
+        spec = complex_pair_spec()
+        assert solver._seed_curvature(spec)[1] == pytest.approx(5e5, rel=1e-12)
+        rep = continuation_solve(spec)
+        assert [c.tau for c in rep.correctors] == [1 / 64]
+        assert rep.failure == "NoConvergence at tau=0.015625: full step did not lower the residual 7.72 (iteration 1)"
+
     @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
     def test_bundled_problems_take_at_most_five_newton_solves(self, name, request):
         # and keep the path (0.5, 1)
@@ -688,6 +704,7 @@ class TestContinuationSolve:
             return jacobian(*args, **kwargs)
 
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
+        bare_seed_ladder(monkeypatch)
         spec = complex_pair_spec()
         rep = continuation_solve(spec)
         assert not rep.converged
@@ -695,7 +712,8 @@ class TestContinuationSolve:
         M = solver.MAX_CONTINUATION_STEPS
         log2_m = int(np.log2(M))
         # continuation_solve's docstring: at most 2M - 1 + log2(M) solves,
-        # log2(M) + 1 when no step converges
+        # log2(M) + 1 - j when no step converges from a first step of 2^-j
+        # (j = 0 here)
         assert len(taus) <= 2 * M - 1 + log2_m
         assert len(taus) == log2_m + 1
         assert min(taus) == 1.0 / M
@@ -705,7 +723,8 @@ class TestContinuationSolve:
         assert all(c.trials <= spec.controls.max_iter for c in rep.correctors)
 
     @pytest.mark.parametrize("spec, newton_budget", [
-        # no step converges: log2(M) + 1 Newton solves
+        # no step converges: at most log2(M) + 1 Newton solves (one here,
+        # whose first step is the floor 1/M)
         (complex_pair_spec(), int(np.log2(solver.MAX_CONTINUATION_STEPS)) + 1),
         # five tau steps converge, then a corrector stalls: 2M - 1 + log2(M)
         (stalling_spec(),
@@ -843,12 +862,34 @@ class TestNextStep:
         monkeypatch.setattr(solver, "newton_solve", stub_newton_solve)
         monkeypatch.setattr(solver, "_tangent", lambda spec, decomp: np.zeros(spec.n * spec.k))
         monkeypatch.setattr(solver, "_NEWTON_SOLVE_BUDGET", 10 * solver._NEWTON_SOLVE_BUDGET)
-        rep = continuation_solve(complex_pair_spec())
+        # rho = 0.022 <= SEED_SHIFT_MAX: the first step is 1
+        rep = continuation_solve(make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1))
         assert [c.tau for c in rep.correctors] == taus
         assert not rep.converged
         path = (0.0, *rep.continuation_path)
         assert all(b - a >= 1 / M for a, b in zip(path, path[1:]))
         assert len(rep.correctors) <= 2 * M - 1 + int(np.log2(M))
+
+
+class TestFirstStep:
+    """solver._first_step, the first step in tau from the seed.  The
+    expected steps are written with literals (the gate 0.5 and the floor
+    1/64), not the module's constants, so that changing one of those fails
+    a test."""
+
+    @pytest.mark.parametrize("rho, step", [
+        (0.0, 1.0),
+        (0.5, 1.0),  # 1 * 0.5 <= 0.5: the boundary is inside the gate
+        (1.3203125, 0.5),  # path4 and linked4
+        (2.0, 0.5),
+        (2.0000001, 0.25),
+        (137.0, 1 / 32),  # corpus3[86]
+        (2048.0, 1 / 64),  # 2048 / 64^2 = 0.5: the last rho inside the gate
+        (1e6, 1 / 64),  # beyond the gate at every step: the floor
+        (math.inf, 1 / 64),  # no predictor (_seed_curvature's rho = inf)
+    ], ids=["zero", "boundary", "path4", "two", "just-above-two", "corpus3-86", "floor-boundary", "floor", "inf"])
+    def test_the_longest_power_of_two_step_inside_the_gate(self, rho, step):
+        assert solver._first_step(rho) == step
 
 
 class TestCorrectorEndings:
@@ -863,6 +904,7 @@ class TestCorrectorEndings:
         # every start is real and none within tolerance, so each corrector
         # ends at its first step and none converges
         spec = complex_pair_spec()
+        bare_seed_ladder(monkeypatch)
         monkeypatch.setattr(solver, "jacobian_x", lambda decomp: J(len(decomp)))
         with np.errstate(all="ignore"):
             rep = continuation_solve(spec)
@@ -1244,17 +1286,17 @@ class TestSeedPredictor:
         continuation_solve(spec)
         assert starts[0].tobytes() == (seed_unknowns(spec.spectrum, spec.lead) + curvature).tobytes()
 
-    def test_retries_from_the_seed_use_the_gate_at_their_own_tau(self, path4_spec, monkeypatch):
-        # rho = 1.32: the direct attempt at tau = 1 starts at the bare seed,
-        # its retry at tau = 1/2 at seed + c / 4
+    def test_path4_starts_at_seed_plus_a_quarter_of_the_curvature_at_one_half(self, path4_spec, monkeypatch):
+        # rho = 1.32: tau = 1 is beyond the gate, so the first step is 1/2,
+        # whose corrector starts at seed + c / 4 and converges
         curvature, rho = solver._seed_curvature(path4_spec)
         assert 0.25 * rho <= solver.SEED_SHIFT_MAX < rho
         starts = record_start_points(monkeypatch)
         rep = continuation_solve(path4_spec)
         seed = seed_unknowns(path4_spec.spectrum, path4_spec.lead)
         assert rep.continuation_path == (0.5, 1.0)
-        assert starts[0].tobytes() == seed.tobytes()
-        assert starts[1].tobytes() == (seed + 0.25 * curvature).tobytes()
+        assert [c.tau for c in rep.correctors] == [0.5, 1.0]
+        assert starts[0].tobytes() == (seed + 0.25 * curvature).tobytes()
 
 
 def test_continuation_solve_builds_each_offdiagonal_matrix_once(path4_spec, monkeypatch):
@@ -1332,7 +1374,7 @@ def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
 
 @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
 def test_bundled_solve_counts(name, request, monkeypatch):
-    # machine-independent work of one bundled solve, path (0.5, 1): 9
+    # machine-independent work of one bundled solve, path (0.5, 1): 8
     # eigensolves, 6 Newton Jacobians and one tangent; each jacobian_x call,
     # the tangent's with its direction column included, computes the
     # denominators once
@@ -1351,4 +1393,4 @@ def test_bundled_solve_counts(name, request, monkeypatch):
         monkeypatch.setattr(solver, label, counting(label, getattr(solver, label)))
     rep = continuation_solve(spec)
     assert rep.converged and rep.continuation_path == (0.5, 1.0)
-    assert dict(calls, eig=eigensolves["eig"]) == {"eig": 9, "denominators": 7, "jacobian_x": 7, "_tangent": 1}
+    assert dict(calls, eig=eigensolves["eig"]) == {"eig": 8, "denominators": 7, "jacobian_x": 7, "_tangent": 1}
