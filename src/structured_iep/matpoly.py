@@ -50,9 +50,20 @@ real-or-complex result cast cost more than the eigensolve itself at the
 n <= 6 sizes of most solves, and every array handed over here is a
 square float64 matrix already; decompose_row reads the real parts of the
 complex eig output and tests the imaginary parts itself.  The results are
-the wrappers' bitwise, the same gufunc on the same array.  The gufuncs are
-private to numpy, so tests/test_matpoly.py pins the kernel to the public
-functions, values and errors, on the installed numpy.  The package's one
+the wrappers' bitwise, the same gufunc on the same array.  A wrapper runs
+its gufunc in a fresh np.errstate whose handler turns LAPACK's failure
+flag into that LinAlgError.  The kernel builds that floating-point state
+once per kind, at import, with numpy's _make_extobj, and a call sets it
+through numpy's _extobj_contextvar and resets it in ``finally`` with a
+token of its own, as np.errstate's enter and exit do: the caller's state
+comes back after every call, in every thread.  The state sets every mode
+the errstate set (invalid calls the handler; overflow, division and
+underflow are ignored) and fixes one field more, numpy's buffer size, at
+its value at import.  The linalg gufuncs do not read it on these square
+float64 operands: their results are bitwise the same at any buffer size.
+The gufuncs and the error-state names are private to numpy, so
+tests/test_matpoly.py pins the kernel to the public functions, values,
+errors and error state, on the installed numpy.  The package's one
 other LAPACK work, the SVD of np.linalg.cond for the Jacobian's condition
 number, runs outside the kernel: in sensitivity.seed_vandermonde_check and
 in cli.cmd_jacobian.
@@ -64,6 +75,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InvariantViolation, LeadingCoefficientError, NearDegenerate, NonRealSpectrum, real_matrix
@@ -82,13 +94,20 @@ def _singular(err, flag):
     raise LinAlgError("Singular matrix")
 
 
-# kind: (gufunc, float64 signature, LAPACK-failure handler, rejects non-finite input)
+def _error_state(failed):
+    """The floating-point state of numpy.linalg's wrappers, built once: a
+    LAPACK failure (the gufunc's invalid flag) calls ``failed``, and
+    overflow, division and underflow are ignored."""
+    return _make_extobj(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+# kind: (gufunc, float64 signature, error state, rejects non-finite input)
 _GUFUNCS = {
-    "eig": (_umath_linalg.eig, "d->DD", _eigensolve_failed, True),
-    "eigvals": (_umath_linalg.eigvals, "d->D", _eigensolve_failed, True),
-    "eigh": (_umath_linalg.eigh_lo, "d->dd", _eigensolve_failed, False),
-    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d", _eigensolve_failed, False),
-    "solve": (_umath_linalg.solve1, "dd->d", _singular, False),
+    "eig": (_umath_linalg.eig, "d->DD", _error_state(_eigensolve_failed), True),
+    "eigvals": (_umath_linalg.eigvals, "d->D", _error_state(_eigensolve_failed), True),
+    "eigh": (_umath_linalg.eigh_lo, "d->dd", _error_state(_eigensolve_failed), False),
+    "eigvalsh": (_umath_linalg.eigvalsh_lo, "d->d", _error_state(_eigensolve_failed), False),
+    "solve": (_umath_linalg.solve1, "dd->d", _error_state(_singular), False),
 }
 
 
@@ -100,12 +119,19 @@ def lapack(kind: str, *operands: np.ndarray):
     wrapper casts to real when they are all 0; eigh and eigvalsh read the
     lower triangle.  Non-finite input to eig or eigvals raises LinAlgError
     ("Array must not contain infs or NaNs"), and a LAPACK failure raises it
-    with numpy's text ("Eigenvalues did not converge", "Singular matrix")."""
-    gufunc, signature, failed, finite_only = _GUFUNCS[kind]
+    with numpy's text ("Eigenvalues did not converge", "Singular matrix").
+    The gufunc runs in the kind's floating-point state, built once at
+    import: every error mode of the wrapper's np.errstate, and the buffer
+    size of import time, which these gufuncs do not read.  The caller's
+    state is restored when the call returns or raises."""
+    gufunc, signature, state, finite_only = _GUFUNCS[kind]
     if finite_only and not np.logical_and.reduce(np.isfinite(operands[0]), axis=None):
         raise LinAlgError("Array must not contain infs or NaNs")
-    with np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    token = _extobj_contextvar.set(state)
+    try:
         return gufunc(*operands, signature=signature)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 @dataclass(frozen=True)
@@ -241,7 +267,15 @@ def decompose_row(row: np.ndarray, lead: np.ndarray, rows: np.ndarray | None = N
     NonRealSpectrum, or ties on the real line and NearDegenerate.  The
     separation check compares the smallest gap with SEP_TOL_REL times
     max(diameter, 1) of the values, and only a failing one builds the
-    message."""
+    message.  The scale is absolute, not relative to each value, because
+    a backward-stable eigensolve leaves every computed value an absolute
+    error of order eps * ||C|| (C as LAPACK balances it), however small the
+    value: the diameter is at most 2 ||C||, and the 1 floors the scale of
+    values near 0.  So values far apart relative to their size can still
+    be unresolved: a companion whose entries reach 1.6e308 (1.9e158
+    balanced) has values near +-1.6e158, and its computed 0 and 2.4e95 both
+    carry errors of order 1e142, so NearDegenerate is the truthful
+    verdict."""
     n = len(lead)
     if row.shape[1] == n:
         root = np.sqrt(lead)

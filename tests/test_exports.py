@@ -82,25 +82,26 @@ def test_only_sensitivity_owns_the_denominator_check():
 
 def test_only_matpoly_calls_lapack():
     # every eigensolve and linear solve goes through matpoly.lapack: no
-    # other module names numpy's private gufuncs or calls the public
-    # wrappers the kernel stands in for (cli's and sensitivity's
-    # np.linalg.cond only reports a condition number)
+    # other module names numpy's private gufuncs or its private error state,
+    # or calls the public wrappers the kernel stands in for (cli's and
+    # sensitivity's np.linalg.cond only reports a condition number)
     kernel_kinds = {"eig", "eigvals", "eigh", "eigvalsh", "solve"}
+    private = {"_umath_linalg", "_extobj_contextvar", "_make_extobj"}
     offenders = set()
     for path in (ROOT / "src" / "structured_iep").glob("*.py"):
         if path.name == "matpoly.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name == "_umath_linalg":
-                offenders.add(f"{path.name}:{node.lineno} _umath_linalg")
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in private:
+                offenders.add(f"{path.name}:{node.lineno} {name}")
             if (isinstance(node, ast.Attribute) and node.attr in kernel_kinds
                     and getattr(node.value, "attr", getattr(node.value, "id", None)) == "linalg"):
                 offenders.add(f"{path.name}:{node.lineno} linalg.{node.attr}")
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
                 offenders.update(f"{path.name}:{node.lineno} from {node.module} import {a.name}"
                                  for a in node.names if a.name in kernel_kinds)
-    assert not offenders, f"LAPACK called outside matpoly's kernel: {sorted(offenders)}"
+    assert not offenders, f"LAPACK or its error state outside matpoly's kernel: {sorted(offenders)}"
 
 
 def test_only_errors_owns_the_finite_real_rules():

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -363,10 +366,43 @@ def same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def kernel_call(case):
+    """(kind, operands, LinAlgError text or None) of one lapack call: each
+    kind on a 3 x 2 companion or its symmetric part, non-finite input to
+    eig and eigvals, and a singular solve."""
+    C = coupled_companion(np.random.default_rng(29), 3, 2, coupling=1e-3)
+    singular = np.arange(12.0).reshape(3, 4)  # rank 2
+    bad = C.copy()
+    bad[-1, 0] = np.nan
+    return {
+        "eig": ("eig", (C,), None),
+        "eigvals": ("eigvals", (C,), None),
+        "eigh": ("eigh", (C + C.T,), None),
+        "eigvalsh": ("eigvalsh", (C + C.T,), None),
+        "solve": ("solve", (C, C[:, 0]), None),
+        "eig-nan": ("eig", (bad,), "Array must not contain infs or NaNs"),
+        "eigvals-nan": ("eigvals", (bad,), "Array must not contain infs or NaNs"),
+        "solve-singular": ("solve", (singular[:, :-1], singular[:, -1]), "Singular matrix"),
+    }[case]
+
+
+def outputs(result):
+    """A kernel or numpy.linalg result as a tuple of arrays."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+def float_state():
+    """numpy's floating-point state as its public getters read it."""
+    return np.geterr(), np.geterrcall(), np.getbufsize()
+
+
 class TestLapackKernel:
-    """matpoly.lapack calls numpy's private gufuncs (numpy.linalg._umath_linalg):
-    on the installed numpy it must give the public functions' results and
-    errors bitwise, so a numpy release that changes the gufuncs fails here."""
+    """matpoly.lapack calls numpy's private gufuncs (numpy.linalg._umath_linalg)
+    in a floating-point state it builds with numpy's private _make_extobj and
+    sets through _extobj_contextvar: on the installed numpy it must give the
+    public functions' results and errors bitwise and leave the caller's
+    state as it was, so a numpy release that changes the gufuncs or the
+    error-state names fails here."""
 
     @pytest.mark.parametrize("n, k", [(n, k) for k in (2, 3) for n in range(2, 9)] + [(80, 2)])
     def test_eig_and_eigvals_of_real_spectrum_companions(self, n, k):
@@ -436,6 +472,67 @@ class TestLapackKernel:
             matpoly.lapack("solve", J, A[:, -1])
         assert str(got.value) == str(want.value) == "Singular matrix"
         assert np.geterr() == errors  # the error state is restored
+
+    @pytest.mark.parametrize("case", ["eig", "eigvals", "eigh", "eigvalsh", "solve",
+                                      "eig-nan", "eigvals-nan", "solve-singular"])
+    def test_the_callers_error_state_is_restored(self, case):
+        kind, operands, error = kernel_call(case)
+        with np.errstate(all="print"):  # neither numpy's default nor the kernel's
+            before = float_state()
+            if error is None:
+                matpoly.lapack(kind, *operands)
+            else:
+                with pytest.raises(np.linalg.LinAlgError, match=f"^{error}$"):
+                    matpoly.lapack(kind, *operands)
+            assert float_state() == before
+
+    def test_a_raising_caller_still_gets_numpys_error(self):
+        _, (J, b), _ = kernel_call("solve-singular")
+        with np.errstate(all="raise"):
+            outer = float_state()
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                matpoly.lapack("solve", J, b)
+            assert float_state() == outer
+
+    @pytest.mark.parametrize("case", ["eig", "eigvals", "eigh", "eigvalsh", "solve"])
+    def test_results_do_not_depend_on_the_buffer_size(self, case):
+        # the kernel's states keep the buffer size of import time, and the
+        # public wrapper runs at the caller's: the gufuncs must not read it
+        kind, operands, _ = kernel_call(case)
+        got = matpoly.lapack(kind, *operands)
+        with np.errstate():
+            np.setbufsize(16)
+            want = getattr(np.linalg, kind)(*operands)
+        assert all(same_bits(g, w) for g, w in zip(outputs(got), outputs(want)))
+
+    def test_each_thread_keeps_its_own_error_state(self):
+        calls = [kernel_call(case) for case in ("eig", "eigvalsh", "solve", "solve-singular")]
+        want = [matpoly.lapack(kind, *operands) if error is None else None for kind, operands, error in calls]
+
+        def worker(raising):
+            with np.errstate(all="raise" if raising else "warn"):
+                inside = float_state()
+                for i in range(1000):
+                    kind, operands, error = calls[i % len(calls)]
+                    if error is None:
+                        got = matpoly.lapack(kind, *operands)
+                        assert all(same_bits(g, w) for g, w in zip(outputs(got), outputs(want[i % len(calls)])))
+                    else:
+                        with pytest.raises(np.linalg.LinAlgError, match=f"^{error}$"):
+                            matpoly.lapack(kind, *operands)
+                    assert float_state() == inside
+            return inside, float_state()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(worker, raising) for raising in (True, False)]
+                (raised, raised_after), (warned, warned_after) = (f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(switch)
+        assert set(raised[0].values()) == {"raise"} and set(warned[0].values()) == {"warn"}
+        assert raised_after == warned_after == float_state()
 
 
 class TestBatchedRefinement:
