@@ -36,13 +36,7 @@ from .seed import (
     seed_coefficients,
     seed_unknowns,
 )
-from .sensitivity import (
-    PerturbationDirection,
-    eigderivative,
-    jacobian_fd,
-    jacobian_x,
-    seed_vandermonde_check,
-)
+from .sensitivity import jacobian_x, seed_vandermonde_check
 from .solver import (
     Corrector,
     IterationRecord,
@@ -67,8 +61,7 @@ __all__ = [
     "MatrixPolynomial", "SpectralDecomposition", "evaluate",
     "linearize", "proper_values",
     "LeadingDiagonal", "TargetSpectrum", "seed_coefficients", "seed_unknowns",
-    "PerturbationDirection", "eigderivative", "jacobian_fd", "jacobian_x",
-    "seed_vandermonde_check",
+    "jacobian_x", "seed_vandermonde_check",
     "Corrector", "IterationRecord", "ProblemSpec", "SolveReport", "SolverControls",
     "VerifyReport", "assemble", "continuation_solve", "match_targets",
     "newton_solve", "spectral_map", "verify",

@@ -6,9 +6,8 @@ One method checks it: MatrixPolynomial.checked_row() returns the
 coefficient row [A_0 ... A_{k-1}] and A_k's diagonal, or raises
 LeadingCoefficientError (A_k) or InvariantViolation (degree 0, or another
 coefficient not finite and symmetric), and every reader of a polynomial
-goes through it: proper_values (and so the solver's verify), linearize,
-and the sensitivity module's eigderivative and jacobian_fd.  Construction
-checks types and shapes only.
+goes through it: proper_values (and so the solver's verify) and
+linearize.  Construction checks types and shapes only.
 
 The proper values of P are the zeros of det P(z); proper vectors are the
 corresponding null directions.  This package operates in the all-real,

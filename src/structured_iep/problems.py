@@ -88,9 +88,7 @@ def load_problem(path: str) -> ProblemSpec:
     a missing field, a value of the wrong JSON type, an unknown field at
     any level, a malformed graph) raises ProblemFormatError; a value the
     library rejects, out-of-range ``controls``, n < 1 and k < 1 included,
-    raises InvariantViolation from the spec class that owns the rule.  A
-    caller that overrides a control replaces it on the returned spec, after
-    the file's own controls were checked."""
+    raises InvariantViolation from the spec class that owns the rule."""
     doc = _object(_load_json(path), f"{path}: top level", _PROBLEM_FIELDS)
     n = _require(doc, "n", int)
     k = _require(doc, "k", int)

@@ -16,81 +16,26 @@ jacobian_x applies it to every diagonal slot and, given a coefficient row
 one pass that forms V o V once and reads P' from the decomposition's
 coefficients and leading diagonal.  The tangent's J and dlambda/dtau thus
 share one computation of the denominators; one too small for its scale
-raises DegenerateDenominator.  eigderivative is the direction column of
-one pair for a one-slot B(z) = z^s E, built from the coefficient row and
-leading diagonal of MatrixPolynomial.checked_row(), the one check of the
-theorem's hypothesis: a P outside it raises LeadingCoefficientError or
-InvariantViolation there, before any derivative.  Away from the seed the
-formula is cross-validated against finite differences (jacobian_fd, which
-checks P the same way).
+raises DegenerateDenominator.  The derivative along any one coefficient
+slot, diagonal or off-diagonal, is jacobian_x's direction column given
+that slot's direction row.  Away from the seed the formula is
+cross-validated against central differences, a reference that lives with
+the tests (tests/conftest.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvariantViolation, check_integer, check_positive, check_real, real_vector
-# perfbench/layers.py wraps evaluate at this module, though nothing here calls it
-from .matpoly import MatrixPolynomial, SpectralDecomposition, evaluate, proper_values  # noqa: F401
+from .errors import DegenerateDenominator
+# perfbench/layers.py wraps evaluate and proper_values at this module,
+# though nothing here calls either
+from .matpoly import SpectralDecomposition, evaluate, proper_values  # noqa: F401
 from .seed import TargetSpectrum
 
 DENOM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PerturbationDirection:
-    """Perturb coefficient s: either diagonal entry r or the symmetric
-    off-diagonal pair {i, j}, i != j (vertices 1-based)."""
-
-    s: int
-    diag: int | None = None
-    edge: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        check_integer("power index", self.s)
-        if (self.diag is None) == (self.edge is None):
-            raise InvariantViolation("specify exactly one of diag or edge")
-        try:
-            i, j = (self.diag,) * 2 if self.edge is None else self.edge
-        except (TypeError, ValueError):
-            raise InvariantViolation(f"edge {self.edge!r} is not a pair of vertices") from None
-        for vertex in (i, j):
-            check_integer("vertex", vertex)
-        if self.edge is not None and i == j:
-            raise InvariantViolation(f"edge {self.edge} joins a vertex to itself: use diag")
-
-
-def eigderivative(
-    P: MatrixPolynomial,
-    pair: tuple[float, np.ndarray],
-    direction: PerturbationDirection,
-) -> float:
-    """Derivative of the simple proper value in ``pair`` (its vector at any
-    scale) along ``direction``: the direction column of jacobian_x for the
-    one pair, with B(z) = z^s E as the direction, from the row and leading
-    diagonal of P.checked_row().  That method raises first, for a P outside
-    the theorem's hypothesis: LeadingCoefficientError unless A_k is
-    diagonal with a finite, positive diagonal, InvariantViolation at degree
-    0 and unless every other coefficient is finite and symmetric.  Then
-    InvariantViolation unless s < k and the entry is within 1..n, and
-    unless the pair is a finite real value and a finite vector of length n."""
-    row, lead = P.checked_row()
-    n, s = P.n, direction.s
-    if not (0 <= s < P.degree):
-        raise InvariantViolation(f"power index {s} out of range 0..{P.degree - 1}")
-    i, j = (direction.diag,) * 2 if direction.diag is not None else direction.edge
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise InvariantViolation(f"entry ({i}, {j}) out of range 1..{n}")
-    lam, v = pair
-    check_real("pair value", lam)
-    v = real_vector("pair vector", v, n)
-    B = np.zeros((n, (s + 1) * n))  # [0 ... 0 E], E in block s
-    B[i - 1, s * n + j - 1] = B[j - 1, s * n + i - 1] = 1.0
-    decomp = SpectralDecomposition(np.array([lam], dtype=float), v[None, :], row[:, n:], lead)
-    return float(jacobian_x(decomp, B)[0, -1])
 
 
 def _forms(V: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -156,35 +101,6 @@ def jacobian_x(decomp: SpectralDecomposition, direction: np.ndarray | None = Non
         num = (lams[:, None] ** np.arange(direction.shape[1] // n) * _forms(V, direction)).sum(axis=1)
         J[:, -1] = -num / den
     return J
-
-
-def jacobian_fd(
-    P: MatrixPolynomial,
-    h: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian: re-solve proper values with each diagonal
-    unknown perturbed by +-h, rows in ascending order.  P.checked_row()
-    checks P first, so a P outside the theorem's hypothesis raises its
-    LeadingCoefficientError or InvariantViolation, also at degree 0, where
-    there is no unknown to perturb."""
-    check_positive("step", h)
-    P.checked_row()
-    n, k = P.n, P.degree
-    nk = n * k
-    J = np.empty((nk, nk))
-    for s in range(k):
-        for r in range(n):
-            col = s * n + r
-            plus = _perturbed_values(P, s, r, +h)
-            minus = _perturbed_values(P, s, r, -h)
-            J[:, col] = (plus - minus) / (2.0 * h)
-    return J
-
-
-def _perturbed_values(P: MatrixPolynomial, s: int, r: int, delta: float) -> np.ndarray:
-    coeffs = [np.array(c, copy=True) for c in P.coeffs]
-    coeffs[s][r, r] += delta
-    return proper_values(MatrixPolynomial(tuple(coeffs))).values
 
 
 def seed_vandermonde_check(

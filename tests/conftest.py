@@ -13,8 +13,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from structured_iep import (
     Graph,
     LeadingDiagonal,
+    MatrixPolynomial,
     ProblemSpec,
+    SpectralDecomposition,
     TargetSpectrum,
+    proper_values,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -70,7 +73,7 @@ def linked4_spec():
 
 def golden_path4_polynomial():
     """The path4 solution assembled from the golden diagonals."""
-    from structured_iep import MatrixPolynomial, matrix_of_graph
+    from structured_iep import matrix_of_graph
 
     g = Graph(4, PATH_EDGES)
     y = np.full(3, 0.5)
@@ -82,7 +85,7 @@ def golden_path4_polynomial():
 
 
 def golden_linked4_polynomial():
-    from structured_iep import MatrixPolynomial, matrix_of_graph
+    from structured_iep import matrix_of_graph
 
     return MatrixPolynomial((
         matrix_of_graph(Graph(4, G_EDGES), LINKED4_K_DIAG, np.full(4, 0.5)),
@@ -106,6 +109,53 @@ def unit_vectors(decomp):
     return V
 
 
+def one_slot(decomp, q, s, slot):
+    """The q-th pair of ``decomp`` alone, its vector normalised
+    (unit_vectors), and the direction row [0 ... 0 E] of coefficient s, E
+    one at diagonal entry ``slot`` or at both entries of the edge pair
+    ``slot`` (vertices 1-based): jacobian_x(*one_slot(...))[0, -1] is the
+    derivative of that value along that slot."""
+    n = len(decomp.lead)
+    i, j = slot if isinstance(slot, tuple) else (slot, slot)
+    B = np.zeros((n, (s + 1) * n))
+    B[i - 1, s * n + j - 1] = B[j - 1, s * n + i - 1] = 1.0
+    pair = SpectralDecomposition(decomp.values[q:q + 1], unit_vectors(decomp)[q:q + 1], decomp.upper, decomp.lead)
+    return pair, B
+
+
+def perturbed_values(P, s, slot, delta):
+    """The ascending proper values of P with one slot of A_s moved by
+    delta: diagonal entry ``slot``, or both entries of the symmetric edge
+    pair ``slot`` (vertices 1-based)."""
+    coeffs = [np.array(c, copy=True) for c in P.coeffs]
+    i, j = slot if isinstance(slot, tuple) else (slot, slot)
+    coeffs[s][i - 1, j - 1] += delta
+    if i != j:
+        coeffs[s][j - 1, i - 1] += delta
+    return proper_values(MatrixPolynomial(tuple(coeffs))).values
+
+
+def fd_derivative(P, value_index, s, slot, h=1e-6):
+    """Central-difference reference for one slot's derivative: the proper
+    value at ascending position ``value_index``, re-solved with the slot
+    moved by +-h."""
+    plus = perturbed_values(P, s, slot, h)[value_index]
+    minus = perturbed_values(P, s, slot, -h)[value_index]
+    return (plus - minus) / (2 * h)
+
+
+def jacobian_fd(P, h=1e-6):
+    """Central-difference reference for jacobian_x: column s*n + r from the
+    values re-solved with diagonal entry r of A_s moved by +-h, rows in
+    ascending order."""
+    n, k = P.n, P.degree
+    J = np.empty((n * k, n * k))
+    for s in range(k):
+        for r in range(n):
+            J[:, s * n + r] = (perturbed_values(P, s, r + 1, h) - perturbed_values(P, s, r + 1, -h)) / (2.0 * h)
+    return J
+
+
 def count_denominators(monkeypatch, calls):
     """Add one to calls["denominators"] each time the sensitivities compute
     the denominators v^T P'(lambda) v of a decomposition."""
@@ -122,8 +172,6 @@ def count_denominators(monkeypatch, calls):
 
 def derivative(P):
     """Termwise derivative of P: the reference P' for the sensitivity kernels."""
-    from structured_iep import MatrixPolynomial
-
     if P.degree == 0:
         return MatrixPolynomial((np.zeros((P.n, P.n)),))
     return MatrixPolynomial(tuple(s * P.coeffs[s] for s in range(1, P.degree + 1)))

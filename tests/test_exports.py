@@ -1,16 +1,14 @@
 """Every name the package exports is used by the package itself, by the
-scripts or by the benchmark: an export that nothing calls is dead code.
-And no package module imports another's private name: each concept has
-one owning module."""
+scripts or by the benchmark, and every name a package module imports is
+read there: an export that nothing calls, or an import that nothing
+reads, is dead code.  And no package module imports another's private
+name: each concept has one owning module."""
 
 import ast
 
 import structured_iep
 from conftest import ROOT
 from test_trace import load_layers
-
-# references for the finite-difference cross-check: only the tests call them
-FD_GATE = ("eigderivative", "jacobian_fd")
 
 
 def used_names():
@@ -32,9 +30,28 @@ def used_names():
 
 
 def test_every_export_has_a_use():
-    assert set(FD_GATE) <= set(structured_iep.__all__)
-    unused = sorted(set(structured_iep.__all__) - used_names() - set(FD_GATE))
+    unused = sorted(set(structured_iep.__all__) - used_names())
     assert not unused, f"exported, but used nowhere in src/, scripts/ or perfbench/: {unused}"
+
+
+def test_every_import_is_read():
+    # a module may hold an import it never reads only where the tracer
+    # (SITES) wraps that name at that module and refuses to run without it
+    sites = load_layers().SITES
+    unread = set()
+    for path in (ROOT / "src" / "structured_iep").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        traced = {site.rsplit(".", 1)[-1] for site, modules in sites.items() if path.stem in modules}
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and name not in traced:
+                        unread.add(f"{path.name}:{node.lineno} {name}")
+    assert not unread, f"imported, but read nowhere in the module: {sorted(unread)}"
 
 
 def test_no_module_imports_a_private_name_of_another():

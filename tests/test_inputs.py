@@ -12,14 +12,11 @@ from structured_iep import (
     InvariantViolation,
     LeadingDiagonal,
     MatrixPolynomial,
-    PerturbationDirection,
     ProblemSpec,
     SolverControls,
     StructuredIEPError,
     TargetSpectrum,
     assemble,
-    eigderivative,
-    jacobian_fd,
     matrix_of_graph,
     newton_solve,
     proper_values,
@@ -48,8 +45,6 @@ SITES = {
     "LeadingDiagonal.alpha_k": (4, lambda v: path4_spec(lead=v)),
     "ProblemSpec.offdiag_values": (3, lambda v: path4_spec(offdiag=(v, None))),
     "newton_solve.x0": (8, lambda v: newton_solve(quadratic_targets_spec((PATH4, PATH4)), x0=v)),
-    "eigderivative.pair": (2, lambda v: eigderivative(
-        MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2))), (1.0, v), PerturbationDirection(s=0, diag=1))),
     "matrix_of_graph.diag": (4, lambda v: matrix_of_graph(PATH4, v, np.full(3, 0.5))),
     "matrix_of_graph.offdiag": (3, lambda v: matrix_of_graph(PATH4, np.ones(4), v)),
     "assemble.x": (8, lambda v: assemble(v, quadratic_targets_spec((PATH4, PATH4)))),
@@ -84,7 +79,6 @@ def seed_of(spec):
 
 
 QUADRATIC = quadratic_targets_spec((PATH4, PATH4))
-PAIR = MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2)))
 
 # entry point -> a call on one number
 NUMBER_SITES = {
@@ -94,8 +88,6 @@ NUMBER_SITES = {
     "newton_solve.tol": lambda v: newton_solve(QUADRATIC, tol=v),
     "assemble.tau": lambda v: assemble(seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead), QUADRATIC, v),
     "verify.value_tol": lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
-    "jacobian_fd.h": lambda v: jacobian_fd(PAIR, h=v),
-    "eigderivative.pair": lambda v: eigderivative(PAIR, (v, np.array([1.0, 0.0])), PerturbationDirection(s=0, diag=1)),
 }
 
 
@@ -140,9 +132,6 @@ SHAPE_SITES = {
                                "coefficient must be at least 1 x 1, got 0 x 0"),
     "proper_values.degree": (lambda: proper_values(MatrixPolynomial((np.eye(2),))),
                              "cannot linearize a degree-0 polynomial"),
-    "PerturbationDirection.diag_and_edge": (lambda: PerturbationDirection(s=0, diag=1, edge=(1, 2)),
-                                            "specify exactly one of diag or edge"),
-    "jacobian_fd.h": (lambda: jacobian_fd(PAIR, h=0), "step must be positive, got 0"),
 }
 
 

@@ -12,14 +12,11 @@ from structured_iep import (
     MatrixPolynomial,
     NearDegenerate,
     NonRealSpectrum,
-    PerturbationDirection,
     ProblemSpec,
     TargetSpectrum,
     assemble,
     continuation_solve,
-    eigderivative,
     evaluate,
-    jacobian_fd,
     jacobian_x,
     linearize,
     proper_values,
@@ -660,9 +657,7 @@ def verify_against_its_own_size(P):
 READERS = {
     "proper_values": proper_values,
     "linearize": linearize,
-    "eigderivative": lambda P: eigderivative(P, (1.0, np.array([1.0, 0.0])), PerturbationDirection(s=0, diag=1)),
     "verify": verify_against_its_own_size,
-    "jacobian_fd": jacobian_fd,
 }
 
 

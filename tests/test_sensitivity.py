@@ -7,17 +7,13 @@ from hypothesis import given, settings, strategies as st
 from structured_iep import (
     DegenerateDenominator,
     Graph,
-    InvariantViolation,
     LeadingDiagonal,
     MatrixPolynomial,
-    PerturbationDirection,
     ProblemSpec,
     SpectralDecomposition,
     TargetSpectrum,
     assemble,
-    eigderivative,
     evaluate,
-    jacobian_fd,
     jacobian_x,
     proper_values,
     seed_coefficients,
@@ -33,7 +29,10 @@ from conftest import (
     coefficient_scale,
     count_denominators,
     derivative,
+    fd_derivative,
     golden_path4_polynomial,
+    jacobian_fd,
+    one_slot,
     random_targets,
     unit_vectors,
 )
@@ -45,28 +44,15 @@ def quad_seed():
     return spec, seed_coefficients(spec, LeadingDiagonal(alpha_k=np.ones(4)))
 
 
-def fd_derivative(P, value_index, s, slot, h=1e-6):
-    """Central-difference oracle: perturb one slot symmetrically, re-solve,
-    track the proper value at the same ascending position."""
-    def perturbed(delta):
-        coeffs = [np.array(c, copy=True) for c in P.coeffs]
-        if isinstance(slot, int):
-            coeffs[s][slot - 1, slot - 1] += delta
-        else:
-            i, j = slot
-            coeffs[s][i - 1, j - 1] += delta
-            coeffs[s][j - 1, i - 1] += delta
-        return proper_values(MatrixPolynomial(tuple(coeffs))).values[value_index]
-    return (perturbed(h) - perturbed(-h)) / (2 * h)
+class TestSlotDerivative:
+    """jacobian_x's direction column for one pair and a one-slot direction
+    row (conftest.one_slot): the derivative along that slot."""
 
-
-class TestEigderivative:
     def test_diagonal_slot_constant_power(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
         # lambda = -2 is the largest value; its vector is e_1
-        pair = (decomp.values[-1], unit_vectors(decomp)[-1])
-        d = eigderivative(P, pair, PerturbationDirection(s=0, diag=1))
+        d = jacobian_x(*one_slot(decomp, 7, 0, 1))[0, -1]
         # scalar oracle: d/dz of (z+2)(z+4) at -2 is 2, so derivative is -1/2
         assert d == pytest.approx(-0.5, abs=1e-10)
         assert d == pytest.approx(fd_derivative(P, 7, 0, 1), rel=1e-6)
@@ -74,8 +60,7 @@ class TestEigderivative:
     def test_diagonal_slot_linear_power(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
-        pair = (decomp.values[-1], unit_vectors(decomp)[-1])
-        d = eigderivative(P, pair, PerturbationDirection(s=1, diag=1))
+        d = jacobian_x(*one_slot(decomp, 7, 1, 1))[0, -1]
         assert d == pytest.approx(1.0, abs=1e-10)
         assert d == pytest.approx(fd_derivative(P, 7, 1, 1), rel=1e-6)
 
@@ -83,85 +68,23 @@ class TestEigderivative:
         _, P = quad_seed
         decomp = proper_values(P)
         for q in range(len(decomp)):
-            pair = (decomp.values[q], unit_vectors(decomp)[q])
             for s in range(2):
                 for edge in [(1, 2), (1, 3), (2, 4), (3, 4)]:
-                    d = eigderivative(P, pair, PerturbationDirection(s=s, edge=edge))
+                    d = jacobian_x(*one_slot(decomp, q, s, edge))[0, -1]
                     assert abs(d) <= 1e-10
 
     def test_other_diagonal_vanishes_at_seed(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
-        pair = (decomp.values[-1], unit_vectors(decomp)[-1])  # block 1
-        d = eigderivative(P, pair, PerturbationDirection(s=0, diag=2))
+        d = jacobian_x(*one_slot(decomp, 7, 0, 2))[0, -1]  # the pair of block 1
         assert abs(d) <= 1e-10
-
-    def test_leading_power_rejected(self, quad_seed):
-        _, P = quad_seed
-        decomp = proper_values(P)
-        pair = (decomp.values[0], unit_vectors(decomp)[0])
-        with pytest.raises(ValueError):
-            eigderivative(P, pair, PerturbationDirection(s=2, diag=1))
 
     def test_degenerate_denominator(self):
         # P'(0) = diag(4, -4): v = (1,1)/sqrt(2) annihilates the quotient
-        P = MatrixPolynomial((np.eye(2), np.diag([4.0, -4.0]), np.eye(2)))
         v = np.array([1.0, 1.0]) / np.sqrt(2)
+        decomp = SpectralDecomposition(np.zeros(1), v[None, :], np.diag([4.0, -4.0]), np.ones(2))
         with pytest.raises(DegenerateDenominator):
-            eigderivative(P, (0.0, v), PerturbationDirection(s=0, diag=1))
-
-    def test_direction_requires_exactly_one_slot(self):
-        with pytest.raises(ValueError):
-            PerturbationDirection(s=0)
-        with pytest.raises(ValueError):
-            PerturbationDirection(s=0, diag=1, edge=(1, 2))
-
-    @pytest.mark.parametrize("slot, message", [
-        (dict(s=0.0, diag=1), "must be an integer"), (dict(s=True, diag=1), "must be an integer"),
-        (dict(s="0", diag=1), "must be an integer"), (dict(s=0, diag=1.0), "must be an integer"),
-        (dict(s=0, diag=True), "must be an integer"), (dict(s=0, edge=(1.0, 2)), "must be an integer"),
-        (dict(s=0, edge=(1, True)), "must be an integer"),
-        (dict(s=0, edge=(1, 2, 3)), "is not a pair of vertices"), (dict(s=0, edge=5), "is not a pair of vertices"),
-    ], ids=["float-power", "bool-power", "str-power", "float-diag", "bool-diag", "float-vertex", "bool-vertex",
-            "triple-edge", "int-edge"])
-    def test_direction_of_the_wrong_type_rejected(self, slot, message):
-        with pytest.raises(InvariantViolation, match=message):
-            PerturbationDirection(**slot)
-
-    # vertices are 1-based: 0 must not wrap round to entry n
-    def test_zero_diagonal_entry_rejected(self, quad_seed):
-        _, P = quad_seed
-        decomp = proper_values(P)
-        with pytest.raises(ValueError, match="out of range 1..4"):
-            eigderivative(P, (decomp.values[0], unit_vectors(decomp)[0]), PerturbationDirection(s=0, diag=0))
-
-    def test_zero_edge_vertex_rejected(self, quad_seed):
-        _, P = quad_seed
-        decomp = proper_values(P)
-        with pytest.raises(ValueError, match="out of range 1..4"):
-            eigderivative(P, (decomp.values[0], unit_vectors(decomp)[0]), PerturbationDirection(s=0, edge=(0, 1)))
-
-    def test_out_of_range_vertex_rejected(self, quad_seed):
-        _, P = quad_seed
-        decomp = proper_values(P)
-        pair = (decomp.values[0], unit_vectors(decomp)[0])
-        for direction in (PerturbationDirection(s=0, edge=(1, 9)), PerturbationDirection(s=1, diag=5)):
-            with pytest.raises(ValueError, match="out of range 1..4"):
-                eigderivative(P, pair, direction)
-
-    def test_self_pair_edge_rejected(self):
-        with pytest.raises(ValueError, match="itself"):
-            PerturbationDirection(s=0, edge=(2, 2))
-
-    @pytest.mark.parametrize("pair", [
-        (1.0, np.ones(1)), (1.0, np.ones(3)), (1.0, np.ones((1, 2))), (1.0, np.array([1.0, np.nan])),
-        (np.nan, np.ones(2)), (np.inf, np.ones(2)), (True, np.ones(2)), ("1", np.ones(2)),
-    ], ids=["short-vector", "long-vector", "2d-vector", "nan-vector", "nan-value", "inf-value", "bool-value",
-            "str-value"])
-    def test_bad_pair_rejected(self, pair):
-        P = MatrixPolynomial((np.diag([-1.0, -4.0]), np.eye(2)))
-        with pytest.raises(ValueError, match="pair"):
-            eigderivative(P, pair, PerturbationDirection(s=0, diag=1))
+            jacobian_x(*one_slot(decomp, 0, 0, 1))
 
 
 class TestJacobianX:
@@ -435,8 +358,7 @@ class TestRawRows:
             assert np.max(np.abs(f(rescaled) - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_zero_row_raises_degenerate_denominator(self, path4_spec):
-        P = golden_path4_polynomial()
-        decomp = proper_values(P)
+        decomp = proper_values(golden_path4_polynomial())
         rows = decomp.companion_rows.copy()
         rows[3] = 0.0
         zeroed = SpectralDecomposition(values=decomp.values, companion_rows=rows,
@@ -445,8 +367,6 @@ class TestRawRows:
             jacobian_x(zeroed)
         with pytest.raises(DegenerateDenominator, match="row 3"):
             jacobian_x(zeroed, path4_spec.ramp_row)
-        with pytest.raises(DegenerateDenominator):
-            eigderivative(P, (decomp.values[3], rows[3]), PerturbationDirection(s=0, diag=1))
 
 
 class TestOneDenominatorsPerCall:
@@ -514,6 +434,9 @@ class TestDirectionColumn:
 
 
 class TestJacobianFD:
+    """The central-difference reference conftest.jacobian_fd against
+    jacobian_x."""
+
     def test_richardson_consistency_at_seed(self, quad_seed):
         _, P = quad_seed
         decomp = proper_values(P)
@@ -541,17 +464,6 @@ class TestJacobianFD:
         Jfd = jacobian_fd(P, h=1e-6)
         assert Jfd[0, 0] == pytest.approx(-1.0 / alpha, rel=1e-8)
 
-    def test_rejects_nonpositive_step(self, quad_seed):
-        _, P = quad_seed
-        with pytest.raises(ValueError):
-            jacobian_fd(P, h=0.0)
-
-    @pytest.mark.parametrize("h", [np.nan, np.inf, True, "1e-6"], ids=["nan", "inf", "bool", "str"])
-    def test_rejects_a_non_finite_step(self, quad_seed, h):
-        _, P = quad_seed
-        with pytest.raises(ValueError, match="step must be (positive and finite|a real number)"):
-            jacobian_fd(P, h=h)
-
 
 def test_offdiagonal_factor_two_against_symmetric_fd():
     # off the seed the off-diagonal derivative is nonzero; the analytic value
@@ -565,8 +477,7 @@ def test_offdiagonal_factor_two_against_symmetric_fd():
     P = MatrixPolynomial(tuple(coeffs))
     decomp = proper_values(P)
     for q in [0, 2, 5]:
-        pair = (decomp.values[q], unit_vectors(decomp)[q])
         for s, edge in [(0, (1, 2)), (1, (2, 3)), (0, (1, 3))]:
-            d = eigderivative(P, pair, PerturbationDirection(s=s, edge=edge))
+            d = jacobian_x(*one_slot(decomp, q, s, edge))[0, -1]
             fd = fd_derivative(P, q, s, edge, h=1e-6)
             assert d == pytest.approx(fd, rel=1e-5, abs=1e-8)
