@@ -19,6 +19,7 @@ from structured_iep import (
     TargetSpectrum,
     proper_values,
 )
+from structured_iep.errors import check_positive
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PROBLEMS = ROOT / "problems"
@@ -147,7 +148,13 @@ def fd_derivative(P, value_index, s, slot, h=1e-6):
 def jacobian_fd(P, h=1e-6):
     """Central-difference reference for jacobian_x: column s*n + r from the
     values re-solved with diagonal entry r of A_s moved by +-h, rows in
-    ascending order."""
+    ascending order.  A step that is not a positive, finite real number
+    raises InvariantViolation (errors.check_positive), and P.checked_row()
+    checks P first, so a P outside the theorem's hypothesis raises its
+    LeadingCoefficientError or InvariantViolation, also at degree 0, where
+    there is no unknown to perturb."""
+    check_positive("step", h)
+    P.checked_row()
     n, k = P.n, P.degree
     J = np.empty((n * k, n * k))
     for s in range(k):

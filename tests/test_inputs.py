@@ -1,8 +1,10 @@
 """Every library entry point that takes a vector applies errors.real_vector's
 rule: integer or floating entries in one dimension, of the expected length,
-all finite.  Every one that takes a number applies errors.check_real's, an
-integer beyond float range included.  Bad input raises InvariantViolation
-at every entry point: a StructuredIEPError and a ValueError."""
+all finite.  Every one that takes a number applies errors.check_real's: a
+finite real number, no bool, text or complex, and no integer beyond float
+range; a tolerance is positive (errors.check_positive) or, verify's,
+non-negative.  Bad input raises InvariantViolation at every entry point:
+a StructuredIEPError and a ValueError."""
 
 import numpy as np
 import pytest
@@ -86,6 +88,7 @@ NUMBER_SITES = {
         spectrum=QUADRATIC.spectrum, lead=QUADRATIC.lead, graphs=QUADRATIC.graphs, epsilon=v),
     "SolverControls.newton_tol": lambda v: SolverControls(newton_tol=v),
     "newton_solve.tol": lambda v: newton_solve(QUADRATIC, tol=v),
+    "newton_solve.tau": lambda v: newton_solve(QUADRATIC, tau=v),
     "assemble.tau": lambda v: assemble(seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead), QUADRATIC, v),
     "verify.value_tol": lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
 }
@@ -98,6 +101,50 @@ def test_an_integer_beyond_float_range_raises_the_sites_error(site, value):
     # reports it as InvariantViolation
     with pytest.raises(InvariantViolation, match="must be a real number and finite, got a value beyond float range"):
         NUMBER_SITES[site](value)
+
+
+# bad input -> a number that breaks check_real's rule
+BAD_NUMBERS = {
+    "nan": np.nan,
+    "inf": np.inf,
+    "-inf": -np.inf,
+    "bool": True,
+    "numpy-bool": np.True_,
+    "text": "1e-8",
+    "complex": 1e-8 + 0j,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS)
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_a_bad_number_raises_the_sites_error(site, bad):
+    with pytest.raises(InvariantViolation, match="must be a real number"):
+        NUMBER_SITES[site](BAD_NUMBERS[bad])
+
+
+# tolerance -> (a call on one finite number, the message of one out of range)
+TOLERANCE_SITES = {
+    "SolverControls.newton_tol": (lambda v: SolverControls(newton_tol=v), "newton_tol must be positive"),
+    "newton_solve.tol": (lambda v: newton_solve(QUADRATIC, tol=v), "tol must be positive"),
+    "verify.value_tol": (lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
+                         "value_tol must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, -5e-324], ids=["negative", "least-negative"])
+@pytest.mark.parametrize("site", TOLERANCE_SITES)
+def test_a_negative_tolerance_raises_the_sites_error(site, value):
+    call, message = TOLERANCE_SITES[site]
+    with pytest.raises(InvariantViolation, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("site", ["SolverControls.newton_tol", "newton_solve.tol"])
+def test_a_zero_newton_tolerance_raises_the_sites_error(site):
+    # verify's value_tol may be 0: an exact check
+    call, message = TOLERANCE_SITES[site]
+    with pytest.raises(InvariantViolation, match=f"{message}, got 0"):
+        call(0)
 
 
 @pytest.mark.parametrize("offdiag", [0.5, 3, object()])

@@ -34,6 +34,7 @@ from conftest import (
     derivative,
     golden_linked4_polynomial,
     golden_path4_polynomial,
+    jacobian_fd,
     random_targets,
     unit_vectors,
 )
@@ -654,10 +655,12 @@ def verify_against_its_own_size(P):
     return verify(P, spec)
 
 
+# the library's readers, and the tests' finite-difference reference
 READERS = {
     "proper_values": proper_values,
     "linearize": linearize,
     "verify": verify_against_its_own_size,
+    "jacobian_fd": jacobian_fd,
 }
 
 

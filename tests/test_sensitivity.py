@@ -44,9 +44,43 @@ def quad_seed():
     return spec, seed_coefficients(spec, LeadingDiagonal(alpha_k=np.ones(4)))
 
 
+def off_seed_polynomial(k):
+    """A diagonal seed of three random targets per entry at degree k, with
+    every off-diagonal slot of every A_s (s < k) moved off zero: no slot
+    derivative of it vanishes by structure."""
+    rng = np.random.default_rng(50 + k)
+    spec = TargetSpectrum(values=random_targets(rng, 3, k), n=3, k=k)
+    coeffs = [np.array(c) for c in seed_coefficients(spec, LeadingDiagonal(alpha_k=rng.uniform(0.5, 2.0, 3))).coeffs]
+    for c in coeffs[:-1]:
+        upper = np.triu(rng.uniform(-0.2, 0.2, (3, 3)), 1)
+        c += upper + upper.T
+    return MatrixPolynomial(tuple(coeffs))
+
+
+SLOTS = (1, 2, 3, (1, 2), (1, 3), (2, 3))
+
+
 class TestSlotDerivative:
     """jacobian_x's direction column for one pair and a one-slot direction
     row (conftest.one_slot): the derivative along that slot."""
+
+    @pytest.mark.parametrize("k, s, slot", [
+        pytest.param(k, s, slot, id=f"k{k}-A{s}-" + ("e{}{}".format(*slot) if isinstance(slot, tuple) else f"d{slot}"))
+        for k in (1, 2, 3) for s in range(k) for slot in SLOTS
+    ])
+    def test_every_slot_against_fd(self, k, s, slot):
+        P = off_seed_polynomial(k)
+        decomp = proper_values(P)
+        J = jacobian_x(decomp)
+        h = 1e-4
+        for q in range(len(decomp)):
+            d = jacobian_x(*one_slot(decomp, q, s, slot))[0, -1]
+            # Richardson-extrapolated central differences, as acceptance 6;
+            # the absolute floor is the differences' noise at degree 3
+            fd = (4 * fd_derivative(P, q, s, slot, h / 2) - fd_derivative(P, q, s, slot, h)) / 3
+            assert d == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            if not isinstance(slot, tuple):  # a diagonal slot: jacobian_x's own column s*n + slot - 1
+                assert d == pytest.approx(J[q, 3 * s + slot - 1], rel=1e-12, abs=1e-15)
 
     def test_diagonal_slot_constant_power(self, quad_seed):
         _, P = quad_seed
@@ -463,6 +497,17 @@ class TestJacobianFD:
         P = seed_coefficients(spec, LeadingDiagonal(alpha_k=np.array([alpha])))
         Jfd = jacobian_fd(P, h=1e-6)
         assert Jfd[0, 0] == pytest.approx(-1.0 / alpha, rel=1e-8)
+
+    def test_rejects_nonpositive_step(self, quad_seed):
+        _, P = quad_seed
+        with pytest.raises(ValueError):
+            jacobian_fd(P, h=0.0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, True, "1e-6"], ids=["nan", "inf", "bool", "str"])
+    def test_rejects_a_non_finite_step(self, quad_seed, h):
+        _, P = quad_seed
+        with pytest.raises(ValueError, match="step must be (positive and finite|a real number)"):
+            jacobian_fd(P, h=h)
 
 
 def test_offdiagonal_factor_two_against_symmetric_fd():
