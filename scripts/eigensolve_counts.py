@@ -9,9 +9,11 @@ instances that perfbench/workloads.py generates (its generators are only
 read): the two bundled problems, the ``corpus`` set (generator seed 1) and
 the ``sweep`` set.  For each set it prints the eigensolves by kind (eig,
 eigvals, eigh, eigvalsh), counted through a stand-in for matpoly.lapack,
-the package's one LAPACK kernel, and the Newton solves and trials that
-the reports' corrector records hold (a trial is a spectral_map call of
-newton_solve after its corrector's start).  The benchmark's tracer wraps
+the package's one LAPACK kernel, and the Newton solves, trials and
+refused steps that the reports' corrector records hold (a trial is a
+spectral_map call of newton_solve after its corrector's start; a refused
+step is one that newton_solve's step tests ended before its trial).  The
+benchmark's tracer wraps
 numpy.linalg.eig, which the kernel does not call, so its eig count reads
 0.  The last column, events_per_map, is the number of Python and C
 function calls that sys.setprofile sees over the whole solves (after one
@@ -27,7 +29,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KINDS = ("eig", "eigvals", "eigh", "eigvalsh")
-COST_COLUMNS = ("newton_solves",) + KINDS + ("trials",)
+COST_COLUMNS = ("newton_solves",) + KINDS + ("trials", "refused_steps")
 COLUMNS = ("instances",) + COST_COLUMNS
 PROFILE_EVENTS = ("call", "c_call")
 
@@ -58,10 +60,20 @@ def counting_kernel(calls: dict):
     return counted
 
 
+def refused_steps(correctors, max_iter: int) -> int:
+    """The Newton steps that newton_solve's step tests refused: correctors
+    that failed with NoConvergence before a trial (trials ==
+    len(iterations) - 1) and short of the max_iter budget."""
+    from structured_iep import NoConvergence
+
+    return sum(c.kind is NoConvergence and len(c.iterations) - 1 == c.trials < max_iter for c in correctors)
+
+
 def solve_counted(spec) -> tuple:
     """(report, cost) of continuation_solve on spec, where the cost holds
-    COST_COLUMNS: the Newton solves and trials of the report's Corrector
-    records, and the eigensolves of matpoly.lapack by kind."""
+    COST_COLUMNS: the Newton solves, trials and refused steps of the
+    report's Corrector records, and the eigensolves of matpoly.lapack by
+    kind."""
     from structured_iep import continuation_solve, matpoly
 
     calls, kernel = dict.fromkeys(KINDS, 0), matpoly.lapack
@@ -71,7 +83,8 @@ def solve_counted(spec) -> tuple:
     finally:
         matpoly.lapack = kernel
     correctors = report.correctors
-    return report, {"newton_solves": len(correctors), **calls, "trials": sum(c.trials for c in correctors)}
+    return report, {"newton_solves": len(correctors), **calls, "trials": sum(c.trials for c in correctors),
+                    "refused_steps": refused_steps(correctors, spec.controls.max_iter)}
 
 
 def counts(specs) -> dict:

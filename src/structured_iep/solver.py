@@ -9,14 +9,16 @@ solve, keeping every converged step; the step halves on failure, and after
 a success it is scaled by how fast that corrector contracted, Deuflhard's
 adaptive path-following (_next_step).  Every corrector takes full Newton
 steps, and the first one that does not lower the residual fails it, as does
-a trial whose eigensolve raises (with that error as the corrector's kind),
-so a losing corrector costs one eigensolve per iteration.  At the diagonal
-seed the tangent is zero, so correctors from the seed start at its
-closed-form second-order term instead, where that term moves no target by
-more than half its gap (_seed_curvature), and the first step is the longest
-power of two in tau over which it does so (_first_step): the full problem
-at tau = 1 only when the seed predictor reaches it.  Correctors below
-tau = 1 stop at the looser CORRECTOR_TOL_REL.
+a trial whose eigensolve raises (with that error as the corrector's kind).
+A step longer than its reference, the predictor's displacement for the
+first step and the step before it for a later one, fails the corrector
+before its trial's eigensolve (PREDICTOR_ERROR_MAX, NEWTON_STEP_GROWTH_MAX).
+At the diagonal seed the tangent is zero, so correctors from the seed start
+at its closed-form second-order term instead, where that term moves no
+target by more than half its gap (_seed_curvature), and the first step is
+the longest power of two in tau over which it does so (_first_step): the
+full problem at tau = 1 only when the seed predictor reaches it.
+Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL.
 
 This module runs no eigensolve and no derivative of its own: a trial's
 polynomial is one coefficient row [A_0 ... A_{k-1}], tau times the spec's
@@ -66,6 +68,30 @@ and every later trial solves for values only.  To first order a Newton step
 moves proper vector q by about |r_q| / g_q, so the Jacobian built from the
 start's vectors is off by about 1% at most and each step still gains about
 two digits."""
+PREDICTOR_ERROR_MAX = 1.0
+"""A corrector whose first Newton step is longer than this times its
+predictor's displacement |x0 - x_prev| fails before that step's trial.
+From a start inside Newton's convergence region the first step estimates
+the start's distance to the root, the predictor's error (Deuflhard, Newton
+Methods for Nonlinear Problems, 2004, ch. 5; Allgower & Georg, Introduction
+to Numerical Continuation Methods, SIAM 2003, ch. 6).  A predictor of order
+p moves x by about C tau^p and errs by about C' tau^(p+1), so the ratio of
+the two grows with the step in tau and reaches 1 where the neglected term
+is as large as the one kept: beyond it the predictor no longer follows the
+curve, and the step in tau was too long.  From the bare seed the
+displacement is 0 and the test is skipped."""
+NEWTON_STEP_GROWTH_MAX = 1.5
+"""A corrector whose Newton step is longer than this times its previous
+accepted step (contraction theta = |dx_{k+1}| / |dx_k|) fails before that
+step's trial.  Deuflhard's natural monotonicity test asks theta_bar < 1 of
+the simplified correction J_k^{-1} F(x_{k+1}), which costs a linear solve
+with the previous Jacobian; the corrector has the ordinary correction
+dx_{k+1} = J_{k+1}^{-1} F(x_{k+1}) instead.  With the affine-covariant
+Lipschitz constant omega, |J_{k+1}^{-1} J_k| <= 1 + h_k, h_k = omega |dx_k|,
+so theta <= (1 + h_k) theta_bar (Deuflhard 2004, ch. 2).  Inside the
+Kantorovich region h_k <= 1/2 a step with theta > 3/2 therefore has
+theta_bar > 1, and outside it Newton's convergence from x_k is not
+assured: either way the corrector is read as diverging."""
 
 
 @dataclass(frozen=True)
@@ -195,7 +221,12 @@ class Corrector:
     the exception, whose traceback would keep the solve's frames alive.
     It ended at a trial (a step that did not lower the residual, or whose
     eigensolve raised) exactly when it has iterations and trials ==
-    len(iterations), and at its start when it has no iterations."""
+    len(iterations), and at its start when it has no iterations.  A failed
+    corrector with iterations and trials == len(iterations) - 1 ended
+    before a trial: a step longer than its reference (NoConvergence), a
+    SingularJacobian or DegenerateDenominator, or, when trials ==
+    max_iter, the max_iter budget.  A converged corrector also has trials
+    == len(iterations) - 1."""
 
     tau: float
     iterations: tuple[IterationRecord, ...]
@@ -301,6 +332,7 @@ def newton_solve(
     x0: np.ndarray | None = None,
     tau: float = 1.0,
     tol: float | None = None,
+    displacement: float = 0.0,
 ) -> tuple[np.ndarray, SpectralDecomposition | None, Corrector]:
     """Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
@@ -312,8 +344,13 @@ def newton_solve(
     step's spectral_map raises one of SPECTRUM_FAILURES (a spectrum not
     real and simple, or a companion that overflows) it fails with that
     error; either way it damps nothing: continuation_solve halves its step
-    in tau instead.  A solve makes at most 1 + max_iter spectral_map
-    evaluations: the start, then one per trial.
+    in tau instead.  Before a trial, a step whose Euclidean norm exceeds
+    its reference fails the solve with NoConvergence and no trial, its
+    detail naming the reference: PREDICTOR_ERROR_MAX times
+    ``displacement``, the predictor's |x0 - x_prev|, for the first step
+    (no test when it is 0, the default), and NEWTON_STEP_GROWTH_MAX times
+    the previous accepted step for a later one.  A solve makes at most
+    1 + max_iter spectral_map evaluations: the start, then one per trial.
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map writes its trial's coefficient
@@ -333,16 +370,21 @@ def newton_solve(
     _tangent needs no eig of its own, except when the start's vectors were
     reused: its rows are then the start's.  On failure the decomposition is
     None and the record's kind is NoConvergence (a real trial that did
-    not lower the residual, or the max_iter budget), SingularJacobian,
+    not lower the residual, a step refused for its length, or the max_iter
+    budget), SingularJacobian,
     DegenerateDenominator or, at the start or a trial, one of
     SPECTRUM_FAILURES.
     Only bad input raises: a ``tau`` that is not a finite real number, a
-    ``tol`` that is not a positive one, or an ``x0`` that is not a finite
-    real vector of shape (kn,) (errors.check_real, errors.check_positive,
+    ``tol`` that is not a positive one, a ``displacement`` that is not a
+    non-negative one, or an ``x0`` that is not a finite real vector of
+    shape (kn,) (errors.check_real, errors.check_positive,
     errors.real_vector), raises InvariantViolation."""
     if tol is not None:
         check_positive("tol", tol)
     check_real("tau", tau)
+    check_real("displacement", displacement)
+    if displacement < 0.0:
+        raise InvariantViolation(f"displacement must be non-negative, got {displacement}")
     ctl = spec.controls
     tol = ctl.resolved_tol(spec.spectrum) if tol is None else tol
     targets = spec.spectrum.sorted_values()
@@ -373,6 +415,14 @@ def newton_solve(
                 raise SingularJacobian(f"Newton linear solve failed at iteration {it}: {exc}") from exc
             if not np.logical_and.reduce(np.isfinite(dx)):
                 raise SingularJacobian(f"Newton step non-finite at iteration {it}")
+            step = math.sqrt(dx @ dx)
+            if it == 1:
+                if 0.0 < displacement and step > PREDICTOR_ERROR_MAX * displacement:
+                    raise NoConvergence(f"Newton step {step:.3g} longer than the predictor displacement "
+                                        f"{displacement:.3g} (iteration 1)")
+            elif step > NEWTON_STEP_GROWTH_MAX * trace[-1].step_norm:
+                raise NoConvergence(f"Newton step {step:.3g} longer than {NEWTON_STEP_GROWTH_MAX:g} times "
+                                    f"the previous step {trace[-1].step_norm:.3g} (iteration {it})")
             x_try = x - dx
             trials += 1
             d_try = spectral_map(x_try, spec, tau, rows)
@@ -382,7 +432,7 @@ def newton_solve(
             if not rn_try < rnorm:
                 raise NoConvergence(f"full step did not lower the residual {rnorm:.3g} (iteration {it})")
             x, decomp, res, rnorm = x_try, d_try, r_try, rn_try
-            trace.append(IterationRecord(it, rnorm, math.sqrt(dx @ dx)))
+            trace.append(IterationRecord(it, rnorm, step))
     except (NoConvergence, SingularJacobian, DegenerateDenominator, *SPECTRUM_FAILURES) as exc:
         # the class and message only: the exception's traceback holds this frame
         return x, None, Corrector(tau, tuple(trace), trials, type(exc), str(exc))
@@ -517,7 +567,11 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     Every corrector takes full Newton steps, and one that does not lower
     the residual fails it: a corrector that would need damping is read as
     a step in tau that is too long (Deuflhard, Newton Methods for
-    Nonlinear Problems, 2004, sec. 5.1).  A failed corrector halves the
+    Nonlinear Problems, 2004, sec. 5.1).  Each corrector is given its
+    predictor's displacement, |tau step * dx/dtau| or |tau^2 c| (0 from the
+    bare seed), so a first Newton step longer than the predictor's own move
+    fails it before that step's trial (newton_solve, PREDICTOR_ERROR_MAX).
+    A failed corrector halves the
     step and retries from the last converged point.  A converged one sets
     the next step from its own contraction rate (_next_step): the last
     step times a factor in [1/2, 2], floored at 1/M (M =
@@ -544,8 +598,9 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     Newton solve makes at most 1 + controls.max_iter spectral_map
     evaluations (51 by default), so a solve makes at most 133 * 51 = 6,783
     with the default controls.
-    The predictors choose only where a corrector starts, so neither budget
-    depends on them.
+    The predictors choose only where a corrector starts, and newton_solve's
+    step tests only end a corrector sooner, so neither budget depends on
+    them.
 
     The solve has one exit, where the report is derived from the Corrector
     records of every newton_solve, discarded ones included, kept in order
@@ -568,13 +623,14 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         # absorb rounding in tau + dtau so the last step lands exactly on 1
         tau_next = 1.0 if tau + dtau > 1.0 - 1e-12 else tau + dtau
         if tau > 0.0:
-            x0 = x + (tau_next - tau) * xdot
+            shift = (tau_next - tau) * xdot
         elif tau_next ** 2 * rho <= SEED_SHIFT_MAX:
-            x0 = x + tau_next ** 2 * curvature
+            shift = tau_next ** 2 * curvature
         else:
-            x0 = x
+            shift = None  # the bare seed: no displacement, so no first-step test
         x_next, decomp, corrector = newton_solve(
-            spec, x0=x0, tau=tau_next, tol=None if tau_next == 1.0 else loose_tol)
+            spec, x0=x if shift is None else x + shift, tau=tau_next, tol=None if tau_next == 1.0 else loose_tol,
+            displacement=0.0 if shift is None else math.sqrt(shift @ shift))
         correctors.append(corrector)
         if not corrector.converged:
             dtau *= 0.5

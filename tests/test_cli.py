@@ -181,6 +181,23 @@ class TestSolve:
         assert last.kind is NonRealSpectrum and last.detail == "injected"
         assert len(last.iterations) == 1 and last.trials == 1
 
+    def test_steps_refused_before_their_trial_without_a_converged_tau_exit_four(self, capsys, tmp_path,
+                                                                                   monkeypatch):
+        # with the first-step factor at 0, every corrector from the seed
+        # predictor that does not start within its tolerance fails before
+        # its first trial; at epsilon 2 that is all of them, down to 1/M.
+        # The last one's start was real, so exit 4, not 5
+        monkeypatch.setattr(solver, "PREDICTOR_ERROR_MAX", 0.0)
+        prob = tmp_path / "p.json"
+        prob.write_text(json.dumps(path4_doc(epsilon=2.0)))
+        code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
+        doc = strict_json(out)
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert doc["continuation_path"] == [] and doc["residual"] is None
+        assert doc["failure"].startswith("NoConvergence at tau=0.015625: Newton step ")
+        last = solver.continuation_solve(load_problem(str(prob))).correctors[-1]
+        assert len(last.iterations) == 1 and last.trials == 0
+
     @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "NearDegenerate"), (1, 1e200, "LinAlgError")],
                              ids=["k2", "k1"])
     def test_overflowing_companion_writes_the_report_and_exits_four(self, capsys, tmp_path, k, epsilon, kind):

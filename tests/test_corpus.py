@@ -40,11 +40,18 @@ ROOT_67 = np.array([float.fromhex(h) for h in (
 def test_full_steps_keep_the_root_of_instance_67(corpus):
     # rho = 2.31, so the first step is 1/4, inside the seed predictor's
     # reach.  That corrector converges in one Newton step, which gives no
-    # contraction rate, so the step doubles to 1/2, then 1 - tau.  It lands
-    # on the same root
+    # contraction rate, so the step doubles to 1/2.  At tau = 3/4 the first
+    # Newton step (0.175) is longer than the tangent predictor's
+    # displacement (0.168), so that corrector fails before its trial and
+    # the step halves: tau = 1/2, then 0.841 from that corrector's
+    # contraction rate, then 1 - tau.  It lands on the same root
     rep = continuation_solve(corpus[67])
     assert rep.converged
-    assert rep.continuation_path == pytest.approx((0.25, 0.75, 1.0), rel=1e-12, abs=0.0)
+    assert rep.continuation_path == pytest.approx(
+        (0.25, 0.5, float.fromhex("0x1.ae9713bacc8f6p-1"), 1.0), rel=1e-12, abs=0.0)
+    refused = rep.correctors[1]
+    assert refused.tau == 0.75 and refused.trials == 0 and len(refused.iterations) == 1
+    assert refused.detail.startswith("Newton step 0.175 longer than the predictor displacement 0.168 ")
     assert np.max(np.abs(rep.x - ROOT_67)) <= 1e-12 * np.max(np.abs(ROOT_67))
 
 

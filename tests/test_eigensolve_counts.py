@@ -26,7 +26,7 @@ def test_bundled_counts(monkeypatch):
     script = load_script()
     counts = script.counts(script.instance_sets()["bundled"])
     assert counts == {"instances": 2, "newton_solves": 4, "eig": 16, "eigvals": 0, "eigh": 0, "eigvalsh": 0,
-                      "trials": 12}
+                      "trials": 12, "refused_steps": 0}
 
 
 def test_bundled_events_per_map_are_positive_and_repeat(monkeypatch):

@@ -89,6 +89,7 @@ NUMBER_SITES = {
     "SolverControls.newton_tol": lambda v: SolverControls(newton_tol=v),
     "newton_solve.tol": lambda v: newton_solve(QUADRATIC, tol=v),
     "newton_solve.tau": lambda v: newton_solve(QUADRATIC, tau=v),
+    "newton_solve.displacement": lambda v: newton_solve(QUADRATIC, displacement=v),
     "assemble.tau": lambda v: assemble(seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead), QUADRATIC, v),
     "verify.value_tol": lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
 }
@@ -126,6 +127,8 @@ def test_a_bad_number_raises_the_sites_error(site, bad):
 TOLERANCE_SITES = {
     "SolverControls.newton_tol": (lambda v: SolverControls(newton_tol=v), "newton_tol must be positive"),
     "newton_solve.tol": (lambda v: newton_solve(QUADRATIC, tol=v), "tol must be positive"),
+    "newton_solve.displacement": (lambda v: newton_solve(QUADRATIC, displacement=v),
+                                  "displacement must be non-negative"),
     "verify.value_tol": (lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
                          "value_tol must be non-negative"),
 }

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -504,6 +505,97 @@ class TestNewtonSolve:
                        for f in dataclasses.fields(corrector))
 
 
+class TestStepTests:
+    """newton_solve's step tests: a Newton step longer than its reference
+    fails the corrector before that step's trial and its eigensolve."""
+
+    @staticmethod
+    def from_the_bare_seed():
+        # converges from the bare seed in at least two steps
+        spec = make_spec(np.random.default_rng(23), 4, 2, epsilon=0.15)
+        x, _, iterations = solved(spec)
+        assert len(iterations) >= 3
+        return spec, x, iterations
+
+    def test_a_first_step_longer_than_the_displacement_fails_before_its_trial(self, monkeypatch):
+        spec, _, iterations = self.from_the_bare_seed()
+        eigensolves = count_eigensolves(monkeypatch)
+        x, decomp, corrector = newton_solve(spec, displacement=np.nextafter(iterations[1].step_norm, 0.0))
+        assert corrector.kind is NoConvergence and decomp is None
+        assert re.fullmatch(r"Newton step \S+ longer than the predictor displacement \S+ \(iteration 1\)",
+                            corrector.detail)
+        # the start's eigensolve and no trial's
+        assert corrector.trials == 0 and corrector.iterations == iterations[:1]
+        assert eigensolves == {"eig": 1, "eigvals": 0, "eigh": 0, "eigvalsh": 0}
+        assert x.tobytes() == seed_unknowns(spec.spectrum, spec.lead).tobytes()
+
+    def test_a_first_step_equal_to_the_displacement_is_taken(self):
+        spec, x, iterations = self.from_the_bare_seed()
+        x_equal, _, iterations_equal = solved(spec, displacement=iterations[1].step_norm)
+        assert x_equal.tobytes() == x.tobytes() and iterations_equal == iterations
+
+    def test_a_bare_seed_start_skips_the_first_step_test(self, path4_spec, monkeypatch):
+        # without a seed predictor (_seed_curvature's (0, inf)) the first
+        # corrector starts at the bare seed at the floor 1/M, with
+        # displacement 0, and takes its first step whatever its length
+        calls, newton = [], solver.newton_solve
+
+        def recording(*args, **kwargs):
+            result = newton(*args, **kwargs)
+            calls.append((kwargs["displacement"], result[2]))
+            return result
+
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        monkeypatch.setattr(solver, "_seed_curvature", lambda spec: (np.zeros(spec.n * spec.k), np.inf))
+        continuation_solve(path4_spec)
+        displacement, first = calls[0]
+        assert first.tau == 1.0 / solver.MAX_CONTINUATION_STEPS and displacement == 0.0
+        assert first.converged and first.trials >= 1 and first.iterations[1].step_norm > 0.0
+
+    def test_continuation_passes_each_predictors_displacement(self, path4_spec, monkeypatch):
+        # path4: seed + c / 4 at tau = 1/2, then the tangent step to 1
+        calls, newton = [], solver.newton_solve
+
+        def recording(*args, **kwargs):
+            result = newton(*args, **kwargs)
+            calls.append((kwargs["x0"], kwargs["displacement"], result[0]))
+            return result
+
+        monkeypatch.setattr(solver, "newton_solve", recording)
+        assert continuation_solve(path4_spec).continuation_path == (0.5, 1.0)
+        x_prev = seed_unknowns(path4_spec.spectrum, path4_spec.lead)
+        for x0, displacement, x in calls:
+            assert displacement == pytest.approx(np.linalg.norm(x0 - x_prev), rel=1e-12) and displacement > 0.0
+            x_prev = x
+
+    @pytest.mark.parametrize("scale, taken", [(1.0, True), (1.0 + 1e-12, False)], ids=["equal", "longer"])
+    def test_a_later_step_longer_than_one_and_a_half_times_the_last_fails_before_its_trial(
+            self, scale, taken, monkeypatch):
+        # nine unknowns, scripted residuals and an identity Jacobian, so each
+        # Newton step is its residual: step 1 is (1/8, 0, ..., 0), of norm
+        # 1/8, and step 2 is (1/16, ..., 1/16), of norm 3/16 = 1.5 * 1/8
+        # exactly (times scale), after a trial that lowered the residual
+        # from 1/8 to 1/16
+        spec = make_spec(np.random.default_rng(5), 3, 3, epsilon=0.1)
+        targets, maps = spec.spectrum.sorted_values(), []
+        residuals = [np.eye(9)[0] / 8, np.full(9, scale / 16), np.zeros(9)]
+
+        def scripted(x, spec, tau, rows=None):
+            maps.append(x)
+            return types.SimpleNamespace(values=targets + residuals[len(maps) - 1], companion_rows=None)
+
+        monkeypatch.setattr(solver, "spectral_map", scripted)
+        monkeypatch.setattr(solver, "jacobian_x", lambda decomp: np.eye(9))
+        _, _, corrector = newton_solve(spec, tau=0.5, tol=1e-12)
+        assert [r.step_norm for r in corrector.iterations[:2]] == [0.0, 0.125]
+        if taken:
+            assert corrector.converged and corrector.trials == 2 and len(maps) == 3
+            assert corrector.iterations[2].step_norm == 0.1875
+        else:
+            assert corrector.kind is NoConvergence and corrector.trials == 1 and len(maps) == 2
+            assert corrector.detail == "Newton step 0.188 longer than 1.5 times the previous step 0.125 (iteration 2)"
+
+
 class TestVectorReuse:
     @pytest.mark.parametrize("k, vectors, values", [(1, "eigh", "eigvalsh"), (2, "eig", "eigvals")])
     def test_final_corrector_takes_vectors_once(self, k, vectors, values, monkeypatch):
@@ -722,15 +814,18 @@ class TestContinuationSolve:
         # continuation_solve's docstring: every corrector within controls.max_iter
         assert all(c.trials <= spec.controls.max_iter for c in rep.correctors)
 
-    @pytest.mark.parametrize("spec, newton_budget", [
+    @pytest.mark.parametrize("spec, newton_budget, failure", [
         # no step converges: at most log2(M) + 1 Newton solves (one here,
-        # whose first step is the floor 1/M)
-        (complex_pair_spec(), int(np.log2(solver.MAX_CONTINUATION_STEPS)) + 1),
-        # five tau steps converge, then a corrector stalls: 2M - 1 + log2(M)
+        # whose first step is the floor 1/M, from the bare seed)
+        (complex_pair_spec(), int(np.log2(solver.MAX_CONTINUATION_STEPS)) + 1,
+         "full step did not lower the residual"),
+        # five tau steps converge, then a corrector's first step is longer
+        # than its predictor's displacement: 2M - 1 + log2(M)
         (stalling_spec(),
-         2 * solver.MAX_CONTINUATION_STEPS - 1 + int(np.log2(solver.MAX_CONTINUATION_STEPS))),
+         2 * solver.MAX_CONTINUATION_STEPS - 1 + int(np.log2(solver.MAX_CONTINUATION_STEPS)),
+         "longer than the predictor displacement"),
     ], ids=["complex_pair", "stalling"])
-    def test_spectral_map_calls_stay_within_the_documented_budget(self, spec, newton_budget, monkeypatch):
+    def test_spectral_map_calls_stay_within_the_documented_budget(self, spec, newton_budget, failure, monkeypatch):
         M = solver.MAX_CONTINUATION_STEPS
 
         def total_budget(max_iter):
@@ -747,22 +842,28 @@ class TestContinuationSolve:
 
         monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
         rep = continuation_solve(spec)
-        assert not rep.converged and "full step did not lower the residual" in rep.failure
+        assert not rep.converged and failure in rep.failure
+        max_iter = spec.controls.max_iter
         # the start (whether its eigensolve succeeded or not) and the trials;
         # a corrector ended at a trial, rejected or not real, exactly when it
-        # has iterations and one trial per iteration
-        per_solve = [(1 + c.trials, len(c.iterations[1:]), bool(c.iterations) and c.trials == len(c.iterations))
+        # has iterations and one trial per iteration, and a failed one ended
+        # before a trial (short of max_iter: after its Jacobian) when it has
+        # one trial fewer
+        per_solve = [(1 + c.trials, len(c.iterations[1:]), bool(c.iterations) and c.trials == len(c.iterations),
+                      not c.converged and len(c.iterations) - 1 == c.trials < max_iter)
                      for c in rep.correctors]
-        assert per_solve and any(rejected for *_, rejected in per_solve)
-        max_iter = spec.controls.max_iter
-        for used, steps, rejected in per_solve:
+        assert per_solve and any(rejected for _, _, rejected, _ in per_solve)
+        # correctors ended before a trial: some in the stalling solve, none in the complex pair's
+        assert any(before for *_, before in per_solve) == (failure != "full step did not lower the residual")
+        for used, steps, rejected, _ in per_solve:
             # one trial per Jacobian: the start, every accepted step, and the
             # rejected full step that ended the corrector
             assert used == 1 + steps + rejected <= 1 + max_iter
-        # one Jacobian per accepted or rejected step, and one per tangent:
-        # after every converged corrector, all below tau = 1 here
+        # one Jacobian per accepted or rejected step, one per corrector
+        # ended before a trial, and one per tangent: after every converged
+        # corrector, all below tau = 1 here
         tangents = sum(c.converged for c in rep.correctors)
-        assert len(jacobians) == sum(steps + rejected for _, steps, rejected in per_solve) + tangents
+        assert len(jacobians) == sum(steps + rejected + before for _, steps, rejected, before in per_solve) + tangents
         assert len(per_solve) <= newton_budget
         assert sum(used for used, *_ in per_solve) <= newton_budget * (1 + max_iter) <= total_budget(max_iter)
 
@@ -854,7 +955,7 @@ class TestNextStep:
         # The loop may run ten times the budget: only the step rule ends it
         slow, M = accepted(1.0, 1.0), solver.MAX_CONTINUATION_STEPS
 
-        def stub_newton_solve(spec, x0, tau, tol):
+        def stub_newton_solve(spec, x0, tau, tol, displacement):
             if tau >= fold:
                 return x0, None, solver.Corrector(tau, slow[:1], 1, NoConvergence, "stub")
             return x0, None, solver.Corrector(tau, slow, 2)

@@ -2,7 +2,7 @@
 and sees every Newton trial and continuation tangent: a change that moves a
 traced function or the module it is looked up from fails here instead of
 breaking traced benchmark runs.  The report's Corrector records count the
-same Newton solves, trials and accepted steps."""
+same Newton solves, trials, accepted steps and Jacobians."""
 
 import pytest
 
@@ -14,6 +14,15 @@ from test_solver import complex_pair_spec, count_eigensolves, stalling_spec, wea
 
 def load_layers():
     return load_module("perfbench_layers", "perfbench/layers.py")
+
+
+def ended_before_a_trial(correctors, max_iter):
+    """The failed correctors that took a Jacobian and ended before its
+    trial (one trial fewer than iterations, short of max_iter): a step
+    refused by newton_solve's step tests, or a SingularJacobian or
+    DegenerateDenominator.  The max_iter budget ends a corrector before its
+    Jacobian."""
+    return [c for c in correctors if not c.converged and len(c.iterations) - 1 == c.trials < max_iter]
 
 
 def test_tracer_installs_and_counts_every_trial(path4_spec, monkeypatch):
@@ -32,9 +41,12 @@ def test_tracer_installs_and_counts_every_trial(path4_spec, monkeypatch):
     assert counts["solver.newton_solve.kept"] == len(report.continuation_path)
     # the solver starts from the seed's diagonals, not from a seed polynomial
     assert counts["seed.seed_coefficients.calls"] == 0
-    # one Jacobian per Newton trial and one per continuation tangent, taken
-    # at every kept tau but the last
-    assert counts["sensitivity.jacobian_x.calls"] == counts["solver.trials"] + len(report.continuation_path) - 1
+    # one Jacobian per Newton trial, one per corrector that ended before a
+    # trial, and one per continuation tangent, taken at every kept tau but
+    # the last
+    before = ended_before_a_trial(report.correctors, path4_spec.controls.max_iter)
+    assert counts["sensitivity.jacobian_x.calls"] == (
+        counts["solver.trials"] + len(before) + len(report.continuation_path) - 1)
 
 
 def test_every_rejected_trial_ends_its_corrector():
@@ -66,7 +78,8 @@ def test_values_only_trials_are_counted(monkeypatch):
 @pytest.mark.parametrize("name", ["path4", "complex_pair", "weakly_coupled", "stalling"])
 def test_the_corrector_records_agree_with_the_tracer(name, path4_spec):
     # the report's records count what the tracer counts from outside; the
-    # stalling problem has a trial whose spectrum is not real
+    # stalling problem has a trial whose spectrum is not real, and steps
+    # refused before their trial
     spec = {"path4": path4_spec, "complex_pair": complex_pair_spec(),
             "weakly_coupled": weakly_coupled_spec(20, 2), "stalling": stalling_spec()}[name]
     tracer = load_layers().Tracer()
@@ -80,6 +93,15 @@ def test_the_corrector_records_agree_with_the_tracer(name, path4_spec):
     at_trial = [c for c in correctors if c.iterations and c.trials == len(c.iterations)]
     assert len(at_trial) == counts["solver.trials.rejected"]
     assert sum(c.kind is NonRealSpectrum for c in at_trial) == counts["solver.trials.nonreal"]
+    # every failed corrector ended at a trial, before one, or at its start
+    before = ended_before_a_trial(correctors, spec.controls.max_iter)
+    at_start = [c for c in correctors if not c.iterations]
+    assert len(at_trial) + len(before) + len(at_start) == sum(not c.converged for c in correctors)
+    assert bool(before) == (name == "stalling")
+    # one Jacobian per trial, per corrector that ended before a trial, and
+    # per tangent (after each converged corrector below tau = 1)
+    tangents = sum(c.converged and c.tau < 1.0 for c in correctors)
+    assert counts["sensitivity.jacobian_x.calls"] == counts["solver.trials"] + len(before) + tangents
     assert report.converged == (name in ("path4", "weakly_coupled"))
     if report.converged:
         assert sum(c.converged for c in correctors) == counts["solver.newton_solve.kept"]
