@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Count code lines: the lines of each Python file that hold a token other
 than a comment, outside docstrings (a string statement that opens a module,
-class or function body).  Blank lines, comment lines and docstring lines do
+class or function body, or that follows an assignment in a module or class
+body).  Blank lines, comment lines and docstring lines do
 not count; a line of a multi-line expression or of any other string does.
 
     python3 scripts/code_lines.py            # this checkout
@@ -23,13 +24,20 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, to
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
+    """The lines of every docstring: a string statement that opens a
+    module, class or function body, or that follows an assignment in a
+    module or class body (an attribute docstring)."""
     lines = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                lines.update(range(first.lineno, first.end_lineno + 1))
+            body = node.body
+            docs = [body[0]]
+            if isinstance(node, (ast.Module, ast.ClassDef)):
+                docs += [b for a, b in zip(body, body[1:]) if isinstance(a, (ast.Assign, ast.AnnAssign))]
+            for doc in docs:
+                if (isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+                        and isinstance(doc.value.value, str)):
+                    lines.update(range(doc.lineno, doc.end_lineno + 1))
     return lines
 
 

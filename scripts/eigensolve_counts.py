@@ -11,14 +11,15 @@ the ``sweep`` set.  For each set it prints the eigensolves by kind (eig,
 eigvals, eigh, eigvalsh), counted through a stand-in for matpoly.lapack,
 the package's one LAPACK kernel, and the Newton solves, trials and
 refused steps that the reports' corrector records hold (a trial is a
-spectral_map call of newton_solve after its corrector's start; a refused
-step is one that newton_solve's step tests ended before its trial).  The
-benchmark's tracer wraps
-numpy.linalg.eig, which the kernel does not call, so its eig count reads
-0.  The last column, events_per_map, is the number of Python and C
-function calls that sys.setprofile sees over the whole solves (after one
-warm-up solve of each instance), per spectral_map: the
-machine-independent call overhead of a Newton iteration.  Importing this
+spectral_map call of newton_solve after its corrector's start, the
+record's ``trials``; a refused step is a corrector whose ``ended`` is
+"step" with NoConvergence: newton_solve's step tests ended it before its
+trial).  The benchmark's tracer wraps numpy.linalg.eig, which the
+kernel does not call, so its eig count reads 0.  The last column,
+events_per_map, is the number of Python and C function calls that
+sys.setprofile sees over the whole solves (after one warm-up solve of
+each instance), per spectral_map: the machine-independent call overhead
+of a Newton iteration.  Importing this
 module changes neither os.environ nor sys.path: only main() does, before
 it imports numpy.
 """
@@ -60,13 +61,13 @@ def counting_kernel(calls: dict):
     return counted
 
 
-def refused_steps(correctors, max_iter: int) -> int:
+def refused_steps(correctors) -> int:
     """The Newton steps that newton_solve's step tests refused: correctors
-    that failed with NoConvergence before a trial (trials ==
-    len(iterations) - 1) and short of the max_iter budget."""
+    that ended at a step ("step") with NoConvergence, not a
+    SingularJacobian or DegenerateDenominator."""
     from structured_iep import NoConvergence
 
-    return sum(c.kind is NoConvergence and len(c.iterations) - 1 == c.trials < max_iter for c in correctors)
+    return sum(c.ended == "step" and c.kind is NoConvergence for c in correctors)
 
 
 def solve_counted(spec) -> tuple:
@@ -84,7 +85,7 @@ def solve_counted(spec) -> tuple:
         matpoly.lapack = kernel
     correctors = report.correctors
     return report, {"newton_solves": len(correctors), **calls, "trials": sum(c.trials for c in correctors),
-                    "refused_steps": refused_steps(correctors, spec.controls.max_iter)}
+                    "refused_steps": refused_steps(correctors)}
 
 
 def counts(specs) -> dict:

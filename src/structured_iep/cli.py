@@ -111,7 +111,7 @@ def cmd_solve(args):
     ]
     # exit 5: no tau converged, and the last corrector's start was not real
     last = report.correctors[-1]
-    non_real = last.kind is NonRealSpectrum and not last.iterations and not report.continuation_path
+    non_real = last.kind is NonRealSpectrum and last.ended == "start" and not report.continuation_path
     return doc, summary, 0 if report.converged else EXIT_NON_REAL if non_real else EXIT_NO_CONVERGENCE
 
 

@@ -112,3 +112,19 @@ def real_matrix(name, value, size=None) -> np.ndarray:
     if m.shape != (n, n):
         raise InvariantViolation(f"{name} shape {m.shape} != ({n},{n})")
     return m.astype(float, copy=False)
+
+
+def real_row(name, value, n) -> np.ndarray:
+    """``value`` as a float64 array (no copy when it is one already), the
+    rule of every coefficient-row input [B_0 B_1 ...]: integer or floating
+    entries, n rows and a positive multiple of n columns, all finite.
+    Otherwise, a ragged list included, raise InvariantViolation."""
+    rule = f"{name} must be a finite real coefficient row of shape ({n}, {n}j)"
+    try:
+        r = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise InvariantViolation(f"{rule}, got a ragged sequence") from None
+    if (r.dtype.kind not in "iuf" or r.ndim != 2 or r.shape[0] != n or not r.shape[1] or r.shape[1] % n
+            or not np.logical_and.reduce(np.isfinite(r), axis=None)):
+        raise InvariantViolation(f"{rule}, got {r.dtype} {r.shape}")
+    return r.astype(float, copy=False)

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDenominator
+from .errors import DegenerateDenominator, real_row
 # perfbench/layers.py wraps evaluate and proper_values at this module,
 # though nothing here calls either
 from .matpoly import SpectralDecomposition, evaluate, proper_values  # noqa: F401
@@ -84,11 +84,15 @@ def jacobian_x(decomp: SpectralDecomposition, direction: np.ndarray | None = Non
     coefficient row ``direction`` [B_0 B_1 ...], one more column holds
     -(sum_s lambda_q^s v^T B_s v) / (v^T P'(lambda_q) v) with the same
     denominators: for the ramp spec.ramp_row, dlambda/dtau, which is zero
-    at a diagonal seed (unit rows v, a ramp with a zero diagonal).
+    at a diagonal seed (unit rows v, a ramp with a zero diagonal).  A
+    direction that breaks errors.real_row's rule (finite, n rows, a
+    positive multiple of n columns) raises InvariantViolation.
     """
     lams, V = decomp.values, decomp.companion_rows
     sq = V * V
     m, n = sq.shape
+    if direction is not None:
+        direction = real_row("direction", direction, n)
     k = decomp.upper.shape[1] // n + 1
     den = _denominators(decomp, sq)
     J = np.empty((m, k * n + (direction is not None)))

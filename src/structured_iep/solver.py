@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 
@@ -216,27 +217,36 @@ class IterationRecord:
 class Corrector:
     """How one newton_solve at off-diagonal scale tau ended: its accepted
     iterates, start first (empty when the start's eigensolve failed), and
-    its trials (spectral_map calls after the start).  A failed corrector
-    holds the error's class as ``kind`` and its message as ``detail``, not
-    the exception, whose traceback would keep the solve's frames alive.
-    It ended at a trial (a step that did not lower the residual, or whose
-    eigensolve raised) exactly when it has iterations and trials ==
-    len(iterations), and at its start when it has no iterations.  A failed
-    corrector with iterations and trials == len(iterations) - 1 ended
-    before a trial: a step longer than its reference (NoConvergence), a
-    SingularJacobian or DegenerateDenominator, or, when trials ==
-    max_iter, the max_iter budget.  A converged corrector also has trials
-    == len(iterations) - 1."""
+    where it stopped, ``ended``:
+
+    - "converged": its last iterate is within tolerance;
+    - "start": the start's eigensolve raised;
+    - "step": after its Jacobian and before the trial, a step refused for
+      its length (NoConvergence), a SingularJacobian or a
+      DegenerateDenominator;
+    - "trial": the trial's eigensolve raised, or the trial did not lower
+      the residual (NoConvergence);
+    - "budget": it reached controls.max_iter (NoConvergence).
+
+    A failed corrector holds the error's class as ``kind`` and its message
+    as ``detail``, not the exception, whose traceback would keep the
+    solve's frames alive."""
 
     tau: float
     iterations: tuple[IterationRecord, ...]
-    trials: int
+    ended: Literal["converged", "start", "step", "trial", "budget"]
     kind: type[Exception] | None = None
     detail: str | None = None
 
     @property
     def converged(self) -> bool:
-        return self.kind is None
+        return self.ended == "converged"
+
+    @property
+    def trials(self) -> int:
+        """spectral_map calls after the start: one per accepted step, and
+        the one that ended the corrector at a trial."""
+        return len(self.iterations[1:]) + (self.ended == "trial")
 
 
 @dataclass(frozen=True)
@@ -293,12 +303,16 @@ def spectral_map(x: np.ndarray, spec: ProblemSpec, tau: float = 1.0, rows: np.nd
     coefficient row goes to decompose_row, as proper_values sends the row
     of assemble(x, spec, tau).
 
-    It checks only x's shape (InvariantViolation), not assemble's input
-    rules: it is every Newton trial's hot path and the tracer's trial site.
-    So a bool x is cast to float, and a non-finite tau surfaces as LAPACK's
-    LinAlgError, one of SPECTRUM_FAILURES.
+    It checks only the shapes of x and ``rows`` (kn x n), raising
+    InvariantViolation, not assemble's input rules: it is every Newton
+    trial's hot path and the tracer's trial site.  So a bool x is cast to
+    float, and a non-finite tau surfaces as LAPACK's LinAlgError, one of
+    SPECTRUM_FAILURES.
     """
-    return decompose_row(_coefficient_row(x, spec, tau), spec.lead.alpha_k, rows)
+    row = _coefficient_row(x, spec, tau)
+    if rows is not None and getattr(rows, "shape", None) != row.shape[::-1]:  # kn x n
+        raise InvariantViolation(f"rows has shape {np.shape(rows)}, expected {row.shape[::-1]}")
+    return decompose_row(row, spec.lead.alpha_k, rows)
 
 
 def match_targets(current: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -369,11 +383,9 @@ def newton_solve(
     contract, bitwise those of proper_values(assemble(x, spec, tau)), so
     _tangent needs no eig of its own, except when the start's vectors were
     reused: its rows are then the start's.  On failure the decomposition is
-    None and the record's kind is NoConvergence (a real trial that did
-    not lower the residual, a step refused for its length, or the max_iter
-    budget), SingularJacobian,
-    DegenerateDenominator or, at the start or a trial, one of
-    SPECTRUM_FAILURES.
+    None, the record's kind is the class of the error that ended the
+    solve, and its ``ended`` is set at the point of the loop where that
+    happened: the start, a step, a trial or the budget (see Corrector).
     Only bad input raises: a ``tau`` that is not a finite real number, a
     ``tol`` that is not a positive one, a ``displacement`` that is not a
     non-negative one, or an ``x0`` that is not a finite real vector of
@@ -392,7 +404,7 @@ def newton_solve(
         x = seed_unknowns(spec.spectrum, spec.lead)
     else:
         x = real_vector("x0", x0, spec.n * spec.k)
-    trace, trials = [], 0
+    trace, ended = [], "start"
 
     try:
         decomp = spectral_map(x, spec, tau)
@@ -405,9 +417,11 @@ def newton_solve(
 
         for it in range(1, ctl.max_iter + 2):
             if rnorm <= tol:
-                return x, decomp, Corrector(tau, tuple(trace), trials)
+                return x, decomp, Corrector(tau, tuple(trace), "converged")
             if it > ctl.max_iter:
+                ended = "budget"
                 raise NoConvergence(f"residual {rnorm:.3g} > tol {tol:.3g} after {ctl.max_iter} iterations")
+            ended = "step"
             J = jacobian_x(decomp)
             try:
                 dx = lapack("solve", J, res)
@@ -424,7 +438,7 @@ def newton_solve(
                 raise NoConvergence(f"Newton step {step:.3g} longer than {NEWTON_STEP_GROWTH_MAX:g} times "
                                     f"the previous step {trace[-1].step_norm:.3g} (iteration {it})")
             x_try = x - dx
-            trials += 1
+            ended = "trial"
             d_try = spectral_map(x_try, spec, tau, rows)
             r_try = d_try.values - targets
             # the ufunc's reduce, without the Python wrapper of ndarray.max
@@ -435,7 +449,7 @@ def newton_solve(
             trace.append(IterationRecord(it, rnorm, step))
     except (NoConvergence, SingularJacobian, DegenerateDenominator, *SPECTRUM_FAILURES) as exc:
         # the class and message only: the exception's traceback holds this frame
-        return x, None, Corrector(tau, tuple(trace), trials, type(exc), str(exc))
+        return x, None, Corrector(tau, tuple(trace), ended, type(exc), str(exc))
 
 
 def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:

@@ -163,18 +163,21 @@ def jacobian_fd(P, h=1e-6):
     return J
 
 
-def count_denominators(monkeypatch, calls):
-    """Add one to calls["denominators"] each time the sensitivities compute
-    the denominators v^T P'(lambda) v of a decomposition."""
-    from structured_iep import sensitivity
+def count_calls(monkeypatch, module, *names, calls=None):
+    """From now on count the calls of each named function of ``module`` in
+    calls[name], a new dict unless ``calls`` is given; return calls."""
+    calls = {} if calls is None else calls
 
-    compute = sensitivity._denominators
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    def counted(*args):
-        calls["denominators"] += 1
-        return compute(*args)
-
-    monkeypatch.setattr(sensitivity, "_denominators", counted)
+    for name in names:
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
 
 
 def derivative(P):

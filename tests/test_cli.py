@@ -20,6 +20,7 @@ from conftest import (
     PATH4_D_DIAG,
     PATH4_K_DIAG,
     TARGETS,
+    count_calls,
 )
 from test_corpus import load_workloads
 from test_same_answers import load_script
@@ -179,7 +180,7 @@ class TestSolve:
         assert doc["continuation_path"] == [] and doc["residual"] is None
         last = solver.continuation_solve(load_problem(str(prob))).correctors[-1]
         assert last.kind is NonRealSpectrum and last.detail == "injected"
-        assert len(last.iterations) == 1 and last.trials == 1
+        assert last.ended == "trial" and len(last.iterations) == 1
 
     def test_steps_refused_before_their_trial_without_a_converged_tau_exit_four(self, capsys, tmp_path,
                                                                                    monkeypatch):
@@ -196,7 +197,7 @@ class TestSolve:
         assert doc["continuation_path"] == [] and doc["residual"] is None
         assert doc["failure"].startswith("NoConvergence at tau=0.015625: Newton step ")
         last = solver.continuation_solve(load_problem(str(prob))).correctors[-1]
-        assert len(last.iterations) == 1 and last.trials == 0
+        assert last.ended == "step" and len(last.iterations) == 1
 
     @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "NearDegenerate"), (1, 1e200, "LinAlgError")],
                              ids=["k2", "k1"])
@@ -287,15 +288,10 @@ class TestJacobian:
 
     def test_condition_is_computed_once_at_the_seed(self, capsys, monkeypatch):
         # the seed check's condition number is the reported one
-        calls, cond = [], np.linalg.cond
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return cond(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cond", counting)
+        cond = np.linalg.cond
+        calls = count_calls(monkeypatch, np.linalg, "cond")
         code, out, _ = run(capsys, ["--quiet", "jacobian", PATH4])
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == {"cond": 1}
         doc = json.loads(out)
         assert doc["condition"] == cond(np.array(doc["jacobian"]))
 

@@ -1,6 +1,6 @@
 """scripts/code_lines.py on a hand-written file: blank lines, comment lines
-and docstrings do not count; code, each line of a multi-line expression and
-a string that is not a docstring do."""
+and docstrings (an attribute's included) do not count; code, each line of a
+multi-line expression and a string that is not a docstring do."""
 
 import sys
 
@@ -26,6 +26,8 @@ class C:
     """Class docstring."""
 
     x = 1
+    """Attribute docstring,
+    on two lines."""
 '''
 CODE_LINES = 8  # import, def (2 lines), text (2 lines), return, class, x
 

@@ -50,7 +50,7 @@ def test_full_steps_keep_the_root_of_instance_67(corpus):
     assert rep.continuation_path == pytest.approx(
         (0.25, 0.5, float.fromhex("0x1.ae9713bacc8f6p-1"), 1.0), rel=1e-12, abs=0.0)
     refused = rep.correctors[1]
-    assert refused.tau == 0.75 and refused.trials == 0 and len(refused.iterations) == 1
+    assert refused.tau == 0.75 and refused.ended == "step" and len(refused.iterations) == 1
     assert refused.detail.startswith("Newton step 0.175 longer than the predictor displacement 0.168 ")
     assert np.max(np.abs(rep.x - ROOT_67)) <= 1e-12 * np.max(np.abs(ROOT_67))
 

@@ -19,6 +19,7 @@ from structured_iep import (
     StructuredIEPError,
     TargetSpectrum,
     assemble,
+    jacobian_x,
     matrix_of_graph,
     newton_solve,
     proper_values,
@@ -75,12 +76,8 @@ def test_a_bad_vector_raises_the_sites_error(site, bad):
         call(BAD[bad](length))
 
 
-
-def seed_of(spec):
-    return assemble(seed_unknowns(spec.spectrum, spec.lead), spec)
-
-
 QUADRATIC = quadratic_targets_spec((PATH4, PATH4))
+SEED = seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead)
 
 # entry point -> a call on one number
 NUMBER_SITES = {
@@ -91,7 +88,7 @@ NUMBER_SITES = {
     "newton_solve.tau": lambda v: newton_solve(QUADRATIC, tau=v),
     "newton_solve.displacement": lambda v: newton_solve(QUADRATIC, displacement=v),
     "assemble.tau": lambda v: assemble(seed_unknowns(QUADRATIC.spectrum, QUADRATIC.lead), QUADRATIC, v),
-    "verify.value_tol": lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
+    "verify.value_tol": lambda v: verify(assemble(SEED, QUADRATIC), QUADRATIC, value_tol=v),
 }
 
 
@@ -129,7 +126,7 @@ TOLERANCE_SITES = {
     "newton_solve.tol": (lambda v: newton_solve(QUADRATIC, tol=v), "tol must be positive"),
     "newton_solve.displacement": (lambda v: newton_solve(QUADRATIC, displacement=v),
                                   "displacement must be non-negative"),
-    "verify.value_tol": (lambda v: verify(seed_of(QUADRATIC), QUADRATIC, value_tol=v),
+    "verify.value_tol": (lambda v: verify(assemble(SEED, QUADRATIC), QUADRATIC, value_tol=v),
                          "value_tol must be non-negative"),
 }
 
@@ -182,6 +179,9 @@ SHAPE_SITES = {
                                "coefficient must be at least 1 x 1, got 0 x 0"),
     "proper_values.degree": (lambda: proper_values(MatrixPolynomial((np.eye(2),))),
                              "cannot linearize a degree-0 polynomial"),
+    # a values-only trial's rows must match its values, one row of n per value
+    "spectral_map.rows": (lambda: spectral_map(SEED, QUADRATIC, rows=np.ones((8, 3))),
+                          r"rows has shape \(8, 3\), expected \(8, 4\)"),
 }
 
 
@@ -191,3 +191,24 @@ def test_bad_input_raises_invariant_violation(site):
     with pytest.raises(InvariantViolation, match=message) as exc:
         call()
     assert isinstance(exc.value, StructuredIEPError)
+
+
+# bad input -> a direction row that breaks errors.real_row's rule at n = 4
+BAD_DIRECTIONS = {
+    "wrong-columns": np.ones((4, 5)),
+    "wrong-rows": np.ones((3, 8)),
+    "no-columns": np.ones((4, 0)),
+    "one-dimension": np.ones(8),
+    "ragged": [[1.0] * 8] * 3 + [[1.0]],
+    "bools": np.ones((4, 8), dtype=bool),
+    "complex": np.ones((4, 8)) * 1j,
+    "nan": np.r_[[np.full(8, np.nan)], np.ones((3, 8))],
+    "inf": np.r_[np.ones((3, 8)), [np.full(8, np.inf)]],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_DIRECTIONS)
+def test_a_bad_direction_row_raises_invariant_violation(bad):
+    decomp = spectral_map(SEED, QUADRATIC, 0.0)  # the diagonal seed
+    with pytest.raises(InvariantViolation, match=r"direction must be a finite real coefficient row of shape \(4, 4j\)"):
+        jacobian_x(decomp, BAD_DIRECTIONS[bad])

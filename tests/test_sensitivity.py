@@ -27,7 +27,7 @@ from structured_iep import (
 from conftest import (
     TARGETS,
     coefficient_scale,
-    count_denominators,
+    count_calls,
     derivative,
     fd_derivative,
     golden_path4_polynomial,
@@ -414,10 +414,9 @@ class TestOneDenominatorsPerCall:
         x = seed_unknowns(spec.spectrum, spec.lead) + np.random.default_rng(k).uniform(-0.05, 0.05, 4 * k)
         decomp = spectral_map(x, spec, 0.5)
         J = jacobian_x(decomp)
-        calls = {"denominators": 0}
-        count_denominators(monkeypatch, calls)
+        calls = count_calls(monkeypatch, sensitivity, "_denominators")
         A = jacobian_x(decomp, spec.ramp_row)
-        assert calls == {"denominators": 1}
+        assert calls == {"_denominators": 1}
         assert A.shape == (4 * k, 4 * k + 1)
         assert A[:, :-1].tobytes() == J.tobytes()
 
@@ -426,10 +425,9 @@ class TestOneDenominatorsPerCall:
         spec = mixed_sign_spec(k, seed=20 + k)
         x = seed_unknowns(spec.spectrum, spec.lead) + np.random.default_rng(k).uniform(-0.05, 0.05, 4 * k)
         decomp = spectral_map(x, spec, 0.5)
-        calls = {"denominators": 0}
-        count_denominators(monkeypatch, calls)
+        calls = count_calls(monkeypatch, sensitivity, "_denominators")
         xdot = solver._tangent(spec, decomp)
-        assert calls == {"denominators": 1}
+        assert calls == {"_denominators": 1}
         A = jacobian_x(decomp, spec.ramp_row)
         assert np.abs(A[:, :-1] @ xdot + A[:, -1]).max() <= 1e-10 * np.abs(A[:, -1]).max()
         assert np.abs(xdot).max() > 0.0
@@ -439,12 +437,11 @@ class TestOneDenominatorsPerCall:
         rows = decomp.companion_rows.copy()
         rows[3] = 0.0
         zeroed = SpectralDecomposition(decomp.values, rows, decomp.upper, decomp.lead)
-        calls = {"denominators": 0}
-        count_denominators(monkeypatch, calls)
+        calls = count_calls(monkeypatch, sensitivity, "_denominators")
         for f in (jacobian_x, lambda d: jacobian_x(d, path4_spec.ramp_row), jacobian_x):
             with pytest.raises(DegenerateDenominator, match="row 3"):
                 f(zeroed)
-        assert calls == {"denominators": 3}
+        assert calls == {"_denominators": 3}
 
 
 class TestDirectionColumn:

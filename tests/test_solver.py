@@ -28,6 +28,7 @@ from structured_iep import (
     newton_solve,
     proper_values,
     seed_unknowns,
+    sensitivity,
     spectral_map,
     solver,
     verify,
@@ -39,7 +40,7 @@ from conftest import (
     H_EDGES,
     PATH_EDGES,
     TARGETS,
-    count_denominators,
+    count_calls,
     derivative,
     golden_linked4_polynomial,
     golden_path4_polynomial,
@@ -414,7 +415,8 @@ class TestNewtonSolve:
         assert corrector.kind is NoConvergence and decomp is None
         assert corrector.detail.endswith(f"after {N - 1} iterations")
         # the same first N - 1 steps, then the budget
-        assert corrector.trials == N - 1 and corrector.iterations == iterations_n[:N]
+        assert corrector.ended == "budget" and corrector.trials == N - 1
+        assert corrector.iterations == iterations_n[:N]
 
     def test_offdiagonals_bitwise_fixed(self):
         rng = np.random.default_rng(31)
@@ -435,18 +437,8 @@ class TestNewtonSolve:
     def test_one_coefficient_row_per_trial_whatever_the_trial_count(self, monkeypatch):
         # every spectral_map decomposes its own coefficient row: no
         # polynomial is assembled or linearized, and no proper_values runs
-        names = ("assemble", "decompose_row", "proper_values", "spectral_map")
-        calls = dict.fromkeys(names + ("linearize",), 0)
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in names:
-            monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
-        monkeypatch.setattr(matpoly, "linearize", counting("linearize", matpoly.linearize))
+        calls = count_calls(monkeypatch, solver, "assemble", "decompose_row", "proper_values", "spectral_map")
+        count_calls(monkeypatch, matpoly, "linearize", calls=calls)
         trials = []
         # at its fold Newton converges linearly, so the full solve makes many
         # trials; max_iter = 1 allows one, and a start at the root none
@@ -467,7 +459,7 @@ class TestNewtonSolve:
         x, decomp, corrector = newton_solve(spec, tau=1 / 64)
         assert corrector.kind is NoConvergence and corrector.tau == 1 / 64
         assert re.search(r"full step did not lower the residual .*\(iteration 1\)", corrector.detail)
-        assert corrector.trials == 1  # after the start, the one trial
+        assert corrector.ended == "trial" and corrector.trials == 1  # after the start, the one trial
         # the last accepted iterate is the start, and no decomposition is kept
         assert len(corrector.iterations) == 1 and decomp is None
         assert x.tobytes() == seed_unknowns(spec.spectrum, spec.lead).tobytes()
@@ -498,7 +490,8 @@ class TestNewtonSolve:
         # of values complex; direct Newton must fail fast
         x, decomp, corrector = newton_solve(path4_spec)
         assert corrector.kind is NonRealSpectrum and corrector.detail
-        assert corrector.iterations == () and corrector.trials == 0 and decomp is None
+        assert corrector.ended == "start" and corrector.iterations == () and corrector.trials == 0
+        assert decomp is None
         assert x.tobytes() == seed_unknowns(path4_spec.spectrum, path4_spec.lead).tobytes()
         # the record holds the class and the message, not the exception
         assert not any(isinstance(getattr(corrector, f.name), BaseException)
@@ -525,7 +518,7 @@ class TestStepTests:
         assert re.fullmatch(r"Newton step \S+ longer than the predictor displacement \S+ \(iteration 1\)",
                             corrector.detail)
         # the start's eigensolve and no trial's
-        assert corrector.trials == 0 and corrector.iterations == iterations[:1]
+        assert corrector.ended == "step" and corrector.trials == 0 and corrector.iterations == iterations[:1]
         assert eigensolves == {"eig": 1, "eigvals": 0, "eigh": 0, "eigvalsh": 0}
         assert x.tobytes() == seed_unknowns(spec.spectrum, spec.lead).tobytes()
 
@@ -589,10 +582,11 @@ class TestStepTests:
         _, _, corrector = newton_solve(spec, tau=0.5, tol=1e-12)
         assert [r.step_norm for r in corrector.iterations[:2]] == [0.0, 0.125]
         if taken:
-            assert corrector.converged and corrector.trials == 2 and len(maps) == 3
+            assert corrector.ended == "converged" and corrector.trials == 2 and len(maps) == 3
             assert corrector.iterations[2].step_norm == 0.1875
         else:
-            assert corrector.kind is NoConvergence and corrector.trials == 1 and len(maps) == 2
+            assert corrector.kind is NoConvergence and corrector.ended == "step" and corrector.trials == 1
+            assert len(maps) == 2
             assert corrector.detail == "Newton step 0.188 longer than 1.5 times the previous step 0.125 (iteration 2)"
 
 
@@ -789,13 +783,7 @@ class TestContinuationSolve:
         assert {tol for tau, tol in tols if tau == 1.0} == {None}
 
     def test_failing_problem_stays_within_the_documented_budget(self, monkeypatch):
-        jacobians, jacobian = [], solver.jacobian_x
-
-        def counting_jacobian(*args, **kwargs):
-            jacobians.append(1)
-            return jacobian(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
+        calls = count_calls(monkeypatch, solver, "jacobian_x")
         bare_seed_ladder(monkeypatch)
         spec = complex_pair_spec()
         rep = continuation_solve(spec)
@@ -810,7 +798,7 @@ class TestContinuationSolve:
         assert len(taus) == log2_m + 1
         assert min(taus) == 1.0 / M
         # no corrector converged, so no tangent: one Jacobian per trial
-        assert len(jacobians) == sum(c.trials for c in rep.correctors)
+        assert calls["jacobian_x"] == sum(c.trials for c in rep.correctors)
         # continuation_solve's docstring: every corrector within controls.max_iter
         assert all(c.trials <= spec.controls.max_iter for c in rep.correctors)
 
@@ -834,38 +822,34 @@ class TestContinuationSolve:
         # continuation_solve's docstring: 133 * 51 = 6,783 with the default controls
         assert total_budget(SolverControls().max_iter) == 6_783
 
-        jacobians, jacobian = [], solver.jacobian_x
-
-        def counting_jacobian(*args, **kwargs):
-            jacobians.append(1)
-            return jacobian(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "jacobian_x", counting_jacobian)
+        calls = count_calls(monkeypatch, solver, "jacobian_x", "spectral_map")
         rep = continuation_solve(spec)
         assert not rep.converged and failure in rep.failure
-        max_iter = spec.controls.max_iter
-        # the start (whether its eigensolve succeeded or not) and the trials;
-        # a corrector ended at a trial, rejected or not real, exactly when it
-        # has iterations and one trial per iteration, and a failed one ended
-        # before a trial (short of max_iter: after its Jacobian) when it has
-        # one trial fewer
-        per_solve = [(1 + c.trials, len(c.iterations[1:]), bool(c.iterations) and c.trials == len(c.iterations),
-                      not c.converged and len(c.iterations) - 1 == c.trials < max_iter)
-                     for c in rep.correctors]
-        assert per_solve and any(rejected for _, _, rejected, _ in per_solve)
-        # correctors ended before a trial: some in the stalling solve, none in the complex pair's
-        assert any(before for *_, before in per_solve) == (failure != "full step did not lower the residual")
-        for used, steps, rejected, _ in per_solve:
-            # one trial per Jacobian: the start, every accepted step, and the
-            # rejected full step that ended the corrector
-            assert used == 1 + steps + rejected <= 1 + max_iter
-        # one Jacobian per accepted or rejected step, one per corrector
-        # ended before a trial, and one per tangent: after every converged
-        # corrector, all below tau = 1 here
-        tangents = sum(c.converged for c in rep.correctors)
-        assert len(jacobians) == sum(steps + rejected + before for _, steps, rejected, before in per_solve) + tangents
-        assert len(per_solve) <= newton_budget
-        assert sum(used for used, *_ in per_solve) <= newton_budget * (1 + max_iter) <= total_budget(max_iter)
+        correctors, max_iter = rep.correctors, spec.controls.max_iter
+        ended = [c.ended for c in correctors]
+        assert "trial" in ended
+        # correctors ended at a step, before their trial: some in the stalling solve, none in the complex pair's
+        assert ("step" in ended) == (failure != "full step did not lower the residual")
+        # per corrector, the start (whether its eigensolve succeeded or not) and the trials
+        assert sum(1 + c.trials for c in correctors) == calls["spectral_map"] <= newton_budget * (1 + max_iter)
+        assert newton_budget * (1 + max_iter) <= total_budget(max_iter)
+        assert all(c.trials <= max_iter for c in correctors) and len(correctors) <= newton_budget
+        # one Jacobian per accepted or rejected step (a trial), one per
+        # corrector ended at a step, and one per tangent: after every
+        # converged corrector, all below tau = 1 here
+        trials = sum(c.trials for c in correctors)
+        assert calls["jacobian_x"] == trials + ended.count("step") + ended.count("converged")
+
+    def test_refused_steps_counts_the_step_tests_not_the_budget(self):
+        # scripts/eigensolve_counts.py's refused steps: the stalling solve
+        # ends three correctors at a step refused for its length.  Under
+        # max_iter = 1 most correctors reach the budget instead, also with
+        # NoConvergence and no trial, and only one step is refused
+        spec = stalling_spec()
+        assert EIGENSOLVE_COUNTS.refused_steps(continuation_solve(spec).correctors) == 3
+        correctors = continuation_solve(dataclasses.replace(spec, controls=SolverControls(max_iter=1))).correctors
+        assert [c.ended for c in correctors].count("budget") == 14
+        assert EIGENSOLVE_COUNTS.refused_steps(correctors) == 1
 
     @pytest.mark.parametrize("k, epsilon, kind", [(2, 1e10, "NearDegenerate"), (1, 1e200, "LinAlgError")],
                              ids=["k2", "k1"])
@@ -899,6 +883,9 @@ class TestContinuationSolve:
         rep = continuation_solve(make_spec(rng, 4, 2, epsilon=0.1))
         assert raised and rep.converged
         assert rep.continuation_path == (0.5, 1.0)
+        # the first corrector ended at its first step, after its start
+        first = rep.correctors[0]
+        assert first.kind is DegenerateDenominator and first.ended == "step" and len(first.iterations) == 1
 
 
 def accepted(*step_norms):
@@ -957,8 +944,8 @@ class TestNextStep:
 
         def stub_newton_solve(spec, x0, tau, tol, displacement):
             if tau >= fold:
-                return x0, None, solver.Corrector(tau, slow[:1], 1, NoConvergence, "stub")
-            return x0, None, solver.Corrector(tau, slow, 2)
+                return x0, None, solver.Corrector(tau, slow[:1], "trial", NoConvergence, "stub")
+            return x0, None, solver.Corrector(tau, slow, "converged")
 
         monkeypatch.setattr(solver, "newton_solve", stub_newton_solve)
         monkeypatch.setattr(solver, "_tangent", lambda spec, decomp: np.zeros(spec.n * spec.k))
@@ -1013,7 +1000,8 @@ class TestCorrectorEndings:
         assert [c.tau for c in rep.correctors] == [2.0 ** -j for j in range(int(np.log2(M)) + 1)]
         for c in rep.correctors:
             assert c.kind is SingularJacobian and c.detail.startswith(detail)
-            assert len(c.iterations) == 1 and c.trials == 0
+            assert c.ended == "step" and len(c.iterations) == 1 and c.trials == 0
+        assert EIGENSOLVE_COUNTS.refused_steps(rep.correctors) == 0  # ended at a step, but not refused
         assert not rep.converged and rep.continuation_path == ()
         assert rep.failure == f"SingularJacobian at tau=0.015625: {rep.correctors[-1].detail}"
 
@@ -1402,15 +1390,9 @@ class TestSeedPredictor:
 
 def test_continuation_solve_builds_each_offdiagonal_matrix_once(path4_spec, monkeypatch):
     # spec.ramp_row is built once; assemble scales it instead of rebuilding it
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return matrix_of_graph(*args)
-
-    monkeypatch.setattr(solver, "matrix_of_graph", counting)
+    calls = count_calls(monkeypatch, solver, "matrix_of_graph")
     assert continuation_solve(path4_spec).converged
-    assert len(calls) == path4_spec.k
+    assert calls == {"matrix_of_graph": path4_spec.k}
 
 
 def counting_assemble(monkeypatch):
@@ -1460,17 +1442,11 @@ def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
     fresh = reference_spectral_map(x, path4_spec, 0.5)
     assert np.array_equal(solver._tangent(path4_spec, decomp), solver._tangent(path4_spec, fresh))
 
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return proper_values(*args, **kwargs)
-
-    monkeypatch.setattr(matpoly, "proper_values", counting)
-    monkeypatch.setattr(solver, "proper_values", counting)
+    calls = count_calls(monkeypatch, matpoly, "proper_values")
+    count_calls(monkeypatch, solver, "proper_values", calls=calls)
     rep = continuation_solve(path4_spec)
     assert rep.converged and len(rep.continuation_path) > 1
-    assert calls == []
+    assert calls == {"proper_values": 0}
 
 
 @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec"])
@@ -1480,18 +1456,9 @@ def test_bundled_solve_counts(name, request, monkeypatch):
     # the tangent's with its direction column included, computes the
     # denominators once
     spec = request.getfixturevalue(name)
-    calls = dict.fromkeys(("denominators", "jacobian_x", "_tangent"), 0)
-
-    def counting(label, fn):
-        def wrapper(*args, **kwargs):
-            calls[label] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     eigensolves = count_eigensolves(monkeypatch)
-    count_denominators(monkeypatch, calls)
-    for label in ("jacobian_x", "_tangent"):
-        monkeypatch.setattr(solver, label, counting(label, getattr(solver, label)))
+    calls = count_calls(monkeypatch, sensitivity, "_denominators")
+    count_calls(monkeypatch, solver, "jacobian_x", "_tangent", calls=calls)
     rep = continuation_solve(spec)
     assert rep.converged and rep.continuation_path == (0.5, 1.0)
-    assert dict(calls, eig=eigensolves["eig"]) == {"eig": 8, "denominators": 7, "jacobian_x": 7, "_tangent": 1}
+    assert dict(calls, eig=eigensolves["eig"]) == {"eig": 8, "_denominators": 7, "jacobian_x": 7, "_tangent": 1}

@@ -16,15 +16,6 @@ def load_layers():
     return load_module("perfbench_layers", "perfbench/layers.py")
 
 
-def ended_before_a_trial(correctors, max_iter):
-    """The failed correctors that took a Jacobian and ended before its
-    trial (one trial fewer than iterations, short of max_iter): a step
-    refused by newton_solve's step tests, or a SingularJacobian or
-    DegenerateDenominator.  The max_iter budget ends a corrector before its
-    Jacobian."""
-    return [c for c in correctors if not c.converged and len(c.iterations) - 1 == c.trials < max_iter]
-
-
 def test_tracer_installs_and_counts_every_trial(path4_spec, monkeypatch):
     # the tracer's matpoly.eig site wraps numpy.linalg.eig, which matpoly's
     # LAPACK kernel does not call: the kernel's own count stands in for it
@@ -41,12 +32,11 @@ def test_tracer_installs_and_counts_every_trial(path4_spec, monkeypatch):
     assert counts["solver.newton_solve.kept"] == len(report.continuation_path)
     # the solver starts from the seed's diagonals, not from a seed polynomial
     assert counts["seed.seed_coefficients.calls"] == 0
-    # one Jacobian per Newton trial, one per corrector that ended before a
-    # trial, and one per continuation tangent, taken at every kept tau but
-    # the last
-    before = ended_before_a_trial(report.correctors, path4_spec.controls.max_iter)
-    assert counts["sensitivity.jacobian_x.calls"] == (
-        counts["solver.trials"] + len(before) + len(report.continuation_path) - 1)
+    # one Jacobian per Newton trial, one per corrector that ended at a step
+    # (before its trial), and one per continuation tangent, taken at every
+    # kept tau but the last
+    steps = sum(c.ended == "step" for c in report.correctors)
+    assert counts["sensitivity.jacobian_x.calls"] == counts["solver.trials"] + steps + len(report.continuation_path) - 1
 
 
 def test_every_rejected_trial_ends_its_corrector():
@@ -89,19 +79,18 @@ def test_the_corrector_records_agree_with_the_tracer(name, path4_spec):
     assert len(correctors) == counts["solver.newton_solve.calls"]
     assert sum(c.trials for c in correctors) == counts["solver.trials"]
     assert sum(len(c.iterations[1:]) for c in correctors) == counts["solver.newton.accepted_steps"]
-    # a corrector ended at a trial exactly when it has one trial per iteration
-    at_trial = [c for c in correctors if c.iterations and c.trials == len(c.iterations)]
-    assert len(at_trial) == counts["solver.trials.rejected"]
-    assert sum(c.kind is NonRealSpectrum for c in at_trial) == counts["solver.trials.nonreal"]
-    # every failed corrector ended at a trial, before one, or at its start
-    before = ended_before_a_trial(correctors, spec.controls.max_iter)
-    at_start = [c for c in correctors if not c.iterations]
-    assert len(at_trial) + len(before) + len(at_start) == sum(not c.converged for c in correctors)
-    assert bool(before) == (name == "stalling")
-    # one Jacobian per trial, per corrector that ended before a trial, and
-    # per tangent (after each converged corrector below tau = 1)
+    # the records say where each corrector ended
+    ended = [c.ended for c in correctors]
+    assert ended.count("trial") == counts["solver.trials.rejected"]
+    assert sum(c.ended == "trial" and c.kind is NonRealSpectrum for c in correctors) == counts["solver.trials.nonreal"]
+    # none reached max_iter
+    assert "budget" not in ended
+    assert [e == "converged" for e in ended] == [c.kind is None for c in correctors]
+    assert ("step" in ended) == (name == "stalling")
+    # one Jacobian per trial, per corrector that ended at a step, and per
+    # tangent (after each converged corrector below tau = 1)
     tangents = sum(c.converged and c.tau < 1.0 for c in correctors)
-    assert counts["sensitivity.jacobian_x.calls"] == counts["solver.trials"] + len(before) + tangents
+    assert counts["sensitivity.jacobian_x.calls"] == counts["solver.trials"] + ended.count("step") + tangents
     assert report.converged == (name in ("path4", "weakly_coupled"))
     if report.converged:
         assert sum(c.converged for c in correctors) == counts["solver.newton_solve.kept"]
