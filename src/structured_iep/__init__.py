@@ -7,7 +7,8 @@ those proper values and exactly those patterns: seed a diagonal polynomial
 carrying the targets, fix the off-diagonal entries to prescribed nonzero
 values, and Newton-correct the diagonals using analytic spectral
 sensitivities, with continuation in the off-diagonal scale from the seed,
-whose first step is as long as the seed's second-order predictor reaches.
+whose first step starts at the seed's fourth-order predictor, with error
+O(tau^5), and is as long as that predictor reaches.
 """
 
 from .errors import (

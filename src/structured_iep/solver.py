@@ -14,10 +14,12 @@ A step longer than its reference, the predictor's displacement for the
 first step and the step before it for a later one, fails the corrector
 before its trial's eigensolve (PREDICTOR_ERROR_MAX, NEWTON_STEP_GROWTH_MAX).
 At the diagonal seed the tangent is zero, so correctors from the seed start
-at its closed-form second-order term instead, where that term moves no
-target by more than half its gap (_seed_curvature), and the first step is
-the longest power of two in tau over which it does so (_first_step): the
-full problem at tau = 1 only when the seed predictor reaches it.
+at the fourth-order seed predictor instead, the closed-form Taylor series
+seed + tau^2 c_2 + tau^3 c_3 + tau^4 c_4 of the solution curve, with an
+O(tau^5) error, where its tau^2 term moves no target by more than half its
+gap (_seed_series), and the first step is the longest power of two in tau
+over which it does so (_first_step): the full problem at tau = 1 only when
+the seed predictor reaches it.
 Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL.
 
 This module runs no eigensolve and no derivative of its own: a trial's
@@ -79,7 +81,9 @@ to Numerical Continuation Methods, SIAM 2003, ch. 6).  A predictor of order
 p moves x by about C tau^p and errs by about C' tau^(p+1), so the ratio of
 the two grows with the step in tau and reaches 1 where the neglected term
 is as large as the one kept: beyond it the predictor no longer follows the
-curve, and the step in tau was too long.  From the bare seed the
+curve, and the step in tau was too long.  The tangent is such a predictor
+(p = 1); the fourth-order seed predictor moves x by its whole series,
+about C tau^2, and errs by about C' tau^5.  From the bare seed the
 displacement is 0 and the test is skipped."""
 NEWTON_STEP_GROWTH_MAX = 1.5
 """A corrector whose Newton step is longer than this times its previous
@@ -464,26 +468,54 @@ def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
     return xdot if np.isfinite(xdot).all() else np.zeros(len(decomp))
 
 
-def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
-    """The second-order seed predictor (c, rho): x(tau) = seed + tau^2 c +
-    O(tau^3) on the solution curve through the diagonal seed, and the shift
-    ratio rho that bounds where that expansion is used.
+def _interpolate(a: np.ndarray, roots: np.ndarray) -> None:
+    """Overwrite a stack of value sets with their interpolants'
+    coefficients.  a[i, r, m] is set i's value at roots[r, m] (roots is n x
+    k) and becomes the z^m coefficient of set i's degree-(k-1) interpolant
+    on entry r: Newton divided differences over each entry's targets, then
+    Horner on the Newton form, both in place."""
+    k = roots.shape[1]
+    for j in range(1, k):
+        a[..., j:] = (a[..., j:] - a[..., j - 1:-1]) / (roots[:, j:] - roots[:, :-j])
+    for j in range(k - 2, -1, -1):  # a(z) <- a[j] + (z - roots[:, j]) a(z), a(z) = sum_s a[j + 1 + s] z^s
+        a[..., j:-1] -= roots[:, j, None] * a[..., j + 1:]
 
-    Let p_r be the seed's r-th diagonal scalar polynomial, whose roots are
-    row r of spec.spectrum.blocks, and D(z) = sum_s z^s Y_s the off-diagonal
-    ramp, Y_s the blocks of spec.ramp_row.  A Schur complement on entry r
-    moves its target lambda_q to lambda_q + tau^2 g_r(lambda_q) /
-    p_r'(lambda_q) + O(tau^3), with g_r(z) = sum_{j != r} D_rj(z)^2 /
-    p_j(z) (Andrew, Chu & Lancaster, SIAM J. Matrix Anal. Appl. 14, 1993).  Adding tau^2 times the degree-(k-1)
-    interpolant of g_r at r's k targets to p_r cancels that shift, so entry
-    r's block of c (c[s*n + r], s < k) holds the interpolant's
-    coefficients.  rho is the largest unpredicted shift
-    |g_r(lambda_q) / p_r'(lambda_q)| over the distance from lambda_q to its
-    nearest other target (spectrum.gaps).
+
+def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float]:
+    """The fourth-order seed predictor (c, rho): x(tau) = seed + tau^2 c_2 +
+    tau^3 c_3 + tau^4 c_4 + O(tau^5) on the solution curve through the
+    diagonal seed, c = [c_2, c_3, c_4] (3 x kn), and the shift ratio rho
+    that bounds where that expansion is used.
+
+    Let p_j be the seed's j-th diagonal scalar polynomial, whose roots are
+    row j of spec.spectrum.blocks, D(z) = sum_s z^s Y_s the off-diagonal
+    ramp, Y_s the blocks of spec.ramp_row, and delta_j(z) = sum_s x[s*n +
+    j] z^s the move of entry j's unknowns from the seed.  Target lambda_q
+    of entry r is a proper value exactly when the Schur complement on entry
+    r vanishes there: delta_r(lambda_q) = tau^2 d^T M^{-1} d, d the column
+    r of D(lambda_q) without entry r and M = diag(p_j + delta_j) + tau D,
+    both at lambda_q, over the other entries (Andrew, Chu & Lancaster, SIAM
+    J. Matrix Anal. Appl. 14, 1993).  The Neumann series of M^{-1} about
+    diag(p_j), with delta_j = O(tau^2), gives that right side to O(tau^5)
+    from u_q[j] = D_rj(lambda_q) / p_j(lambda_q) (u_q[r] = 0) and w_q =
+    D(lambda_q) u_q:
+
+    - tau^2: g_q = sum_j D_rj(lambda_q) u_q[j];
+    - tau^3: -u_q^T w_q;
+    - tau^4: sum_{l != r} w_q[l]^2 / p_l(lambda_q) - sum_j u_q[j]^2
+      delta2_j(lambda_q), delta2_j(z) = sum_s c_2[s*n + j] z^s.
+
+    delta_r has degree k - 1 and r has k targets, so entry r's block of
+    c_i (c_i[s*n + r], s < k) holds the coefficients of the interpolant of
+    the tau^i values at r's targets (_interpolate).  A graph without odd
+    cycles, a path's, has c_3 = 0: x(tau) is even in tau.  rho is the
+    largest second-order shift |g_q / p_r'(lambda_q)| over the distance
+    from lambda_q to its nearest other target (spectrum.gaps).
 
     Built from the targets, the leading diagonal and the off-diagonal rows
-    of D at the targets: no eig, no Jacobian, O(nk * n) memory.  When c or
-    rho is not finite, the predictor is (0, inf): the bare seed.
+    of D at the targets, and one product of the nk x n matrix of the u_q by
+    the n x kn ramp row: no eig, no Jacobian, O(k^2 n^2) memory.  When c or rho is not
+    finite, the predictor is (0, inf): the bare seed.
     """
     n, k = spec.n, spec.k
     alpha = spec.lead.alpha_k
@@ -501,32 +533,42 @@ def _seed_curvature(spec: ProblemSpec) -> tuple[np.ndarray, float]:
         p_row = alpha * (col - roots[:, 0])
         for i in range(1, k):
             p_row *= col - roots[:, i]
-        p_row[q, entry] = 1.0  # its own term: D has a zero diagonal
-        g = np.add.reduce(d_row ** 2 / p_row, axis=1)
+        p_row[q, entry] = 1.0  # its own term: D has a zero diagonal, so u[q, entry] = 0
+        u = d_row / p_row
+        uy = (u @ spec.ramp_row).reshape(n * k, k, n)  # uy[q, s] = Y_s u_q, Y_s symmetric
+        w = uy[:, -1]  # row q: D(lambda_q) u_q
+        for s in range(k - 2, -1, -1):
+            w = w * col + uy[:, s]
+        # h[i] holds the tau^(i+2) values at the targets, then their interpolants
+        h = np.empty((3, n, k))
+        flat = h.reshape(3, n * k)
+        g = np.add.reduce(d_row * u, axis=1, out=flat[0])
+        np.negative(np.add.reduce(u * w, axis=1), out=flat[1])
         # p_r'(lambda_q) = alpha_r * prod of lambda_q - lambda_q' over r's other targets
         diff = roots[:, :, None] - roots[:, None, :]
         diff.reshape(n, k * k)[:, ::k + 1] = 1.0
         shift = g / (alpha[:, None] * np.multiply.reduce(diff, axis=2)).ravel()
         rho = float(np.maximum.reduce(np.abs(shift[lam.argsort()]) / spec.spectrum.gaps))  # gaps are in sorted order
-        # Newton divided differences of g over each entry's targets, then
-        # the interpolant's monomial coefficients by Horner on its Newton form
-        dd = g.reshape(n, k)
-        for j in range(1, k):
-            dd[:, j:] = (dd[:, j:] - dd[:, j - 1:-1]) / (roots[:, j:] - roots[:, :-j])
-        coef = np.zeros((n, k))
-        for j in range(k - 1, -1, -1):  # coef(z) <- coef(z) * (z - roots[:, j]) + dd[:, j]
-            coef = np.concatenate((dd[:, j, None], coef[:, :-1]), axis=1) - roots[:, j, None] * coef
-    c = coef.T.ravel()
-    if not (np.logical_and.reduce(np.isfinite(c)) and np.isfinite(rho)):
+        _interpolate(h[:2], roots)
+        w[q, entry] = 0.0  # the sum over l != r
+        # sum_j u_q[j]^2 delta2_j(lambda_q), by Horner on uc[q, s] = sum_j u_q[j]^2 c_2[s*n + j]
+        uc = (u * u) @ h[0]
+        ud = uc[:, -1]
+        for s in range(k - 2, -1, -1):
+            ud = ud * lam + uc[:, s]
+        np.subtract(np.add.reduce(w * w / p_row, axis=1), ud, out=flat[2])
+        _interpolate(h[2:], roots)
+    c = h.transpose(0, 2, 1).reshape(3, k * n)
+    if not (np.logical_and.reduce(np.isfinite(c), axis=None) and np.isfinite(rho)):
         return np.zeros_like(c), np.inf
     return c, rho
 
 
 def _first_step(rho: float) -> float:
     """The first step in tau from the seed, given the shift ratio rho of
-    _seed_curvature: the longest 2^-j (j >= 0) with 4^-j rho <=
-    SEED_SHIFT_MAX, where the seed predictor moves no target by more than
-    half its gap, floored at 1/MAX_CONTINUATION_STEPS.  Only at that floor
+    _seed_series: the longest 2^-j (j >= 0) with 4^-j rho <=
+    SEED_SHIFT_MAX, where the seed predictor's tau^2 term moves no target
+    by more than half its gap, floored at 1/MAX_CONTINUATION_STEPS.  Only at that floor
     (rho > SEED_SHIFT_MAX * M^2, or rho = inf) does a corrector start at the
     bare seed."""
     dtau = 1.0
@@ -565,8 +607,9 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     dx/dtau along the tangent of the solution curve.  At the seed that
     tangent is zero (every proper vector is a unit vector), so a corrector
     from the seed (the first one and its halved retries) starts at the
-    second-order prediction seed + tau^2 c of _seed_curvature when tau^2
-    rho <= SEED_SHIFT_MAX: no predicted target shift then exceeds half the
+    fourth-order seed predictor seed + tau^2 c_2 + tau^3 c_3 + tau^4 c_4
+    of _seed_series, whose error is O(tau^5), when tau^2 rho <=
+    SEED_SHIFT_MAX: no target shift of its tau^2 term then exceeds half the
     gap to its nearest other target, where the expansion and the sorted
     matching hold.  Otherwise it starts at the bare seed.  The first step
     is _first_step(rho), the longest 2^-j inside that gate (floored at
@@ -582,11 +625,11 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     the residual fails it: a corrector that would need damping is read as
     a step in tau that is too long (Deuflhard, Newton Methods for
     Nonlinear Problems, 2004, sec. 5.1).  Each corrector is given its
-    predictor's displacement, |tau step * dx/dtau| or |tau^2 c| (0 from the
-    bare seed), so a first Newton step longer than the predictor's own move
-    fails it before that step's trial (newton_solve, PREDICTOR_ERROR_MAX).
-    A failed corrector halves the
-    step and retries from the last converged point.  A converged one sets
+    predictor's displacement, |tau step * dx/dtau| or the seed series'
+    |tau^2 c_2 + tau^3 c_3 + tau^4 c_4| (0 from the bare seed), so a first
+    Newton step longer than the predictor's own move fails it before that
+    step's trial (newton_solve, PREDICTOR_ERROR_MAX).  A failed corrector
+    halves the step and retries from the last converged point.  A converged one sets
     the next step from its own contraction rate (_next_step): the last
     step times a factor in [1/2, 2], floored at 1/M (M =
     MAX_CONTINUATION_STEPS) and clipped to 1 - tau.  The solve gives up
@@ -630,7 +673,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     """
     loose_tol = max(CORRECTOR_TOL_REL * spec.spectrum.scale, spec.controls.resolved_tol(spec.spectrum))
     x = seed_unknowns(spec.spectrum, spec.lead)
-    curvature, rho = _seed_curvature(spec)
+    (c2, c3, c4), rho = _seed_series(spec)
     tau, dtau = 0.0, _first_step(rho)
     correctors = []
     for _ in range(_NEWTON_SOLVE_BUDGET):
@@ -639,7 +682,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         if tau > 0.0:
             shift = (tau_next - tau) * xdot
         elif tau_next ** 2 * rho <= SEED_SHIFT_MAX:
-            shift = tau_next ** 2 * curvature
+            shift = tau_next ** 2 * (c2 + tau_next * (c3 + tau_next * c4))
         else:
             shift = None  # the bare seed: no displacement, so no first-step test
         x_next, decomp, corrector = newton_solve(

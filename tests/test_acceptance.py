@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from structured_iep import (
     DegenerateDenominator,

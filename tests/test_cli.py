@@ -186,11 +186,11 @@ class TestSolve:
                                                                                    monkeypatch):
         # with the first-step factor at 0, every corrector from the seed
         # predictor that does not start within its tolerance fails before
-        # its first trial; at epsilon 2 that is all of them, down to 1/M.
+        # its first trial; at epsilon 8 that is all of them, down to 1/M.
         # The last one's start was real, so exit 4, not 5
         monkeypatch.setattr(solver, "PREDICTOR_ERROR_MAX", 0.0)
         prob = tmp_path / "p.json"
-        prob.write_text(json.dumps(path4_doc(epsilon=2.0)))
+        prob.write_text(json.dumps(path4_doc(epsilon=8.0)))
         code, out, _ = run(capsys, ["--quiet", "solve", str(prob)])
         doc = strict_json(out)
         assert code == cli.EXIT_NO_CONVERGENCE

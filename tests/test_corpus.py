@@ -39,7 +39,7 @@ ROOT_67 = np.array([float.fromhex(h) for h in (
 
 def test_full_steps_keep_the_root_of_instance_67(corpus):
     # rho = 2.31, so the first step is 1/4, inside the seed predictor's
-    # reach.  That corrector converges in one Newton step, which gives no
+    # reach.  That corrector starts within its tolerance, which gives no
     # contraction rate, so the step doubles to 1/2.  At tau = 3/4 the first
     # Newton step (0.175) is longer than the tangent predictor's
     # displacement (0.168), so that corrector fails before its trial and
@@ -48,7 +48,8 @@ def test_full_steps_keep_the_root_of_instance_67(corpus):
     rep = continuation_solve(corpus[67])
     assert rep.converged
     assert rep.continuation_path == pytest.approx(
-        (0.25, 0.5, float.fromhex("0x1.ae9713bacc8f6p-1"), 1.0), rel=1e-12, abs=0.0)
+        (0.25, 0.5, float.fromhex("0x1.ae96ffc964366p-1"), 1.0), rel=1e-12, abs=0.0)
+    assert len(rep.correctors[0].iterations) == 1
     refused = rep.correctors[1]
     assert refused.tau == 0.75 and refused.ended == "step" and len(refused.iterations) == 1
     assert refused.detail.startswith("Newton step 0.175 longer than the predictor displacement 0.168 ")
@@ -58,11 +59,11 @@ def test_full_steps_keep_the_root_of_instance_67(corpus):
 def test_correctors_from_the_seed_start_inside_the_predictor_gate(corpus, path4_spec, linked4_spec):
     # the first corrector's step is _first_step(rho), and every corrector
     # from the seed (up to and including the first converged one) has
-    # tau^2 rho <= SEED_SHIFT_MAX, so it starts at seed + tau^2 c, unless its
-    # step is the floor 1/M
+    # tau^2 rho <= SEED_SHIFT_MAX, so it starts at the seed series, unless
+    # its step is the floor 1/M
     floor, first_steps = 1.0 / solver.MAX_CONTINUATION_STEPS, []
     for spec in (*corpus, path4_spec, linked4_spec):
-        rho = solver._seed_curvature(spec)[1]
+        rho = solver._seed_series(spec)[1]
         correctors = continuation_solve(spec).correctors
         first_steps.append(solver._first_step(rho))
         assert correctors[0].tau == first_steps[-1]

@@ -171,7 +171,15 @@ def bare_seed_ladder(monkeypatch):
     """Make the seed predictor (c, rho) = (0, 0): the first step is 1 and
     every corrector from the seed starts at the bare seed, so a problem on
     which no step converges walks the whole ladder 1, 1/2, ..., 1/M."""
-    monkeypatch.setattr(solver, "_seed_curvature", lambda spec: (np.zeros(spec.n * spec.k), 0.0))
+    monkeypatch.setattr(solver, "_seed_series", lambda spec: (np.zeros((3, spec.n * spec.k)), 0.0))
+
+
+def series_start(spec, tau):
+    """seed + tau^2 c_2 + tau^3 c_3 + tau^4 c_4 of solver._seed_series:
+    bitwise the start of a corrector from the seed at tau inside the
+    predictor's gate."""
+    (c2, c3, c4), _ = solver._seed_series(spec)
+    return seed_unknowns(spec.spectrum, spec.lead) + tau ** 2 * (c2 + tau * (c3 + tau * c4))
 
 
 class TestAssemble:
@@ -528,7 +536,7 @@ class TestStepTests:
         assert x_equal.tobytes() == x.tobytes() and iterations_equal == iterations
 
     def test_a_bare_seed_start_skips_the_first_step_test(self, path4_spec, monkeypatch):
-        # without a seed predictor (_seed_curvature's (0, inf)) the first
+        # without a seed predictor (_seed_series's (0, inf)) the first
         # corrector starts at the bare seed at the floor 1/M, with
         # displacement 0, and takes its first step whatever its length
         calls, newton = [], solver.newton_solve
@@ -539,14 +547,14 @@ class TestStepTests:
             return result
 
         monkeypatch.setattr(solver, "newton_solve", recording)
-        monkeypatch.setattr(solver, "_seed_curvature", lambda spec: (np.zeros(spec.n * spec.k), np.inf))
+        monkeypatch.setattr(solver, "_seed_series", lambda spec: (np.zeros((3, spec.n * spec.k)), np.inf))
         continuation_solve(path4_spec)
         displacement, first = calls[0]
         assert first.tau == 1.0 / solver.MAX_CONTINUATION_STEPS and displacement == 0.0
         assert first.converged and first.trials >= 1 and first.iterations[1].step_norm > 0.0
 
     def test_continuation_passes_each_predictors_displacement(self, path4_spec, monkeypatch):
-        # path4: seed + c / 4 at tau = 1/2, then the tangent step to 1
+        # path4: the seed series at tau = 1/2, then the tangent step to 1
         calls, newton = [], solver.newton_solve
 
         def recording(*args, **kwargs):
@@ -617,9 +625,9 @@ class TestVectorReuse:
 
     def test_no_reuse_below_full_coupling(self, monkeypatch):
         # a corrector at tau < 1 feeds the tangent its vectors, however close
-        # to its root it starts: here at the seed predictor's tau^2 c
+        # to its root it starts: here at the seed predictor's start
         spec = weakly_coupled_spec(20, 2)
-        x0 = seed_unknowns(spec.spectrum, spec.lead) + 0.25 * solver._seed_curvature(spec)[0]
+        x0 = series_start(spec, 0.5)
         assert start_shift(spec, x0, tau=0.5) <= solver.VECTOR_REUSE_SHIFT
         calls = count_eigensolves(monkeypatch)
         _, _, iterations = solved(spec, x0=x0, tau=0.5)
@@ -627,7 +635,7 @@ class TestVectorReuse:
 
     def test_returned_decomposition_has_exact_values_and_the_start_rows(self):
         spec = weakly_coupled_spec(20, 2)
-        x0 = seed_unknowns(spec.spectrum, spec.lead) + solver._seed_curvature(spec)[0]  # the direct attempt's start
+        x0 = series_start(spec, 1.0)  # the direct attempt's start
         assert start_shift(spec, x0) <= solver.VECTOR_REUSE_SHIFT
         x, decomp, iterations = solved(spec, x0=x0)
         assert len(iterations) >= 3
@@ -690,9 +698,8 @@ class TestContinuationSolve:
     def test_single_step_matches_direct_newton(self):
         rng = np.random.default_rng(41)
         spec = make_spec(rng, 4, 2, epsilon=0.1)
-        curvature, rho = solver._seed_curvature(spec)
-        assert rho <= solver.SEED_SHIFT_MAX  # the direct attempt starts at seed + c
-        predicted, _, iterations = solved(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + curvature)
+        assert solver._seed_series(spec)[1] <= solver.SEED_SHIFT_MAX  # the direct attempt starts at the series
+        predicted, _, iterations = solved(spec, x0=series_start(spec, 1.0))
         cont = continuation_solve(spec)
         assert cont.continuation_path == (1.0,)
         assert np.array_equal(cont.x, predicted)
@@ -737,7 +744,7 @@ class TestContinuationSolve:
         # rho = 5e5 > 0.5 * 64^2: the first step is 1/64, from the bare seed,
         # and its failure ends the solve with the text of the ladder it replaces
         spec = complex_pair_spec()
-        assert solver._seed_curvature(spec)[1] == pytest.approx(5e5, rel=1e-12)
+        assert solver._seed_series(spec)[1] == pytest.approx(5e5, rel=1e-12)
         rep = continuation_solve(spec)
         assert [c.tau for c in rep.correctors] == [1 / 64]
         assert rep.failure == "NoConvergence at tau=0.015625: full step did not lower the residual 7.72 (iteration 1)"
@@ -974,7 +981,7 @@ class TestFirstStep:
         (137.0, 1 / 32),  # corpus3[86]
         (2048.0, 1 / 64),  # 2048 / 64^2 = 0.5: the last rho inside the gate
         (1e6, 1 / 64),  # beyond the gate at every step: the floor
-        (math.inf, 1 / 64),  # no predictor (_seed_curvature's rho = inf)
+        (math.inf, 1 / 64),  # no predictor (_seed_series's rho = inf)
     ], ids=["zero", "boundary", "path4", "two", "just-above-two", "corpus3-86", "floor-boundary", "floor", "inf"])
     def test_the_longest_power_of_two_step_inside_the_gate(self, rho, step):
         assert solver._first_step(rho) == step
@@ -1311,81 +1318,121 @@ def near_resonant_spec():
     )
 
 
-class TestSeedPredictor:
-    @pytest.mark.parametrize("name", ["path4_spec", "linked4_spec", "k1", "k3"])
-    def test_error_is_third_order_or_better_in_tau(self, name, request):
-        if name in ("k1", "k3"):
-            # path graphs are bipartite, so x(tau) is even in tau, as on path4
-            k = int(name[1])
-            spec = ProblemSpec(
-                spectrum=TargetSpectrum(values=random_targets(np.random.default_rng(7), 4, k), n=4, k=k),
-                lead=LeadingDiagonal(alpha_k=np.array([0.5, 1.0, 1.5, 2.0])),
-                graphs=(Graph(4, PATH_EDGES),) * k,
-                epsilon=0.3,
-                controls=SolverControls(newton_tol=1e-13),
-            )
-        else:
-            spec = quadratic_targets_spec(request.getfixturevalue(name).graphs, newton_tol=1e-13)
-        curvature, _ = solver._seed_curvature(spec)
-        seed = seed_unknowns(spec.spectrum, spec.lead)
-        errors = []
-        for tau in (0.04, 0.02, 0.01):
-            predicted = seed + tau ** 2 * curvature
-            x, _, _ = solved(spec, x0=predicted, tau=tau)
-            errors.append(np.linalg.norm(x - predicted))
-        # x(tau) - seed - tau^2 c = O(tau^3): at least 8x smaller per halving
-        assert errors[0] >= 8 * errors[1] and errors[1] >= 8 * errors[2]
+TRIANGLE_EDGES = ((1, 2), (1, 3), (2, 3))
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_a_per_entry_reference(self, k):
-        # g_r and p_r' from the assembled seed and ramp, one entry at a time,
-        # and the interpolant from a Vandermonde solve
-        spec = make_spec(np.random.default_rng(11), 5, k, epsilon=0.4)
-        n, seed, targets = spec.n, spec.seed(), spec.spectrum.values
-        ramp = matpoly.MatrixPolynomial(assemble(np.zeros(n * k), spec).coeffs[:k])
-        c_ref, rho_ref = np.empty(n * k), 0.0
+
+def triangle_spec(k, epsilon=0.3):
+    """Three entries on a triangle, an odd cycle, in every coefficient: the
+    seed series' tau^3 term is not zero."""
+    return ProblemSpec(
+        spectrum=TargetSpectrum(values=random_targets(np.random.default_rng(7), 3, k), n=3, k=k),
+        lead=LeadingDiagonal(alpha_k=np.array([0.5, 1.0, 2.0])),
+        graphs=(Graph(3, TRIANGLE_EDGES),) * k,
+        epsilon=epsilon,
+        controls=SolverControls(newton_tol=1e-12),
+    )
+
+
+def reference_series(spec):
+    """The seed series [c_2, c_3, c_4] and rho, one entry and target at a
+    time from the assembled seed and ramp: u_j = D_rj / p_j, the tau^3 value
+    -sum_{j, l} u_j D_jl u_l, the tau^4 value sum_l (sum_j D_lj u_j)^2 / p_l
+    - sum_j u_j^2 delta2_j, and each interpolant from a Vandermonde solve."""
+    n, k, seed, targets = spec.n, spec.k, spec.seed(), spec.spectrum.values
+    ramp = matpoly.MatrixPolynomial(assemble(np.zeros(n * k), spec).coeffs[:k])
+    c, rho = np.empty((3, n * k)), 0.0
+    for order in range(3):
         for r in range(n):
             roots = targets[r * k:(r + 1) * k]
-            g = np.empty(k)
+            h = np.zeros(k)
             for i, lam in enumerate(roots):
                 D, S = matpoly.evaluate(ramp, lam), matpoly.evaluate(seed, lam)
-                g[i] = sum(D[r, j] ** 2 / S[j, j] for j in range(n) if j != r)
-                slope = matpoly.evaluate(derivative(seed), lam)[r, r]
-                gap = np.min(np.abs(targets[targets != lam] - lam))
-                rho_ref = max(rho_ref, abs(g[i] / slope) / gap)
-            c_ref[r::n] = np.linalg.solve(np.vander(roots, k, increasing=True), g)
-        c, rho = solver._seed_curvature(spec)
-        assert np.allclose(c, c_ref, rtol=1e-10, atol=1e-12 * np.max(np.abs(c_ref)))
+                others = [j for j in range(n) if j != r]
+                u = {j: D[r, j] / S[j, j] for j in others}
+                if order == 0:
+                    h[i] = sum(D[r, j] * u[j] for j in others)
+                    slope = matpoly.evaluate(derivative(seed), lam)[r, r]
+                    gap = np.min(np.abs(targets[targets != lam] - lam))
+                    rho = max(rho, abs(h[i] / slope) / gap)
+                elif order == 1:
+                    h[i] = -sum(u[j] * D[j, l] * u[l] for j in others for l in others)
+                else:
+                    for l in others:
+                        h[i] += sum(D[l, j] * u[j] for j in others) ** 2 / S[l, l]
+                    for j in others:
+                        h[i] -= u[j] ** 2 * sum(c[0, s * n + j] * lam ** s for s in range(k))
+            c[order, r::n] = np.linalg.solve(np.vander(roots, k, increasing=True), h)
+    return c, rho
+
+
+class TestSeedPredictor:
+    @pytest.mark.parametrize("name", ["triangle1", "triangle2", "linked4_spec"])
+    def test_error_is_fifth_order_or_better_in_tau(self, name, request):
+        # graphs with a triangle, so the tau^3 term is not zero; at these tau
+        # the error stays far above the corrector's tolerance, and the tau^2
+        # predictor's error falls only 8-16x per halving
+        if name.startswith("triangle"):
+            spec = triangle_spec(int(name[-1]))
+        else:
+            spec = quadratic_targets_spec(request.getfixturevalue(name).graphs, newton_tol=1e-13)
+        errors = []
+        for tau in (0.16, 0.08, 0.04):
+            predicted = series_start(spec, tau)
+            x, _, _ = solved(spec, x0=predicted, tau=tau)
+            errors.append(np.linalg.norm(x - predicted))
+        # x(tau) - seed - tau^2 c_2 - tau^3 c_3 - tau^4 c_4 = O(tau^5): at
+        # least 24x smaller per halving
+        assert errors[0] >= 24 * errors[1] and errors[1] >= 24 * errors[2]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, "triangle"])
+    def test_matches_a_per_entry_reference(self, k):
+        spec = triangle_spec(1) if k == "triangle" else make_spec(np.random.default_rng(11), 5, k, epsilon=0.4)
+        c_ref, rho_ref = reference_series(spec)
+        c, rho = solver._seed_series(spec)
+        assert c.shape == (3, spec.n * spec.k)
+        for got, want in zip(c, c_ref):
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(c_ref)))
         assert rho == pytest.approx(rho_ref, rel=1e-10)
+        # the tau^3 term is zero exactly on a graph without odd cycles (k = 1's is a tree)
+        assert (np.max(np.abs(c_ref[1])) == 0.0) == (k == 1)
+
+    def test_a_non_finite_series_is_the_bare_seed(self):
+        # off-diagonals of 1e100: rho and the tau^2 terms (~1e200) are finite,
+        # the tau^4 terms (~1e400) overflow
+        c, rho = solver._seed_series(triangle_spec(1, epsilon=1e100))
+        assert c.tobytes() == np.zeros((3, 3)).tobytes() and rho == math.inf
 
     def test_near_resonant_pair_starts_at_the_bare_seed(self, monkeypatch):
         spec = near_resonant_spec()
-        _, rho = solver._seed_curvature(spec)
+        _, rho = solver._seed_series(spec)
         assert rho > solver.SEED_SHIFT_MAX
         starts = record_start_points(monkeypatch)
         continuation_solve(spec)
         seed = seed_unknowns(spec.spectrum, spec.lead)
         assert starts[0].tobytes() == seed.tobytes()
 
-    def test_small_shift_ratio_starts_at_seed_plus_curvature(self, monkeypatch):
-        spec = make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1)
-        curvature, rho = solver._seed_curvature(spec)
+    @pytest.mark.parametrize("name", ["random", "triangle"])
+    def test_small_shift_ratio_starts_at_seed_plus_the_series(self, name, monkeypatch):
+        spec = triangle_spec(1) if name == "triangle" else make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1)
+        c, rho = solver._seed_series(spec)
         assert rho <= solver.SEED_SHIFT_MAX
+        # on the triangle each of c_2, c_3 and c_4 has a nonzero entry
+        assert name == "random" or np.abs(c).max(axis=1).min() > 0.0
         starts = record_start_points(monkeypatch)
         continuation_solve(spec)
-        assert starts[0].tobytes() == (seed_unknowns(spec.spectrum, spec.lead) + curvature).tobytes()
+        assert starts[0].tobytes() == series_start(spec, 1.0).tobytes()
 
-    def test_path4_starts_at_seed_plus_a_quarter_of_the_curvature_at_one_half(self, path4_spec, monkeypatch):
+    def test_path4_starts_at_the_series_at_one_half(self, path4_spec, monkeypatch):
         # rho = 1.32: tau = 1 is beyond the gate, so the first step is 1/2,
-        # whose corrector starts at seed + c / 4 and converges
-        curvature, rho = solver._seed_curvature(path4_spec)
+        # whose corrector starts at seed + c_2 / 4 + c_3 / 8 + c_4 / 16 and
+        # converges
+        _, rho = solver._seed_series(path4_spec)
         assert 0.25 * rho <= solver.SEED_SHIFT_MAX < rho
         starts = record_start_points(monkeypatch)
         rep = continuation_solve(path4_spec)
-        seed = seed_unknowns(path4_spec.spectrum, path4_spec.lead)
         assert rep.continuation_path == (0.5, 1.0)
         assert [c.tau for c in rep.correctors] == [0.5, 1.0]
-        assert starts[0].tobytes() == (seed + 0.25 * curvature).tobytes()
+        assert starts[0].tobytes() == series_start(path4_spec, 0.5).tobytes()
 
 
 def test_continuation_solve_builds_each_offdiagonal_matrix_once(path4_spec, monkeypatch):
@@ -1411,8 +1458,7 @@ def counting_assemble(monkeypatch):
 def test_converged_newton_solve_assembles_no_polynomial(name, request, monkeypatch):
     spec = request.getfixturevalue(name)
     taus = counting_assemble(monkeypatch)
-    curvature, _ = solver._seed_curvature(spec)
-    _, _, iterations = solved(spec, x0=seed_unknowns(spec.spectrum, spec.lead) + 0.25 * curvature, tau=0.5)
+    _, _, iterations = solved(spec, x0=series_start(spec, 0.5), tau=0.5)
     assert len(iterations) > 2
     assert taus == []
 
@@ -1437,8 +1483,7 @@ def test_continuation_solve_assembles_one_polynomial(name, request, monkeypatch)
 
 
 def test_tangent_reuses_the_accepted_decomposition(path4_spec, monkeypatch):
-    curvature, _ = solver._seed_curvature(path4_spec)
-    x, decomp, _ = solved(path4_spec, x0=seed_unknowns(path4_spec.spectrum, path4_spec.lead) + 0.25 * curvature, tau=0.5)
+    x, decomp, _ = solved(path4_spec, x0=series_start(path4_spec, 0.5), tau=0.5)
     fresh = reference_spectral_map(x, path4_spec, 0.5)
     assert np.array_equal(solver._tangent(path4_spec, decomp), solver._tangent(path4_spec, fresh))
 
