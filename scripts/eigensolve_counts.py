@@ -3,18 +3,23 @@
 instance sets.
 
     python3 scripts/eigensolve_counts.py
+    python3 scripts/eigensolve_counts.py --heldout
 
 Solves, with continuation_solve of the package in this checkout's src/, the
 instances that perfbench/workloads.py generates (its generators are only
 read): the two bundled problems, the ``corpus`` set (generator seed 1) and
-the ``sweep`` set.  For each set it prints the eigensolves by kind (eig,
+the ``sweep`` set, and with --heldout the held-out draw, the ``corpus``
+sets of generator seeds HELDOUT_SEEDS (900 instances that no tuning has
+used).  For each set it prints the eigensolves by kind (eig,
 eigvals, eigh, eigvalsh), counted through a stand-in for matpoly.lapack,
 the package's one LAPACK kernel, and the Newton solves, trials and
 refused steps that the reports' corrector records hold (a trial is a
 spectral_map call of newton_solve after its corrector's start, the
 record's ``trials``; a refused step is a corrector whose ``ended`` is
 "step" with NoConvergence: newton_solve's step tests ended it before its
-trial).  The benchmark's tracer wraps numpy.linalg.eig, which the
+trial).  Then, from the same records, the instances that converged and
+the correctors that converged at their start, with no trial.  The
+benchmark's tracer wraps numpy.linalg.eig, which the
 kernel does not call, so its eig count reads 0.  The last column,
 events_per_map, is the number of Python and C function calls that
 sys.setprofile sees over the whole solves (after one warm-up solve of
@@ -24,6 +29,7 @@ module changes neither os.environ nor sys.path: only main() does, before
 it imports numpy.
 """
 
+import argparse
 import os
 import pathlib
 import sys
@@ -31,19 +37,41 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KINDS = ("eig", "eigvals", "eigh", "eigvalsh")
 COST_COLUMNS = ("newton_solves",) + KINDS + ("trials", "refused_steps")
-COLUMNS = ("instances",) + COST_COLUMNS
+# read from the reports, kept out of the per-instance costs of tests/costs.json
+OUTCOME_COLUMNS = ("converged", "start_converged")
+COLUMNS = ("instances",) + COST_COLUMNS + OUTCOME_COLUMNS
 PROFILE_EVENTS = ("call", "c_call")
+HELDOUT_SEEDS = range(4, 14)  # corpus generator seeds of the held-out draw
 
 
-def instance_sets() -> dict:
-    """Set name -> list of specs; perfbench/ must be on sys.path."""
+def heldout_specs() -> list:
+    """The held-out draw: the ``corpus`` set of each generator seed in
+    HELDOUT_SEEDS, in that order; perfbench/ must be on sys.path."""
     import workloads
 
-    return {
+    specs = []
+    for seed in HELDOUT_SEEDS:
+        saved, workloads.CORPUS_SEED = workloads.CORPUS_SEED, seed
+        try:
+            specs += workloads.corpus_specs()
+        finally:
+            workloads.CORPUS_SEED = saved
+    return specs
+
+
+def instance_sets(heldout: bool = False) -> dict:
+    """Set name -> list of specs, the held-out draw last when ``heldout``;
+    perfbench/ must be on sys.path."""
+    import workloads
+
+    sets = {
         "bundled": list(workloads.load_bundled().values()),
         "corpus": workloads.corpus_specs(),
         "sweep": workloads.sweep_specs(),
     }
+    if heldout:
+        sets["heldout"] = heldout_specs()
+    return sets
 
 
 def counting_kernel(calls: dict):
@@ -89,10 +117,13 @@ def solve_counted(spec) -> tuple:
 
 
 def counts(specs) -> dict:
-    """COLUMNS for continuation_solve on each spec: the instances, and the
-    sums of their costs (solve_counted)."""
-    costs = [solve_counted(spec)[1] for spec in specs]
-    return {"instances": len(specs), **{c: sum(cost[c] for cost in costs) for c in COST_COLUMNS}}
+    """COLUMNS for continuation_solve on each spec: the instances, the sums
+    of their costs (solve_counted), the instances that converged, and the
+    correctors that converged at their start, with no trial."""
+    solved = [solve_counted(spec) for spec in specs]
+    return {"instances": len(specs), **{c: sum(cost[c] for _, cost in solved) for c in COST_COLUMNS},
+            "converged": sum(report.converged for report, _ in solved),
+            "start_converged": sum(c.converged and not c.trials for report, _ in solved for c in report.correctors)}
 
 
 def events_per_map(specs) -> float:
@@ -124,12 +155,15 @@ def events_per_map(specs) -> float:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--heldout", action="store_true", help="add the held-out draw as a fourth set")
+    args = parser.parse_args()
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    print(f"{'set':<8}" + "".join(f"{c:>14}" for c in COLUMNS) + f"{'events_per_map':>16}")
-    for name, specs in instance_sets().items():
+    print(f"{'set':<8}" + "".join(f"{c:>16}" for c in COLUMNS) + f"{'events_per_map':>16}")
+    for name, specs in instance_sets(args.heldout).items():
         row = counts(specs)
-        print(f"{name:<8}" + "".join(f"{row[c]:>14}" for c in COLUMNS) + f"{events_per_map(specs):>16.1f}")
+        print(f"{name:<8}" + "".join(f"{row[c]:>16}" for c in COLUMNS) + f"{events_per_map(specs):>16.1f}")
     return 0
 
 

@@ -7,8 +7,10 @@ those proper values and exactly those patterns: seed a diagonal polynomial
 carrying the targets, fix the off-diagonal entries to prescribed nonzero
 values, and Newton-correct the diagonals using analytic spectral
 sensitivities, with continuation in the off-diagonal scale from the seed,
-whose first step starts at the seed's fourth-order predictor, with error
-O(tau^5), and is as long as that predictor reaches.
+whose first step starts at the seed's Taylor series and is as long as that
+series reaches; on a problem large enough to pay for it, a first step to
+the full coupling sums the series until it meets the tolerance, with its
+proper vectors.
 """
 
 from .errors import (

@@ -14,12 +14,15 @@ A step longer than its reference, the predictor's displacement for the
 first step and the step before it for a later one, fails the corrector
 before its trial's eigensolve (PREDICTOR_ERROR_MAX, NEWTON_STEP_GROWTH_MAX).
 At the diagonal seed the tangent is zero, so correctors from the seed start
-at the fourth-order seed predictor instead, the closed-form Taylor series
-seed + tau^2 c_2 + tau^3 c_3 + tau^4 c_4 of the solution curve, with an
-O(tau^5) error, where its tau^2 term moves no target by more than half its
-gap (_seed_series), and the first step is the longest power of two in tau
-over which it does so (_first_step): the full problem at tau = 1 only when
-the seed predictor reaches it.
+at the seed series instead, the Taylor series seed + sum_m tau^m c_m of the
+solution curve from one recursion (_seed_series), where its tau^2 term
+moves no target by more than half its gap; the first step is the longest
+power of two in tau over which it does so (_first_step): the full problem
+at tau = 1 only when the seed predictor reaches it.  The series stops at
+order 4 unless that first step is 1 and the problem is large enough for
+its orders to cost less than the eigensolves they save (_series_cap); then
+it goes on to the order at which it reaches the corrector's tolerance
+(_series_state), and gives the direct corrector its proper vectors too.
 Correctors below tau = 1 stop at the looser CORRECTOR_TOL_REL.
 
 This module runs no eigensolve and no derivative of its own: a trial's
@@ -31,7 +34,10 @@ Jacobian, and, given the ramp row as its direction, into the tangent's J
 and dlambda/dtau in one call.  A corrector at tau = 1 that starts within
 VECTOR_REUSE_SHIFT of every target's gap computes proper vectors once, at
 its start: its trials solve for values only, and their Jacobians read the
-start's vectors (no tangent follows the last corrector).  The Newton
+start's vectors (no tangent follows the last corrector).  A direct
+corrector given the seed series' vectors computes none: its start solves
+for values only as well, and a start that converges makes one eigensolve
+and no Jacobian.  The Newton
 step and the tangent are linear solves of matpoly.lapack, the package's
 one LAPACK kernel.  A corrector returns its state and a Corrector record
 of how it ended, not a report: the records are the one account of a
@@ -64,13 +70,33 @@ CORRECTOR_TOL_REL = 1e-6  # correctors at tau < 1 stop at this times spectrum.sc
 SEED_SHIFT_MAX = 0.5  # seed predictor only while every target shift is within this share of its gap
 CONTRACTION_TARGET = 0.05  # the corrector contraction rate the next step in tau aims at: see _next_step
 STEP_FACTOR_MIN, STEP_FACTOR_MAX = 0.5, 2.0  # clip of the step's factor after a converged corrector
+SERIES_ORDER_MAX = 14
+"""The highest order of the seed series (_seed_series).  Past order 4 each
+order costs one (nk x n)(n x kn) product, 2 k^2 n^3 flops, about 1/(5k) of
+the 10 (nk)^3 of an eigvals of the nk companion, and a series that reaches
+the corrector's tolerance saves about 25 (nk)^3, 12.5 k orders
+(_series_cap).  On the benchmark's direct sweep solves the order-4 terms
+sit 1e3 to 1e7 times above that tolerance and their pairs shrink 15- to
+3,000-fold, so a series that gets there takes one to four pairs of orders
+more: order 6 to 12.  The cap leaves one pair of slack above that, costs
+at most 10 products, and bounds the work of a series whose terms stop
+shrinking late."""
+SERIES_ORDER_COST = 45_000.0
+"""The numpy call overhead of one order of the seed series past 4,
+counted in flops for _series_cap's budget.  An order makes about 20 numpy
+calls, about 14 us at n <= 6 with numpy 2.4 and single-threaded OpenBLAS
+on 2 x86-64 cores, where the companion eig that a series saves runs at
+2.5 to 6.5 GFLOP/s (nk = 40 to 160): 14 us of it is 35,000 to 90,000
+flops, and the budget takes 45,000."""
 VECTOR_REUSE_SHIFT = 0.01
 """A corrector at tau = 1 whose start residual r has max_q |r_q| / g_q at
 most this (g = spectrum.gaps) computes proper vectors once, at its start,
 and every later trial solves for values only.  To first order a Newton step
 moves proper vector q by about |r_q| / g_q, so the Jacobian built from the
 start's vectors is off by about 1% at most and each step still gains about
-two digits."""
+two digits.  A corrector given vectors, the seed series' at a direct
+start, keeps them by the same rule, and a start beyond it takes exact ones
+with one eigensolve more."""
 PREDICTOR_ERROR_MAX = 1.0
 """A corrector whose first Newton step is longer than this times its
 predictor's displacement |x0 - x_prev| fails before that step's trial.
@@ -82,8 +108,8 @@ p moves x by about C tau^p and errs by about C' tau^(p+1), so the ratio of
 the two grows with the step in tau and reaches 1 where the neglected term
 is as large as the one kept: beyond it the predictor no longer follows the
 curve, and the step in tau was too long.  The tangent is such a predictor
-(p = 1); the fourth-order seed predictor moves x by its whole series,
-about C tau^2, and errs by about C' tau^5.  From the bare seed the
+(p = 1); the seed series summed to order M moves x by its whole sum, about
+C tau^2, and errs by about C' tau^(M+1).  From the bare seed the
 displacement is 0 and the test is skipped."""
 NEWTON_STEP_GROWTH_MAX = 1.5
 """A corrector whose Newton step is longer than this times its previous
@@ -351,6 +377,7 @@ def newton_solve(
     tau: float = 1.0,
     tol: float | None = None,
     displacement: float = 0.0,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SpectralDecomposition | None, Corrector]:
     """Newton on the diagonal unknowns at fixed off-diagonal scale tau.
 
@@ -368,7 +395,8 @@ def newton_solve(
     ``displacement``, the predictor's |x0 - x_prev|, for the first step
     (no test when it is 0, the default), and NEWTON_STEP_GROWTH_MAX times
     the previous accepted step for a later one.  A solve makes at most
-    1 + max_iter spectral_map evaluations: the start, then one per trial.
+    1 + max_iter spectral_map evaluations: the start, then one per trial;
+    one more when it replaces given ``rows`` (below).
 
     The residual is values - sorted targets, both ascending (sorted order
     is the matching).  Every spectral_map writes its trial's coefficient
@@ -379,6 +407,14 @@ def newton_solve(
     VECTOR_REUSE_SHIFT (g = spectrum.gaps), the proper vectors are computed
     once, at the start: every trial solves for values only, and its
     Jacobian reads the start's vectors with the trial's own values and P'.
+    Given ``rows`` (kn x n, row q a proper vector for the q-th smallest
+    value; a wrong shape raises InvariantViolation through spectral_map),
+    the start solves for values only too and its vectors are ``rows``: the
+    seed series' at a direct start.  They serve every trial by the same
+    rule; when the start is beyond it, or below tau = 1, the start's
+    eigensolve is repeated with vectors, and the solve is the one without
+    ``rows``.  A start within ``tol`` then costs one eigensolve and no
+    Jacobian.
     Returns (x, decomposition, Corrector) whether it converges or fails;
     x is the last accepted iterate (x0 when none was).  On convergence the
     decomposition is x's spectral_map and the record holds one
@@ -386,7 +422,8 @@ def newton_solve(
     decomposition's values are exact; its rows are, by spectral_map's
     contract, bitwise those of proper_values(assemble(x, spec, tau)), so
     _tangent needs no eig of its own, except when the start's vectors were
-    reused: its rows are then the start's.  On failure the decomposition is
+    reused: its rows are then the start's, ``rows`` when given and kept.
+    On failure the decomposition is
     None, the record's kind is the class of the error that ended the
     solve, and its ``ended`` is set at the point of the loop where that
     happened: the start, a step, a trial or the budget (see Corrector).
@@ -411,13 +448,17 @@ def newton_solve(
     trace, ended = [], "start"
 
     try:
-        decomp = spectral_map(x, spec, tau)
+        decomp = spectral_map(x, spec, tau, rows)
         res = decomp.values - targets
-        rnorm = float(np.maximum.reduce(np.abs(res)))
-        trace.append(IterationRecord(0, rnorm, 0.0))
         # the final corrector near its root: the start's vectors serve every trial
         reuse = tau == 1.0 and np.maximum.reduce(np.abs(res) / spec.spectrum.gaps) <= VECTOR_REUSE_SHIFT
-        rows = decomp.companion_rows if reuse else None
+        if rows is None:
+            rows = decomp.companion_rows if reuse else None
+        elif not reuse:  # given vectors too far from the root's: exact ones
+            decomp, rows = spectral_map(x, spec, tau), None
+            res = decomp.values - targets
+        rnorm = float(np.maximum.reduce(np.abs(res)))
+        trace.append(IterationRecord(0, rnorm, 0.0))
 
         for it in range(1, ctl.max_iter + 2):
             if rnorm <= tol:
@@ -481,52 +522,130 @@ def _interpolate(a: np.ndarray, roots: np.ndarray) -> None:
         a[..., j:-1] -= roots[:, j, None] * a[..., j + 1:]
 
 
-def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float]:
-    """The fourth-order seed predictor (c, rho): x(tau) = seed + tau^2 c_2 +
-    tau^3 c_3 + tau^4 c_4 + O(tau^5) on the solution curve through the
-    diagonal seed, c = [c_2, c_3, c_4] (3 x kn), and the shift ratio rho
-    that bounds where that expansion is used.
+def _ramp_rows(y: np.ndarray, ramp: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Row q: D(lambda_q) y_q, for the rows y_q of y (nk x n), D(z) = sum_s
+    z^s Y_s the ramp of coefficient row ``ramp`` and col the targets as a
+    column: one (nk x n)(n x kn) product (Y_s is symmetric), then Horner
+    over its k blocks."""
+    nk, n = y.shape
+    yy = (y @ ramp).reshape(nk, -1, n)  # yy[q, s] = Y_s y_q
+    out = yy[:, -1]
+    for s in range(yy.shape[1] - 2, -1, -1):
+        out = out * col + yy[:, s]
+    return out
+
+
+def _series_cap(n: int, k: int) -> int:
+    """The highest order the seed series may reach on an n x n problem of
+    degree k: 4 + B, B the orders past 4 that what they save pays for, at
+    most SERIES_ORDER_MAX, and 4 when B < 4.
+
+    A series that reaches the corrector's tolerance saves the direct
+    corrector's trial and its start's vectors: an eigvals with the trial's
+    Jacobian, and an eig in place of an eigvals, about 25 (nk)^3 flops
+    (about 10 N^3 for the eigenvalues of an N x N matrix, 25 N^3 with
+    vectors: Golub & Van Loan, Matrix Computations, 4th ed., 2013, sec.
+    7.5.6), and about three times the numpy calls of an order.  An order
+    costs one (nk x n)(n x kn) product, 2 k^2 n^3 flops, about 1/(5k) of
+    that eigvals, and its calls, counted as SERIES_ORDER_COST flops:
+
+        B = (3 C + 25 (nk)^3) / (C + 2 k^2 n^3),   C = SERIES_ORDER_COST.
+
+    B is about 3 where the calls cost more than the flops and grows to
+    12.5 k.  The series' pairs of terms start 1e3 to 1e7 times above the
+    tolerance and shrink 15- to 3,000-fold a pair (SERIES_ORDER_MAX), so
+    an extension that cannot take two pairs of orders rarely reaches it:
+    below B = 4 the series stops at order 4."""
+    orders = int((3.0 * SERIES_ORDER_COST + 25.0 * float(n * k) ** 3)
+                 / (SERIES_ORDER_COST + 2.0 * float(k * k) * float(n) ** 3))
+    return min(SERIES_ORDER_MAX, 4 + orders) if orders >= 4 else 4
+
+
+def _series_state(shifts: list, m: int, tol: float, cap: int) -> tuple[bool, bool]:
+    """(converged, extends) of the seed series summed to order m: whether
+    its truncation error is estimated within tol, and else whether it goes
+    on to order m + 1.  shifts[i] is the largest target shift of the
+    tau^(i+1) term (shifts[0] = 0: there is no tau term).
+
+    The terms are read in pairs, because the odd ones vanish on a graph
+    without odd cycles: a_m = max(shifts[m-2], shifts[m-1]), and r = a_m /
+    a_(m-2) is their decay over two orders.  The error is estimated as 4
+    a_m r: the next pair's two terms, each about a_m r, twice over for the
+    pairs after them and for shifts that are first-order estimates.  The
+    series goes on while the pairs shrink (r < 1) and, carried
+    geometrically by whole pairs, bring that estimate within tol by the
+    cap: 4 a_m r^(j+1) <= tol, j = (cap - m) // 2."""
+    a, before = max(shifts[m - 2], shifts[m - 1]), max(shifts[m - 4], shifts[m - 3])
+    if 4.0 * a * a <= tol * before:  # 4 a_m r <= tol, a_m = 0 included
+        return True, False
+    return False, m < cap and a < before and 4.0 * a * (a / before) ** ((cap - m) // 2 + 1) <= tol
+
+
+def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """The seed series (c, rho, rows): the Taylor series x(tau) = seed +
+    sum_m tau^m c_m of the solution curve through the diagonal seed, c =
+    [c_2 ... c_M] ((M - 1) x kn, M >= 4); the shift ratio rho that bounds
+    where it is used; and, when it went past order 4 or reached its
+    tolerance, the proper vectors at tau = 1 that the same recursion gives,
+    row q for the q-th smallest target (kn x n), else None.
 
     Let p_j be the seed's j-th diagonal scalar polynomial, whose roots are
     row j of spec.spectrum.blocks, D(z) = sum_s z^s Y_s the off-diagonal
     ramp, Y_s the blocks of spec.ramp_row, and delta_j(z) = sum_s x[s*n +
-    j] z^s the move of entry j's unknowns from the seed.  Target lambda_q
-    of entry r is a proper value exactly when the Schur complement on entry
-    r vanishes there: delta_r(lambda_q) = tau^2 d^T M^{-1} d, d the column
-    r of D(lambda_q) without entry r and M = diag(p_j + delta_j) + tau D,
-    both at lambda_q, over the other entries (Andrew, Chu & Lancaster, SIAM
-    J. Matrix Anal. Appl. 14, 1993).  The Neumann series of M^{-1} about
-    diag(p_j), with delta_j = O(tau^2), gives that right side to O(tau^5)
-    from u_q[j] = D_rj(lambda_q) / p_j(lambda_q) (u_q[r] = 0) and w_q =
-    D(lambda_q) u_q:
+    j] z^s = sum_m tau^m Delta_m,j(z) the move of entry j's unknowns from
+    the seed.  Target lambda_q of entry r is a proper value exactly when
+    the Schur complement on entry r vanishes there: delta_r(lambda_q) =
+    tau d^T y, d the column r of D(lambda_q) and y = tau (diag(p_j +
+    delta_j) + tau D)^{-1} d over the other entries, with y_r = 0 (Andrew,
+    Chu & Lancaster, SIAM J. Matrix Anal. Appl. 14, 1993).  The Neumann
+    series of that inverse about diag(p_j) (Kato, Perturbation Theory for
+    Linear Operators, 1966), y = sum_i tau^(i+1) y_i, is one recursion,
+    everything at lambda_q and entry r of every y_i set to 0:
 
-    - tau^2: g_q = sum_j D_rj(lambda_q) u_q[j];
-    - tau^3: -u_q^T w_q;
-    - tau^4: sum_{l != r} w_q[l]^2 / p_l(lambda_q) - sum_j u_q[j]^2
-      delta2_j(lambda_q), delta2_j(z) = sum_s c_2[s*n + j] z^s.
+        y_0 = d / p,
+        y_i = -(D y_(i-1) + sum_{j=2..i} Delta_j o y_(i-j)) / p,
+        v_m = d^T y_(m-2), the tau^m value of delta_r(lambda_q).
 
-    delta_r has degree k - 1 and r has k targets, so entry r's block of
-    c_i (c_i[s*n + r], s < k) holds the coefficients of the interpolant of
-    the tau^i values at r's targets (_interpolate).  A graph without odd
-    cycles, a path's, has c_3 = 0: x(tau) is even in tau.  rho is the
-    largest second-order shift |g_q / p_r'(lambda_q)| over the distance
-    from lambda_q to its nearest other target (spectrum.gaps).
+    delta_r has degree k - 1 and r has k targets, so entry r's block of c_m
+    (c_m[s*n + r], s < k) holds the coefficients of the interpolant of v_m
+    at r's targets (_interpolate), and Delta_m,j is c_m's interpolant on
+    entry j.  The proper vector of target q is e_r - sum_i tau^(i+1) y_i.
+    D is symmetric, so with u = y_0 and w = D u, v_m = -w^T y_(m-3) - u^T
+    sum_{j=2..m-2} Delta_j o y_(m-2-j): order m costs the one product D
+    y_(m-4).  Orders 2 to 4 are thus v_2 = d^T u, v_3 = -u^T w and v_4 =
+    sum_{l != r} w_l^2 / p_l - sum_l u_l^2 Delta_2,l(lambda_q), all from
+    the product D u.  A graph without odd cycles, a path's, has c_m = 0
+    for every odd m: x(tau) is even in tau.  rho is the largest
+    second-order shift |v_2 / p_r'(lambda_q)| over the distance from
+    lambda_q to its nearest other target (spectrum.gaps).
 
-    Built from the targets, the leading diagonal and the off-diagonal rows
-    of D at the targets, and one product of the nk x n matrix of the u_q by
-    the n x kn ramp row: no eig, no Jacobian, O(k^2 n^2) memory.  When c or rho is not
-    finite, the predictor is (0, inf): the bare seed.
+    Past order 4 the series goes only when rho <= SEED_SHIFT_MAX, so that
+    its first step is 1 (_first_step), and _series_cap allows it.  It stops
+    at the first order whose error is estimated within the corrector's
+    tolerance (controls.resolved_tol), at the cap, where the target shifts
+    |v_m / p_r'(lambda_q)| of its terms stop shrinking or will not reach
+    that tolerance by the cap (_series_state), or before a term that is not
+    finite.  Its vectors are e_r - sum_i y_i over the y_i it computed,
+    accurate to the order of the series.  Built from the targets, the
+    leading diagonal, the off-diagonal rows of D at the targets and one
+    product of an nk x n matrix by the n x kn ramp row an order: no eig,
+    no Jacobian, and the y_i and Delta_j that the sums need, O(M k n^2)
+    memory.  When rho or a term up to order 4 is not finite, the result is
+    (0, inf, None), 0 of shape (3, kn): the bare seed.
     """
     n, k = spec.n, spec.k
-    alpha = spec.lead.alpha_k
+    alpha, ramp = spec.lead.alpha_k, spec.ramp_row
     roots = spec.spectrum.blocks
     lam = roots.ravel()  # target q belongs to entry q // k
     col = lam[:, None]
     q = np.arange(n * k)
     entry = q // k
+    # h[m - 2] holds the tau^m values at the targets, then their interpolants
+    h = np.empty((3, n, k))
+    flat = h.reshape(3, n * k)
     with np.errstate(all="ignore"):
         # row q: D_rj(lambda_q) and p_j(lambda_q) for r = entry[q], every j
-        ys = spec.ramp_row.reshape(n, k, n)[entry]  # ys[q, s] = row entry[q] of Y_s
+        ys = ramp.reshape(n, k, n)[entry]  # ys[q, s] = row entry[q] of Y_s
         d_row = ys[:, -1]
         for s in range(k - 2, -1, -1):
             d_row = d_row * col + ys[:, s]
@@ -535,33 +654,68 @@ def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float]:
             p_row *= col - roots[:, i]
         p_row[q, entry] = 1.0  # its own term: D has a zero diagonal, so u[q, entry] = 0
         u = d_row / p_row
-        uy = (u @ spec.ramp_row).reshape(n * k, k, n)  # uy[q, s] = Y_s u_q, Y_s symmetric
-        w = uy[:, -1]  # row q: D(lambda_q) u_q
-        for s in range(k - 2, -1, -1):
-            w = w * col + uy[:, s]
-        # h[i] holds the tau^(i+2) values at the targets, then their interpolants
-        h = np.empty((3, n, k))
-        flat = h.reshape(3, n * k)
-        g = np.add.reduce(d_row * u, axis=1, out=flat[0])
+        w = _ramp_rows(u, ramp, col)
+        np.add.reduce(d_row * u, axis=1, out=flat[0])
         np.negative(np.add.reduce(u * w, axis=1), out=flat[1])
         # p_r'(lambda_q) = alpha_r * prod of lambda_q - lambda_q' over r's other targets
         diff = roots[:, :, None] - roots[:, None, :]
         diff.reshape(n, k * k)[:, ::k + 1] = 1.0
-        shift = g / (alpha[:, None] * np.multiply.reduce(diff, axis=2)).ravel()
-        rho = float(np.maximum.reduce(np.abs(shift[lam.argsort()]) / spec.spectrum.gaps))  # gaps are in sorted order
-        _interpolate(h[:2], roots)
+        slope = (alpha[:, None] * np.multiply.reduce(diff, axis=2)).ravel()
+        shift = np.abs(flat[0] / slope)
+        order = lam.argsort()
+        rho = float(np.maximum.reduce(shift[order] / spec.spectrum.gaps))  # gaps are in sorted order
+        _interpolate(h[:1], roots)
         w[q, entry] = 0.0  # the sum over l != r
-        # sum_j u_q[j]^2 delta2_j(lambda_q), by Horner on uc[q, s] = sum_j u_q[j]^2 c_2[s*n + j]
+        # sum_j u_q[j]^2 Delta_2,j(lambda_q), by Horner on uc[q, s] = sum_j u_q[j]^2 c_2[s*n + j]
         uc = (u * u) @ h[0]
         ud = uc[:, -1]
         for s in range(k - 2, -1, -1):
             ud = ud * lam + uc[:, s]
         np.subtract(np.add.reduce(w * w / p_row, axis=1), ud, out=flat[2])
-        _interpolate(h[2:], roots)
-    c = h.transpose(0, 2, 1).reshape(3, k * n)
-    if not (np.logical_and.reduce(np.isfinite(c), axis=None) and np.isfinite(rho)):
-        return np.zeros_like(c), np.inf
-    return c, rho
+        cap = _series_cap(n, k) if rho <= SEED_SHIFT_MAX else 4
+        if cap > 4:  # the largest target shift of each term, 0 for the tau term there is not
+            shifts = [0.0, float(np.maximum.reduce(shift)),
+                      *np.maximum.reduce(np.abs(flat[1:3] / slope), axis=1).tolist()]
+        _interpolate(h[1:], roots)
+        if not (np.logical_and.reduce(np.isfinite(h), axis=None) and np.isfinite(rho)):
+            return np.zeros((3, n * k)), np.inf, None
+        m, rows = 4, None
+        if cap > 4:
+            tol = spec.controls.resolved_tol(spec.spectrum)
+            converged, extends = _series_state(shifts, m, tol, cap)
+        if cap > 4 and (converged or extends):
+            y = np.empty((cap - 2, n * k, n))  # y[i] = y_i
+            y[0] = u
+            np.divide(w, -p_row, out=y[1])  # entry r of w is 0
+        if cap > 4 and extends:
+            h = np.concatenate((h, np.empty((cap - 4, n, k))))
+            flat = h.reshape(cap - 1, n * k)
+            np.negative(w, out=w)
+            scale = -1.0 / p_row
+            scale[q, entry] = 0.0
+            powers = col ** np.arange(k)  # powers @ (c_m's n x k block)^T = Delta_m at every target
+            deltas = np.empty((cap - 3, n * k, n))  # deltas[j - 2] = Delta_j
+            np.matmul(powers, h[0].T, out=deltas[0])
+            conv = deltas[0] * u  # sum_{j=2..m-2} Delta_j o y_(m-2-j), for m = 4
+            while extends:  # to order m + 1: y_(m-2), then v_(m+1) from it and the sum for m + 1
+                z = _ramp_rows(y[m - 3], ramp, col)
+                z += conv
+                np.multiply(z, scale, out=y[m - 2])
+                np.matmul(powers, h[m - 3].T, out=deltas[m - 3])
+                conv = np.vecdot(deltas[:m - 2], y[m - 3::-1], axis=0)
+                v = np.subtract(np.vecdot(w, y[m - 2]), np.vecdot(u, conv), out=flat[m - 1])  # w is -w
+                shift = float(np.maximum.reduce(np.abs(v / slope)))
+                if not np.isfinite(shift):  # a term that is not finite ends the series before it
+                    break
+                m += 1
+                shifts.append(shift)
+                _interpolate(h[m - 2:m - 1], roots)
+                converged, extends = _series_state(shifts, m, tol, cap)
+        if cap > 4 and (converged or m > 4):
+            rows = -np.add.reduce(y[:m - 2], axis=0)
+            rows[q, entry] = 1.0
+            rows = rows[order]
+    return h[:m - 1].transpose(0, 2, 1).reshape(m - 1, k * n), rho, rows
 
 
 def _first_step(rho: float) -> float:
@@ -607,15 +761,17 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     dx/dtau along the tangent of the solution curve.  At the seed that
     tangent is zero (every proper vector is a unit vector), so a corrector
     from the seed (the first one and its halved retries) starts at the
-    fourth-order seed predictor seed + tau^2 c_2 + tau^3 c_3 + tau^4 c_4
-    of _seed_series, whose error is O(tau^5), when tau^2 rho <=
-    SEED_SHIFT_MAX: no target shift of its tau^2 term then exceeds half the
-    gap to its nearest other target, where the expansion and the sorted
-    matching hold.  Otherwise it starts at the bare seed.  The first step
-    is _first_step(rho), the longest 2^-j inside that gate (floored at
-    1/M), so only a corrector at the floor starts at the bare seed, and
-    the full problem at tau = 1 is tried first only when rho <=
-    SEED_SHIFT_MAX.  Each prediction
+    seed series seed + sum_m tau^m c_m of _seed_series, summed by Horner
+    in tau, when tau^2 rho <= SEED_SHIFT_MAX: no target shift of its tau^2
+    term then exceeds half the gap to its nearest other target, where the
+    expansion and the sorted matching hold.  Otherwise it starts at the
+    bare seed.  The first step is _first_step(rho), the longest 2^-j
+    inside that gate (floored at 1/M), so only a corrector at the floor
+    starts at the bare seed, and the full problem at tau = 1 is tried first
+    only when rho <= SEED_SHIFT_MAX.  That direct corrector is given the
+    series' proper vectors when the series has them, and a start within
+    its tolerance then ends the solve at one values-only eigensolve.  Each
+    prediction
     is corrected with newton_solve, in at most controls.max_iter
     iterations.  A point below tau = 1 only seeds the next prediction, so
     its corrector stops at CORRECTOR_TOL_REL times spectrum.scale, or at
@@ -626,7 +782,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     a step in tau that is too long (Deuflhard, Newton Methods for
     Nonlinear Problems, 2004, sec. 5.1).  Each corrector is given its
     predictor's displacement, |tau step * dx/dtau| or the seed series'
-    |tau^2 c_2 + tau^3 c_3 + tau^4 c_4| (0 from the bare seed), so a first
+    |sum_m tau^m c_m| (0 from the bare seed), so a first
     Newton step longer than the predictor's own move fails it before that
     step's trial (newton_solve, PREDICTOR_ERROR_MAX).  A failed corrector
     halves the step and retries from the last converged point.  A converged one sets
@@ -653,8 +809,9 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     problem on which no step converges costs log2(M) + 1 - j: 7 when the
     first step is 1, 1 when it is 1/M.  Each
     Newton solve makes at most 1 + controls.max_iter spectral_map
-    evaluations (51 by default), so a solve makes at most 133 * 51 = 6,783
-    with the default controls.
+    evaluations (51 by default), and the direct corrector one more when it
+    replaces the series' vectors, so a solve makes at most 133 * 51 + 1 =
+    6,784 with the default controls.
     The predictors choose only where a corrector starts, and newton_solve's
     step tests only end a corrector sooner, so neither budget depends on
     them.
@@ -673,7 +830,7 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
     """
     loose_tol = max(CORRECTOR_TOL_REL * spec.spectrum.scale, spec.controls.resolved_tol(spec.spectrum))
     x = seed_unknowns(spec.spectrum, spec.lead)
-    (c2, c3, c4), rho = _seed_series(spec)
+    c, rho, vectors = _seed_series(spec)
     tau, dtau = 0.0, _first_step(rho)
     correctors = []
     for _ in range(_NEWTON_SOLVE_BUDGET):
@@ -682,12 +839,16 @@ def continuation_solve(spec: ProblemSpec) -> SolveReport:
         if tau > 0.0:
             shift = (tau_next - tau) * xdot
         elif tau_next ** 2 * rho <= SEED_SHIFT_MAX:
-            shift = tau_next ** 2 * (c2 + tau_next * (c3 + tau_next * c4))
+            shift = c[-1]
+            for c_m in c[-2::-1]:  # Horner in tau_next
+                shift = c_m + tau_next * shift
+            shift = tau_next ** 2 * shift
         else:
             shift = None  # the bare seed: no displacement, so no first-step test
         x_next, decomp, corrector = newton_solve(
             spec, x0=x if shift is None else x + shift, tau=tau_next, tol=None if tau_next == 1.0 else loose_tol,
-            displacement=0.0 if shift is None else math.sqrt(shift @ shift))
+            displacement=0.0 if shift is None else math.sqrt(shift @ shift),
+            rows=vectors if tau == 0.0 and tau_next == 1.0 else None)
         correctors.append(corrector)
         if not corrector.converged:
             dtau *= 0.5

@@ -182,6 +182,9 @@ SHAPE_SITES = {
     # a values-only trial's rows must match its values, one row of n per value
     "spectral_map.rows": (lambda: spectral_map(SEED, QUADRATIC, rows=np.ones((8, 3))),
                           r"rows has shape \(8, 3\), expected \(8, 4\)"),
+    # a corrector's given start vectors: the same rule, at its start's eigensolve
+    "newton_solve.rows": (lambda: newton_solve(QUADRATIC, rows=np.ones((4, 8))),
+                          r"rows has shape \(4, 8\), expected \(8, 4\)"),
 }
 
 

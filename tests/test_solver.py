@@ -168,18 +168,23 @@ def make_spec(rng, n, k, epsilon, **controls):
 
 
 def bare_seed_ladder(monkeypatch):
-    """Make the seed predictor (c, rho) = (0, 0): the first step is 1 and
-    every corrector from the seed starts at the bare seed, so a problem on
-    which no step converges walks the whole ladder 1, 1/2, ..., 1/M."""
-    monkeypatch.setattr(solver, "_seed_series", lambda spec: (np.zeros((3, spec.n * spec.k)), 0.0))
+    """Make the seed predictor (c, rho, rows) = (0, 0, None): the first step
+    is 1 and every corrector from the seed starts at the bare seed, so a
+    problem on which no step converges walks the whole ladder 1, 1/2, ...,
+    1/M."""
+    monkeypatch.setattr(solver, "_seed_series", lambda spec: (np.zeros((3, spec.n * spec.k)), 0.0, None))
 
 
-def series_start(spec, tau):
-    """seed + tau^2 c_2 + tau^3 c_3 + tau^4 c_4 of solver._seed_series:
-    bitwise the start of a corrector from the seed at tau inside the
-    predictor's gate."""
-    (c2, c3, c4), _ = solver._seed_series(spec)
-    return seed_unknowns(spec.spectrum, spec.lead) + tau ** 2 * (c2 + tau * (c3 + tau * c4))
+def series_start(spec, tau, order=None):
+    """seed + sum_m tau^m c_m of solver._seed_series, summed by Horner in
+    tau as continuation_solve sums it, to order ``order`` (the whole series
+    when None): bitwise the start of a corrector from the seed at tau
+    inside the predictor's gate."""
+    c = solver._seed_series(spec)[0][:None if order is None else order - 1]
+    shift = c[-1]
+    for c_m in c[-2::-1]:
+        shift = c_m + tau * shift
+    return seed_unknowns(spec.spectrum, spec.lead) + tau ** 2 * shift
 
 
 class TestAssemble:
@@ -536,7 +541,7 @@ class TestStepTests:
         assert x_equal.tobytes() == x.tobytes() and iterations_equal == iterations
 
     def test_a_bare_seed_start_skips_the_first_step_test(self, path4_spec, monkeypatch):
-        # without a seed predictor (_seed_series's (0, inf)) the first
+        # without a seed predictor (_seed_series's (0, inf, None)) the first
         # corrector starts at the bare seed at the floor 1/M, with
         # displacement 0, and takes its first step whatever its length
         calls, newton = [], solver.newton_solve
@@ -547,7 +552,7 @@ class TestStepTests:
             return result
 
         monkeypatch.setattr(solver, "newton_solve", recording)
-        monkeypatch.setattr(solver, "_seed_series", lambda spec: (np.zeros((3, spec.n * spec.k)), np.inf))
+        monkeypatch.setattr(solver, "_seed_series", lambda spec: (np.zeros((3, spec.n * spec.k)), np.inf, None))
         continuation_solve(path4_spec)
         displacement, first = calls[0]
         assert first.tau == 1.0 / solver.MAX_CONTINUATION_STEPS and displacement == 0.0
@@ -599,15 +604,84 @@ class TestStepTests:
 
 
 class TestVectorReuse:
+    @pytest.mark.parametrize("k, seed, values", [(1, 6, "eigvalsh"), (2, 7, "eigvals")])
+    def test_a_direct_start_within_tolerance_makes_one_values_only_eigensolve(self, k, seed, values, monkeypatch):
+        # the seed series reaches its tolerance and brings its own vectors:
+        # the direct corrector's start solves for values only and converges
+        # there, with no trial and no Jacobian
+        spec = weakly_coupled_spec(20, k, seed)
+        assert solver._seed_series(spec)[2] is not None
+        eigensolves = count_eigensolves(monkeypatch)
+        calls = count_calls(monkeypatch, solver, "jacobian_x")
+        rep = continuation_solve(spec)
+        assert rep.converged and rep.continuation_path == (1.0,) and rep.correctors[0].trials == 0
+        assert eigensolves == dict(dict.fromkeys(eigensolves, 0), **{values: 1})
+        assert calls == {"jacobian_x": 0}
+
+    @pytest.mark.parametrize("k, seed", [(1, 6), (2, 7), (3, 5)])
+    def test_the_series_vectors_are_the_direct_starts_proper_vectors(self, k, seed):
+        # the series' rows are the root's proper vectors summed to its
+        # order; proper_values' vectors at a start within tol of the targets
+        # differ from the root's by about tol / gap (VECTOR_REUSE_SHIFT), and
+        # the truncation is allowed a thousand times that
+        spec = weakly_coupled_spec(20, k, seed)
+        c, rho, rows = solver._seed_series(spec)
+        assert len(c) > 3 and rows.shape == (spec.n * spec.k, spec.n)
+        start = spectral_map(series_start(spec, 1.0), spec)
+        tol = spec.controls.resolved_tol(spec.spectrum)
+        assert np.max(np.abs(start.values - spec.spectrum.sorted_values())) <= tol
+        series = types.SimpleNamespace(companion_rows=rows)
+        assert np.max(np.abs(unit_vectors(series) - unit_vectors(start))) <= 1e3 * tol / spec.spectrum.gaps.min()
+
     @pytest.mark.parametrize("k, vectors, values", [(1, "eigh", "eigvalsh"), (2, "eig", "eigvals")])
     def test_final_corrector_takes_vectors_once(self, k, vectors, values, monkeypatch):
+        # without the series' vectors, a start near the root at tau = 1
+        # takes vectors once, at its start, and its trials values only
         spec = weakly_coupled_spec(20, k)
+        x0 = series_start(spec, 1.0, order=4)
+        assert start_shift(spec, x0) <= solver.VECTOR_REUSE_SHIFT
         calls = count_eigensolves(monkeypatch)
-        rep = continuation_solve(spec)
-        assert rep.converged and rep.continuation_path == (1.0,)
-        trials = len(rep.iterations) - 1  # no trial was rejected
+        _, _, iterations = solved(spec, x0=x0)
+        trials = len(iterations) - 1  # no trial was rejected
         assert trials >= 1
         assert calls == dict(dict.fromkeys(calls, 0), **{vectors: 1, values: trials})
+
+    def test_only_the_direct_corrector_is_given_the_series_vectors(self, monkeypatch):
+        # the direct corrector at tau = 1 fails (forced); its retry at 1/2,
+        # from the seed too, takes exact vectors, which the tangent reads
+        spec = weakly_coupled_spec(20, 2, 7)
+        calls, newton = [], solver.newton_solve
+
+        def failing_first(*args, **kwargs):
+            calls.append((kwargs["tau"], kwargs["rows"]))
+            if len(calls) == 1:
+                return kwargs["x0"], None, solver.Corrector(kwargs["tau"], (), "start", NonRealSpectrum, "forced")
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", failing_first)
+        rep = continuation_solve(spec)
+        assert rep.converged and rep.continuation_path == (0.5, 1.0)
+        assert [tau for tau, _ in calls] == [1.0, 0.5, 1.0]
+        assert np.array_equal(calls[0][1], solver._seed_series(spec)[2])
+        assert calls[1][1] is None and calls[2][1] is None
+
+    def test_series_vectors_outside_the_gate_fall_back_to_exact_ones(self, monkeypatch):
+        # given vectors and a start beyond VECTOR_REUSE_SHIFT, the start takes
+        # one exact eigensolve more and the corrector is the one that exact
+        # vectors give: bitwise the same iterates, decomposition and record
+        spec = weakly_coupled_spec(20, 2, 7)
+        rows = solver._seed_series(spec)[2]
+        x0 = series_start(spec, 1.0, order=4)
+        monkeypatch.setattr(solver, "VECTOR_REUSE_SHIFT", np.nextafter(start_shift(spec, x0), 0.0))
+        exact = newton_solve(spec, x0=x0)
+        calls = count_eigensolves(monkeypatch)
+        given = newton_solve(spec, x0=x0, rows=rows)
+        assert given[2] == exact[2] and given[2].converged and given[2].trials >= 1
+        assert given[0].tobytes() == exact[0].tobytes()
+        for name in ("values", "companion_rows"):
+            assert getattr(given[1], name).tobytes() == getattr(exact[1], name).tobytes()
+        # the start's values-only eigensolve, its exact one, and vectors at every trial
+        assert calls == {"eig": 1 + given[2].trials, "eigvals": 1, "eigh": 0, "eigvalsh": 0}
 
     def test_start_beyond_the_gate_takes_vectors_at_every_trial(self, monkeypatch):
         spec = weakly_coupled_spec(20, 2)
@@ -635,7 +709,7 @@ class TestVectorReuse:
 
     def test_returned_decomposition_has_exact_values_and_the_start_rows(self):
         spec = weakly_coupled_spec(20, 2)
-        x0 = series_start(spec, 1.0)  # the direct attempt's start
+        x0 = series_start(spec, 1.0, order=4)
         assert start_shift(spec, x0) <= solver.VECTOR_REUSE_SHIFT
         x, decomp, iterations = solved(spec, x0=x0)
         assert len(iterations) >= 3
@@ -824,10 +898,11 @@ class TestContinuationSolve:
         M = solver.MAX_CONTINUATION_STEPS
 
         def total_budget(max_iter):
-            return (2 * M - 1 + int(np.log2(M))) * (1 + max_iter)
+            # one more for a direct corrector that replaces the series' vectors
+            return (2 * M - 1 + int(np.log2(M))) * (1 + max_iter) + 1
 
-        # continuation_solve's docstring: 133 * 51 = 6,783 with the default controls
-        assert total_budget(SolverControls().max_iter) == 6_783
+        # continuation_solve's docstring: 133 * 51 + 1 = 6,784 with the default controls
+        assert total_budget(SolverControls().max_iter) == 6_784
 
         calls = count_calls(monkeypatch, solver, "jacobian_x", "spectral_map")
         rep = continuation_solve(spec)
@@ -949,7 +1024,7 @@ class TestNextStep:
         # The loop may run ten times the budget: only the step rule ends it
         slow, M = accepted(1.0, 1.0), solver.MAX_CONTINUATION_STEPS
 
-        def stub_newton_solve(spec, x0, tau, tol, displacement):
+        def stub_newton_solve(spec, x0, tau, tol, displacement, rows):
             if tau >= fold:
                 return x0, None, solver.Corrector(tau, slow[:1], "trial", NoConvergence, "stub")
             return x0, None, solver.Corrector(tau, slow, "converged")
@@ -985,6 +1060,55 @@ class TestFirstStep:
     ], ids=["zero", "boundary", "path4", "two", "just-above-two", "corpus3-86", "floor-boundary", "floor", "inf"])
     def test_the_longest_power_of_two_step_inside_the_gate(self, rho, step):
         assert solver._first_step(rho) == step
+
+
+class TestSeriesRules:
+    """_series_cap and _series_state: how far the seed series goes."""
+
+    @pytest.mark.parametrize("n, k, cap", [
+        (2, 1, 4), (6, 1, 4), (5, 2, 4), (6, 2, 4), (4, 3, 4),  # B = 3 to 3.9: the series stops at order 4
+        (6, 3, 9), (20, 1, 9), (40, 1, 14), (20, 2, 14), (80, 2, 14)])
+    def test_the_cap_is_the_orders_the_saved_eigensolves_pay_for(self, n, k, cap):
+        C = solver.SERIES_ORDER_COST
+        budget = (3 * C + 25 * (n * k) ** 3) / (C + 2 * k * k * n ** 3)
+        assert cap == (min(solver.SERIES_ORDER_MAX, 4 + int(budget)) if budget >= 4 else 4)
+        assert solver._series_cap(n, k) == cap
+
+    def test_the_cap_grows_with_the_problem(self):
+        for k in (1, 2, 3):
+            caps = [solver._series_cap(n, k) for n in range(1, 100)]
+            assert caps == sorted(caps) and caps[0] == 4 and caps[-1] == solver.SERIES_ORDER_MAX
+
+    @pytest.mark.parametrize("scale, converged", [(1.0, True), (np.nextafter(1.0, 0.0), False)],
+                             ids=["equal", "below"])
+    def test_converged_when_four_times_the_next_pair_is_within_tol(self, scale, converged):
+        # a_4 = 1e-3, r = a_4 / a_2 = 1e-3: the estimate 4 a_4 r is 4e-6
+        state = solver._series_state([0.0, 1.0, 1e-4, 1e-3], 4, 4e-6 * scale, 14)
+        assert state[0] is converged and state[1] is not converged
+
+    def test_terms_of_zero_are_converged(self):
+        assert solver._series_state([0.0, 0.0, 0.0, 0.0], 4, 1e-12, 14) == (True, False)
+
+    @pytest.mark.parametrize("cap, extends", [(14, True), (12, False)])
+    def test_extends_while_the_pairs_carried_to_the_cap_reach_tol(self, cap, extends):
+        # r = 1e-2 a pair from a_4 = 1e-2: 4 a_4 r^(j+1) is 4e-14 at cap 14
+        # (j = 5) and 4e-12 at cap 12 (j = 4), against tol 1e-12
+        assert solver._series_state([0.0, 1.0, 0.0, 1e-2], 4, 1e-12, cap) == (False, extends)
+
+    def test_stops_short_of_tol_when_the_pairs_shrink_too_slowly_stop_shrinking_or_reach_the_cap(self):
+        # a_5 = 2e-2 against a_3 = 1 shrinks, but not to 1e-30 by order 14;
+        # a_6 = 2e-2 against a_4 = 1e-2 does not shrink; order 6 is the cap
+        assert solver._series_state([0.0, 1.0, 0.0, 1e-2, 2e-2], 5, 1e-30, 14) == (False, False)
+        assert solver._series_state([0.0, 1.0, 0.0, 1e-2, 1e-9, 2e-2], 6, 1e-14, 14) == (False, False)
+        assert solver._series_state([0.0, 1.0, 0.0, 1e-4, 0.0, 1e-8], 6, 1e-30, 6) == (False, False)
+
+    def test_a_pair_after_a_pair_of_zeros_stops(self):
+        # no decay ratio to read (a_2 = 0): the series stops, dividing by nothing
+        assert solver._series_state([0.0, 0.0, 0.0, 1e-3], 4, 1e-12, 14) == (False, False)
+
+    def test_odd_terms_of_zero_are_read_in_pairs(self):
+        # a path's series: the tau^5 term is 0, and the pair (c_4, c_5) is read as a_5 = c_4's shift
+        assert solver._series_state([0.0, 1.0, 0.0, 1e-3, 0.0], 5, 4e-6, 14) == (True, False)
 
 
 class TestCorrectorEndings:
@@ -1365,6 +1489,43 @@ def reference_series(spec):
     return c, rho
 
 
+def reference_recursion(spec, order):
+    """[c_2 ... c_order] of the seed series by the recursion that
+    _seed_series's docstring states, one entry and target at a time from
+    the assembled seed and ramp: y_0 = d / p, y_i = -(D y_(i-1) + sum_j
+    Delta_j o y_(i-j)) / p with entry r zero, v_m = d^T y_(m-2), Delta_j,l
+    c_j's interpolant on entry l at the target, and each interpolant from a
+    Vandermonde solve."""
+    n, k, seed, targets = spec.n, spec.k, spec.seed(), spec.spectrum.values
+    ramp = matpoly.MatrixPolynomial(assemble(np.zeros(n * k), spec).coeffs[:k])
+    c, ys = np.zeros((order - 1, n * k)), {}
+    for m in range(2, order + 1):
+        for r in range(n):
+            roots = targets[r * k:(r + 1) * k]
+            h = np.zeros(k)
+            for i, lam in enumerate(roots):
+                D, S = matpoly.evaluate(ramp, lam), matpoly.evaluate(seed, lam)
+                p = np.diag(S).copy()
+                p[r] = 1.0
+                d, y = D[:, r], ys.setdefault((r, i), [])
+                while len(y) <= m - 2:
+                    z = d if not y else -(D @ y[-1] + sum(
+                        sum(c[j - 2, s * n:(s + 1) * n] * lam ** s for s in range(k)) * y[len(y) - j]
+                        for j in range(2, len(y) + 1)))
+                    y_i = z / p
+                    y_i[r] = 0.0
+                    y.append(y_i)
+                h[i] = d @ y[m - 2]
+            c[m - 2, r::n] = np.linalg.solve(np.vander(roots, k, increasing=True), h)
+    return c
+
+
+def full_budget(monkeypatch):
+    """Let the seed series go past order 4 on a problem of any size, as
+    _series_cap lets it on a large one."""
+    monkeypatch.setattr(solver, "_series_cap", lambda n, k: solver.SERIES_ORDER_MAX)
+
+
 class TestSeedPredictor:
     @pytest.mark.parametrize("name", ["triangle1", "triangle2", "linked4_spec"])
     def test_error_is_fifth_order_or_better_in_tau(self, name, request):
@@ -1384,27 +1545,68 @@ class TestSeedPredictor:
         # least 24x smaller per halving
         assert errors[0] >= 24 * errors[1] and errors[1] >= 24 * errors[2]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_the_start_error_falls_as_orders_are_added(self, k, monkeypatch):
+        # on a triangle every order is nonzero; given the budget, the series
+        # goes past order 4, and every two orders it sums cut the direct
+        # start's distance to the root at least tenfold: the order-4 series
+        # fails the first assert
+        full_budget(monkeypatch)
+        spec = triangle_spec(k, epsilon=0.05)
+        order = len(solver._seed_series(spec)[0]) + 1
+        assert order >= 7
+        x, _, _ = solved(spec, x0=series_start(spec, 1.0))
+        errors = [np.linalg.norm(series_start(spec, 1.0, m) - x) for m in range(2, order + 1)]
+        assert all(after <= before / 10 for before, after in zip(errors, errors[2:]))
+
     @pytest.mark.parametrize("k", [1, 2, 3, "triangle"])
     def test_matches_a_per_entry_reference(self, k):
         spec = triangle_spec(1) if k == "triangle" else make_spec(np.random.default_rng(11), 5, k, epsilon=0.4)
         c_ref, rho_ref = reference_series(spec)
-        c, rho = solver._seed_series(spec)
-        assert c.shape == (3, spec.n * spec.k)
+        c, rho, _ = solver._seed_series(spec)
+        assert c.shape[0] >= 3 and c.shape[1] == spec.n * spec.k
         for got, want in zip(c, c_ref):
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(c_ref)))
         assert rho == pytest.approx(rho_ref, rel=1e-10)
         # the tau^3 term is zero exactly on a graph without odd cycles (k = 1's is a tree)
         assert (np.max(np.abs(c_ref[1])) == 0.0) == (k == 1)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_order_matches_the_recursion_by_entry(self, k, monkeypatch):
+        full_budget(monkeypatch)
+        spec = triangle_spec(k, epsilon=0.05)
+        c = solver._seed_series(spec)[0]
+        c_ref = reference_recursion(spec, len(c) + 1)
+        assert len(c) >= 6
+        for got, want in zip(c, c_ref):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+
     def test_a_non_finite_series_is_the_bare_seed(self):
         # off-diagonals of 1e100: rho and the tau^2 terms (~1e200) are finite,
         # the tau^4 terms (~1e400) overflow
-        c, rho = solver._seed_series(triangle_spec(1, epsilon=1e100))
-        assert c.tobytes() == np.zeros((3, 3)).tobytes() and rho == math.inf
+        c, rho, rows = solver._seed_series(triangle_spec(1, epsilon=1e100))
+        assert c.tobytes() == np.zeros((3, 3)).tobytes() and rho == math.inf and rows is None
+
+    def test_a_non_finite_term_past_order_four_ends_the_series_before_it(self, monkeypatch):
+        # the third D y (that of y_3, for the tau^6 value) made non-finite:
+        # the series ends at order 5, its terms and vectors as before
+        spec = weakly_coupled_spec(20, 2, 7)
+        full = solver._seed_series(spec)
+        assert len(full[0]) + 1 >= 6
+        ramp_rows, calls = solver._ramp_rows, []
+
+        def overflowing(*args):
+            calls.append(1)
+            return ramp_rows(*args) * (math.inf if len(calls) == 3 else 1.0)
+
+        monkeypatch.setattr(solver, "_ramp_rows", overflowing)
+        c, rho, rows = solver._seed_series(spec)
+        assert c.tobytes() == full[0][:4].tobytes() and rho == full[1]
+        assert rows.shape == full[2].shape and np.isfinite(rows).all()
 
     def test_near_resonant_pair_starts_at_the_bare_seed(self, monkeypatch):
         spec = near_resonant_spec()
-        _, rho = solver._seed_series(spec)
+        rho = solver._seed_series(spec)[1]
         assert rho > solver.SEED_SHIFT_MAX
         starts = record_start_points(monkeypatch)
         continuation_solve(spec)
@@ -1414,20 +1616,21 @@ class TestSeedPredictor:
     @pytest.mark.parametrize("name", ["random", "triangle"])
     def test_small_shift_ratio_starts_at_seed_plus_the_series(self, name, monkeypatch):
         spec = triangle_spec(1) if name == "triangle" else make_spec(np.random.default_rng(41), 4, 2, epsilon=0.1)
-        c, rho = solver._seed_series(spec)
+        c, rho, _ = solver._seed_series(spec)
         assert rho <= solver.SEED_SHIFT_MAX
         # on the triangle each of c_2, c_3 and c_4 has a nonzero entry
-        assert name == "random" or np.abs(c).max(axis=1).min() > 0.0
+        assert name == "random" or np.abs(c[:3]).max(axis=1).min() > 0.0
         starts = record_start_points(monkeypatch)
         continuation_solve(spec)
         assert starts[0].tobytes() == series_start(spec, 1.0).tobytes()
 
     def test_path4_starts_at_the_series_at_one_half(self, path4_spec, monkeypatch):
         # rho = 1.32: tau = 1 is beyond the gate, so the first step is 1/2,
-        # whose corrector starts at seed + c_2 / 4 + c_3 / 8 + c_4 / 16 and
-        # converges
-        _, rho = solver._seed_series(path4_spec)
+        # whose corrector starts at seed + c_2 / 4 + c_3 / 8 + c_4 / 16, the
+        # series of order 4 with no vectors, and converges
+        c, rho, rows = solver._seed_series(path4_spec)
         assert 0.25 * rho <= solver.SEED_SHIFT_MAX < rho
+        assert len(c) == 3 and rows is None
         starts = record_start_points(monkeypatch)
         rep = continuation_solve(path4_spec)
         assert rep.continuation_path == (0.5, 1.0)

@@ -51,9 +51,9 @@ def test_every_rejected_trial_ends_its_corrector():
 
 
 def test_values_only_trials_are_counted(monkeypatch):
-    # the direct solve's corrector reuses its start's vectors: one eig (of
-    # the LAPACK kernel, as above), and every values-only trial still
-    # counted as a trial
+    # the direct solve's corrector starts with the seed series' vectors and
+    # keeps them: no eig (of the LAPACK kernel, as above), a values-only
+    # start, and every values-only trial still counted as a trial
     tracer = load_layers().Tracer()
     eigensolves = count_eigensolves(monkeypatch)
     with tracer.active():
@@ -62,7 +62,7 @@ def test_values_only_trials_are_counted(monkeypatch):
     counts = tracer.record()
     assert counts["solver.trials"] == sum(r.iteration >= 1 for r in report.iterations) >= 1
     assert counts["solver.trials.rejected"] >= 0
-    assert eigensolves["eig"] == 1
+    assert eigensolves["eig"] == 0 and eigensolves["eigvals"] == 1 + counts["solver.trials"]
 
 
 @pytest.mark.parametrize("name", ["path4", "complex_pair", "weakly_coupled", "stalling"])
