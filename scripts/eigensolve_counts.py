@@ -17,8 +17,11 @@ refused steps that the reports' corrector records hold (a trial is a
 spectral_map call of newton_solve after its corrector's start, the
 record's ``trials``; a refused step is a corrector whose ``ended`` is
 "step" with NoConvergence: newton_solve's step tests ended it before its
-trial).  Then, from the same records, the instances that converged and
-the correctors that converged at their start, with no trial.  The
+trial), and the order of each solve's seed series, len(c) + 1 of the
+solver's _seed_series, recorded through a stand-in for it: where the
+series stopped.  Then, from the same records, the instances that
+converged and the correctors that converged at their start, with no
+trial.  The
 benchmark's tracer wraps numpy.linalg.eig, which the
 kernel does not call, so its eig count reads 0.  The last column,
 events_per_map, is the number of Python and C function calls that
@@ -36,7 +39,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KINDS = ("eig", "eigvals", "eigh", "eigvalsh")
-COST_COLUMNS = ("newton_solves",) + KINDS + ("trials", "refused_steps")
+COST_COLUMNS = ("newton_solves",) + KINDS + ("trials", "refused_steps", "series_order")
 # read from the reports, kept out of the per-instance costs of tests/costs.json
 OUTCOME_COLUMNS = ("converged", "start_converged")
 COLUMNS = ("instances",) + COST_COLUMNS + OUTCOME_COLUMNS
@@ -89,6 +92,21 @@ def counting_kernel(calls: dict):
     return counted
 
 
+def recording_series(orders: list):
+    """A stand-in for solver._seed_series as it is now: each call appends
+    its series' order, len(c) + 1, to orders, then returns its result."""
+    from structured_iep import solver
+
+    series = solver._seed_series
+
+    def recorded(spec):
+        result = series(spec)
+        orders.append(len(result[0]) + 1)
+        return result
+
+    return recorded
+
+
 def refused_steps(correctors) -> int:
     """The Newton steps that newton_solve's step tests refused: correctors
     that ended at a step ("step") with NoConvergence, not a
@@ -101,19 +119,20 @@ def refused_steps(correctors) -> int:
 def solve_counted(spec) -> tuple:
     """(report, cost) of continuation_solve on spec, where the cost holds
     COST_COLUMNS: the Newton solves, trials and refused steps of the
-    report's Corrector records, and the eigensolves of matpoly.lapack by
-    kind."""
-    from structured_iep import continuation_solve, matpoly
+    report's Corrector records, the eigensolves of matpoly.lapack by kind,
+    and the order of the solve's one seed series."""
+    from structured_iep import continuation_solve, matpoly, solver
 
-    calls, kernel = dict.fromkeys(KINDS, 0), matpoly.lapack
-    matpoly.lapack = counting_kernel(calls)
+    calls, orders = dict.fromkeys(KINDS, 0), []
+    kernel, series = matpoly.lapack, solver._seed_series
+    matpoly.lapack, solver._seed_series = counting_kernel(calls), recording_series(orders)
     try:
         report = continuation_solve(spec)
     finally:
-        matpoly.lapack = kernel
+        matpoly.lapack, solver._seed_series = kernel, series
     correctors = report.correctors
     return report, {"newton_solves": len(correctors), **calls, "trials": sum(c.trials for c in correctors),
-                    "refused_steps": refused_steps(correctors)}
+                    "refused_steps": refused_steps(correctors), "series_order": sum(orders)}
 
 
 def counts(specs) -> dict:

@@ -84,10 +84,13 @@ shrinking late."""
 SERIES_ORDER_COST = 45_000.0
 """The numpy call overhead of one order of the seed series past 4,
 counted in flops for _series_cap's budget.  An order makes about 20 numpy
-calls, about 14 us at n <= 6 with numpy 2.4 and single-threaded OpenBLAS
+calls.  Timed as a whole series less the same series stopped at order 4,
+over the orders past 4, one takes about 19 us at n = 3, k = 1 and 31 to 39
+us at k = 2, 3 (n = 3 to 6), with numpy 2.4 and single-threaded OpenBLAS
 on 2 x86-64 cores, where the companion eig that a series saves runs at
-2.5 to 6.5 GFLOP/s (nk = 40 to 160): 14 us of it is 35,000 to 90,000
-flops, and the budget takes 45,000."""
+2.5 to 6.5 GFLOP/s (nk = 40 to 160): 19 us of it is 48,000 to 124,000
+flops.  The budget takes 45,000, at the low end: a larger value stops
+more series at order 4, and moves which corpus and sweep series extend."""
 VECTOR_REUSE_SHIFT = 0.01
 """A corrector at tau = 1 whose start residual r has max_q |r_q| / g_q at
 most this (g = spectrum.gaps) computes proper vectors once, at its start,
@@ -509,30 +512,32 @@ def _tangent(spec: ProblemSpec, decomp: SpectralDecomposition) -> np.ndarray:
     return xdot if np.isfinite(xdot).all() else np.zeros(len(decomp))
 
 
-def _interpolate(a: np.ndarray, roots: np.ndarray) -> None:
+def _interpolate(a: np.ndarray, roots: np.ndarray, diffs: list) -> None:
     """Overwrite a stack of value sets with their interpolants'
     coefficients.  a[i, r, m] is set i's value at roots[r, m] (roots is n x
     k) and becomes the z^m coefficient of set i's degree-(k-1) interpolant
     on entry r: Newton divided differences over each entry's targets, then
-    Horner on the Newton form, both in place."""
-    k = roots.shape[1]
-    for j in range(1, k):
-        a[..., j:] = (a[..., j:] - a[..., j - 1:-1]) / (roots[:, j:] - roots[:, :-j])
-    for j in range(k - 2, -1, -1):  # a(z) <- a[j] + (z - roots[:, j]) a(z), a(z) = sum_s a[j + 1 + s] z^s
+    Horner on the Newton form, both in place.  diffs[j - 1] = roots[:, j:]
+    - roots[:, :-j] (j = 1 .. k-1), formed once per series."""
+    for j, diff in enumerate(diffs, 1):
+        a[..., j:] = (a[..., j:] - a[..., j - 1:-1]) / diff
+    for j in range(len(diffs) - 1, -1, -1):  # a(z) <- a[j] + (z - roots[:, j]) a(z), a(z) = sum_s a[j + 1 + s] z^s
         a[..., j:-1] -= roots[:, j, None] * a[..., j + 1:]
 
 
-def _ramp_rows(y: np.ndarray, ramp: np.ndarray, col: np.ndarray) -> np.ndarray:
+def _ramp_rows(y: np.ndarray, ramp: np.ndarray, col: np.ndarray, prod=None, out=None) -> np.ndarray:
     """Row q: D(lambda_q) y_q, for the rows y_q of y (nk x n), D(z) = sum_s
     z^s Y_s the ramp of coefficient row ``ramp`` and col the targets as a
-    column: one (nk x n)(n x kn) product (Y_s is symmetric), then Horner
-    over its k blocks."""
-    nk, n = y.shape
-    yy = (y @ ramp).reshape(nk, -1, n)  # yy[q, s] = Y_s y_q
-    out = yy[:, -1]
-    for s in range(yy.shape[1] - 2, -1, -1):
-        out = out * col + yy[:, s]
-    return out
+    column: one (nk x n)(n x kn) product (Y_s is symmetric), into ``prod``
+    when given, then Horner over its k blocks: its first pass reads the
+    product's last block into ``out`` (a new array when None), the others
+    run in place.  For k = 1 the result is the product."""
+    yy = np.matmul(y, ramp, out=prod).reshape(len(y), -1, y.shape[1])  # yy[q, s] = Y_s y_q
+    z, k = yy[:, -1], yy.shape[1]
+    for s in range(k - 2, -1, -1):
+        z = np.multiply(z, col, out=out if s == k - 2 else z)
+        z += yy[:, s]
+    return z
 
 
 def _series_cap(n: int, k: int) -> int:
@@ -545,7 +550,9 @@ def _series_cap(n: int, k: int) -> int:
     Jacobian, and an eig in place of an eigvals, about 25 (nk)^3 flops
     (about 10 N^3 for the eigenvalues of an N x N matrix, 25 N^3 with
     vectors: Golub & Van Loan, Matrix Computations, 4th ed., 2013, sec.
-    7.5.6), and about three times the numpy calls of an order.  An order
+    7.5.6), and about three orders' numpy calls (at n = 3 to 6, k = 1 and
+    3, a direct corrector from a converged series took the time of 2.4 to
+    4.7 orders less than one from the order-4 series).  An order
     costs one (nk x n)(n x kn) product, 2 k^2 n^3 flops, about 1/(5k) of
     that eigvals, and its calls, counted as SERIES_ORDER_COST flops:
 
@@ -627,17 +634,24 @@ def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndarray | Non
     that tolerance by the cap (_series_state), or before a term that is not
     finite.  Its vectors are e_r - sum_i y_i over the y_i it computed,
     accurate to the order of the series.  Built from the targets, the
-    leading diagonal, the off-diagonal rows of D at the targets and one
-    product of an nk x n matrix by the n x kn ramp row an order: no eig,
-    no Jacobian, and the y_i and Delta_j that the sums need, O(M k n^2)
-    memory.  When rho or a term up to order 4 is not finite, the result is
-    (0, inf, None), 0 of shape (3, kn): the bare seed.
+    leading diagonal, the off-diagonal rows of D at the targets and, an
+    order past 4, one product of an nk x n matrix by the n x kn ramp row
+    (_ramp_rows) and a few passes over nk x n arrays: Horner on the
+    product's k blocks into y_(m-2), the convolution as one contraction,
+    and two dot products a row.  No eig, no Jacobian.  The y_i, the
+    Delta_j, the convolution and the product share one allocation of 2M -
+    4 + k blocks of nk x n (M the cap), O(M k n^2) memory, or of y_0 and
+    y_1 alone when the series stops at order 4 within its tolerance.  At
+    n = 80, k = 2 an order takes about 215 us, 70 of them the product.
+    When rho or a term up to order 4 is not finite, the result is (0, inf,
+    None), 0 of shape (3, kn): the bare seed.
     """
     n, k = spec.n, spec.k
     alpha, ramp = spec.lead.alpha_k, spec.ramp_row
     roots = spec.spectrum.blocks
     lam = roots.ravel()  # target q belongs to entry q // k
     col = lam[:, None]
+    diffs = [roots[:, j:] - roots[:, :-j] for j in range(1, k)]
     q = np.arange(n * k)
     entry = q // k
     # h[m - 2] holds the tau^m values at the targets, then their interpolants
@@ -664,7 +678,7 @@ def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndarray | Non
         shift = np.abs(flat[0] / slope)
         order = lam.argsort()
         rho = float(np.maximum.reduce(shift[order] / spec.spectrum.gaps))  # gaps are in sorted order
-        _interpolate(h[:1], roots)
+        _interpolate(h[:1], roots, diffs)
         w[q, entry] = 0.0  # the sum over l != r
         # sum_j u_q[j]^2 Delta_2,j(lambda_q), by Horner on uc[q, s] = sum_j u_q[j]^2 c_2[s*n + j]
         uc = (u * u) @ h[0]
@@ -676,7 +690,7 @@ def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndarray | Non
         if cap > 4:  # the largest target shift of each term, 0 for the tau term there is not
             shifts = [0.0, float(np.maximum.reduce(shift)),
                       *np.maximum.reduce(np.abs(flat[1:3] / slope), axis=1).tolist()]
-        _interpolate(h[1:], roots)
+        _interpolate(h[1:], roots, diffs)
         if not (np.logical_and.reduce(np.isfinite(h), axis=None) and np.isfinite(rho)):
             return np.zeros((3, n * k)), np.inf, None
         m, rows = 4, None
@@ -684,9 +698,12 @@ def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndarray | Non
             tol = spec.controls.resolved_tol(spec.spectrum)
             converged, extends = _series_state(shifts, m, tol, cap)
         if cap > 4 and (converged or extends):
-            y = np.empty((cap - 2, n * k, n))  # y[i] = y_i
-            y[0] = u
-            np.divide(w, -p_row, out=y[1])  # entry r of w is 0
+            # one allocation, y_i = stack[top - i] and Delta_j = stack[top + j - 1], so that the
+            # pairs Delta_j, y_(m-1-j) of a convolution are two adjacent runs; then that sum and D y's product
+            top = cap - 3 if extends else 1
+            stack = np.empty((2 * top + 2 + k if extends else 2, n * k, n))
+            stack[top] = u
+            np.divide(w, -p_row, out=stack[top - 1])  # entry r of w is 0
         if cap > 4 and extends:
             h = np.concatenate((h, np.empty((cap - 4, n, k))))
             flat = h.reshape(cap - 1, n * k)
@@ -694,25 +711,25 @@ def _seed_series(spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndarray | Non
             scale = -1.0 / p_row
             scale[q, entry] = 0.0
             powers = col ** np.arange(k)  # powers @ (c_m's n x k block)^T = Delta_m at every target
-            deltas = np.empty((cap - 3, n * k, n))  # deltas[j - 2] = Delta_j
-            np.matmul(powers, h[0].T, out=deltas[0])
-            conv = deltas[0] * u  # sum_{j=2..m-2} Delta_j o y_(m-2-j), for m = 4
+            conv, prod = stack[2 * top + 1], stack[2 * top + 2:].reshape(n * k, k * n)
+            # sum_{j=2..m-2} Delta_j o y_(m-2-j), for m = 4
+            np.multiply(np.matmul(powers, h[0].T, out=stack[top + 1]), u, out=conv)
             while extends:  # to order m + 1: y_(m-2), then v_(m+1) from it and the sum for m + 1
-                z = _ramp_rows(y[m - 3], ramp, col)
-                z += conv
-                np.multiply(z, scale, out=y[m - 2])
-                np.matmul(powers, h[m - 3].T, out=deltas[m - 3])
-                conv = np.vecdot(deltas[:m - 2], y[m - 3::-1], axis=0)
-                v = np.subtract(np.vecdot(w, y[m - 2]), np.vecdot(u, conv), out=flat[m - 1])  # w is -w
+                y = stack[top + 2 - m]  # y_(m-2) = (D y_(m-3) + conv) * scale
+                np.multiply(np.add(_ramp_rows(stack[top + 3 - m], ramp, col, prod, y), conv, out=y), scale, out=y)
+                np.matmul(powers, h[m - 3].T, out=stack[top + m - 2])
+                # the sum for m + 1, from Delta_2 o y_(m-3) on, as one contraction
+                np.einsum("ijk,ijk->jk", stack[top + 3 - m:top + 1], stack[top + 1:top + m - 1], out=conv)
+                v = np.subtract(np.vecdot(w, y), np.vecdot(u, conv), out=flat[m - 1])  # w is -w
                 shift = float(np.maximum.reduce(np.abs(v / slope)))
                 if not np.isfinite(shift):  # a term that is not finite ends the series before it
                     break
                 m += 1
                 shifts.append(shift)
-                _interpolate(h[m - 2:m - 1], roots)
+                _interpolate(h[m - 2:m - 1], roots, diffs)
                 converged, extends = _series_state(shifts, m, tol, cap)
         if cap > 4 and (converged or m > 4):
-            rows = -np.add.reduce(y[:m - 2], axis=0)
+            rows = -np.add.reduce(stack[top + 3 - m:top + 1][::-1], axis=0)  # y_0 + ... + y_(m-3)
             rows[q, entry] = 1.0
             rows = rows[order]
     return h[:m - 1].transpose(0, 2, 1).reshape(m - 1, k * n), rho, rows

@@ -22,12 +22,23 @@ def test_import_leaves_the_environment_and_sys_path_alone():
 def test_bundled_counts(monkeypatch):
     # on each problem the first step is 1/2 (rho = 1.32), then path (0.5, 1):
     # 2 Newton solves and 8 eigs, one per corrector start and one per trial.
-    # No corrector starts close enough to its root to reuse vectors
+    # No corrector starts close enough to its root to reuse vectors, and
+    # each seed series stops at order 4 (rho > SEED_SHIFT_MAX)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     script = load_script()
     counts = script.counts(script.instance_sets()["bundled"])
     assert counts == {"instances": 2, "newton_solves": 4, "eig": 16, "eigvals": 0, "eigh": 0, "eigvalsh": 0,
-                      "trials": 12, "refused_steps": 0, "converged": 2, "start_converged": 0}
+                      "trials": 12, "refused_steps": 0, "series_order": 8, "converged": 2, "start_converged": 0}
+
+
+def test_a_counted_solve_records_its_series_order_and_restores_the_solver(path4_spec):
+    # path4's series stops at order 4 (rho > SEED_SHIFT_MAX); both stand-ins go
+    from structured_iep import matpoly, solver
+
+    kernel, series = matpoly.lapack, solver._seed_series
+    report, cost = load_script().solve_counted(path4_spec)
+    assert report.converged and cost["series_order"] == 4
+    assert matpoly.lapack is kernel and solver._seed_series is series
 
 
 def test_the_heldout_draw_is_the_corpus_of_seeds_four_to_thirteen(monkeypatch):

@@ -1571,13 +1571,25 @@ class TestSeedPredictor:
         # the tau^3 term is zero exactly on a graph without odd cycles (k = 1's is a tree)
         assert (np.max(np.abs(c_ref[1])) == 0.0) == (k == 1)
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_every_order_matches_the_recursion_by_entry(self, k, monkeypatch):
+        # k = 3 runs the middle Horner block of _ramp_rows and the second
+        # divided difference of _interpolate; its rho is 1.48 at epsilon
+        # 0.05, above SEED_SHIFT_MAX, and at 0.005 its series reaches order 12
         full_budget(monkeypatch)
-        spec = triangle_spec(k, epsilon=0.05)
+        spec = triangle_spec(k, epsilon=0.005 if k == 3 else 0.05)
         c = solver._seed_series(spec)[0]
         c_ref = reference_recursion(spec, len(c) + 1)
         assert len(c) >= 6
+        for got, want in zip(c, c_ref):
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_a_sparse_sweep_like_series_matches_the_recursion_past_order_six(self):
+        # the sweep's kind of instance at its own cap: sparse graphs, k = 3
+        spec = weakly_coupled_spec(20, 3)
+        c, _, rows = solver._seed_series(spec)
+        c_ref = reference_recursion(spec, len(c) + 1)
+        assert len(c) + 1 > 6 and rows is not None
         for got, want in zip(c, c_ref):
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
 
